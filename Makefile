@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-report lint-examples check trace-check drill-smoke mort-check shard-identity reboot-identity frontend-identity frontend-smoke crashloop-soak surge-soak race bench bench-engine bench-report bench-gate clean
+.PHONY: all build test lint lint-report lint-examples check trace-check drill-smoke mort-check frontend-smoke crashloop-soak surge-soak race bench bench-engine bench-report bench-gate clean
 
 all: check
 
@@ -13,10 +13,10 @@ test:
 	$(GO) test ./...
 
 # lint runs hivelint, the in-tree determinism, layering &
-# fault-containment suite (internal/lint): seven single-package
-# analyzers plus the four interprocedural ones (carefulref, rpctaint,
-# errdrop, shardescape) built on the module-wide call graph and taint
-# engine. Stale //hive:lint-ignore pragmas are diagnostics too. The
+# fault-containment suite (internal/lint): six single-package
+# analyzers plus the three interprocedural ones (carefulref, rpctaint,
+# errdrop) built on the module-wide call graph and taint engine: 9 in
+# all. Stale //hive:lint-ignore pragmas are diagnostics too. The
 # -budget flag additionally fails the run if linting itself exceeds 30s
 # of wall time: the suite must stay cheap enough to live inside the
 # tier-1 gate. The same suite is also gated inside `go test ./...` via
@@ -80,73 +80,6 @@ mort-check:
 	$(GO) run ./cmd/hivemort
 	@echo "mort-check: trace-derived verdicts agree with the harness"
 
-# shard-identity is the sharded-engine determinism gate: the quick fault
-# campaign (JSON, wall-clock/config fields stripped), the seeded sweep
-# witness hash, a full workload run, and its Chrome trace export must be
-# byte-identical between -shards 1 (the serial reference) and -shards
-# auto (one OS worker per cell).
-SCRATCH := .shardcheck
-shard-identity:
-	mkdir -p $(SCRATCH)
-	$(GO) run ./cmd/faultdrill -trials 1 -json -o $(SCRATCH)/drill_s1.json -shards 1
-	$(GO) run ./cmd/faultdrill -trials 1 -json -o $(SCRATCH)/drill_sa.json -shards auto
-	grep -vE '"(jobs|gomaxprocs|shards|total_wall_ms)"' $(SCRATCH)/drill_s1.json > $(SCRATCH)/drill_s1.norm
-	grep -vE '"(jobs|gomaxprocs|shards|total_wall_ms)"' $(SCRATCH)/drill_sa.json > $(SCRATCH)/drill_sa.norm
-	diff $(SCRATCH)/drill_s1.norm $(SCRATCH)/drill_sa.norm
-	$(GO) run ./cmd/faultdrill -sweep -points 24 -shards 1 > $(SCRATCH)/sweep_s1.txt
-	$(GO) run ./cmd/faultdrill -sweep -points 24 -shards auto > $(SCRATCH)/sweep_sa.txt
-	diff $(SCRATCH)/sweep_s1.txt $(SCRATCH)/sweep_sa.txt
-	$(GO) run ./cmd/hivesim -workload pmake -cells 4 -fail 1 -shards 1 -trace $(SCRATCH)/trace_s1.json | grep -v 'trace written to' > $(SCRATCH)/sim_s1.txt
-	$(GO) run ./cmd/hivesim -workload pmake -cells 4 -fail 1 -shards auto -trace $(SCRATCH)/trace_sa.json | grep -v 'trace written to' > $(SCRATCH)/sim_sa.txt
-	diff $(SCRATCH)/sim_s1.txt $(SCRATCH)/sim_sa.txt
-	diff $(SCRATCH)/trace_s1.json $(SCRATCH)/trace_sa.json
-	rm -rf $(SCRATCH)
-	@echo "shard-identity: -shards 1 and -shards auto byte-identical"
-
-# reboot-identity is the availability-loop determinism gate: the three
-# reboot scenarios' aggregates (time-to-full-capacity, during-loop p99,
-# containment) must be byte-identical across -j1/-j8 and between
-# -shards 1 (the serial reference) and -shards auto. Wall-clock and
-# worker-count fields are stripped before the diff, same as
-# shard-identity.
-RBSCRATCH := .rebootcheck
-reboot-identity:
-	mkdir -p $(RBSCRATCH)
-	$(GO) run ./cmd/hivebench -only reboot -j 1 -json -o $(RBSCRATCH)/rb_j1.json
-	$(GO) run ./cmd/hivebench -only reboot -j 8 -json -o $(RBSCRATCH)/rb_j8.json
-	grep -vE '"(jobs|gomaxprocs|shards|wall_ms|total_wall_ms)"' $(RBSCRATCH)/rb_j1.json > $(RBSCRATCH)/rb_j1.norm
-	grep -vE '"(jobs|gomaxprocs|shards|wall_ms|total_wall_ms)"' $(RBSCRATCH)/rb_j8.json > $(RBSCRATCH)/rb_j8.norm
-	diff $(RBSCRATCH)/rb_j1.norm $(RBSCRATCH)/rb_j8.norm
-	$(GO) run ./cmd/hivebench -only reboot -shards 1 -json -o $(RBSCRATCH)/rb_s1.json
-	$(GO) run ./cmd/hivebench -only reboot -shards auto -json -o $(RBSCRATCH)/rb_sa.json
-	grep -vE '"(jobs|gomaxprocs|shards|wall_ms|total_wall_ms)"' $(RBSCRATCH)/rb_s1.json > $(RBSCRATCH)/rb_s1.norm
-	grep -vE '"(jobs|gomaxprocs|shards|wall_ms|total_wall_ms)"' $(RBSCRATCH)/rb_sa.json > $(RBSCRATCH)/rb_sa.norm
-	diff $(RBSCRATCH)/rb_s1.norm $(RBSCRATCH)/rb_sa.norm
-	rm -rf $(RBSCRATCH)
-	@echo "reboot-identity: availability loop byte-identical across -j and -shards"
-
-# frontend-identity is the open-loop frontend determinism gate: the
-# throughput-vs-offered-load sweep and the surge-fault row (SLO
-# quantiles, shed counts, availability windows) must be byte-identical
-# across -j1/-j8 and between -shards 1 (the serial reference) and
-# -shards auto. Wall-clock and worker-count fields are stripped before
-# the diff, same as the other identity gates.
-FESCRATCH := .frontendcheck
-frontend-identity:
-	mkdir -p $(FESCRATCH)
-	$(GO) run ./cmd/hivebench -only frontend -j 1 -json -o $(FESCRATCH)/fe_j1.json
-	$(GO) run ./cmd/hivebench -only frontend -j 8 -json -o $(FESCRATCH)/fe_j8.json
-	grep -vE '"(jobs|gomaxprocs|shards|wall_ms|total_wall_ms)"|wall_jobs_per_s' $(FESCRATCH)/fe_j1.json > $(FESCRATCH)/fe_j1.norm
-	grep -vE '"(jobs|gomaxprocs|shards|wall_ms|total_wall_ms)"|wall_jobs_per_s' $(FESCRATCH)/fe_j8.json > $(FESCRATCH)/fe_j8.norm
-	diff $(FESCRATCH)/fe_j1.norm $(FESCRATCH)/fe_j8.norm
-	$(GO) run ./cmd/hivebench -only frontend -shards 1 -json -o $(FESCRATCH)/fe_s1.json
-	$(GO) run ./cmd/hivebench -only frontend -shards auto -json -o $(FESCRATCH)/fe_sa.json
-	grep -vE '"(jobs|gomaxprocs|shards|wall_ms|total_wall_ms)"|wall_jobs_per_s' $(FESCRATCH)/fe_s1.json > $(FESCRATCH)/fe_s1.norm
-	grep -vE '"(jobs|gomaxprocs|shards|wall_ms|total_wall_ms)"|wall_jobs_per_s' $(FESCRATCH)/fe_sa.json > $(FESCRATCH)/fe_sa.norm
-	diff $(FESCRATCH)/fe_s1.norm $(FESCRATCH)/fe_sa.norm
-	rm -rf $(FESCRATCH)
-	@echo "frontend-identity: open-loop frontend byte-identical across -j and -shards"
-
 # crashloop-soak is the nightly deep gate for the availability loop:
 # many extra trials of the crash-loop (scenario 12) and rolling-reboot
 # (scenario 13) scenarios beyond the default campaign counts — every
@@ -172,11 +105,9 @@ surge-soak:
 	@echo "surge-soak: 16 surge-fault trials, all contained with bounded windows"
 
 # race runs the concurrency-sensitive packages under the race detector,
-# including the cross-package determinism gates in internal/faultinject
-# and the stack-level sharded-engine identity tests in internal/workload.
+# including the cross-package determinism gates in internal/faultinject.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/faultinject/...
-	$(GO) test -race -run 'Sharded' ./internal/workload/
 
 # bench regenerates every paper table as benchmarks.
 bench:

@@ -30,7 +30,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/parallel"
-	"repro/internal/workload"
 )
 
 // campaignReport is the -json document, shaped like hivebench's report so
@@ -42,7 +41,6 @@ type campaignReport struct {
 	Jobs              int                        `json:"jobs"`
 	TrialsPerScenario int                        `json:"trials_per_scenario"` // 0 = the paper's counts
 	Cells             int                        `json:"cells"`
-	Shards            int                        `json:"shards"` // engine workers per trial (0 = classic)
 	Scenarios         []*faultinject.CampaignRow `json:"scenarios"`
 	AllOK             bool                       `json:"all_ok"`
 	TotalWallMs       float64                    `json:"total_wall_ms"`
@@ -61,7 +59,6 @@ func main() {
 		tracePath = flag.String("trace", "", "with -scenario: write the trial's Chrome trace-event JSON here")
 		sweep     = flag.Bool("sweep", false, "run the seeded (scenario × trial) grid sweep with failure minimization")
 		points    = flag.Int("points", 220, "with -sweep: minimum grid points to cover")
-		shards    = flag.String("shards", "", "engine mode per trial: 0 = classic (default), N = sharded with N workers, auto = one worker per cell; results are identical at every value")
 	)
 	flag.Parse()
 
@@ -72,18 +69,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	nshards, err := workload.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "faultdrill:", err)
-		os.Exit(2)
-	}
-	if nshards == workload.ShardsAuto {
-		nshards = workload.AutoShards(*cells)
-	}
-
 	if *sweep {
 		per := (*points + faultinject.NumScenarios - 1) / faultinject.NumScenarios
-		rep := faultinject.Sweep(faultinject.SweepOpts{TrialsPer: per, Shards: nshards})
+		rep := faultinject.Sweep(faultinject.SweepOpts{TrialsPer: per})
 		fmt.Print(rep.Format())
 		if !rep.AllOK() {
 			os.Exit(1)
@@ -93,7 +81,7 @@ func main() {
 
 	if *scenario >= 0 {
 		s := faultinject.Scenario(*scenario)
-		opts := faultinject.TrialOpts{Cells: *cells, Shards: nshards}
+		opts := faultinject.TrialOpts{Cells: *cells}
 		if *tracePath != "" {
 			opts.KeepTrace = true
 			opts.TraceCap = 1 << 16
@@ -130,8 +118,7 @@ func main() {
 		if *trials > 0 {
 			n = *trials
 		}
-		row := faultinject.RunScenarioOptsWith(parallel.Default(), s, n,
-			faultinject.TrialOpts{Cells: *cells, Shards: nshards})
+		row := faultinject.RunScenarioCellsWith(parallel.Default(), s, n, *cells)
 		rows = append(rows, row)
 		if !row.AllOK {
 			allOK = false
@@ -153,7 +140,6 @@ func main() {
 			Jobs:              parallel.Default().Workers(),
 			TrialsPerScenario: *trials,
 			Cells:             *cells,
-			Shards:            nshards,
 			Scenarios:         rows,
 			AllOK:             allOK,
 			TotalWallMs:       float64(time.Since(start).Microseconds()) / 1000,

@@ -25,23 +25,15 @@ import (
 func main() {
 	var (
 		wl     = flag.String("workload", "pmake", "pmake | ocean | raytrace")
-		cells  = flag.Int("cells", 4, "number of cells (1, 2, or 4)")
+		cells  = flag.Int("cells", 4, fmt.Sprintf("number of cells (1..%d)", hive.MaxCells))
 		irix   = flag.Bool("irix", false, "run the IRIX 5.2 baseline instead of Hive")
 		seed   = flag.Int64("seed", 1995, "simulation seed")
 		fail   = flag.Int("fail", -1, "inject a fail-stop fault into this cell")
 		failAt = flag.Duration("failat", 2*time.Second, "virtual time of the fault")
 		stats  = flag.Bool("stats", false, "dump per-cell kernel counters")
 		trace  = flag.String("trace", "", "write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
-		shards = flag.String("shards", "", "engine mode: 0 = classic (default), N = sharded with N workers, auto = one worker per cell; output is identical at every value")
 	)
 	flag.Parse()
-
-	nshards, err := workload.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hivesim:", err)
-		os.Exit(2)
-	}
-	workload.SetDefaultShards(nshards)
 
 	var h *core.Hive
 	name := fmt.Sprintf("hive-%dcell", *cells)
@@ -49,6 +41,10 @@ func main() {
 		h = hive.BootIRIX()
 		name = "IRIX"
 	} else {
+		if err := hive.ValidateCells(*cells); err != nil {
+			fmt.Fprintln(os.Stderr, "hivesim:", err)
+			os.Exit(2)
+		}
 		h = workload.BootHiveWith(*cells, *seed, func(cfg *core.Config) {
 			if *trace != "" {
 				// Wide rings so a full workload's spans survive to export.

@@ -11,7 +11,6 @@
 //	hivetop -fail 2 -hist 3 -tail 20 -trace top.json
 //	hivetop -fail 2 -forensic      # propagation graph + virtual-time profile
 //	hivetop -fail 2 -reboot        # availability loop: reboot, rejoin, restore
-//	hivetop -shards auto -trace top.json  # sharded engine, with counter tracks
 //	hivetop -frontend              # open-loop multi-tenant frontend + SLO view
 //	hivetop -frontend -fail 1 -reboot     # kill a cell mid-surge, watch the window
 package main
@@ -24,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	hive "repro"
 	"repro/internal/core"
 	"repro/internal/forensic"
 	"repro/internal/sim"
@@ -46,17 +46,14 @@ func main() {
 		forensicOn = flag.Bool("forensic", false, "print the fault-propagation graph and virtual-time profile (implied by -fail)")
 		reboot     = flag.Bool("reboot", false, "run the availability loop: reboot the failed cell, rejoin it, restore full capacity")
 		topN       = flag.Int("top", 3, "top span names per subsystem in the -forensic profile")
-		shards     = flag.String("shards", "", "engine mode: 0 = classic (default), N = sharded with N workers, auto = one worker per cell")
 		frontend   = flag.Bool("frontend", false, "run the open-loop multi-tenant frontend instead of pmake, with an SLO view")
 	)
 	flag.Parse()
 
-	nshards, err := workload.ParseShards(*shards)
-	if err != nil {
+	if err := hive.ValidateCells(*cells); err != nil {
 		fmt.Fprintln(os.Stderr, "hivetop:", err)
 		os.Exit(2)
 	}
-	workload.SetDefaultShards(nshards)
 
 	h := workload.BootHiveWith(*cells, *seed, func(cfg *core.Config) {
 		if *tracePath != "" || *forensicOn || *fail >= 0 {
@@ -143,11 +140,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hivetop: %v\n", err)
 			os.Exit(1)
 		}
-		var tracks []trace.CounterTrack
-		if h.Clu != nil {
-			tracks = trace.EngineCounterTracks(h.Clu.Stats())
-		}
-		if err := h.Trace.ExportChromeWith(f, tracks); err != nil {
+		if err := h.Trace.ExportChrome(f); err != nil {
 			fmt.Fprintf(os.Stderr, "hivetop: export trace: %v\n", err)
 			os.Exit(1)
 		}

@@ -63,12 +63,6 @@ type Reader struct {
 	// fails — the forensic record that bad remote data was discarded
 	// at the protocol boundary instead of trusted.
 	Tracer *trace.Tracer
-	// CellEngine maps a cell id to the shard its nodes are bound to in a
-	// sharded run (wired by the boot layer); nil means every cell shares
-	// one engine and remote reads resolve directly. When the window's
-	// expected cell lives on another shard, arena reads hop to the global
-	// phase so they never race the owner's window.
-	CellEngine func(cell int) *sim.Engine
 }
 
 // Ctx is one careful_on..careful_off window.
@@ -94,7 +88,7 @@ func (r *Reader) On(t *sim.Task, proc *machine.Processor, expectCell int) *Ctx {
 func (c *Ctx) Off() error {
 	c.proc.Use(c.t, OffCost)
 	if c.err != nil {
-		c.r.Tracer.Emit(c.r.M.NodeEngine(c.proc.Node.ID).Now(), trace.CarefulAbort,
+		c.r.Tracer.Emit(c.r.M.Eng.Now(), trace.CarefulAbort,
 			int64(c.expectCell), 0, c.err.Error())
 		if c.r.HintSink != nil {
 			c.r.HintSink(c.expectCell, c.err.Error())
@@ -113,23 +107,6 @@ func (c *Ctx) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-}
-
-// global runs fn with every shard quiescent when the window targets a cell
-// on another shard; otherwise fn runs directly. This is the sharded-run
-// analogue of the hardware guarantee the protocol already assumes — a
-// remote read observes a consistent memory image, not a torn intermediate.
-func (c *Ctx) global(fn func()) {
-	me := c.r.M.NodeEngine(c.proc.Node.ID)
-	if me.Cluster() == nil || c.r.CellEngine == nil || c.expectCell < 0 {
-		fn()
-		return
-	}
-	if g := c.r.CellEngine(c.expectCell); g == nil || g == me {
-		fn()
-		return
-	}
-	me.Global(c.t, fn)
 }
 
 // SetLoopBound sets the maximum number of traversal steps permitted in this
@@ -175,9 +152,7 @@ func (c *Ctx) CheckTag(addr kmem.Addr, want kmem.TypeTag) bool {
 		return false
 	}
 	c.chargeRead()
-	var tag kmem.TypeTag
-	var err error
-	c.global(func() { tag, err = c.r.Space.TagAt(addr) })
+	tag, err := c.r.Space.TagAt(addr)
 	if err != nil {
 		c.fail(fmt.Errorf("%w reading tag at %v", ErrBusError, addr))
 		return false
@@ -214,9 +189,7 @@ func (c *Ctx) ReadWord(addr kmem.Addr, i int) uint64 {
 		return 0
 	}
 	c.chargeRead()
-	var v uint64
-	var err error
-	c.global(func() { v, err = c.r.Space.ReadWord(addr, i) })
+	v, err := c.r.Space.ReadWord(addr, i)
 	if err != nil {
 		c.fail(fmt.Errorf("%w at %v+%d", ErrBusError, addr, i))
 		return 0
@@ -232,18 +205,11 @@ func (c *Ctx) CopyObject(addr kmem.Addr, n int) []uint64 {
 		return nil
 	}
 	out := make([]uint64, n)
-	// One hop covers the whole copy: the per-word reads inside nest and run
-	// inline, so a cross-shard snapshot costs one window, not one per word.
-	c.global(func() {
-		for i := 0; i < n; i++ {
-			out[i] = c.ReadWord(addr, i)
-			if c.err != nil {
-				return
-			}
+	for i := 0; i < n; i++ {
+		out[i] = c.ReadWord(addr, i)
+		if c.err != nil {
+			return nil
 		}
-	})
-	if c.err != nil {
-		return nil
 	}
 	return out
 }

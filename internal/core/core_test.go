@@ -278,7 +278,7 @@ func TestSpanningTask(t *testing.T) {
 	var span *proc.Span
 	h.Cells[0].Procs.Spawn("launcher", 1, func(p *proc.Process, tk *sim.Task) {
 		var err error
-		span, err = h.Cells[0].Procs.SpawnSpanning(tk, "par", 5, tables,
+		span, err = h.Cells[0].Procs.SpawnSpanning("par", 5, tables,
 			func(tp *proc.Process, tt *sim.Task) {
 				tp.Compute(tt, 5*sim.Millisecond)
 				ran++
@@ -306,7 +306,7 @@ func TestSpanningTaskDiesWithAnyCell(t *testing.T) {
 	h := Boot(testConfig())
 	tables := []*proc.Table{h.Cells[0].Procs, h.Cells[1].Procs, h.Cells[2].Procs, h.Cells[3].Procs}
 	h.Cells[0].Procs.Spawn("launcher", 1, func(p *proc.Process, tk *sim.Task) {
-		h.Cells[0].Procs.SpawnSpanning(tk, "par", 5, tables,
+		h.Cells[0].Procs.SpawnSpanning("par", 5, tables,
 			func(tp *proc.Process, tt *sim.Task) {
 				for {
 					tp.Compute(tt, 10*sim.Millisecond)

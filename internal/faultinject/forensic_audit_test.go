@@ -59,40 +59,12 @@ func TestForensicReportIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestForensicReportIdenticalAcrossShards requires the report (including
-// the audit verdict and profile) to be byte-identical between a 1-worker
-// and an auto-sharded engine — the hivemort face of the shard-identity
-// gate.
-func TestForensicReportIdenticalAcrossShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("report shard identity skipped in -short")
-	}
-	for _, s := range []Scenario{NodeFailProcCreate, CorruptAddrMap, MsgDup} {
-		one := TrialOpts{KeepEvents: true, TraceCap: 1 << 16, Shards: 1}
-		auto := TrialOpts{KeepEvents: true, TraceCap: 1 << 16, Shards: 4}
-		if a, b := forensicReport(s, 0, one), forensicReport(s, 0, auto); a != b {
-			t.Errorf("%v: report differs between -shards 1 and -shards 4:\n--- 1 ---\n%s\n--- 4 ---\n%s", s, a, b)
-		}
-	}
-}
-
-// TestKeepEventsCapturesEngineStats checks the sharded-trial instrumentation
-// snapshot rides along with the forensic capture.
-func TestKeepEventsCapturesEngineStats(t *testing.T) {
-	tr := RunTrialOpts(NodeFailProcCreate, 0, TrialOpts{KeepEvents: true, Shards: 2})
-	if tr.EngineStats == nil {
-		t.Fatal("sharded KeepEvents trial has no EngineStats")
-	}
-	if tr.EngineStats.Windows == 0 || len(tr.EngineStats.Shards) != tr.Cells+1 {
-		t.Fatalf("EngineStats = windows %d, %d shards; want windows>0 and %d shards",
-			tr.EngineStats.Windows, len(tr.EngineStats.Shards), tr.Cells+1)
-	}
-	classic := RunTrialOpts(NodeFailProcCreate, 0, TrialOpts{KeepEvents: true})
-	if classic.EngineStats != nil {
-		t.Fatal("classic trial should have no EngineStats")
-	}
-	if len(classic.Events) == 0 || len(classic.Dropped) != classic.Cells {
+// TestKeepEventsCapture checks the forensic capture: the merged event
+// stream and one ring-truncation row per cell.
+func TestKeepEventsCapture(t *testing.T) {
+	tr := RunTrialOpts(NodeFailProcCreate, 0, TrialOpts{KeepEvents: true})
+	if len(tr.Events) == 0 || len(tr.Dropped) != tr.Cells {
 		t.Fatalf("KeepEvents capture incomplete: %d events, %d drop rows, %d cells",
-			len(classic.Events), len(classic.Dropped), classic.Cells)
+			len(tr.Events), len(tr.Dropped), tr.Cells)
 	}
 }

@@ -64,26 +64,3 @@ func TestRebootScenarioMetrics(t *testing.T) {
 		}
 	}
 }
-
-// TestRebootScenarioShardIdentity requires the loop metrics to be
-// identical between the classic-equivalent 1-shard engine and a 4-way
-// sharded run, and the sharded trace hash to be reproducible.
-func TestRebootScenarioShardIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded reboot trials; skipped with -short")
-	}
-	for _, s := range rebootScenarios {
-		a := RunTrialOpts(s, 0, TrialOpts{TraceHash: true, Shards: 1})
-		b := RunTrialOpts(s, 0, TrialOpts{TraceHash: true, Shards: 4})
-		if a.TraceHash == 0 || a.OK() != b.OK() || a.RestoreMs != b.RestoreMs ||
-			a.LoopP99Ms != b.LoopP99Ms || a.Rejoins != b.Rejoins {
-			t.Errorf("%v: shard mismatch: ok=%v/%v restore=%v/%v p99=%v/%v rejoins=%d/%d notes=%q/%q",
-				s, a.OK(), b.OK(), a.RestoreMs, b.RestoreMs, a.LoopP99Ms, b.LoopP99Ms,
-				a.Rejoins, b.Rejoins, a.Notes, b.Notes)
-		}
-		c := RunTrialOpts(s, 0, TrialOpts{TraceHash: true, Shards: 4})
-		if b.TraceHash != c.TraceHash {
-			t.Errorf("%v: sharded trace hash not reproducible", s)
-		}
-	}
-}

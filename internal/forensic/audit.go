@@ -12,7 +12,7 @@ import (
 // It mirrors the two trace-derivable fields of faultinject.TrialResult —
 // Detected and Contained — so cmd/hivemort can cross-check them; the
 // workload-level fields (IntegrityOK, CorrectRunOK, StateOK) need live
-// kernel state and are out of the trace's reach (DESIGN.md §11 caveats).
+// kernel state and are out of the trace's reach (DESIGN.md §10 caveats).
 type Verdict struct {
 	Detected  bool     `json:"detected"`
 	Contained bool     `json:"contained"`

@@ -24,7 +24,7 @@
 //
 // Everything here is a pure function of the merged stream plus the
 // per-cell ring-truncation counters, so reports are byte-identical
-// across -j and -shards whenever the underlying trace is.
+// across -j whenever the underlying trace is.
 package forensic
 
 import (

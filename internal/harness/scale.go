@@ -33,17 +33,10 @@ type ScaleRow struct {
 	// virtual second — the simulator work measure the perf gate tracks.
 	Events       int64
 	EventsPerSec float64
-
-	// The scale_sharded probe: the same pmake rerun on the sharded engine
-	// (one shard per cell, one worker per shard). The virtual-time fields
-	// are deterministic and perf-gated; the WallEvents rates are the real
-	// events/sec of each engine mode and are reported, never gated (wall
-	// clock varies with the host).
-	ShardedPmakeSec         float64
-	ShardedEvents           int64
-	ShardedEventsPerSec     float64
-	WallEventsPerSec        float64 // classic engine, Dispatched()/wall
-	ShardedWallEventsPerSec float64 // sharded engine, Dispatched()/wall
+	// WallEventsPerSec is the engine's real dispatch rate over the pmake
+	// run, Dispatched()/wall: reported, never gated (wall clock varies
+	// with the host).
+	WallEventsPerSec float64
 
 	// Fault campaign at this size: NodeFailRandom, DoubleFault, and
 	// CoordinatorDeath trials. Latencies are averages over the detected
@@ -69,7 +62,7 @@ var scaleScenarios = []faultinject.Scenario{
 // is an independent boot, so the probes fan out across the process-wide
 // parallel runner; results merge in cell-count order.
 func RunScale(cellCounts []int, trials int) []ScaleRow {
-	const unitsPer = 3 + 3 // pmake, sharded pmake, ocean, one unit per scaleScenario
+	const unitsPer = 2 + 3 // pmake, ocean, one unit per scaleScenario
 	type part struct {
 		pmakeSec, oceanSec float64
 		rpcCalls, events   int64
@@ -80,7 +73,7 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 		cells := cellCounts[i/unitsPer]
 		switch i % unitsPer {
 		case 0:
-			h := bootScale(cells, 0)
+			h := workload.BootHive(cells)
 			calls0 := rpcCallCount(h)
 			ev0 := h.Eng.Dispatched()
 			wall := parallel.WallTimer()
@@ -93,27 +86,13 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 				wallEvSec: float64(ev) / wall(),
 			}
 		case 1:
-			// scale_sharded: the same pmake on the sharded engine. Event
-			// counts come from the cluster (all shards), so the perf gate
-			// covers the sharded dispatch path from day one.
-			h := bootScale(cells, workload.AutoShards(cells))
-			ev0 := h.Clu.Dispatched()
-			wall := parallel.WallTimer()
-			res := workload.RunPmake(h, workload.DefaultPmake(), 120*sim.Second)
-			ev := int64(h.Clu.Dispatched() - ev0)
-			return part{
-				pmakeSec:  res.Elapsed.Seconds(),
-				events:    ev,
-				wallEvSec: float64(ev) / wall(),
-			}
-		case 2:
-			h := bootScale(cells, 0)
+			h := workload.BootHive(cells)
 			cfg := workload.DefaultOcean()
 			cfg.Threads = cells // one thread per CPU on the scaled machine
 			res := workload.RunOcean(h, cfg, 120*sim.Second)
 			return part{oceanSec: res.Elapsed.Seconds()}
 		default:
-			s := scaleScenarios[i%unitsPer-3]
+			s := scaleScenarios[i%unitsPer-2]
 			return part{row: faultinject.RunScenarioCellsWith(parallel.Default(), s, trials, cells)}
 		}
 	})
@@ -122,27 +101,21 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 	for i, cells := range cellCounts {
 		p := parts[i*unitsPer : (i+1)*unitsPer]
 		row := ScaleRow{
-			Cells:                   cells,
-			PmakeSec:                p[0].pmakeSec,
-			OceanSec:                p[2].oceanSec,
-			RPCCalls:                p[0].rpcCalls,
-			Events:                  p[0].events,
-			WallEventsPerSec:        p[0].wallEvSec,
-			ShardedPmakeSec:         p[1].pmakeSec,
-			ShardedEvents:           p[1].events,
-			ShardedWallEventsPerSec: p[1].wallEvSec,
-			Contained:               true,
+			Cells:            cells,
+			PmakeSec:         p[0].pmakeSec,
+			OceanSec:         p[1].oceanSec,
+			RPCCalls:         p[0].rpcCalls,
+			Events:           p[0].events,
+			WallEventsPerSec: p[0].wallEvSec,
+			Contained:        true,
 		}
 		if row.PmakeSec > 0 {
 			row.RPCPerSec = float64(row.RPCCalls) / row.PmakeSec
 			row.EventsPerSec = float64(row.Events) / row.PmakeSec
 		}
-		if row.ShardedPmakeSec > 0 {
-			row.ShardedEventsPerSec = float64(row.ShardedEvents) / row.ShardedPmakeSec
-		}
 		var detect, recov float64
 		n := 0
-		for _, u := range p[3:] {
+		for _, u := range p[2:] {
 			row.FaultTrials += u.row.Tests
 			if !u.row.AllOK {
 				row.Contained = false
@@ -162,20 +135,6 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 	return out
 }
 
-// bootScale boots the standard scaled Hive for a cell count: the paper's
-// machine when the count divides it, one node per cell beyond that.
-// shards < 1 forces the classic engine regardless of the process default;
-// positive counts boot the sharded engine with that many workers.
-func bootScale(cells, shards int) *core.Hive {
-	return workload.BootHiveWith(cells, core.DefaultConfig().Seed, func(cfg *core.Config) {
-		if shards > 0 {
-			cfg.Shards = shards
-		} else {
-			cfg.Shards = -1
-		}
-	})
-}
-
 // rpcCallCount sums the cells' outbound intercell call counters.
 func rpcCallCount(h *core.Hive) int64 {
 	var n int64
@@ -186,13 +145,12 @@ func rpcCallCount(h *core.Hive) int64 {
 }
 
 // FormatScale renders the scaling table. Only deterministic (virtual-time)
-// values appear here so the table is byte-identical at every -j and -shards;
-// the wall-clock dispatch rates of the two engine modes live in the
-// ScaleRow's WallEventsPerSec fields and are reported separately.
+// values appear here so the table is byte-identical at every -j; the
+// wall-clock dispatch rate lives in WallEventsPerSec and is reported
+// separately.
 func FormatScale(rows []ScaleRow) *stats.Table {
 	tb := stats.NewTable("Scaling — workloads and fault campaign vs cell count",
 		"cells", "pmake s", "ocean s", "RPC calls", "RPC/s", "events", "events/s",
-		"sharded ev", "sharded ev/s",
 		"detect ms", "recov ms", "contained")
 	for _, r := range rows {
 		tb.AddRow(fmt.Sprint(r.Cells),
@@ -202,8 +160,6 @@ func FormatScale(rows []ScaleRow) *stats.Table {
 			fmt.Sprintf("%.0f", r.RPCPerSec),
 			fmt.Sprint(r.Events),
 			fmt.Sprintf("%.0f", r.EventsPerSec),
-			fmt.Sprint(r.ShardedEvents),
-			fmt.Sprintf("%.0f", r.ShardedEventsPerSec),
 			fmt.Sprintf("%.1f", r.DetectMs),
 			fmt.Sprintf("%.1f", r.RecoveryMs),
 			fmt.Sprintf("%v", r.Contained))

@@ -7,14 +7,13 @@ import (
 
 // maxPragmas caps the module-wide //hive:lint-ignore budget. Exceptions
 // must stay rare enough to review by hand; raising this number is a
-// design decision, not a convenience. The current inventory (11): three
-// shardcross (two boot-time wirings, one pre-run observability hook),
-// two maporder pure counts, one carefulref (the fault injector plays
-// the hardware), and five errdrop sites that are deliberate best-effort
-// casts to possibly-dead peers (signal fan-out, membership alert, page
-// release, firewall revocation, frame return) — the paper's own
-// protocols make those sends advisory.
-const maxPragmas = 12
+// design decision, not a convenience. The current inventory (9): two
+// maporder pure counts, one carefulref (the fault injector plays the
+// hardware), and six errdrop sites that are deliberate best-effort casts
+// to possibly-dead peers (signal fan-out, membership alert, join
+// announce, page release, firewall revocation, frame return) — the
+// paper's own protocols make those sends advisory.
+const maxPragmas = 9
 
 // TestModuleLintClean lints the entire module inside `go test ./...`,
 // making the tier-1 gate itself fail on any new determinism or layering

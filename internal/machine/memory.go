@@ -24,16 +24,6 @@ func (m *Machine) ReadPage(t *sim.Task, proc *Processor, p PageNum) (tag uint64,
 		return 0, false, err
 	}
 	m.Metrics.Counter("mem.reads").Inc()
-	if g := m.eng(home.ID); g != m.eng(proc.Node.ID) {
-		// Sharded run, remote page: its state belongs to another cell's
-		// shard, so the read hops to the global phase (every shard
-		// quiescent) instead of racing the owner's window.
-		proc.eng.Global(t, func() {
-			ps := &m.pages[p]
-			tag, corrupt = ps.tag, ps.corrupt
-		})
-		return tag, corrupt, nil
-	}
 	ps := &m.pages[p]
 	return ps.tag, ps.corrupt, nil
 }
@@ -56,23 +46,6 @@ func (m *Machine) WritePage(t *sim.Task, proc *Processor, p PageNum, tag uint64)
 		m.Metrics.Counter("mem.bus_errors").Inc()
 		return err
 	}
-	if g := m.eng(home.ID); g != m.eng(proc.Node.ID) {
-		// Sharded run, remote page: the firewall check and the store both
-		// touch the home shard's state, so the ownership request hops to
-		// the global phase.
-		var werr error
-		proc.eng.Global(t, func() {
-			if werr = m.checkFirewall(proc.ID, p); werr != nil {
-				return
-			}
-			ps := &m.pages[p]
-			ps.tag = tag
-			ps.corrupt = false
-			ps.writes++
-			m.Metrics.Counter("mem.writes").Inc()
-		})
-		return werr
-	}
 	if err := m.checkFirewall(proc.ID, p); err != nil {
 		return err
 	}
@@ -86,10 +59,7 @@ func (m *Machine) WritePage(t *sim.Task, proc *Processor, p PageNum, tag uint64)
 
 // WildWrite models an erroneous store from a faulty kernel: if the firewall
 // admits the write, the page content is corrupted. It reports whether the
-// write landed (false means the firewall or fault model blocked it). It has
-// no task to hop with, so in a sharded run a cross-shard wild write must be
-// issued from the global phase (fault injectors run there); same-node wild
-// writes are always safe.
+// write landed (false means the firewall or fault model blocked it).
 func (m *Machine) WildWrite(proc *Processor, p PageNum) bool {
 	home := m.Nodes[m.HomeNode(p)]
 	if home.accessible(proc.Node.ID) != nil {
@@ -109,8 +79,6 @@ func (m *Machine) WildWrite(proc *Processor, p PageNum) bool {
 
 // DMAWrite is a write from an I/O device on node ioNode; the coherence
 // controller checks it as if it came from that node's processor (§4.2).
-// Like WildWrite it carries no task: sharded runs may call it only for
-// pages homed on ioNode's own shard or from the global phase.
 func (m *Machine) DMAWrite(ioNode int, p PageNum, tag uint64) error {
 	home := m.Nodes[m.HomeNode(p)]
 	if err := home.accessible(ioNode); err != nil {

@@ -157,14 +157,8 @@ func (mon *Monitor) Start() {
 	eng.Go(fmt.Sprintf("cell%d.recovery", mon.CellID), mon.recoveryLoop)
 }
 
-// eng returns the shard this cell's monitor tasks run on.
+// eng returns the engine this cell's monitor tasks run on.
 func (mon *Monitor) eng() *sim.Engine { return mon.EP.Engine() }
-
-// global runs fn with every shard quiescent. Coordinator and round state
-// is shared across every member cell — in the real system it is replicated
-// by membership messages; here a sharded run touches it only in the global
-// phase, where no cell shard can race it. In a classic run fn runs inline.
-func (mon *Monitor) global(t *sim.Task, fn func()) { mon.eng().Global(t, fn) }
 
 // Stop marks the monitor dead (its cell failed or panicked).
 func (mon *Monitor) Stop() {
@@ -306,9 +300,7 @@ func (mon *Monitor) recoveryLoop(t *sim.Task) {
 			// No liveness precheck here: the verdict may already have
 			// removed the suspect from the live set while this member was
 			// still on its way to the round; ensureRound folds it in.
-			var round *round
-			var retry bool
-			mon.global(t, func() { round, retry = mon.Coord.ensureRound(msg, mon.CellID) })
+			round, retry := mon.Coord.ensureRound(msg, mon.CellID)
 			if round == nil {
 				if retry {
 					// The coordinator is serving a round for a different
@@ -330,9 +322,7 @@ func (mon *Monitor) recoveryLoop(t *sim.Task) {
 			mon.runRound(t, round)
 			delete(mon.alerting, msg.Suspect)
 		case *joinMsg:
-			var round *round
-			var retry bool
-			mon.global(t, func() { round, retry = mon.Coord.ensureJoinRound(msg, mon.CellID) })
+			round, retry := mon.Coord.ensureJoinRound(msg, mon.CellID)
 			if round == nil {
 				if retry {
 					// A death round is in flight; the join waits its turn.
@@ -381,7 +371,7 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 			mon.Hooks.ResumeUser()
 		}
 		accused := r.corruptAccuser
-		mon.global(t, func() { mon.Coord.finishRound(r, mon.CellID) })
+		mon.Coord.finishRound(r, mon.CellID)
 		if accused >= 0 && accused != mon.CellID {
 			mon.Hint(accused, "corrupt after repeated voted-down alerts")
 		}
@@ -389,7 +379,7 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 	}
 
 	// Confirmed failure: enter recovery.
-	mon.global(t, func() { mon.Coord.noteRecoveryEntered(r, mon.CellID, t.Now()) })
+	mon.Coord.noteRecoveryEntered(r, mon.CellID, t.Now())
 	mon.Metrics.Counter("membership.recoveries").Inc()
 
 	proc := mon.proc()
@@ -405,14 +395,9 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 	if mon.Hooks.Phase1 != nil {
 		mon.Hooks.Phase1(t)
 	}
-	// The barrier and its bookkeeping live in the global phase: every
-	// member arrives there, the last one's wake-ups land on the global
-	// heap, and the fault-injection hook fires with all shards quiescent.
-	mon.global(t, func() {
-		r.b1Seen[mon.CellID] = true
-		r.barrier1.Await(t)
-		mon.Coord.noteBarrier1Open(r)
-	})
+	r.b1Seen[mon.CellID] = true
+	r.barrier1.Await(t)
+	mon.Coord.noteBarrier1Open(r)
 	mon.Tracer.End(t.Now(), b1Span, "recovery:barrier1", 0)
 
 	b2Span := mon.Tracer.Begin(t.Now(), "recovery:barrier2")
@@ -428,10 +413,8 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 	if mon.Hooks.KillDependents != nil {
 		killed = int64(mon.Hooks.KillDependents(verdict))
 	}
-	mon.global(t, func() {
-		r.b2Seen[mon.CellID] = true
-		r.barrier2.Await(t)
-	})
+	r.b2Seen[mon.CellID] = true
+	r.barrier2.Await(t)
 	mon.Tracer.End(t.Now(), b2Span, "recovery:barrier2", discarded+killed)
 	if mon.dead {
 		return
@@ -444,7 +427,7 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 	if mon.Hooks.ResumeUser != nil {
 		mon.Hooks.ResumeUser()
 	}
-	mon.global(t, func() { mon.Coord.noteRecoveryDone(r, mon.CellID, t.Now()) })
+	mon.Coord.noteRecoveryDone(r, mon.CellID, t.Now())
 	mon.Tracer.End(t.Now(), resumeSpan, "recovery:resume", 0)
 
 	// The round coordinator (the recovery master — lowest live member,
@@ -456,7 +439,7 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 			mon.runDiagnostics(t, c)
 		}
 	}
-	mon.global(t, func() { mon.Coord.finishRound(r, mon.CellID) })
+	mon.Coord.finishRound(r, mon.CellID)
 }
 
 // runJoinRound executes one join round on a live member cell: validate
@@ -483,7 +466,7 @@ func (mon *Monitor) runJoinRound(t *sim.Task, r *round) {
 	if !admit {
 		// The fresh image is unreachable (or died already): abort. The
 		// requester was resolved by the verdict; the members just drain.
-		mon.global(t, func() { mon.Coord.finishRound(r, mon.CellID) })
+		mon.Coord.finishRound(r, mon.CellID)
 		return
 	}
 
@@ -495,11 +478,9 @@ func (mon *Monitor) runJoinRound(t *sim.Task, r *round) {
 		// phase must not arrive at a barrier that no longer counts it.
 		return
 	}
-	mon.global(t, func() {
-		r.b1Seen[mon.CellID] = true
-		r.barrier1.Await(t)
-		mon.Coord.noteJoinBarrier1Open(r)
-	})
+	r.b1Seen[mon.CellID] = true
+	r.barrier1.Await(t)
+	mon.Coord.noteJoinBarrier1Open(r)
 	mon.Tracer.End(t.Now(), b1Span, "join:barrier1", 0)
 
 	b2Span := mon.Tracer.Begin(t.Now(), "join:warm")
@@ -508,36 +489,31 @@ func (mon *Monitor) runJoinRound(t *sim.Task, r *round) {
 		return
 	}
 	// Drop stale state about the old incarnation before the fresh one
-	// becomes visible. The hook touches machine-global page state, so it
-	// runs in the global section with the barrier.
-	mon.global(t, func() {
-		if mon.Hooks.Reintegrate != nil {
-			mon.Hooks.Reintegrate(r.suspect)
-		}
-		r.b2Seen[mon.CellID] = true
-		r.barrier2.Await(t)
-	})
+	// becomes visible.
+	if mon.Hooks.Reintegrate != nil {
+		mon.Hooks.Reintegrate(r.suspect)
+	}
+	r.b2Seen[mon.CellID] = true
+	r.barrier2.Await(t)
 	mon.Tracer.End(t.Now(), b2Span, "join:warm", 0)
 	if mon.dead {
 		return
 	}
 
 	if r.coordinator == mon.CellID {
-		mon.global(t, func() { mon.Coord.commitJoin(r, t.Now(), mon.Tracer) })
+		mon.Coord.commitJoin(r, t.Now(), mon.Tracer)
 	}
-	mon.global(t, func() { mon.Coord.finishRound(r, mon.CellID) })
+	mon.Coord.finishRound(r, mon.CellID)
 }
 
 // AnnounceJoin broadcasts the microbooted cell's join request to every
-// live member and waits for the casts to land. It runs on the joiner's own
-// shard (the reboot controller spawns it there); the request travels the
+// live member and waits for the casts to land. The request travels the
 // ordinary RPC path — checksummed on the wire, sanity-checked at the
 // receiver — because the joiner is untrusted until the round commits.
 func (mon *Monitor) AnnounceJoin(t *sim.Task, seq int) {
 	span := mon.Tracer.Begin(t.Now(), "join:announce")
 	msg := &joinMsg{Joiner: mon.CellID, Sequence: seq}
-	var peers []int
-	mon.global(t, func() { peers = mon.Coord.liveSet() })
+	peers := mon.Coord.liveSet()
 	join := sim.NewBarrier(len(peers) + 1)
 	for _, c := range peers {
 		c := c
@@ -569,22 +545,18 @@ func (mon *Monitor) runDiagnostics(t *sim.Task, cell int) {
 	if !healthy {
 		return
 	}
-	// Node repair, the live-set update, and the peer notifications all
-	// touch other cells' state: one global section covers the lot.
-	mon.global(t, func() {
-		for _, n := range mon.Coord.nodesOf(cell) {
-			mon.M.Nodes[n].Repair()
+	for _, n := range mon.Coord.nodesOf(cell) {
+		mon.M.Nodes[n].Repair()
+	}
+	mon.Coord.reintegrate(cell)
+	// Notify peers in cell order: the hooks touch live kernel state, so
+	// map iteration order must not leak into the simulation.
+	for _, id := range sortedMonitorIDs(mon.Coord.monitors) {
+		peer := mon.Coord.monitors[id]
+		if peer.Hooks.Reintegrate != nil && !peer.dead && peer.CellID != cell {
+			peer.Hooks.Reintegrate(cell)
 		}
-		mon.Coord.reintegrate(cell)
-		// Notify peers in cell order: the hooks touch live kernel state, so
-		// map iteration order must not leak into the simulation.
-		for _, id := range sortedMonitorIDs(mon.Coord.monitors) {
-			peer := mon.Coord.monitors[id]
-			if peer.Hooks.Reintegrate != nil && !peer.dead && peer.CellID != cell {
-				peer.Hooks.Reintegrate(cell)
-			}
-		}
-	})
+	}
 	mon.Metrics.Counter("membership.reintegrations").Inc()
 }
 
@@ -620,8 +592,7 @@ func (mon *Monitor) registerServices() {
 			if !ok || msg.Joiner != req.From || msg.Joiner == mon.CellID {
 				// A join announcement must come from the joiner itself;
 				// anything else is a forged or corrupt request. The live
-				// check happens later, inside ensureJoinRound's global
-				// section — coordinator state is not readable here.
+				// check happens later, inside ensureJoinRound.
 				return nil, 0, true, fmt.Errorf("membership: bad join request")
 			}
 			mon.alerts.Push(msg)

@@ -181,7 +181,7 @@ type Endpoint struct {
 	// layer).
 	Tracer *trace.Tracer
 
-	eng       *sim.Engine // the shard this cell's processors are bound to
+	eng       *sim.Engine
 	services  map[ProcID]*service
 	pending   map[uint64]*Request
 	queue     *sim.Queue
@@ -211,13 +211,7 @@ func NewEndpoint(m *machine.Machine, cellID int, procs []*machine.Processor, poo
 		seen:     map[dedupKey]*dedupEntry{},
 	}
 	ep.histCall = ep.Metrics.Hist("rpc.call_us")
-	// The endpoint lives on the shard its processors are bound to (the
-	// machine's single engine in a classic run); server tasks, interrupt
-	// handlers, and trace stamps all belong there.
 	ep.eng = m.Eng
-	if len(procs) > 0 {
-		ep.eng = m.NodeEngine(procs[0].Node.ID)
-	}
 	seen := map[int]bool{}
 	for _, p := range procs {
 		if !seen[p.Node.ID] {
@@ -231,7 +225,7 @@ func NewEndpoint(m *machine.Machine, cellID int, procs []*machine.Processor, poo
 	return ep
 }
 
-// Engine returns the shard this endpoint's cell runs on.
+// Engine returns the engine this endpoint's cell runs on.
 func (ep *Endpoint) Engine() *sim.Engine { return ep.eng }
 
 // SetIncarnation stamps every future call id with a boot epoch. Dedup keys
@@ -307,32 +301,18 @@ func (ep *Endpoint) PeerIDs() []int {
 	return out
 }
 
-// targetProc picks the destination processor on the callee cell for call
-// id, round-robin over its non-halted processors. In a sharded run the
-// round-robin cursor belongs to the callee's shard and cannot be mutated
-// from here, so the pick becomes a pure function of the call id — the same
-// load spreading, derived from a value both sides agree on. (The halted
-// flags it reads only change in the global phase, so a cross-shard read
-// sees a stable, deterministic value.)
-func (ep *Endpoint) targetProc(callee *Endpoint, id uint64) *machine.Processor {
-	n := len(callee.Procs)
-	if ep.eng.Cluster() != nil && callee.eng != ep.eng {
-		for i := 0; i < n; i++ {
-			p := callee.Procs[(int(id%uint64(n))+i)%n]
-			if !p.Halted() {
-				return p
-			}
-		}
-		return callee.Procs[0]
-	}
+// nextProc picks the processor that receives the endpoint's next incoming
+// message, round-robin over its non-halted processors.
+func (ep *Endpoint) nextProc() *machine.Processor {
+	n := len(ep.Procs)
 	for i := 0; i < n; i++ {
-		p := callee.Procs[(callee.rrProc+i)%n]
+		p := ep.Procs[(ep.rrProc+i)%n]
 		if !p.Halted() {
-			callee.rrProc = (callee.rrProc + i + 1) % n
+			ep.rrProc = (ep.rrProc + i + 1) % n
 			return p
 		}
 	}
-	return callee.Procs[0]
+	return ep.Procs[0]
 }
 
 // CallOpts tunes one call.
@@ -412,7 +392,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 	var ferr error
 	var ok2 bool
 	for attempt := 0; attempt < attempts; attempt++ {
-		dst := ep.targetProc(callee, req.ID)
+		dst := callee.nextProc()
 		msg := &machine.SIPSMsg{To: dst.ID, Kind: machine.SIPSRequest, Size: machine.SIPSLineBytes, Payload: req}
 		sendStart := t.Now()
 		if err := ep.M.SendSIPS(t, proc, msg); err != nil {
@@ -630,7 +610,7 @@ func (ep *Endpoint) reply(proc *machine.Processor, req *Request, result any, err
 	}
 	proc.Interrupt(cost, func() {
 		ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-		dst := ep.targetProc(caller, req.ID)
+		dst := caller.nextProc()
 		ep.M.SendSIPSAsync(proc, &machine.SIPSMsg{
 			To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: rep,
 		})
@@ -647,7 +627,7 @@ func (ep *Endpoint) resend(proc *machine.Processor, req *Request, rep *reply) {
 	}
 	proc.Interrupt(ServerReply, func() {
 		ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-		dst := ep.targetProc(caller, req.ID)
+		dst := caller.nextProc()
 		ep.M.SendSIPSAsync(proc, &machine.SIPSMsg{
 			To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: rep,
 		})
@@ -702,7 +682,7 @@ func (ep *Endpoint) serverLoop(t *sim.Task) {
 		}
 		proc.Use(t, ServerReply)
 		ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-		dst := ep.targetProc(caller, req.ID)
+		dst := caller.nextProc()
 		ep.M.SendSIPS(t, proc, &machine.SIPSMsg{
 			To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: rep,
 		})

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -39,48 +38,6 @@ func BenchmarkEngineEventsPerSec(b *testing.B) {
 	if el := time.Since(start).Seconds(); el > 0 {
 		// ~3 dispatched events per iteration (sleep wake, timeout, waker).
 		b.ReportMetric(3*float64(b.N)/el, "events/sec")
-	}
-}
-
-// BenchmarkEngineSharded measures event throughput of the sharded engine
-// across shard counts and cross-shard traffic ratios. Each shard runs a
-// dense local event load; a fraction of events additionally post a
-// mailbox send to the next shard with the minimum legal delay (the
-// lookahead), the worst case for merge overhead. Workers = shards, so on
-// a multi-core host this also measures parallel speedup; events/sec is
-// the headline metric either way.
-func BenchmarkEngineSharded(b *testing.B) {
-	const lookahead = Time(700) // the FLASH remote-miss floor the stack uses
-	for _, shards := range []int{1, 4, 16} {
-		for _, crossPct := range []int{0, 10, 50} {
-			name := fmt.Sprintf("shards=%d/cross=%dpct", shards, crossPct)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				c := NewCluster(1, shards, lookahead)
-				c.SetWorkers(shards)
-				perShard := b.N/shards + 1
-				for id := 1; id <= shards; id++ {
-					id := id
-					e := c.Shard(id)
-					dst := c.Shard(1 + id%shards)
-					e.Go("load", func(t *Task) {
-						for i := 0; i < perShard; i++ {
-							t.Sleep(Time(30 + i%17))
-							if crossPct > 0 && i%100 < crossPct && dst != e {
-								e.Send(dst, lookahead, func() {})
-							}
-						}
-					})
-				}
-				start := time.Now()
-				b.ResetTimer()
-				c.Run(0)
-				b.StopTimer()
-				if el := time.Since(start).Seconds(); el > 0 {
-					b.ReportMetric(float64(c.Dispatched())/el, "events/sec")
-				}
-			})
-		}
 	}
 }
 

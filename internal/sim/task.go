@@ -24,7 +24,6 @@ type taskFailure struct {
 // Wax policy process are all Tasks.
 type Task struct {
 	eng      *Engine
-	home     *Engine // the shard the task belongs to; eng == home except while adopted by the global shard
 	name     string
 	resume   chan struct{}
 	yield    chan struct{}
@@ -33,9 +32,7 @@ type Task struct {
 	started  bool
 	killed   bool
 	timedOut bool
-	inGlobal int    // depth of Engine.Global sections the task is inside
-	wakeEv   *Event // pending wake timer, so adoption can migrate it home
-	liveIdx  int    // position in home.live, for O(1) removal on exit
+	liveIdx  int // position in eng.live, for O(1) removal on exit
 
 	// Data lets subsystems attach context (e.g. the owning cell) without
 	// threading extra parameters everywhere.
@@ -51,7 +48,6 @@ type Task struct {
 func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 	t := &Task{
 		eng:    e,
-		home:   e,
 		name:   name,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
@@ -68,7 +64,7 @@ func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 				}
 			}
 			t.done = true
-			t.home.nTasks--
+			t.eng.nTasks--
 			for _, f := range t.onKill {
 				f()
 			}
@@ -90,13 +86,6 @@ func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 // dispatch hands the virtual CPU to t until it parks or finishes. It must be
 // called from engine context (inside an event callback).
 func (e *Engine) dispatch(t *Task) {
-	if e.clu != nil && !e.running {
-		panic(fmt.Sprintf(
-			"sim: task %q (shard %d) dispatched outside its shard's execution window: "+
-				"tasks never migrate between shards; route cross-shard work through the "+
-				"mailbox (Engine.Send) or the global phase (Engine.Global)",
-			t.name, e.id))
-	}
 	prev := e.cur
 	e.cur = t
 	t.started = true
@@ -111,7 +100,7 @@ func (e *Engine) dispatch(t *Task) {
 		panic(fmt.Sprintf("sim: task %q panicked: %v", f.name, f.val))
 	}
 	if t.done {
-		t.home.removeLive(t)
+		e.removeLive(t)
 	}
 }
 
@@ -168,24 +157,14 @@ func (t *Task) wake(timedOut bool) {
 	}
 	t.parked = false
 	t.timedOut = timedOut
-	t.wakeEv = nil
 	t.eng.dispatch(t)
 }
 
 // WakeSoon schedules the parked task to resume at the current virtual time.
 // Safe to call from any simulation context. Waking a task that is not parked
-// is a no-op. During a cluster's global phase, waking a cell task adopts it
-// onto the global shard for one dispatch (see Cluster.adoptRun) — this is
-// how futures and barriers resolved by global-phase code resume their
-// cross-cell waiters deterministically.
+// is a no-op.
 func (t *Task) WakeSoon() {
-	e := t.eng
-	if c := e.clu; c != nil && c.phase.Load() == phaseG && e.id != 0 {
-		g := c.shards[0]
-		g.atOwned(g.now, func() { c.adoptRun(t) })
-		return
-	}
-	e.atOwned(e.now, func() { t.wake(false) })
+	t.eng.atOwned(t.eng.now, func() { t.wake(false) })
 }
 
 // Sleep suspends the task for d nanoseconds of virtual time.
@@ -194,7 +173,7 @@ func (t *Task) Sleep(d Time) {
 		// Yield: reschedule self after simultaneous events.
 		d = 0
 	}
-	t.wakeEv = t.eng.atOwned(t.eng.now+d, func() { t.wake(false) })
+	t.eng.atOwned(t.eng.now+d, func() { t.wake(false) })
 	t.park()
 }
 
@@ -204,7 +183,6 @@ func (t *Task) Sleep(d Time) {
 // so holding the pointer past the sleep is safe.
 func (t *Task) SleepEvent(d Time, register func(*Event)) {
 	ev := t.eng.After(d, func() { t.wake(false) })
-	t.wakeEv = ev
 	if register != nil {
 		register(ev)
 	}
@@ -221,7 +199,6 @@ func (t *Task) Block() {
 // timed out rather than being woken.
 func (t *Task) BlockTimeout(d Time) (timedOut bool) {
 	tev := t.eng.After(d, func() { t.wake(true) })
-	t.wakeEv = tev
 	t.park()
 	tev.Cancel()
 	tev.engine.release(tev) // this call held the only reference

@@ -15,10 +15,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Counter is a monotonically increasing event count. Increments are atomic:
-// in sharded runs counters are bumped concurrently from parallel engine
-// shards, and because integer addition commutes the final value is still
-// deterministic regardless of worker count.
+// Counter is a monotonically increasing event count. Increments are atomic,
+// so a counter is safe to share across goroutines, and because integer
+// addition commutes the final value does not depend on increment order.
 type Counter struct {
 	n atomic.Int64
 }
@@ -37,9 +36,7 @@ func (c *Counter) Value() int64 { return c.n.Load() }
 //
 // Unlike Counter, a Distribution is NOT safe for concurrent observation:
 // float accumulation does not commute, so sample order matters for
-// determinism. Each instance must be observed from a single shard (per-cell
-// metrics from their cell's shard, run-level metrics from the global
-// phase); the race detector enforces this in sharded tests.
+// determinism. Each instance must be observed from a single simulation.
 type Distribution struct {
 	samples []float64
 	sum     float64
@@ -181,8 +178,7 @@ func (h *Histogram) ObserveTime(t sim.Time) { h.Observe(t.Micros()) }
 // Merge folds another histogram's samples into h. Bucket counts add
 // exactly, so the merged quantiles are identical to observing both
 // sample streams into one histogram in any order — which is what makes
-// per-cell histograms (each observed from its own shard) safe to merge
-// into one SLO curve after the run.
+// per-cell histograms safe to merge into one SLO curve after the run.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.n == 0 {
 		return
@@ -499,9 +495,9 @@ func (t *Table) String() string {
 
 // Registry is a named collection of counters and distributions, one per
 // cell/kernel, so experiments can pull out whichever metrics they report.
-// Lookup (and lazy creation) is guarded by a lock so shards of a sharded
-// run may fetch metrics concurrently; hot paths should cache the returned
-// pointer when the name is fixed.
+// Lookup (and lazy creation) is guarded by a lock so a registry is safe to
+// share across goroutines; hot paths should cache the returned pointer
+// when the name is fixed.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter

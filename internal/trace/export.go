@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/sim"
 )
 
 // Chrome trace-event export: the merged stream rendered as the JSON
@@ -283,91 +281,13 @@ func (s *Set) BuildChrome() []chromeEvent {
 	return out
 }
 
-// CounterPoint is one sample of a counter track.
-type CounterPoint struct {
-	At    sim.Time
-	Value int64
-}
-
-// CounterTrack is a named time series rendered as a Chrome counter
-// ("C") track, so Perfetto plots engine behaviour — mailbox depth,
-// event-heap occupancy, window activity — alongside the span slices.
-type CounterTrack struct {
-	Name   string
-	Points []CounterPoint
-}
-
-// enginePid is the synthetic process hosting counter tracks; the per-cell
-// span tracks live on pid 0.
-const enginePid = 1
-
-// buildCounterEvents renders tracks as counter entries under a dedicated
-// "engine" process. Output order is tracks-then-points, fully determined
-// by the input.
-func buildCounterEvents(tracks []CounterTrack) []chromeEvent {
-	if len(tracks) == 0 {
-		return nil
-	}
-	out := []chromeEvent{{
-		Name: "process_name", Ph: "M", Pid: enginePid, Tid: 0,
-		Args: map[string]any{"name": "engine"},
-	}}
-	for _, tr := range tracks {
-		for _, p := range tr.Points {
-			out = append(out, chromeEvent{
-				Name: tr.Name, Cat: "engine", Ph: "C",
-				Ts: p.At.Micros(), Pid: enginePid, Tid: 0,
-				Args: map[string]any{"value": p.Value},
-			})
-		}
-	}
-	return out
-}
-
-// EngineCounterTracks converts a sharded-engine snapshot into Perfetto
-// counter tracks: the window time series (merged mail, active shards,
-// pending events, deepest heap) plus one lookahead-window track, all in
-// virtual time. A snapshot with no windows yields no tracks.
-func EngineCounterTracks(st sim.ClusterStats) []CounterTrack {
-	if st.Windows == 0 {
-		return nil
-	}
-	mk := func(name string, get func(sim.WindowSample) int64) CounterTrack {
-		tr := CounterTrack{Name: name}
-		for _, sm := range st.Samples {
-			tr.Points = append(tr.Points, CounterPoint{At: sm.At, Value: get(sm)})
-		}
-		return tr
-	}
-	tracks := []CounterTrack{
-		mk("mailbox merged", func(s sim.WindowSample) int64 { return int64(s.Merged) }),
-		mk("active shards", func(s sim.WindowSample) int64 { return int64(s.Active) }),
-		mk("pending events", func(s sim.WindowSample) int64 { return int64(s.Pending) }),
-		mk("max shard heap", func(s sim.WindowSample) int64 { return int64(s.MaxHeap) }),
-	}
-	if len(st.Samples) > 0 {
-		first, last := st.Samples[0], st.Samples[len(st.Samples)-1]
-		tracks = append(tracks, CounterTrack{Name: "lookahead window (ns)", Points: []CounterPoint{
-			{At: first.At, Value: int64(st.Lookahead)},
-			{At: last.At, Value: int64(st.Lookahead)},
-		}})
-	}
-	return tracks
-}
-
 // ExportChrome writes the merged stream as Chrome trace-event JSON.
 // Virtual time maps to the trace's microsecond timestamps, one track per
 // cell. Deterministic: same seed, same bytes, at any -j level.
 func (s *Set) ExportChrome(w io.Writer) error {
-	return s.ExportChromeWith(w, nil)
-}
-
-// ExportChromeWith is ExportChrome plus counter tracks (typically from
-// EngineCounterTracks) appended under a separate "engine" process.
-func (s *Set) ExportChromeWith(w io.Writer, tracks []CounterTrack) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeDoc{
-		TraceEvents:     append(s.BuildChrome(), buildCounterEvents(tracks)...),
+		TraceEvents:     s.BuildChrome(),
 		DisplayTimeUnit: "ms",
 	})
 }

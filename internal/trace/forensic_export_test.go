@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -50,77 +49,5 @@ func TestNewKindsAreControlPlane(t *testing.T) {
 		if k.String() == "" || strings.HasPrefix(k.String(), "kind(") {
 			t.Errorf("kind %d has no name", k)
 		}
-	}
-}
-
-func TestExportChromeWithCounterTracks(t *testing.T) {
-	s := NewSet(1, 16)
-	s.Tracer(0).Emit(0, Hint, 1, 0, "x")
-
-	tracks := []CounterTrack{
-		{Name: "pending events", Points: []CounterPoint{{At: 0, Value: 3}, {At: 1000, Value: 7}}},
-		{Name: "active shards", Points: []CounterPoint{{At: 500, Value: 2}}},
-	}
-	var buf strings.Builder
-	if err := s.ExportChromeWith(&buf, tracks); err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			Ts   float64        `json:"ts"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	counters := map[string]int{}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "C" {
-			counters[e.Name]++
-			if e.Pid != enginePid {
-				t.Errorf("counter %q on pid %d, want engine pid %d", e.Name, e.Pid, enginePid)
-			}
-			if _, ok := e.Args["value"]; !ok {
-				t.Errorf("counter %q has no value arg: %v", e.Name, e.Args)
-			}
-		}
-	}
-	if counters["pending events"] != 2 || counters["active shards"] != 1 {
-		t.Fatalf("counter events = %v, want pending×2 and active×1", counters)
-	}
-}
-
-func TestEngineCounterTracksFromStats(t *testing.T) {
-	st := sim.ClusterStats{
-		Lookahead: 700,
-		Windows:   4,
-		Shards:    []sim.ShardStats{{Shard: 0}, {Shard: 1, MaxHeap: 5}},
-		Samples: []sim.WindowSample{
-			{At: 0, Merged: 1, Active: 2, Pending: 9, MaxHeap: 5},
-			{At: 1400, Merged: 0, Active: 1, Pending: 4, MaxHeap: 3},
-		},
-	}
-	tracks := EngineCounterTracks(st)
-	if len(tracks) == 0 {
-		t.Fatal("no tracks from populated stats")
-	}
-	names := map[string]bool{}
-	for _, tr := range tracks {
-		names[tr.Name] = true
-		if len(tr.Points) == 0 {
-			t.Errorf("track %q has no points", tr.Name)
-		}
-	}
-	for _, want := range []string{"mailbox merged", "active shards", "pending events", "max shard heap", "lookahead window (ns)"} {
-		if !names[want] {
-			t.Errorf("missing track %q (have %v)", want, names)
-		}
-	}
-	if got := EngineCounterTracks(sim.ClusterStats{}); got != nil {
-		t.Fatalf("empty stats should yield no tracks, got %v", got)
 	}
 }

@@ -376,24 +376,11 @@ func (r *Ring) Dump() string {
 
 // Set is the machine-wide trace: per-cell rings, the shared sequence
 // counter establishing the total order, and the span-id allocator.
-//
-// In a sharded run (see sim.Cluster) each cell's events are recorded by
-// that cell's own shard, so a Set-wide counter would be a data race and —
-// worse — its values would depend on worker scheduling. Sharded() switches
-// the Set to per-cell sequence and span spaces: each cell's shard touches
-// only its own counters and ring, and Merged reconstructs the same Set-wide
-// total order from the (At, Cell, Seq) stamp, which is fully determined by
-// virtual time plus per-shard dispatch order and therefore bit-identical
-// across worker counts.
 type Set struct {
 	ctl  []*Ring // per cell: control-plane events
 	data []*Ring // per cell: data-plane events
 	seq  uint64
 	span uint64
-
-	sharded  bool
-	cellSeq  []uint64 // per cell: Seq space (sharded mode)
-	cellSpan []uint64 // per cell: span space (sharded mode)
 }
 
 // NewSet builds the trace for `cells` cells with capPerCell events in
@@ -416,40 +403,10 @@ func NewSet(cells, capPerCell int) *Set {
 // Cells returns the number of per-cell tracks.
 func (s *Set) Cells() int { return len(s.ctl) }
 
-// Sharded switches the Set to per-cell sequence and span spaces for a
-// sharded run. Must be called before any event is recorded.
-func (s *Set) Sharded() {
-	if s.seq != 0 || s.span != 0 {
-		panic("trace: Sharded() after events were recorded")
-	}
-	s.sharded = true
-	s.cellSeq = make([]uint64, len(s.ctl))
-	s.cellSpan = make([]uint64, len(s.ctl))
-}
-
 // NextSpan allocates a fresh causal span id from the Set-wide space.
-// Sharded runs must allocate through a cell's Tracer instead.
 func (s *Set) NextSpan() SpanID {
-	if s.sharded {
-		panic("trace: Set.NextSpan in sharded mode; use Tracer.NextSpan")
-	}
 	s.span++
 	return SpanID(s.span)
-}
-
-// nextSpanFor allocates a span id on behalf of cell's tracer. Sharded
-// span ids embed the cell in the high bits so two shards can allocate
-// concurrently and still never collide.
-func (s *Set) nextSpanFor(cell int) SpanID {
-	if !s.sharded {
-		s.span++
-		return SpanID(s.span)
-	}
-	if cell < 0 || cell >= len(s.cellSpan) {
-		cell = 0
-	}
-	s.cellSpan[cell]++
-	return SpanID(uint64(cell+1)<<40 | s.cellSpan[cell])
 }
 
 // Record stamps the event with the next sequence number and stores it in
@@ -459,13 +416,8 @@ func (s *Set) Record(cell int, e Event) {
 	if cell < 0 || cell >= len(s.ctl) {
 		cell = 0
 	}
-	if s.sharded {
-		s.cellSeq[cell]++
-		e.Seq = s.cellSeq[cell]
-	} else {
-		s.seq++
-		e.Seq = s.seq
-	}
+	s.seq++
+	e.Seq = s.seq
 	e.Cell = cell
 	if e.Kind.control() {
 		s.ctl[cell].Record(e)
@@ -513,31 +465,12 @@ func (s *Set) Tracer(cell int) *Tracer {
 }
 
 // Merged returns every held event from every cell in one stream, totally
-// ordered: by sequence number in a classic run (the engine's dispatch
-// order), and by (At, Cell, Seq) in a sharded run. The sharded key is a
-// total order — (Cell, Seq) is unique — and every component is fixed by
-// virtual time and per-shard dispatch order, so the merged stream is
-// bit-identical across worker counts. Per-cell At is nondecreasing in
-// record order (window phases, then the global phase at the horizon), so
-// within one cell the merge preserves record order exactly.
+// ordered by sequence number (the engine's dispatch order).
 func (s *Set) Merged() []Event {
 	var out []Event
 	for i := range s.ctl {
 		out = append(out, s.ctl[i].Events()...)
 		out = append(out, s.data[i].Events()...)
-	}
-	if s.sharded {
-		sort.SliceStable(out, func(a, b int) bool {
-			ea, eb := out[a], out[b]
-			if ea.At != eb.At {
-				return ea.At < eb.At
-			}
-			if ea.Cell != eb.Cell {
-				return ea.Cell < eb.Cell
-			}
-			return ea.Seq < eb.Seq
-		})
-		return out
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
@@ -598,7 +531,7 @@ func (tr *Tracer) NextSpan() SpanID {
 	if !tr.Enabled() {
 		return 0
 	}
-	return tr.set.nextSpanFor(tr.cell)
+	return tr.set.NextSpan()
 }
 
 // Emit records a span-less event.
@@ -622,7 +555,7 @@ func (tr *Tracer) Begin(at sim.Time, name string) SpanID {
 	if !tr.Enabled() {
 		return 0
 	}
-	span := tr.set.nextSpanFor(tr.cell)
+	span := tr.set.NextSpan()
 	tr.set.Record(tr.cell, Event{At: at, Kind: PhaseBegin, Span: span, S: name})
 	return span
 }

@@ -70,10 +70,8 @@ func RunOcean(h *core.Hive, cfg OceanConfig, maxTime sim.Time) *Result {
 	leaves := make([]kmem.Addr, cfg.Threads)
 	ready := sim.NewBarrier(cfg.Threads)
 	stepBar := sim.NewBarrier(cfg.Threads)
-	// One completion slot per thread: each is written only by its own
-	// thread's shard (a shared counter would be a cross-shard write-write
-	// race when recovery kills several threads in the same window), and
-	// only read from the driver loop between windows.
+	// One completion slot per thread, written only by that thread and
+	// summed by the driver loop.
 	finished := make([]int, cfg.Threads)
 	doneCount := func() int {
 		n := 0
@@ -87,7 +85,7 @@ func RunOcean(h *core.Hive, cfg OceanConfig, maxTime sim.Time) *Result {
 	res.Started = start
 	launched := false
 	h.Cells[0].Procs.Spawn("ocean.main", 201, func(p *proc.Process, t *sim.Task) {
-		_, err := h.Cells[0].Procs.SpawnSpanning(t, "ocean", 202, tables,
+		_, err := h.Cells[0].Procs.SpawnSpanning("ocean", 202, tables,
 			func(tp *proc.Process, tt *sim.Task) {
 				defer func() { finished[tp.ThreadIndex()] = 1 }()
 				idx := tp.ThreadIndex()
