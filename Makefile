@@ -36,11 +36,12 @@ lint-report:
 lint-examples:
 	for d in examples/*/; do $(GO) run ./cmd/hivelint "./$$d" || exit 1; done
 
-# check is the tier-1 gate: build, vet, hivelint, full test suite, the
-# race detector over the packages that actually use OS-level concurrency
-# (the parallel trial runner) plus the engine it drives, and the
-# observability byte-identity gate.
+# check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
+# hivelint, full test suite, the race detector over the packages that
+# actually use OS-level concurrency (the parallel trial runner) plus the
+# engine it drives, and the observability byte-identity gate.
 check: build
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...

@@ -133,10 +133,14 @@ type Graph struct {
 }
 
 // FaultCells returns the distinct cells with injected faults, ascending.
-func (g *Graph) FaultCells() []int { return distinctCells(g.Faults, func(f Fault) int { return f.Cell }) }
+func (g *Graph) FaultCells() []int {
+	return distinctCells(g.Faults, func(f Fault) int { return f.Cell })
+}
 
 // DeathCells returns the distinct dead cells, ascending.
-func (g *Graph) DeathCells() []int { return distinctCells(g.Deaths, func(d Death) int { return d.Cell }) }
+func (g *Graph) DeathCells() []int {
+	return distinctCells(g.Deaths, func(d Death) int { return d.Cell })
+}
 
 // RejoinCells returns the distinct cells readmitted by a join round,
 // ascending.
@@ -217,7 +221,7 @@ func BuildGraph(events []trace.Event, dropped []trace.DropCount) *Graph {
 	}
 
 	taintAt := map[int]sim.Time{} // cell -> time its fault was injected / it escaped
-	var taintedCells []int       // insertion order, one entry per taintAt key
+	var taintedCells []int        // insertion order, one entry per taintAt key
 	taint := func(cell int, at sim.Time) {
 		if _, ok := taintAt[cell]; !ok {
 			taintAt[cell] = at

@@ -346,6 +346,42 @@ func TestInterruptStealsTime(t *testing.T) {
 	}
 }
 
+// TestStealTimeAfterKilledCompute kills a task mid-burst: its wake event must
+// stay in curCompute unrecycled, so a later StealTime moves no other event
+// that the engine's freelist has handed out since.
+func TestStealTimeAfterKilledCompute(t *testing.T) {
+	e, m := testMachine(t, 1)
+	p := m.Procs[0]
+	victim := e.Go("victim", func(tk *sim.Task) {
+		p.Use(tk, 1000)
+		t.Error("victim finished its burst")
+	})
+	e.At(500, func() { victim.Kill() })
+	e.Run(0)
+	stale := p.curCompute
+	if stale == nil || stale.Pending() {
+		t.Fatalf("curCompute = %v after the kill, want the fired burst event", stale)
+	}
+	var woke []sim.Time
+	e.Go("sleeper", func(tk *sim.Task) {
+		for i := 0; i < 20; i++ {
+			tk.Sleep(100)
+			woke = append(woke, tk.Now())
+		}
+	})
+	e.At(e.Now()+250, func() { p.StealTime(10_000) })
+	start := e.Now()
+	e.Run(0)
+	for i, at := range woke {
+		if want := start + sim.Time(i+1)*100; at != want {
+			t.Fatalf("sleeper woke at %v, want %v: StealTime moved its event", at, want)
+		}
+	}
+	if p.curCompute != stale || stale.When() != 1000 {
+		t.Fatalf("the killed burst's event was reused (curCompute %p, When %v)", p.curCompute, stale.When())
+	}
+}
+
 func TestInterruptsSerializePerCPU(t *testing.T) {
 	e, m := testMachine(t, 1)
 	p := m.Procs[0]

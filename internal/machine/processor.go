@@ -60,14 +60,7 @@ func (p *Processor) Use(t *sim.Task, d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	var ev *sim.Event
-	t.SleepEvent(d, func(e *sim.Event) {
-		ev = e
-		p.curCompute = e
-	})
-	if p.curCompute == ev {
-		p.curCompute = nil
-	}
+	t.SleepEvent(d, &p.curCompute)
 }
 
 // StealTime pushes the currently executing compute burst (if any) later by

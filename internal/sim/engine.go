@@ -91,8 +91,10 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // schedule inserts an event at absolute time t (clamped to now), drawing
-// from the freelist when possible.
-func (e *Engine) schedule(t Time, fn func()) *Event {
+// from the freelist when possible. The event either calls fn or, when task
+// is non-nil, wakes task; a task wake carries no closure, so it allocates
+// nothing once the freelist is warm.
+func (e *Engine) schedule(t Time, fn func(), task *Task, timeout bool) *Event {
 	if t < e.now {
 		t = e.now
 	}
@@ -102,10 +104,10 @@ func (e *Engine) schedule(t Time, fn func()) *Event {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = Event{engine: e, at: t, seq: e.seq, fn: fn, index: -1}
 	} else {
-		ev = &Event{engine: e, at: t, seq: e.seq, fn: fn, index: -1}
+		ev = new(Event)
 	}
+	*ev = Event{engine: e, at: t, seq: e.seq, fn: fn, task: task, timeout: timeout, index: -1}
 	heap.Push(&e.events, ev)
 	e.nLive++
 	return ev
@@ -113,9 +115,9 @@ func (e *Engine) schedule(t Time, fn func()) *Event {
 
 // atOwned schedules an engine-owned event: the pointer is never handed to
 // simulation code, so the engine recycles it through the freelist as soon
-// as it fires. All internal timers (task wakes, sleeps) go through here.
+// as it fires.
 func (e *Engine) atOwned(t Time, fn func()) *Event {
-	ev := e.schedule(t, fn)
+	ev := e.schedule(t, fn, nil, false)
 	ev.owned = true
 	return ev
 }
@@ -123,8 +125,30 @@ func (e *Engine) atOwned(t Time, fn func()) *Event {
 // recycle puts a dead event (not in the heap, no outstanding references)
 // back on the freelist.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
+	ev.fn, ev.task = nil, nil
 	e.free = append(e.free, ev)
+}
+
+// fire runs a popped event: it wakes the event's task or calls its callback,
+// then recycles the event if the engine owns it. Ownership is read before
+// firing, because a woken task may recycle and reuse a non-owned event
+// (SleepEvent) before fire returns.
+func (e *Engine) fire(ev *Event) {
+	e.nLive--
+	e.dispatched++
+	e.now = ev.at
+	owned := ev.owned
+	if ev.task != nil {
+		ev.task.wake(ev.timeout)
+	} else {
+		ev.fn()
+	}
+	if owned {
+		e.recycle(ev)
+	}
+	if e.failure != nil {
+		panic(e.failure)
+	}
 }
 
 // release relinquishes the caller's reference to an event that has either
@@ -144,7 +168,7 @@ func (e *Engine) release(ev *Event) {
 // returned Event stays valid indefinitely: it is never recycled, so Cancel,
 // Reschedule, and Pending are safe at any later point.
 func (e *Engine) At(t Time, fn func()) *Event {
-	return e.schedule(t, fn)
+	return e.schedule(t, fn, nil, false)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -179,17 +203,7 @@ func (e *Engine) Run(deadline Time) Time {
 			break
 		}
 		heap.Pop(&e.events)
-		e.nLive--
-		e.dispatched++
-		e.now = ev.at
-		fn, owned := ev.fn, ev.owned
-		fn()
-		if owned {
-			e.recycle(ev)
-		}
-		if e.failure != nil {
-			panic(e.failure)
-		}
+		e.fire(ev)
 	}
 	if deadline > 0 && e.now < deadline && !e.stopped {
 		e.now = deadline
@@ -207,17 +221,7 @@ func (e *Engine) Step() bool {
 			}
 			continue
 		}
-		e.nLive--
-		e.dispatched++
-		e.now = ev.at
-		fn, owned := ev.fn, ev.owned
-		fn()
-		if owned {
-			e.recycle(ev)
-		}
-		if e.failure != nil {
-			panic(e.failure)
-		}
+		e.fire(ev)
 		return true
 	}
 	return false
@@ -267,16 +271,19 @@ func (e *Engine) trace(what string) {
 	}
 }
 
-// Event is a scheduled callback. Events may be cancelled or rescheduled
-// before they fire; both are used to model interrupt time-stealing.
+// Event is a scheduled callback or task wake. Events may be cancelled or
+// rescheduled before they fire; both are used to model interrupt
+// time-stealing.
 type Event struct {
 	engine    *Engine
 	at        Time
 	seq       uint64
 	fn        func()
-	index     int
+	task      *Task // if non-nil, firing calls task.wake(timeout) instead of fn
+	index     int32 // heap position, -1 once out of the heap; int32 keeps Event at 48 bytes
 	cancelled bool
 	owned     bool // engine-owned: recycled once it leaves the heap
+	timeout   bool
 }
 
 // When returns the time the event is scheduled to fire.
@@ -313,7 +320,7 @@ func (ev *Event) Reschedule(t Time) bool {
 		t = ev.engine.now
 	}
 	ev.at = t
-	heap.Fix(&ev.engine.events, ev.index)
+	heap.Fix(&ev.engine.events, int(ev.index))
 	return true
 }
 
@@ -338,7 +345,7 @@ func (e *Engine) compact() {
 		e.events[i] = nil
 	}
 	for i, ev := range keep {
-		ev.index = i
+		ev.index = int32(i)
 	}
 	e.events = keep
 	heap.Init(&e.events)
@@ -363,14 +370,14 @@ func (h eventHeap) Less(i, j int) bool {
 // Swap implements heap.Interface.
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 
 // Push implements heap.Interface.
 func (h *eventHeap) Push(x any) {
 	ev := x.(*Event)
-	ev.index = len(*h)
+	ev.index = int32(len(*h))
 	*h = append(*h, ev)
 }
 

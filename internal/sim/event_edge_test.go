@@ -198,7 +198,8 @@ func TestCompactPreservesReschedule(t *testing.T) {
 
 // TestPublicEventNotRecycled guards the freelist contract: an Event returned
 // by At/After must stay valid (and inert) after firing even when the engine
-// keeps scheduling through the freelist afterwards.
+// keeps scheduling through the freelist afterwards. Only engine-owned wakes
+// and SleepEvent's event (on a normal return) are recycled.
 func TestPublicEventNotRecycled(t *testing.T) {
 	e := NewEngine(1)
 	ev := e.At(5, func() {})

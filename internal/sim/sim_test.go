@@ -567,7 +567,7 @@ func TestSleepEventSteal(t *testing.T) {
 	var ev *Event
 	var woke Time
 	e.Go("computer", func(tk *Task) {
-		tk.SleepEvent(100, func(x *Event) { ev = x })
+		tk.SleepEvent(100, &ev)
 		woke = tk.Now()
 	})
 	// At t=50 an "interrupt" steals 30ns from the computing task.

@@ -1,8 +1,19 @@
+//go:build go1.23
+
+// The build line above raises this file's language version to go1.23, which
+// iter.Pull needs, while go.mod stays at go 1.22. The benchmark module
+// (perfbench/go.mod) says go 1.22 and requires this module, and a module may
+// not require one with a newer go line: raising go.mod to 1.23 fails its build
+// with "updates to go.mod needed". Drop the line once both move to go 1.23.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// killedPanic is thrown inside a task goroutine when the task is killed
+// killedPanic is thrown inside a task's coroutine when the task is killed
 // (e.g. its processor's node suffered a fail-stop fault). It unwinds the
 // task's stack, running deferred cleanup, and is swallowed by the task
 // wrapper.
@@ -18,18 +29,21 @@ type taskFailure struct {
 	val  any
 }
 
-// Task is a simulated thread of control: a goroutine that runs only when the
-// engine hands it the virtual CPU and that blocks by parking in virtual time.
-// Kernel code, simulated user processes, interrupt service threads, and the
-// Wax policy process are all Tasks.
+// Task is a simulated thread of control: a runtime coroutine that runs only
+// when the engine hands it the virtual CPU and that blocks by parking in
+// virtual time. Kernel code, simulated user processes, interrupt service
+// threads, and the Wax policy process are all Tasks.
+//
+// The coroutine comes from iter.Pull: dispatch calls next, which switches to
+// the task's goroutine until park calls yield, which switches back. The
+// runtime hands control over directly, without a trip through the scheduler.
 type Task struct {
 	eng      *Engine
 	name     string
-	resume   chan struct{}
-	yield    chan struct{}
+	next     func() (struct{}, bool)
+	yield    func(struct{}) bool
 	done     bool
 	parked   bool
-	started  bool
 	killed   bool
 	timedOut bool
 	liveIdx  int // position in eng.live, for O(1) removal on exit
@@ -46,17 +60,15 @@ type Task struct {
 // Go starts fn as a new task named name. The task begins running at the
 // current virtual time (after already-scheduled events for this instant).
 func (e *Engine) Go(name string, fn func(t *Task)) *Task {
-	t := &Task{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	t := &Task{eng: e, name: name}
 	e.nTasks++
 	t.liveIdx = len(e.live)
 	e.live = append(e.live, t)
-	go func() {
-		<-t.resume // wait for first dispatch
+	// The coroutine starts at the first next and ends by returning from
+	// this body, which hands control back to dispatch one last time. No
+	// panic escapes it, so next never re-raises one.
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedPanic); !ok {
@@ -68,13 +80,12 @@ func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 			for _, f := range t.onKill {
 				f()
 			}
-			t.yield <- struct{}{}
 		}()
 		if t.killed {
 			panic(killedPanic{t.name})
 		}
 		fn(t)
-	}()
+	})
 	e.atOwned(e.now, func() {
 		if !t.done {
 			e.dispatch(t)
@@ -88,12 +99,10 @@ func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 func (e *Engine) dispatch(t *Task) {
 	prev := e.cur
 	e.cur = t
-	t.started = true
 	if e.Trace != nil {
 		e.Trace(e.now, "run "+t.name)
 	}
-	t.resume <- struct{}{}
-	<-t.yield
+	t.next()
 	e.cur = prev
 	if e.failure != nil {
 		f := e.failure.(taskFailure)
@@ -136,14 +145,13 @@ func (t *Task) Done() bool { return t.done }
 func (t *Task) Killed() bool { return t.killed }
 
 // park suspends the task until another party calls wake. Must be called from
-// the task's own goroutine while it holds the virtual CPU.
+// the task's own coroutine while it holds the virtual CPU.
 func (t *Task) park() {
 	if t.killed {
 		panic(killedPanic{t.name})
 	}
 	t.parked = true
-	t.yield <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{}) // stop is never called, so yield always resumes
 	if t.killed {
 		panic(killedPanic{t.name})
 	}
@@ -164,7 +172,7 @@ func (t *Task) wake(timedOut bool) {
 // Safe to call from any simulation context. Waking a task that is not parked
 // is a no-op.
 func (t *Task) WakeSoon() {
-	t.eng.atOwned(t.eng.now, func() { t.wake(false) })
+	t.eng.schedule(t.eng.now, nil, t, false).owned = true
 }
 
 // Sleep suspends the task for d nanoseconds of virtual time.
@@ -173,20 +181,24 @@ func (t *Task) Sleep(d Time) {
 		// Yield: reschedule self after simultaneous events.
 		d = 0
 	}
-	t.eng.atOwned(t.eng.now+d, func() { t.wake(false) })
+	t.eng.schedule(t.eng.now+d, nil, t, false).owned = true
 	t.park()
 }
 
-// SleepEvent suspends the task for d nanoseconds but exposes the wake event
-// before parking via register, so another party may Reschedule it (interrupt
-// time-stealing) while the task sleeps. The exposed event is never recycled,
-// so holding the pointer past the sleep is safe.
-func (t *Task) SleepEvent(d Time, register func(*Event)) {
-	ev := t.eng.After(d, func() { t.wake(false) })
-	if register != nil {
-		register(ev)
-	}
+// SleepEvent suspends the task for d nanoseconds and stores its wake event in
+// *slot before parking, so another party may Reschedule it (interrupt
+// time-stealing) while the task sleeps. On return it clears *slot if *slot
+// still holds that event, and recycles the event: the pointer is valid only
+// until SleepEvent returns. A task killed mid-sleep never returns, so then
+// the event is never recycled and *slot stays safe to use.
+func (t *Task) SleepEvent(d Time, slot **Event) {
+	ev := t.eng.schedule(t.eng.now+d, nil, t, false)
+	*slot = ev
 	t.park()
+	if *slot == ev {
+		*slot = nil
+	}
+	t.eng.release(ev)
 }
 
 // Block parks the task indefinitely until something wakes it (via WakeSoon
@@ -198,7 +210,7 @@ func (t *Task) Block() {
 // BlockTimeout parks the task for at most d; it reports whether the wait
 // timed out rather than being woken.
 func (t *Task) BlockTimeout(d Time) (timedOut bool) {
-	tev := t.eng.After(d, func() { t.wake(true) })
+	tev := t.eng.schedule(t.eng.now+d, nil, t, true)
 	t.park()
 	tev.Cancel()
 	tev.engine.release(tev) // this call held the only reference
