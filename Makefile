@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-report lint-examples check trace-check drill-smoke mort-check frontend-smoke crashloop-soak surge-soak race bench bench-engine bench-report bench-gate clean
+.PHONY: all build test lint lint-report check trace-check drill-smoke mort-check frontend-smoke crashloop-soak surge-soak race bench bench-engine bench-report bench-gate clean
 
 all: check
 
@@ -14,9 +14,11 @@ test:
 
 # lint runs hivelint, the in-tree determinism, layering &
 # fault-containment suite (internal/lint): six single-package
-# analyzers plus the three interprocedural ones (carefulref, rpctaint,
-# errdrop) built on the module-wide call graph and taint engine: 9 in
-# all. Stale //hive:lint-ignore pragmas are diagnostics too. The
+# analyzers plus the four interprocedural ones (carefulref, rpctaint,
+# errdrop, deadcode) built on the module-wide call graph and taint
+# engine: 10 in all. It loads every directory with Go source, the
+# example programs included. Stale //hive:lint-ignore pragmas are
+# diagnostics too. The
 # -budget flag additionally fails the run if linting itself exceeds 30s
 # of wall time: the suite must stay cheap enough to live inside the
 # tier-1 gate. The same suite is also gated inside `go test ./...` via
@@ -28,13 +30,6 @@ lint:
 # a build artifact.
 lint-report:
 	$(GO) run ./cmd/hivelint -json -budget 30s > hivelint.json
-
-# lint-examples lints the example programs package by package (they sit
-# outside the module-wide default scope; the model-only analyzers exempt
-# them, but globalrand and the pragma checks still apply). Nightly CI
-# runs this.
-lint-examples:
-	for d in examples/*/; do $(GO) run ./cmd/hivelint "./$$d" || exit 1; done
 
 # check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
 # hivelint, full test suite, the race detector over the packages that

@@ -46,8 +46,6 @@ var (
 	ErrBadPointer = errors.New("careful: invalid remote pointer")
 	// ErrBadTag is a type-tag mismatch: the pointer is stale or wild.
 	ErrBadTag = errors.New("careful: type tag mismatch")
-	// ErrLoop is a linked traversal exceeding its loop bound.
-	ErrLoop = errors.New("careful: traversal loop bound exceeded")
 	// ErrBusError wraps a hardware bus error caught by the armed handler.
 	ErrBusError = errors.New("careful: bus error during remote read")
 )
@@ -73,14 +71,12 @@ type Ctx struct {
 	expectCell int
 	err        error
 	lineReads  int
-	steps      int
-	maxSteps   int
 }
 
 // On opens a careful window for reading cell expectCell's memory from proc.
 func (r *Reader) On(t *sim.Task, proc *machine.Processor, expectCell int) *Ctx {
 	proc.Use(t, OnCost)
-	return &Ctx{r: r, t: t, proc: proc, expectCell: expectCell, maxSteps: 1 << 20}
+	return &Ctx{r: r, t: t, proc: proc, expectCell: expectCell}
 }
 
 // Off closes the window and returns the first error encountered (nil on a
@@ -97,32 +93,10 @@ func (c *Ctx) Off() error {
 	return c.err
 }
 
-// Err returns the sticky error state without closing the window.
-func (c *Ctx) Err() error { return c.err }
-
-// Failed reports whether the window has recorded an error.
-func (c *Ctx) Failed() bool { return c.err != nil }
-
 func (c *Ctx) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-}
-
-// SetLoopBound sets the maximum number of traversal steps permitted in this
-// window; Step counts against it.
-func (c *Ctx) SetLoopBound(n int) { c.maxSteps = n }
-
-// Step records one traversal step (e.g. following one tree edge), failing
-// the window with ErrLoop if the bound is exceeded. It reports whether the
-// traversal may continue.
-func (c *Ctx) Step() bool {
-	c.steps++
-	if c.steps > c.maxSteps {
-		c.fail(ErrLoop)
-		return false
-	}
-	return true
 }
 
 // CheckAddr validates a remote address: non-nil, word-aligned, and within

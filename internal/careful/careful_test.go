@@ -138,27 +138,6 @@ func TestBusErrorSurvivedNotPanic(t *testing.T) {
 	}
 }
 
-func TestLoopBound(t *testing.T) {
-	f := newFixture(t)
-	// Build a two-node cycle in cell 1's memory.
-	const tagNode kmem.TypeTag = 8
-	a := f.space.Arena(1).Alloc(tagNode, 1)
-	b := f.space.Arena(1).Alloc(tagNode, 1)
-	f.space.Arena(1).WriteWord(a, 0, uint64(b))
-	f.space.Arena(1).WriteWord(b, 0, uint64(a))
-	f.run(t, func(tk *sim.Task) {
-		c := f.r.On(tk, f.m.Procs[0], 1)
-		c.SetLoopBound(10)
-		cur := a
-		for c.Step() && c.CheckAddr(cur) && c.CheckTag(cur, tagNode) {
-			cur = kmem.Addr(c.ReadWord(cur, 0))
-		}
-		if !errors.Is(c.Off(), ErrLoop) {
-			t.Errorf("err = %v", c.Err())
-		}
-	})
-}
-
 func TestCopyObjectSnapshotsBeforeChecks(t *testing.T) {
 	f := newFixture(t)
 	addr := f.space.Arena(1).Alloc(3, 4)

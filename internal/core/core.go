@@ -41,13 +41,10 @@ type Config struct {
 	// Agreement selects oracle (the paper's configuration) or the real
 	// voting protocol.
 	Agreement membership.AgreementMode
-	// AutoReintegrate lets the recovery master reboot repaired cells.
-	AutoReintegrate bool
 	// Reboot configures the availability loop: when enabled, a controller
 	// microboots a declared-dead cell on its repaired nodes and re-admits
 	// it through a membership join round (untrusted until commit), then
-	// warms it back to full capacity. Orthogonal to AutoReintegrate, the
-	// older synchronous path.
+	// warms it back to full capacity.
 	Reboot RebootPolicy
 	// KernelPagesPerNode are reserved for each cell's kernel (never
 	// shared or loaned). Defaults to 1/4 of each node's pages, leaving
@@ -175,8 +172,6 @@ func Boot(cfg Config) *Hive {
 		Coord: membership.NewCoordinator(cfg.Cells, nodePartition(cfg.Machine.Nodes, cfg.Cells), cfg.Agreement),
 	}
 	h.Trace = trace.NewSet(cfg.Cells, cfg.TraceCap)
-	h.Coord.AutoReintegrate = cfg.AutoReintegrate
-	h.Coord.BrokenHardware = map[int]bool{}
 	h.CellOfNode = make([]int, cfg.Machine.Nodes)
 	nodesPerCell := cfg.Machine.Nodes / cfg.Cells
 	for n := range h.CellOfNode {
@@ -193,11 +188,6 @@ func Boot(cfg Config) *Hive {
 		h.Cells = append(h.Cells, h.bootCell(c))
 	}
 	rpc.Connect(endpoints(h.Cells)...)
-	tables := make([]*proc.Table, len(h.Cells))
-	for i, c := range h.Cells {
-		tables[i] = c.Procs
-	}
-	proc.ConnectTables(tables...)
 	h.Coord.OracleFailed = func(cell int) bool {
 		return h.Cells[cell].ActuallyFailed()
 	}
@@ -462,11 +452,10 @@ func (c *Cell) shutdownKernel() {
 // nodes — the first half of reintegration (§4.3): hardware repaired, the
 // kernel arena emptied, every subsystem reconstructed on the same *Cell
 // the rest of the system holds, firewall write permissions re-opened to
-// the cell's own processors, and the RPC and process-table meshes rewired.
-// The cell does NOT return to the live set and its monitor stays stopped:
-// until a membership join round commits, the fresh image is untrusted —
-// peers only ever see it through the validated RPC boundary. The Rebooter
-// drives Microboot + join; Reboot below is the direct legacy path.
+// the cell's own processors, and the RPC mesh rewired. The cell does NOT
+// return to the live set and its monitor stays stopped: until a membership
+// join round commits, the fresh image is untrusted — peers only ever see it
+// through the validated RPC boundary. The Rebooter drives Microboot + join.
 func (c *Cell) Microboot() {
 	for _, n := range c.Nodes {
 		c.Hive.M.Nodes[n].Repair()
@@ -478,27 +467,6 @@ func (c *Cell) Microboot() {
 	c.boots++
 	c.EP.SetIncarnation(c.boots)
 	rpc.Connect(endpoints(c.Hive.Cells)...)
-	tables := make([]*proc.Table, len(c.Hive.Cells))
-	for i, cc := range c.Hive.Cells {
-		tables[i] = cc.Procs
-	}
-	proc.ConnectTables(tables...)
-}
-
-// Reboot restores a stopped cell to service with a fresh kernel state
-// (reintegration, §4.3) without a join round — the synchronous path used
-// when the harness itself plays recovery master. The hardware is repaired
-// here; the full availability loop (microboot + coordinated join + warm-up)
-// lives in the Rebooter.
-func (c *Cell) Reboot() {
-	c.Microboot()
-	c.Hive.Coord.Reintegrate(c.ID)
-	c.Mon.Start()
-	for _, peer := range c.Hive.Cells {
-		if peer.ID != c.ID && !peer.Failed() {
-			peer.VM.DropPeerState(c.ID)
-		}
-	}
 }
 
 // Now returns the current virtual time.
@@ -596,16 +564,4 @@ func (c *Cell) ApplyClockHand(t *sim.Task, pressuredHome int) bool {
 	c.Metrics.Counter("cell.wax_hints_applied").Inc()
 	c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(pressuredHome), 1, "clock-hand")
 	return c.VM.ReturnUnusedBorrows(t, pressuredHome) > 0
-}
-
-// ApplyGang space-shares n processors per Wax's gang-scheduling hint.
-func (c *Cell) ApplyGang(n int) bool {
-	if n < 0 || n >= len(c.Sched.Procs) {
-		c.Metrics.Counter("cell.wax_hints_rejected").Inc()
-		c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(n), 0, "gang")
-		return false
-	}
-	c.Metrics.Counter("cell.wax_hints_applied").Inc()
-	c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(n), 1, "gang")
-	return c.Sched.Reserve(n)
 }

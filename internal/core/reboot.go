@@ -154,8 +154,7 @@ func (rb *Rebooter) loop(t *sim.Task, cell int, deadAt sim.Time) {
 
 // warmUp re-stripes capacity onto the rejoined cell: each survivor
 // migrates a slice of its page cache into frames borrowed from the joiner
-// (vm.RebalanceToward) and re-creates its striped-file components homed
-// there (fs.RestripeFor). The work runs asynchronously in one task per
+// (vm.RebalanceToward). The work runs asynchronously in one task per
 // peer — warm-up is a background repair, not part of the commit.
 func (rb *Rebooter) warmUp(t *sim.Task, cell int) {
 	for _, peer := range rb.h.Cells {
@@ -165,7 +164,6 @@ func (rb *Rebooter) warmUp(t *sim.Task, cell int) {
 		p := peer
 		rb.h.Eng.Go(fmt.Sprintf("cell%d.warm%d", p.ID, cell), func(wt *sim.Task) {
 			p.VM.RebalanceToward(wt, cell, rb.Policy.WarmPages)
-			p.FS.RestripeFor(wt, cell)
 		})
 	}
 }

@@ -131,9 +131,6 @@ func (mg *Manager) NewRoot() kmem.Addr {
 	return mg.arena().Alloc(TagNode, nodeWords)
 }
 
-// FreeNode releases a node (process exit tears down its leaf).
-func (mg *Manager) FreeNode(addr kmem.Addr) { mg.arena().Free(addr) }
-
 // Fork splits leaf into two new leaves — one stays with the parent process
 // (on this cell), the other belongs to the child on childCell (allocated
 // there by RPC when remote, keeping every process's leaf local to it).
@@ -246,7 +243,6 @@ func (mg *Manager) Lookup(t *sim.Task, leaf kmem.Addr, off int64) (node kmem.Add
 		// Remote node: careful reference protocol (§4.1).
 		mg.Metrics.Counter("cow.remote_visits").Inc()
 		ctx := mg.Reader.On(t, mg.proc(), cur.Cell())
-		ctx.SetLoopBound(MaxDepth)
 		var hit, badCount bool
 		var next kmem.Addr
 		if ctx.CheckAddr(cur) && ctx.CheckTag(cur, TagNode) {

@@ -54,12 +54,6 @@ func New(e *sim.Engine, cfg Config) *Drive {
 	return &Drive{cfg: cfg, eng: e, busy: &sim.Mutex{}}
 }
 
-// Capacity returns the drive size in bytes.
-func (d *Drive) Capacity() int64 {
-	c := d.cfg
-	return int64(c.Cylinders) * int64(c.TracksPerCyl) * int64(c.SectorsPerTrk) * int64(c.SectorBytes)
-}
-
 // rotationNs returns the time for one full revolution.
 func (d *Drive) rotationNs() sim.Time {
 	return sim.Time(60.0 / float64(d.cfg.RPM) * 1e9)

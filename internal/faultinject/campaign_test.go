@@ -3,6 +3,8 @@ package faultinject
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // TestFullCampaign runs the complete Table 7.4 campaign: 49 hardware fault
@@ -15,7 +17,7 @@ func TestFullCampaign(t *testing.T) {
 	scenarios := []Scenario{NodeFailProcCreate, NodeFailCOWSearch, NodeFailRandom, CorruptAddrMap, CorruptCOWTree}
 	hw, sw := 0, 0
 	for _, s := range scenarios {
-		row := RunScenario(s, s.PaperTests())
+		row := RunScenarioWith(parallel.Default(), s, s.PaperTests())
 		fmt.Printf("%-50s tests=%2d allOK=%v avgDetect=%.1fms maxDetect=%.1fms avgRecov=%.1fms\n",
 			s, row.Tests, row.AllOK, row.AvgDetect, row.MaxDetect, row.AvgRecov)
 		if !row.AllOK {

@@ -859,12 +859,6 @@ type CampaignRow struct {
 	Restore *stats.HistSnapshot `json:",omitempty"`
 }
 
-// RunScenario runs `tests` trials of a scenario and aggregates. Trials fan
-// out across the process-wide parallel runner; see RunScenarioWith.
-func RunScenario(s Scenario, tests int) *CampaignRow {
-	return RunScenarioWith(parallel.Default(), s, tests)
-}
-
 // RunScenarioWith runs `tests` trials of a scenario on r's worker pool and
 // aggregates them in trial order. Each trial boots its own simulation from
 // a seed derived from (scenario, trial), so the aggregate row — averages,

@@ -17,18 +17,18 @@ import (
 	"repro/internal/parallel"
 )
 
-// SweepOpts configures a campaign sweep.
+// SweepOpts configures a campaign sweep over every scenario, paper rows
+// and extensions.
 type SweepOpts struct {
-	// Scenarios to sweep; nil = every scenario, paper rows and extensions.
-	Scenarios []Scenario
 	// TrialsPer is the grid depth per scenario (minimum 1).
 	TrialsPer int
 	// Runner fans trials out; nil = the process-wide default pool.
 	Runner *parallel.Runner
-	// MinimizeAttempts bounds the candidate seeds tried when minimizing
-	// a failure (default 8).
-	MinimizeAttempts int
 }
+
+// minimizeAttempts bounds the candidate seeds tried when minimizing a
+// failure.
+const minimizeAttempts = 8
 
 // SweepFailure is one failing grid point, minimized.
 type SweepFailure struct {
@@ -69,10 +69,7 @@ func (r *SweepReport) AllOK() bool { return len(r.Failures) == 0 }
 // runner; folding happens in grid order, so the report is byte-identical
 // at any worker count.
 func Sweep(opts SweepOpts) *SweepReport {
-	scen := opts.Scenarios
-	if scen == nil {
-		scen = AllScenarios()
-	}
+	scen := AllScenarios()
 	per := opts.TrialsPer
 	if per < 1 {
 		per = 1
@@ -101,7 +98,7 @@ func Sweep(opts SweepOpts) *SweepReport {
 			rep.Rows[i/per].OK++
 			continue
 		}
-		rep.Failures = append(rep.Failures, minimize(tr, i%per, opts.MinimizeAttempts))
+		rep.Failures = append(rep.Failures, minimize(tr, i%per))
 	}
 	rep.Hash = w.Sum64()
 	return rep
@@ -109,10 +106,7 @@ func Sweep(opts SweepOpts) *SweepReport {
 
 // minimize searches ascending candidate seeds for the smallest one that
 // still reproduces the failure at the same grid point.
-func minimize(tr *TrialResult, trial, attempts int) *SweepFailure {
-	if attempts <= 0 {
-		attempts = 8
-	}
+func minimize(tr *TrialResult, trial int) *SweepFailure {
 	f := &SweepFailure{
 		Scenario: tr.Scenario,
 		Trial:    trial,
@@ -120,7 +114,7 @@ func minimize(tr *TrialResult, trial, attempts int) *SweepFailure {
 		Notes:    tr.Notes,
 		MinSeed:  tr.Seed,
 	}
-	for cand := int64(1); cand <= int64(attempts) && cand < tr.Seed; cand++ {
+	for cand := int64(1); cand <= minimizeAttempts && cand < tr.Seed; cand++ {
 		if rt := RunTrialOpts(tr.Scenario, trial, TrialOpts{Seed: cand}); !rt.OK() {
 			f.MinSeed = cand
 			f.Minimized = true

@@ -109,9 +109,6 @@ type Edge struct {
 	Last  sim.Time  `json:"last"`
 }
 
-// ClassName is the stable JSON form of Class.
-func (e Edge) ClassName() string { return e.Class.String() }
-
 // Graph is the causal fault-propagation graph of one run: every recorded
 // interaction causally downstream of an injected fault, aggregated per
 // (from, to, class, mechanism) and classified by what the containment

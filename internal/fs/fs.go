@@ -54,17 +54,15 @@ var (
 	ErrBadArgs = errors.New("fs: bad request arguments")
 )
 
-// RPC procedure numbers (range 120-139).
+// RPC procedure numbers (range 120-139). The values are explicit: trace
+// events record them, so a deleted procedure must not renumber the rest.
 const (
-	ProcLookup    rpc.ProcID = 120 + iota // path component lookup
-	ProcGetattr                           // attribute fetch at open
-	ProcCreate                            // create a file at its data home
-	ProcReadPage                          // fetch one page (interrupt-level fast path)
-	ProcWriteGen                          // fetch current generation
-	ProcWriteBulk                         // write a chunk of page tags
-	ProcUnlink                            // remove a file
-	ProcRename                            // rename within a data home
-	ProcTruncate                          // shorten a file
+	ProcLookup    rpc.ProcID = 120 // path component lookup
+	ProcGetattr   rpc.ProcID = 121 // attribute fetch at open
+	ProcCreate    rpc.ProcID = 122 // create a file at its data home
+	ProcReadPage  rpc.ProcID = 123 // fetch one page (interrupt-level fast path)
+	ProcWriteBulk rpc.ProcID = 125 // write a chunk of page tags
+	ProcRename    rpc.ProcID = 127 // rename within a data home
 )
 
 // FileID numbers files within one data home.
@@ -115,9 +113,6 @@ type FS struct {
 	byPath   map[string]FileID
 	nextID   FileID
 	nextDisk int64
-	// striped remembers each striped file's cell list so the components
-	// homed on a rebooted cell can be re-created at rejoin (RestripeFor).
-	striped map[string][]int
 
 	Metrics *stats.Registry
 }
@@ -287,28 +282,6 @@ func (f *FS) Open(t *sim.Task, path string) (*Handle, error) {
 	return &Handle{Key: Key{Home: home, ID: rep.ID}, Gen: rep.Gen, fs: f, open: true}, nil
 }
 
-// SizePages returns a file's current length in pages.
-func (f *FS) SizePages(t *sim.Task, h *Handle) (int64, error) {
-	if h.Key.Home == f.CellID {
-		f.proc().Use(t, LookupLocal)
-		file := f.files[h.Key.ID]
-		if file == nil {
-			return 0, ErrNotFound
-		}
-		return file.SizePgs, nil
-	}
-	res, err := f.EP.Call(t, f.proc(), h.Key.Home, ProcGetattr,
-		&lookupArgs{Path: "", Component: int(h.Key.ID)}, rpc.CallOpts{DataBytes: 16})
-	if err != nil {
-		return 0, err
-	}
-	rep, err := validateOpenReply(res)
-	if err != nil {
-		return 0, err
-	}
-	return int64(rep.Size), nil
-}
-
 // Rename moves a file within its data home (cross-home renames would be a
 // copy; the paper's name-space work left that for the fault-tolerant FS).
 func (f *FS) Rename(t *sim.Task, oldPath, newPath string) error {
@@ -333,40 +306,6 @@ func (f *FS) Rename(t *sim.Task, oldPath, newPath string) error {
 	_, err := f.EP.Call(t, f.proc(), home, ProcRename,
 		&renameArgs{Old: oldPath, New: newPath}, rpc.CallOpts{DataBytes: len(oldPath) + len(newPath)})
 	return err
-}
-
-// Truncate shortens a file to npages, evicting the cut pages from the
-// cache and dropping their stable copies.
-func (f *FS) Truncate(t *sim.Task, h *Handle, npages int64) error {
-	if h.Key.Home != f.CellID {
-		_, err := f.EP.Call(t, f.proc(), h.Key.Home, ProcTruncate,
-			&truncArgs{Key: h.Key, Gen: h.Gen, Pages: npages}, rpc.CallOpts{DataBytes: 32})
-		return err
-	}
-	file := f.files[h.Key.ID]
-	if file == nil {
-		return ErrNotFound
-	}
-	if h.Gen != file.Gen {
-		return ErrStale
-	}
-	f.proc().Use(t, OpenBase)
-	return f.truncateLocal(t, file, npages)
-}
-
-func (f *FS) truncateLocal(t *sim.Task, file *File, npages int64) error {
-	for off := npages; off < file.SizePgs; off++ {
-		lp := lpFor(Key{Home: f.CellID, ID: file.ID}, off)
-		if pf, ok := f.VM.Lookup(lp); ok {
-			pf.Dirty = false
-			f.VM.Evict(t, lp)
-		}
-		delete(file.onDisk, off)
-	}
-	if npages < file.SizePgs {
-		file.SizePgs = npages
-	}
-	return nil
 }
 
 // Stat resolves a path and returns whether it exists — the namespace
@@ -394,24 +333,6 @@ func (f *FS) Stat(t *sim.Task, path string) (bool, error) {
 
 // Close drops the handle.
 func (f *FS) Close(t *sim.Task, h *Handle) { h.open = false }
-
-// Unlink removes a file.
-func (f *FS) Unlink(t *sim.Task, path string) error {
-	home := f.homeFor(path)
-	f.proc().Use(t, OpenBase)
-	if home == f.CellID {
-		id, ok := f.byPath[path]
-		if !ok {
-			return ErrNotFound
-		}
-		delete(f.byPath, path)
-		delete(f.files, id)
-		return nil
-	}
-	_, err := f.EP.Call(t, f.proc(), home, ProcUnlink, &lookupArgs{Path: path},
-		rpc.CallOpts{DataBytes: len(path)})
-	return err
-}
 
 // PageData is one page of file content as observed by a reader.
 type PageData struct {

@@ -335,23 +335,6 @@ func TestOpenNonexistent(t *testing.T) {
 	})
 }
 
-func TestUnlinkLocalAndRemote(t *testing.T) {
-	f := newFixture(t, 2)
-	f.run(t, func(tk *sim.Task) {
-		f.fss[0].Create(tk, "/x")
-		if err := f.fss[0].Unlink(tk, "/x"); err != nil {
-			t.Errorf("unlink local: %v", err)
-		}
-		f.fss[0].Create(tk, "/tmp/y")
-		if err := f.fss[0].Unlink(tk, "/tmp/y"); err != nil {
-			t.Errorf("unlink remote: %v", err)
-		}
-		if _, err := f.fss[0].Open(tk, "/tmp/y"); err == nil {
-			t.Error("unlinked file still opens")
-		}
-	})
-}
-
 func TestCorruptPageObservedByReader(t *testing.T) {
 	// A wild write that lands before detection is visible to readers —
 	// the data-integrity window the paper's preemptive discard narrows.
@@ -396,126 +379,6 @@ func TestComponentsCount(t *testing.T) {
 	}
 }
 
-func TestStripedFileSpreadsAcrossCells(t *testing.T) {
-	f := newFixture(t, 4)
-	done := false
-	f.run(t, func(tk *sim.Task) {
-		defer func() { done = true }()
-		sh, err := f.fss[0].CreateStriped(tk, "/data/big", []int{0, 1, 2, 3})
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		if err := sh.Write(tk, 16, 5); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		// Each stripe cell holds 4 pages of the file.
-		for i, cell := range sh.Cells {
-			gen, ok := f.fss[cell].Generation(sh.comps[i].Key.ID)
-			if !ok || gen != 0 {
-				t.Errorf("component %d missing on cell %d", i, cell)
-			}
-		}
-		sh.Pos = 0
-		pages, err := sh.Read(tk, 16)
-		if err != nil || len(pages) != 16 {
-			t.Errorf("read: %d pages, %v", len(pages), err)
-			return
-		}
-		for _, pg := range pages {
-			if pg.Tag == 0 || pg.Corrupt {
-				t.Error("bad striped page")
-			}
-		}
-		// Reopen from another cell.
-		sh2, err := f.fss[2].OpenStriped(tk, "/data/big", []int{0, 1, 2, 3})
-		if err != nil {
-			t.Errorf("reopen: %v", err)
-			return
-		}
-		if _, err := sh2.Read(tk, 8); err != nil {
-			t.Errorf("read after reopen: %v", err)
-		}
-	})
-	if !done {
-		t.Fatal("never finished")
-	}
-}
-
-func TestReplicatedFileSurvivesReplicaFailure(t *testing.T) {
-	f := newFixture(t, 3)
-	done := false
-	f.run(t, func(tk *sim.Task) {
-		defer func() { done = true }()
-		rh, err := f.fss[0].CreateReplicated(tk, "/data/precious", []int{1, 2})
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		if err := rh.Write(tk, 4, 9); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		// Kill replica cell 1: reads still succeed from cell 2.
-		f.m.Nodes[1].FailStop()
-		rh.Pos = 0
-		pages, err := rh.Read(tk, 4)
-		if err != nil {
-			t.Errorf("read after replica failure: %v", err)
-			return
-		}
-		if len(pages) != 4 {
-			t.Errorf("pages = %d", len(pages))
-		}
-		// Writes keep succeeding on the surviving replica.
-		if err := rh.Write(tk, 2, 9); err != nil {
-			t.Errorf("write after replica failure: %v", err)
-		}
-	})
-	if !done {
-		t.Fatal("never finished")
-	}
-}
-
-func TestReplicatedOpenToleratesDeadReplica(t *testing.T) {
-	f := newFixture(t, 3)
-	done := false
-	f.run(t, func(tk *sim.Task) {
-		defer func() { done = true }()
-		rh, err := f.fss[0].CreateReplicated(tk, "/d", []int{1, 2})
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		rh.Write(tk, 2, 3)
-		f.m.Nodes[1].FailStop()
-		rh2, err := f.fss[0].OpenReplicated(tk, "/d", []int{1, 2})
-		if err != nil {
-			t.Errorf("open with dead replica: %v", err)
-			return
-		}
-		if _, err := rh2.Read(tk, 2); err != nil {
-			t.Errorf("read: %v", err)
-		}
-	})
-	if !done {
-		t.Fatal("never finished")
-	}
-}
-
-func TestStripedCreateRejectsEmptyCells(t *testing.T) {
-	f := newFixture(t, 1)
-	f.run(t, func(tk *sim.Task) {
-		if _, err := f.fss[0].CreateStriped(tk, "/x", nil); err == nil {
-			t.Error("empty stripe set accepted")
-		}
-		if _, err := f.fss[0].CreateReplicated(tk, "/x", nil); err == nil {
-			t.Error("empty replica set accepted")
-		}
-	})
-}
-
 func TestRenameLocalAndRemote(t *testing.T) {
 	f := newFixture(t, 2)
 	f.run(t, func(tk *sim.Task) {
@@ -540,35 +403,6 @@ func TestRenameLocalAndRemote(t *testing.T) {
 		// Cross-home renames are refused.
 		if err := f.fss[0].Rename(tk, "/a/new", "/tmp/x"); err == nil {
 			t.Error("cross-home rename accepted")
-		}
-	})
-}
-
-func TestTruncateAndSize(t *testing.T) {
-	f := newFixture(t, 2)
-	f.run(t, func(tk *sim.Task) {
-		h, _ := f.fss[0].Create(tk, "/t/file")
-		f.fss[0].Write(tk, h, 10, 3)
-		if n, err := f.fss[0].SizePages(tk, h); err != nil || n != 10 {
-			t.Fatalf("size = %d, %v", n, err)
-		}
-		if err := f.fss[0].Truncate(tk, h, 4); err != nil {
-			t.Fatalf("truncate: %v", err)
-		}
-		if n, _ := f.fss[0].SizePages(tk, h); n != 4 {
-			t.Fatalf("size after truncate = %d", n)
-		}
-		// Remote size + truncate via /tmp.
-		hr, _ := f.fss[0].Create(tk, "/tmp/big")
-		f.fss[0].Write(tk, hr, 8, 4)
-		if n, err := f.fss[0].SizePages(tk, hr); err != nil || n != 8 {
-			t.Fatalf("remote size = %d, %v", n, err)
-		}
-		if err := f.fss[0].Truncate(tk, hr, 2); err != nil {
-			t.Fatalf("remote truncate: %v", err)
-		}
-		if n, _ := f.fss[0].SizePages(tk, hr); n != 2 {
-			t.Fatalf("remote size after truncate = %d", n)
 		}
 	})
 }

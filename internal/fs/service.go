@@ -11,7 +11,7 @@ import (
 // Server-side RPC services. Every handler sanity-checks its arguments
 // before touching local state, per the message-exchange discipline of §3.1.
 
-// lookupArgs drives ProcLookup/ProcGetattr/ProcUnlink.
+// lookupArgs drives ProcLookup/ProcGetattr.
 type lookupArgs struct {
 	Path      string
 	Component int
@@ -47,13 +47,6 @@ type renameArgs struct {
 	Old, New string
 }
 
-// truncArgs drives ProcTruncate.
-type truncArgs struct {
-	Key   Key
-	Gen   uint64
-	Pages int64
-}
-
 // writeArgs drives ProcWriteBulk.
 type writeArgs struct {
 	Key  Key
@@ -68,8 +61,8 @@ type writeArgs struct {
 // mutates local file state, per the paper's rule that a cell assumes
 // its peers are faulty until proven otherwise.
 
-// validateLookupArgs vets a lookup/unlink request: non-empty path homed
-// at this cell.
+// validateLookupArgs vets a lookup request: non-empty path homed at this
+// cell.
 func (f *FS) validateLookupArgs(raw any) (*lookupArgs, error) {
 	args, ok := raw.(*lookupArgs)
 	if !ok || args.Path == "" || len(args.Path) > 4096 {
@@ -102,22 +95,6 @@ func (f *FS) validateRenameArgs(raw any) (*renameArgs, error) {
 		return nil, ErrBadArgs
 	}
 	return args, nil
-}
-
-// validateTruncArgs vets a truncate request and resolves its target.
-func (f *FS) validateTruncArgs(raw any) (*truncArgs, *File, error) {
-	args, ok := raw.(*truncArgs)
-	if !ok || args.Key.Home != f.CellID || args.Pages < 0 {
-		return nil, nil, ErrBadArgs
-	}
-	file := f.files[args.Key.ID]
-	if file == nil {
-		return nil, nil, ErrNotFound
-	}
-	if args.Gen != file.Gen {
-		return nil, nil, ErrStale
-	}
-	return args, file, nil
 }
 
 // validateCreateArgs vets a create request: well-formed path, homed here.
@@ -214,15 +191,6 @@ func (f *FS) registerServices() {
 			return nil, f.Rename(t, args.Old, args.New)
 		})
 
-	f.EP.Register(ProcTruncate, "fs.truncate", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, file, err := f.validateTruncArgs(req.Args)
-			if err != nil {
-				return nil, err
-			}
-			return nil, f.truncateLocal(t, file, args.Pages)
-		})
-
 	f.EP.Register(ProcCreate, "fs.create", nil,
 		func(t *sim.Task, req *rpc.Request) (any, error) {
 			args, err := f.validateCreateArgs(req.Args)
@@ -280,21 +248,5 @@ func (f *FS) registerServices() {
 				return nil, err
 			}
 			return nil, f.writeLocal(t, file, args.Off, args.Tags)
-		})
-
-	f.EP.Register(ProcUnlink, "fs.unlink", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := f.validateLookupArgs(req.Args)
-			if err != nil {
-				return nil, err
-			}
-			id, ok := f.byPath[args.Path]
-			if !ok {
-				return nil, ErrNotFound
-			}
-			f.proc().Use(t, LookupServer)
-			delete(f.byPath, args.Path)
-			delete(f.files, id)
-			return nil, nil
 		})
 }

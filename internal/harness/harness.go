@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/machine"
+	"repro/internal/membership"
 	"repro/internal/parallel"
 	"repro/internal/proc"
 	"repro/internal/rpc"
@@ -65,17 +66,16 @@ func RunCareful41() *Careful41 {
 		}
 		out.CarefulReadUs = (t.Now() - start).Micros() / n
 
+		// The null RPC is the membership ping service, registered on
+		// every cell.
 		start = t.Now()
 		for i := 0; i < n; i++ {
-			vet1(c.EP.Call(t, c.Sched.Procs[0], 1, rpcPingProc, nil, rpc.CallOpts{}))
+			vet1(c.EP.Call(t, c.Sched.Procs[0], 1, membership.ProcPing, nil, rpc.CallOpts{}))
 		}
 		out.NullRPCUs = (t.Now() - start).Micros() / n
 	})
 	return out
 }
-
-// rpcPingProc reuses the membership ping service (registered on every cell).
-const rpcPingProc rpc.ProcID = 181
 
 // RPC6 measures §6: null, practical, oversize, and queued RPC latencies.
 type RPC6 struct {
@@ -103,9 +103,9 @@ func RunRPC6() *RPC6 {
 			}
 			return (t.Now() - start).Micros() / n
 		}
-		out.NullUs = measure(rpc.CallOpts{}, rpcPingProc)
-		out.RealUs = measure(rpc.CallOpts{DataBytes: 64}, rpcPingProc)
-		out.OversizeUs = measure(rpc.CallOpts{DataBytes: 512}, rpcPingProc)
+		out.NullUs = measure(rpc.CallOpts{}, membership.ProcPing)
+		out.RealUs = measure(rpc.CallOpts{DataBytes: 64}, membership.ProcPing)
+		out.OversizeUs = measure(rpc.CallOpts{DataBytes: 512}, membership.ProcPing)
 		out.QueuedUs = measure(rpc.CallOpts{}, echoQ)
 	})
 	return out

@@ -134,7 +134,7 @@ func RunHardware81() *Hardware81 {
 	runOn(h, 0, func(p *proc.Process, t *sim.Task) {
 		proc0 := h.Cells[0].Sched.Procs[0]
 		// Generate SIPS traffic (a ping RPC) before checking the counter.
-		vet1(h.Cells[0].EP.Call(t, proc0, 1, rpcPingProc, nil, rpc.CallOpts{}))
+		vet1(h.Cells[0].EP.Call(t, proc0, 1, membership.ProcPing, nil, rpc.CallOpts{}))
 		lo1, _ := m.NodePages(1)
 		// Firewall: remote write denied, local allowed.
 		errRemote := m.WritePage(t, proc0, lo1, 1)
@@ -228,22 +228,18 @@ func RunAgreementComparison() *AgreementComparison {
 	return out
 }
 
-// DetectionIntervalSweep measures the §4.3 tradeoff: clock-check frequency
-// vs window of vulnerability (detection latency).
+// DetectionPoint is one point of the §4.3 tradeoff curve (DetectionCurve):
+// a clock-check period and the mean detection latency, the window of
+// vulnerability, it yields.
 type DetectionPoint struct {
 	CheckEveryMs float64
 	DetectMs     float64
 }
 
-// RunDetectionSweep measures detection latency across injection phases at
-// the default clock-check interval.
-func RunDetectionSweep(trials int) (avg, max float64) {
-	return RunDetectionSweepAt(0, trials)
-}
-
-// RunDetectionSweepAt runs the sweep with an explicit clock-check period
-// (in ticks) — the real §4.3 frequency/vulnerability curve. Trials are
-// independent boots and run on the process-wide parallel runner.
+// RunDetectionSweepAt measures detection latency across injection phases
+// with an explicit clock-check period (in ticks; 0 selects the default) —
+// the real §4.3 frequency/vulnerability curve. Trials are independent
+// boots and run on the process-wide parallel runner.
 func RunDetectionSweepAt(checkEvery, trials int) (avg, max float64) {
 	ds := parallel.Map(parallel.Default(), trials, func(i int) float64 {
 		cfg := core.DefaultConfig()
@@ -302,7 +298,7 @@ func RunSIPSvsIPI() *SIPSvsIPI {
 		// SIPS round trip: the null RPC.
 		start := t.Now()
 		for i := 0; i < n; i++ {
-			vet1(h.Cells[0].EP.Call(t, proc0, 1, rpcPingProc, nil, rpc.CallOpts{}))
+			vet1(h.Cells[0].EP.Call(t, proc0, 1, membership.ProcPing, nil, rpc.CallOpts{}))
 		}
 		out.SIPSUs = (t.Now() - start).Micros() / n
 

@@ -92,7 +92,7 @@ func TestAgreementModesAgree(t *testing.T) {
 }
 
 func TestDetectionSweepBounded(t *testing.T) {
-	avg, max := RunDetectionSweep(4)
+	avg, max := RunDetectionSweepAt(0, 4)
 	if avg <= 0 || max <= 0 || max > 45 {
 		t.Fatalf("avg=%.1f max=%.1f ms", avg, max)
 	}

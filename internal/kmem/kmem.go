@@ -87,9 +87,6 @@ func NewArena(cell int) *Arena {
 	}
 }
 
-// Cell returns the owning cell number.
-func (a *Arena) Cell() int { return a.cell }
-
 // Reset discards every object and returns the arena to its freshly-booted
 // state, keeping the *Arena pointer itself valid: peers hold the pointer
 // through Space, so a cell microboot must empty the heap in place rather
@@ -123,9 +120,6 @@ func (a *Arena) Free(addr Addr) {
 		a.frees++
 	}
 }
-
-// Live returns the number of live objects (for leak tests).
-func (a *Arena) Live() int { return len(a.objects) }
 
 // EachTagged calls fn for every live object carrying the given type tag,
 // in address order — the deterministic iteration the kernel's periodic
@@ -213,14 +207,6 @@ func (a *Arena) TagAt(addr Addr) (TypeTag, error) {
 	return obj.tag, nil
 }
 
-// Size returns the word count of the object at addr (0 if unmapped).
-func (a *Arena) Size(addr Addr) int {
-	if obj := a.lookup(addr); obj != nil {
-		return len(obj.words)
-	}
-	return 0
-}
-
 // CorruptWord overwrites word i at addr regardless of bounds bookkeeping —
 // the software fault injector's hook (§7.4 corrupts kernel data structures
 // in place).
@@ -250,9 +236,6 @@ func NewSpace(n int) *Space {
 
 // Arena returns cell c's arena.
 func (s *Space) Arena(c int) *Arena { return s.arenas[c] }
-
-// NumCells returns the number of arenas.
-func (s *Space) NumCells() int { return len(s.arenas) }
 
 // ReadWord resolves addr to its owning arena and reads word i. An address
 // naming a nonexistent cell is a bus error.

@@ -15,7 +15,10 @@ import (
 // interface's method (sound over-approximation for module code — a
 // dynamic call cannot reach a method the graph does not list, unless the
 // callee lives outside the module, which the taint engine models
-// separately as an unknown call).
+// separately as an unknown call). Alongside the call edges each node
+// keeps reference edges: every function its body names, called or not,
+// so a function passed as a value (an RPC handler, a task body, a hook)
+// counts as reached.
 
 // CGNode is one declared function or method in the module.
 type CGNode struct {
@@ -27,6 +30,10 @@ type CGNode struct {
 	// call site, then callee/caller path.
 	Callees []*CGEdge
 	Callers []*CGEdge
+	// Refs lists every module function the body names, called or not,
+	// in source order (repeats included). A named interface method
+	// stands for every module method with that name.
+	Refs []*CGNode
 }
 
 // CGEdge is one resolved call site.
@@ -87,7 +94,7 @@ func pkgPathOf(fn *types.Func) string {
 }
 
 // Reachable returns the set of nodes reachable from the seeds (following
-// callee edges, seeds included).
+// reference edges, which cover every call edge, seeds included).
 func (g *CallGraph) Reachable(seeds ...*CGNode) map[*CGNode]bool {
 	seen := map[*CGNode]bool{}
 	var walk func(n *CGNode)
@@ -96,8 +103,8 @@ func (g *CallGraph) Reachable(seeds ...*CGNode) map[*CGNode]bool {
 			return
 		}
 		seen[n] = true
-		for _, e := range n.Callees {
-			walk(e.Callee)
+		for _, r := range n.Refs {
+			walk(r)
 		}
 	}
 	for _, s := range seeds {
@@ -214,9 +221,25 @@ func (g *CallGraph) indexBody(pkg *Package, caller *CGNode, body *ast.BlockStmt)
 				caller.Callees = append(caller.Callees, e)
 				callee.node.Callers = append(callee.node.Callers, e)
 			}
+		case *ast.Ident:
+			if fn, ok := pkg.Info.Uses[n].(*types.Func); ok {
+				caller.Refs = append(caller.Refs, g.Named(fn)...)
+			}
 		}
 		return true
 	})
+}
+
+// Named returns the module functions a use of fn may denote: fn's own
+// node, or for an interface method every module method with its name.
+func (g *CallGraph) Named(fn *types.Func) []*CGNode {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return g.methodsByName[fn.Name()]
+	}
+	if n := g.NodeOf(fn); n != nil {
+		return []*CGNode{n}
+	}
+	return nil
 }
 
 type resolved struct {
@@ -288,7 +311,3 @@ func (g *CallGraph) resolveInterfaceCall(fn *types.Func, sig *types.Signature) [
 	}
 	return out
 }
-
-// EnclosingFunc returns the declared function whose body contains the
-// given function literal (closures belong to their enclosing function).
-func (g *CallGraph) EnclosingFunc(lit *ast.FuncLit) *CGNode { return g.funcOfLit[lit] }

@@ -28,6 +28,11 @@
 //	errdrop      RPC call errors (ErrTimeout/ErrShutdown) are never
 //	             silently discarded — a dropped failure erodes containment
 //
+// and one more keeps the module free of code nothing runs:
+//
+//	deadcode     every function is reached from a binary, an init, the
+//	             root package's API or benchmarks (see deadcode.go)
+//
 // The suite runs three ways: the cmd/hivelint CLI (with -json), the
 // `make lint` target, and an in-tree self-test that lints the whole
 // module inside `go test ./...` so the tier-1 gate fails on any new
@@ -87,7 +92,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{walltimeAnalyzer, globalrandAnalyzer, maporderAnalyzer,
 		rawconcAnalyzer, stablesortAnalyzer, layeringAnalyzer,
-		carefulrefAnalyzer, rpctaintAnalyzer, errdropAnalyzer}
+		carefulrefAnalyzer, rpctaintAnalyzer, errdropAnalyzer, deadcodeAnalyzer}
 }
 
 // AnalyzerNames returns the suite's analyzer names sorted alphabetically
@@ -194,8 +199,11 @@ type Package struct {
 	// Info is the type-check result; nil when the package was loaded
 	// syntax-only (the layering fixtures, which never need types).
 	Info *types.Info
+	// Types is the checked package; nil on syntax-only loads.
+	Types *types.Package
 
 	pragmas []*pragma
+	imp     types.Importer // the module importer, for a second check with test files
 }
 
 // pragma is one //hive:lint-ignore comment.
@@ -270,20 +278,6 @@ func (p *Pass) importedPackage(file *ast.File, id *ast.Ident) (string, bool) {
 	return "", false
 }
 
-// isCallTo reports whether call is pkgPath.fn, e.g. ("time", "Now").
-func (p *Pass) isCallTo(file *ast.File, call *ast.CallExpr, pkgPath, fn string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != fn {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	got, ok := p.importedPackage(file, id)
-	return ok && got == pkgPath
-}
-
 // ---------------------------------------------------------------------
 // Loading
 // ---------------------------------------------------------------------
@@ -350,7 +344,7 @@ func (m *moduleImporter) buildModule(ipath, dir string) (*Package, *types.Packag
 	if err != nil {
 		return nil, nil, fmt.Errorf("type-checking %s: %w", ipath, err)
 	}
-	pkg := &Package{Path: ipath, Dir: dir, Fset: m.fset, Files: files, Info: info}
+	pkg := &Package{Path: ipath, Dir: dir, Fset: m.fset, Files: files, Info: info, Types: tpkg, imp: m}
 	m.cache[ipath] = tpkg
 	m.built[ipath] = pkg
 	return pkg, tpkg, nil

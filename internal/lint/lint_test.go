@@ -62,10 +62,11 @@ func loadFixture(t *testing.T, name, as string, typed bool) *Package {
 			Uses:  map[*ast.Ident]types.Object{},
 		}
 		conf := types.Config{Importer: sharedFixture.imp}
-		if _, err := conf.Check(as, sharedFixture.fset, files, info); err != nil {
+		tpkg, err := conf.Check(as, sharedFixture.fset, files, info)
+		if err != nil {
 			t.Fatalf("type-checking fixture %s: %v", name, err)
 		}
-		pkg.Info = info
+		pkg.Info, pkg.Types = info, tpkg
 	}
 	return pkg
 }
@@ -162,6 +163,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"carefulref", "repro/internal/carefulref", true, carefulrefAnalyzer},
 		{"rpctaint", "repro/internal/rpctaint", true, rpctaintAnalyzer},
 		{"errdrop", "repro/internal/errdrop", true, errdropAnalyzer},
+		{"deadcode", "repro/internal/deadcode", true, deadcodeAnalyzer},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {

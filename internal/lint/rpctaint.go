@@ -40,7 +40,7 @@ var rpctaintSinks = map[string]map[string]map[string]bool{
 		"Arena": {"WriteWord": true, "Free": true},
 	},
 	"repro/internal/cow": {
-		"Manager": {"Record": true, "Fork": true, "FreeNode": true},
+		"Manager": {"Record": true, "Fork": true},
 	},
 	// VM.Fault is deliberately NOT a sink: it is the generic page-fault
 	// entry, validates through the resolver chain and returns errors on

@@ -7,13 +7,15 @@ import (
 
 // maxPragmas caps the module-wide //hive:lint-ignore budget. Exceptions
 // must stay rare enough to review by hand; raising this number is a
-// design decision, not a convenience. The current inventory (9): two
+// design decision, not a convenience. The current inventory (10): two
 // maporder pure counts, one carefulref (the fault injector plays the
-// hardware), and six errdrop sites that are deliberate best-effort casts
-// to possibly-dead peers (signal fan-out, membership alert, join
-// announce, page release, firewall revocation, frame return) — the
-// paper's own protocols make those sends advisory.
-const maxPragmas = 9
+// hardware), five errdrop sites that are deliberate best-effort casts to
+// possibly-dead peers (membership alert, join announce, page release,
+// firewall revocation, frame return) — the paper's own protocols make
+// those sends advisory — and two deadcode test hooks that another
+// package's tests call (sim.Engine.LiveTasks from cow,
+// machine.Machine.ClockWordValue from core).
+const maxPragmas = 10
 
 // TestModuleLintClean lints the entire module inside `go test ./...`,
 // making the tier-1 gate itself fail on any new determinism or layering

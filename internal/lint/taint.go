@@ -148,18 +148,6 @@ func (tt *Taint) SanitizedIn(fn *types.Func, e ast.Expr) bool {
 	return tt.sanitized[fn.Origin()][root]
 }
 
-// ObjectTainted reports the origin tainting a variable or field object
-// directly (tests use this to probe propagation).
-func (tt *Taint) ObjectTainted(obj types.Object) *Origin { return tt.objTaint[obj] }
-
-// ResultTainted reports the origin tainting fn's results.
-func (tt *Taint) ResultTainted(fn *types.Func) *Origin {
-	if fn == nil {
-		return nil
-	}
-	return tt.retTaint[fn.Origin()]
-}
-
 func (tt *Taint) pkgInfo(fn *types.Func) *types.Info {
 	if n := tt.graph.NodeOf(fn); n != nil && n.Pkg != nil {
 		return n.Pkg.Info

@@ -246,9 +246,6 @@ func (n *Node) CutOff() bool { return n.cutoff }
 // potentially corrupt data (Table 8.1).
 func (n *Node) EngageCutoff() { n.cutoff = true }
 
-// ReleaseCutoff re-enables remote access (after reboot/reintegration).
-func (n *Node) ReleaseCutoff() { n.cutoff = false }
-
 // FailStop halts every processor on the node and makes its memory range
 // inaccessible — the paper's §7.4 hardware fault injection. Tasks bound to
 // the node's processors are killed.

@@ -42,7 +42,7 @@ func TestBootFirewallLocalOnly(t *testing.T) {
 	if m.Firewall(lo) != m.NodeProcMask(2) {
 		t.Fatalf("boot firewall = %x", m.Firewall(lo))
 	}
-	if m.WritableByRemote(lo) {
+	if writableByRemote(m, lo) {
 		t.Fatal("boot page remotely writable")
 	}
 }
@@ -88,10 +88,10 @@ func TestGrantThenRemoteWrite(t *testing.T) {
 		if err := m.WritePage(tk, m.Procs[1], lo, 11); err != nil {
 			t.Errorf("remote write after grant: %v", err)
 		}
-		if !m.WritableByRemote(lo) {
-			t.Error("WritableByRemote false after grant")
+		if !writableByRemote(m, lo) {
+			t.Error("page not writable by remote after grant")
 		}
-		if err := m.RevokeWrite(tk, m.Procs[0], lo, m.NodeProcMask(1)); err != nil {
+		if err := revokeWrite(m, tk, m.Procs[0], lo, m.NodeProcMask(1)); err != nil {
 			t.Fatalf("revoke: %v", err)
 		}
 		if err := m.WritePage(tk, m.Procs[1], lo, 12); !errors.Is(err, ErrBusError) {
@@ -180,11 +180,9 @@ func TestFailStopBusErrors(t *testing.T) {
 
 func TestFailStopHaltsProcessorAndKillsTasks(t *testing.T) {
 	e, m := testMachine(t, 2)
-	halted := false
-	m.Procs[1].OnHalt = append(m.Procs[1].OnHalt, func() { halted = true })
 	m.Nodes[1].FailStop()
-	if !halted || !m.Procs[1].Halted() {
-		t.Fatal("OnHalt not invoked")
+	if !m.Procs[1].Halted() {
+		t.Fatal("processor not halted")
 	}
 	// A task trying to compute on the halted CPU freezes (fail-stop).
 	frozen := e.Go("victim", func(tk *sim.Task) {
@@ -211,10 +209,6 @@ func TestMemoryCutoff(t *testing.T) {
 		// ...but local access still works (the panicking cell can dump state).
 		if _, _, err := m.ReadPage(tk, m.Procs[1], lo1); err != nil {
 			t.Errorf("local read after cutoff err = %v", err)
-		}
-		m.Nodes[1].ReleaseCutoff()
-		if _, _, err := m.ReadPage(tk, m.Procs[0], lo1); err != nil {
-			t.Errorf("remote read after release err = %v", err)
 		}
 	})
 }
@@ -254,21 +248,6 @@ func TestWildWriteBlockedAndLanded(t *testing.T) {
 		}
 		if _, corrupt := m.PageTag(lo0); !corrupt {
 			t.Error("page not marked corrupt")
-		}
-	})
-}
-
-func TestDMAWriteFirewallChecked(t *testing.T) {
-	e, m := testMachine(t, 2)
-	lo0, _ := m.NodePages(0)
-	run(e, func(tk *sim.Task) {
-		// DMA from node 1's device to node 0's protected page: denied.
-		if err := m.DMAWrite(1, lo0, 3); !errors.Is(err, ErrBusError) {
-			t.Errorf("remote DMA err = %v", err)
-		}
-		// Local DMA allowed.
-		if err := m.DMAWrite(0, lo0, 3); err != nil {
-			t.Errorf("local DMA err = %v", err)
 		}
 	})
 }
@@ -467,7 +446,7 @@ func TestPropertyFirewallSoundness(t *testing.T) {
 				if op&0x100 != 0 {
 					m.GrantWrite(tk, m.Procs[0], lo, m.NodeProcMask(writer))
 				} else if op&0x200 != 0 {
-					m.RevokeWrite(tk, m.Procs[0], lo, m.NodeProcMask(writer))
+					revokeWrite(m, tk, m.Procs[0], lo, m.NodeProcMask(writer))
 				}
 				allowed := m.Firewall(lo)&m.NodeProcMask(writer) != 0
 				err := m.WritePage(tk, m.Procs[writer], lo, uint64(op))
@@ -537,4 +516,15 @@ func TestFirewallModeProcByteBlocksSecondSharer(t *testing.T) {
 			t.Errorf("ProcByte admitted %v/%v — exactly one sibling should write", err2, err3)
 		}
 	})
+}
+
+// writableByRemote reports whether page p is writable by any processor
+// outside its home node.
+func writableByRemote(m *Machine, p PageNum) bool {
+	return m.pages[p].fw&^m.homeProcMask(p) != 0
+}
+
+// revokeWrite removes procMask from page p's firewall.
+func revokeWrite(m *Machine, t *sim.Task, proc *Processor, p PageNum, procMask uint64) error {
+	return m.SetFirewall(t, proc, p, m.pages[p].fw&^procMask)
 }

@@ -77,24 +77,6 @@ func (m *Machine) WildWrite(proc *Processor, p PageNum) bool {
 	return true
 }
 
-// DMAWrite is a write from an I/O device on node ioNode; the coherence
-// controller checks it as if it came from that node's processor (§4.2).
-func (m *Machine) DMAWrite(ioNode int, p PageNum, tag uint64) error {
-	home := m.Nodes[m.HomeNode(p)]
-	if err := home.accessible(ioNode); err != nil {
-		return err
-	}
-	procID := ioNode * m.Cfg.ProcsPerNode
-	if err := m.checkFirewall(procID, p); err != nil {
-		return err
-	}
-	ps := &m.pages[p]
-	ps.tag = tag
-	ps.corrupt = false
-	ps.writes++
-	return nil
-}
-
 // checkFirewall validates a write-ownership request against page p's
 // firewall state under the configured representation. With the firewall
 // disabled every write is admitted.
@@ -203,11 +185,6 @@ func (m *Machine) GrantWrite(t *sim.Task, proc *Processor, p PageNum, procMask u
 	return m.SetFirewall(t, proc, p, m.pages[p].fw|procMask)
 }
 
-// RevokeWrite removes procMask from page p's firewall.
-func (m *Machine) RevokeWrite(t *sim.Task, proc *Processor, p PageNum, procMask uint64) error {
-	return m.SetFirewall(t, proc, p, m.pages[p].fw&^procMask)
-}
-
 // PageTag returns the stored content tag without charging time (used by
 // integrity checkers outside the timed simulation).
 func (m *Machine) PageTag(p PageNum) (tag uint64, corrupt bool) {
@@ -224,13 +201,6 @@ func (m *Machine) ScrubPage(p PageNum, tag uint64) {
 	ps := &m.pages[p]
 	ps.tag = tag
 	ps.corrupt = false
-}
-
-// WritableByRemote reports whether page p is writable by any processor
-// outside its home node — the quantity sampled in the §4.2 firewall study.
-// The cell layer aggregates it over each cell's pages.
-func (m *Machine) WritableByRemote(p PageNum) bool {
-	return m.pages[p].fw&^m.homeProcMask(p) != 0
 }
 
 // missLatency returns the L2-miss cost between two nodes: flat MissNs by

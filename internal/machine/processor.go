@@ -20,10 +20,6 @@ type Processor struct {
 	// queue behind one another.
 	intrBusyUntil sim.Time
 
-	// OnHalt callbacks run when the processor halts (node failure); the
-	// scheduler uses this to kill the tasks it had bound here.
-	OnHalt []func()
-
 	// IntrNesting counts handlers currently queued/active, for stats.
 	IntrNesting int
 }
@@ -31,17 +27,8 @@ type Processor struct {
 // Halted reports whether the processor has been halted by a fault.
 func (p *Processor) Halted() bool { return p.halted }
 
-// Halt stops the processor (fail-stop fault). Registered OnHalt callbacks
-// run so the OS layer can kill bound tasks.
-func (p *Processor) Halt() {
-	if p.halted {
-		return
-	}
-	p.halted = true
-	for _, f := range p.OnHalt {
-		f()
-	}
-}
+// Halt stops the processor (fail-stop fault).
+func (p *Processor) Halt() { p.halted = true }
 
 // Unhalt restarts a halted processor (reintegration).
 func (p *Processor) Unhalt() { p.halted = false }
@@ -97,12 +84,4 @@ func (p *Processor) Interrupt(cost sim.Time, fn func()) bool {
 		fn()
 	})
 	return true
-}
-
-// InterruptTask is like Interrupt but runs fn as a task so it may block
-// (used for handlers that must wait, e.g. queued RPC completion delivery).
-func (p *Processor) InterruptTask(name string, cost sim.Time, fn func(t *sim.Task)) bool {
-	return p.Interrupt(cost, func() {
-		p.eng.Go(name, fn)
-	})
 }

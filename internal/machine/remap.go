@@ -59,5 +59,7 @@ func (m *Machine) ReadClockWord(t *sim.Task, proc *Processor, n int) (uint64, er
 	return node.clockWord, nil
 }
 
-// ClockWordValue returns node n's clock word without charging time (tests).
+// ClockWordValue returns node n's clock word without charging time.
+//
+//hive:lint-ignore deadcode test hook: core's TestBootAndSteadyState reads every node's clock word
 func (m *Machine) ClockWordValue(n int) uint64 { return m.Nodes[n].clockWord }

@@ -23,10 +23,6 @@ type Coordinator struct {
 	// dead; the cell layer uses it to force the (possibly still
 	// running, corrupt) cell to stop — the consensus-gated reboot.
 	OnDeclaredDead func(cell int)
-	// AutoReintegrate lets the recovery master reboot repaired cells.
-	AutoReintegrate bool
-	// BrokenHardware marks nodes that fail the master's diagnostics.
-	BrokenHardware map[int]bool
 	// OnBarrier1Open, when set (fault injectors), fires once per round at
 	// the moment the first member crosses barrier 1 — the window between
 	// the two recovery barriers the v2 campaign injects faults into.
@@ -155,20 +151,8 @@ func (c *Coordinator) neighborOf(cell int) int {
 	return -1
 }
 
-// masterOf returns the recovery master: the lowest live cell.
-func (c *Coordinator) masterOf() int {
-	ls := c.liveSet()
-	if len(ls) == 0 {
-		return -1
-	}
-	return ls[0]
-}
-
 // firstNodeOf returns a cell's first node (its clock word's home).
 func (c *Coordinator) firstNodeOf(cell int) int { return c.nodesByCel[cell][0] }
-
-// nodesOf returns a cell's nodes.
-func (c *Coordinator) nodesOf(cell int) []int { return c.nodesByCel[cell] }
 
 // ensureRound joins (or creates) the round for this alert on behalf of
 // cellID. A nil round with retry=false means the alert is stale: its round
@@ -546,9 +530,6 @@ func (c *Coordinator) reintegrate(cell int) {
 	}
 }
 
-// Reintegrate is the exported form used by the cell reboot path.
-func (c *Coordinator) Reintegrate(cell int) { c.reintegrate(cell) }
-
 // RequestJoin asks the membership layer to re-admit a microbooted cell
 // through a coordinator-led join round; the reboot controller calls it.
 // The returned future resolves to a bool: true when the round committed
@@ -707,15 +688,3 @@ func (c *Coordinator) resolveJoin(r *round, ok bool) {
 
 // Monitors exposes the registered monitors by cell (read-only use).
 func (c *Coordinator) Monitors() map[int]*Monitor { return c.monitors }
-
-// MarkDead removes a cell from the live set without agreement — used when
-// a cell panics itself (it cannot vote about its own death) and by test
-// setup.
-func (c *Coordinator) MarkDead(cell int) {
-	delete(c.live, cell)
-	if mon := c.monitors[cell]; mon != nil {
-		mon.Stop()
-	}
-	c.CellDiedMidRound(cell)
-	c.checkRoundDone(c.cur)
-}

@@ -432,11 +432,11 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 
 	// The round coordinator (the recovery master — lowest live member,
 	// reassigned deterministically if it died mid-round) runs hardware
-	// diagnostics on the failed nodes and, when enabled, reboots and
-	// reintegrates them (§4.3).
+	// diagnostics on the failed nodes (§4.3); the reboot controller, not
+	// the master, brings a repaired cell back through a join round.
 	if r.coordinator == mon.CellID {
-		for _, c := range sortedCells(verdict) {
-			mon.runDiagnostics(t, c)
+		for range len(verdict) {
+			mon.runDiagnostics(t)
 		}
 	}
 	mon.Coord.finishRound(r, mon.CellID)
@@ -528,36 +528,11 @@ func (mon *Monitor) AnnounceJoin(t *sim.Task, seq int) {
 	mon.Tracer.End(t.Now(), span, "join:announce", int64(len(peers)))
 }
 
-// runDiagnostics checks a failed cell's nodes and reintegrates when
-// AutoReintegrate is set and the hardware passes.
-func (mon *Monitor) runDiagnostics(t *sim.Task, cell int) {
+// runDiagnostics charges the recovery master's hardware check of one
+// failed cell's nodes.
+func (mon *Monitor) runDiagnostics(t *sim.Task) {
 	mon.proc().Use(t, DiagnosticsCost)
 	mon.Metrics.Counter("membership.diagnostics").Inc()
-	if !mon.Coord.AutoReintegrate {
-		return
-	}
-	healthy := true
-	for _, n := range mon.Coord.nodesOf(cell) {
-		if mon.Coord.BrokenHardware[n] {
-			healthy = false
-		}
-	}
-	if !healthy {
-		return
-	}
-	for _, n := range mon.Coord.nodesOf(cell) {
-		mon.M.Nodes[n].Repair()
-	}
-	mon.Coord.reintegrate(cell)
-	// Notify peers in cell order: the hooks touch live kernel state, so
-	// map iteration order must not leak into the simulation.
-	for _, id := range sortedMonitorIDs(mon.Coord.monitors) {
-		peer := mon.Coord.monitors[id]
-		if peer.Hooks.Reintegrate != nil && !peer.dead && peer.CellID != cell {
-			peer.Hooks.Reintegrate(cell)
-		}
-	}
-	mon.Metrics.Counter("membership.reintegrations").Inc()
 }
 
 // registerServices installs the alert and ping services.

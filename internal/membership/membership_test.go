@@ -37,7 +37,6 @@ func newFixture(t *testing.T, cells int, mode AgreementMode) *fixture {
 		nodesByCell[i] = []int{i}
 	}
 	f := &fixture{e: e, m: m, coord: NewCoordinator(cells, nodesByCell, mode)}
-	f.coord.BrokenHardware = map[int]bool{}
 	for c := 0; c < cells; c++ {
 		ep := rpc.NewEndpoint(m, c, []*machine.Processor{m.Procs[c]}, 2)
 		f.eps = append(f.eps, ep)
@@ -117,12 +116,9 @@ func TestNeighborRingRetargets(t *testing.T) {
 	if nb := f.coord.neighborOf(3); nb != 0 {
 		t.Fatalf("neighbor of 3 = %d", nb)
 	}
-	f.coord.MarkDead(0)
+	delete(f.coord.live, 0)
 	if nb := f.coord.neighborOf(3); nb != 1 {
 		t.Fatalf("neighbor of 3 after death of 0 = %d", nb)
-	}
-	if f.coord.masterOf() != 1 {
-		t.Fatalf("master = %d", f.coord.masterOf())
 	}
 }
 
@@ -230,43 +226,14 @@ func TestDetectionLatencyBoundedByClockCheck(t *testing.T) {
 	}
 }
 
-func TestRecoveryMasterRunsDiagnosticsAndReintegrates(t *testing.T) {
+// TestRecoveryMasterRunsDiagnostics checks that only the round's
+// coordinator (the lowest live cell) runs hardware diagnostics on the
+// failed cell, once, and that the cell stays out of the live set: only a
+// join round brings it back.
+func TestRecoveryMasterRunsDiagnostics(t *testing.T) {
 	f := newFixture(t, 3, Oracle)
 	failed := map[int]bool{}
 	f.coord.OracleFailed = func(c int) bool { return failed[c] }
-	f.coord.AutoReintegrate = true
-	reintegrated := []int{}
-	for c := range f.mons {
-		c := c
-		f.mons[c].Hooks.Reintegrate = func(cell int) {
-			reintegrated = append(reintegrated, cell*10+c)
-		}
-	}
-	f.start()
-	f.e.Run(30 * sim.Millisecond)
-	failed[1] = true
-	f.fail(1)
-	if !f.runUntil(func() bool { return f.coord.LiveCount() == 2 }, sim.Second) {
-		t.Fatal("not confirmed")
-	}
-	failed[1] = false // hardware repaired before diagnostics conclude
-	if !f.runUntil(func() bool { return f.coord.LiveCount() == 3 }, 2*sim.Second) {
-		t.Fatal("never reintegrated")
-	}
-	if f.m.Nodes[1].Failed() {
-		t.Fatal("node not repaired")
-	}
-	if len(reintegrated) == 0 {
-		t.Fatal("peers not told about reintegration")
-	}
-}
-
-func TestBrokenHardwareBlocksReintegration(t *testing.T) {
-	f := newFixture(t, 3, Oracle)
-	failed := map[int]bool{}
-	f.coord.OracleFailed = func(c int) bool { return failed[c] }
-	f.coord.AutoReintegrate = true
-	f.coord.BrokenHardware[1] = true
 	f.start()
 	f.e.Run(30 * sim.Millisecond)
 	failed[1] = true
@@ -275,8 +242,17 @@ func TestBrokenHardwareBlocksReintegration(t *testing.T) {
 		t.Fatal("not confirmed")
 	}
 	f.e.Run(f.e.Now() + 500*sim.Millisecond)
+	for c, mon := range f.mons {
+		want := int64(0)
+		if c == 0 {
+			want = 1
+		}
+		if got := mon.Metrics.Counter("membership.diagnostics").Value(); got != want {
+			t.Errorf("cell %d ran diagnostics %d times, want %d", c, got, want)
+		}
+	}
 	if f.coord.LiveCount() != 2 {
-		t.Fatal("broken hardware was reintegrated")
+		t.Fatal("failed cell rejoined without a join round")
 	}
 }
 

@@ -127,28 +127,6 @@ func Map[T any](r *Runner, n int, fn func(i int) T) []T {
 	return out
 }
 
-// MapErr is Map for jobs that return (T, error). It returns the first error
-// by job index (the deterministic choice) alongside all results.
-func MapErr[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
-	type res struct {
-		v   T
-		err error
-	}
-	rs := Map(r, n, func(i int) res {
-		v, err := fn(i)
-		return res{v, err}
-	})
-	out := make([]T, n)
-	var firstErr error
-	for i, x := range rs {
-		out[i] = x.v
-		if x.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("job %d: %w", i, x.err)
-		}
-	}
-	return out, firstErr
-}
-
 // WallTimer starts a real-time stopwatch and returns a function reporting
 // the seconds elapsed since the call. It exists for reporting the
 // simulator's own dispatch rate (events per wall second); wall clock must

@@ -1,7 +1,6 @@
 package parallel_test
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -71,23 +70,6 @@ func TestMapPanicCaptureDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d: job %d never ran", workers, i)
 			}
 		}
-	}
-}
-
-func TestMapErrFirstByIndex(t *testing.T) {
-	r := parallel.New(4)
-	sentinel := errors.New("bad trial")
-	out, err := parallel.MapErr(r, 10, func(i int) (int, error) {
-		if i == 7 || i == 2 {
-			return 0, sentinel
-		}
-		return i, nil
-	})
-	if err == nil || !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "job 2") {
-		t.Fatalf("err = %v", err)
-	}
-	if out[5] != 5 {
-		t.Fatalf("out[5] = %d", out[5])
 	}
 }
 

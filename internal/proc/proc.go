@@ -1,8 +1,7 @@
 // Package proc implements the UNIX process abstraction over the cells:
-// process tables, fork/exec/exit/wait, distributed process groups and
-// signal delivery, forks across cell boundaries, and spanning tasks — the
-// extension (§3.2) that lets a single parallel process run threads on
-// multiple cells at the same time.
+// process tables, fork/exec/exit, process groups, forks across cell
+// boundaries, and spanning tasks — the extension (§3.2) that lets a single
+// parallel process run threads on multiple cells at the same time.
 package proc
 
 import (
@@ -22,17 +21,16 @@ import (
 
 // Costs (ns) for process lifecycle operations, in line with mid-90s UNIX.
 const (
-	ForkCost   = 700 * sim.Microsecond // process duplication
-	ExecCost   = 2 * sim.Millisecond   // image setup, warm cache
-	ExitCost   = 300 * sim.Microsecond
-	SignalCost = 50 * sim.Microsecond
+	ForkCost = 700 * sim.Microsecond // process duplication
+	ExecCost = 2 * sim.Millisecond   // image setup, warm cache
+	ExitCost = 300 * sim.Microsecond
 )
 
-// RPC procedure numbers (range 160-179).
+// RPC procedure numbers (range 160-179). The values are explicit: trace
+// events record them, so a deleted procedure must not renumber the rest.
 const (
-	ProcSpawn     rpc.ProcID = 160 + iota // create a process on another cell
-	ProcSignal                            // deliver a signal to a remote group
-	ProcSpawnExec                         // create a detached fresh-image process
+	ProcSpawn     rpc.ProcID = 160 // create a process on another cell
+	ProcSpawnExec rpc.ProcID = 162 // create a detached fresh-image process
 )
 
 // Errors.
@@ -64,7 +62,6 @@ type Process struct {
 
 	exited   bool
 	exitCode int
-	waiters  []*sim.Task
 	killed   bool
 
 	table *Table
@@ -78,12 +75,10 @@ type Process struct {
 }
 
 // Span is the shared state of a spanning task: one component process per
-// cell, a shared address-space map, and gang metadata.
+// cell.
 type Span struct {
 	ID      int
 	Threads []*Process
-
-	pages spanPages // shared address-space map (see span.go)
 }
 
 // Table is one cell's process table.
@@ -100,23 +95,15 @@ type Table struct {
 	nextPID int
 	nextSpn int
 	Metrics *stats.Registry
-
-	peers         map[int]*Table // all cells' tables, for migration
-	advisedTarget int            // Wax's pending migration advice (-1 none)
-
-	// OnProcessDeath is invoked (engine context) when a process exits
-	// or is killed; the workload harness uses it for accounting.
-	OnProcessDeath func(p *Process)
 }
 
 // NewTable builds a cell's process table and registers its RPC services.
 func NewTable(cellID, cells int, ep *rpc.Endpoint, s *sched.Scheduler, f *fs.FS, c *cow.Manager, v *vm.VM) *Table {
 	pt := &Table{
 		CellID: cellID, Cells: cells, EP: ep, Sched: s, FS: f, COW: c, VM: v,
-		procs:         make(map[int]*Process),
-		nextPID:       cellID + cells, // stride PIDs by cell for global uniqueness
-		Metrics:       stats.NewRegistry(),
-		advisedTarget: -1,
+		procs:   make(map[int]*Process),
+		nextPID: cellID + cells, // stride PIDs by cell for global uniqueness
+		Metrics: stats.NewRegistry(),
 	}
 	pt.registerServices()
 	return pt
@@ -168,7 +155,7 @@ func (pt *Table) spawn(name string, group, parent int, leaf kmem.Addr, body Body
 	return p
 }
 
-// reap finalizes a process: drop page references, wake waiters, and
+// reap finalizes a process: drop page references and
 // asynchronously release imports whose last mapping went away (so the data
 // home revokes any write permission, per the §4.2 policy: "write
 // permission remains granted as long as any process on that cell has the
@@ -195,13 +182,6 @@ func (pt *Table) reap(p *Process) {
 		})
 	}
 	delete(pt.procs, p.PID)
-	for _, w := range p.waiters {
-		w.WakeSoon()
-	}
-	p.waiters = nil
-	if pt.OnProcessDeath != nil {
-		pt.OnProcessDeath(p)
-	}
 	pt.Metrics.Counter("proc.exited").Inc()
 }
 
@@ -281,19 +261,6 @@ func (pt *Table) Exec(t *sim.Task, p *Process) {
 	pt.Metrics.Counter("proc.execs").Inc()
 }
 
-// Wait blocks until the local process pid exits.
-func (pt *Table) Wait(t *sim.Task, pid int) error {
-	p, ok := pt.procs[pid]
-	if !ok {
-		return nil // already gone
-	}
-	for !p.exited {
-		p.waiters = append(p.waiters, t)
-		t.Block()
-	}
-	return nil
-}
-
 // Kill terminates a local process immediately.
 func (pt *Table) Kill(p *Process) {
 	if p.exited || p.killed {
@@ -328,31 +295,6 @@ func (pt *Table) KillDependents(failed map[int]bool) int {
 	})
 	pt.Metrics.Counter("proc.killed_dependents").Add(int64(n))
 	return n
-}
-
-// Signal delivers a signal to every process in group across all cells
-// (distributed process groups). Only "kill" semantics are modelled.
-func (pt *Table) Signal(t *sim.Task, group int) {
-	pt.Sched.System(t, SignalCost)
-	pt.signalLocal(group)
-	// Peer order fixes the RPC issue order, which the event queue (and
-	// so every downstream timing) observes.
-	for _, c := range pt.EP.PeerIDs() {
-		if c == pt.CellID {
-			continue
-		}
-		//hive:lint-ignore errdrop signal fan-out is best-effort by design: a dead peer's processes die with it, so there is nothing left to signal
-		pt.EP.Call(t, pt.Sched.Procs[0], c, ProcSignal,
-			&signalArgs{Group: group}, rpc.CallOpts{DataBytes: 16, NoHint: true})
-	}
-}
-
-func (pt *Table) signalLocal(group int) {
-	pt.Each(func(p *Process) {
-		if p.Group == group {
-			pt.Kill(p)
-		}
-	})
 }
 
 // Process-side convenience operations, used by workload bodies.
@@ -427,7 +369,7 @@ func (p *Process) DependOn(cell int) { p.Deps[cell] = true }
 // Exited reports whether the process has finished.
 func (p *Process) Exited() bool { return p.exited }
 
-// spawnArgs/spawnReply and signalArgs are the RPC wire types.
+// spawnArgs/spawnReply are the RPC wire types.
 type spawnArgs struct {
 	Name   string
 	Group  int
@@ -446,9 +388,6 @@ type spawnExecArgs struct {
 	Group  int
 	Parent int
 	Body   Body
-}
-type signalArgs struct {
-	Group int
 }
 
 // validateSpawnArgs vets a spawn request from another cell before the
@@ -502,16 +441,6 @@ func (pt *Table) registerServices() {
 			p.Deps[req.From] = true // child depends on its parent's cell
 			return &spawnReply{PID: p.PID}, nil
 		})
-
-	pt.EP.Register(ProcSignal, "proc.signal",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, ok := req.Args.(*signalArgs)
-			if !ok {
-				return nil, 0, true, ErrBadArgs
-			}
-			pt.signalLocal(args.Group)
-			return nil, SignalCost, true, nil
-		}, nil)
 }
 
 // Spanning tasks (§3.2 extension).

@@ -99,7 +99,9 @@ func TestForkWaitLocal(t *testing.T) {
 			t.Errorf("fork: %v", err)
 			return
 		}
-		f.pts[0].Wait(tk, pid)
+		for _, live := f.pts[0].Get(pid); live; _, live = f.pts[0].Get(pid) {
+			tk.Sleep(sim.Millisecond)
+		}
 		order = append(order, "parent")
 		done = true
 	})
@@ -134,59 +136,6 @@ func TestRemoteForkSanityChecks(t *testing.T) {
 	})
 	if !f.runUntil(func() bool { return done }, sim.Second) {
 		t.Fatal("never finished")
-	}
-}
-
-func TestSignalKillsGroupAcrossCells(t *testing.T) {
-	f := newFixture(t, 3)
-	for c := 0; c < 3; c++ {
-		c := c
-		f.pts[c].Spawn("member", 42, func(p *Process, tk *sim.Task) {
-			for {
-				p.Compute(tk, 10*sim.Millisecond)
-			}
-		})
-		f.pts[c].Spawn("bystander", 7, func(p *Process, tk *sim.Task) {
-			tk.Sleep(200 * sim.Millisecond)
-		})
-		_ = c
-	}
-	f.e.Run(20 * sim.Millisecond)
-	killDone := false
-	f.pts[0].Spawn("killer", 7, func(p *Process, tk *sim.Task) {
-		f.pts[0].Signal(tk, 42)
-		killDone = true
-	})
-	if !f.runUntil(func() bool {
-		if !killDone {
-			return false
-		}
-		for c := 0; c < 3; c++ {
-			alive := 0
-			f.pts[c].Each(func(p *Process) {
-				if p.Group == 42 {
-					alive++
-				}
-			})
-			if alive > 0 {
-				return false
-			}
-		}
-		return true
-	}, sim.Second) {
-		t.Fatal("group members survived the signal")
-	}
-	// Bystanders unharmed.
-	bystanders := 0
-	for c := 0; c < 3; c++ {
-		f.pts[c].Each(func(p *Process) {
-			if p.Name == "bystander" {
-				bystanders++
-			}
-		})
-	}
-	if bystanders != 3 {
-		t.Fatalf("bystanders = %d", bystanders)
 	}
 }
 
@@ -328,158 +277,5 @@ func TestExecAndForkCosts(t *testing.T) {
 	}
 	if forkCost < ForkCost || execCost < ExecCost {
 		t.Fatalf("fork=%v exec=%v", forkCost, execCost)
-	}
-}
-
-func TestMigrateMovesProcessAndState(t *testing.T) {
-	f := newFixture(t, 2)
-	ConnectTables(f.pts...)
-	done := false
-	f.pts[0].Spawn("mover", 1, func(p *Process, tk *sim.Task) {
-		defer func() { done = true }()
-		// Write a page pre-migration.
-		if err := p.TouchAnon(tk, 5, true); err != nil {
-			t.Errorf("touch: %v", err)
-			return
-		}
-		pid := p.PID
-		if err := f.pts[0].Migrate(tk, p, 1); err != nil {
-			t.Errorf("migrate: %v", err)
-			return
-		}
-		if p.Cell != 1 || p.PID != pid {
-			t.Errorf("cell=%d pid=%d", p.Cell, p.PID)
-		}
-		if p.Leaf.Cell() != 1 {
-			t.Errorf("leaf still on cell %d", p.Leaf.Cell())
-		}
-		// The pre-migration page is reachable through the tree (its
-		// data home stays on cell 0).
-		if err := p.TouchAnon(tk, 5, false); err != nil {
-			t.Errorf("post-migration touch: %v", err)
-		}
-		if !p.Deps[0] || !p.Deps[1] {
-			t.Errorf("deps = %v", p.Deps)
-		}
-		// Compute now runs on cell 1's scheduler.
-		p.Compute(tk, sim.Millisecond)
-	})
-	deadline := f.e.Now() + sim.Second
-	for f.e.Now() < deadline && !done {
-		f.e.Run(f.e.Now() + sim.Millisecond)
-	}
-	if !done {
-		t.Fatal("never finished")
-	}
-	if _, ok := f.pts[0].Get(0); ok {
-		t.Fatal("stale entry on source table")
-	}
-	if f.pts[1].Metrics.Counter("proc.migrated_in").Value() != 1 {
-		t.Fatal("migration not counted")
-	}
-}
-
-func TestCheckMigrationFollowsAdvice(t *testing.T) {
-	f := newFixture(t, 2)
-	ConnectTables(f.pts...)
-	migrated := false
-	f.pts[0].Spawn("seq", 1, func(p *Process, tk *sim.Task) {
-		for i := 0; i < 20; i++ {
-			p.Compute(tk, 2*sim.Millisecond)
-			if p.CheckMigration(tk) {
-				migrated = p.Cell == 1
-			}
-		}
-	})
-	f.e.Run(5 * sim.Millisecond)
-	f.pts[0].MigrateAdvice(1)
-	if !f.runUntil(func() bool { return migrated }, sim.Second) {
-		t.Fatal("process never followed migration advice")
-	}
-}
-
-func TestMigratedProcessDiesWithOldHome(t *testing.T) {
-	// The migrated process depends on its former cell (tree interior
-	// nodes live there): when that cell fails, recovery kills it.
-	f := newFixture(t, 2)
-	ConnectTables(f.pts...)
-	var moved *Process
-	f.pts[0].Spawn("mover", 1, func(p *Process, tk *sim.Task) {
-		p.TouchAnon(tk, 1, true)
-		if err := f.pts[0].Migrate(tk, p, 1); err != nil {
-			t.Errorf("migrate: %v", err)
-			return
-		}
-		moved = p
-		for {
-			p.Compute(tk, 5*sim.Millisecond)
-		}
-	})
-	if !f.runUntil(func() bool { return moved != nil }, sim.Second) {
-		t.Fatal("never migrated")
-	}
-	if n := f.pts[1].KillDependents(map[int]bool{0: true}); n != 1 {
-		t.Fatalf("killed = %d", n)
-	}
-}
-
-func TestSpanningSharedAddressSpace(t *testing.T) {
-	f := newFixture(t, 2)
-	ConnectTables(f.pts...)
-	var span *Span
-	phase := 0
-	f.pts[0].Spawn("launcher", 1, func(p *Process, tk *sim.Task) {
-		s, err := f.pts[0].SpawnSpanning("par", 9,
-			[]*Table{f.pts[0], f.pts[1]},
-			func(tp *Process, tt *sim.Task) {
-				idx := tp.ThreadIndex()
-				if idx == 0 {
-					// Thread 0 writes shared page 5 first.
-					if err := tp.TouchShared(tt, 5, true); err != nil {
-						t.Errorf("t0 touch: %v", err)
-					}
-					phase = 1
-				} else {
-					// Thread 1 waits, then reads the same page across
-					// cells through the shared map.
-					for phase == 0 {
-						tt.Sleep(sim.Millisecond)
-					}
-					if err := tp.TouchShared(tt, 5, false); err != nil {
-						t.Errorf("t1 touch: %v", err)
-					}
-					// And writes its own page, claimed locally.
-					if err := tp.TouchShared(tt, 9, true); err != nil {
-						t.Errorf("t1 write: %v", err)
-					}
-					phase = 2
-				}
-				for phase != 2 {
-					tt.Sleep(sim.Millisecond)
-				}
-			})
-		if err != nil {
-			t.Errorf("spanning: %v", err)
-		}
-		span = s
-	})
-	if !f.runUntil(func() bool { return phase == 2 }, sim.Second) {
-		t.Fatalf("phase = %d", phase)
-	}
-	f.e.Run(f.e.Now() + 50*sim.Millisecond)
-	// Page 5 is homed where thread 0 lives (cell 0); page 9 on cell 1 —
-	// first-writer placement.
-	if got := span.SharedPageHome(5); got != 0 {
-		t.Fatalf("page 5 home = %d", got)
-	}
-	if got := span.SharedPageHome(9); got != 1 {
-		t.Fatalf("page 9 home = %d", got)
-	}
-	if span.SharedPages() != 2 {
-		t.Fatalf("shared pages = %d", span.SharedPages())
-	}
-	// Thread 1's read imported the page from cell 0.
-	if f.vms[1].Metrics.Counter("vm.imports").Value() == 0 {
-		t.Fatal("no cross-cell import for the shared page")
 	}
 }

@@ -111,7 +111,6 @@ type Request struct {
 	Span trace.SpanID
 
 	future *sim.Future
-	bd     *stats.Breakdown // optional component recorder (Table 5.2)
 }
 
 // reply is the wire representation of a completed call.
@@ -173,8 +172,6 @@ type Endpoint struct {
 
 	// HintSink receives failure-detection hints (timeouts, send errors).
 	HintSink func(suspectCell int, reason string)
-	// Timeout bounds calls from this endpoint; 0 means DefaultTimeout.
-	Timeout sim.Time
 	// Metrics records per-endpoint counters.
 	Metrics *stats.Registry
 	// Tracer records this cell's RPC events (nil no-ops; set by the cell
@@ -286,21 +283,6 @@ func (ep *Endpoint) Shutdown() {
 	}
 }
 
-// Dead reports whether the endpoint has been shut down.
-func (ep *Endpoint) Dead() bool { return ep.dead }
-
-// PeerIDs returns every peer cell id ascending — the deterministic
-// iteration order for broadcast-style callers (Peers is a map, and map
-// order must never decide the sequence RPCs are issued in).
-func (ep *Endpoint) PeerIDs() []int {
-	out := make([]int, 0, len(ep.Peers))
-	for c := range ep.Peers {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // nextProc picks the processor that receives the endpoint's next incoming
 // message, round-robin over its non-halted processors.
 func (ep *Endpoint) nextProc() *machine.Processor {
@@ -317,25 +299,15 @@ func (ep *Endpoint) nextProc() *machine.Processor {
 
 // CallOpts tunes one call.
 type CallOpts struct {
-	DataBytes int              // total arg+result payload bytes (0 = null)
-	Timeout   sim.Time         // overrides endpoint timeout
-	Breakdown *stats.Breakdown // records component times (Table 5.2)
-	NoHint    bool             // suppress failure hints (used by the prober)
-}
-
-// record charges a cost category both to the caller's CPU and the optional
-// breakdown recorder.
-func record(bd *stats.Breakdown, name string, d sim.Time) {
-	if bd != nil {
-		bd.Observe(name, d)
-	}
+	DataBytes int      // total arg+result payload bytes (0 = null)
+	Timeout   sim.Time // overrides DefaultTimeout
+	NoHint    bool     // suppress failure hints (used by the prober)
 }
 
 // Call performs a synchronous RPC from task t (running on proc) to cell
 // `to`. It returns the handler's result or an error; timeouts and send
 // failures raise failure-detection hints unless suppressed.
 func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID ProcID, args any, opts CallOpts) (any, error) {
-	bd := opts.Breakdown
 	callee, ok := ep.Peers[to]
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown cell %d", ErrSendFailed, to)
@@ -344,7 +316,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 	req := &Request{
 		ID: ep.nextID, From: ep.CellID, To: to, Proc: procID,
 		Args: args, DataBytes: opts.DataBytes,
-		future: &sim.Future{}, bd: bd,
+		future: &sim.Future{},
 	}
 	callStart := t.Now()
 	req.Span = ep.Tracer.NextSpan()
@@ -356,23 +328,17 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 		stub += ExtraStubReal / 2
 	}
 	proc.Use(t, stub)
-	record(bd, "client stub (send)", stub)
 
 	// Oversize arguments: allocate arg memory and copy through shared
 	// memory (half the cost on the client side).
 	if opts.DataBytes > machine.SIPSLineBytes {
 		proc.Use(t, AllocFreeArgMem/2+CopySharedMem/2)
-		record(bd, "alloc/free arg memory (client half)", AllocFreeArgMem/2)
-		record(bd, "arg copy through shared memory (client half)", CopySharedMem/2)
 	}
 
 	ep.pending[req.ID] = req
 	defer delete(ep.pending, req.ID)
 
 	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = ep.Timeout
-	}
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
@@ -394,7 +360,6 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 	for attempt := 0; attempt < attempts; attempt++ {
 		dst := callee.nextProc()
 		msg := &machine.SIPSMsg{To: dst.ID, Kind: machine.SIPSRequest, Size: machine.SIPSLineBytes, Payload: req}
-		sendStart := t.Now()
 		if err := ep.M.SendSIPS(t, proc, msg); err != nil {
 			ep.Metrics.Counter("rpc.send_failures").Inc()
 			ep.Tracer.EmitSpan(t.Now(), trace.RPCTimeout, req.Span, int64(to), int64(procID), "")
@@ -404,7 +369,6 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 			return nil, fmt.Errorf("%w to cell %d: %v", ErrSendFailed, to, err)
 		}
 		if attempt == 0 {
-			record(bd, "hardware message launch", t.Now()-sendStart)
 			ep.Metrics.Counter("rpc.calls").Inc()
 		}
 
@@ -466,7 +430,6 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 		stub += ExtraStubReal / 2
 	}
 	proc.Use(t, stub)
-	record(bd, "client stub (receive)", stub)
 	ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(to), int64(procID), "")
 	ep.histCall.ObserveTime(t.Now() - callStart)
 	if rep.err != "" {
@@ -570,7 +533,6 @@ func (ep *Endpoint) handleRequest(msg *machine.SIPSMsg) {
 	}
 
 	proc.Interrupt(base, func() {
-		record(req.bd, "server dispatch", base)
 		result, cost, handled, err := svc.intr(req)
 		if !handled {
 			if svc.queued == nil {
@@ -593,11 +555,7 @@ func (ep *Endpoint) reply(proc *machine.Processor, req *Request, result any, err
 	if req.DataBytes > machine.SIPSLineBytes {
 		// Server half of the copy/alloc costs.
 		cost += AllocFreeArgMem/2 + CopySharedMem/2
-		record(req.bd, "alloc/free arg memory (server half)", AllocFreeArgMem/2)
-		record(req.bd, "arg copy through shared memory (server half)", CopySharedMem/2)
 	}
-	record(req.bd, "server service", serviceCost)
-	record(req.bd, "server reply", ServerReply)
 	rep := &reply{id: req.ID, proc: req.Proc}
 	rep.result = result
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // fixture builds a 2-cell machine (one node per cell) with connected
@@ -98,11 +97,10 @@ func TestOversizeRPCMatchesTable52(t *testing.T) {
 	f.eps[1].Register(procBig, "big",
 		func(req *Request) (any, sim.Time, bool, error) { return nil, 0, true, nil }, nil)
 	var lat sim.Time
-	bd := stats.NewBreakdown()
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
 		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procBig, nil,
-			CallOpts{DataBytes: 512, Breakdown: bd})
+			CallOpts{DataBytes: 512})
 		if err != nil {
 			t.Errorf("call: %v", err)
 		}
@@ -110,9 +108,6 @@ func TestOversizeRPCMatchesTable52(t *testing.T) {
 	})
 	if us := lat.Micros(); us < 16.4 || us > 18.2 {
 		t.Fatalf("oversize RPC = %.2f µs, want ≈17.3 µs", us)
-	}
-	if len(bd.Components()) < 5 {
-		t.Fatalf("breakdown too coarse: %v", bd.Components())
 	}
 }
 
@@ -236,12 +231,9 @@ func TestConcurrentCallsFromManyCells(t *testing.T) {
 			served++
 			return served, 2000, true, nil
 		}, nil)
-	var wg sim.WaitGroup
-	wg.Add(3)
 	for c := 1; c < 4; c++ {
 		c := c
 		f.e.Go(fmt.Sprintf("client%d", c), func(tk *sim.Task) {
-			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				if _, err := f.eps[c].Call(tk, f.m.Procs[c], 0, procEcho, nil, CallOpts{}); err != nil {
 					t.Errorf("cell %d call %d: %v", c, i, err)
@@ -249,7 +241,6 @@ func TestConcurrentCallsFromManyCells(t *testing.T) {
 			}
 		})
 	}
-	f.e.Go("waiter", func(tk *sim.Task) { wg.Wait(tk) })
 	f.e.Run(0)
 	if served != 30 {
 		t.Fatalf("served = %d", served)
@@ -267,7 +258,7 @@ func TestShutdownStopsService(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
-	if !f.eps[1].Dead() {
+	if !f.eps[1].dead {
 		t.Fatal("endpoint not dead")
 	}
 }
@@ -302,52 +293,21 @@ func TestServerPoolParallelism(t *testing.T) {
 			return nil, nil
 		})
 	var done sim.Time
-	var wg sim.WaitGroup
-	wg.Add(2)
+	finished := 0
 	for c := 1; c < 3; c++ {
 		c := c
 		f.e.Go(fmt.Sprintf("client%d", c), func(tk *sim.Task) {
-			defer wg.Done()
 			f.eps[c].Call(tk, f.m.Procs[c], 0, procBlocky, nil, CallOpts{Timeout: 10 * sim.Millisecond})
+			finished++
+			done = max(done, tk.Now())
 		})
 	}
-	f.e.Go("waiter", func(tk *sim.Task) {
-		wg.Wait(tk)
-		done = tk.Now()
-	})
 	f.e.Run(0)
+	if finished != 2 {
+		t.Fatalf("%d of 2 calls returned", finished)
+	}
 	if done > 2*sim.Millisecond {
 		t.Fatalf("blocking requests serialized: done at %v", done)
-	}
-}
-
-func TestBreakdownRecordsComponents(t *testing.T) {
-	f := newFixture(t, 2)
-	f.eps[1].Register(procBig, "big",
-		func(req *Request) (any, sim.Time, bool, error) { return nil, 0, true, nil }, nil)
-	bd := stats.NewBreakdown()
-	f.run(t, func(tk *sim.Task) {
-		f.eps[0].Call(tk, f.m.Procs[0], 1, procBig, nil,
-			CallOpts{DataBytes: 512, Breakdown: bd})
-	})
-	// The recorded components must include both client halves and the
-	// server-side shares, and their total approximates the 17.3 µs call.
-	total := bd.MeanTotal()
-	if total < 14 || total > 19 {
-		t.Fatalf("breakdown total = %.1f µs", total)
-	}
-	names := bd.Components()
-	want := []string{"client stub (send)", "server dispatch", "server reply"}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("component %q missing from %v", w, names)
-		}
 	}
 }
 

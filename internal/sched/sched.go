@@ -1,26 +1,12 @@
 // Package sched is the per-cell processor scheduler: it time-slices the
 // cell's processors among runnable processes, lets interrupt handlers steal
-// time (via the machine layer), and exposes the gang-scheduling and
-// space-sharing hooks that Wax drives (Table 3.4 of the paper).
+// time (via the machine layer), and freezes user compute during recovery.
 package sched
 
 import (
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/stats"
-)
-
-// Policy selects a cell's scheduling discipline — §8's heterogeneous
-// resource management: "a multicellular operating system can segregate
-// processes by type and use different strategies in different cells".
-type Policy int
-
-const (
-	// Timeshare is the classic UNIX quantum-based discipline.
-	Timeshare Policy = iota
-	// Batch runs each compute request to completion (no involuntary
-	// slice boundaries) — throughput-oriented cells.
-	Batch
 )
 
 // DefaultTimeslice matches a classic 10 ms UNIX quantum.
@@ -34,15 +20,10 @@ type Scheduler struct {
 	CellID    int
 	Procs     []*machine.Processor
 	Timeslice sim.Time
-	Policy    Policy
 
 	cpus    *sim.Semaphore
 	rr      int
 	Metrics *stats.Registry
-
-	// reserved CPUs are space-shared out of the general pool (Wax's
-	// "granting a set of processors exclusively to a process").
-	reserved int
 
 	// frozen suspends user-level compute (recovery suspends user
 	// processes while kernel-level work continues, §4.3).
@@ -64,9 +45,6 @@ func (s *Scheduler) Thaw() {
 		}
 	}
 }
-
-// Frozen reports whether user compute is suspended.
-func (s *Scheduler) Frozen() bool { return s.frozen }
 
 func (s *Scheduler) waitThaw(t *sim.Task) {
 	for s.frozen {
@@ -111,9 +89,6 @@ func (s *Scheduler) Compute(t *sim.Task, d sim.Time) {
 			s.pick() // charge nothing extra; switch cost below
 		}
 		slice := s.Timeslice
-		if s.Policy == Batch {
-			slice = d // run to completion
-		}
 		if d < slice {
 			slice = d
 		}
@@ -141,48 +116,4 @@ func (s *Scheduler) SystemShared(t *sim.Task, d sim.Time) {
 	s.cpus.Acquire(t)
 	s.pick().Use(t, d)
 	s.cpus.Release()
-}
-
-// CPUCount returns the number of schedulable processors.
-func (s *Scheduler) CPUCount() int { return len(s.Procs) - s.reserved }
-
-// Reserve space-shares n CPUs out of the pool (Wax hint); it reports
-// whether the reservation fit.
-func (s *Scheduler) Reserve(n int) bool {
-	if n < 0 || n > len(s.Procs)-1 {
-		return false
-	}
-	delta := n - s.reserved
-	if delta > 0 {
-		for i := 0; i < delta; i++ {
-			if !s.cpus.TryAcquire() {
-				// Roll back partial reservation.
-				for j := 0; j < i; j++ {
-					s.cpus.Release()
-				}
-				return false
-			}
-		}
-	} else {
-		for i := 0; i < -delta; i++ {
-			s.cpus.Release()
-		}
-	}
-	s.reserved = n
-	return true
-}
-
-// GangCompute runs a gang-scheduled burst: the task holds every
-// unreserved CPU for its duration, as Wax's gang-scheduling policy would
-// arrange for the threads of a parallel application.
-func (s *Scheduler) GangCompute(t *sim.Task, d sim.Time) {
-	n := len(s.Procs) - s.reserved
-	for i := 0; i < n; i++ {
-		s.cpus.Acquire(t)
-	}
-	s.pick().Use(t, d)
-	for i := 0; i < n; i++ {
-		s.cpus.Release()
-	}
-	s.Metrics.Counter("sched.gang_bursts").Inc()
 }

@@ -91,7 +91,7 @@ func TestFreezeThaw(t *testing.T) {
 	if !((resumedAt >= 50*sim.Millisecond) && resumedAt < 70*sim.Millisecond) {
 		t.Fatalf("resumed at %v, want shortly after thaw at 50ms", resumedAt)
 	}
-	if s.Frozen() {
+	if s.frozen {
 		t.Fatal("still frozen")
 	}
 }
@@ -111,69 +111,6 @@ func TestSystemNotFrozen(t *testing.T) {
 	}
 }
 
-func TestReserveAndRelease(t *testing.T) {
-	e, s, _ := newSched(t, 4)
-	if !s.Reserve(2) {
-		t.Fatal("reserve failed")
-	}
-	if s.CPUCount() != 2 {
-		t.Fatalf("cpu count = %d", s.CPUCount())
-	}
-	if s.Reserve(4) {
-		t.Fatal("over-reservation accepted")
-	}
-	if !s.Reserve(0) {
-		t.Fatal("release failed")
-	}
-	if s.CPUCount() != 4 {
-		t.Fatalf("cpu count = %d", s.CPUCount())
-	}
-	_ = e
-}
-
-func TestReserveLimitsParallelism(t *testing.T) {
-	e, s, _ := newSched(t, 2)
-	s.Reserve(1) // one CPU space-shared away
-	var ends []sim.Time
-	for i := 0; i < 2; i++ {
-		e.Go(fmt.Sprintf("p%d", i), func(tk *sim.Task) {
-			s.Compute(tk, 20*sim.Millisecond)
-			ends = append(ends, tk.Now())
-		})
-	}
-	e.Run(0)
-	var max sim.Time
-	for _, v := range ends {
-		if v > max {
-			max = v
-		}
-	}
-	if max < 40*sim.Millisecond {
-		t.Fatalf("finished at %v — reservation not honoured", max)
-	}
-}
-
-func TestGangComputeHoldsAllCPUs(t *testing.T) {
-	e, s, _ := newSched(t, 2)
-	var gangDone, otherDone sim.Time
-	e.Go("gang", func(tk *sim.Task) {
-		s.GangCompute(tk, 20*sim.Millisecond)
-		gangDone = tk.Now()
-	})
-	e.Go("other", func(tk *sim.Task) {
-		tk.Sleep(sim.Millisecond)
-		s.Compute(tk, 5*sim.Millisecond)
-		otherDone = tk.Now()
-	})
-	e.Run(0)
-	if otherDone < gangDone {
-		t.Fatalf("other (%v) ran during the gang burst (ends %v)", otherDone, gangDone)
-	}
-	if s.Metrics.Counter("sched.gang_bursts").Value() != 1 {
-		t.Fatal("gang burst not counted")
-	}
-}
-
 func TestPickSkipsHaltedCPUs(t *testing.T) {
 	e, s, m := newSched(t, 2)
 	m.Procs[0].Halt()
@@ -185,22 +122,5 @@ func TestPickSkipsHaltedCPUs(t *testing.T) {
 	e.Run(sim.Second)
 	if !done {
 		t.Fatal("compute stuck on halted CPU")
-	}
-}
-
-func TestBatchPolicyRunsToCompletion(t *testing.T) {
-	// §8 heterogeneous management: a Batch cell runs jobs to completion,
-	// so a short job behind a long one waits for the whole long job.
-	e, s, _ := newSched(t, 1)
-	s.Policy = Batch
-	var shortDone sim.Time
-	e.Go("long", func(tk *sim.Task) { s.Compute(tk, 100*sim.Millisecond) })
-	e.Go("short", func(tk *sim.Task) {
-		s.Compute(tk, 5*sim.Millisecond)
-		shortDone = tk.Now()
-	})
-	e.Run(0)
-	if shortDone < 100*sim.Millisecond {
-		t.Fatalf("short finished at %v — Batch policy timesliced", shortDone)
 	}
 }

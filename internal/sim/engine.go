@@ -17,8 +17,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 )
 
 // Time is a point in virtual time, in nanoseconds since boot.
@@ -67,9 +65,7 @@ type Engine struct {
 	seq        uint64
 	rng        *rand.Rand
 	cur        *Task
-	live       []*Task // all non-done tasks, for deadlock diagnostics
 	nTasks     int
-	stopped    bool
 	failure    any    // panic value escaped from a task
 	dispatched uint64 // total events fired since boot
 
@@ -179,17 +175,11 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
-// Stop halts the engine loop after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
-// Run processes events until the queue is empty, the deadline passes, or
-// Stop is called. A deadline of 0 means run until idle. It panics if a task
-// panicked (propagating the original value) and returns the final time.
+// Run processes events until the queue is empty or the deadline passes. A
+// deadline of 0 means run until idle. It panics if a task panicked
+// (propagating the original value) and returns the final time.
 func (e *Engine) Run(deadline Time) Time {
-	for !e.stopped && len(e.events) > 0 {
+	for len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.cancelled { // lazily-cancelled: discard without firing
 			heap.Pop(&e.events)
@@ -205,71 +195,21 @@ func (e *Engine) Run(deadline Time) Time {
 		heap.Pop(&e.events)
 		e.fire(ev)
 	}
-	if deadline > 0 && e.now < deadline && !e.stopped {
+	if deadline > 0 && e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
-}
-
-// Step processes a single event, returning false when the queue is empty.
-func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.cancelled {
-			if ev.owned {
-				e.recycle(ev)
-			}
-			continue
-		}
-		e.fire(ev)
-		return true
-	}
-	return false
 }
 
 // Dispatched returns the total number of events fired since boot — the
 // deterministic work measure the scaling suite reports as events/sec.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// Pending returns the number of scheduled (non-cancelled) events. It is
-// O(1): the engine keeps the count current across push, pop, and cancel.
-func (e *Engine) Pending() int { return e.nLive }
-
 // LiveTasks returns the number of tasks that have been started and have not
 // yet finished.
+//
+//hive:lint-ignore deadcode test hook: cow's TestPropertyCarefulTraversalAlwaysSurvives checks the engine drained
 func (e *Engine) LiveTasks() int { return e.nTasks }
-
-// StuckTasks returns the names of live tasks that are parked with no pending
-// wake event; useful when diagnosing a simulated deadlock after Run returns
-// with live tasks remaining.
-func (e *Engine) StuckTasks() []string {
-	var names []string
-	for _, t := range e.live {
-		if !t.done && t.parked {
-			names = append(names, t.name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DumpState returns a human-readable snapshot for debugging.
-func (e *Engine) DumpState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t=%v events=%d tasks=%d\n", e.now, e.Pending(), e.nTasks)
-	for _, t := range e.live {
-		if !t.done {
-			fmt.Fprintf(&b, "  task %q parked=%v killed=%v\n", t.name, t.parked, t.killed)
-		}
-	}
-	return b.String()
-}
-
-func (e *Engine) trace(what string) {
-	if e.Trace != nil {
-		e.Trace(e.now, what)
-	}
-}
 
 // Event is a scheduled callback or task wake. Events may be cancelled or
 // rescheduled before they fire; both are used to model interrupt

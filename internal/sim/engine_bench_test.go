@@ -74,8 +74,8 @@ func BenchmarkPendingCount(b *testing.B) {
 	}
 }
 
-// BenchmarkTaskChurn measures task creation and exit — the removeLive path
-// that fires once per process, RPC service task, and interrupt thread.
+// BenchmarkTaskChurn measures task creation and exit, which happen once per
+// process, RPC service task, and interrupt thread.
 func BenchmarkTaskChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)

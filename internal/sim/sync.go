@@ -20,15 +20,6 @@ func (m *Mutex) Lock(t *Task) {
 	t.park()
 }
 
-// TryLock acquires the mutex if it is free, reporting success.
-func (m *Mutex) TryLock(t *Task) bool {
-	if m.owner == nil {
-		m.owner = t
-		return true
-	}
-	return false
-}
-
 // Unlock releases the mutex, handing it to the longest waiter if any.
 func (m *Mutex) Unlock(t *Task) {
 	if m.owner != t {
@@ -54,16 +45,6 @@ func (m *Mutex) wakeNext() {
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.owner != nil }
 
-// HeldBy reports whether t holds the mutex.
-func (m *Mutex) HeldBy(t *Task) bool { return m.owner == t }
-
-// ForceRelease releases the mutex regardless of owner; used by failure
-// recovery when the owning task was killed mid-critical-section.
-func (m *Mutex) ForceRelease() {
-	m.owner = nil
-	m.wakeNext()
-}
-
 // Semaphore is a counting semaphore in virtual time.
 type Semaphore struct {
 	n       int
@@ -83,15 +64,6 @@ func (s *Semaphore) Acquire(t *Task) {
 	t.park()
 }
 
-// TryAcquire takes a permit without blocking, reporting success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.n > 0 {
-		s.n--
-		return true
-	}
-	return false
-}
-
 // Release returns one permit, waking the longest waiter if any.
 func (s *Semaphore) Release() {
 	for len(s.waiters) > 0 {
@@ -106,9 +78,6 @@ func (s *Semaphore) Release() {
 	s.n++
 }
 
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.n }
-
 // Cond is a condition variable associated with a Mutex.
 type Cond struct {
 	M       *Mutex
@@ -121,36 +90,6 @@ func (c *Cond) Wait(t *Task) {
 	c.M.Unlock(t)
 	t.park()
 	c.M.Lock(t)
-}
-
-// WaitTimeout is Wait with an upper bound; reports whether it timed out.
-func (c *Cond) WaitTimeout(t *Task, d Time) (timedOut bool) {
-	c.waiters = append(c.waiters, t)
-	c.M.Unlock(t)
-	timedOut = t.BlockTimeout(d)
-	if timedOut {
-		for i, w := range c.waiters {
-			if w == t {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-				break
-			}
-		}
-	}
-	c.M.Lock(t)
-	return timedOut
-}
-
-// Signal wakes one waiter.
-func (c *Cond) Signal() {
-	for len(c.waiters) > 0 {
-		next := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if next.done || next.killed {
-			continue
-		}
-		next.WakeSoon()
-		return
-	}
 }
 
 // Broadcast wakes all waiters.
@@ -265,62 +204,11 @@ func (q *Queue) Pop(t *Task) (any, bool) {
 	return v, true
 }
 
-// TryPop removes the oldest item without blocking.
-func (q *Queue) TryPop() (any, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
-
 // Close marks the queue closed and wakes all waiters.
 func (q *Queue) Close() {
 	q.closed = true
 	ws := q.waiters
 	q.waiters = nil
-	for _, w := range ws {
-		if !w.done && !w.killed {
-			w.WakeSoon()
-		}
-	}
-}
-
-// WaitGroup tracks a set of tasks and lets another task await them all.
-type WaitGroup struct {
-	n       int
-	waiters []*Task
-}
-
-// Add increments the counter by delta.
-func (wg *WaitGroup) Add(delta int) {
-	wg.n += delta
-	if wg.n < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.n == 0 {
-		wg.release()
-	}
-}
-
-// Done decrements the counter.
-func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Wait blocks until the counter reaches zero.
-func (wg *WaitGroup) Wait(t *Task) {
-	for wg.n > 0 {
-		wg.waiters = append(wg.waiters, t)
-		t.park()
-	}
-}
-
-func (wg *WaitGroup) release() {
-	ws := wg.waiters
-	wg.waiters = nil
 	for _, w := range ws {
 		if !w.done && !w.killed {
 			w.WakeSoon()
@@ -362,9 +250,6 @@ func (b *Barrier) Await(t *Task) {
 		t.park()
 	}
 }
-
-// Arrived returns how many parties have arrived in the current generation.
-func (b *Barrier) Arrived() int { return b.arrived }
 
 func (b *Barrier) open() {
 	b.gen++

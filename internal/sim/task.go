@@ -46,15 +46,10 @@ type Task struct {
 	parked   bool
 	killed   bool
 	timedOut bool
-	liveIdx  int // position in eng.live, for O(1) removal on exit
 
 	// Data lets subsystems attach context (e.g. the owning cell) without
 	// threading extra parameters everywhere.
 	Data any
-
-	// OnKill callbacks run (in engine context) after the task has been
-	// killed and unwound; used to release simulated resources.
-	onKill []func()
 }
 
 // Go starts fn as a new task named name. The task begins running at the
@@ -62,8 +57,6 @@ type Task struct {
 func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 	t := &Task{eng: e, name: name}
 	e.nTasks++
-	t.liveIdx = len(e.live)
-	e.live = append(e.live, t)
 	// The coroutine starts at the first next and ends by returning from
 	// this body, which hands control back to dispatch one last time. No
 	// panic escapes it, so next never re-raises one.
@@ -77,9 +70,6 @@ func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 			}
 			t.done = true
 			t.eng.nTasks--
-			for _, f := range t.onKill {
-				f()
-			}
 		}()
 		if t.killed {
 			panic(killedPanic{t.name})
@@ -108,41 +98,16 @@ func (e *Engine) dispatch(t *Task) {
 		f := e.failure.(taskFailure)
 		panic(fmt.Sprintf("sim: task %q panicked: %v", f.name, f.val))
 	}
-	if t.done {
-		e.removeLive(t)
-	}
-}
-
-// removeLive drops a finished task from the live set by swapping it with
-// the last entry — O(1) instead of the O(n) splice it used to be. Live-set
-// order is not meaningful; diagnostics that need determinism sort by name.
-func (e *Engine) removeLive(t *Task) {
-	i := t.liveIdx
-	if i < 0 || i >= len(e.live) || e.live[i] != t {
-		return
-	}
-	last := len(e.live) - 1
-	e.live[i] = e.live[last]
-	e.live[i].liveIdx = i
-	e.live[last] = nil
-	e.live = e.live[:last]
-	t.liveIdx = -1
 }
 
 // Name returns the task's name.
 func (t *Task) Name() string { return t.name }
-
-// Engine returns the engine the task runs on.
-func (t *Task) Engine() *Engine { return t.eng }
 
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.eng.now }
 
 // Done reports whether the task has finished.
 func (t *Task) Done() bool { return t.done }
-
-// Killed reports whether the task has been killed.
-func (t *Task) Killed() bool { return t.killed }
 
 // park suspends the task until another party calls wake. Must be called from
 // the task's own coroutine while it holds the virtual CPU.
@@ -238,7 +203,3 @@ func (t *Task) Kill() {
 		}
 	})
 }
-
-// OnKill registers fn to run (in engine context) after the task finishes or
-// is killed.
-func (t *Task) OnKill(fn func()) { t.onKill = append(t.onKill, fn) }

@@ -6,9 +6,8 @@ import (
 )
 
 // Kill unwinding through a task's coroutine: whatever a task is parked in,
-// Kill must unwind its stack (defers in LIFO order), then run its OnKill
-// callbacks exactly once, and leave behind a wake event that resumes nothing
-// when it later fires.
+// Kill must unwind its stack (defers in LIFO order) exactly once, and leave
+// behind a wake event that resumes nothing when it later fires.
 
 func TestKillUnwindsParkedTask(t *testing.T) {
 	// The ways a task can park with a wake event of its own pending, each
@@ -45,7 +44,6 @@ func TestKillUnwindsParkedTask(t *testing.T) {
 				}
 				var slot *Event
 				victim := e.Go("victim", func(tk *Task) {
-					tk.OnKill(func() { log = append(log, "onkill") })
 					defer func() { log = append(log, "defer1") }()
 					defer func() { log = append(log, "defer2") }()
 					pk.park(tk, &slot)
@@ -54,7 +52,7 @@ func TestKillUnwindsParkedTask(t *testing.T) {
 				e.At(10, func() { victim.Kill() })
 				rn.run(e)
 
-				if got, want := strings.Join(log, " "), "defer2 defer1 onkill"; got != want {
+				if got, want := strings.Join(log, " "), "defer2 defer1"; got != want {
 					t.Errorf("unwind order = %q, want %q", got, want)
 				}
 				if !victim.Done() || !victim.Killed() {
@@ -83,7 +81,6 @@ func TestTaskKillsItself(t *testing.T) {
 	e := NewEngine(1)
 	var log []string
 	tk := e.Go("suicide", func(tk *Task) {
-		tk.OnKill(func() { log = append(log, "onkill") })
 		defer func() { log = append(log, "defer1") }()
 		defer func() { log = append(log, "defer2") }()
 		tk.Sleep(5)
@@ -91,7 +88,7 @@ func TestTaskKillsItself(t *testing.T) {
 		t.Error("task ran past its own Kill")
 	})
 	e.Run(0)
-	if got, want := strings.Join(log, " "), "defer2 defer1 onkill"; got != want {
+	if got, want := strings.Join(log, " "), "defer2 defer1"; got != want {
 		t.Errorf("unwind order = %q, want %q", got, want)
 	}
 	if !tk.Done() || !tk.Killed() {

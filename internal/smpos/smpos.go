@@ -38,11 +38,6 @@ func DefaultConfig() Config {
 	return Config{KernelLocks: 1, LockedFraction: 0.5}
 }
 
-// TunedConfig models a kernel after several rounds of lock splitting.
-func TunedConfig() Config {
-	return Config{KernelLocks: 4, LockedFraction: 0.35}
-}
-
 // System is an SMP OS instance: one kernel over the whole machine.
 type System struct {
 	Hive *core.Hive // single cell, protection hardware off

@@ -60,7 +60,8 @@ func TestTunedKernelScalesBetterThanGiant(t *testing.T) {
 		dur   = 200 * sim.Millisecond
 	)
 	giant := Boot(16, DefaultConfig()).ThroughputProbe(48, op, burst, dur)
-	tuned := Boot(16, TunedConfig()).ThroughputProbe(48, op, burst, dur)
+	// A kernel after several rounds of lock splitting.
+	tuned := Boot(16, Config{KernelLocks: 4, LockedFraction: 0.35}).ThroughputProbe(48, op, burst, dur)
 	if tuned <= giant {
 		t.Fatalf("lock splitting did not help: giant=%d tuned=%d", giant, tuned)
 	}

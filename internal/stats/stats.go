@@ -1,5 +1,5 @@
 // Package stats provides the measurement infrastructure used to regenerate
-// the paper's tables: counters, latency distributions, named latency
+// the paper's tables: counters, latency histograms, named latency
 // component breakdowns (Table 5.2), and periodic samplers (the 20 ms
 // firewall-page samples of §4.2).
 package stats
@@ -31,109 +31,16 @@ func (c *Counter) Add(d int64) { c.n.Add(d) }
 // Value returns the count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// Distribution accumulates latency (or other) samples and reports summary
-// statistics. Samples are stored, so use for bounded-cardinality series.
-//
-// Unlike Counter, a Distribution is NOT safe for concurrent observation:
-// float accumulation does not commute, so sample order matters for
-// determinism. Each instance must be observed from a single simulation.
-type Distribution struct {
-	samples []float64
-	sum     float64
-}
-
-// Observe records one sample.
-func (d *Distribution) Observe(v float64) {
-	d.samples = append(d.samples, v)
-	d.sum += v
-}
-
-// ObserveTime records a sim.Time sample in microseconds.
-func (d *Distribution) ObserveTime(t sim.Time) { d.Observe(t.Micros()) }
-
-// N returns the sample count.
-func (d *Distribution) N() int { return len(d.samples) }
-
-// Sum returns the total of all samples.
-func (d *Distribution) Sum() float64 { return d.sum }
-
-// Mean returns the average, or 0 with no samples.
-func (d *Distribution) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.sum / float64(len(d.samples))
-}
-
-// Min returns the smallest sample, or 0 with none.
-func (d *Distribution) Min() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	m := d.samples[0]
-	for _, v := range d.samples[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample, or 0 with none.
-func (d *Distribution) Max() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	m := d.samples[0]
-	for _, v := range d.samples[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (0-100) by nearest-rank.
-func (d *Distribution) Percentile(p float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), d.samples...)
-	sort.Float64s(s)
-	idx := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// Stddev returns the population standard deviation.
-func (d *Distribution) Stddev() float64 {
-	if len(d.samples) < 2 {
-		return 0
-	}
-	mean := d.Mean()
-	var ss float64
-	for _, v := range d.samples {
-		ss += (v - mean) * (v - mean)
-	}
-	return math.Sqrt(ss / float64(len(d.samples)))
-}
-
 // histBucketsPerOctave sets the Histogram resolution: 4 buckets per
 // power of two, i.e. bucket bounds grow by 2^(1/4) ≈ 19 %.
 const histBucketsPerOctave = 4
 
 // Histogram accumulates samples into logarithmic buckets and reports
-// percentile estimates from the bucket counts. Unlike Distribution it
-// stores O(buckets) state, not O(samples), so it suits unbounded series
-// (per-RPC latency, per-fault latency); Distribution remains for the
-// exact-mean component tables. All arithmetic is deterministic: samples
-// arrive in engine order and quantiles are computed over sorted bucket
-// indices.
+// percentile estimates from the bucket counts. It stores O(buckets)
+// state, not O(samples), so it suits unbounded series (per-RPC latency,
+// per-fault latency); it is the package's only quantile type. All
+// arithmetic is deterministic: samples arrive in engine order and
+// quantiles are computed over sorted bucket indices.
 type Histogram struct {
 	counts   map[int]int64 // bucket index -> count (sparse)
 	zero     int64         // samples <= 0
@@ -202,9 +109,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // N returns the sample count.
 func (h *Histogram) N() int64 { return h.n }
-
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
 
 // Mean returns the average, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
@@ -332,39 +236,43 @@ func (s HistSnapshot) Format(maxRows int) string {
 }
 
 // Breakdown accumulates named latency components, preserving insertion
-// order, to regenerate component tables like Table 5.2.
+// order, to regenerate component tables like Table 5.2. Each component
+// keeps a running sum and count, enough for its mean.
 type Breakdown struct {
 	order []string
-	comps map[string]*Distribution
+	comps map[string]*component
 }
+
+// component is one named row of a Breakdown, in microseconds.
+type component struct {
+	sum float64
+	n   int
+}
+
+func (c *component) mean() float64 { return c.sum / float64(c.n) }
 
 // NewBreakdown returns an empty breakdown.
 func NewBreakdown() *Breakdown {
-	return &Breakdown{comps: make(map[string]*Distribution)}
+	return &Breakdown{comps: make(map[string]*component)}
 }
 
-// Observe records a sample for the named component.
+// Observe records a sample for the named component, in microseconds.
 func (b *Breakdown) Observe(name string, t sim.Time) {
-	d, ok := b.comps[name]
+	c, ok := b.comps[name]
 	if !ok {
-		d = &Distribution{}
-		b.comps[name] = d
+		c = &component{}
+		b.comps[name] = c
 		b.order = append(b.order, name)
 	}
-	d.ObserveTime(t)
+	c.sum += t.Micros()
+	c.n++
 }
-
-// Component returns the distribution for name (nil if never observed).
-func (b *Breakdown) Component(name string) *Distribution { return b.comps[name] }
-
-// Components returns component names in insertion order.
-func (b *Breakdown) Components() []string { return append([]string(nil), b.order...) }
 
 // MeanTotal returns the sum of the component means (µs).
 func (b *Breakdown) MeanTotal() float64 {
 	var total float64
 	for _, name := range b.order {
-		total += b.comps[name].Mean()
+		total += b.comps[name].mean()
 	}
 	return total
 }
@@ -373,7 +281,7 @@ func (b *Breakdown) MeanTotal() float64 {
 func (b *Breakdown) Format() string {
 	var sb strings.Builder
 	for _, name := range b.order {
-		fmt.Fprintf(&sb, "  %-42s %7.1f us\n", name, b.comps[name].Mean())
+		fmt.Fprintf(&sb, "  %-42s %7.1f us\n", name, b.comps[name].mean())
 	}
 	fmt.Fprintf(&sb, "  %-42s %7.1f us\n", "TOTAL", b.MeanTotal())
 	return sb.String()
@@ -405,9 +313,6 @@ func (s *Sampler) Start(e *sim.Engine, fn func() float64) {
 
 // Stop ends sampling.
 func (s *Sampler) Stop() { s.stopped = true }
-
-// Values returns the recorded samples.
-func (s *Sampler) Values() []float64 { return append([]float64(nil), s.values...) }
 
 // Mean returns the average sample, or 0 with none.
 func (s *Sampler) Mean() float64 {
@@ -493,7 +398,7 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Registry is a named collection of counters and distributions, one per
+// Registry is a named collection of counters and histograms, one per
 // cell/kernel, so experiments can pull out whichever metrics they report.
 // Lookup (and lazy creation) is guarded by a lock so a registry is safe to
 // share across goroutines; hot paths should cache the returned pointer
@@ -501,7 +406,6 @@ func (t *Table) String() string {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	dists    map[string]*Distribution
 	hists    map[string]*Histogram
 }
 
@@ -509,7 +413,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		dists:    make(map[string]*Distribution),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -530,24 +433,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Dist returns (creating if needed) the named distribution.
-func (r *Registry) Dist(name string) *Distribution {
-	r.mu.RLock()
-	d, ok := r.dists[name]
-	r.mu.RUnlock()
-	if ok {
-		return d
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, ok = r.dists[name]
-	if !ok {
-		d = &Distribution{}
-		r.dists[name] = d
-	}
-	return d
 }
 
 // Hist returns (creating if needed) the named histogram.

@@ -23,7 +23,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -345,14 +344,6 @@ func (r *Ring) Record(e Event) {
 // how much history before that window is gone.
 func (r *Ring) Dropped() uint64 { return r.dropped }
 
-// Len reports how many events are held.
-func (r *Ring) Len() int {
-	if r.wrapped {
-		return r.cap
-	}
-	return r.next
-}
-
 // Events returns the held events oldest-first.
 func (r *Ring) Events() []Event {
 	if !r.wrapped {
@@ -362,16 +353,6 @@ func (r *Ring) Events() []Event {
 	out = append(out, r.events[r.next:]...)
 	out = append(out, r.events[:r.next]...)
 	return out
-}
-
-// Dump renders the buffer for a post-mortem.
-func (r *Ring) Dump() string {
-	var b strings.Builder
-	for _, e := range r.Events() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Set is the machine-wide trace: per-cell rings, the shared sequence
@@ -487,16 +468,6 @@ func (s *Set) Filter(k Kind) []Event {
 	return out
 }
 
-// Dump renders the merged stream for a post-mortem.
-func (s *Set) Dump() string {
-	var b strings.Builder
-	for _, e := range s.Merged() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Tail returns the last n merged events (all of them when n <= 0 or the
 // stream is shorter).
 func (s *Set) Tail(n int) []Event {
@@ -517,14 +488,6 @@ type Tracer struct {
 
 // Enabled reports whether events are actually recorded.
 func (tr *Tracer) Enabled() bool { return tr != nil && tr.set != nil }
-
-// Cell returns the track this handle records to.
-func (tr *Tracer) Cell() int {
-	if tr == nil {
-		return -1
-	}
-	return tr.cell
-}
 
 // NextSpan allocates a span id (0 when disabled).
 func (tr *Tracer) NextSpan() SpanID {

@@ -104,23 +104,3 @@ func (v *VM) RebalanceToward(t *sim.Task, target, n int) int {
 	}
 	return moved
 }
-
-// PlacePages migrates up to n unshared cached pages of the given object
-// toward target — the policy entry point Wax (or the data home's fault
-// path) would drive. Returns pages moved.
-func (v *VM) PlacePages(t *sim.Task, obj ObjID, target, n int) int {
-	moved := 0
-	for _, f := range v.sortedFrames() {
-		if moved >= n {
-			break
-		}
-		pf := v.frames[f]
-		if !pf.Valid || pf.LP.Obj != obj {
-			continue
-		}
-		if v.MigratePage(t, pf.LP, target) == nil {
-			moved++
-		}
-	}
-	return moved
-}

@@ -34,21 +34,12 @@ type returnArgs struct {
 // AllocOpts constrains frame allocation (§5.4: the page allocator takes a
 // set of acceptable cells and one preferred cell).
 type AllocOpts struct {
-	// Kernel frames must be local: the firewall does not defend against
-	// wild writes by the memory home (§5.4).
-	Kernel bool
 	// Preferred is the cell to allocate from if possible; meaningful
 	// only when HasPreferred is set.
 	Preferred    int
 	HasPreferred bool
 	// Acceptable restricts which cells may provide the frame (nil = any).
 	Acceptable []int
-}
-
-// Prefer returns AllocOpts preferring the given cell (§5.5 CC-NUMA
-// placement: put the page near the process using it).
-func Prefer(cell int) AllocOpts {
-	return AllocOpts{Preferred: cell, HasPreferred: true}
 }
 
 // AllocFrame allocates one page frame, borrowing from a remote memory home
@@ -68,19 +59,16 @@ func (v *VM) AllocFrame(t *sim.Task, opts AllocOpts) (machine.PageNum, error) {
 	}
 
 	// Preferred remote cell first, if asked and allowed.
-	if !opts.Kernel && opts.HasPreferred && opts.Preferred != v.CellID && acceptable(opts.Preferred) {
+	if opts.HasPreferred && opts.Preferred != v.CellID && acceptable(opts.Preferred) {
 		if f, err := v.borrowFrom(t, opts.Preferred); err == nil {
 			return f, nil
 		}
 	}
 
 	if acceptable(v.CellID) {
-		if f, ok := v.popLocalFree(opts.Kernel); ok {
+		if f, ok := v.popLocalFree(false); ok {
 			return f, nil
 		}
-	}
-	if opts.Kernel {
-		return machine.NoPage, fmt.Errorf("%w: kernel frames must be local", ErrNoMemory)
 	}
 
 	// Local pool dry: borrow along Wax's target list, then any peer.
@@ -109,12 +97,12 @@ func (v *VM) AllocFrame(t *sim.Task, opts AllocOpts) (machine.PageNum, error) {
 	return machine.NoPage, ErrNoMemory
 }
 
-// popLocalFree takes a frame from the free pool. Kernel requests skip
-// borrowed frames (§5.4).
-func (v *VM) popLocalFree(kernelOnly bool) (machine.PageNum, bool) {
+// popLocalFree takes a frame from the free pool. With ownedOnly set it
+// skips borrowed frames: a cell loans only the memory it owns (§5.4).
+func (v *VM) popLocalFree(ownedOnly bool) (machine.PageNum, bool) {
 	for i := len(v.free) - 1; i >= 0; i-- {
 		f := v.free[i]
-		if kernelOnly && !v.localFrame(f) {
+		if ownedOnly && !v.localFrame(f) {
 			continue
 		}
 		v.free = append(v.free[:i], v.free[i+1:]...)

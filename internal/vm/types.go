@@ -126,16 +126,6 @@ func (p *Pfdat) ExportedTo(cell int) bool { return p.exports[cell] > 0 }
 // WritableBy reports whether the given cell has write access to the page.
 func (p *Pfdat) WritableBy(cell int) bool { return p.writable[cell] }
 
-// Exports returns the export reference counts by client cell (a copy;
-// invariant auditing).
-func (p *Pfdat) Exports() map[int]int {
-	out := make(map[int]int, len(p.exports))
-	for c, n := range p.exports {
-		out[c] = n
-	}
-	return out
-}
-
 // ExportClients returns the client cells importing this page, ascending
 // — the deterministic iteration order for auditing and recovery sweeps.
 func (p *Pfdat) ExportClients() []int {

@@ -121,9 +121,6 @@ func (v *VM) PfdatFor(frame machine.PageNum) (*Pfdat, bool) {
 // FreePages returns the current free-pool size.
 func (v *VM) FreePages() int { return len(v.free) }
 
-// CacheSize returns the number of pages in the page cache hash.
-func (v *VM) CacheSize() int { return len(v.hash) }
-
 // ownsNode reports whether this cell owns node n.
 func (v *VM) ownsNode(n int) bool {
 	return n < len(v.CellOfNode) && v.CellOfNode[n] == v.CellID

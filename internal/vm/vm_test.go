@@ -263,21 +263,6 @@ func TestBorrowAndReturnFrames(t *testing.T) {
 	})
 }
 
-func TestKernelAllocMustBeLocal(t *testing.T) {
-	f := newFixture(t, 2)
-	f.run(t, func(tk *sim.Task) {
-		for {
-			if _, ok := f.vms[0].popLocalFree(false); !ok {
-				break
-			}
-		}
-		_, err := f.vms[0].AllocFrame(tk, AllocOpts{Kernel: true})
-		if !errors.Is(err, ErrNoMemory) {
-			t.Errorf("kernel alloc from remote: err = %v", err)
-		}
-	})
-}
-
 func TestLoanPreservesDeadlockReserve(t *testing.T) {
 	f := newFixture(t, 2)
 	f.run(t, func(tk *sim.Task) {
@@ -321,7 +306,7 @@ func TestPreferredAllocation(t *testing.T) {
 	// memory of the client cell that faulted to it.
 	f := newFixture(t, 2)
 	f.run(t, func(tk *sim.Task) {
-		frame, err := f.vms[0].AllocFrame(tk, Prefer(1))
+		frame, err := f.vms[0].AllocFrame(tk, AllocOpts{Preferred: 1, HasPreferred: true})
 		if err != nil {
 			t.Fatalf("alloc: %v", err)
 		}
@@ -694,27 +679,6 @@ func TestMigratePageRefusesSharedOrPinned(t *testing.T) {
 		f.vms[0].Export(tk, pf, 1, false)
 		if err := f.vms[0].MigratePage(tk, lp, 1); err == nil {
 			t.Error("migrated an exported page")
-		}
-	})
-}
-
-func TestPlacePagesBatch(t *testing.T) {
-	f := newFixture(t, 2)
-	f.run(t, func(tk *sim.Task) {
-		obj := ObjID{Kind: FileObj, Home: 0, Num: 82}
-		for off := int64(0); off < 6; off++ {
-			pf, err := f.vms[0].Fault(tk, LogicalPage{Obj: obj, Off: off}, false)
-			if err != nil {
-				t.Fatalf("fault: %v", err)
-			}
-			f.vms[0].Unref(tk, pf)
-		}
-		moved := f.vms[0].PlacePages(tk, obj, 1, 4)
-		if moved != 4 {
-			t.Fatalf("moved = %d, want 4", moved)
-		}
-		if f.vms[0].Metrics.Counter("vm.pages_migrated").Value() != 4 {
-			t.Fatal("migrations not counted")
 		}
 	})
 }

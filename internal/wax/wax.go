@@ -3,8 +3,7 @@
 // cells: its threads build a global view of system state through shared
 // memory and drive the per-cell resource policies of Table 3.4 — which
 // cells the page allocator should borrow from, which cells the clock hand
-// should free pages toward, gang scheduling/space sharing, and swap victim
-// selection.
+// should free pages toward, and swap victim selection.
 //
 // Wax has no special privileges: each cell sanity-checks the hints it
 // receives, and operations required for correctness go through RPCs, never
@@ -53,7 +52,6 @@ type Wax struct {
 	AllocRetargets int
 	PlaceRetargets int
 	ClockHandKicks int
-	GangGrants     int
 	SwapVictims    []int
 }
 
@@ -253,20 +251,6 @@ func (w *Wax) applyPolicy(t *sim.Task) {
 		}
 	}
 	w.Metrics.Counter("wax.policy_rounds").Inc()
-}
-
-// GangHint asks a cell to space-share n CPUs for a parallel application.
-// The cell sanity-checks the request.
-func (w *Wax) GangHint(cell, n int) bool {
-	c := w.h.Cells[cell]
-	if c.Failed() {
-		return false
-	}
-	if c.ApplyGang(n) {
-		w.GangGrants++
-		return true
-	}
-	return false
 }
 
 // Supervisor keeps a Wax incarnation alive across cell failures: when the

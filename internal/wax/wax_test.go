@@ -139,20 +139,6 @@ func TestCellRejectsBadWaxHints(t *testing.T) {
 	}
 }
 
-func TestGangHint(t *testing.T) {
-	h := testHive()
-	w := Start(h)
-	// 1 CPU per cell: reserving 1 of 1 is refused (n must be < CPUs),
-	// reserving 0 is a no-op grant.
-	if w.GangHint(0, 5) {
-		t.Error("oversized gang hint accepted")
-	}
-	if !w.GangHint(0, 0) {
-		t.Error("trivial gang hint rejected")
-	}
-	w.Stop()
-}
-
 func TestClockHandReturnsIdleBorrows(t *testing.T) {
 	h := testHive()
 	done := false

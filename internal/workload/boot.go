@@ -37,15 +37,10 @@ func standardMounts(cells int) []fs.Mount {
 	}
 }
 
-// BootHiveSeeded is BootHive with an explicit seed (fault campaigns vary
-// the seed across trials).
-func BootHiveSeeded(cells int, seed int64) *core.Hive {
-	return BootHiveWith(cells, seed, nil)
-}
-
-// BootHiveWith is BootHiveSeeded with a config hook applied after the
-// standard fields are set — the knob the tracing harnesses use to widen
-// trace rings without duplicating the standard boot recipe.
+// BootHiveWith is BootHive with an explicit seed (fault campaigns vary the
+// seed across trials) and a config hook applied after the standard fields
+// are set — the knob the tracing harnesses use to widen trace rings
+// without duplicating the standard boot recipe.
 func BootHiveWith(cells int, seed int64, mutate func(*core.Config)) *core.Hive {
 	cfg := scaleConfig(core.DefaultConfig(), cells)
 	cfg.Seed = seed

@@ -32,8 +32,12 @@ func TestCalibrationPrint(t *testing.T) {
 			name = fmt.Sprintf("hive%d", cells)
 		}
 		res := RunOcean(h, DefaultOcean(), 120*sim.Second)
+		var rw []int
+		for _, c := range h.Cells {
+			rw = append(rw, c.VM.RemotelyWritablePages())
+		}
 		fmt.Printf("ocean    %-6s elapsed=%.3fs done=%v remote=%d rw=%v errs=%v\n",
-			name, res.Elapsed.Seconds(), res.Done, res.RemoteFaults, OceanRemotelyWritablePages(h), res.Errors)
+			name, res.Elapsed.Seconds(), res.Done, res.RemoteFaults, rw, res.Errors)
 	}
 	for _, cells := range []int{0, 1, 2, 4} {
 		var h = BootIRIX()

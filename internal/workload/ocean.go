@@ -6,7 +6,6 @@ import (
 	"repro/internal/kmem"
 	"repro/internal/proc"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // OceanConfig parameterizes the SPLASH-2 ocean generator: a spanning
@@ -158,14 +157,3 @@ func RunOcean(h *core.Hive, cfg OceanConfig, maxTime sim.Time) *Result {
 	res.finishStats(h, h0, m0, i0)
 	return res
 }
-
-// OceanRemotelyWritablePages samples the §4.2 metric across cells.
-func OceanRemotelyWritablePages(h *core.Hive) (perCell []int) {
-	for _, c := range h.Cells {
-		perCell = append(perCell, c.VM.RemotelyWritablePages())
-	}
-	return
-}
-
-// oceanLP is exported for tests needing a partition page id.
-func oceanLP(leaf kmem.Addr, off int64) vm.LogicalPage { return cow.LP(leaf, off) }

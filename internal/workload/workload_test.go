@@ -61,7 +61,7 @@ func TestPmakeSingleCellHasNoRemoteTraffic(t *testing.T) {
 
 func TestPmakeDeterministic(t *testing.T) {
 	run := func() sim.Time {
-		h := BootHiveSeeded(4, 42)
+		h := BootHiveWith(4, 42, nil)
 		return RunPmake(h, smallPmake(), 60*sim.Second).Elapsed
 	}
 	if a, b := run(), run(); a != b {
