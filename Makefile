@@ -55,12 +55,15 @@ frontend-smoke:
 
 # trace-check is the observability gate: the Chrome trace export and the
 # histogram-backed campaign rows must be byte-identical across -j1/-j4
-# and across repeated same-seed runs, and the exporter's pairing rules
-# must hold. Runs the targeted determinism + export tests with -count=1
-# so a cached pass never masks a regression.
+# and across repeated same-seed runs; the Chrome export and the forensic
+# report of four golden trials must match their pinned digests, so a
+# change to the kind table or the span pairer shows across commits; and
+# trace.Pair, the kind table and the exporter must keep their rules.
+# Runs the targeted tests with -count=1 so a cached pass never masks a
+# regression.
 trace-check:
-	$(GO) test -count=1 -run 'TestTraceAndMetricsDeterminism' ./internal/faultinject/
-	$(GO) test -count=1 -run 'TestExportChromePairsSpans|TestSetMergeTotalOrder|TestSpanPropagationAcrossCells' ./internal/trace/
+	$(GO) test -count=1 -run 'TestTraceAndMetricsDeterminism|TestGoldenRenderings' ./internal/faultinject/
+	$(GO) test -count=1 -run 'TestExportChromePairsSpans|TestSetMergeTotalOrder|TestSpanPropagationAcrossCells|TestPair|TestKindTableComplete|TestExportNamesRebootAndRejoin' ./internal/trace/
 
 # drill-smoke is the fast end-to-end campaign gate: one trial of every
 # scenario (paper rows and v2 extensions) through the faultdrill CLI,

@@ -176,24 +176,21 @@ func printSnapshot(h *core.Hive) {
 // With the availability loop on, the same view continues through the
 // reboot and join:* phases and ends with the capacity-restored marker.
 func printRecoveryTimeline(h *core.Hive) {
-	type phase struct {
-		cell  int
-		name  string
-		begin sim.Time
-		end   sim.Time
-		open  bool
+	timelinePhase := func(b trace.Event) bool {
+		return b.Kind == trace.PhaseBegin &&
+			(strings.HasPrefix(b.S, "recovery:") || strings.HasPrefix(b.S, "join:"))
 	}
-	timelinePhase := func(name string) bool {
-		return strings.HasPrefix(name, "recovery:") || strings.HasPrefix(name, "join:")
-	}
-	var phases []phase
-	openIdx := map[string]int{} // "cell:name" -> phases index
+	phases := 0
 	fmt.Println("\nrecovery timeline (virtual time):")
-	for _, e := range h.Trace.Merged() {
+	open := trace.Pair(h.Trace.Merged(), func(b, e trace.Event) {
+		if timelinePhase(b) {
+			phases++
+			fmt.Printf("  %10.3f ms  cell %d  %-18s %8.3f ms\n",
+				b.At.Millis(), e.Cell, e.S, (e.At - b.At).Millis())
+		}
+	}, func(e trace.Event) {
 		switch e.Kind {
-		case trace.Hint, trace.Alert, trace.Panic:
-			fmt.Printf("  %10.3f ms  cell %d  %s\n", e.At.Millis(), e.Cell, e.Detail())
-		case trace.Vote:
+		case trace.Hint, trace.Alert, trace.Vote, trace.Panic:
 			fmt.Printf("  %10.3f ms  cell %d  %s\n", e.At.Millis(), e.Cell, e.Detail())
 		case trace.Reboot:
 			fmt.Printf("  %10.3f ms  cell %d  REBOOT attempt %d: %s\n",
@@ -201,32 +198,16 @@ func printRecoveryTimeline(h *core.Hive) {
 		case trace.Rejoin:
 			fmt.Printf("  %10.3f ms  cell %d  REJOIN committed (join round led by cell %d)\n",
 				e.At.Millis(), e.A, e.B)
-		case trace.PhaseBegin:
-			if timelinePhase(e.S) {
-				key := fmt.Sprintf("%d:%s", e.Cell, e.S)
-				openIdx[key] = len(phases)
-				phases = append(phases, phase{cell: e.Cell, name: e.S, begin: e.At, open: true})
-			}
-		case trace.PhaseEnd:
-			if timelinePhase(e.S) {
-				key := fmt.Sprintf("%d:%s", e.Cell, e.S)
-				if i, ok := openIdx[key]; ok && phases[i].open {
-					phases[i].end = e.At
-					phases[i].open = false
-					fmt.Printf("  %10.3f ms  cell %d  %-18s %8.3f ms\n",
-						phases[i].begin.Millis(), e.Cell, e.S,
-						(e.At - phases[i].begin).Millis())
-				}
-			}
 		}
-	}
-	for _, p := range phases {
-		if p.open {
+	})
+	for _, b := range open {
+		if timelinePhase(b) {
+			phases++
 			fmt.Printf("  %10.3f ms  cell %d  %-18s (unfinished)\n",
-				p.begin.Millis(), p.cell, p.name)
+				b.At.Millis(), b.Cell, b.S)
 		}
 	}
-	if len(phases) == 0 {
+	if phases == 0 {
 		fmt.Println("  (no recovery phases recorded)")
 	}
 	if rb := h.Rebooter; rb != nil {

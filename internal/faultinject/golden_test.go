@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/forensic"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -111,6 +112,38 @@ func TestGoldenTrials(t *testing.T) {
 		}
 		if !r.OK() {
 			t.Errorf("%v trial 0 not contained: %s", g.s, trialFingerprint(r))
+		}
+	}
+}
+
+// TestGoldenRenderings pins what the trace's readers make of trial 0 of
+// the four golden scenarios that run no reboot loop: the Chrome
+// trace-event export and the forensic report, which both pair begin/end
+// spans. TestGoldenTrials pins the recorded events themselves, so a
+// digest here moves only when a rendering does.
+func TestGoldenRenderings(t *testing.T) {
+	golden := []struct {
+		s              Scenario
+		chrome, report uint64
+	}{
+		{NodeFailProcCreate, 0x19f859068aa58aa4, 0x126667cfee1d2eba},
+		{CorruptAddrMap, 0x9c3f68fd1cc45a05, 0x977db7c7b994ec0d},
+		{CoordinatorDeath, 0xfa97543b1de92a83, 0x16f88226f030debd},
+		{MsgDrop, 0x14eda506b4d5f967, 0xf38c92373fa5a7c2},
+	}
+	digest := func(b []byte) uint64 {
+		d := fnv.New64a()
+		d.Write(b)
+		return d.Sum64()
+	}
+	for _, g := range golden {
+		r := RunTrialOpts(g.s, 0, TrialOpts{KeepTrace: true, KeepEvents: true})
+		if got := digest(r.TraceJSON); got != g.chrome {
+			t.Errorf("%v trial 0 Chrome export digest = %#x, want %#x", g.s, got, g.chrome)
+		}
+		report := forensic.Analyze(r.Events, r.Dropped).Format(3)
+		if got := digest([]byte(report)); got != g.report {
+			t.Errorf("%v trial 0 forensic report digest = %#x, want %#x", g.s, got, g.report)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package forensic
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -43,35 +42,6 @@ type Profile struct {
 	Unclosed int           `json:"unclosed_spans"`
 }
 
-// spanLabel names the slice opened by a begin-kind event (mirrors the
-// Chrome export's naming so Perfetto and the profiler agree).
-func spanLabel(e trace.Event) string {
-	switch e.Kind {
-	case trace.RPCSend:
-		return fmt.Sprintf("rpc:call:%d", e.B)
-	case trace.RPCRecv:
-		return fmt.Sprintf("rpc:serve:%d", e.B)
-	case trace.FaultBegin:
-		return "vm:fault"
-	case trace.PhaseBegin:
-		return e.S
-	}
-	return e.Kind.String()
-}
-
-func beginKind(k trace.Kind) bool {
-	return k == trace.RPCSend || k == trace.RPCRecv || k == trace.FaultBegin || k == trace.PhaseBegin
-}
-
-func endKind(k trace.Kind) bool {
-	return k == trace.RPCReply || k == trace.RPCTimeout || k == trace.FaultEnd || k == trace.PhaseEnd
-}
-
-type pairKey struct {
-	span trace.SpanID
-	cell int
-}
-
 type bucketKey struct {
 	cell int
 	sub  string
@@ -79,51 +49,32 @@ type bucketKey struct {
 }
 
 // BuildProfile runs the profiler over a merged stream. Begin/end pairs
-// are matched exactly as the Chrome export matches them: same span id,
-// same cell, LIFO per key (a self-RPC nests its halves correctly). Spans
-// left open when the run stopped (or whose end fell off the ring) count
-// in Unclosed and contribute no time.
+// are matched by trace.Pair, the exporter's own rule. Spans left open
+// when the run stopped (or whose end fell off the ring) count in
+// Unclosed and contribute no time.
 func BuildProfile(events []trace.Event) *Profile {
 	buckets := map[bucketKey]*SpanStat{}
 	var bucketOrder []bucketKey     // insertion order, one entry per buckets key
 	instants := map[bucketKey]int{} // name=="" rows: instant counts per cell × subsystem
-	open := map[pairKey][]trace.Event{}
-	p := &Profile{}
 	cells := 0
+	for _, e := range events {
+		cells = max(cells, e.Cell+1)
+	}
 
-	addTime := func(cell int, sub, name string, d sim.Time) {
-		k := bucketKey{cell, sub, name}
-		b := buckets[k]
-		if b == nil {
-			b = &SpanStat{Name: name}
-			buckets[k] = b
+	open := trace.Pair(events, func(b, e trace.Event) {
+		k := bucketKey{e.Cell, spanSubsystem(b), trace.SpanName(b)}
+		st := buckets[k]
+		if st == nil {
+			st = &SpanStat{Name: k.name}
+			buckets[k] = st
 			bucketOrder = append(bucketOrder, k)
 		}
-		b.Time += d
-		b.Count++
-	}
-
-	for _, e := range events {
-		if e.Cell >= cells {
-			cells = e.Cell + 1
-		}
-		switch {
-		case beginKind(e.Kind) && e.Span != 0:
-			k := pairKey{e.Span, e.Cell}
-			open[k] = append(open[k], e)
-		case endKind(e.Kind) && e.Span != 0 && len(open[pairKey{e.Span, e.Cell}]) > 0:
-			k := pairKey{e.Span, e.Cell}
-			stack := open[k]
-			b := stack[len(stack)-1]
-			open[k] = stack[:len(stack)-1]
-			addTime(e.Cell, spanSubsystem(b), spanLabel(b), e.At-b.At)
-		default:
-			instants[bucketKey{e.Cell, instantSubsystem(e), ""}]++
-		}
-	}
-	for _, stack := range open {
-		p.Unclosed += len(stack)
-	}
+		st.Time += e.At - b.At
+		st.Count++
+	}, func(e trace.Event) {
+		instants[bucketKey{e.Cell, instantSubsystem(e), ""}]++
+	})
+	p := &Profile{Unclosed: len(open)}
 
 	for cell := 0; cell < cells; cell++ {
 		cp := CellProfile{Cell: cell}

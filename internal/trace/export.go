@@ -33,74 +33,12 @@ type chromeDoc struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// spanName labels the slice opened by a begin-kind event.
-func spanName(e Event) string {
-	switch e.Kind {
-	case RPCSend:
-		return fmt.Sprintf("rpc:call:%d", e.B)
-	case RPCRecv:
-		return fmt.Sprintf("rpc:serve:%d", e.B)
-	case FaultBegin:
-		return "vm:fault"
-	case PhaseBegin:
-		return e.S
-	}
-	return e.Kind.String()
-}
-
 // instantName labels a point event.
 func instantName(e Event) string {
-	switch e.Kind {
-	case Hint:
-		return "hint"
-	case Alert:
-		return "alert"
-	case Vote:
-		return "vote"
-	case Heartbeat:
-		return "heartbeat"
-	case Panic:
-		return "panic"
-	case Kill:
-		return "kill"
-	case Discard:
-		return "discard"
-	case FirewallGrant:
-		return "firewall:grant"
-	case FirewallRevoke:
-		return "firewall:revoke"
-	case SIPS:
-		return "sips"
-	case WaxHint:
-		return "wax:hint"
-	case RPCReply:
-		return "rpc:reply"
-	case RPCTimeout:
-		return "rpc:timeout"
-	case MsgDrop:
-		return "msg:drop"
-	case MsgDup:
-		return "msg:dup"
-	case MsgCorrupt:
-		return "msg:corrupt"
-	case MsgDelay:
-		return "msg:delay"
-	case RPCRetry:
-		return "rpc:retry"
-	case RoundRestart:
-		return "round:restart"
-	case FaultEnd:
-		return "vm:fault-end"
-	case PhaseEnd:
-		return e.S + ":end"
-	case Inject:
-		return "inject"
-	case CarefulAbort:
-		return "careful:abort"
-	case RPCDedup:
-		return "rpc:dedup"
+	if e.Kind == PhaseEnd {
+		return e.S + e.Kind.info().instant
 	}
-	return "info"
+	return e.Kind.info().instant
 }
 
 // chromeArgs builds the args payload for an event.
@@ -162,20 +100,18 @@ func chromeArgs(e Event) map[string]any {
 	case RPCDedup:
 		args["peer"] = e.A
 		args["what"] = e.S
+	case Reboot:
+		args["cell"] = e.A
+		args["attempt"] = e.B
+		args["stage"] = e.S
+	case Rejoin:
+		args["joiner"] = e.A
+		args["coordinator"] = e.B
 	}
 	if len(args) == 0 {
 		return nil
 	}
 	return args
-}
-
-// beginKind reports whether k opens a slice; endKind whether it closes one.
-func beginKind(k Kind) bool {
-	return k == RPCSend || k == RPCRecv || k == FaultBegin || k == PhaseBegin
-}
-
-func endKind(k Kind) bool {
-	return k == RPCReply || k == RPCTimeout || k == FaultEnd || k == PhaseEnd
 }
 
 // cat labels the ring an event came from.
@@ -186,17 +122,19 @@ func cat(k Kind) string {
 	return "data"
 }
 
-// pairKey identifies the track a slice lives on: same span, same cell.
-// (A self-RPC nests its client and server slices on one track; the
-// per-key stack pairs them LIFO, which is exactly the nesting order.)
-type pairKey struct {
-	span SpanID
-	cell int
+// withArg sets one arg, allocating the payload if the event had none.
+func withArg(args map[string]any, k string, v any) map[string]any {
+	if args == nil {
+		args = map[string]any{}
+	}
+	args[k] = v
+	return args
 }
 
 // BuildChrome converts the merged stream into trace-event entries:
 // metadata first, then events in merge order, with each begin/end pair
-// folded into one complete slice emitted at its end event's position.
+// (matched by Pair) folded into one complete slice emitted at its end
+// event's position.
 func (s *Set) BuildChrome() []chromeEvent {
 	var out []chromeEvent
 	out = append(out, chromeEvent{
@@ -210,73 +148,39 @@ func (s *Set) BuildChrome() []chromeEvent {
 		})
 	}
 
-	open := map[pairKey][]Event{}
-	var openOrder []pairKey // insertion order, for deterministic leftovers
-	for _, e := range s.Merged() {
+	open := Pair(s.Merged(), func(b, e Event) {
+		dur := (e.At - b.At).Micros()
+		args := chromeArgs(b)
 		switch {
-		case beginKind(e.Kind) && e.Span != 0:
-			k := pairKey{e.Span, e.Cell}
-			if len(open[k]) == 0 {
-				openOrder = append(openOrder, k)
-			}
-			open[k] = append(open[k], e)
-		case endKind(e.Kind) && e.Span != 0 && len(open[pairKey{e.Span, e.Cell}]) > 0:
-			k := pairKey{e.Span, e.Cell}
-			stack := open[k]
-			b := stack[len(stack)-1]
-			open[k] = stack[:len(stack)-1]
-			dur := (e.At - b.At).Micros()
-			args := chromeArgs(b)
-			if e.Kind == FaultEnd {
-				if args == nil {
-					args = map[string]any{}
-				}
-				args["hit"] = e.A != 0
-			}
-			if e.Kind == PhaseEnd && e.A != 0 {
-				if args == nil {
-					args = map[string]any{}
-				}
-				args["count"] = e.A
-			}
-			if e.Kind == RPCTimeout {
-				if args == nil {
-					args = map[string]any{}
-				}
-				args["timeout"] = true
-			}
-			out = append(out, chromeEvent{
-				Name: spanName(b), Cat: cat(b.Kind), Ph: "X",
-				Ts: b.At.Micros(), Dur: &dur, Pid: 0, Tid: e.Cell,
-				Args: args,
-			})
-		default:
-			out = append(out, chromeEvent{
-				Name: instantName(e), Cat: cat(e.Kind), Ph: "i",
-				Ts: e.At.Micros(), Pid: 0, Tid: e.Cell, Scope: "t",
-				Args: chromeArgs(e),
-			})
+		case e.Kind == FaultEnd:
+			args = withArg(args, "hit", e.A != 0)
+		case e.Kind == PhaseEnd && e.A != 0:
+			args = withArg(args, "count", e.A)
+		case e.Kind == RPCTimeout:
+			args = withArg(args, "timeout", true)
 		}
-	}
+		out = append(out, chromeEvent{
+			Name: SpanName(b), Cat: cat(b.Kind), Ph: "X",
+			Ts: b.At.Micros(), Dur: &dur, Pid: 0, Tid: e.Cell,
+			Args: args,
+		})
+	}, func(e Event) {
+		out = append(out, chromeEvent{
+			Name: instantName(e), Cat: cat(e.Kind), Ph: "i",
+			Ts: e.At.Micros(), Pid: 0, Tid: e.Cell, Scope: "t",
+			Args: chromeArgs(e),
+		})
+	})
 	// Slices whose end fell outside the ring (or never happened —
 	// e.g. an RPC outstanding when the run stopped) close with zero
 	// duration rather than vanish.
-	for _, k := range openOrder {
-		stack := open[k]
-		open[k] = nil // a key may appear twice in openOrder; drain once
-		for _, b := range stack {
-			zero := 0.0
-			args := chromeArgs(b)
-			if args == nil {
-				args = map[string]any{}
-			}
-			args["unclosed"] = true
-			out = append(out, chromeEvent{
-				Name: spanName(b), Cat: cat(b.Kind), Ph: "X",
-				Ts: b.At.Micros(), Dur: &zero, Pid: 0, Tid: b.Cell,
-				Args: args,
-			})
-		}
+	for _, b := range open {
+		zero := 0.0
+		out = append(out, chromeEvent{
+			Name: SpanName(b), Cat: cat(b.Kind), Ph: "X",
+			Ts: b.At.Micros(), Dur: &zero, Pid: 0, Tid: b.Cell,
+			Args: withArg(chromeArgs(b), "unclosed", true),
+		})
 	}
 	return out
 }

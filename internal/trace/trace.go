@@ -121,90 +121,80 @@ const (
 	numKinds
 )
 
-// String names the kind for trace rendering.
-func (k Kind) String() string {
-	switch k {
-	case Hint:
-		return "HINT"
-	case Alert:
-		return "ALERT"
-	case Vote:
-		return "VOTE"
-	case Heartbeat:
-		return "HEARTBEAT"
-	case Panic:
-		return "PANIC"
-	case Kill:
-		return "KILL"
-	case Discard:
-		return "DISCARD"
-	case RPCSend:
-		return "RPC-SEND"
-	case RPCRecv:
-		return "RPC-RECV"
-	case RPCReply:
-		return "RPC-REPLY"
-	case RPCTimeout:
-		return "RPC-TIMEOUT"
-	case FaultBegin:
-		return "FAULT-BEGIN"
-	case FaultEnd:
-		return "FAULT-END"
-	case FirewallGrant:
-		return "FW-GRANT"
-	case FirewallRevoke:
-		return "FW-REVOKE"
-	case SIPS:
-		return "SIPS"
-	case PhaseBegin:
-		return "PHASE-BEGIN"
-	case PhaseEnd:
-		return "PHASE-END"
-	case WaxHint:
-		return "WAX-HINT"
-	case MsgDrop:
-		return "MSG-DROP"
-	case MsgDup:
-		return "MSG-DUP"
-	case MsgCorrupt:
-		return "MSG-CORRUPT"
-	case MsgDelay:
-		return "MSG-DELAY"
-	case RPCRetry:
-		return "RPC-RETRY"
-	case RoundRestart:
-		return "ROUND-RESTART"
-	case Inject:
-		return "INJECT"
-	case CarefulAbort:
-		return "CAREFUL-ABORT"
-	case RPCDedup:
-		return "RPC-DEDUP"
-	case Reboot:
-		return "REBOOT"
-	case Rejoin:
-		return "REJOIN"
-	default:
-		return "INFO"
-	}
+// spanRole says whether a kind opens a span, closes one, or neither.
+type spanRole uint8
+
+const (
+	noSpan spanRole = iota
+	opens
+	closes
+)
+
+// kindInfo is everything the trace knows about one kind.
+type kindInfo struct {
+	tag     string // trace-line tag (Kind.String)
+	instant string // Chrome instant name; PhaseEnd's is appended to its S
+	// control sends the kind to the rarely-wrapping control ring: rare,
+	// high-value forensic events that must survive long runs. High-volume
+	// data-plane events share a separate ring so a busy workload cannot
+	// evict the recovery timeline.
+	control bool
+	role    spanRole
 }
 
-// control reports whether the kind goes to the (rarely-wrapping) control
-// ring: rare, high-value forensic events that must survive long runs.
-// High-volume data-plane events share a separate ring so a busy workload
-// cannot evict the recovery timeline.
-func (k Kind) control() bool {
-	switch k {
-	case Hint, Alert, Vote, Panic, Kill, Discard, PhaseBegin, PhaseEnd, WaxHint, Info,
-		MsgDrop, MsgDup, MsgCorrupt, RPCRetry, RoundRestart,
-		Inject, CarefulAbort, RPCDedup, Reboot, Rejoin:
-		// Injected message faults, retransmissions, and round restarts
-		// are rare and forensically decisive: they live in the control
-		// ring so a busy workload cannot evict them.
-		return true
-	}
-	return false
+// kinds is the one per-kind table: the trace line, the Chrome export,
+// the ring split and span pairing all read it. Injected message faults,
+// retransmissions and round restarts are rare and forensically decisive,
+// so they are control-ring kinds. A span-opening kind with span 0 is
+// exported as an instant under its instant name.
+var kinds = [numKinds]kindInfo{
+	Info:           {"INFO", "info", true, noSpan},
+	Hint:           {"HINT", "hint", true, noSpan},
+	Alert:          {"ALERT", "alert", true, noSpan},
+	Vote:           {"VOTE", "vote", true, noSpan},
+	Heartbeat:      {"HEARTBEAT", "heartbeat", false, noSpan},
+	Panic:          {"PANIC", "panic", true, noSpan},
+	Kill:           {"KILL", "kill", true, noSpan},
+	Discard:        {"DISCARD", "discard", true, noSpan},
+	RPCSend:        {"RPC-SEND", "info", false, opens},
+	RPCRecv:        {"RPC-RECV", "info", false, opens},
+	RPCReply:       {"RPC-REPLY", "rpc:reply", false, closes},
+	RPCTimeout:     {"RPC-TIMEOUT", "rpc:timeout", false, closes},
+	FaultBegin:     {"FAULT-BEGIN", "info", false, opens},
+	FaultEnd:       {"FAULT-END", "vm:fault-end", false, closes},
+	FirewallGrant:  {"FW-GRANT", "firewall:grant", false, noSpan},
+	FirewallRevoke: {"FW-REVOKE", "firewall:revoke", false, noSpan},
+	SIPS:           {"SIPS", "sips", false, noSpan},
+	PhaseBegin:     {"PHASE-BEGIN", "info", true, opens},
+	PhaseEnd:       {"PHASE-END", ":end", true, closes},
+	WaxHint:        {"WAX-HINT", "wax:hint", true, noSpan},
+	MsgDrop:        {"MSG-DROP", "msg:drop", true, noSpan},
+	MsgDup:         {"MSG-DUP", "msg:dup", true, noSpan},
+	MsgCorrupt:     {"MSG-CORRUPT", "msg:corrupt", true, noSpan},
+	MsgDelay:       {"MSG-DELAY", "msg:delay", false, noSpan},
+	RPCRetry:       {"RPC-RETRY", "rpc:retry", true, noSpan},
+	RoundRestart:   {"ROUND-RESTART", "round:restart", true, noSpan},
+	Inject:         {"INJECT", "inject", true, noSpan},
+	CarefulAbort:   {"CAREFUL-ABORT", "careful:abort", true, noSpan},
+	RPCDedup:       {"RPC-DEDUP", "rpc:dedup", true, noSpan},
+	Reboot:         {"REBOOT", "reboot", true, noSpan},
+	Rejoin:         {"REJOIN", "rejoin", true, noSpan},
 }
+
+// info returns the kind's table row; a kind outside the table reads as
+// Info.
+func (k Kind) info() *kindInfo {
+	if uint(k) >= uint(numKinds) {
+		k = Info
+	}
+	return &kinds[k]
+}
+
+// String names the kind for trace rendering.
+func (k Kind) String() string { return k.info().tag }
+
+// control reports whether the kind goes to the control ring.
+func (k Kind) control() bool { return k.info().control }
 
 // SpanID links causally-related events; 0 means "no span". Client and
 // server halves of one RPC share the id, so the merged stream answers
@@ -302,6 +292,72 @@ func (e Event) String() string {
 		return fmt.Sprintf("[%12v] cell%d %-12s span=%-4d %s", e.At, e.Cell, e.Kind, e.Span, e.Detail())
 	}
 	return fmt.Sprintf("[%12v] cell%d %-12s %s", e.At, e.Cell, e.Kind, e.Detail())
+}
+
+// SpanName labels the span a span-opening event begins; the Chrome
+// export and the forensic profiler both name slices by it.
+func SpanName(e Event) string {
+	switch e.Kind {
+	case RPCSend:
+		return fmt.Sprintf("rpc:call:%d", e.B)
+	case RPCRecv:
+		return fmt.Sprintf("rpc:serve:%d", e.B)
+	case FaultBegin:
+		return "vm:fault"
+	case PhaseBegin:
+		return e.S
+	}
+	return e.Kind.String()
+}
+
+// pairKey is where a span lives: same span id, same cell.
+type pairKey struct {
+	span SpanID
+	cell int
+}
+
+// Pair is the one pairing rule every reader of the trace uses. It walks
+// a merged stream and matches each span-closing event to the latest open
+// span-opening event with the same (span, cell), last in first out, so a
+// self-RPC nests its client and server halves. span receives each pair
+// at its closing event's position in the stream; instant receives every
+// other event, including an opening event with span 0 and a closing
+// event with nothing open. The opening events still open at the end of
+// the stream are returned, grouped by (span, cell) in the order each
+// key first opened, oldest first within a key.
+func Pair(events []Event, span func(begin, end Event), instant func(Event)) (open []Event) {
+	stacks := map[pairKey][]Event{} // open begins per key; a drained key is deleted
+	for _, e := range events {
+		k := pairKey{e.Span, e.Cell}
+		switch role := e.Kind.info().role; {
+		case role == opens && e.Span != 0:
+			stacks[k] = append(stacks[k], e)
+		case role == closes && e.Span != 0 && len(stacks[k]) > 0:
+			stack := stacks[k]
+			b := stack[len(stack)-1]
+			if len(stack) == 1 {
+				delete(stacks, k)
+			} else {
+				stacks[k] = stack[:len(stack)-1]
+			}
+			span(b, e)
+		default:
+			instant(e)
+		}
+	}
+	// Rank the open keys by their first opening event: a key that
+	// drained and reopened keeps its first place.
+	for _, e := range events {
+		if len(stacks) == 0 {
+			break
+		}
+		k := pairKey{e.Span, e.Cell}
+		if stack, ok := stacks[k]; ok && e.Kind.info().role == opens {
+			open = append(open, stack...)
+			delete(stacks, k)
+		}
+	}
+	return open
 }
 
 // Ring is a fixed-capacity event buffer. The zero value is unusable; use

@@ -195,7 +195,7 @@ func (v *VM) validateExportReply(res any) (*exportReply, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: bad export reply", ErrBadPage)
 	}
-	if rep.Frame < 0 || int(rep.Frame) >= v.M.NumPages() {
+	if !v.frameExists(rep.Frame) {
 		return nil, fmt.Errorf("%w: export reply frame %d out of range",
 			ErrBadPage, rep.Frame)
 	}
@@ -292,15 +292,16 @@ func (v *VM) registerServices() {
 		})
 }
 
-// validateFirewallArgs vets a firewall-change request: the frame must be
-// this memory home's, and only the cell the frame is loaned to may
-// direct its firewall — a corrupt cell must not open other cells' pages.
+// validateFirewallArgs vets a firewall-change request: the frame must
+// exist and be this memory home's, and only the cell the frame is loaned
+// to may direct its firewall — a corrupt cell must not open other cells'
+// pages.
 func (v *VM) validateFirewallArgs(req *rpc.Request) (*firewallArgs, error) {
 	args, ok := req.Args.(*firewallArgs)
 	if !ok {
 		return nil, ErrBadPage
 	}
-	if !v.localFrame(args.Frame) {
+	if !v.frameExists(args.Frame) || !v.localFrame(args.Frame) {
 		return nil, fmt.Errorf("%w: frame %d not local", ErrBadPage, args.Frame)
 	}
 	pf := v.frames[args.Frame]

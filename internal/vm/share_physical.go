@@ -158,7 +158,7 @@ func (v *VM) validateBorrowReply(res any, home int) (*borrowReply, error) {
 		return nil, ErrNoMemory
 	}
 	for _, f := range rep.Frames {
-		if f < 0 || int(f) >= v.M.NumPages() || v.CellOfNode[v.M.HomeNode(f)] != home {
+		if !v.frameExists(f) || v.CellOfNode[v.M.HomeNode(f)] != home {
 			return nil, fmt.Errorf("%w: borrowed frame %d not owned by cell %d",
 				ErrBadPage, f, home)
 		}
@@ -247,12 +247,17 @@ func validateBorrowArgs(req *rpc.Request) (*borrowArgs, error) {
 }
 
 // validateReturnArgs vets a frame-return: only the borrower of record
-// may hand frames back (per-frame ownership is re-checked against the
-// loan table in acceptReturns).
-func validateReturnArgs(req *rpc.Request) (*returnArgs, error) {
+// may hand frames back, and every frame must exist (per-frame ownership
+// is re-checked against the loan table in acceptReturns).
+func (v *VM) validateReturnArgs(req *rpc.Request) (*returnArgs, error) {
 	args, ok := req.Args.(*returnArgs)
 	if !ok || args.Client != req.From || len(args.Frames) > 1024 {
 		return nil, ErrBadPage
+	}
+	for _, f := range args.Frames {
+		if !v.frameExists(f) {
+			return nil, fmt.Errorf("%w: returned frame %d out of range", ErrBadPage, f)
+		}
 	}
 	return args, nil
 }
@@ -292,7 +297,7 @@ func (v *VM) registerPhysicalServices() {
 
 	v.EP.Register(ProcReturn, "vm.return",
 		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, err := validateReturnArgs(req)
+			args, err := v.validateReturnArgs(req)
 			if err != nil {
 				return nil, 0, true, err
 			}
@@ -303,7 +308,7 @@ func (v *VM) registerPhysicalServices() {
 			return nil, MiscVMDataHome, true, nil
 		},
 		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := validateReturnArgs(req)
+			args, err := v.validateReturnArgs(req)
 			if err != nil {
 				return nil, err
 			}

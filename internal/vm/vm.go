@@ -123,7 +123,13 @@ func (v *VM) FreePages() int { return len(v.free) }
 
 // ownsNode reports whether this cell owns node n.
 func (v *VM) ownsNode(n int) bool {
-	return n < len(v.CellOfNode) && v.CellOfNode[n] == v.CellID
+	return n >= 0 && n < len(v.CellOfNode) && v.CellOfNode[n] == v.CellID
+}
+
+// frameExists reports whether a frame number another cell sent names a
+// real frame of the machine.
+func (v *VM) frameExists(f machine.PageNum) bool {
+	return f >= 0 && int(f) < v.M.NumPages()
 }
 
 // localFrame reports whether the frame's memory home is this cell.

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -543,6 +544,30 @@ func TestFirewallServiceRejectsNonBorrower(t *testing.T) {
 			&firewallArgs{Frame: frame, Bits: ^uint64(0)}, rpc.CallOpts{})
 		if err == nil {
 			t.Error("non-borrower firewall change accepted")
+		}
+	})
+}
+
+func TestMemoryHomeRejectsForgedFrameNumbers(t *testing.T) {
+	// A corrupt cell may name any frame number in a return or firewall
+	// request; one far below zero must fail the RPC with ErrBadPage, not
+	// index the node table out of range on the memory home. A remote
+	// error crosses the wire as its text.
+	f := newFixture(t, 2)
+	forged := machine.PageNum(-1 << 20)
+	f.run(t, func(tk *sim.Task) {
+		for _, req := range []struct {
+			name string
+			proc rpc.ProcID
+			args any
+		}{
+			{"vm.return", ProcReturn, &returnArgs{Client: 1, Frames: []machine.PageNum{forged}}},
+			{"vm.firewall", ProcFirewall, &firewallArgs{Frame: forged, Bits: ^uint64(0)}},
+		} {
+			_, err := f.eps[1].Call(tk, f.m.Procs[1], 0, req.proc, req.args, rpc.CallOpts{})
+			if err == nil || !strings.Contains(err.Error(), ErrBadPage.Error()) {
+				t.Errorf("%s with frame %d: err = %v, want ErrBadPage", req.name, forged, err)
+			}
 		}
 	})
 }
