@@ -13,7 +13,6 @@ import (
 	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/vm"
 )
 
 func main() {
@@ -51,14 +50,14 @@ func main() {
 		defer func() { done = true }()
 		v := h.Cells[0].VM
 		n := 0
-		for {
-			if _, err := v.AllocFrame(t, vm.AllocOpts{Acceptable: []int{0}}); err != nil {
+		for v.FreePages() > 0 {
+			if _, err := v.AllocFrame(t); err != nil {
 				break
 			}
 			n++
 		}
 		fmt.Printf("  cell 0 exhausted its pool after %d local frames\n", n)
-		f, err := v.AllocFrame(t, vm.AllocOpts{})
+		f, err := v.AllocFrame(t)
 		if err != nil {
 			fmt.Println("  borrow failed:", err)
 			return

@@ -12,7 +12,6 @@ import (
 	hive "repro"
 	"repro/internal/proc"
 	"repro/internal/sim"
-	"repro/internal/vm"
 	"repro/internal/wax"
 )
 
@@ -27,7 +26,7 @@ func main() {
 	h.Cells[0].Procs.Spawn("hog", 40, func(p *proc.Process, t *sim.Task) {
 		v := h.Cells[0].VM
 		for v.FreePages() > 0 {
-			if _, err := v.AllocFrame(t, vm.AllocOpts{Acceptable: []int{0}}); err != nil {
+			if _, err := v.AllocFrame(t); err != nil {
 				break
 			}
 		}
@@ -44,7 +43,7 @@ func main() {
 	// Borrow through the hinted target.
 	borrowed := false
 	h.Cells[0].Procs.Spawn("worker", 41, func(p *proc.Process, t *sim.Task) {
-		f, err := h.Cells[0].VM.AllocFrame(t, vm.AllocOpts{})
+		f, err := h.Cells[0].VM.AllocFrame(t)
 		if err == nil {
 			fmt.Printf("allocation satisfied by a frame from cell %d\n",
 				h.CellOfNode[h.M.HomeNode(f)])

@@ -22,7 +22,8 @@ import (
 //  2. Free-pool hygiene: free frames are not Valid, not loaned, and appear
 //     at most once.
 //  3. Ownership: every frame is controlled by exactly one live cell — its
-//     home, or the borrower it is loaned to.
+//     home, or the borrower it is loaned to. No two cells claim a frame,
+//     and a frame loaned to a live cell is tracked by that borrower.
 //  4. Export/import symmetry: an import recorded at a live client has a
 //     matching export record at the data home, and vice versa.
 //  5. Firewall soundness: a local frame writable by a remote live cell is
@@ -121,13 +122,21 @@ func (h *Hive) CheckInvariants() []string {
 		}
 	}
 
-	// 5. Firewall soundness for live cells' local frames.
+	// 5. Firewall soundness for live cells' local frames (and the loan
+	// half of invariant 3).
 	for _, c := range h.LiveCells() {
 		frames := c.VM.FramesOfCell()
 		for _, f := range sortedFrameKeys(frames) {
 			pf := frames[f]
 			if h.CellOfNode[h.M.HomeNode(f)] != c.ID {
 				continue
+			}
+			// The other half of invariant 3: a loan the borrower has
+			// forgotten leaves the frame controlled by no live cell.
+			if b := pf.LoanedTo; b >= 0 && live(b) {
+				if bpf, ok := h.Cells[b].VM.PfdatFor(f); !ok || bpf.BorrowedFrom != c.ID {
+					report("cell%d frame %d loaned to cell%d, which does not track it", c.ID, f, b)
+				}
 			}
 			fw := h.M.Firewall(f)
 			for other := range h.Cells {

@@ -99,6 +99,18 @@ func TestCheckCatchesDoubleOwnership(t *testing.T) {
 	expectViolation(t, h, "controlled by both")
 }
 
+func TestCheckCatchesLoanTheBorrowerForgot(t *testing.T) {
+	// Class 3, ownership: cell 1 records a loan to cell 2 of a frame that
+	// cell 2 does not track, so no live cell controls it.
+	h, pf := newSharingHive(t)
+	home, ok := h.Cells[1].VM.PfdatFor(pf.Frame)
+	if !ok {
+		t.Fatalf("data home has no pfdat for frame %d", pf.Frame)
+	}
+	home.LoanedTo = 2
+	expectViolation(t, h, "which does not track it")
+}
+
 func TestCheckCatchesImportWithoutExport(t *testing.T) {
 	// Class 4, export/import symmetry: the import record names a home that
 	// never exported the page.

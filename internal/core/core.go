@@ -323,7 +323,7 @@ func (h *Hive) buildCell(c *Cell) {
 		SuspendUser: c.Sched.Freeze,
 		ResumeUser:  c.Sched.Thaw,
 		Phase1:      c.VM.RecoveryPhase1,
-		Phase2: func(t *sim.Task, failed map[int]bool) int {
+		Phase2: func(t *sim.Task, failed int) int {
 			n := c.VM.RecoveryPhase2(t, failed)
 			if n > 0 {
 				c.Tracer.Emit(c.EP.Engine().Now(), trace.Discard, int64(n), 0, "pages writable by failed cells")
@@ -331,7 +331,7 @@ func (h *Hive) buildCell(c *Cell) {
 			return n
 		},
 		Finish: c.VM.RecoveryFinish,
-		KillDependents: func(failed map[int]bool) int {
+		KillDependents: func(failed int) int {
 			n := c.Procs.KillDependents(failed)
 			if n > 0 {
 				c.Tracer.Emit(c.EP.Engine().Now(), trace.Kill, int64(n), 0, "dependent processes killed")

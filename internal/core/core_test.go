@@ -403,7 +403,7 @@ func TestInvariantsHoldThroughSharingAndFailure(t *testing.T) {
 		// Borrow frames from cell 2.
 		v := h.Cells[0].VM
 		for i := 0; i < 3; i++ {
-			if _, err := v.AllocFrame(tk, vm.AllocOpts{Acceptable: []int{2}}); err != nil {
+			if _, err := v.BorrowFrom(tk, 2); err != nil {
 				t.Errorf("borrow: %v", err)
 			}
 		}

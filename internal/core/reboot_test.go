@@ -93,8 +93,8 @@ func TestRebooterJoinerDiesMidJoin(t *testing.T) {
 	// One-shot: the joiner is killed the moment the join round's first
 	// barrier opens; the round must abort and the next attempt succeed.
 	fired := false
-	h.Coord.OnJoinBarrier1Open = func(joiner, coordinator int) {
-		if fired {
+	h.Coord.OnBarrier1Open = func(join bool, joiner, coordinator int) {
+		if !join || fired {
 			return
 		}
 		fired = true
@@ -121,8 +121,8 @@ func TestRebooterCoordinatorDiesMidJoin(t *testing.T) {
 	h.Run(30 * sim.Millisecond)
 
 	fired := false
-	h.Coord.OnJoinBarrier1Open = func(joiner, coordinator int) {
-		if fired {
+	h.Coord.OnBarrier1Open = func(join bool, joiner, coordinator int) {
+		if !join || fired {
 			return
 		}
 		fired = true
@@ -172,8 +172,10 @@ func TestRebooterCrashLoopHitsBackoffBound(t *testing.T) {
 	h.Run(30 * sim.Millisecond)
 
 	// Every join attempt kills the joiner again: a crash-looping cell.
-	h.Coord.OnJoinBarrier1Open = func(joiner, coordinator int) {
-		h.Cells[joiner].FailHardware()
+	h.Coord.OnBarrier1Open = func(join bool, joiner, coordinator int) {
+		if join {
+			h.Cells[joiner].FailHardware()
+		}
 	}
 	h.Cells[1].FailHardware()
 	if !h.RunUntil(func() bool { return h.Rebooter.Idle() && len(h.Rebooter.Records) > 0 },

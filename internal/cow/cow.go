@@ -350,7 +350,7 @@ func (mg *Manager) ResolvePage(t *sim.Task, lp vm.LogicalPage, write bool) (*vm.
 		}
 		// Materialize: from swap if the page was evicted there, else
 		// zero-filled (tag 0).
-		frame, err := mg.VM.AllocFrame(t, vm.AllocOpts{})
+		frame, err := mg.VM.AllocFrame(t)
 		if err != nil {
 			return nil, err
 		}

@@ -388,8 +388,8 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		at := sim.Time(500+rng.Intn(3000)) * sim.Millisecond
 		h.Eng.At(at, inject)
 		var secondArmed bool
-		h.Coord.OnBarrier1Open = func(suspect, coordinator int) {
-			if secondArmed || suspect != target {
+		h.Coord.OnBarrier1Open = func(join bool, suspect, coordinator int) {
+			if join || secondArmed || suspect != target {
 				return
 			}
 			secondArmed = true
@@ -408,8 +408,8 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		at := sim.Time(500+rng.Intn(3000)) * sim.Millisecond
 		h.Eng.At(at, inject)
 		var coordArmed bool
-		h.Coord.OnBarrier1Open = func(suspect, coordinator int) {
-			if coordArmed || suspect != target {
+		h.Coord.OnBarrier1Open = func(join bool, suspect, coordinator int) {
+			if join || coordArmed || suspect != target {
 				return
 			}
 			coordArmed = true
@@ -430,8 +430,8 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		at := sim.Time(500+rng.Intn(3000)) * sim.Millisecond
 		h.Eng.At(at, inject)
 		var rekilled bool
-		h.Coord.OnJoinBarrier1Open = func(joiner, coordinator int) {
-			if rekilled || joiner != target {
+		h.Coord.OnBarrier1Open = func(join bool, joiner, coordinator int) {
+			if !join || rekilled || joiner != target {
 				return
 			}
 			rekilled = true
@@ -449,8 +449,8 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		// than reboot forever.
 		at := sim.Time(500+rng.Intn(3000)) * sim.Millisecond
 		h.Eng.At(at, inject)
-		h.Coord.OnJoinBarrier1Open = func(joiner, coordinator int) {
-			if joiner != target {
+		h.Coord.OnBarrier1Open = func(join bool, joiner, coordinator int) {
+			if !join || joiner != target {
 				return
 			}
 			h.Eng.After(2*sim.Millisecond, func() {

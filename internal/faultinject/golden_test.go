@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forensic"
+	"repro/internal/membership"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -82,14 +83,21 @@ func TestGoldenPmake(t *testing.T) {
 	}
 }
 
-// TestGoldenTrials pins trial 0 of five scenarios that between them reach
-// every injection path: a workload-hook injection (NodeFailProcCreate),
-// careful reads of a corrupted cell (CorruptAddrMap), membership rounds
-// that lose their coordinator (CoordinatorDeath), the seeded SIPS message
-// injector (MsgDrop), and Wax placement with ForkExec under the reboot
-// loop (SurgeFault). The fingerprint includes the dispatch-trace hash, so
-// the check is exact where the bench gate allows ±5%; the recorded-trace
-// digest pins what each trial's kernel wrote to its trace.
+// TestGoldenTrials pins trial 0 of the scenarios that between them reach
+// every injection path and a mid-round fault in both kinds of membership
+// round: a workload-hook injection (NodeFailProcCreate), careful reads of
+// a corrupted cell (CorruptAddrMap), a death round that loses its
+// coordinator (CoordinatorDeath) or a second member (DoubleFault) after
+// barrier 1, the seeded SIPS message injector (MsgDrop), Wax placement
+// with ForkExec under the reboot loop and one committed join
+// (SurgeFault), a joiner killed after a join round's barrier 1 and
+// re-admitted (FaultDuringReintegration), every join aborted until the
+// rejoin backoff gives up (CrashLoop), and one join after another, each
+// warm-up moving pages off frames an earlier warm-up borrowed and handing
+// every vacated frame back to its memory home (RollingReboot). The
+// fingerprint includes the dispatch-trace hash, so the check is exact
+// where the bench gate allows ±5%; the recorded-trace digest pins what
+// each trial's kernel wrote to its trace.
 func TestGoldenTrials(t *testing.T) {
 	golden := []struct {
 		s      Scenario
@@ -101,6 +109,10 @@ func TestGoldenTrials(t *testing.T) {
 		{CoordinatorDeath, `inj=1840000000 detect=73.413070 recov=43.025150 d=true c=true i=true ok=true state=true th=f7c994a5e89479e3 notes=""`, 0x3a7443bba888346a},
 		{MsgDrop, `inj=2312999250 detect=0.000000 recov=0.000000 d=true c=true i=true ok=true state=true th=33699d923bbe053b notes=""`, 0x83993f7abb1b87d6},
 		{SurgeFault, `inj=1372000000 detect=8.080090 recov=38.050250 d=true c=true i=true ok=true state=true th=e25d1bd3d8cc7513 notes=""`, 0x95e304d12d4c329e},
+		{DoubleFault, `inj=903000000 detect=87.748210 recov=43.025000 d=true c=true i=true ok=true state=true th=7f07d70559c1cf0d notes=""`, 0x461f95f146556e3},
+		{FaultDuringReintegration, `inj=646000000 detect=14.038330 recov=38.083850 d=true c=true i=true ok=true state=true th=3eb92bcd468d7d06 notes=""`, 0x80f97e73c68fe181},
+		{CrashLoop, `inj=934000000 detect=6.054570 recov=40.618300 d=true c=true i=true ok=true state=true th=cdda91ef6ab157ac notes=""`, 0x238659cc8b93e744},
+		{RollingReboot, `inj=2238000000 detect=0.000000 recov=0.000000 d=true c=true i=true ok=true state=true th=56a064f1ad2ef007 notes=""`, 0x9d6b5184cae1d5bd},
 	}
 	for _, g := range golden {
 		r := RunTrialOpts(g.s, 0, TrialOpts{TraceHash: true, KeepEvents: true})
@@ -145,5 +157,61 @@ func TestGoldenRenderings(t *testing.T) {
 		if got := digest([]byte(report)); got != g.report {
 			t.Errorf("%v trial 0 forensic report digest = %#x, want %#x", g.s, got, g.report)
 		}
+	}
+}
+
+// TestGoldenVoteRejoin pins one pass of the availability loop under Vote
+// agreement, which no scenario runs: cell 2 fails, the survivors vote it
+// dead, the reboot controller microboots it, and every member probes the
+// fresh image and votes it reachable before the join round commits. The
+// reboot policy is the one the reboot scenarios use.
+func TestGoldenVoteRejoin(t *testing.T) {
+	const (
+		wantVotesAt     = sim.Time(130058230)
+		wantRejoinAt    = sim.Time(144058280)
+		wantDispatched  = uint64(377)
+		wantTraceDigest = uint64(0x57e213c18a8644e4)
+	)
+	h := workload.BootHiveWith(4, 1995, func(cfg *core.Config) {
+		cfg.Agreement = membership.Vote
+		cfg.Reboot = core.RebootPolicy{
+			Enabled:     true,
+			Delay:       30 * sim.Millisecond,
+			BackoffBase: 20 * sim.Millisecond,
+			BackoffMax:  200 * sim.Millisecond,
+			MaxAttempts: 4,
+		}
+	})
+	h.Run(50 * sim.Millisecond)
+	h.Cells[2].FailHardware()
+	if !h.RunUntil(func() bool {
+		return len(h.Rebooter.Records) > 0 && h.Coord.LiveCount() == 4 &&
+			h.Rebooter.Idle() && h.Coord.RecoveryIdle()
+	}, 5*sim.Second) {
+		t.Fatalf("loop never closed: live=%d records=%+v", h.Coord.LiveCount(), h.Rebooter.Records)
+	}
+	evs := h.Trace.Merged()
+	var reachable []sim.Time
+	for _, ev := range evs {
+		if ev.Kind == trace.Vote && ev.S == "join" && ev.B == 0 {
+			reachable = append(reachable, ev.At)
+		}
+	}
+	if len(reachable) != 3 {
+		t.Errorf("%d reachable votes at %v, want 3", len(reachable), reachable)
+	}
+	for _, at := range reachable {
+		if at != wantVotesAt {
+			t.Errorf("reachable vote at %d, want %d", at, wantVotesAt)
+		}
+	}
+	if len(h.Coord.Rejoins) != 1 || h.Coord.Rejoins[0] != 2 || h.Coord.LastRejoinAt != wantRejoinAt {
+		t.Errorf("rejoins %v at %d, want [2] at %d", h.Coord.Rejoins, h.Coord.LastRejoinAt, wantRejoinAt)
+	}
+	if got := h.Eng.Dispatched(); got != wantDispatched {
+		t.Errorf("dispatched %d events, want %d", got, wantDispatched)
+	}
+	if got := eventsDigest(evs); got != wantTraceDigest {
+		t.Errorf("recorded-trace digest = %#x, want %#x", got, wantTraceDigest)
 	}
 }

@@ -472,7 +472,7 @@ func (f *FS) writeLocal(t *sim.Task, file *File, off int64, tags []uint64) error
 		lp := lpFor(Key{Home: f.CellID, ID: file.ID}, o)
 		pf, ok := f.VM.Lookup(lp)
 		if !ok {
-			frame, err := f.VM.AllocFrame(t, vm.AllocOpts{})
+			frame, err := f.VM.AllocFrame(t)
 			if err != nil {
 				return err
 			}
@@ -493,7 +493,7 @@ func (f *FS) writeLocal(t *sim.Task, file *File, off int64, tags []uint64) error
 // stable backing, zero-filled (no I/O) when it is a hole or lies beyond
 // the end of the file (fresh extends and temp-file mappings).
 func (f *FS) fillFromDisk(t *sim.Task, lp vm.LogicalPage, file *File) (*vm.Pfdat, error) {
-	frame, err := f.VM.AllocFrame(t, vm.AllocOpts{})
+	frame, err := f.VM.AllocFrame(t)
 	if err != nil {
 		return nil, err
 	}

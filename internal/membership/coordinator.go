@@ -25,12 +25,10 @@ type Coordinator struct {
 	OnDeclaredDead func(cell int)
 	// OnBarrier1Open, when set (fault injectors), fires once per round at
 	// the moment the first member crosses barrier 1 — the window between
-	// the two recovery barriers the v2 campaign injects faults into.
-	OnBarrier1Open func(suspect, coordinator int)
-	// OnJoinBarrier1Open is the join-round analogue: it fires once per
-	// join round when the first member crosses barrier 1 — the window the
-	// reintegration fault scenarios inject into.
-	OnJoinBarrier1Open func(joiner, coordinator int)
+	// the two barriers that the v2 campaign and the reintegration fault
+	// scenarios inject faults into. cell is the suspect of a death round
+	// or the joiner of a join round.
+	OnBarrier1Open func(join bool, cell, coordinator int)
 
 	cells      int
 	nodesByCel [][]int
@@ -69,41 +67,41 @@ type Coordinator struct {
 	LastRejoinAt sim.Time
 }
 
-// round is one agreement/recovery round.
+// round is one membership round: agreement on a change to the live set,
+// then a double global barrier. A death round removes its cell, the
+// suspect. A join round re-admits its cell, a microbooted joiner, which is
+// not a member, holds no barrier slot and stays untrusted until the
+// commit.
 type round struct {
 	key     string
-	suspect int
+	join    bool
+	cell    int
 	accuser int
-	members map[int]bool // live cells minus suspect
+	members map[int]bool // live cells minus the suspect
 	joined  map[int]bool // members that have taken up the round
-	votes   map[int]bool // cell -> votesDead
-	// deadVotes counts the true entries in votes, maintained incrementally
-	// on insert and withdrawal so the tally never rescans the vote map —
+	votes   map[int]bool // cell -> voted for the change
+	// yes counts the true entries in votes, maintained incrementally on
+	// insert and withdrawal so the tally never rescans the vote map —
 	// the rescans were O(members²) per round at large cell counts.
-	deadVotes int
-	verdict   *sim.Future // resolves to map[int]bool of confirmed-dead cells
-	applied   bool
-	barrier1  *sim.Barrier
-	barrier2  *sim.Barrier
-	b1Seen    map[int]bool
-	b2Seen    map[int]bool
-	done      map[int]bool
-	entered   map[int]sim.Time
+	yes      int
+	verdict  *sim.Future // resolves to true when the change carries
+	barrier1 *sim.Barrier
+	barrier2 *sim.Barrier
+	b1Seen   map[int]bool
+	b2Seen   map[int]bool
+	done     map[int]bool
 
 	// coordinator is the member that drives the round's post-barrier
-	// work (diagnostics, reintegration): the lowest live member at round
-	// creation. If it dies mid-round the round restarts deterministically
-	// under the next live member (CellDiedMidRound).
+	// work (diagnostics, the join commit): the lowest live member at
+	// round creation. If it dies mid-round the round restarts
+	// deterministically under the next live member (CellDiedMidRound).
 	coordinator int
 	b1Fired     bool // OnBarrier1Open fired
 
 	corruptAccuser int // -1, or a cell the round branded corrupt
 
-	// join marks a join round: suspect is the joiner (not a member), the
-	// vote is about reachability of the fresh image, and the verdict set
-	// {joiner} means "admit". aborted is set when the joiner dies
-	// mid-round; committed guards the one-shot commit.
-	join      bool
+	// aborted is set when a join round's joiner dies mid-round;
+	// committed guards the one-shot commit.
 	aborted   bool
 	committed bool
 }
@@ -154,41 +152,53 @@ func (c *Coordinator) neighborOf(cell int) int {
 // firstNodeOf returns a cell's first node (its clock word's home).
 func (c *Coordinator) firstNodeOf(cell int) int { return c.nodesByCel[cell][0] }
 
-// ensureRound joins (or creates) the round for this alert on behalf of
-// cellID. A nil round with retry=false means the alert is stale: its round
-// already completed, the suspect is already dead, or this cell already
-// served the active round. retry=true means the coordinator is busy with a
-// different suspect and the caller should re-present the alert once the
-// active round drains.
-func (c *Coordinator) ensureRound(alert *alertMsg, cellID int) (*round, bool) {
-	key := fmt.Sprintf("%d:%d", alert.Accuser, alert.Sequence)
-	if c.cur != nil {
-		// An active round for this suspect folds late members in even
-		// if the verdict has already landed — the barriers need every
-		// member, and the live set may already exclude the suspect.
-		if c.cur.suspect == alert.Suspect && c.cur.members[cellID] &&
-			!c.cur.done[cellID] && !c.cur.joined[cellID] {
-			c.cur.joined[cellID] = true
-			return c.cur, false
+// ensureRound joins (or creates), on behalf of cellID, the round that an
+// alert or a join announcement asks for. A nil round with retry=false
+// means the request is stale: its round already completed, the suspect is
+// already dead or the joiner already live or no longer wanted, or this
+// cell already served the active round. retry=true means the coordinator
+// is busy with a different round and the caller should re-present the
+// request once the active round drains.
+func (c *Coordinator) ensureRound(msg any, cellID int) (*round, bool) {
+	var (
+		join          bool
+		cell, accuser int
+		key           string
+	)
+	switch m := msg.(type) {
+	case *alertMsg:
+		cell, accuser, key = m.Suspect, m.Accuser, fmt.Sprintf("%d:%d", m.Accuser, m.Sequence)
+	case *joinMsg:
+		join, cell, key = true, m.Joiner, fmt.Sprintf("join:%d:%d", m.Joiner, m.Sequence)
+	}
+	if cur := c.cur; cur != nil {
+		if cur.join != join || cur.cell != cell {
+			// Busy with a different round: retry while the change this
+			// request asks for is still wanted.
+			return nil, c.wanted(join, cell)
 		}
-		if c.cur.suspect == alert.Suspect {
-			c.completed[key] = true // duplicate accusation, already serving
-			return nil, false
+		// The active round folds late members in even if the verdict has
+		// already landed — the barriers need every member, and the live
+		// set may already exclude the suspect.
+		if cur.members[cellID] && !cur.done[cellID] && !cur.joined[cellID] {
+			cur.joined[cellID] = true
+			return cur, false
 		}
-		// Busy with a different suspect: this alert still needs a round.
-		return nil, c.live[alert.Suspect]
+		c.completed[key] = true // duplicate request, already serving
+		return nil, false
 	}
 	if c.completed[key] {
 		return nil, false
 	}
-	if !c.live[alert.Suspect] {
+	if !c.wanted(join, cell) {
 		c.completed[key] = true
 		return nil, false
 	}
 	r := &round{
 		key:     key,
-		suspect: alert.Suspect,
-		accuser: alert.Accuser,
+		join:    join,
+		cell:    cell,
+		accuser: accuser,
 		members: make(map[int]bool),
 		joined:  map[int]bool{cellID: true},
 		votes:   make(map[int]bool),
@@ -196,69 +206,84 @@ func (c *Coordinator) ensureRound(alert *alertMsg, cellID int) (*round, bool) {
 		b1Seen:  make(map[int]bool),
 		b2Seen:  make(map[int]bool),
 		done:    make(map[int]bool),
-		entered: make(map[int]sim.Time),
 
 		corruptAccuser: -1,
 	}
-	for cell := range c.live {
-		if cell == alert.Suspect {
+	for m := range c.live {
+		if m == cell {
 			continue
 		}
 		// A cell whose monitor already died (simultaneous failure, not yet
 		// declared by its own round) can never join or arrive at the
 		// barriers — enrolling it would hang every survivor.
-		if mon := c.monitors[cell]; mon != nil && mon.dead {
+		if mon := c.monitors[m]; mon != nil && mon.dead {
 			continue
 		}
-		r.members[cell] = true
+		r.members[m] = true
 	}
-	if ms := sortedCells(r.members); len(ms) > 0 {
+	ms := sortedCells(r.members)
+	if len(ms) > 0 {
 		r.coordinator = ms[0]
 	}
-	// Hand the alert to any enrolled member that has not heard it. The
-	// accuser's cast went to the live set of cast time — a cell that
-	// rejoined between the cast and round creation is a member now but was
-	// not a recipient then, and a member without the alert never arrives
-	// at the barriers (every survivor would hang). Members the in-flight
-	// cast still reaches later just see a duplicate accusation, which the
-	// completed table absorbs.
-	for _, m := range sortedCells(r.members) {
-		if m == cellID {
-			continue
-		}
-		if mon := c.monitors[m]; mon != nil && !mon.dead && !mon.alerting[alert.Suspect] {
-			mon.alerting[alert.Suspect] = true
-			// A relay task, not a direct push, delivers the alert: the
-			// event order that faultinject's golden test pins includes
-			// the relay task's dispatch.
-			relay := mon
-			relay.eng().Go(fmt.Sprintf("cell%d.alertrelay", relay.CellID),
-				func(rt *sim.Task) { relay.alerts.Push(alert) })
+	if !join {
+		// Hand the alert to any enrolled member that has not heard it.
+		// The accuser's cast went to the live set of cast time — a cell
+		// that rejoined between the cast and round creation is a member
+		// now but was not a recipient then, and a member without the
+		// alert never arrives at the barriers (every survivor would
+		// hang). Members the in-flight cast still reaches later just see
+		// a duplicate accusation, which the completed table absorbs.
+		for _, m := range ms {
+			if m == cellID {
+				continue
+			}
+			if mon := c.monitors[m]; mon != nil && !mon.dead && !mon.alerting[cell] {
+				mon.alerting[cell] = true
+				// A relay task, not a direct push, delivers the alert:
+				// the event order that faultinject's golden test pins
+				// includes the relay task's dispatch.
+				relay := mon
+				relay.eng().Go(fmt.Sprintf("cell%d.alertrelay", relay.CellID),
+					func(rt *sim.Task) { relay.alerts.Push(msg) })
+			}
 		}
 	}
 	r.barrier1 = sim.NewBarrier(len(r.members))
 	r.barrier2 = sim.NewBarrier(len(r.members))
 	c.cur = r
 	c.RoundsRun++
+	if join {
+		c.JoinRounds++
+	}
 	return r, false
 }
 
-// agree resolves the round's verdict for one member cell and returns the
-// set of confirmed-dead cells (empty = false alarm). The liveness probe is
-// real RPC traffic from the member's cell.
-func (c *Coordinator) agree(t *sim.Task, mon *Monitor, r *round) map[int]bool {
+// wanted reports whether a round about cell still has a change to
+// decide: a suspect must still be live, a joiner still waiting to be
+// re-admitted.
+func (c *Coordinator) wanted(join bool, cell int) bool {
+	if join {
+		return !c.live[cell] && c.pendingJoins[cell] != nil
+	}
+	return c.live[cell]
+}
+
+// agree resolves the round's verdict for one member cell and reports
+// whether the change carries: the suspect is declared dead, or the joiner
+// admitted. Oracle mode asks ground truth whether the cell has failed;
+// Vote mode has every member probe the cell — real RPC traffic from the
+// member's cell, against an endpoint that stays untrusted until a join
+// commits — and vote.
+func (c *Coordinator) agree(t *sim.Task, mon *Monitor, r *round) bool {
 	needVote := false
 	if !r.verdict.Ready() {
 		switch {
-		case c.forcedDead[r.suspect]:
+		case !r.join && c.forcedDead[r.cell]:
 			// Corrupt-accuser rule already branded the suspect.
-			c.applyVerdict(r, map[int]bool{r.suspect: true})
+			c.applyVerdict(r, true)
 		case c.Mode == Oracle:
-			dead := map[int]bool{}
-			if c.OracleFailed != nil && c.OracleFailed(r.suspect) {
-				dead[r.suspect] = true
-			}
-			c.applyVerdict(r, dead)
+			failed := c.OracleFailed != nil && c.OracleFailed(r.cell)
+			c.applyVerdict(r, failed != r.join)
 		default:
 			// Voting: this member probes and records its vote; the
 			// last vote tallies.
@@ -267,71 +292,31 @@ func (c *Coordinator) agree(t *sim.Task, mon *Monitor, r *round) map[int]bool {
 		}
 	}
 	if needVote {
-		alive := mon.probe(t, r.suspect)
+		alive := mon.probe(t, r.cell)
 		if _, voted := r.votes[mon.CellID]; !voted {
-			r.votes[mon.CellID] = !alive
-			dead := int64(0)
-			if r.votes[mon.CellID] {
-				dead = 1
-				r.deadVotes++
+			// "unreachable" votes to remove a suspect, "reachable" to
+			// admit a joiner.
+			r.votes[mon.CellID] = alive == r.join
+			if alive == r.join {
+				r.yes++
 			}
-			mon.Tracer.Emit(t.Now(), trace.Vote, int64(r.suspect), dead, "")
-			c.tallyVotes(r)
+			mon.Tracer.Emit(t.Now(), trace.Vote, int64(r.cell), b2i(!alive), r.kind().voteLabel)
+			c.tally(r)
 		}
 	}
 	v, _ := r.verdict.Wait(t)
-	return v.(map[int]bool)
+	return v.(bool)
 }
 
-// agreeJoin resolves the join round's admit/abort verdict for one member
-// and reports whether the joiner was admitted. Oracle mode asks ground
-// truth whether the fresh image is healthy (as it does for deaths); Vote
-// mode probes the joiner — real RPC traffic against its endpoint, which
-// stays untrusted until the commit.
-func (c *Coordinator) agreeJoin(t *sim.Task, mon *Monitor, r *round) bool {
-	needVote := false
-	if !r.verdict.Ready() {
-		switch {
-		case c.Mode == Oracle:
-			admit := true
-			if c.OracleFailed != nil && c.OracleFailed(r.suspect) {
-				admit = false
-			}
-			c.applyJoinVerdict(r, admit)
-		default:
-			_, voted := r.votes[mon.CellID]
-			needVote = !voted
-		}
-	}
-	if needVote {
-		alive := mon.probe(t, r.suspect)
-		if _, voted := r.votes[mon.CellID]; !voted {
-			r.votes[mon.CellID] = !alive
-			dead := int64(0)
-			if !alive {
-				dead = 1
-				r.deadVotes++
-			}
-			mon.Tracer.Emit(t.Now(), trace.Vote, int64(r.suspect), dead, "join")
-			c.tallyJoinVotes(r)
-		}
-	}
-	v, _ := r.verdict.Wait(t)
-	return v.(map[int]bool)[r.suspect]
-}
-
-// tallyVotes resolves the verdict once every (still-live) member has
-// voted. It is re-run when a member dies mid-agreement, so a dead voter
-// can never hang the round.
-func (c *Coordinator) tallyVotes(r *round) {
+// tally resolves the verdict once every (still-live) member has voted:
+// the change carries on a strict majority of the members. It is re-run
+// when a member dies mid-agreement, so a dead voter can never hang the
+// round.
+func (c *Coordinator) tally(r *round) {
 	if r.verdict.Ready() || len(r.members) == 0 || len(r.votes) < len(r.members) {
 		return
 	}
-	dead := map[int]bool{}
-	if r.deadVotes*2 > len(r.members) {
-		dead[r.suspect] = true
-	}
-	c.applyVerdict(r, dead)
+	c.applyVerdict(r, r.yes*2 > len(r.members))
 }
 
 // noteBarrier1Open fires the fault-injection hook the first time any member
@@ -342,48 +327,53 @@ func (c *Coordinator) noteBarrier1Open(r *round) {
 	}
 	r.b1Fired = true
 	if c.OnBarrier1Open != nil {
-		c.OnBarrier1Open(r.suspect, r.coordinator)
+		c.OnBarrier1Open(r.join, r.cell, r.coordinator)
 	}
 }
 
-// applyVerdict commits a round's outcome: live-set updates, the corrupt-
-// accuser rule, and the forced stop of cells declared dead.
-func (c *Coordinator) applyVerdict(r *round, dead map[int]bool) {
-	if r.applied {
+// applyVerdict commits a round's verdict, once. A death round that
+// carries removes the suspect from the live set and forces it to stop;
+// one that does not is a false alarm, and the corrupt-accuser rule counts
+// it against the accuser. A join round that does not carry resolves its
+// requester at once; one that carries is committed after the barriers
+// (commitJoin).
+func (c *Coordinator) applyVerdict(r *round, carries bool) {
+	if r.verdict.Ready() {
 		return
 	}
-	r.applied = true
-	if len(dead) == 0 {
+	switch {
+	case r.join:
+		if !carries {
+			c.resolveJoin(r, false)
+		}
+	case carries:
+		delete(c.live, r.cell)
+		c.DeadDeclared = append(c.DeadDeclared, r.cell)
+		if mon := c.monitors[r.cell]; mon != nil {
+			mon.Stop()
+		}
+		if c.OnDeclaredDead != nil {
+			c.OnDeclaredDead(r.cell)
+		}
+	default:
 		c.FalseAlarms++
 		// Corrupt-accuser rule (§4.3): two voted-down alerts for the
 		// same suspect brand the accuser corrupt.
 		if c.votedDown[r.accuser] == nil {
 			c.votedDown[r.accuser] = make(map[int]int)
 		}
-		c.votedDown[r.accuser][r.suspect]++
-		if c.votedDown[r.accuser][r.suspect] >= 2 {
+		c.votedDown[r.accuser][r.cell]++
+		if c.votedDown[r.accuser][r.cell] >= 2 {
 			r.corruptAccuser = r.accuser
 			c.forcedDead[r.accuser] = true
 		}
-	} else {
-		for _, cell := range sortedCells(dead) {
-			delete(c.live, cell)
-			c.DeadDeclared = append(c.DeadDeclared, cell)
-			if mon := c.monitors[cell]; mon != nil {
-				mon.Stop()
-			}
-			if c.OnDeclaredDead != nil {
-				c.OnDeclaredDead(cell)
-			}
-		}
 	}
-	r.verdict.Set(dead, nil)
+	r.verdict.Set(carries, nil)
 }
 
 // noteRecoveryEntered records detection latency (Table 7.4's measurement:
 // latency until the last cell enters recovery).
-func (c *Coordinator) noteRecoveryEntered(r *round, cell int, at sim.Time) {
-	r.entered[cell] = at
+func (c *Coordinator) noteRecoveryEntered(at sim.Time) {
 	if c.recoveryActive == 0 {
 		c.FirstDetectAt = at
 	}
@@ -394,7 +384,7 @@ func (c *Coordinator) noteRecoveryEntered(r *round, cell int, at sim.Time) {
 }
 
 // noteRecoveryDone records recovery completion times.
-func (c *Coordinator) noteRecoveryDone(r *round, cell int, at sim.Time) {
+func (c *Coordinator) noteRecoveryDone(at sim.Time) {
 	if at > c.RecoveryEndAt {
 		c.RecoveryEndAt = at
 	}
@@ -439,15 +429,13 @@ func (c *Coordinator) CellDiedMidRound(cell int) {
 	if r == nil {
 		return
 	}
-	if r.join && cell == r.suspect && !c.live[cell] {
+	if r.join && cell == r.cell && !c.live[cell] {
 		// The joiner itself died mid-join (a second fault landed during
 		// reintegration). The members are not waiting on it — it holds no
 		// barrier slot — so the round drains normally; the commit is
 		// cancelled and the requester told to retry.
 		r.aborted = true
-		if !r.verdict.Ready() {
-			c.applyJoinVerdict(r, false)
-		}
+		c.applyVerdict(r, false)
 		c.checkRoundDone(r)
 		return
 	}
@@ -464,14 +452,10 @@ func (c *Coordinator) CellDiedMidRound(cell int) {
 	// Withdraw the dead member's vote (it may never have voted; a round
 	// must not wait on a dead voter) and re-tally the survivors.
 	if r.votes[cell] {
-		r.deadVotes--
+		r.yes--
 	}
 	delete(r.votes, cell)
-	if r.join {
-		c.tallyJoinVotes(r)
-	} else {
-		c.tallyVotes(r)
-	}
+	c.tally(r)
 	if cell == r.coordinator {
 		if ms := sortedCells(r.members); len(ms) > 0 {
 			r.coordinator = ms[0]
@@ -554,108 +538,6 @@ func (c *Coordinator) RequestJoin(joiner int) (*sim.Future, int) {
 	return f, c.joinSeq
 }
 
-// ensureJoinRound joins (or creates) the join round for an announcement,
-// mirroring ensureRound: a nil round with retry=false means the request is
-// stale (already served, joiner already live, or no longer wanted);
-// retry=true means the coordinator is busy with another round and the
-// member should re-present the announcement once it drains.
-func (c *Coordinator) ensureJoinRound(msg *joinMsg, cellID int) (*round, bool) {
-	key := fmt.Sprintf("join:%d:%d", msg.Joiner, msg.Sequence)
-	if c.cur != nil {
-		if c.cur.join && c.cur.suspect == msg.Joiner && c.cur.members[cellID] &&
-			!c.cur.done[cellID] && !c.cur.joined[cellID] {
-			c.cur.joined[cellID] = true
-			return c.cur, false
-		}
-		if c.cur.join && c.cur.suspect == msg.Joiner {
-			c.completed[key] = true // duplicate announcement, already serving
-			return nil, false
-		}
-		// Busy with a different round (a death round outranks a join):
-		// retry while the reboot controller still wants the join.
-		return nil, c.pendingJoins[msg.Joiner] != nil
-	}
-	if c.completed[key] {
-		return nil, false
-	}
-	if c.live[msg.Joiner] || c.pendingJoins[msg.Joiner] == nil {
-		c.completed[key] = true
-		return nil, false
-	}
-	r := &round{
-		key:     key,
-		suspect: msg.Joiner,
-		accuser: msg.Joiner,
-		members: make(map[int]bool),
-		joined:  map[int]bool{cellID: true},
-		votes:   make(map[int]bool),
-		verdict: &sim.Future{},
-		b1Seen:  make(map[int]bool),
-		b2Seen:  make(map[int]bool),
-		done:    make(map[int]bool),
-		entered: make(map[int]sim.Time),
-
-		corruptAccuser: -1,
-		join:           true,
-	}
-	for cell := range c.live {
-		if mon := c.monitors[cell]; mon != nil && mon.dead {
-			continue
-		}
-		r.members[cell] = true
-	}
-	if ms := sortedCells(r.members); len(ms) > 0 {
-		r.coordinator = ms[0]
-	}
-	r.barrier1 = sim.NewBarrier(len(r.members))
-	r.barrier2 = sim.NewBarrier(len(r.members))
-	c.cur = r
-	c.RoundsRun++
-	c.JoinRounds++
-	return r, false
-}
-
-// tallyJoinVotes resolves the admit/abort verdict once every still-live
-// member has voted on the joiner's reachability: admission needs a strict
-// majority of "reachable" votes, symmetric to the death tally.
-func (c *Coordinator) tallyJoinVotes(r *round) {
-	if r.verdict.Ready() || len(r.members) == 0 || len(r.votes) < len(r.members) {
-		return
-	}
-	reachable := len(r.votes) - r.deadVotes
-	c.applyJoinVerdict(r, reachable*2 > len(r.members))
-}
-
-// applyJoinVerdict commits the join round's agreement outcome. The verdict
-// future resolves to the same map[int]bool shape as a death round:
-// {joiner: true} = admit, empty = abort. Aborts resolve the requester
-// immediately; admits resolve at commit, after the barriers.
-func (c *Coordinator) applyJoinVerdict(r *round, admit bool) {
-	if r.applied {
-		return
-	}
-	r.applied = true
-	verdict := map[int]bool{}
-	if admit && !r.aborted {
-		verdict[r.suspect] = true
-	} else {
-		c.resolveJoin(r, false)
-	}
-	r.verdict.Set(verdict, nil)
-}
-
-// noteJoinBarrier1Open fires the join-round fault-injection hook once, when
-// the first member crosses barrier 1.
-func (c *Coordinator) noteJoinBarrier1Open(r *round) {
-	if r.b1Fired {
-		return
-	}
-	r.b1Fired = true
-	if c.OnJoinBarrier1Open != nil {
-		c.OnJoinBarrier1Open(r.suspect, r.coordinator)
-	}
-}
-
 // commitJoin is run by the round coordinator after barrier 2: the joiner
 // enters the live set, every piece of stale bookkeeping about the old
 // incarnation is scrubbed, and the Rejoin control-ring event marks the
@@ -670,7 +552,7 @@ func (c *Coordinator) commitJoin(r *round, at sim.Time, tr *trace.Tracer) {
 		c.resolveJoin(r, false)
 		return
 	}
-	joiner := r.suspect
+	joiner := r.cell
 	c.reintegrate(joiner)
 	c.Rejoins = append(c.Rejoins, joiner)
 	c.LastRejoinAt = at
@@ -680,9 +562,9 @@ func (c *Coordinator) commitJoin(r *round, at sim.Time, tr *trace.Tracer) {
 
 // resolveJoin resolves the pending join future exactly once.
 func (c *Coordinator) resolveJoin(r *round, ok bool) {
-	if f := c.pendingJoins[r.suspect]; f != nil {
+	if f := c.pendingJoins[r.cell]; f != nil {
 		f.Set(ok, nil)
-		delete(c.pendingJoins, r.suspect)
+		delete(c.pendingJoins, r.cell)
 	}
 }
 

@@ -79,9 +79,9 @@ type Hooks struct {
 	SuspendUser    func()
 	ResumeUser     func()
 	Phase1         func(t *sim.Task)
-	Phase2         func(t *sim.Task, failed map[int]bool) int
+	Phase2         func(t *sim.Task, failed int) int
 	Finish         func()
-	KillDependents func(failed map[int]bool) int
+	KillDependents func(failed int) int
 	// Panic shuts this cell down (it was declared corrupt).
 	Panic func(reason string)
 	// Reintegrate tells the cell a failed peer was repaired and
@@ -284,73 +284,91 @@ func (mon *Monitor) Hint(suspect int, reason string) {
 	})
 }
 
-// recoveryLoop consumes alerts, runs agreement, and drives the double-
-// barrier recovery rounds.
+// recoveryLoop consumes alerts and join announcements and drives the
+// round each one asks for.
 func (mon *Monitor) recoveryLoop(t *sim.Task) {
 	for {
-		v, ok := mon.alerts.Pop(t)
-		if !ok {
+		msg, ok := mon.alerts.Pop(t)
+		if !ok || mon.dead {
 			return
 		}
-		if mon.dead {
-			return
+		// No liveness precheck here: the verdict may already have
+		// removed the suspect from the live set while this member was
+		// still on its way to the round; ensureRound folds it in.
+		r, retry := mon.Coord.ensureRound(msg, mon.CellID)
+		if retry {
+			// The coordinator is serving a different round. The request
+			// is not stale — its cell still needs a round once the active
+			// one drains — and neither the accuser (its alerting flag
+			// stays up while it serves the round it created) nor the
+			// joiner will send it again, so requeue it and try again
+			// next tick.
+			t.Sleep(TickInterval)
+			if mon.dead {
+				return
+			}
+			mon.alerts.Push(msg)
+			continue
 		}
-		switch msg := v.(type) {
-		case *alertMsg:
-			// No liveness precheck here: the verdict may already have
-			// removed the suspect from the live set while this member was
-			// still on its way to the round; ensureRound folds it in.
-			round, retry := mon.Coord.ensureRound(msg, mon.CellID)
-			if round == nil {
-				if retry {
-					// The coordinator is serving a round for a different
-					// suspect. The alert is not stale — this suspect still
-					// needs its own round once the active one drains — and
-					// the accuser will not re-broadcast (its alerting flag
-					// stays up while it serves the round it created), so
-					// requeue the alert and try again next tick.
-					t.Sleep(TickInterval)
-					if mon.dead {
-						return
-					}
-					mon.alerts.Push(msg)
-					continue
-				}
-				delete(mon.alerting, msg.Suspect)
-				continue
-			}
-			mon.runRound(t, round)
-			delete(mon.alerting, msg.Suspect)
-		case *joinMsg:
-			round, retry := mon.Coord.ensureJoinRound(msg, mon.CellID)
-			if round == nil {
-				if retry {
-					// A death round is in flight; the join waits its turn.
-					t.Sleep(TickInterval)
-					if mon.dead {
-						return
-					}
-					mon.alerts.Push(msg)
-				}
-				continue
-			}
-			mon.runJoinRound(t, round)
+		if r != nil {
+			mon.runRound(t, r)
+		}
+		if alert, ok := msg.(*alertMsg); ok {
+			delete(mon.alerting, alert.Suspect)
 		}
 	}
 }
 
-// runRound executes one agreement + recovery round on this cell.
+// roundKind is what differs between a death round and a join round as
+// data rather than as steps.
+type roundKind struct {
+	counter                   string // per-cell metric counting the rounds run
+	agree, barrier1, barrier2 string // trace span names
+	phase1, phase2            sim.Time
+	voteLabel                 string
+}
+
+// kinds holds the death round's row, then the join round's.
+var kinds = [2]roundKind{
+	{"membership.rounds", "recovery:detect", "recovery:barrier1", "recovery:barrier2",
+		Phase1Base, Phase2Base, ""},
+	{"membership.joinrounds", "join:validate", "join:barrier1", "join:warm",
+		JoinPhase1Base, JoinPhase2Base, "join"},
+}
+
+// kind returns the round's row of kinds.
+func (r *round) kind() *roundKind {
+	if r.join {
+		return &kinds[1]
+	}
+	return &kinds[0]
+}
+
+// runRound executes one round on this member cell: agreement on the
+// change, then the double global barrier (§4.3). A death round suspends
+// user processes throughout, runs recovery phase 1 before barrier 1 and
+// phase 2 (discards, dependent kills) between the barriers, and its
+// coordinator, the recovery master, runs hardware diagnostics on the
+// failed cell; the reboot controller, not the master, brings a repaired
+// cell back through a join round. A join round validates the joiner's
+// fresh image (probe or oracle: the joiner is untrusted until the commit,
+// so even validation traffic rides the ordinary RPC boundary), drops
+// stale state about the old incarnation between the barriers, and its
+// coordinator commits the joiner into the live set; user processes keep
+// running throughout, since the availability loop must not pause the
+// survivors' workloads.
 func (mon *Monitor) runRound(t *sim.Task, r *round) {
-	// All cells temporarily suspend user-level processes (§3.1).
-	if mon.Hooks.SuspendUser != nil {
+	k := r.kind()
+	if !r.join && mon.Hooks.SuspendUser != nil {
+		// All cells temporarily suspend user-level processes (§3.1).
 		mon.Hooks.SuspendUser()
 	}
-	mon.Metrics.Counter("membership.rounds").Inc()
+	mon.Metrics.Counter(k.counter).Inc()
 
 	// Agreement: oracle or probe-and-vote.
-	detectSpan := mon.Tracer.Begin(t.Now(), "recovery:detect")
-	verdict := mon.Coord.agree(t, mon, r)
-	mon.Tracer.End(t.Now(), detectSpan, "recovery:detect", int64(len(verdict)))
+	agreeSpan := mon.Tracer.Begin(t.Now(), k.agree)
+	carries := mon.Coord.agree(t, mon, r)
+	mon.Tracer.End(t.Now(), agreeSpan, k.agree, b2i(carries))
 
 	if mon.dead {
 		return
@@ -364,10 +382,11 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 		return
 	}
 
-	if len(verdict) == 0 {
-		// False alarm: resume. If this round branded the accuser
+	if !carries {
+		// A false alarm, or a joiner that is unreachable or already
+		// dead: resume and drain. If this round branded the accuser
 		// corrupt, every other cell now alerts about the accuser.
-		if mon.Hooks.ResumeUser != nil {
+		if !r.join && mon.Hooks.ResumeUser != nil {
 			mon.Hooks.ResumeUser()
 		}
 		accused := r.corruptAccuser
@@ -378,13 +397,15 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 		return
 	}
 
-	// Confirmed failure: enter recovery.
-	mon.Coord.noteRecoveryEntered(r, mon.CellID, t.Now())
-	mon.Metrics.Counter("membership.recoveries").Inc()
+	if !r.join {
+		// Confirmed failure: enter recovery.
+		mon.Coord.noteRecoveryEntered(t.Now())
+		mon.Metrics.Counter("membership.recoveries").Inc()
+	}
 
 	proc := mon.proc()
-	b1Span := mon.Tracer.Begin(t.Now(), "recovery:barrier1")
-	proc.Use(t, Phase1Base)
+	b1Span := mon.Tracer.Begin(t.Now(), k.barrier1)
+	proc.Use(t, k.phase1)
 	if mon.dead {
 		// This member died during phase 1: it must not arrive at the
 		// barrier, whose party count no longer includes it — a dead
@@ -392,116 +413,59 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 		// live member in the next generation.
 		return
 	}
-	if mon.Hooks.Phase1 != nil {
+	if !r.join && mon.Hooks.Phase1 != nil {
 		mon.Hooks.Phase1(t)
 	}
 	r.b1Seen[mon.CellID] = true
 	r.barrier1.Await(t)
 	mon.Coord.noteBarrier1Open(r)
-	mon.Tracer.End(t.Now(), b1Span, "recovery:barrier1", 0)
+	mon.Tracer.End(t.Now(), b1Span, k.barrier1, 0)
 
-	b2Span := mon.Tracer.Begin(t.Now(), "recovery:barrier2")
-	proc.Use(t, Phase2Base)
+	b2Span := mon.Tracer.Begin(t.Now(), k.barrier2)
+	proc.Use(t, k.phase2)
 	if mon.dead {
 		// Died between the barriers (the v2 campaign's favorite spot).
 		return
 	}
-	var discarded, killed int64
-	if mon.Hooks.Phase2 != nil {
-		discarded = int64(mon.Hooks.Phase2(t, verdict))
-	}
-	if mon.Hooks.KillDependents != nil {
-		killed = int64(mon.Hooks.KillDependents(verdict))
-	}
-	r.b2Seen[mon.CellID] = true
-	r.barrier2.Await(t)
-	mon.Tracer.End(t.Now(), b2Span, "recovery:barrier2", discarded+killed)
-	if mon.dead {
-		return
-	}
-
-	resumeSpan := mon.Tracer.Begin(t.Now(), "recovery:resume")
-	if mon.Hooks.Finish != nil {
-		mon.Hooks.Finish()
-	}
-	if mon.Hooks.ResumeUser != nil {
-		mon.Hooks.ResumeUser()
-	}
-	mon.Coord.noteRecoveryDone(r, mon.CellID, t.Now())
-	mon.Tracer.End(t.Now(), resumeSpan, "recovery:resume", 0)
-
-	// The round coordinator (the recovery master — lowest live member,
-	// reassigned deterministically if it died mid-round) runs hardware
-	// diagnostics on the failed nodes (§4.3); the reboot controller, not
-	// the master, brings a repaired cell back through a join round.
-	if r.coordinator == mon.CellID {
-		for range len(verdict) {
-			mon.runDiagnostics(t)
+	var work int64
+	if r.join {
+		// Drop stale state about the old incarnation before the fresh
+		// one becomes visible.
+		if mon.Hooks.Reintegrate != nil {
+			mon.Hooks.Reintegrate(r.cell)
+		}
+	} else {
+		if mon.Hooks.Phase2 != nil {
+			work += int64(mon.Hooks.Phase2(t, r.cell))
+		}
+		if mon.Hooks.KillDependents != nil {
+			work += int64(mon.Hooks.KillDependents(r.cell))
 		}
 	}
-	mon.Coord.finishRound(r, mon.CellID)
-}
-
-// runJoinRound executes one join round on a live member cell: validate
-// the joiner's fresh image (probe or oracle — the joiner is untrusted
-// until the commit, so even validation traffic rides the ordinary RPC
-// boundary), then a double barrier symmetric to the death round — stale
-// state about the old incarnation is dropped between the barriers — and
-// finally the coordinator commits the joiner into the live set. Unlike a
-// death round, user processes keep running throughout: the availability
-// loop must not pause the survivors' workloads.
-func (mon *Monitor) runJoinRound(t *sim.Task, r *round) {
-	mon.Metrics.Counter("membership.joinrounds").Inc()
-
-	validateSpan := mon.Tracer.Begin(t.Now(), "join:validate")
-	admit := mon.Coord.agreeJoin(t, mon, r)
-	var admitted int64
-	if admit {
-		admitted = 1
-	}
-	mon.Tracer.End(t.Now(), validateSpan, "join:validate", admitted)
-	if mon.dead {
-		return
-	}
-	if !admit {
-		// The fresh image is unreachable (or died already): abort. The
-		// requester was resolved by the verdict; the members just drain.
-		mon.Coord.finishRound(r, mon.CellID)
-		return
-	}
-
-	proc := mon.proc()
-	b1Span := mon.Tracer.Begin(t.Now(), "join:barrier1")
-	proc.Use(t, JoinPhase1Base)
-	if mon.dead {
-		// Same rule as the death round: a member that died during the
-		// phase must not arrive at a barrier that no longer counts it.
-		return
-	}
-	r.b1Seen[mon.CellID] = true
-	r.barrier1.Await(t)
-	mon.Coord.noteJoinBarrier1Open(r)
-	mon.Tracer.End(t.Now(), b1Span, "join:barrier1", 0)
-
-	b2Span := mon.Tracer.Begin(t.Now(), "join:warm")
-	proc.Use(t, JoinPhase2Base)
-	if mon.dead {
-		return
-	}
-	// Drop stale state about the old incarnation before the fresh one
-	// becomes visible.
-	if mon.Hooks.Reintegrate != nil {
-		mon.Hooks.Reintegrate(r.suspect)
-	}
 	r.b2Seen[mon.CellID] = true
 	r.barrier2.Await(t)
-	mon.Tracer.End(t.Now(), b2Span, "join:warm", 0)
+	mon.Tracer.End(t.Now(), b2Span, k.barrier2, work)
 	if mon.dead {
 		return
 	}
 
-	if r.coordinator == mon.CellID {
-		mon.Coord.commitJoin(r, t.Now(), mon.Tracer)
+	if r.join {
+		if r.coordinator == mon.CellID {
+			mon.Coord.commitJoin(r, t.Now(), mon.Tracer)
+		}
+	} else {
+		resumeSpan := mon.Tracer.Begin(t.Now(), "recovery:resume")
+		if mon.Hooks.Finish != nil {
+			mon.Hooks.Finish()
+		}
+		if mon.Hooks.ResumeUser != nil {
+			mon.Hooks.ResumeUser()
+		}
+		mon.Coord.noteRecoveryDone(t.Now())
+		mon.Tracer.End(t.Now(), resumeSpan, "recovery:resume", 0)
+		if r.coordinator == mon.CellID {
+			mon.runDiagnostics(t)
+		}
 	}
 	mon.Coord.finishRound(r, mon.CellID)
 }
@@ -528,7 +492,7 @@ func (mon *Monitor) AnnounceJoin(t *sim.Task, seq int) {
 	mon.Tracer.End(t.Now(), span, "join:announce", int64(len(peers)))
 }
 
-// runDiagnostics charges the recovery master's hardware check of one
+// runDiagnostics charges the recovery master's hardware check of the
 // failed cell's nodes.
 func (mon *Monitor) runDiagnostics(t *sim.Task) {
 	mon.proc().Use(t, DiagnosticsCost)
@@ -567,7 +531,7 @@ func (mon *Monitor) registerServices() {
 			if !ok || msg.Joiner != req.From || msg.Joiner == mon.CellID {
 				// A join announcement must come from the joiner itself;
 				// anything else is a forged or corrupt request. The live
-				// check happens later, inside ensureJoinRound.
+				// check happens later, inside ensureRound.
 				return nil, 0, true, fmt.Errorf("membership: bad join request")
 			}
 			mon.alerts.Push(msg)
@@ -586,6 +550,15 @@ func (mon *Monitor) probe(t *sim.Task, suspect int) bool {
 		}
 	}
 	return false
+}
+
+// b2i is 1 for true and 0 for false: the trace's encoding of a verdict
+// or a vote.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sortedCells returns keys ascending (determinism helper).

@@ -49,7 +49,7 @@ func newFixture(t *testing.T, cells int, mode AgreementMode) *fixture {
 			SuspendUser: func() { f.suspended = append(f.suspended, c) },
 			ResumeUser:  func() { f.resumed = append(f.resumed, c) },
 			Phase1:      func(t *sim.Task) { f.phase1s = append(f.phase1s, c) },
-			Phase2: func(t *sim.Task, failed map[int]bool) int {
+			Phase2: func(t *sim.Task, failed int) int {
 				f.phase2s = append(f.phase2s, c)
 				return 0
 			},

@@ -27,8 +27,8 @@ func TestSecondDeathMidRoundConverges(t *testing.T) {
 	f.coord.OracleFailed = func(c int) bool { return failed[c] }
 	var second int
 	armed := false
-	f.coord.OnBarrier1Open = func(suspect, coordinator int) {
-		if armed || suspect != 1 {
+	f.coord.OnBarrier1Open = func(join bool, suspect, coordinator int) {
+		if join || armed || suspect != 1 {
 			return
 		}
 		armed = true
@@ -74,8 +74,8 @@ func TestCoordinatorDeathMidRoundRestartsRound(t *testing.T) {
 	f.coord.OracleFailed = func(c int) bool { return failed[c] }
 	var deadCoord int
 	armed := false
-	f.coord.OnBarrier1Open = func(suspect, coordinator int) {
-		if armed || suspect != 2 {
+	f.coord.OnBarrier1Open = func(join bool, suspect, coordinator int) {
+		if join || armed || suspect != 2 {
 			return
 		}
 		armed = true
@@ -118,8 +118,8 @@ func TestSixteenCellDoubleFaultContained(t *testing.T) {
 	f.coord.OracleFailed = func(c int) bool { return failed[c] }
 	var second int
 	armed := false
-	f.coord.OnBarrier1Open = func(suspect, coordinator int) {
-		if armed || suspect != 1 {
+	f.coord.OnBarrier1Open = func(join bool, suspect, coordinator int) {
+		if join || armed || suspect != 1 {
 			return
 		}
 		armed = true
@@ -180,8 +180,8 @@ func TestSixteenCellCoordinatorDeathContained(t *testing.T) {
 	f.coord.OracleFailed = func(c int) bool { return failed[c] }
 	var deadCoord int
 	armed := false
-	f.coord.OnBarrier1Open = func(suspect, coordinator int) {
-		if armed || suspect != 5 {
+	f.coord.OnBarrier1Open = func(join bool, suspect, coordinator int) {
+		if join || armed || suspect != 5 {
 			return
 		}
 		armed = true

@@ -277,18 +277,12 @@ func (pt *Table) KillAll() {
 	pt.Each(func(p *Process) { pt.Kill(p) })
 }
 
-// KillDependents kills local processes that depend on any failed cell —
+// KillDependents kills local processes that depend on the failed cell —
 // the recovery step that bounds damage to users of the failed resources.
-func (pt *Table) KillDependents(failed map[int]bool) int {
+func (pt *Table) KillDependents(failed int) int {
 	n := 0
 	pt.Each(func(p *Process) {
-		doomed := false
-		for c := range p.Deps {
-			if failed[c] {
-				doomed = true
-			}
-		}
-		if doomed {
+		if p.Deps[failed] {
 			pt.Kill(p)
 			n++
 		}

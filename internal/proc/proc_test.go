@@ -153,7 +153,7 @@ func TestKillDependentsScopesToDeps(t *testing.T) {
 		}
 	})
 	f.e.Run(20 * sim.Millisecond)
-	killed := f.pts[0].KillDependents(map[int]bool{1: true})
+	killed := f.pts[0].KillDependents(1)
 	if killed != 1 {
 		t.Fatalf("killed = %d", killed)
 	}

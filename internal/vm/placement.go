@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
@@ -23,7 +22,7 @@ import (
 const MigrateCost sim.Time = 12 * sim.Microsecond
 
 // MigratePage moves the storage of a locally-cached page to a frame
-// allocated from target's memory. Restricted to pages with no current
+// borrowed from target's memory. Restricted to pages with no current
 // mappings or exports (migrating a shared page would require remapping
 // every client).
 func (v *VM) MigratePage(t *sim.Task, lp LogicalPage, target int) error {
@@ -38,8 +37,7 @@ func (v *VM) MigratePage(t *sim.Task, lp LogicalPage, target int) error {
 		return nil // already there
 	}
 
-	newFrame, err := v.AllocFrame(t, AllocOpts{Preferred: target, HasPreferred: true,
-		Acceptable: []int{target}})
+	newFrame, err := v.BorrowFrom(t, target)
 	if err != nil {
 		return err
 	}
@@ -59,13 +57,10 @@ func (v *VM) MigratePage(t *sim.Task, lp LogicalPage, target int) error {
 	}
 
 	// Rebind: the new frame's pfdat (created by the borrow) takes over
-	// the logical page; the old frame returns to the pool.
+	// the logical page; the old frame returns to the pool, or to its
+	// memory home if it was borrowed.
 	oldFrame := pf.Frame
 	npf := v.frames[newFrame]
-	if npf == nil {
-		npf = newPfdat(newFrame)
-		v.frames[newFrame] = npf
-	}
 	npf.LP = lp
 	npf.Valid = true
 	npf.Dirty = pf.Dirty
@@ -73,12 +68,7 @@ func (v *VM) MigratePage(t *sim.Task, lp LogicalPage, target int) error {
 
 	pf.Valid = false
 	pf.Dirty = false
-	if pf.Extended {
-		delete(v.frames, oldFrame)
-		v.ReturnFrames(t, []machine.PageNum{oldFrame})
-	} else {
-		v.free = append(v.free, oldFrame)
-	}
+	v.FreeFrame(t, oldFrame)
 	v.Metrics.Counter("vm.pages_migrated").Inc()
 	return nil
 }

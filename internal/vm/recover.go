@@ -57,10 +57,11 @@ func (v *VM) RecoveryPhase1(t *sim.Task) {
 }
 
 // RecoveryPhase2 revokes remote firewall grants, preemptively discards
-// pages writable by failed cells, and cleans up loans/borrows involving
-// them. It runs between the two barriers and returns the number of pages
-// discarded. failed maps cell IDs that the agreement round declared dead.
-func (v *VM) RecoveryPhase2(t *sim.Task, failed map[int]bool) (discarded int) {
+// pages writable by the failed cell, and cleans up loans/borrows
+// involving it. It runs between the two barriers and returns the number
+// of pages discarded. failed is the cell the agreement round declared
+// dead.
+func (v *VM) RecoveryPhase2(t *sim.Task, failed int) (discarded int) {
 	// 1. Local frames: revoke all remote write permission, discard pages
 	// writable by a failed cell (the pessimistic assumption of §3.1: all
 	// potentially damaged pages are treated as corrupted). Frames are
@@ -70,12 +71,7 @@ func (v *VM) RecoveryPhase2(t *sim.Task, failed map[int]bool) (discarded int) {
 		if !v.localFrame(f) {
 			continue
 		}
-		doomed := false
-		for c := range pf.writable {
-			if failed[c] {
-				doomed = true
-			}
-		}
+		doomed := pf.writable[failed]
 		if len(pf.writable) > 0 {
 			v.M.SetFirewall(t, v.proc(f), f, v.homeMask(f))
 		}
@@ -87,7 +83,7 @@ func (v *VM) RecoveryPhase2(t *sim.Task, failed map[int]bool) (discarded int) {
 		}
 		// 2. Frames loaned to failed cells come back scrubbed: the
 		// borrower could have written anything into them.
-		if pf.LoanedTo >= 0 && failed[pf.LoanedTo] {
+		if pf.LoanedTo == failed {
 			pf.LoanedTo = -1
 			v.M.SetFirewall(t, v.proc(f), f, v.homeMask(f))
 			v.M.ScrubPage(f, 0)
@@ -103,7 +99,7 @@ func (v *VM) RecoveryPhase2(t *sim.Task, failed map[int]bool) (discarded int) {
 	// 3. Frames borrowed from failed cells are gone with their memory.
 	var deadFree []int
 	for i, f := range v.free {
-		if pf := v.frames[f]; pf != nil && pf.BorrowedFrom >= 0 && failed[pf.BorrowedFrom] {
+		if pf := v.frames[f]; pf != nil && pf.BorrowedFrom == failed {
 			deadFree = append(deadFree, i)
 		}
 	}
@@ -114,7 +110,7 @@ func (v *VM) RecoveryPhase2(t *sim.Task, failed map[int]bool) (discarded int) {
 	}
 	for _, f := range v.sortedFrames() {
 		pf := v.frames[f]
-		if pf.BorrowedFrom >= 0 && failed[pf.BorrowedFrom] {
+		if pf.BorrowedFrom == failed {
 			// The page's data lived in failed memory: discard it.
 			if pf.Valid {
 				v.discardPage(pf)

@@ -31,52 +31,20 @@ type returnArgs struct {
 	Frames []machine.PageNum
 }
 
-// AllocOpts constrains frame allocation (§5.4: the page allocator takes a
-// set of acceptable cells and one preferred cell).
-type AllocOpts struct {
-	// Preferred is the cell to allocate from if possible; meaningful
-	// only when HasPreferred is set.
-	Preferred    int
-	HasPreferred bool
-	// Acceptable restricts which cells may provide the frame (nil = any).
-	Acceptable []int
-}
-
 // AllocFrame allocates one page frame, borrowing from a remote memory home
 // when the local pool is empty (demand-driven frame loaning, §5.4, with
 // targets ordered by Wax's allocation hints).
-func (v *VM) AllocFrame(t *sim.Task, opts AllocOpts) (machine.PageNum, error) {
-	acceptable := func(cell int) bool {
-		if opts.Acceptable == nil {
-			return true
-		}
-		for _, c := range opts.Acceptable {
-			if c == cell {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Preferred remote cell first, if asked and allowed.
-	if opts.HasPreferred && opts.Preferred != v.CellID && acceptable(opts.Preferred) {
-		if f, err := v.borrowFrom(t, opts.Preferred); err == nil {
-			return f, nil
-		}
-	}
-
-	if acceptable(v.CellID) {
-		if f, ok := v.popLocalFree(false); ok {
-			return f, nil
-		}
+func (v *VM) AllocFrame(t *sim.Task) (machine.PageNum, error) {
+	if f, ok := v.popLocalFree(false); ok {
+		return f, nil
 	}
 
 	// Local pool dry: borrow along Wax's target list, then any peer.
 	tried := map[int]bool{v.CellID: true}
 	for _, c := range v.AllocTargets {
-		if !tried[c] && acceptable(c) {
+		if !tried[c] {
 			tried[c] = true
-			if f, err := v.borrowFrom(t, c); err == nil {
+			if f, err := v.BorrowFrom(t, c); err == nil {
 				return f, nil
 			}
 		}
@@ -87,9 +55,9 @@ func (v *VM) AllocFrame(t *sim.Task, opts AllocOpts) (machine.PageNum, error) {
 	}
 	sort.Ints(peers)
 	for _, c := range peers {
-		if !tried[c] && acceptable(c) {
+		if !tried[c] {
 			tried[c] = true
-			if f, err := v.borrowFrom(t, c); err == nil {
+			if f, err := v.BorrowFrom(t, c); err == nil {
 				return f, nil
 			}
 		}
@@ -123,9 +91,9 @@ func (v *VM) FreeFrame(t *sim.Task, f machine.PageNum) {
 	v.free = append(v.free, f)
 }
 
-// borrowFrom requests a batch of frames from the given memory home and
+// BorrowFrom requests a batch of frames from the given memory home and
 // returns one of them, pooling the rest (Table 5.1: borrow_frame).
-func (v *VM) borrowFrom(t *sim.Task, home int) (machine.PageNum, error) {
+func (v *VM) BorrowFrom(t *sim.Task, home int) (machine.PageNum, error) {
 	v.anyProc().Use(t, BorrowCost)
 	res, err := v.EP.Call(t, v.anyProc(), home, ProcBorrow,
 		&borrowArgs{Client: v.CellID, Count: v.BorrowBatch},

@@ -27,7 +27,7 @@ func (r *fakeResolver) ResolvePage(t *sim.Task, lp LogicalPage, write bool) (*Pf
 		if r.diskTime > 0 {
 			t.Sleep(r.diskTime)
 		}
-		f, err := v.AllocFrame(t, AllocOpts{})
+		f, err := v.AllocFrame(t)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +244,7 @@ func TestBorrowAndReturnFrames(t *testing.T) {
 				break
 			}
 		}
-		frame, err := f.vms[0].AllocFrame(tk, AllocOpts{})
+		frame, err := f.vms[0].AllocFrame(tk)
 		if err != nil {
 			t.Fatalf("alloc with empty pool: %v", err)
 		}
@@ -274,7 +274,7 @@ func TestLoanPreservesDeadlockReserve(t *testing.T) {
 				break
 			}
 		}
-		if _, err := f.vms[0].AllocFrame(tk, AllocOpts{}); err != nil {
+		if _, err := f.vms[0].AllocFrame(tk); err != nil {
 			t.Fatalf("borrow: %v", err)
 		}
 		if free := f.vms[1].FreePages(); free < 16 {
@@ -292,27 +292,12 @@ func TestWaxAllocTargetPreferred(t *testing.T) {
 			}
 		}
 		f.vms[0].AllocTargets = []int{2}
-		frame, err := f.vms[0].AllocFrame(tk, AllocOpts{})
+		frame, err := f.vms[0].AllocFrame(tk)
 		if err != nil {
 			t.Fatalf("alloc: %v", err)
 		}
 		if f.m.HomeNode(frame) != 2 {
 			t.Errorf("frame from node %d, Wax said cell 2", f.m.HomeNode(frame))
-		}
-	})
-}
-
-func TestPreferredAllocation(t *testing.T) {
-	// §5.5 CC-NUMA optimization: the data home places a page in the
-	// memory of the client cell that faulted to it.
-	f := newFixture(t, 2)
-	f.run(t, func(tk *sim.Task) {
-		frame, err := f.vms[0].AllocFrame(tk, AllocOpts{Preferred: 1, HasPreferred: true})
-		if err != nil {
-			t.Fatalf("alloc: %v", err)
-		}
-		if f.m.HomeNode(frame) != 1 {
-			t.Errorf("preferred allocation landed on node %d", f.m.HomeNode(frame))
 		}
 	})
 }
@@ -323,7 +308,7 @@ func TestReimportOfLoanedFrameReusesPfdat(t *testing.T) {
 	f := newFixture(t, 2)
 	f.run(t, func(tk *sim.Task) {
 		// Cell 1 borrows a frame from cell 0 and stores file data in it.
-		frame, err := f.vms[1].borrowFrom(tk, 0)
+		frame, err := f.vms[1].BorrowFrom(tk, 0)
 		if err != nil {
 			t.Fatalf("borrow: %v", err)
 		}
@@ -391,13 +376,12 @@ func TestRecoveryDiscardsPagesWritableByFailedCell(t *testing.T) {
 
 		// Cell 0 fails; cells 1 and 2 run recovery.
 		f.m.Nodes[0].FailStop()
-		failed := map[int]bool{0: true}
 		for _, c := range []int{1, 2} {
 			f.vms[c].RecoveryPhase1(tk)
 		}
 		disc := 0
 		for _, c := range []int{1, 2} {
-			disc += f.vms[c].RecoveryPhase2(tk, failed)
+			disc += f.vms[c].RecoveryPhase2(tk, 0)
 		}
 		for _, c := range []int{1, 2} {
 			f.vms[c].RecoveryFinish()
@@ -426,22 +410,21 @@ func TestRecoveryReclaimsLoansAndDropsBorrows(t *testing.T) {
 	f := newFixture(t, 3)
 	f.run(t, func(tk *sim.Task) {
 		// Cell 0 borrows from cell 1; cell 1 borrows from cell 0.
-		fr01, err := f.vms[0].borrowFrom(tk, 1)
+		fr01, err := f.vms[0].BorrowFrom(tk, 1)
 		if err != nil {
 			t.Fatalf("borrow: %v", err)
 		}
-		if _, err := f.vms[1].borrowFrom(tk, 0); err != nil {
+		if _, err := f.vms[1].BorrowFrom(tk, 0); err != nil {
 			t.Fatalf("borrow: %v", err)
 		}
 		freeBefore := f.vms[1].FreePages()
 
 		// Cell 0 fails.
 		f.m.Nodes[0].FailStop()
-		failed := map[int]bool{0: true}
 		f.vms[1].RecoveryPhase1(tk)
 		f.vms[2].RecoveryPhase1(tk)
-		f.vms[1].RecoveryPhase2(tk, failed)
-		f.vms[2].RecoveryPhase2(tk, failed)
+		f.vms[1].RecoveryPhase2(tk, 0)
+		f.vms[2].RecoveryPhase2(tk, 0)
 		f.vms[1].RecoveryFinish()
 		f.vms[2].RecoveryFinish()
 
@@ -481,7 +464,7 @@ func TestFaultsHeldDuringRecovery(t *testing.T) {
 			f.vms[0].Unref(tk2, pf)
 		})
 		tk.Sleep(5 * sim.Millisecond)
-		f.vms[0].RecoveryPhase2(tk, map[int]bool{1: true})
+		f.vms[0].RecoveryPhase2(tk, 1)
 		f.vms[0].RecoveryFinish()
 	})
 	if faultDone < 5*sim.Millisecond {
@@ -497,7 +480,7 @@ func TestExportRefusedDuringRecovery(t *testing.T) {
 		// End recovery 3 ms later so the client's retry loop succeeds.
 		f.e.At(f.e.Now()+3*sim.Millisecond, func() {
 			f.e.Go("finish", func(tk2 *sim.Task) {
-				f.vms[1].RecoveryPhase2(tk2, map[int]bool{})
+				f.vms[1].RecoveryPhase2(tk2, 2) // no cell of this fixture failed
 				f.vms[1].RecoveryFinish()
 			})
 		})
@@ -523,7 +506,7 @@ func TestBorrowSanityCheckRejectsForgedFrames(t *testing.T) {
 			return &borrowReply{Frames: []machine.PageNum{lo}}, 0, true, nil
 		}, nil)
 	f.run(t, func(tk *sim.Task) {
-		_, err := f.vms[0].borrowFrom(tk, 1)
+		_, err := f.vms[0].BorrowFrom(tk, 1)
 		if !errors.Is(err, ErrBadPage) {
 			t.Errorf("forged borrow err = %v", err)
 		}
@@ -535,7 +518,7 @@ func TestFirewallServiceRejectsNonBorrower(t *testing.T) {
 	// corrupt third cell must be refused.
 	f := newFixture(t, 3)
 	f.run(t, func(tk *sim.Task) {
-		frame, err := f.vms[1].borrowFrom(tk, 0)
+		frame, err := f.vms[1].BorrowFrom(tk, 0)
 		if err != nil {
 			t.Fatalf("borrow: %v", err)
 		}
@@ -589,7 +572,7 @@ func TestClockHandEvictsUnderPressure(t *testing.T) {
 		off := int64(0)
 		for v.FreePages() > 8 {
 			lp := filePage(0, 50, off)
-			frame, err := v.AllocFrame(tk, AllocOpts{Acceptable: []int{0}})
+			frame, err := v.AllocFrame(tk)
 			if err != nil {
 				break
 			}
@@ -630,7 +613,7 @@ func TestClockHandSkipsPinnedAndExported(t *testing.T) {
 			return
 		}
 		lp2 := filePage(0, 61, 0)
-		frame, _ := v.AllocFrame(tk, AllocOpts{Acceptable: []int{0}})
+		frame, _ := v.AllocFrame(tk)
 		pf2 := v.InsertLocal(lp2, frame, false)
 		v.Export(tk, pf2, 1, false)
 		v.Lock.Lock(tk)
@@ -687,6 +670,34 @@ func TestMigratePageMovesStorage(t *testing.T) {
 			t.Fatalf("refault: %v", err)
 		}
 		f.vms[0].Unref(tk, pf2)
+	})
+}
+
+func TestMigrateOffBorrowedFrameReturnsLoan(t *testing.T) {
+	// A page migrated off a borrowed frame gives that frame back to its
+	// memory home, which must then stop loaning it to a borrower that no
+	// longer tracks it.
+	f := newFixture(t, 3)
+	f.run(t, func(tk *sim.Task) {
+		lp := filePage(0, 82, 0)
+		pf, err := f.vms[0].Fault(tk, lp, false)
+		if err != nil {
+			t.Fatalf("fault: %v", err)
+		}
+		f.vms[0].Unref(tk, pf)
+		if err := f.vms[0].MigratePage(tk, lp, 1); err != nil {
+			t.Fatalf("migrate to cell 1: %v", err)
+		}
+		f.vms[0].ReturnUnusedBorrows(tk, 1)
+		if got := f.vms[1].LoanedFrames(); got != 1 {
+			t.Fatalf("cell 1 loans %d frames, want the one holding the page", got)
+		}
+		if err := f.vms[0].MigratePage(tk, lp, 2); err != nil {
+			t.Fatalf("migrate to cell 2: %v", err)
+		}
+		if got := f.vms[1].LoanedFrames(); got != 0 {
+			t.Errorf("cell 1 still loans %d frames after the page left them", got)
+		}
 	})
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/proc"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 func testHive() *core.Hive {
@@ -45,7 +44,7 @@ func TestWaxRetargetsAllocationUnderPressure(t *testing.T) {
 	h.Eng.Go("drain", func(tk *sim.Task) {
 		v := h.Cells[0].VM
 		for v.FreePages() > 8 {
-			f, err := v.AllocFrame(tk, vm.AllocOpts{Acceptable: []int{0}})
+			f, err := v.AllocFrame(tk)
 			if err != nil {
 				break
 			}
@@ -146,11 +145,11 @@ func TestClockHandReturnsIdleBorrows(t *testing.T) {
 		v := h.Cells[0].VM
 		// Drain local pool, then borrow from cell 1.
 		for v.FreePages() > 0 {
-			if _, err := v.AllocFrame(tk, vm.AllocOpts{Acceptable: []int{0}}); err != nil {
+			if _, err := v.AllocFrame(tk); err != nil {
 				break
 			}
 		}
-		if _, err := v.AllocFrame(tk, vm.AllocOpts{Acceptable: []int{1}}); err != nil {
+		if _, err := v.BorrowFrom(tk, 1); err != nil {
 			t.Errorf("borrow: %v", err)
 		}
 		// Free one borrowed frame back into the local pool so it is idle.
