@@ -32,14 +32,16 @@ lint-report:
 	$(GO) run ./cmd/hivelint -json -budget 30s > hivelint.json
 
 # check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
-# hivelint, full test suite, the race detector over the packages that
-# actually use OS-level concurrency (the parallel trial runner) plus the
-# engine it drives, and the observability byte-identity gate.
+# hivelint, full test suite, one pass of the state-scan benchmarks (so
+# they keep compiling and running), the race detector over the packages
+# that actually use OS-level concurrency (the parallel trial runner) plus
+# the engine it drives, and the observability byte-identity gate.
 check: build
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants' -benchtime 1x ./internal/trace ./internal/core
 	$(GO) test -race ./internal/parallel/... ./internal/sim/...
 	$(MAKE) trace-check
 	$(MAKE) mort-check
@@ -58,12 +60,13 @@ frontend-smoke:
 # and across repeated same-seed runs; the Chrome export and the forensic
 # report of four golden trials must match their pinned digests, so a
 # change to the kind table or the span pairer shows across commits; and
-# trace.Pair, the kind table and the exporter must keep their rules.
+# trace.Pair, the kind table, the exporter, the ordered merge and the
+# growing control rings must keep their rules.
 # Runs the targeted tests with -count=1 so a cached pass never masks a
 # regression.
 trace-check:
 	$(GO) test -count=1 -run 'TestTraceAndMetricsDeterminism|TestGoldenRenderings' ./internal/faultinject/
-	$(GO) test -count=1 -run 'TestExportChromePairsSpans|TestSetMergeTotalOrder|TestSpanPropagationAcrossCells|TestPair|TestKindTableComplete|TestExportNamesRebootAndRejoin' ./internal/trace/
+	$(GO) test -count=1 -run 'TestExportChromePairsSpans|TestSetMergeTotalOrder|TestMergedMatchesStableSort|TestGrowingRingMatchesWholeRing|TestSpanPropagationAcrossCells|TestPair|TestKindTableComplete|TestExportNamesRebootAndRejoin' ./internal/trace/
 
 # drill-smoke is the fast end-to-end campaign gate: one trial of every
 # scenario (paper rows and v2 extensions) through the faultdrill CLI,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/vm"
@@ -35,15 +34,17 @@ func (h *Hive) CheckInvariants() []string {
 	}
 	live := func(c int) bool { return c >= 0 && c < len(h.Cells) && !h.Cells[c].Failed() }
 
-	controller := make(map[machine.PageNum]int)
+	// controller[f] is the live cell controlling frame f, or -1.
+	controller := make([]int, h.M.NumPages())
+	for f := range controller {
+		controller[f] = -1
+	}
 	for _, c := range h.LiveCells() {
 		v := c.VM
 
 		// 1. Hash/frames coherence. Maps are audited in sorted key
 		// order so the violation report is deterministic.
-		hash := v.Hash()
-		for _, lp := range vm.SortedPages(hash) {
-			pf := hash[lp]
+		v.WalkHash(func(lp vm.LogicalPage, pf *vm.Pfdat) {
 			if !pf.Valid {
 				report("cell%d: hash entry %v not Valid", c.ID, lp)
 			}
@@ -56,7 +57,7 @@ func (h *Hive) CheckInvariants() []string {
 			if pf.Refs < 0 {
 				report("cell%d: %v has negative refs %d", c.ID, lp, pf.Refs)
 			}
-		}
+		})
 
 		// 2. Free-pool hygiene.
 		seen := map[machine.PageNum]bool{}
@@ -78,28 +79,39 @@ func (h *Hive) CheckInvariants() []string {
 			}
 		}
 
-		// 3. Ownership claims (resolved after the loop).
-		frames := v.FramesOfCell()
-		for _, f := range sortedFrameKeys(frames) {
-			pf := frames[f]
+		// 3. Ownership claims (resolved after the loop). The same walk
+		// counts loans and borrows against the VM's counters.
+		loaned, borrowed := 0, 0
+		v.WalkFrames(func(pf *vm.Pfdat) {
+			f := pf.Frame
+			if pf.LoanedTo >= 0 {
+				loaned++
+			}
+			if pf.BorrowedFrom >= 0 {
+				borrowed++
+			}
 			owner := h.CellOfNode[h.M.HomeNode(f)]
 			claims := owner == c.ID && pf.LoanedTo < 0 ||
 				pf.BorrowedFrom >= 0 // borrower's claim
 			if !claims {
-				continue
+				return
 			}
-			if prev, dup := controller[f]; dup && prev != c.ID {
+			if prev := controller[f]; prev >= 0 && prev != c.ID {
 				report("frame %d controlled by both cell%d and cell%d", f, prev, c.ID)
 			}
 			controller[f] = c.ID
+		})
+		if n := v.LoanedFrames(); n != loaned {
+			report("cell%d: loaned count %d, table has %d", c.ID, n, loaned)
+		}
+		if n := v.BorrowedFrames(); n != borrowed {
+			report("cell%d: borrowed count %d, table has %d", c.ID, n, borrowed)
 		}
 	}
 
 	// 4. Export/import symmetry among live cells.
 	for _, c := range h.LiveCells() {
-		hash := c.VM.Hash()
-		for _, lp := range vm.SortedPages(hash) {
-			pf := hash[lp]
+		c.VM.WalkHash(func(lp vm.LogicalPage, pf *vm.Pfdat) {
 			if pf.ImportedFrom >= 0 && live(pf.ImportedFrom) {
 				home := h.Cells[pf.ImportedFrom].VM
 				hpf, ok := home.Lookup(lp)
@@ -119,17 +131,22 @@ func (h *Hive) CheckInvariants() []string {
 						c.ID, lp, client)
 				}
 			}
-		}
+		})
 	}
 
 	// 5. Firewall soundness for live cells' local frames (and the loan
 	// half of invariant 3).
+	masks := make([]uint64, len(h.Cells))
+	for i, c := range h.Cells {
+		for _, n := range c.Nodes {
+			masks[i] |= h.M.NodeProcMask(n)
+		}
+	}
 	for _, c := range h.LiveCells() {
-		frames := c.VM.FramesOfCell()
-		for _, f := range sortedFrameKeys(frames) {
-			pf := frames[f]
+		c.VM.WalkFrames(func(pf *vm.Pfdat) {
+			f := pf.Frame
 			if h.CellOfNode[h.M.HomeNode(f)] != c.ID {
-				continue
+				return
 			}
 			// The other half of invariant 3: a loan the borrower has
 			// forgotten leaves the frame controlled by no live cell.
@@ -143,11 +160,7 @@ func (h *Hive) CheckInvariants() []string {
 				if other == c.ID || !live(other) {
 					continue
 				}
-				mask := h.M.NodeProcMask(h.Cells[other].Nodes[0])
-				for _, n := range h.Cells[other].Nodes {
-					mask |= h.M.NodeProcMask(n)
-				}
-				if fw&mask == 0 {
+				if fw&masks[other] == 0 {
 					continue // not writable by that cell
 				}
 				if !pf.WritableBy(other) && pf.LoanedTo != other {
@@ -166,18 +179,7 @@ func (h *Hive) CheckInvariants() []string {
 						c.ID, f, other)
 				}
 			}
-		}
+		})
 	}
 	return bad
-}
-
-// sortedFrameKeys returns m's frame numbers ascending, the deterministic
-// iteration order for frame-map audits.
-func sortedFrameKeys(m map[machine.PageNum]*vm.Pfdat) []machine.PageNum {
-	out := make([]machine.PageNum, 0, len(m))
-	for f := range m {
-		out = append(out, f)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -145,3 +145,15 @@ func TestCheckCatchesFirewallOpenWithoutGrant(t *testing.T) {
 	}
 	expectViolation(t, h, "without export or loan")
 }
+
+func TestCheckCatchesLoanCountDrift(t *testing.T) {
+	// Class 3, ownership: the VM's loaned count must match its frames. A
+	// loan recorded behind the counter's back shows as drift.
+	h, pf := newSharingHive(t)
+	home, ok := h.Cells[1].VM.PfdatFor(pf.Frame)
+	if !ok {
+		t.Fatalf("data home has no pfdat for frame %d", pf.Frame)
+	}
+	home.LoanedTo = 0
+	expectViolation(t, h, "cell1: loaned count 0, table has 1")
+}

@@ -22,7 +22,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -365,27 +364,46 @@ func Pair(events []Event, span func(begin, end Event), instant func(Event)) (ope
 // simulation it runs on the engine's single logical thread.
 type Ring struct {
 	cap     int
-	events  []Event
+	events  []Event // storage: cap events, or fewer while a growing ring fills
 	next    int
 	wrapped bool
 	dropped uint64
 }
 
-// NewRing returns a ring holding the last n events.
-func NewRing(n int) *Ring {
+// growStart is a growing ring's first storage size, in events.
+const growStart = 256
+
+// NewRing returns a ring holding the last n events (256 when n <= 0),
+// its storage allocated whole.
+func NewRing(n int) *Ring { return newRing(n, false) }
+
+// newGrowingRing returns a ring like NewRing(n) whose storage starts at
+// growStart events and doubles, up to its cap, as it fills. It keeps
+// exactly the events, and wraps exactly where, a ring allocated whole
+// would.
+func newGrowingRing(n int) *Ring { return newRing(n, true) }
+
+func newRing(n int, growing bool) *Ring {
 	if n <= 0 {
 		n = 256
 	}
-	return &Ring{cap: n, events: make([]Event, n)}
+	size := n
+	if growing {
+		size = min(n, growStart)
+	}
+	return &Ring{cap: n, events: make([]Event, size)}
 }
 
 // Record appends an event. It stores typed fields only — no formatting,
-// no allocation (see BenchmarkRecord). Once the ring has wrapped, every
-// further record overwrites the oldest held event; the overwrite is
-// counted so truncation is never silent.
+// no allocation (see BenchmarkRecord), except when a growing ring's
+// storage doubles. Once the ring has wrapped, every further record
+// overwrites the oldest held event; the overwrite is counted so
+// truncation is never silent.
 func (r *Ring) Record(e Event) {
 	if r.wrapped {
 		r.dropped++
+	} else if r.next == len(r.events) {
+		r.grow()
 	}
 	r.events[r.next] = e
 	r.next++
@@ -395,20 +413,28 @@ func (r *Ring) Record(e Event) {
 	}
 }
 
+// grow doubles a full growing ring's storage, up to its cap. The size is
+// set explicitly: append's growth factor for large slices is about 1.25,
+// which would allocate several times the final size in all.
+func (r *Ring) grow() {
+	events := make([]Event, min(2*len(r.events), r.cap))
+	copy(events, r.events)
+	r.events = events
+}
+
 // Dropped reports how many events have been overwritten since the ring
 // filled. The held window always covers [first kept, now]; Dropped says
 // how much history before that window is gone.
 func (r *Ring) Dropped() uint64 { return r.dropped }
 
-// Events returns the held events oldest-first.
-func (r *Ring) Events() []Event {
+// held returns the ring's held events in place as two runs, each oldest
+// first: the older run, then the newer. Until the ring wraps the older
+// run is everything and the newer one is empty.
+func (r *Ring) held() (older, newer []Event) {
 	if !r.wrapped {
-		return append([]Event(nil), r.events[:r.next]...)
+		return r.events[:r.next], nil
 	}
-	out := make([]Event, 0, r.cap)
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
+	return r.events[r.next:], r.events[:r.next]
 }
 
 // Set is the machine-wide trace: per-cell rings, the shared sequence
@@ -431,7 +457,7 @@ func NewSet(cells, capPerCell int) *Set {
 	}
 	s := &Set{}
 	for i := 0; i < cells; i++ {
-		s.ctl = append(s.ctl, NewRing(capPerCell))
+		s.ctl = append(s.ctl, newGrowingRing(capPerCell))
 		s.data = append(s.data, NewRing(capPerCell))
 	}
 	return s
@@ -502,15 +528,75 @@ func (s *Set) Tracer(cell int) *Tracer {
 }
 
 // Merged returns every held event from every cell in one stream, totally
-// ordered by sequence number (the engine's dispatch order).
+// ordered by sequence number (the engine's dispatch order). Each ring
+// holds at most two runs already in sequence order, so Merged merges the
+// runs in place into one exactly sized slice, with no sort.
 func (s *Set) Merged() []Event {
-	var out []Event
+	runs := make([][]Event, 0, 4*len(s.ctl))
+	n := 0
 	for i := range s.ctl {
-		out = append(out, s.ctl[i].Events()...)
-		out = append(out, s.data[i].Events()...)
+		for _, r := range [2]*Ring{s.ctl[i], s.data[i]} {
+			older, newer := r.held()
+			for _, run := range [2][]Event{older, newer} {
+				if len(run) > 0 {
+					runs = append(runs, run)
+					n += len(run)
+				}
+			}
+		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
+	return mergeRuns(make([]Event, 0, n), runs)
+}
+
+// mergeRuns appends the events of runs, each in ascending Seq order, to
+// out in ascending Seq order. The runs form a min-heap on their first
+// Seq; the lowest run gives up every event below the next run's first
+// before the heap is fixed again, so a burst from one ring costs one
+// heap fix rather than one per event.
+func mergeRuns(out []Event, runs [][]Event) []Event {
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		siftRun(runs, i)
+	}
+	for len(runs) > 1 {
+		top := runs[0]
+		next := runs[1][0].Seq
+		if len(runs) > 2 && runs[2][0].Seq < next {
+			next = runs[2][0].Seq
+		}
+		k := 1
+		for k < len(top) && top[k].Seq < next {
+			k++
+		}
+		out = append(out, top[:k]...)
+		if k < len(top) {
+			runs[0] = top[k:]
+		} else {
+			runs[0] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+		siftRun(runs, 0)
+	}
+	if len(runs) == 1 {
+		out = append(out, runs[0]...)
+	}
 	return out
+}
+
+// siftRun restores the min-heap order of runs below index i.
+func siftRun(runs [][]Event, i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(runs) && runs[c][0].Seq < runs[least][0].Seq {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		runs[i], runs[least] = runs[least], runs[i]
+		i = least
+	}
 }
 
 // Filter returns the merged events of one kind.

@@ -44,8 +44,14 @@ func TestRingWraps(t *testing.T) {
 }
 
 func TestZeroCapacityDefaults(t *testing.T) {
-	if r := NewRing(0); r.cap != 256 {
-		t.Errorf("cap = %d, want 256", r.cap)
+	for _, r := range []*Ring{NewRing(0), newGrowingRing(0)} {
+		if r.cap != 256 {
+			t.Errorf("cap = %d, want 256", r.cap)
+		}
+		r.Record(Event{Kind: Info})
+		if got := len(r.Events()); got != 1 {
+			t.Errorf("held %d events after one record, want 1", got)
+		}
 	}
 }
 

@@ -46,10 +46,7 @@ type ClockHand struct {
 
 // StartClockHand launches the daemon for this VM.
 func (v *VM) StartClockHand(writeback func(t *sim.Task, lp LogicalPage) bool) *ClockHand {
-	total := 0
-	for range v.frames {
-		total++
-	}
+	total := v.numFrames()
 	ch := &ClockHand{
 		v:         v,
 		Writeback: writeback,
@@ -93,8 +90,8 @@ func (ch *ClockHand) Sweep(t *sim.Task, target int) int {
 		for n := 0; n < len(ch.sweep) && v.FreePages() < target; n++ {
 			ch.hand = (ch.hand + 1) % len(ch.sweep)
 			f := ch.sweep[ch.hand]
-			pf, ok := v.frames[f]
-			if !ok || !pf.Valid || pf.Refs > 0 || pf.Exported() || pf.Kernel {
+			pf := v.pfdat(f)
+			if pf == nil || !pf.Valid || pf.Refs > 0 || pf.Exported() || pf.Kernel {
 				continue
 			}
 			if pf.ImportedFrom >= 0 {
@@ -122,7 +119,7 @@ func (ch *ClockHand) Sweep(t *sim.Task, target int) int {
 
 // rebuild refreshes the sweep order if the frame population changed.
 func (ch *ClockHand) rebuild() {
-	if len(ch.sweep) == len(ch.v.frames) {
+	if len(ch.sweep) == ch.v.numFrames() {
 		return
 	}
 	ch.sweep = ch.v.sortedFrames()

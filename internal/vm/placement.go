@@ -60,7 +60,7 @@ func (v *VM) MigratePage(t *sim.Task, lp LogicalPage, target int) error {
 	// the logical page; the old frame returns to the pool, or to its
 	// memory home if it was borrowed.
 	oldFrame := pf.Frame
-	npf := v.frames[newFrame]
+	npf := v.pfdat(newFrame)
 	npf.LP = lp
 	npf.Valid = true
 	npf.Dirty = pf.Dirty
@@ -80,12 +80,14 @@ func (v *VM) MigratePage(t *sim.Task, lp LogicalPage, target int) error {
 // Returns pages moved.
 func (v *VM) RebalanceToward(t *sim.Task, target, n int) int {
 	moved := 0
+	// A snapshot: each migration borrows a batch of frames, which this
+	// sweep must not visit.
 	for _, f := range v.sortedFrames() {
 		if moved >= n {
 			break
 		}
-		pf := v.frames[f]
-		if !pf.Valid {
+		pf := v.pfdat(f)
+		if pf == nil || !pf.Valid {
 			continue
 		}
 		if v.MigratePage(t, pf.LP, target) == nil {

@@ -1,9 +1,6 @@
 package vm
 
 import (
-	"sort"
-
-	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
@@ -41,7 +38,7 @@ func (v *VM) RecoveryPhase1(t *sim.Task) {
 	// process holding a mapping will re-fault after recovery. Pages are
 	// visited in logical-page order so the drop sequence (and the
 	// resulting free-list order) is deterministic.
-	for _, lp := range SortedPages(v.hash) {
+	for _, lp := range sortedPages(v.hash) {
 		pf := v.hash[lp]
 		if pf.ImportedFrom >= 0 {
 			pf.ImportedFrom = -1 // neutralize so stale Unref sends no RPC
@@ -49,7 +46,7 @@ func (v *VM) RecoveryPhase1(t *sim.Task) {
 			pf.Valid = false
 			delete(v.hash, lp)
 			if pf.Extended {
-				delete(v.frames, pf.Frame)
+				v.dropExtended(pf.Frame)
 			}
 			v.Metrics.Counter("vm.recovery_imports_dropped").Inc()
 		}
@@ -65,12 +62,12 @@ func (v *VM) RecoveryPhase2(t *sim.Task, failed int) (discarded int) {
 	// 1. Local frames: revoke all remote write permission, discard pages
 	// writable by a failed cell (the pessimistic assumption of §3.1: all
 	// potentially damaged pages are treated as corrupted). Frames are
-	// visited in page order so recovery is deterministic.
-	for _, f := range v.sortedFrames() {
-		pf := v.frames[f]
-		if !v.localFrame(f) {
-			continue
-		}
+	// visited in page order so recovery is deterministic. The firewall
+	// changes can block, but the regular table never changes, so it is
+	// walked in place.
+	for i := range v.regular {
+		pf := &v.regular[i]
+		f := pf.Frame
 		doomed := pf.writable[failed]
 		if len(pf.writable) > 0 {
 			v.M.SetFirewall(t, v.proc(f), f, v.homeMask(f))
@@ -84,7 +81,7 @@ func (v *VM) RecoveryPhase2(t *sim.Task, failed int) (discarded int) {
 		// 2. Frames loaned to failed cells come back scrubbed: the
 		// borrower could have written anything into them.
 		if pf.LoanedTo == failed {
-			pf.LoanedTo = -1
+			v.setLoan(pf, -1)
 			v.M.SetFirewall(t, v.proc(f), f, v.homeMask(f))
 			v.M.ScrubPage(f, 0)
 			if pf.Valid {
@@ -97,26 +94,27 @@ func (v *VM) RecoveryPhase2(t *sim.Task, failed int) (discarded int) {
 	}
 
 	// 3. Frames borrowed from failed cells are gone with their memory.
+	// Only extended pfdats are borrowed.
 	var deadFree []int
 	for i, f := range v.free {
-		if pf := v.frames[f]; pf != nil && pf.BorrowedFrom == failed {
+		if pf := v.pfdat(f); pf != nil && pf.BorrowedFrom == failed {
 			deadFree = append(deadFree, i)
 		}
 	}
 	for i := len(deadFree) - 1; i >= 0; i-- {
 		idx := deadFree[i]
-		delete(v.frames, v.free[idx])
+		v.dropExtended(v.free[idx])
 		v.free = append(v.free[:idx], v.free[idx+1:]...)
 	}
-	for _, f := range v.sortedFrames() {
-		pf := v.frames[f]
+	for _, f := range v.extendedFrames() {
+		pf := v.extended[f]
 		if pf.BorrowedFrom == failed {
 			// The page's data lived in failed memory: discard it.
 			if pf.Valid {
 				v.discardPage(pf)
 				discarded++
 			}
-			delete(v.frames, f)
+			v.dropExtended(f)
 			v.Metrics.Counter("vm.recovery_borrows_lost").Inc()
 		}
 	}
@@ -153,35 +151,13 @@ func (v *VM) InRecovery() bool { return v.holdFaults }
 // used when this cell learns c rebooted (reintegration) — stale references
 // must not survive into c's next incarnation.
 func (v *VM) DropPeerState(c int) {
-	for _, f := range v.sortedFrames() {
-		pf := v.frames[f]
+	v.WalkFrames(func(pf *Pfdat) {
 		delete(pf.exports, c)
 		delete(pf.writable, c)
 		if pf.LoanedTo == c {
-			pf.LoanedTo = -1
+			v.setLoan(pf, -1)
 			v.M.ScrubPage(pf.Frame, 0)
 			v.free = append(v.free, pf.Frame)
 		}
-	}
-}
-
-// FramesOfCell lists this cell's pfdats whose frames live on node n; used
-// by diagnostics and tests.
-func (v *VM) FramesOfCell() map[machine.PageNum]*Pfdat {
-	out := make(map[machine.PageNum]*Pfdat, len(v.frames))
-	for f, pf := range v.frames {
-		out[f] = pf
-	}
-	return out
-}
-
-// sortedFrames returns the frame numbers this cell tracks, ascending —
-// state-mutating sweeps iterate in this order so runs stay deterministic.
-func (v *VM) sortedFrames() []machine.PageNum {
-	out := make([]machine.PageNum, 0, len(v.frames))
-	for f := range v.frames {
-		out = append(out, f)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	})
 }

@@ -131,11 +131,11 @@ func (v *VM) Import(t *sim.Task, frame machine.PageNum, dataHome int, lp Logical
 	// §5.5: when a loaned frame's page is imported back by its memory
 	// home, the preexisting pfdat is reused — the logical-level and
 	// physical-level state machines use separate storage.
-	pf, ok := v.frames[frame]
-	if !ok {
+	pf := v.pfdat(frame)
+	if pf == nil {
 		pf = newPfdat(frame)
 		pf.Extended = true
-		v.frames[frame] = pf
+		v.addExtended(pf)
 	}
 	pf.LP = lp
 	pf.Valid = true
@@ -153,7 +153,7 @@ func (v *VM) Release(t *sim.Task, pf *Pfdat) {
 	v.anyProc().Use(t, ReleaseCost)
 	delete(v.hash, pf.LP)
 	if pf.Extended {
-		delete(v.frames, pf.Frame)
+		v.dropExtended(pf.Frame)
 	} else {
 		pf.Valid = false
 	}
@@ -304,7 +304,7 @@ func (v *VM) validateFirewallArgs(req *rpc.Request) (*firewallArgs, error) {
 	if !v.frameExists(args.Frame) || !v.localFrame(args.Frame) {
 		return nil, fmt.Errorf("%w: frame %d not local", ErrBadPage, args.Frame)
 	}
-	pf := v.frames[args.Frame]
+	pf := v.pfdat(args.Frame)
 	if pf == nil || pf.LoanedTo != req.From {
 		return nil, fmt.Errorf("%w: frame %d not loaned to cell %d",
 			ErrBadPage, args.Frame, req.From)

@@ -83,7 +83,7 @@ func (v *VM) popLocalFree(ownedOnly bool) (machine.PageNum, bool) {
 // memory home as soon as their data is no longer in use — the paper's
 // current (admittedly eager) policy (§5.4).
 func (v *VM) FreeFrame(t *sim.Task, f machine.PageNum) {
-	pf := v.frames[f]
+	pf := v.pfdat(f)
 	if pf != nil && pf.BorrowedFrom >= 0 {
 		v.ReturnFrames(t, []machine.PageNum{f})
 		return
@@ -109,7 +109,7 @@ func (v *VM) BorrowFrom(t *sim.Task, home int) (machine.PageNum, error) {
 		pf := newPfdat(f)
 		pf.Extended = true
 		pf.BorrowedFrom = home
-		v.frames[f] = pf
+		v.addExtended(pf)
 		v.free = append(v.free, f)
 	}
 	v.Metrics.Counter("vm.borrows").Add(int64(len(rep.Frames)))
@@ -139,12 +139,12 @@ func (v *VM) validateBorrowReply(res any, home int) (*borrowReply, error) {
 func (v *VM) ReturnFrames(t *sim.Task, frames []machine.PageNum) {
 	byHome := map[int][]machine.PageNum{}
 	for _, f := range frames {
-		pf := v.frames[f]
+		pf := v.pfdat(f)
 		if pf == nil || pf.BorrowedFrom < 0 {
 			continue
 		}
 		byHome[pf.BorrowedFrom] = append(byHome[pf.BorrowedFrom], f)
-		delete(v.frames, f)
+		v.dropExtended(f)
 	}
 	homes := make([]int, 0, len(byHome))
 	for home := range byHome {
@@ -169,7 +169,7 @@ func (v *VM) ReturnUnusedBorrows(t *sim.Task, home int) int {
 	var give []machine.PageNum
 	for i := len(v.free) - 1; i >= 0; i-- {
 		f := v.free[i]
-		if pf := v.frames[f]; pf != nil && pf.BorrowedFrom == home {
+		if pf := v.pfdat(f); pf != nil && pf.BorrowedFrom == home {
 			v.free = append(v.free[:i], v.free[i+1:]...)
 			give = append(give, f)
 		}
@@ -181,26 +181,10 @@ func (v *VM) ReturnUnusedBorrows(t *sim.Task, home int) int {
 }
 
 // BorrowedFrames counts frames currently borrowed from other cells.
-func (v *VM) BorrowedFrames() int {
-	n := 0
-	for _, pf := range v.frames {
-		if pf.BorrowedFrom >= 0 {
-			n++
-		}
-	}
-	return n
-}
+func (v *VM) BorrowedFrames() int { return v.borrowed }
 
 // LoanedFrames counts local frames currently loaned out.
-func (v *VM) LoanedFrames() int {
-	n := 0
-	for _, pf := range v.frames {
-		if pf.LoanedTo >= 0 {
-			n++
-		}
-	}
-	return n
-}
+func (v *VM) LoanedFrames() int { return v.loaned }
 
 // validateBorrowArgs vets a frame-loan request: the borrower named in
 // the request must be the cell that actually sent it (a corrupt cell
@@ -298,8 +282,7 @@ func (v *VM) loanFrames(client, count int) *borrowReply {
 		if !ok {
 			break
 		}
-		pf := v.frames[f]
-		pf.LoanedTo = client
+		v.setLoan(v.pfdat(f), client)
 		// Loaning transfers control of the frame: open the firewall for
 		// the borrowing cell (further changes come back by RPC, §5.4).
 		bits := v.homeMask(f) | v.clientMask(client)
@@ -316,11 +299,11 @@ func (v *VM) acceptReturns(client int, frames []machine.PageNum) {
 		if !v.localFrame(f) {
 			continue // sanity: only our own frames
 		}
-		pf := v.frames[f]
+		pf := v.pfdat(f)
 		if pf == nil || pf.LoanedTo != client {
 			continue // sanity: must have been loaned to this client
 		}
-		pf.LoanedTo = -1
+		v.setLoan(pf, -1)
 		v.M.SetFirewallIntr(v.proc(f), f, v.homeMask(f))
 		v.free = append(v.free, f)
 	}

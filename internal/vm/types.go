@@ -6,8 +6,10 @@
 package vm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,30 +43,29 @@ type LogicalPage struct {
 	Off int64 // page offset within the object
 }
 
-// Less is a total order over logical pages, used wherever a pfdat map
+// compare is a total order over logical pages, used wherever a pfdat map
 // must be iterated deterministically.
-func (lp LogicalPage) Less(o LogicalPage) bool {
-	if lp.Obj.Kind != o.Obj.Kind {
-		return lp.Obj.Kind < o.Obj.Kind
+func (lp LogicalPage) compare(o LogicalPage) int {
+	if c := cmp.Compare(lp.Obj.Kind, o.Obj.Kind); c != 0 {
+		return c
 	}
-	if lp.Obj.Home != o.Obj.Home {
-		return lp.Obj.Home < o.Obj.Home
+	if c := cmp.Compare(lp.Obj.Home, o.Obj.Home); c != 0 {
+		return c
 	}
-	if lp.Obj.Num != o.Obj.Num {
-		return lp.Obj.Num < o.Obj.Num
+	if c := cmp.Compare(lp.Obj.Num, o.Obj.Num); c != 0 {
+		return c
 	}
-	return lp.Off < o.Off
+	return cmp.Compare(lp.Off, o.Off)
 }
 
-// SortedPages returns m's keys in LogicalPage.Less order, so callers
-// can sweep a pfdat map without leaking Go's random map order into
-// simulation state.
-func SortedPages(m map[LogicalPage]*Pfdat) []LogicalPage {
+// sortedPages returns m's keys in compare order, so callers can sweep a
+// pfdat map without leaking Go's random map order into simulation state.
+func sortedPages(m map[LogicalPage]*Pfdat) []LogicalPage {
 	out := make([]LogicalPage, 0, len(m))
 	for lp := range m {
 		out = append(out, lp)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortStableFunc(out, LogicalPage.compare)
 	return out
 }
 

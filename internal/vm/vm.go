@@ -34,10 +34,25 @@ type VM struct {
 	// explains why fault service must avoid blocking locks).
 	Lock sim.Mutex
 
-	hash      map[LogicalPage]*Pfdat
-	frames    map[machine.PageNum]*Pfdat
+	hash map[LogicalPage]*Pfdat
+	// regular holds the cell's regular pfdats (§5.1), one per local
+	// frame, indexed by frame - firstFrame. It is built once at boot and
+	// never resized, so its pointers are stable. A cell's nodes are
+	// consecutive, so its local frames are one range.
+	regular    []Pfdat
+	firstFrame machine.PageNum
+	// extended holds the pfdats of remote frames, allocated on demand:
+	// frames borrowed from a memory home and pages imported from a data
+	// home. There are a few hundred at most.
+	extended  map[machine.PageNum]*Pfdat
 	free      []machine.PageNum
 	resolvers map[ObjKind]Resolver
+
+	// borrowed and loaned count the pfdats with BorrowedFrom >= 0 and
+	// LoanedTo >= 0. They change only where those fields change
+	// (setLoan, addExtended, dropExtended), so reading them costs O(1);
+	// CheckInvariants compares them against a walk.
+	borrowed, loaned int
 
 	procForNode map[int]*machine.Processor
 
@@ -67,9 +82,9 @@ type VM struct {
 	maskOfCell []uint64
 }
 
-// New creates the VM for cell cellID owning the given nodes. kernelPages
-// frames per node are reserved for the kernel (never shared, never loaned);
-// the rest form the paged-memory free pool.
+// New creates the VM for cell cellID owning the given nodes, which must be
+// consecutive. kernelPages frames per node are reserved for the kernel
+// (never shared, never loaned); the rest form the paged-memory free pool.
 func New(m *machine.Machine, ep *rpc.Endpoint, cellID int, nodeIDs []int, cellOfNode []int, kernelPages int) *VM {
 	v := &VM{
 		CellID:      cellID,
@@ -78,7 +93,7 @@ func New(m *machine.Machine, ep *rpc.Endpoint, cellID int, nodeIDs []int, cellOf
 		NodeIDs:     nodeIDs,
 		CellOfNode:  cellOfNode,
 		hash:        make(map[LogicalPage]*Pfdat),
-		frames:      make(map[machine.PageNum]*Pfdat),
+		extended:    make(map[machine.PageNum]*Pfdat),
 		resolvers:   make(map[ObjKind]Resolver),
 		procForNode: make(map[int]*machine.Processor),
 		BorrowBatch: 16,
@@ -86,17 +101,22 @@ func New(m *machine.Machine, ep *rpc.Endpoint, cellID int, nodeIDs []int, cellOf
 	}
 	v.histFault = v.Metrics.Hist("vm.fault_us")
 	v.faultCond = &sim.Cond{M: &v.Lock}
-	for _, n := range nodeIDs {
+	v.firstFrame, _ = m.NodePages(nodeIDs[0])
+	v.regular = make([]Pfdat, len(nodeIDs)*m.PagesPerNode)
+	for i, n := range nodeIDs {
+		if n != nodeIDs[0]+i {
+			panic(fmt.Sprintf("vm: cell %d nodes %v are not consecutive", cellID, nodeIDs))
+		}
 		v.procForNode[n] = m.Nodes[n].Procs[0]
 		lo, hi := m.NodePages(n)
 		for p := lo; p < hi; p++ {
-			pf := newPfdat(p)
+			pf := &v.regular[p-v.firstFrame]
+			*pf = *newPfdat(p)
 			if int(p-lo) < kernelPages {
 				pf.Kernel = true
 			} else {
 				v.free = append(v.free, p)
 			}
-			v.frames[p] = pf
 		}
 	}
 	v.registerServices()
@@ -112,19 +132,15 @@ func (v *VM) Lookup(lp LogicalPage) (*Pfdat, bool) {
 	return pf, ok
 }
 
-// PfdatFor returns the pfdat for a frame this cell knows about.
+// PfdatFor returns the pfdat for a frame this cell knows about; any other
+// number, in the machine or not, gives nil, false.
 func (v *VM) PfdatFor(frame machine.PageNum) (*Pfdat, bool) {
-	pf, ok := v.frames[frame]
-	return pf, ok
+	pf := v.pfdat(frame)
+	return pf, pf != nil
 }
 
 // FreePages returns the current free-pool size.
 func (v *VM) FreePages() int { return len(v.free) }
-
-// ownsNode reports whether this cell owns node n.
-func (v *VM) ownsNode(n int) bool {
-	return n >= 0 && n < len(v.CellOfNode) && v.CellOfNode[n] == v.CellID
-}
 
 // frameExists reports whether a frame number another cell sent names a
 // real frame of the machine.
@@ -134,7 +150,7 @@ func (v *VM) frameExists(f machine.PageNum) bool {
 
 // localFrame reports whether the frame's memory home is this cell.
 func (v *VM) localFrame(p machine.PageNum) bool {
-	return v.ownsNode(v.M.HomeNode(p))
+	return uint(p-v.firstFrame) < uint(len(v.regular))
 }
 
 // proc returns the processor used for VM work on the frame's home node, or
@@ -242,11 +258,11 @@ func (v *VM) Unref(t *sim.Task, pf *Pfdat) {
 // hash: the data-home side of page-cache population (file reads, COW page
 // creation). The caller must have allocated the frame.
 func (v *VM) InsertLocal(lp LogicalPage, frame machine.PageNum, dirty bool) *Pfdat {
-	pf := v.frames[frame]
+	pf := v.pfdat(frame)
 	if pf == nil {
 		// Borrowed frame in use as data home: pfdat exists from borrow.
 		pf = newPfdat(frame)
-		v.frames[frame] = pf
+		v.addExtended(pf)
 	}
 	pf.LP = lp
 	pf.Valid = true
@@ -269,13 +285,12 @@ func (v *VM) Evict(t *sim.Task, lp LogicalPage) bool {
 	return true
 }
 
-// Hash returns a copy of the pfdat hash (invariant auditing).
-func (v *VM) Hash() map[LogicalPage]*Pfdat {
-	out := make(map[LogicalPage]*Pfdat, len(v.hash))
-	for lp, pf := range v.hash {
-		out[lp] = pf
+// WalkHash calls fn on every entry of the pfdat hash in logical-page
+// order (invariant auditing). fn must not add or drop an entry.
+func (v *VM) WalkHash(fn func(lp LogicalPage, pf *Pfdat)) {
+	for _, lp := range sortedPages(v.hash) {
+		fn(lp, v.hash[lp])
 	}
-	return out
 }
 
 // FreeList returns a copy of the free pool (invariant auditing).
@@ -289,12 +304,8 @@ func (v *VM) FreeList() []machine.PageNum {
 // by any remote cell — the quantity sampled every 20 ms in the paper.
 func (v *VM) RemotelyWritablePages() int {
 	n := 0
-	//hive:lint-ignore maporder pure count; localFrame only reads the node table, no order escapes
-	for _, pf := range v.frames {
-		if !v.localFrame(pf.Frame) {
-			continue
-		}
-		if len(pf.writable) > 0 {
+	for i := range v.regular {
+		if len(v.regular[i].writable) > 0 {
 			n++
 		}
 	}
@@ -304,9 +315,8 @@ func (v *VM) RemotelyWritablePages() int {
 // UserPages counts local frames currently bound to logical pages.
 func (v *VM) UserPages() int {
 	n := 0
-	//hive:lint-ignore maporder pure count; localFrame only reads the node table, no order escapes
-	for _, pf := range v.frames {
-		if pf.Valid && v.localFrame(pf.Frame) {
+	for i := range v.regular {
+		if v.regular[i].Valid {
 			n++
 		}
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -316,7 +317,7 @@ func TestReimportOfLoanedFrameReusesPfdat(t *testing.T) {
 		f.vms[1].InsertLocal(lp, frame, false)
 		// Cell 0 (the memory home) faults on that page: the pfdat it
 		// already has for the frame is reused, not an extended one.
-		before := f.vms[0].frames[frame]
+		before := f.vms[0].pfdat(frame)
 		if before == nil || before.LoanedTo != 1 {
 			t.Fatal("loan state missing on memory home")
 		}
@@ -532,24 +533,40 @@ func TestFirewallServiceRejectsNonBorrower(t *testing.T) {
 }
 
 func TestMemoryHomeRejectsForgedFrameNumbers(t *testing.T) {
-	// A corrupt cell may name any frame number in a return or firewall
-	// request; one far below zero must fail the RPC with ErrBadPage, not
-	// index the node table out of range on the memory home. A remote
-	// error crosses the wire as its text.
+	// A corrupt cell may name any frame number in an export or borrow
+	// reply, or in a return or firewall request. Each of the four
+	// validators must reject one outside the machine with ErrBadPage, not
+	// index the regular table or the node table out of range, and every
+	// cell's PfdatFor must report it unknown (NumPages() is one past the
+	// last cell's table). A remote error crosses the wire as its text.
 	f := newFixture(t, 2)
-	forged := machine.PageNum(-1 << 20)
+	v := f.vms[0]
+	forged := []machine.PageNum{-1 << 20, -1, machine.PageNum(f.m.NumPages()), math.MaxInt}
 	f.run(t, func(tk *sim.Task) {
-		for _, req := range []struct {
-			name string
-			proc rpc.ProcID
-			args any
-		}{
-			{"vm.return", ProcReturn, &returnArgs{Client: 1, Frames: []machine.PageNum{forged}}},
-			{"vm.firewall", ProcFirewall, &firewallArgs{Frame: forged, Bits: ^uint64(0)}},
-		} {
-			_, err := f.eps[1].Call(tk, f.m.Procs[1], 0, req.proc, req.args, rpc.CallOpts{})
-			if err == nil || !strings.Contains(err.Error(), ErrBadPage.Error()) {
-				t.Errorf("%s with frame %d: err = %v, want ErrBadPage", req.name, forged, err)
+		for _, frame := range forged {
+			if _, err := v.validateExportReply(&exportReply{Frame: frame}); !errors.Is(err, ErrBadPage) {
+				t.Errorf("export reply with frame %d: err = %v, want ErrBadPage", frame, err)
+			}
+			if _, err := v.validateBorrowReply(&borrowReply{Frames: []machine.PageNum{frame}}, 1); !errors.Is(err, ErrBadPage) {
+				t.Errorf("borrow reply with frame %d: err = %v, want ErrBadPage", frame, err)
+			}
+			for _, req := range []struct {
+				name string
+				proc rpc.ProcID
+				args any
+			}{
+				{"vm.return", ProcReturn, &returnArgs{Client: 1, Frames: []machine.PageNum{frame}}},
+				{"vm.firewall", ProcFirewall, &firewallArgs{Frame: frame, Bits: ^uint64(0)}},
+			} {
+				_, err := f.eps[1].Call(tk, f.m.Procs[1], 0, req.proc, req.args, rpc.CallOpts{})
+				if err == nil || !strings.Contains(err.Error(), ErrBadPage.Error()) {
+					t.Errorf("%s with frame %d: err = %v, want ErrBadPage", req.name, frame, err)
+				}
+			}
+			for _, cv := range f.vms {
+				if pf, ok := cv.PfdatFor(frame); ok || pf != nil {
+					t.Errorf("cell%d PfdatFor(%d) = %v, %v; want nil, false", cv.CellID, frame, pf, ok)
+				}
 			}
 		}
 	})

@@ -32,7 +32,6 @@ const sampleCost = 200 * sim.Microsecond
 // cellState is one row of Wax's global view.
 type cellState struct {
 	FreePages int
-	Borrowed  int
 	Loaned    int
 	Procs     int
 	sampled   bool
@@ -116,7 +115,6 @@ func (w *Wax) threadBody(cellID int, p *proc.Process, t *sim.Task) {
 		w.mu.Lock(t)
 		w.view[cellID] = cellState{
 			FreePages: cell.VM.FreePages(),
-			Borrowed:  cell.VM.BorrowedFrames(),
 			Loaned:    cell.VM.LoanedFrames(),
 			Procs:     cell.Procs.Live(),
 			sampled:   true,
