@@ -33,16 +33,18 @@ lint-report:
 
 # check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
 # hivelint, full test suite, one pass of the state-scan benchmarks (so
-# they keep compiling and running), the race detector over the packages
-# that actually use OS-level concurrency (the parallel trial runner) plus
-# the engine it drives, and the observability byte-identity gate.
+# they keep compiling and running), the race detector over the same
+# packages as CI's race job (`make race`: the parallel trial runner, the
+# engine it drives and the fault-injection determinism gates), the
+# observability byte-identity gate, the forensic cross-check and the
+# frontend smoke test.
 check: build
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants' -benchtime 1x ./internal/trace ./internal/core
-	$(GO) test -race ./internal/parallel/... ./internal/sim/...
+	$(MAKE) race
 	$(MAKE) trace-check
 	$(MAKE) mort-check
 	$(MAKE) frontend-smoke

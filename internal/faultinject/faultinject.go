@@ -241,6 +241,9 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 			}
 		}
 	})
+	// Registered first, so it runs last: after the deferred reads of the
+	// trace below, end every task so the finished hive can be collected.
+	defer h.Eng.Stop()
 	res := &TrialResult{Scenario: s, Seed: seed, Cells: cells, TargetCell: 1 + trial%(cells-2)}
 	if s == CoordinatorDeath {
 		// Cell 0 is the coordinator casualty, so the first fault targets

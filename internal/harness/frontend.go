@@ -84,6 +84,7 @@ func RunFrontendSweep(scale float64) *FrontendReport {
 func runFrontendPoint(mult float64, idx int) FrontendPoint {
 	wall := parallel.WallTimer()
 	h := workload.BootHiveWith(4, int64(6100+idx*37), func(cfg *core.Config) {})
+	defer h.Eng.Stop()
 	sup := wax.Supervise(h)
 	defer sup.Stop()
 

@@ -54,6 +54,7 @@ type Careful41 struct {
 // RunCareful41 executes the measurement.
 func RunCareful41() *Careful41 {
 	h := twoCell()
+	defer h.Eng.Stop()
 	out := &Careful41{MissShareUs: h.Cfg.Machine.MissNs.Micros()}
 	runOn(h, 0, func(p *proc.Process, t *sim.Task) {
 		c := h.Cells[0]
@@ -88,6 +89,7 @@ type RPC6 struct {
 // RunRPC6 executes the measurement.
 func RunRPC6() *RPC6 {
 	h := twoCell()
+	defer h.Eng.Stop()
 	out := &RPC6{}
 	// A queued-only echo service on cell 1.
 	const echoQ rpc.ProcID = 900
@@ -122,6 +124,7 @@ type Table52 struct {
 // home page cache, as in the paper.
 func RunTable52() *Table52 {
 	h := twoCell()
+	defer h.Eng.Stop()
 	out := &Table52{Components: stats.NewBreakdown()}
 	// Data home (cell 1) creates and caches the file pages.
 	const npages = 1024
@@ -198,6 +201,7 @@ type Table73 struct {
 // system with a warm file cache, as in the paper.
 func RunTable73() *Table73 {
 	h := twoCell()
+	defer h.Eng.Stop()
 	out := &Table73{}
 	const npages = 1024 // 4 MB
 	runOn(h, 1, func(p *proc.Process, t *sim.Task) {
@@ -292,10 +296,13 @@ func RunTable72() []Table72Row {
 	elapsed := parallel.Map(parallel.Default(), len(workloads)*len(systems), func(i int) float64 {
 		w := workloads[i/len(systems)]
 		cells := systems[i%len(systems)]
-		h := workload.BootIRIX()
+		var h *core.Hive
 		if cells > 0 {
 			h = workload.BootHive(cells)
+		} else {
+			h = workload.BootIRIX()
 		}
+		defer h.Eng.Stop()
 		return w.run(h).Elapsed.Seconds()
 	})
 	var rows []Table72Row
@@ -355,6 +362,7 @@ func RunFirewall42() *Firewall42 {
 
 	// pmake: sample remotely-writable pages per cell every 20 ms.
 	h := workload.BootHive(4)
+	defer h.Eng.Stop()
 	sampler := make([]*stats.Sampler, 4)
 	for i := range sampler {
 		cell := h.Cells[i]
@@ -381,6 +389,7 @@ func RunFirewall42() *Firewall42 {
 
 	// ocean: sample during the run.
 	h2 := workload.BootHive(4)
+	defer h2.Eng.Stop()
 	sampler2 := make([]*stats.Sampler, 4)
 	for i := range sampler2 {
 		cell := h2.Cells[i]
@@ -409,10 +418,14 @@ type PmakeFaultTraffic struct {
 // RunPmakeFaultTraffic executes it.
 func RunPmakeFaultTraffic() *PmakeFaultTraffic {
 	out := &PmakeFaultTraffic{}
-	r1 := workload.RunPmake(workload.BootHive(1), workload.DefaultPmake(), 120*sim.Second)
+	h1 := workload.BootHive(1)
+	defer h1.Eng.Stop()
+	r1 := workload.RunPmake(h1, workload.DefaultPmake(), 120*sim.Second)
 	out.Faults1Cell = r1.FaultHits
 	out.FaultMs1Cell = float64(r1.FaultHits) * 6.9 / 1000
-	r4 := workload.RunPmake(workload.BootHive(4), workload.DefaultPmake(), 120*sim.Second)
+	h4 := workload.BootHive(4)
+	defer h4.Eng.Stop()
+	r4 := workload.RunPmake(h4, workload.DefaultPmake(), 120*sim.Second)
 	out.Faults4Cell = r4.FaultHits
 	out.Remote4Cell = r4.RemoteFaults
 	local := float64(r4.FaultHits - r4.RemoteFaults)

@@ -130,6 +130,7 @@ type Hardware81 struct {
 func RunHardware81() *Hardware81 {
 	out := &Hardware81{}
 	h := twoCell()
+	defer h.Eng.Stop()
 	m := h.M
 	runOn(h, 0, func(p *proc.Process, t *sim.Task) {
 		proc0 := h.Cells[0].Sched.Procs[0]
@@ -156,6 +157,7 @@ func RunHardware81() *Hardware81 {
 	})
 	// Cutoff.
 	h2 := twoCell()
+	defer h2.Eng.Stop()
 	h2.Cells[1].Panic("test")
 	out.Cutoff = h2.M.Nodes[1].CutOff()
 	return out
@@ -184,6 +186,7 @@ func RunScalability(cpuCounts []int) []ScalabilityPoint {
 		n := cpuCounts[i/2]
 		if i%2 == 0 {
 			sys := smpos.Boot(n, smpos.DefaultConfig())
+			defer sys.Hive.Eng.Stop()
 			return sys.ThroughputProbe(procsPer*n, opService, burst, duration)
 		}
 		cfg := core.DefaultConfig()
@@ -191,6 +194,7 @@ func RunScalability(cpuCounts []int) []ScalabilityPoint {
 		cfg.Cells = n
 		cfg.Mounts = nil
 		h := core.Boot(cfg)
+		defer h.Eng.Stop()
 		return smpos.HiveThroughputProbe(h, procsPer, opService, burst, duration,
 			smpos.DefaultConfig().LockedFraction)
 	})
@@ -217,6 +221,7 @@ func RunAgreementComparison() *AgreementComparison {
 		cfg.Machine.MemPerNodeMB = 8
 		cfg.Agreement = mode
 		h := core.Boot(cfg)
+		defer h.Eng.Stop()
 		h.Run(50 * sim.Millisecond)
 		at := h.Eng.Now()
 		h.Cells[2].FailHardware()
@@ -247,6 +252,7 @@ func RunDetectionSweepAt(checkEvery, trials int) (avg, max float64) {
 		cfg.Seed = int64(31 + i*17)
 		cfg.ClockCheckEvery = checkEvery
 		h := core.Boot(cfg)
+		defer h.Eng.Stop()
 		h.Run(sim.Time(20+i*7) * sim.Millisecond)
 		at := h.Eng.Now()
 		h.Cells[1].FailHardware()
@@ -290,6 +296,7 @@ type SIPSvsIPI struct {
 func RunSIPSvsIPI() *SIPSvsIPI {
 	out := &SIPSvsIPI{}
 	h := twoCell()
+	defer h.Eng.Stop()
 	m := h.M
 	runOn(h, 0, func(p *proc.Process, t *sim.Task) {
 		proc0 := h.Cells[0].Sched.Procs[0]
@@ -346,6 +353,7 @@ type COWLookupComparison struct {
 func RunCOWLookupComparison() *COWLookupComparison {
 	out := &COWLookupComparison{}
 	h := twoCell()
+	defer h.Eng.Stop()
 	// Parent on cell 0 writes two pages, forks a child leaf to cell 1.
 	runOn(h, 0, func(p *proc.Process, t *sim.Task) {
 		if err := p.TouchAnon(t, 7, true); err != nil {
@@ -466,6 +474,7 @@ func RunCCNOW() *CCNOW {
 	cfg.Mounts = nil
 	cfg.Seed = 23
 	h := core.Boot(cfg)
+	defer h.Eng.Stop()
 
 	runOn(h, 1, func(p *proc.Process, t *sim.Task) {
 		hd := vet1(h.Cells[1].FS.Create(t, "/now/file"))

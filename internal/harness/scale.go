@@ -74,6 +74,7 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 		switch i % unitsPer {
 		case 0:
 			h := workload.BootHive(cells)
+			defer h.Eng.Stop()
 			calls0 := rpcCallCount(h)
 			ev0 := h.Eng.Dispatched()
 			wall := parallel.WallTimer()
@@ -87,6 +88,7 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 			}
 		case 1:
 			h := workload.BootHive(cells)
+			defer h.Eng.Stop()
 			cfg := workload.DefaultOcean()
 			cfg.Threads = cells // one thread per CPU on the scaled machine
 			res := workload.RunOcean(h, cfg, 120*sim.Second)

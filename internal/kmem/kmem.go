@@ -59,10 +59,32 @@ type TypeTag uint32
 // failed/cut-off node.
 var ErrBusError = errors.New("kmem: bus error")
 
-// object is one allocated kernel object.
+// initialBacking is the most words an object is backed by at Alloc.
+const initialBacking = 32
+
+// object is one allocated kernel object of n words. Only a prefix of them
+// is backed: the backing starts at min(n, initialBacking) words and
+// doubles, capped at n, when a write lands past it. A word past the backing
+// has never been written and reads 0, as it would from a zeroed array.
+// A COW node is 4,098 words, most of them never written.
 type object struct {
 	tag   TypeTag
+	n     int
 	words []uint64
+}
+
+// set stores v into word i (0 <= i < n), growing the backing to reach it.
+func (o *object) set(i int, v uint64) {
+	if i >= len(o.words) {
+		size := 2 * len(o.words)
+		for size <= i {
+			size *= 2
+		}
+		words := make([]uint64, min(size, o.n))
+		copy(words, o.words)
+		o.words = words
+	}
+	o.words[i] = v
 }
 
 // Arena is one cell's kernel heap.
@@ -99,23 +121,25 @@ func (a *Arena) Reset() {
 }
 
 // Alloc allocates an object of nwords words with the given type tag and
-// returns its address. Objects are 64-byte aligned like real allocations.
+// returns its address. Objects are 64-byte aligned like real allocations,
+// and the address space advances by the whole object however little of it
+// is backed.
 func (a *Arena) Alloc(tag TypeTag, nwords int) Addr {
 	if nwords <= 0 {
 		panic("kmem: non-positive allocation")
 	}
 	off := a.nextOff
 	a.nextOff += uint64((nwords*WordSize + 63) / 64 * 64)
-	a.objects[off] = &object{tag: tag, words: make([]uint64, nwords)}
+	a.objects[off] = &object{tag: tag, n: nwords, words: make([]uint64, min(nwords, initialBacking))}
 	a.allocs++
 	return MakeAddr(a.cell, off)
 }
 
 // Free releases the object at addr, removing its type tag. Freeing an
-// unknown address is a no-op (double frees are a kernel bug we tolerate in
-// simulation rather than crash the host).
+// unknown address, or another cell's, is a no-op (double frees are a kernel
+// bug we tolerate in simulation rather than crash the host).
 func (a *Arena) Free(addr Addr) {
-	if _, ok := a.objects[addr.Offset()]; ok {
+	if a.lookup(addr) != nil {
 		delete(a.objects, addr.Offset())
 		a.frees++
 	}
@@ -149,8 +173,13 @@ func garbage(addr Addr, i int) uint64 {
 
 // lookup finds the object containing addr, if any. addr may point at the
 // object's base only (interior pointers read garbage — matching the paper's
-// alignment check, which rejects them before any read).
+// alignment check, which rejects them before any read), and must name this
+// arena's cell: another cell's address resolves to nothing here, however
+// its offset falls.
 func (a *Arena) lookup(addr Addr) *object {
+	if addr.Cell() != a.cell {
+		return nil
+	}
 	return a.objects[addr.Offset()]
 }
 
@@ -176,8 +205,11 @@ func (a *Arena) ReadWord(addr Addr, i int) (uint64, error) {
 		return 0, err
 	}
 	obj := a.lookup(addr)
-	if obj == nil || i < 0 || i >= len(obj.words) {
+	if obj == nil || i < 0 || i >= obj.n {
 		return garbage(addr, i), nil
+	}
+	if i >= len(obj.words) {
+		return 0, nil
 	}
 	return obj.words[i], nil
 }
@@ -187,10 +219,10 @@ func (a *Arena) ReadWord(addr Addr, i int) (uint64, error) {
 // Writes to unmapped addresses vanish, like stores to reused memory.
 func (a *Arena) WriteWord(addr Addr, i int, v uint64) {
 	obj := a.lookup(addr)
-	if obj == nil || i < 0 || i >= len(obj.words) {
+	if obj == nil || i < 0 || i >= obj.n {
 		return
 	}
-	obj.words[i] = v
+	obj.set(i, v)
 }
 
 // TagAt reads the allocator type tag at addr. Unmapped addresses yield a
@@ -212,10 +244,10 @@ func (a *Arena) TagAt(addr Addr) (TypeTag, error) {
 // in place).
 func (a *Arena) CorruptWord(addr Addr, i int, v uint64) bool {
 	obj := a.lookup(addr)
-	if obj == nil || i < 0 || i >= len(obj.words) {
+	if obj == nil || i < 0 || i >= obj.n {
 		return false
 	}
-	obj.words[i] = v
+	obj.set(i, v)
 	return true
 }
 

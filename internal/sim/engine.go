@@ -65,7 +65,8 @@ type Engine struct {
 	seq        uint64
 	rng        *rand.Rand
 	cur        *Task
-	nTasks     int
+	tasks      []*Task // live tasks; each holds its index, so exit is a swap-delete
+	stopped    bool
 	failure    any    // panic value escaped from a task
 	dispatched uint64 // total events fired since boot
 
@@ -177,8 +178,12 @@ func (e *Engine) After(d Time, fn func()) *Event {
 
 // Run processes events until the queue is empty or the deadline passes. A
 // deadline of 0 means run until idle. It panics if a task panicked
-// (propagating the original value) and returns the final time.
+// (propagating the original value) and returns the final time. Run on a
+// stopped engine panics.
 func (e *Engine) Run(deadline Time) Time {
+	if e.stopped {
+		panic("sim: Run on a stopped engine")
+	}
 	for len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.cancelled { // lazily-cancelled: discard without firing
@@ -209,7 +214,7 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // yet finished.
 //
 //hive:lint-ignore deadcode test hook: cow's TestPropertyCarefulTraversalAlwaysSurvives checks the engine drained
-func (e *Engine) LiveTasks() int { return e.nTasks }
+func (e *Engine) LiveTasks() int { return len(e.tasks) }
 
 // Event is a scheduled callback or task wake. Events may be cancelled or
 // rescheduled before they fire; both are used to model interrupt

@@ -37,11 +37,14 @@ type taskFailure struct {
 // The coroutine comes from iter.Pull: dispatch calls next, which switches to
 // the task's goroutine until park calls yield, which switches back. The
 // runtime hands control over directly, without a trip through the scheduler.
+// Engine.Stop calls the pull's stop, which ends the coroutine.
 type Task struct {
 	eng      *Engine
 	name     string
 	next     func() (struct{}, bool)
+	stop     func()
 	yield    func(struct{}) bool
+	index    int // position in eng.tasks while live
 	done     bool
 	parked   bool
 	killed   bool
@@ -54,13 +57,17 @@ type Task struct {
 
 // Go starts fn as a new task named name. The task begins running at the
 // current virtual time (after already-scheduled events for this instant).
+// Go on a stopped engine panics.
 func (e *Engine) Go(name string, fn func(t *Task)) *Task {
-	t := &Task{eng: e, name: name}
-	e.nTasks++
+	if e.stopped {
+		panic("sim: Go on a stopped engine")
+	}
+	t := &Task{eng: e, name: name, index: len(e.tasks)}
+	e.tasks = append(e.tasks, t)
 	// The coroutine starts at the first next and ends by returning from
-	// this body, which hands control back to dispatch one last time. No
-	// panic escapes it, so next never re-raises one.
-	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+	// this body, which hands control back to dispatch (or Stop) one last
+	// time. No panic escapes it, so neither next nor stop re-raises one.
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
 		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
@@ -68,8 +75,7 @@ func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 					t.eng.failure = taskFailure{name: t.name, val: r}
 				}
 			}
-			t.done = true
-			t.eng.nTasks--
+			t.exit()
 		}()
 		if t.killed {
 			panic(killedPanic{t.name})
@@ -94,10 +100,48 @@ func (e *Engine) dispatch(t *Task) {
 	}
 	t.next()
 	e.cur = prev
+	e.raise()
+}
+
+// raise re-raises, on the caller's goroutine, a genuine panic that escaped
+// a task.
+func (e *Engine) raise() {
 	if e.failure != nil {
 		f := e.failure.(taskFailure)
 		panic(fmt.Sprintf("sim: task %q panicked: %v", f.name, f.val))
 	}
+}
+
+// exit marks t finished and swap-deletes it from the live-task list.
+func (t *Task) exit() {
+	t.done = true
+	tasks := t.eng.tasks
+	last := tasks[len(tasks)-1]
+	tasks[t.index], last.index = last, t.index
+	tasks[len(tasks)-1] = nil
+	t.eng.tasks = tasks[:len(tasks)-1]
+}
+
+// Stop ends every live task, so that nothing the engine started outlives
+// it: a parked coroutine is a blocked goroutine, and a blocked goroutine
+// keeps everything it reaches alive. Each task is killed: a parked task
+// unwinds from its park, running its defers as under Kill, and a task that
+// was scheduled but never dispatched ends without running its body. A
+// genuine panic escaping a task's defers is re-raised, as dispatch does.
+// Defers may record trace events and move counters, so call Stop after the
+// last read of the simulation's state, and only outside Run. A second Stop
+// is a no-op; Run and Go on a stopped engine panic.
+func (e *Engine) Stop() {
+	for len(e.tasks) > 0 {
+		t := e.tasks[len(e.tasks)-1]
+		t.killed = true
+		t.stop()
+		if !t.done { // never dispatched: stop ended the coroutine before its body
+			t.exit()
+		}
+		e.raise()
+	}
+	e.stopped = true
 }
 
 // Name returns the task's name.
@@ -116,8 +160,9 @@ func (t *Task) park() {
 		panic(killedPanic{t.name})
 	}
 	t.parked = true
-	t.yield(struct{}{}) // stop is never called, so yield always resumes
-	if t.killed {
+	// yield returns false once Engine.Stop has called the pull's stop: the
+	// engine is ending the task, which unwinds as if killed.
+	if !t.yield(struct{}{}) || t.killed {
 		panic(killedPanic{t.name})
 	}
 }

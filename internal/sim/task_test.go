@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -231,4 +232,96 @@ func TestSleepEventSlot(t *testing.T) {
 			t.Fatalf("slot event was reused: Pending=%v When=%v", ev.Pending(), ev.When())
 		}
 	})
+}
+
+// Stop ends every live task whatever it is parked in, running each task's
+// defers exactly once, and leaves no goroutine behind.
+func TestStopEndsEveryTask(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	defers := map[string]int{}
+	var m Mutex
+	var slot *Event
+	var tasks []*Task
+	park := func(name string, body func(tk *Task)) {
+		tasks = append(tasks, e.Go(name, func(tk *Task) {
+			defer func() { defers[name]++ }()
+			body(tk)
+			t.Errorf("%s resumed past its park", name)
+		}))
+	}
+	park("Sleep", func(tk *Task) { tk.Sleep(1000) })
+	park("BlockTimeout", func(tk *Task) { tk.BlockTimeout(1000) })
+	park("SleepEvent", func(tk *Task) { tk.SleepEvent(1000, &slot) })
+	park("holder", func(tk *Task) { m.Lock(tk); tk.Block() })
+	park("Mutex", func(tk *Task) { tk.Sleep(1); m.Lock(tk) })
+	e.Run(10)
+	ran := false
+	tasks = append(tasks, e.Go("unstarted", func(tk *Task) {
+		defer func() { defers["unstarted"]++ }()
+		ran = true
+	}))
+	if got := e.LiveTasks(); got != len(tasks) {
+		t.Fatalf("LiveTasks = %d before Stop, want %d", got, len(tasks))
+	}
+
+	e.Stop()
+	for _, name := range []string{"Sleep", "BlockTimeout", "SleepEvent", "holder", "Mutex"} {
+		if defers[name] != 1 {
+			t.Errorf("%s: defers ran %d times, want 1", name, defers[name])
+		}
+	}
+	if ran || defers["unstarted"] != 0 {
+		t.Errorf("the never-dispatched task ran its body (ran=%v, defers=%d)", ran, defers["unstarted"])
+	}
+	for _, tk := range tasks {
+		if !tk.Done() || !tk.Killed() {
+			t.Errorf("%s: Done=%v Killed=%v, want both true", tk.Name(), tk.Done(), tk.Killed())
+		}
+	}
+	if got := e.LiveTasks(); got != 0 {
+		t.Errorf("LiveTasks = %d after Stop, want 0", got)
+	}
+	for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after Stop, want the baseline %d", got, base)
+	}
+
+	e.Stop() // a second Stop finds nothing to end
+	if defers["Sleep"] != 1 {
+		t.Errorf("the second Stop ran defers again: %v", defers)
+	}
+	mustPanic(t, "Run", func() { e.Run(0) })
+	mustPanic(t, "Go", func() { e.Go("late", func(*Task) {}) })
+}
+
+// A genuine panic raised by a defer while Stop unwinds a task is re-raised
+// on the caller's goroutine, as dispatch re-raises one from a running task.
+func TestStopReraisesDeferPanic(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("faulty", func(tk *Task) {
+		defer func() { panic("boom") }()
+		tk.Block()
+	})
+	e.Run(0)
+	defer func() {
+		r := recover()
+		if s, _ := r.(string); !strings.Contains(s, `"faulty"`) || !strings.Contains(s, "boom") {
+			t.Fatalf("Stop raised %v, want the faulty task's boom", r)
+		}
+	}()
+	e.Stop()
+	t.Fatal("Stop returned after a defer panicked")
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s on a stopped engine did not panic", what)
+		}
+	}()
+	fn()
 }
