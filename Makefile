@@ -79,10 +79,11 @@ drill-smoke:
 # mort-check is the forensic cross-check gate: hivemort re-derives the
 # containment verdict of every default-campaign trial purely from the
 # structured trace (internal/forensic) and exits nonzero if any verdict
-# disagrees with the fault-injection harness's live-state verdict.
+# disagrees with the fault-injection harness's live-state verdict, or if
+# the harness fails any trial (TrialResult.OK).
 mort-check:
 	$(GO) run ./cmd/hivemort
-	@echo "mort-check: trace-derived verdicts agree with the harness"
+	@echo "mort-check: trace-derived verdicts agree with the harness; every trial contained"
 
 # crashloop-soak is the nightly deep gate for the availability loop:
 # many extra trials of the crash-loop (scenario 12) and rolling-reboot

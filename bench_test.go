@@ -174,7 +174,8 @@ func BenchmarkCampaignParallel(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			r := parallel.New(cfg.workers)
 			for i := 0; i < b.N; i++ {
-				row := faultinject.RunScenarioWith(r, faultinject.NodeFailRandom, trials)
+				row := faultinject.RunCampaign(r, []faultinject.Scenario{faultinject.NodeFailRandom},
+					func(faultinject.Scenario) int { return trials }, faultinject.TrialOpts{})[0]
 				if !row.AllOK {
 					b.Fatalf("containment failure: %v", row.Failures)
 				}

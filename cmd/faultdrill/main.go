@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/parallel"
+	"repro/internal/trace"
 )
 
 // campaignReport is the -json document, shaped like hivebench's report so
@@ -68,10 +70,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faultdrill: -cells %d: campaign needs 4..%d cells\n", *cells, core.MaxCells)
 		os.Exit(2)
 	}
+	if *scenario >= faultinject.NumScenarios {
+		fmt.Fprintf(os.Stderr, "faultdrill: -scenario %d: scenarios are 0..%d\n", *scenario, faultinject.NumScenarios-1)
+		os.Exit(2)
+	}
+	opts := faultinject.TrialOpts{Cells: *cells}
 
 	if *sweep {
 		per := (*points + faultinject.NumScenarios - 1) / faultinject.NumScenarios
-		rep := faultinject.Sweep(faultinject.SweepOpts{TrialsPer: per})
+		rep := faultinject.Sweep(parallel.Default(), per, opts)
 		fmt.Print(rep.Format())
 		if !rep.AllOK() {
 			os.Exit(1)
@@ -81,9 +88,8 @@ func main() {
 
 	if *scenario >= 0 {
 		s := faultinject.Scenario(*scenario)
-		opts := faultinject.TrialOpts{Cells: *cells}
 		if *tracePath != "" {
-			opts.KeepTrace = true
+			opts.KeepEvents = true
 			opts.TraceCap = 1 << 16
 		}
 		tr := faultinject.RunTrialOpts(s, *trial, opts)
@@ -97,7 +103,12 @@ func main() {
 			fmt.Printf("  notes: %s\n", tr.Notes)
 		}
 		if *tracePath != "" {
-			if err := os.WriteFile(*tracePath, tr.TraceJSON, 0o644); err != nil {
+			var buf bytes.Buffer
+			err := trace.ExportChrome(&buf, tr.Cells, tr.Events)
+			if err == nil {
+				err = os.WriteFile(*tracePath, buf.Bytes(), 0o644)
+			}
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "faultdrill: write trace:", err)
 				os.Exit(1)
 			}
@@ -109,26 +120,24 @@ func main() {
 		return
 	}
 
-	scenarios := faultinject.AllScenarios()
 	start := time.Now()
-	var rows []*harness.Table74Row
-	allOK := true
-	for _, s := range scenarios {
-		n := s.DefaultTests()
+	rows := faultinject.RunCampaign(parallel.Default(), faultinject.AllScenarios(), func(s faultinject.Scenario) int {
 		if *trials > 0 {
-			n = *trials
+			return *trials
 		}
-		row := faultinject.RunScenarioCellsWith(parallel.Default(), s, n, *cells)
-		rows = append(rows, row)
+		return s.DefaultTests()
+	}, opts)
+	allOK := true
+	for _, row := range rows {
 		if !row.AllOK {
 			allOK = false
 			for _, f := range row.Failures {
-				fmt.Fprintf(os.Stderr, "FAILURE %s: %s\n", s, f)
+				fmt.Fprintf(os.Stderr, "FAILURE %s: %s\n", row.Scenario, f)
 			}
 		}
 		if *verbose && !*jsonOut {
 			fmt.Printf("%s: %d tests, contained=%v, detect avg %.1f / p99 %.1f / max %.1f ms\n",
-				s, row.Tests, row.AllOK, row.AvgDetect, row.P99Detect, row.MaxDetect)
+				row.Scenario, row.Tests, row.AllOK, row.AvgDetect, row.P99Detect, row.MaxDetect)
 		}
 	}
 

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // experimentReport is one experiment's entry in the -json output. Metrics
@@ -97,8 +99,13 @@ func main() {
 
 	if *tracePath != "" {
 		tr := faultinject.RunTrialOpts(faultinject.NodeFailRandom, 0,
-			faultinject.TrialOpts{KeepTrace: true, TraceCap: 1 << 16})
-		if err := os.WriteFile(*tracePath, tr.TraceJSON, 0o644); err != nil {
+			faultinject.TrialOpts{KeepEvents: true, TraceCap: 1 << 16})
+		var buf bytes.Buffer
+		err := trace.ExportChrome(&buf, tr.Cells, tr.Events)
+		if err == nil {
+			err = os.WriteFile(*tracePath, buf.Bytes(), 0o644)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "hivebench: write trace:", err)
 			os.Exit(1)
 		}

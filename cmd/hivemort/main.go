@@ -43,6 +43,8 @@ type trialAudit struct {
 	TargetCell       int              `json:"target_cell"`
 	HarnessDetected  bool             `json:"harness_detected"`
 	HarnessContained bool             `json:"harness_contained"`
+	HarnessOK        bool             `json:"harness_ok"`              // TrialResult.OK: the full containment verdict
+	HarnessNotes     string           `json:"harness_notes,omitempty"` // why the harness failed it
 	Audit            forensic.Verdict `json:"audit"`
 	Agree            bool             `json:"agree"`
 	Events           int              `json:"events"`
@@ -103,6 +105,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hivemort: -cells %d: campaign needs 4..%d cells\n", *cells, core.MaxCells)
 		os.Exit(2)
 	}
+	if *scenario >= faultinject.NumScenarios {
+		fmt.Fprintf(os.Stderr, "hivemort: -scenario %d: scenarios are 0..%d\n", *scenario, faultinject.NumScenarios-1)
+		os.Exit(2)
+	}
 	opts := faultinject.TrialOpts{Cells: *cells, KeepEvents: true, TraceCap: 1 << 16}
 
 	if *scenario >= 0 {
@@ -110,35 +116,76 @@ func main() {
 	}
 
 	start := time.Now()
-	var rows []scenarioAudit
-	for _, s := range faultinject.AllScenarios() {
-		n := s.DefaultTests()
-		if *sweep {
-			n = (*points + faultinject.NumScenarios - 1) / faultinject.NumScenarios
-		} else if *trials > 0 {
-			n = *trials
+	scens := faultinject.AllScenarios()
+	// Each trial is audited inside its job, so its (large) event stream is
+	// dropped before the job ends.
+	audits := faultinject.RunTrials(parallel.Default(), scens, func(s faultinject.Scenario) int {
+		switch {
+		case *sweep:
+			return (*points + faultinject.NumScenarios - 1) / faultinject.NumScenarios
+		case *trials > 0:
+			return *trials
 		}
-		rows = append(rows, auditScenario(s, n, opts))
-	}
+		return s.DefaultTests()
+	}, func(s faultinject.Scenario, trial int) trialAudit {
+		tr := faultinject.RunTrialOpts(s, trial, opts)
+		rep := forensic.Analyze(tr.Events, tr.Dropped)
+		ta := trialAudit{
+			Trial:            trial,
+			Seed:             tr.Seed,
+			TargetCell:       tr.TargetCell,
+			HarnessDetected:  tr.Detected,
+			HarnessContained: tr.Contained,
+			HarnessOK:        tr.OK(),
+			HarnessNotes:     tr.Notes,
+			Audit:            rep.Audit,
+			Events:           len(tr.Events),
+		}
+		for _, d := range tr.Dropped {
+			ta.DroppedEvents += d.Total()
+		}
+		ta.Agree = ta.Audit.Detected == tr.Detected && ta.Audit.Contained == tr.Contained
+		return ta
+	})
 
-	total, agreements := 0, 0
-	var disagreements []string
+	total, agreements, rejoins := 0, 0, 0
+	var rows []scenarioAudit
+	var disagreements, failures []string
 	var totalEvents int64
 	var totalDropped uint64
-	for _, row := range rows {
-		total += row.Tests
-		agreements += row.Agree
-		totalEvents += row.Events
-		totalDropped += row.DroppedEvents
+	for i, s := range scens {
+		row := scenarioAudit{Scenario: int(s), Name: s.String(), Tests: len(audits[i]), Trials: audits[i]}
 		for _, t := range row.Trials {
-			if !t.Agree {
+			if t.Agree {
+				row.Agree++
+			} else {
 				disagreements = append(disagreements, fmt.Sprintf(
 					"%s trial %d: harness detected=%v contained=%v, trace detected=%v contained=%v (%s)",
 					row.Name, t.Trial, t.HarnessDetected, t.HarnessContained,
 					t.Audit.Detected, t.Audit.Contained,
 					strings.Join(t.Audit.Evidence, "; ")))
 			}
+			if !t.HarnessOK {
+				failures = append(failures, fmt.Sprintf("%s trial %d (seed %d): %s",
+					row.Name, t.Trial, t.Seed, t.HarnessNotes))
+			}
+			if t.Audit.Detected {
+				row.Detected++
+			}
+			if t.Audit.Contained {
+				row.Contained++
+			}
+			row.Escapes += len(t.Audit.Escapes)
+			row.Rejoins += len(t.Audit.Rejoined)
+			row.Events += int64(t.Events)
+			row.DroppedEvents += t.DroppedEvents
 		}
+		rows = append(rows, row)
+		total += row.Tests
+		agreements += row.Agree
+		rejoins += row.Rejoins
+		totalEvents += row.Events
+		totalDropped += row.DroppedEvents
 	}
 	allAgree := agreements == total
 
@@ -172,7 +219,7 @@ func main() {
 		} else {
 			os.Stdout.Write(enc)
 		}
-		if !allAgree {
+		if !allAgree || len(failures) > 0 {
 			os.Exit(1)
 		}
 		return
@@ -204,14 +251,7 @@ func main() {
 	// alone. A rejoined cell's later death must audit as a new fault, so
 	// the agree column above already covers the attribution property; this
 	// section surfaces how often the loop closed.
-	if anyRejoins := func() bool {
-		for _, row := range rows {
-			if row.Rejoins > 0 {
-				return true
-			}
-		}
-		return false
-	}(); anyRejoins {
+	if rejoins > 0 {
 		fmt.Println("availability loop (join-round commits seen in the traces):")
 		for _, row := range rows {
 			if !faultinject.Scenario(row.Scenario).RebootLoop() {
@@ -236,52 +276,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "DISAGREEMENT %s\n", d)
 		}
 		fmt.Println("TRACE/HARNESS DISAGREEMENTS OCCURRED — see above.")
+	}
+	for _, f := range failures {
+		fmt.Fprintf(os.Stderr, "FAILURE %s\n", f)
+	}
+	if len(failures) > 0 {
+		fmt.Println("CONTAINMENT FAILURES OCCURRED — see above.")
+	}
+	if !allAgree || len(failures) > 0 {
 		os.Exit(1)
 	}
 }
 
-// auditScenario runs a scenario's trials, auditing each inside its worker
-// so the (large) event stream is dropped before the next trial's arrives.
-func auditScenario(s faultinject.Scenario, tests int, opts faultinject.TrialOpts) scenarioAudit {
-	trials := parallel.Map(parallel.Default(), tests, func(i int) trialAudit {
-		tr := faultinject.RunTrialOpts(s, i, opts)
-		rep := forensic.Analyze(tr.Events, tr.Dropped)
-		ta := trialAudit{
-			Trial:            i,
-			Seed:             tr.Seed,
-			TargetCell:       tr.TargetCell,
-			HarnessDetected:  tr.Detected,
-			HarnessContained: tr.Contained,
-			Audit:            rep.Audit,
-			Events:           len(tr.Events),
-		}
-		for _, d := range tr.Dropped {
-			ta.DroppedEvents += d.Total()
-		}
-		ta.Agree = ta.Audit.Detected == tr.Detected && ta.Audit.Contained == tr.Contained
-		return ta
-	})
-	row := scenarioAudit{Scenario: int(s), Name: s.String(), Tests: tests, Trials: trials}
-	for _, t := range trials {
-		if t.Agree {
-			row.Agree++
-		}
-		if t.Audit.Detected {
-			row.Detected++
-		}
-		if t.Audit.Contained {
-			row.Contained++
-		}
-		row.Escapes += len(t.Audit.Escapes)
-		row.Rejoins += len(t.Audit.Rejoined)
-		row.Events += int64(t.Events)
-		row.DroppedEvents += t.DroppedEvents
-	}
-	return row
-}
-
 // runSingle prints the full forensic report for one trial and the
-// harness cross-check; exit status 1 on disagreement.
+// harness cross-check; exit status 1 on disagreement or when the harness
+// fails the trial.
 func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, topN int) int {
 	tr := faultinject.RunTrialOpts(s, trial, opts)
 	rep := forensic.Analyze(tr.Events, tr.Dropped)
@@ -300,5 +309,9 @@ func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, to
 		return 1
 	}
 	fmt.Println("trace and harness agree.")
+	if !tr.OK() {
+		fmt.Fprintf(os.Stderr, "FAILURE %s trial %d (seed %d): %s\n", s, trial, tr.Seed, tr.Notes)
+		return 1
+	}
 	return 0
 }

@@ -80,13 +80,14 @@ func TestPublicFaultInjection(t *testing.T) {
 func TestScenarioMetadata(t *testing.T) {
 	total := 0
 	hw := 0
+	hardware := map[Scenario]bool{NodeFailProcCreate: true, NodeFailCOWSearch: true, NodeFailRandom: true}
 	for _, s := range []Scenario{NodeFailProcCreate, NodeFailCOWSearch, NodeFailRandom, CorruptAddrMap, CorruptCOWTree} {
 		if s.String() == "unknown" {
 			t.Fatalf("scenario %d unnamed", s)
 		}
-		total += s.PaperTests()
-		if s.Hardware() {
-			hw += s.PaperTests()
+		total += s.DefaultTests()
+		if hardware[s] {
+			hw += s.DefaultTests()
 		}
 	}
 	if total != 69 || hw != 49 {

@@ -15,9 +15,11 @@ func TestFullCampaign(t *testing.T) {
 		t.Skip("full campaign is long")
 	}
 	scenarios := []Scenario{NodeFailProcCreate, NodeFailCOWSearch, NodeFailRandom, CorruptAddrMap, CorruptCOWTree}
+	hardware := map[Scenario]bool{NodeFailProcCreate: true, NodeFailCOWSearch: true, NodeFailRandom: true}
 	hw, sw := 0, 0
-	for _, s := range scenarios {
-		row := RunScenarioWith(parallel.Default(), s, s.PaperTests())
+	rows := RunCampaign(parallel.Default(), scenarios, Scenario.DefaultTests, TrialOpts{})
+	for _, row := range rows {
+		s := row.Scenario
 		fmt.Printf("%-50s tests=%2d allOK=%v avgDetect=%.1fms maxDetect=%.1fms avgRecov=%.1fms\n",
 			s, row.Tests, row.AllOK, row.AvgDetect, row.MaxDetect, row.AvgRecov)
 		if !row.AllOK {
@@ -25,7 +27,7 @@ func TestFullCampaign(t *testing.T) {
 				t.Errorf("%s: %s", s, f)
 			}
 		}
-		if s.Hardware() {
+		if hardware[s] {
 			hw += row.Tests
 		} else {
 			sw += row.Tests

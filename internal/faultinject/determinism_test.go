@@ -48,8 +48,11 @@ func TestScenarioAggregateDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four injection trials")
 	}
-	a := RunScenarioWith(parallel.New(1), NodeFailProcCreate, 2)
-	b := RunScenarioWith(parallel.New(4), NodeFailProcCreate, 2)
+	run := func(workers int) *CampaignRow {
+		two := func(Scenario) int { return 2 }
+		return RunCampaign(parallel.New(workers), []Scenario{NodeFailProcCreate}, two, TrialOpts{})[0]
+	}
+	a, b := run(1), run(4)
 	if a.AvgDetect != b.AvgDetect || a.MaxDetect != b.MaxDetect || a.AvgRecov != b.AvgRecov || a.AllOK != b.AllOK {
 		t.Fatalf("aggregates diverged:\n-j1: %+v\n-j4: %+v", a, b)
 	}

@@ -1,13 +1,6 @@
-// scenarios_v2.go — the v2 adversarial campaign. The paper's Table 7.4
-// injects fail-stop node faults and kernel data corruption; the v2 rows
-// attack the substrate the recovery algorithms themselves depend on:
-// messages are dropped, duplicated, delayed, and corrupted in flight, and
-// further faults are injected *during* a recovery round — a second member
-// dies mid-round, or the round coordinator (the recovery master) dies
-// between its two barriers. Containment for the message rows means nobody
-// dies and the workload completes unharmed (the fault is absorbed by
-// checksum discard, retry, and dedup); for the recovery rows it means
-// exactly the two faulted cells go down and the round still converges.
+// extensions.go — the machinery of the extension rows: the message
+// injector behind the message-fault scenarios, and the latency probe the
+// availability-loop scenarios measure with.
 package faultinject
 
 import (
@@ -20,114 +13,6 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/sim"
 )
-
-const (
-	// MsgDrop loses SIPS messages carrying retry-safe RPC traffic
-	// (requests to — or replies from — idempotent services); the caller's
-	// bounded retransmit must recover (pmake).
-	MsgDrop Scenario = CorruptCOWTree + 1 + iota
-	// MsgDup delivers messages into the target cell twice; server-side
-	// dedup and stale-reply discard must absorb the duplicates (pmake).
-	MsgDup
-	// MsgCorrupt flips payload bits in flight; the line checksum must
-	// detect the damage at delivery and degrade the fault to a drop
-	// (pmake).
-	MsgCorrupt
-	// DoubleFault fails a second cell while the first failure's recovery
-	// round is between its barriers, forcing the barrier-shrink and
-	// vote-withdrawal path (pmake).
-	DoubleFault
-	// CoordinatorDeath fails the round coordinator (the recovery master)
-	// between barrier 1 and barrier 2; the survivors must restart the
-	// round under the next live cell (pmake).
-	CoordinatorDeath
-	// FaultStorm mixes drops, duplicates, delays, and corruption over a
-	// 25 ms window of the whole message stream (pmake).
-	FaultStorm
-	// FaultDuringReintegration closes the availability loop and then
-	// attacks it: a cell fails at a random time, the reboot controller
-	// microboots it, and a second fault kills the joiner just after the
-	// join round's first barrier opens — the round must abort cleanly
-	// without taking a survivor with it, and the retry must restore full
-	// capacity (pmake).
-	FaultDuringReintegration
-	// CrashLoop cuts the rebooted cell down on every join attempt; the
-	// controller must stop at its rejoin-backoff bound and give up,
-	// leaving the survivors intact (pmake).
-	CrashLoop
-	// RollingReboot fails every fault-eligible cell in sequence under
-	// load, waiting for each to reboot, rejoin, and restore full capacity
-	// before the next kill (pmake).
-	RollingReboot
-	// SurgeFault kills a cell in the middle of the multi-tenant
-	// frontend's burst window and rides the full death → reboot → rejoin
-	// → re-stripe loop while the open-loop arrival stream keeps coming:
-	// the user-visible availability window (first to last degraded or
-	// lost request) must be bounded by the restore time (frontend).
-	SurgeFault
-)
-
-// NumScenarios counts all campaign scenarios, paper rows and extensions.
-const NumScenarios = int(SurgeFault) + 1
-
-// crashLoopBound is the rejoin-attempt bound CrashLoop trials configure and
-// then verify: the controller must give up after exactly this many attempts.
-const crashLoopBound = 3
-
-// RebootLoop reports whether the scenario exercises the availability loop:
-// the trial boots with the reboot controller enabled, and cell deaths are
-// expected to heal (except past CrashLoop's give-up bound) rather than
-// persist to the end of the run.
-func (s Scenario) RebootLoop() bool { return s >= FaultDuringReintegration }
-
-// Extension reports whether the scenario extends the paper's Table 7.4
-// (the v2 adversarial rows) rather than reproducing one of its rows.
-func (s Scenario) Extension() bool { return s > CorruptCOWTree }
-
-// DefaultTests returns the default campaign trial count: the paper's
-// counts for Table 7.4 rows, fixed counts for the extension rows.
-func (s Scenario) DefaultTests() int {
-	if !s.Extension() {
-		return s.PaperTests()
-	}
-	switch s {
-	case MsgDrop, MsgDup, MsgCorrupt:
-		return 10
-	case DoubleFault, CoordinatorDeath, FaultStorm:
-		return 6
-	case FaultDuringReintegration, CrashLoop:
-		return 6
-	case RollingReboot:
-		return 4
-	case SurgeFault:
-		return 4
-	}
-	return 0
-}
-
-// ExpectDeaths returns how many cells the scenario is expected to leave
-// dead at the end of the run: message faults must kill nobody; the
-// recovery-under-fault rows kill two; the availability-loop rows heal their
-// deaths (only CrashLoop's give-up bound leaves its victim down).
-func (s Scenario) ExpectDeaths() int {
-	switch s {
-	case MsgDrop, MsgDup, MsgCorrupt, FaultStorm, FaultDuringReintegration, RollingReboot, SurgeFault:
-		return 0
-	case DoubleFault, CoordinatorDeath:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// AllScenarios lists every campaign scenario, paper rows first.
-func AllScenarios() []Scenario {
-	out := make([]Scenario, NumScenarios)
-	for i := range out {
-		out[i] = Scenario(i)
-	}
-	return out
-}
 
 // msgInjector drives machine.FaultHook for one trial. Every decision is a
 // deterministic function of the message stream and the trial's seeded

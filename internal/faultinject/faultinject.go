@@ -4,11 +4,15 @@
 // cell of a four-cell Hive, record the latency until the last cell enters
 // recovery, observe whether the other cells survive, then run a pmake as a
 // system correctness check and compare all output files against reference
-// content.
+// content. The extension rows attack the substrate the recovery
+// algorithms themselves depend on: messages are dropped, duplicated,
+// delayed and corrupted in flight, and further faults are injected
+// *during* a recovery or join round. Containment for the message rows
+// means nobody dies and the workload completes unharmed (the fault is
+// absorbed by checksum discard, retry and dedup).
 package faultinject
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 
@@ -24,7 +28,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Scenario names one Table 7.4 row.
+// Scenario names one campaign row: a Table 7.4 row or an extension.
 type Scenario int
 
 const (
@@ -43,65 +47,109 @@ const (
 	// CorruptCOWTree corrupts a pointer in the copy-on-write tree
 	// (raytrace), 12 tests.
 	CorruptCOWTree
+	// MsgDrop loses SIPS messages carrying retry-safe RPC traffic
+	// (requests to — or replies from — idempotent services); the caller's
+	// bounded retransmit must recover (pmake).
+	MsgDrop
+	// MsgDup delivers messages into the target cell twice; server-side
+	// dedup and stale-reply discard must absorb the duplicates (pmake).
+	MsgDup
+	// MsgCorrupt flips payload bits in flight; the line checksum must
+	// detect the damage at delivery and degrade the fault to a drop
+	// (pmake).
+	MsgCorrupt
+	// DoubleFault fails a second cell while the first failure's recovery
+	// round is between its barriers, forcing the barrier-shrink and
+	// vote-withdrawal path (pmake).
+	DoubleFault
+	// CoordinatorDeath fails the round coordinator (the recovery master)
+	// between barrier 1 and barrier 2; the survivors must restart the
+	// round under the next live cell (pmake).
+	CoordinatorDeath
+	// FaultStorm mixes drops, duplicates, delays, and corruption over a
+	// 25 ms window of the whole message stream (pmake).
+	FaultStorm
+	// FaultDuringReintegration closes the availability loop and then
+	// attacks it: a cell fails at a random time, the reboot controller
+	// microboots it, and a second fault kills the joiner just after the
+	// join round's first barrier opens — the round must abort cleanly
+	// without taking a survivor with it, and the retry must restore full
+	// capacity (pmake).
+	FaultDuringReintegration
+	// CrashLoop cuts the rebooted cell down on every join attempt; the
+	// controller must stop at its rejoin-backoff bound and give up,
+	// leaving the survivors intact (pmake).
+	CrashLoop
+	// RollingReboot fails every fault-eligible cell in sequence under
+	// load, waiting for each to reboot, rejoin, and restore full capacity
+	// before the next kill (pmake).
+	RollingReboot
+	// SurgeFault kills a cell in the middle of the multi-tenant
+	// frontend's burst window and rides the full death → reboot → rejoin
+	// → re-stripe loop while the open-loop arrival stream keeps coming:
+	// the user-visible availability window (first to last degraded or
+	// lost request) must be bounded by the restore time (frontend).
+	SurgeFault
 )
+
+// NumScenarios counts all campaign scenarios, paper rows and extensions.
+const NumScenarios = int(SurgeFault) + 1
+
+// scenarios holds each scenario's facts. Arming its fault and judging its
+// trial stay code, in RunTrialOpts.
+var scenarios = [NumScenarios]struct {
+	name  string // as in Table 7.4
+	tests int    // default trial count: the paper's for a Table 7.4 row
+	dead  int    // cells left dead once the trial settles
+	loop  bool   // boots the reboot loop (RebootLoop)
+}{
+	NodeFailProcCreate:       {"node failure during process creation (P)", 20, 1, false},
+	NodeFailCOWSearch:        {"node failure during copy-on-write search (R)", 9, 1, false},
+	NodeFailRandom:           {"node failure at random time (P)", 20, 1, false},
+	CorruptAddrMap:           {"corrupt pointer in process address map (P)", 8, 1, false},
+	CorruptCOWTree:           {"corrupt pointer in copy-on-write tree (R)", 12, 1, false},
+	MsgDrop:                  {"message dropped in flight (P, ext)", 10, 0, false},
+	MsgDup:                   {"message duplicated in flight (P, ext)", 10, 0, false},
+	MsgCorrupt:               {"message corrupted in flight (P, ext)", 10, 0, false},
+	DoubleFault:              {"second node failure during recovery (P, ext)", 6, 2, false},
+	CoordinatorDeath:         {"recovery coordinator fails mid-round (P, ext)", 6, 2, false},
+	FaultStorm:               {"message fault storm (P, ext)", 6, 0, false},
+	FaultDuringReintegration: {"second fault during reintegration (P, ext)", 6, 0, true},
+	CrashLoop:                {"crash loop bounded by rejoin backoff (P, ext)", 6, 1, true},
+	RollingReboot:            {"rolling reboot of all cells (P, ext)", 4, 0, true},
+	SurgeFault:               {"cell failure during frontend surge (F, ext)", 4, 0, true},
+}
 
 // String names the scenario as in Table 7.4.
 func (s Scenario) String() string {
-	switch s {
-	case NodeFailProcCreate:
-		return "node failure during process creation (P)"
-	case NodeFailCOWSearch:
-		return "node failure during copy-on-write search (R)"
-	case NodeFailRandom:
-		return "node failure at random time (P)"
-	case CorruptAddrMap:
-		return "corrupt pointer in process address map (P)"
-	case CorruptCOWTree:
-		return "corrupt pointer in copy-on-write tree (R)"
-	case MsgDrop:
-		return "message dropped in flight (P, ext)"
-	case MsgDup:
-		return "message duplicated in flight (P, ext)"
-	case MsgCorrupt:
-		return "message corrupted in flight (P, ext)"
-	case DoubleFault:
-		return "second node failure during recovery (P, ext)"
-	case CoordinatorDeath:
-		return "recovery coordinator fails mid-round (P, ext)"
-	case FaultStorm:
-		return "message fault storm (P, ext)"
-	case FaultDuringReintegration:
-		return "second fault during reintegration (P, ext)"
-	case CrashLoop:
-		return "crash loop bounded by rejoin backoff (P, ext)"
-	case RollingReboot:
-		return "rolling reboot of all cells (P, ext)"
-	case SurgeFault:
-		return "cell failure during frontend surge (F, ext)"
-	default:
+	if uint(s) >= uint(NumScenarios) {
 		return "unknown"
 	}
+	return scenarios[s].name
 }
 
-// PaperTests returns the paper's trial count for the scenario.
-func (s Scenario) PaperTests() int {
-	switch s {
-	case NodeFailProcCreate:
-		return 20
-	case NodeFailCOWSearch:
-		return 9
-	case NodeFailRandom:
-		return 20
-	case CorruptAddrMap:
-		return 8
-	case CorruptCOWTree:
-		return 12
+// DefaultTests returns the default campaign trial count: the paper's
+// counts for Table 7.4 rows, fixed counts for the extension rows.
+func (s Scenario) DefaultTests() int { return scenarios[s].tests }
+
+// RebootLoop reports whether the scenario exercises the availability loop:
+// the trial boots with the reboot controller enabled, and cell deaths are
+// expected to heal (except past CrashLoop's give-up bound) rather than
+// persist to the end of the run.
+func (s Scenario) RebootLoop() bool { return scenarios[s].loop }
+
+// AllScenarios lists every campaign scenario, paper rows first.
+func AllScenarios() []Scenario {
+	out := make([]Scenario, NumScenarios)
+	for i := range out {
+		out[i] = Scenario(i)
 	}
-	return 0
+	return out
 }
 
-// Hardware reports whether the scenario injects a hardware fault.
-func (s Scenario) Hardware() bool { return s <= NodeFailRandom }
+// crashLoopBound is the rejoin-attempt bound CrashLoop trials configure and
+// then verify: the controller must give up after exactly this many attempts.
+const crashLoopBound = 3
 
 // TrialResult is one injection's outcome.
 type TrialResult struct {
@@ -117,7 +165,6 @@ type TrialResult struct {
 	CorrectRunOK bool   // post-fault pmake correctness check passed
 	StateOK      bool   // cross-cell kernel invariants hold after recovery
 	TraceHash    uint64 // FNV-1a over the engine's dispatch trace (TrialOpts.TraceHash)
-	TraceJSON    []byte // Chrome trace-event export (TrialOpts.KeepTrace)
 	Notes        string
 
 	// Availability-loop metrics (reboot scenarios; Scenario.RebootLoop).
@@ -164,12 +211,10 @@ type TrialOpts struct {
 	// a strict event-order witness for determinism regression tests. Off
 	// by default: the trace hook costs an allocation per dispatch.
 	TraceHash bool
-	// KeepTrace exports the hive's structured trace as Chrome trace-event
-	// JSON into TrialResult.TraceJSON when the trial ends.
-	KeepTrace bool
 	// KeepEvents retains the merged typed event stream and the per-cell
 	// ring-truncation counters in TrialResult.Events/Dropped — the input
-	// of the trace-based containment auditor (internal/forensic).
+	// of the trace-based containment auditor (internal/forensic) and of
+	// the Chrome export (trace.ExportChrome).
 	KeepEvents bool
 	// TraceCap overrides the per-cell trace ring capacity (0 = default).
 	TraceCap int
@@ -257,14 +302,6 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		}
 		defer func() { res.TraceHash = th.Sum64() }()
 	}
-	if opts.KeepTrace {
-		defer func() {
-			var buf bytes.Buffer
-			if err := h.Trace.ExportChrome(&buf); err == nil {
-				res.TraceJSON = buf.Bytes()
-			}
-		}()
-	}
 	if opts.KeepEvents {
 		defer func() {
 			res.Events = h.Trace.Merged()
@@ -285,10 +322,7 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		}
 		injected = true
 		res.InjectedAt = h.Eng.Now()
-		switch {
-		case s.Hardware(), s == DoubleFault, s == CoordinatorDeath, s.RebootLoop():
-			h.Cells[target].FailHardware()
-		}
+		h.Cells[target].FailHardware()
 	}
 
 	// Reboot scenarios measure the loop's availability cost with a probe
@@ -382,82 +416,36 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 			res.InjectedAt = inj.firstAt
 		}
 
-	case DoubleFault:
-		// First fault: the target cell fails at a random time. Second
-		// fault: another member of the resulting recovery round dies just
-		// after barrier 1 opens — while every survivor is inside the
-		// round — exercising the barrier-shrink and vote-withdrawal path.
-		second := doubleFaultSecond(target)
+	case DoubleFault, CoordinatorDeath, FaultDuringReintegration, CrashLoop:
+		// The target fails at a random time. A second fail-stop lands just
+		// after barrier 1 opens in a round about the target — while every
+		// member is inside the round. DoubleFault kills another member of
+		// the death round (the barrier-shrink and vote-withdrawal path) and
+		// CoordinatorDeath its coordinator (the survivors must restart the
+		// round under the next live cell). FaultDuringReintegration kills
+		// the joiner once: the aborted join round must not take a survivor
+		// with it, and the controller's next attempt must restore full
+		// capacity. CrashLoop kills it on every attempt: the controller
+		// must hit its rejoin-backoff bound and give up rather than reboot
+		// forever.
 		at := sim.Time(500+rng.Intn(3000)) * sim.Millisecond
 		h.Eng.At(at, inject)
-		var secondArmed bool
-		h.Coord.OnBarrier1Open = func(join bool, suspect, coordinator int) {
-			if join || secondArmed || suspect != target {
+		joinRound := s.RebootLoop() // only the loop rows rejoin their target
+		fired := false
+		h.Coord.OnBarrier1Open = func(join bool, cell, coordinator int) {
+			if join != joinRound || cell != target || (fired && s != CrashLoop) {
 				return
 			}
-			secondArmed = true
-			h.Eng.After(2*sim.Millisecond, func() {
-				if !h.Cells[second].Failed() {
-					h.Cells[second].FailHardware()
-				}
-			})
-		}
-		wl = workload.RunPmake(h, workload.DefaultPmake(), 60*sim.Second)
-
-	case CoordinatorDeath:
-		// The round coordinator (the recovery master) fails between
-		// barrier 1 and barrier 2 of the round recovering the target;
-		// the survivors must restart the round under the next live cell.
-		at := sim.Time(500+rng.Intn(3000)) * sim.Millisecond
-		h.Eng.At(at, inject)
-		var coordArmed bool
-		h.Coord.OnBarrier1Open = func(join bool, suspect, coordinator int) {
-			if join || coordArmed || suspect != target {
-				return
-			}
-			coordArmed = true
-			h.Eng.After(2*sim.Millisecond, func() {
-				if c := h.Cells[coordinator]; !c.Failed() {
-					c.FailHardware()
-				}
-			})
-		}
-		wl = workload.RunPmake(h, workload.DefaultPmake(), 60*sim.Second)
-
-	case FaultDuringReintegration:
-		// The target fails at a random time; while its reboot is being
-		// re-admitted, a second fault kills the joiner just after the join
-		// round's first barrier opens — with every member inside the round.
-		// The abort must not take a survivor with it and the controller's
-		// next attempt must restore full capacity.
-		at := sim.Time(500+rng.Intn(3000)) * sim.Millisecond
-		h.Eng.At(at, inject)
-		var rekilled bool
-		h.Coord.OnBarrier1Open = func(join bool, joiner, coordinator int) {
-			if !join || rekilled || joiner != target {
-				return
-			}
-			rekilled = true
-			h.Eng.After(2*sim.Millisecond, func() {
-				if c := h.Cells[joiner]; !c.Failed() {
-					c.FailHardware()
-				}
-			})
-		}
-		wl = workload.RunPmake(h, workload.DefaultPmake(), 60*sim.Second)
-
-	case CrashLoop:
-		// Every join attempt is cut down just after barrier 1: the
-		// controller must hit its rejoin-backoff bound and give up rather
-		// than reboot forever.
-		at := sim.Time(500+rng.Intn(3000)) * sim.Millisecond
-		h.Eng.At(at, inject)
-		h.Coord.OnBarrier1Open = func(join bool, joiner, coordinator int) {
-			if !join || joiner != target {
-				return
+			fired = true
+			victim := cell
+			switch s {
+			case DoubleFault:
+				victim = doubleFaultSecond(target)
+			case CoordinatorDeath:
+				victim = coordinator
 			}
 			h.Eng.After(2*sim.Millisecond, func() {
-				if c := h.Cells[joiner]; !c.Failed() {
+				if c := h.Cells[victim]; !c.Failed() {
 					c.FailHardware()
 				}
 			})
@@ -533,15 +521,14 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 
 	// Cells this scenario is expected to kill (empty for message faults).
 	expectDead := map[int]bool{}
-	switch {
-	case s == DoubleFault:
+	if scenarios[s].dead > 0 {
 		expectDead[target] = true
+	}
+	switch s {
+	case DoubleFault:
 		expectDead[doubleFaultSecond(target)] = true
-	case s == CoordinatorDeath:
-		expectDead[target] = true
+	case CoordinatorDeath:
 		expectDead[0] = true
-	case s.ExpectDeaths() == 1:
-		expectDead[target] = true
 	}
 
 	switch {
@@ -862,21 +849,42 @@ type CampaignRow struct {
 	Restore *stats.HistSnapshot `json:",omitempty"`
 }
 
-// RunScenarioWith runs `tests` trials of a scenario on r's worker pool and
-// aggregates them in trial order. Each trial boots its own simulation from
-// a seed derived from (scenario, trial), so the aggregate row — averages,
-// maxima, and failure list — is byte-identical at any worker count.
-func RunScenarioWith(r *parallel.Runner, s Scenario, tests int) *CampaignRow {
-	return RunScenarioCellsWith(r, s, tests, 0)
+// RunTrials runs trials 0..n(s)-1 of every scenario in scens as one job
+// list on r's worker pool, so the pool stays full across scenario
+// boundaries, and returns each scenario's results in trial order. run
+// executes one trial inside its job and returns what the caller keeps of
+// it. Each trial boots its own hive from a seed derived from (scenario,
+// trial), so the results are the same at any worker count.
+func RunTrials[T any](r *parallel.Runner, scens []Scenario, n func(Scenario) int, run func(s Scenario, trial int) T) [][]T {
+	type job struct{ scen, trial int }
+	var jobs []job
+	for si, s := range scens {
+		for t := range n(s) {
+			jobs = append(jobs, job{si, t})
+		}
+	}
+	flat := parallel.Map(r, len(jobs), func(i int) T {
+		return run(scens[jobs[i].scen], jobs[i].trial)
+	})
+	out := make([][]T, len(scens))
+	for i, j := range jobs {
+		out[j.scen] = append(out[j.scen], flat[i])
+	}
+	return out
 }
 
-// RunScenarioCellsWith is RunScenarioWith at an explicit Hive size — the
-// scaling campaign's entry point (cells 0 = the paper's 4).
-func RunScenarioCellsWith(r *parallel.Runner, s Scenario, tests, cells int) *CampaignRow {
-	trials := parallel.Map(r, tests, func(i int) *TrialResult {
-		return RunTrialOpts(s, i, TrialOpts{Cells: cells})
+// RunCampaign runs trials 0..n(s)-1 of every scenario in scens with opts
+// (RunTrials) and folds each scenario's results into its row, in scens
+// order.
+func RunCampaign(r *parallel.Runner, scens []Scenario, n func(Scenario) int, opts TrialOpts) []*CampaignRow {
+	trials := RunTrials(r, scens, n, func(s Scenario, trial int) *TrialResult {
+		return RunTrialOpts(s, trial, opts)
 	})
-	return Aggregate(s, trials)
+	rows := make([]*CampaignRow, len(scens))
+	for i, s := range scens {
+		rows[i] = Aggregate(s, trials[i])
+	}
+	return rows
 }
 
 // Aggregate folds a scenario's ordered trial results into a Table 7.4 row.
@@ -884,7 +892,7 @@ func RunScenarioCellsWith(r *parallel.Runner, s Scenario, tests, cells int) *Cam
 // the row carries means, maxima, and tail percentiles from one accumulator.
 func Aggregate(s Scenario, trials []*TrialResult) *CampaignRow {
 	row := &CampaignRow{Scenario: s, Name: s.String(), Tests: len(trials), AllOK: true}
-	var hd, hr, hres stats.Histogram
+	var hd, hr, hres, hw stats.Histogram
 	var loopSum float64
 	loopN := 0
 	for i, tr := range trials {
@@ -903,6 +911,9 @@ func Aggregate(s Scenario, trials []*TrialResult) *CampaignRow {
 		}
 		if tr.RestoreMs > 0 {
 			hres.Observe(tr.RestoreMs)
+		}
+		if tr.FeWindowMs > 0 { // SurgeFault only
+			hw.Observe(tr.FeWindowMs)
 		}
 		if tr.Scenario.RebootLoop() {
 			loopSum += tr.LoopP99Ms
@@ -928,12 +939,6 @@ func Aggregate(s Scenario, trials []*TrialResult) *CampaignRow {
 	}
 	if loopN > 0 {
 		row.AvgLoopP99 = loopSum / float64(loopN)
-	}
-	var hw stats.Histogram
-	for _, tr := range trials {
-		if tr.Scenario == SurgeFault && tr.FeWindowMs > 0 {
-			hw.Observe(tr.FeWindowMs)
-		}
 	}
 	if hw.N() > 0 {
 		row.AvgWindow = hw.Mean()

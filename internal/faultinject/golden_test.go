@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -149,8 +150,12 @@ func TestGoldenRenderings(t *testing.T) {
 		return d.Sum64()
 	}
 	for _, g := range golden {
-		r := RunTrialOpts(g.s, 0, TrialOpts{KeepTrace: true, KeepEvents: true})
-		if got := digest(r.TraceJSON); got != g.chrome {
+		r := RunTrialOpts(g.s, 0, TrialOpts{KeepEvents: true})
+		var chrome bytes.Buffer
+		if err := trace.ExportChrome(&chrome, r.Cells, r.Events); err != nil {
+			t.Fatalf("%v trial 0 Chrome export: %v", g.s, err)
+		}
+		if got := digest(chrome.Bytes()); got != g.chrome {
 			t.Errorf("%v trial 0 Chrome export digest = %#x, want %#x", g.s, got, g.chrome)
 		}
 		report := forensic.Analyze(r.Events, r.Dropped).Format(3)

@@ -20,14 +20,3 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
-
-// TestTrialTargetsRotate checks the campaign alternates injection targets.
-func TestTrialTargetsRotate(t *testing.T) {
-	seen := map[int]bool{}
-	for i := 0; i < 4; i++ {
-		seen[1+i%2] = true
-	}
-	if !seen[1] || !seen[2] {
-		t.Fatal("targets do not rotate over cells 1 and 2")
-	}
-}

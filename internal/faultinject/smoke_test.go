@@ -1,14 +1,19 @@
 package faultinject
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
+// TestOneTrialEach runs trial i of the i-th Table 7.4 scenario: each must
+// be contained, and the targets must rotate over cells 1 and 2, the cells
+// that serve no file system.
 func TestOneTrialEach(t *testing.T) {
-	for _, s := range []Scenario{NodeFailProcCreate, NodeFailCOWSearch, NodeFailRandom, CorruptAddrMap, CorruptCOWTree} {
-		tr := RunTrial(s, 0)
-		fmt.Printf("%-50s detect=%.1fms recov=%.1fms det=%v cont=%v integ=%v check=%v notes=%s\n",
-			s, tr.DetectMs, tr.RecoveryMs, tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.Notes)
+	for i, s := range []Scenario{NodeFailProcCreate, NodeFailCOWSearch, NodeFailRandom, CorruptAddrMap, CorruptCOWTree} {
+		tr := RunTrial(s, i)
+		if !tr.OK() {
+			t.Errorf("%s trial %d: detect=%.1fms recov=%.1fms det=%v cont=%v integ=%v check=%v state=%v notes=%s",
+				s, i, tr.DetectMs, tr.RecoveryMs, tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK, tr.Notes)
+		}
+		if want := 1 + i%2; tr.TargetCell != want {
+			t.Errorf("%s trial %d: target cell %d, want %d", s, i, tr.TargetCell, want)
+		}
 	}
 }

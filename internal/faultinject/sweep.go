@@ -17,15 +17,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// SweepOpts configures a campaign sweep over every scenario, paper rows
-// and extensions.
-type SweepOpts struct {
-	// TrialsPer is the grid depth per scenario (minimum 1).
-	TrialsPer int
-	// Runner fans trials out; nil = the process-wide default pool.
-	Runner *parallel.Runner
-}
-
 // minimizeAttempts bounds the candidate seeds tried when minimizing a
 // failure.
 const minimizeAttempts = 8
@@ -65,48 +56,42 @@ type SweepReport struct {
 // AllOK reports a clean sweep.
 func (r *SweepReport) AllOK() bool { return len(r.Failures) == 0 }
 
-// Sweep runs the grid and minimizes failures. Trials fan out across the
-// runner; folding happens in grid order, so the report is byte-identical
-// at any worker count.
-func Sweep(opts SweepOpts) *SweepReport {
+// Sweep runs trials 0..per-1 of every scenario, paper rows and
+// extensions, with opts, and minimizes failures. Trials fan out across r;
+// folding happens in grid order, so the report is byte-identical at any
+// worker count.
+func Sweep(r *parallel.Runner, per int, opts TrialOpts) *SweepReport {
+	per = max(per, 1)
 	scen := AllScenarios()
-	per := opts.TrialsPer
-	if per < 1 {
-		per = 1
-	}
-	r := opts.Runner
-	if r == nil {
-		r = parallel.Default()
-	}
-	n := len(scen) * per
-	trials := parallel.Map(r, n, func(i int) *TrialResult {
-		return RunTrial(scen[i/per], i%per)
-	})
+	trials := RunTrials(r, scen, func(Scenario) int { return per },
+		func(s Scenario, trial int) *TrialResult { return RunTrialOpts(s, trial, opts) })
 
-	rep := &SweepReport{Points: n}
-	for _, s := range scen {
-		rep.Rows = append(rep.Rows, &SweepRow{Scenario: s, Name: s.String(), Trials: per})
-	}
+	rep := &SweepReport{Points: len(scen) * per}
 	w := fnv.New64a()
-	for i, tr := range trials {
-		fmt.Fprintf(w, "%d:%d:%d:%v:%v:%v:%v:%v:%.6f:%.6f:%s\n",
-			int(tr.Scenario), i%per, tr.Seed,
-			tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK,
-			tr.DetectMs, tr.RecoveryMs, tr.Notes)
-		if tr.OK() {
-			rep.OKCount++
-			rep.Rows[i/per].OK++
-			continue
+	for si, s := range scen {
+		row := &SweepRow{Scenario: s, Name: s.String(), Trials: per}
+		rep.Rows = append(rep.Rows, row)
+		for trial, tr := range trials[si] {
+			fmt.Fprintf(w, "%d:%d:%d:%v:%v:%v:%v:%v:%.6f:%.6f:%s\n",
+				int(tr.Scenario), trial, tr.Seed,
+				tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK,
+				tr.DetectMs, tr.RecoveryMs, tr.Notes)
+			if tr.OK() {
+				rep.OKCount++
+				row.OK++
+				continue
+			}
+			rep.Failures = append(rep.Failures, minimize(tr, trial, opts))
 		}
-		rep.Failures = append(rep.Failures, minimize(tr, i%per))
 	}
 	rep.Hash = w.Sum64()
 	return rep
 }
 
 // minimize searches ascending candidate seeds for the smallest one that
-// still reproduces the failure at the same grid point.
-func minimize(tr *TrialResult, trial int) *SweepFailure {
+// still reproduces the failure at the same grid point, with the sweep's
+// opts.
+func minimize(tr *TrialResult, trial int, opts TrialOpts) *SweepFailure {
 	f := &SweepFailure{
 		Scenario: tr.Scenario,
 		Trial:    trial,
@@ -115,7 +100,8 @@ func minimize(tr *TrialResult, trial int) *SweepFailure {
 		MinSeed:  tr.Seed,
 	}
 	for cand := int64(1); cand <= minimizeAttempts && cand < tr.Seed; cand++ {
-		if rt := RunTrialOpts(tr.Scenario, trial, TrialOpts{Seed: cand}); !rt.OK() {
+		opts.Seed = cand
+		if rt := RunTrialOpts(tr.Scenario, trial, opts); !rt.OK() {
 			f.MinSeed = cand
 			f.Minimized = true
 			f.MinNotes = rt.Notes

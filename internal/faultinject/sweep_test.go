@@ -13,11 +13,8 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep trials in -short mode")
 	}
-	opts := SweepOpts{TrialsPer: 1}
-	opts.Runner = parallel.New(1)
-	a := Sweep(opts)
-	opts.Runner = parallel.New(4)
-	b := Sweep(opts)
+	a := Sweep(parallel.New(1), 1, TrialOpts{})
+	b := Sweep(parallel.New(4), 1, TrialOpts{})
 	if a.Hash != b.Hash {
 		t.Fatalf("witness hash diverged: %016x vs %016x", a.Hash, b.Hash)
 	}

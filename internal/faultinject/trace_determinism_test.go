@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/trace"
 )
 
 // tracedTrials runs n NodeFailRandom trials with trace export enabled on a
@@ -13,16 +14,18 @@ import (
 // plus the marshalled campaign row.
 func tracedTrials(t *testing.T, workers, n int) ([]byte, []byte) {
 	t.Helper()
-	opts := TrialOpts{KeepTrace: true, TraceCap: 1 << 14}
+	opts := TrialOpts{KeepEvents: true, TraceCap: 1 << 14}
 	trials := parallel.Map(parallel.New(workers), n, func(i int) *TrialResult {
 		return RunTrialOpts(NodeFailRandom, i, opts)
 	})
 	var traces bytes.Buffer
 	for i, tr := range trials {
-		if len(tr.TraceJSON) == 0 {
-			t.Fatalf("trial %d: no trace exported", i)
+		if len(tr.Events) == 0 {
+			t.Fatalf("trial %d: no events kept", i)
 		}
-		traces.Write(tr.TraceJSON)
+		if err := trace.ExportChrome(&traces, tr.Cells, tr.Events); err != nil {
+			t.Fatalf("trial %d: export: %v", i, err)
+		}
 	}
 	row, err := json.Marshal(Aggregate(NodeFailRandom, trials))
 	if err != nil {

@@ -26,11 +26,8 @@ func TestCampaignSliceDeterminism(t *testing.T) {
 	const trialsPer = 2
 
 	run := func(workers int) ([]*Table74Row, string) {
-		r := parallel.New(workers)
-		var rows []*Table74Row
-		for _, s := range scenarios {
-			rows = append(rows, faultinject.RunScenarioWith(r, s, trialsPer))
-		}
+		rows := faultinject.RunCampaign(parallel.New(workers), scenarios,
+			func(faultinject.Scenario) int { return trialsPer }, faultinject.TrialOpts{})
 		return rows, FormatTable74(rows)
 	}
 

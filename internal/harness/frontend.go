@@ -59,10 +59,7 @@ var frontendMultipliers = []float64{0.5, 1.0, 2.0}
 // quick and full mode. Sweep points and fault trials are independent
 // boots and fan out across the process-wide parallel runner.
 func RunFrontendSweep(scale float64) *FrontendReport {
-	nf := int(float64(faultinject.SurgeFault.DefaultTests())*scale + 0.5)
-	if nf < 1 {
-		nf = 1
-	}
+	nf := max(1, int(float64(faultinject.SurgeFault.DefaultTests())*scale+0.5))
 	total := len(frontendMultipliers) + nf
 	points := make([]FrontendPoint, len(frontendMultipliers))
 	trials := parallel.Map(parallel.Default(), total, func(i int) *faultinject.TrialResult {

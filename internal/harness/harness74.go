@@ -22,42 +22,8 @@ type Table74Row = faultinject.CampaignRow
 // RunTable74 executes the §7.4 campaign. scale ∈ (0,1] shrinks the trial
 // counts proportionally for quick runs (1.0 = the paper's 49+20 trials).
 func RunTable74(scale float64) []*Table74Row {
-	scenarios := []faultinject.Scenario{
-		faultinject.NodeFailProcCreate,
-		faultinject.NodeFailCOWSearch,
-		faultinject.NodeFailRandom,
-		faultinject.CorruptAddrMap,
-		faultinject.CorruptCOWTree,
-	}
-	// Flatten the campaign to (scenario, trial) units so the worker pool
-	// load-balances across scenario boundaries; aggregate per scenario
-	// afterwards in trial order (identical at any worker count).
-	counts := make([]int, len(scenarios))
-	total := 0
-	for i, s := range scenarios {
-		n := int(float64(s.PaperTests())*scale + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		counts[i] = n
-		total += n
-	}
-	trials := parallel.Map(parallel.Default(), total, func(i int) *faultinject.TrialResult {
-		for si, n := range counts {
-			if i < n {
-				return faultinject.RunTrial(scenarios[si], i)
-			}
-			i -= n
-		}
-		panic("unreachable")
-	})
-	var rows []*Table74Row
-	off := 0
-	for si, s := range scenarios {
-		rows = append(rows, faultinject.Aggregate(s, trials[off:off+counts[si]]))
-		off += counts[si]
-	}
-	return rows
+	return runScaled(scale, faultinject.NodeFailProcCreate, faultinject.NodeFailCOWSearch,
+		faultinject.NodeFailRandom, faultinject.CorruptAddrMap, faultinject.CorruptCOWTree)
 }
 
 // RunRebootLoop executes the availability-loop campaign: the three reboot
@@ -66,37 +32,16 @@ func RunTable74(scale float64) []*Table74Row {
 // carry time-to-restored-full-capacity (AvgRestore/P99Restore) and the p99
 // workload-op latency measured while the loop ran (AvgLoopP99).
 func RunRebootLoop(scale float64) []*faultinject.CampaignRow {
-	scenarios := []faultinject.Scenario{
-		faultinject.FaultDuringReintegration,
-		faultinject.CrashLoop,
-		faultinject.RollingReboot,
-	}
-	counts := make([]int, len(scenarios))
-	total := 0
-	for i, s := range scenarios {
-		n := int(float64(s.DefaultTests())*scale + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		counts[i] = n
-		total += n
-	}
-	trials := parallel.Map(parallel.Default(), total, func(i int) *faultinject.TrialResult {
-		for si, n := range counts {
-			if i < n {
-				return faultinject.RunTrial(scenarios[si], i)
-			}
-			i -= n
-		}
-		panic("unreachable")
-	})
-	var rows []*faultinject.CampaignRow
-	off := 0
-	for si, s := range scenarios {
-		rows = append(rows, faultinject.Aggregate(s, trials[off:off+counts[si]]))
-		off += counts[si]
-	}
-	return rows
+	return runScaled(scale, faultinject.FaultDuringReintegration, faultinject.CrashLoop,
+		faultinject.RollingReboot)
+}
+
+// runScaled runs each scenario's default trial count times scale (at
+// least one trial) as one campaign on the process-wide parallel runner.
+func runScaled(scale float64, scens ...faultinject.Scenario) []*faultinject.CampaignRow {
+	return faultinject.RunCampaign(parallel.Default(), scens, func(s faultinject.Scenario) int {
+		return max(1, int(float64(s.DefaultTests())*scale+0.5))
+	}, faultinject.TrialOpts{})
 }
 
 // FormatRebootLoop renders the availability-loop campaign table.

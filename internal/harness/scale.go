@@ -58,20 +58,21 @@ var scaleScenarios = []faultinject.Scenario{
 }
 
 // RunScale measures each requested cell count with `trials` fault trials
-// per scenario. Every probe (pmake, ocean, and each scenario's trial slice)
-// is an independent boot, so the probes fan out across the process-wide
-// parallel runner; results merge in cell-count order.
+// per scenario. Every probe (pmake, ocean, and each fault trial) is an
+// independent boot and one job on the process-wide parallel runner;
+// results merge in cell-count order.
 func RunScale(cellCounts []int, trials int) []ScaleRow {
-	const unitsPer = 2 + 3 // pmake, ocean, one unit per scaleScenario
+	// Per cell count: pmake, ocean, then the trials of each scaleScenario.
+	unitsPer := 2 + len(scaleScenarios)*trials
 	type part struct {
 		pmakeSec, oceanSec float64
 		rpcCalls, events   int64
 		wallEvSec          float64
-		row                *faultinject.CampaignRow
+		trial              *faultinject.TrialResult
 	}
 	parts := parallel.Map(parallel.Default(), unitsPer*len(cellCounts), func(i int) part {
 		cells := cellCounts[i/unitsPer]
-		switch i % unitsPer {
+		switch u := i % unitsPer; u {
 		case 0:
 			h := workload.BootHive(cells)
 			defer h.Eng.Stop()
@@ -94,8 +95,9 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 			res := workload.RunOcean(h, cfg, 120*sim.Second)
 			return part{oceanSec: res.Elapsed.Seconds()}
 		default:
-			s := scaleScenarios[i%unitsPer-2]
-			return part{row: faultinject.RunScenarioCellsWith(parallel.Default(), s, trials, cells)}
+			u -= 2
+			return part{trial: faultinject.RunTrialOpts(scaleScenarios[u/trials], u%trials,
+				faultinject.TrialOpts{Cells: cells})}
 		}
 	})
 
@@ -117,14 +119,19 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 		}
 		var detect, recov float64
 		n := 0
-		for _, u := range p[2:] {
-			row.FaultTrials += u.row.Tests
-			if !u.row.AllOK {
+		for k, s := range scaleScenarios {
+			trs := make([]*faultinject.TrialResult, trials)
+			for t := range trs {
+				trs[t] = p[2+k*trials+t].trial
+			}
+			u := faultinject.Aggregate(s, trs)
+			row.FaultTrials += u.Tests
+			if !u.AllOK {
 				row.Contained = false
 			}
-			if u.row.AvgDetect > 0 {
-				detect += u.row.AvgDetect
-				recov += u.row.AvgRecov
+			if u.AvgDetect > 0 {
+				detect += u.AvgDetect
+				recov += u.AvgRecov
 				n++
 			}
 		}

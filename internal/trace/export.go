@@ -131,24 +131,24 @@ func withArg(args map[string]any, k string, v any) map[string]any {
 	return args
 }
 
-// BuildChrome converts the merged stream into trace-event entries:
+// buildChrome converts a merged stream into trace-event entries:
 // metadata first, then events in merge order, with each begin/end pair
 // (matched by Pair) folded into one complete slice emitted at its end
 // event's position.
-func (s *Set) BuildChrome() []chromeEvent {
+func buildChrome(cells int, events []Event) []chromeEvent {
 	var out []chromeEvent
 	out = append(out, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": "hive"},
 	})
-	for c := 0; c < s.Cells(); c++ {
+	for c := 0; c < cells; c++ {
 		out = append(out, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: c,
 			Args: map[string]any{"name": fmt.Sprintf("cell %d", c)},
 		})
 	}
 
-	open := Pair(s.Merged(), func(b, e Event) {
+	open := Pair(events, func(b, e Event) {
 		dur := (e.At - b.At).Micros()
 		args := chromeArgs(b)
 		switch {
@@ -185,13 +185,17 @@ func (s *Set) BuildChrome() []chromeEvent {
 	return out
 }
 
-// ExportChrome writes the merged stream as Chrome trace-event JSON.
-// Virtual time maps to the trace's microsecond timestamps, one track per
-// cell. Deterministic: same seed, same bytes, at any -j level.
-func (s *Set) ExportChrome(w io.Writer) error {
+// ExportChrome writes events, the merged stream (Set.Merged) of a hive
+// of the given number of cells, as Chrome trace-event JSON. Virtual time
+// maps to the trace's microsecond timestamps, one track per cell.
+// Deterministic: same seed, same bytes, at any -j level.
+func ExportChrome(w io.Writer, cells int, events []Event) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeDoc{
-		TraceEvents:     s.BuildChrome(),
+		TraceEvents:     buildChrome(cells, events),
 		DisplayTimeUnit: "ms",
 	})
 }
+
+// ExportChrome writes the set's merged stream as Chrome trace-event JSON.
+func (s *Set) ExportChrome(w io.Writer) error { return ExportChrome(w, s.Cells(), s.Merged()) }
