@@ -32,8 +32,9 @@ lint-report:
 	$(GO) run ./cmd/hivelint -json -budget 30s > hivelint.json
 
 # check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
-# hivelint, full test suite, one pass of the state-scan benchmarks (so
-# they keep compiling and running), the race detector over the same
+# hivelint, full test suite, one pass of the state-scan benchmarks and of
+# the sim engine benchmarks (so they keep compiling and running), the
+# race detector over the same
 # packages as CI's race job (`make race`: the parallel trial runner, the
 # engine it drives and the fault-injection determinism gates), the
 # observability byte-identity gate, the forensic cross-check and the
@@ -44,6 +45,7 @@ check: build
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants' -benchtime 1x ./internal/trace ./internal/core
+	$(GO) test -run '^$$' -bench 'Engine|Event|Task' -benchtime 1x ./internal/sim
 	$(MAKE) race
 	$(MAKE) trace-check
 	$(MAKE) mort-check

@@ -74,6 +74,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faultdrill: -scenario %d: scenarios are 0..%d\n", *scenario, faultinject.NumScenarios-1)
 		os.Exit(2)
 	}
+	if *trial < 0 {
+		fmt.Fprintf(os.Stderr, "faultdrill: -trial %d: trials are 0 or more\n", *trial)
+		os.Exit(2)
+	}
 	opts := faultinject.TrialOpts{Cells: *cells}
 
 	if *sweep {

@@ -236,8 +236,13 @@ func RunTrial(s Scenario, trial int) *TrialResult {
 
 // RunTrialOpts is RunTrial with explicit instrumentation options. The trial
 // is entirely self-contained (its own engine, seeded from (s, trial)), so
-// concurrent trials on a parallel.Runner give bit-identical results.
+// concurrent trials on a parallel.Runner give bit-identical results. Trials
+// are numbered from 0; a negative trial panics, since it would rotate the
+// target onto cell 0, the /usr file server.
 func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
+	if trial < 0 {
+		panic(fmt.Sprintf("faultinject: trial %d: trials are 0 or more", trial))
+	}
 	cells := opts.Cells
 	if cells == 0 {
 		cells = 4

@@ -17,3 +17,16 @@ func TestOneTrialEach(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeTrialPanics checks that a negative trial is refused rather
+// than run: 1 + trial%(cells-2) would put trial -1's fault into cell 0, the
+// /usr file server.
+func TestNegativeTrialPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "faultinject: trial -1: trials are 0 or more" {
+			t.Errorf("recover() = %v, want the negative-trial panic", r)
+		}
+	}()
+	RunTrial(NodeFailProcCreate, -1)
+	t.Error("RunTrial(NodeFailProcCreate, -1) returned")
+}

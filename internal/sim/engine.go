@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -59,7 +58,7 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // simulation code.
 type Engine struct {
 	now        Time
-	events     eventHeap
+	events     eventQueue
 	nLive      int // scheduled, non-cancelled events (cancellation is lazy)
 	free       []*Event
 	seq        uint64
@@ -104,18 +103,9 @@ func (e *Engine) schedule(t Time, fn func(), task *Task, timeout bool) *Event {
 	} else {
 		ev = new(Event)
 	}
-	*ev = Event{engine: e, at: t, seq: e.seq, fn: fn, task: task, timeout: timeout, index: -1}
-	heap.Push(&e.events, ev)
+	*ev = Event{engine: e, at: t, seq: e.seq, fn: fn, task: task, timeout: timeout}
+	e.events.push(ev)
 	e.nLive++
-	return ev
-}
-
-// atOwned schedules an engine-owned event: the pointer is never handed to
-// simulation code, so the engine recycles it through the freelist as soon
-// as it fires.
-func (e *Engine) atOwned(t Time, fn func()) *Event {
-	ev := e.schedule(t, fn, nil, false)
-	ev.owned = true
 	return ev
 }
 
@@ -162,18 +152,19 @@ func (e *Engine) release(ev *Event) {
 }
 
 // At schedules fn to run at absolute virtual time t (clamped to now). The
-// returned Event stays valid indefinitely: it is never recycled, so Cancel,
-// Reschedule, and Pending are safe at any later point.
-func (e *Engine) At(t Time, fn func()) *Event {
-	return e.schedule(t, fn, nil, false)
+// engine owns the event and recycles it once fn returns, so At hands out no
+// handle; code that must move or cancel a wake uses Task.SleepEvent or
+// Task.BlockTimeout.
+func (e *Engine) At(t Time, fn func()) {
+	e.schedule(t, fn, nil, false).owned = true
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) *Event {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+d, fn)
+	e.At(e.now+d, fn)
 }
 
 // Run processes events until the queue is empty or the deadline passes. A
@@ -187,7 +178,7 @@ func (e *Engine) Run(deadline Time) Time {
 	for len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.cancelled { // lazily-cancelled: discard without firing
-			heap.Pop(&e.events)
+			e.events.pop()
 			if ev.owned {
 				e.recycle(ev)
 			}
@@ -197,7 +188,7 @@ func (e *Engine) Run(deadline Time) Time {
 			e.now = deadline
 			break
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		e.fire(ev)
 	}
 	if deadline > 0 && e.now < deadline {
@@ -265,7 +256,7 @@ func (ev *Event) Reschedule(t Time) bool {
 		t = ev.engine.now
 	}
 	ev.at = t
-	heap.Fix(&ev.engine.events, int(ev.index))
+	ev.engine.events.fix(int(ev.index))
 	return true
 }
 
@@ -293,46 +284,93 @@ func (e *Engine) compact() {
 		ev.index = int32(i)
 	}
 	e.events = keep
-	heap.Init(&e.events)
+	e.events.init()
 }
 
-// eventHeap orders events by (time, sequence), giving FIFO order among
-// simultaneous events — the property that makes runs deterministic.
-// It implements container/heap.Interface.
-type eventHeap []*Event
+// eventQueue is a binary min-heap of events ordered by (time, sequence),
+// giving FIFO order among simultaneous events — the property that makes
+// runs deterministic. Every key is unique, so any correct heap pops the
+// same sequence. Sifting moves a hole instead of swapping: each event passed
+// over is stored, and its index written, once, and the event being placed
+// is stored once, at the end.
+type eventQueue []*Event
 
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
+// before orders events by (time, sequence).
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-// Less implements heap.Interface: earlier time, then earlier sequence.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push adds ev to the queue.
+func (q *eventQueue) push(ev *Event) {
+	*q = append(*q, ev)
+	q.up(ev, len(*q)-1)
+}
+
+// pop removes and returns the earliest event, leaving its index at -1.
+// The queue must not be empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = nil
+	*q = h[:n]
+	if n > 0 {
+		q.down(last, 0)
 	}
-	return h[i].seq < h[j].seq
+	top.index = -1
+	return top
 }
 
-// Swap implements heap.Interface.
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = int32(i)
-	h[j].index = int32(j)
+// fix restores the heap after the event at i changed its time.
+func (q eventQueue) fix(i int) {
+	ev := q[i]
+	if i > 0 && before(ev, q[(i-1)/2]) {
+		q.up(ev, i)
+	} else {
+		q.down(ev, i)
+	}
 }
 
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = int32(len(*h))
-	*h = append(*h, ev)
+// init establishes the heap order over the whole slice.
+func (q eventQueue) init() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(q[i], i)
+	}
 }
 
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// up places ev, whose slot is the hole at i, by moving the hole toward the
+// root past every parent that ev sorts before.
+func (q eventQueue) up(ev *Event, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := q[p]
+		if !before(ev, parent) {
+			break
+		}
+		q[i], parent.index = parent, int32(i)
+		i = p
+	}
+	q[i], ev.index = ev, int32(i)
+}
+
+// down places ev, whose slot is the hole at i, by moving the hole toward
+// the leaves past every smaller child that sorts before ev.
+func (q eventQueue) down(ev *Event, i int) {
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		child := q[c]
+		if r := c + 1; r < n && before(q[r], child) {
+			c, child = r, q[r]
+		}
+		if !before(child, ev) {
+			break
+		}
+		q[i], child.index = child, int32(i)
+		i = c
+	}
+	q[i], ev.index = ev, int32(i)
 }

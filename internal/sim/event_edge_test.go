@@ -9,7 +9,7 @@ import "testing"
 func TestCancelAfterFiring(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	ev := e.At(10, func() { fired++ })
+	ev := e.handleAt(10, func() { fired++ })
 	e.Run(0)
 	if fired != 1 {
 		t.Fatalf("event fired %d times, want 1", fired)
@@ -32,7 +32,7 @@ func TestCancelAfterFiring(t *testing.T) {
 func TestRescheduleAfterFiring(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	ev := e.At(10, func() { fired++ })
+	ev := e.handleAt(10, func() { fired++ })
 	e.Run(0)
 	if ev.Reschedule(100) {
 		t.Error("Reschedule after firing reported success")
@@ -45,7 +45,7 @@ func TestRescheduleAfterFiring(t *testing.T) {
 
 func TestDoubleCancel(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.At(10, func() { t.Error("cancelled event fired") })
+	ev := e.handleAt(10, func() { t.Error("cancelled event fired") })
 	if !ev.Cancel() {
 		t.Fatal("first Cancel reported not pending")
 	}
@@ -61,7 +61,7 @@ func TestDoubleCancel(t *testing.T) {
 func TestCancelThenReschedule(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(10, func() { fired = true })
+	ev := e.handleAt(10, func() { fired = true })
 	ev.Cancel()
 	if ev.Reschedule(20) {
 		t.Error("Reschedule revived a cancelled event")
@@ -78,7 +78,7 @@ func TestCancelThenReschedule(t *testing.T) {
 func TestRescheduleThenCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(10, func() { fired = true })
+	ev := e.handleAt(10, func() { fired = true })
 	if !ev.Reschedule(5) {
 		t.Fatal("Reschedule of a pending event failed")
 	}
@@ -97,7 +97,7 @@ func TestPendingCountAcrossLifecycle(t *testing.T) {
 	e := NewEngine(1)
 	var evs []*Event
 	for i := 0; i < 10; i++ {
-		evs = append(evs, e.At(Time(10+i), func() {}))
+		evs = append(evs, e.handleAt(Time(10+i), func() {}))
 	}
 	if got := e.Pending(); got != 10 {
 		t.Fatalf("Pending = %d after 10 schedules, want 10", got)
@@ -132,7 +132,7 @@ func TestLazyCancelStorm(t *testing.T) {
 		if i%5 == 0 { // every fifth event survives
 			e.At(tm, func() { fireOrder = append(fireOrder, e.Now()) })
 		} else {
-			doomed = append(doomed, e.At(tm, func() { t.Error("doomed event fired") }))
+			doomed = append(doomed, e.handleAt(tm, func() { t.Error("doomed event fired") }))
 		}
 	}
 	for _, ev := range doomed {
@@ -161,7 +161,7 @@ func TestCompactPreservesReschedule(t *testing.T) {
 	var survivors, doomed []*Event
 	for i := 0; i < 128; i++ {
 		tm := Time(1000 + i)
-		ev := e.At(tm, func() { fired[e.Now()] = true })
+		ev := e.handleAt(tm, func() { fired[e.Now()] = true })
 		if i%2 == 0 {
 			survivors = append(survivors, ev)
 		} else {
@@ -196,13 +196,14 @@ func TestCompactPreservesReschedule(t *testing.T) {
 	}
 }
 
-// TestPublicEventNotRecycled guards the freelist contract: an Event returned
-// by At/After must stay valid (and inert) after firing even when the engine
-// keeps scheduling through the freelist afterwards. Only engine-owned wakes
-// and SleepEvent's event (on a normal return) are recycled.
+// TestPublicEventNotRecycled guards the freelist contract: an Event handed
+// out as a handle (here handleAt's) must stay valid (and inert) after firing
+// even when the engine keeps scheduling through the freelist afterwards.
+// Only engine-owned events (At, After and task wakes) and SleepEvent's event
+// (on a normal return) are recycled.
 func TestPublicEventNotRecycled(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.At(5, func() {})
+	ev := e.handleAt(5, func() {})
 	e.Run(0)
 	// Generate freelist churn: internal sleep timers are recycled.
 	e.Go("churn", func(tk *Task) {

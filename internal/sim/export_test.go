@@ -1,11 +1,9 @@
 package sim
 
-import "container/heap"
-
 // Step processes a single event, returning false when the queue is empty.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
+		ev := e.events.pop()
 		if ev.cancelled {
 			if ev.owned {
 				e.recycle(ev)
@@ -16,6 +14,13 @@ func (e *Engine) Step() bool {
 		return true
 	}
 	return false
+}
+
+// handleAt schedules fn at absolute time t like At, but returns the event
+// as a handle the test owns: the engine never recycles it, so Cancel,
+// Reschedule, Pending and When stay safe on it at any later point.
+func (e *Engine) handleAt(t Time, fn func()) *Event {
+	return e.schedule(t, fn, nil, false)
 }
 
 // Pending returns the number of scheduled (non-cancelled) events. It is

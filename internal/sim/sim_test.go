@@ -40,7 +40,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(10, func() { fired = true })
+	ev := e.handleAt(10, func() { fired = true })
 	if !ev.Cancel() {
 		t.Fatal("cancel reported not pending")
 	}
@@ -56,7 +56,7 @@ func TestEventCancel(t *testing.T) {
 func TestEventReschedule(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	ev := e.At(10, func() { at = e.Now() })
+	ev := e.handleAt(10, func() { at = e.Now() })
 	if !ev.Reschedule(50) {
 		t.Fatal("reschedule failed")
 	}
@@ -73,7 +73,7 @@ func TestRescheduleEarlier(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	e.At(20, func() { order = append(order, "a") })
-	ev := e.At(30, func() { order = append(order, "b") })
+	ev := e.handleAt(30, func() { order = append(order, "b") })
 	ev.Reschedule(10)
 	e.Run(0)
 	if strings.Join(order, "") != "ba" {

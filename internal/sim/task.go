@@ -82,7 +82,7 @@ func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 		}
 		fn(t)
 	})
-	e.atOwned(e.now, func() {
+	e.At(e.now, func() {
 		if !t.done {
 			e.dispatch(t)
 		}
@@ -238,7 +238,7 @@ func (t *Task) Kill() {
 	if t == t.eng.cur {
 		panic(killedPanic{t.name})
 	}
-	t.eng.atOwned(t.eng.now, func() {
+	t.eng.At(t.eng.now, func() {
 		if t.done {
 			return
 		}
