@@ -32,9 +32,9 @@ lint-report:
 	$(GO) run ./cmd/hivelint -json -budget 30s > hivelint.json
 
 # check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
-# hivelint, full test suite, one pass of the state-scan benchmarks and of
-# the sim engine benchmarks (so they keep compiling and running), the
-# race detector over the same
+# hivelint, full test suite, one pass of the state-scan benchmarks, of
+# the sim engine benchmarks and of the null-RPC round trip (so they keep
+# compiling and running), the race detector over the same
 # packages as CI's race job (`make race`: the parallel trial runner, the
 # engine it drives and the fault-injection determinism gates), the
 # observability byte-identity gate, the forensic cross-check and the
@@ -45,7 +45,7 @@ check: build
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants' -benchtime 1x ./internal/trace ./internal/core
-	$(GO) test -run '^$$' -bench 'Engine|Event|Task' -benchtime 1x ./internal/sim
+	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC' -benchtime 1x ./internal/sim ./internal/rpc
 	$(MAKE) race
 	$(MAKE) trace-check
 	$(MAKE) mort-check
@@ -120,9 +120,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-engine tracks the simulator's own hot paths (events/sec, allocs).
+# bench-engine tracks the simulator's own hot paths (events/sec, allocs)
+# and the interrupt-level null RPC round trip built on them.
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkEvent|BenchmarkPending|BenchmarkTask' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkNullRPC' -benchmem ./internal/rpc/
 
 # bench-report writes the machine-readable experiment report.
 # BENCH_hive.json is committed as the tracked baseline; rerun this target

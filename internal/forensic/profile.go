@@ -48,6 +48,13 @@ type bucketKey struct {
 	name string
 }
 
+// rpcNameKey is the part of an RPC span's opening event its name is
+// formatted from.
+type rpcNameKey struct {
+	kind trace.Kind
+	b    int64
+}
+
 // BuildProfile runs the profiler over a merged stream. Begin/end pairs
 // are matched by trace.Pair, the exporter's own rule. Spans left open
 // when the run stopped (or whose end fell off the ring) count in
@@ -61,8 +68,24 @@ func BuildProfile(events []trace.Event) *Profile {
 		cells = max(cells, e.Cell+1)
 	}
 
+	// RPC span names are formatted from their procedure number, so each
+	// distinct name is formatted once per profile.
+	rpcNames := map[rpcNameKey]string{}
+	spanName := func(b trace.Event) string {
+		if b.Kind != trace.RPCSend && b.Kind != trace.RPCRecv {
+			return trace.SpanName(b)
+		}
+		k := rpcNameKey{b.Kind, b.B}
+		name, ok := rpcNames[k]
+		if !ok {
+			name = trace.SpanName(b)
+			rpcNames[k] = name
+		}
+		return name
+	}
+
 	open := trace.Pair(events, func(b, e trace.Event) {
-		k := bucketKey{e.Cell, spanSubsystem(b), trace.SpanName(b)}
+		k := bucketKey{e.Cell, spanSubsystem(b), spanName(b)}
 		st := buckets[k]
 		if st == nil {
 			st = &SpanStat{Name: k.name}

@@ -269,9 +269,9 @@ func RunSIPSvsIPI() *SIPSvsIPI {
 				h.Eng.After(m.Cfg.UncachedNs+m.Cfg.MissNs+m.Cfg.IPINs, func() {
 					// The client's reply interrupt polls its own
 					// per-sender queues.
-					m.Procs[0].Interrupt(m.Cfg.MissNs*sim.Time(m.Cfg.Nodes), func() {
+					m.Procs[0].Interrupt(m.Cfg.MissNs*sim.Time(m.Cfg.Nodes), func(*machine.Processor, any) {
 						done.Set(nil, nil)
-					})
+					}, nil)
 				})
 			})
 			done.Wait(t)

@@ -133,7 +133,10 @@ type Machine struct {
 	// nil (the production configuration) adds no cost to the send path.
 	FaultHook func(*SIPSMsg) MsgFaultDecision
 
-	pages []pageState // indexed by PageNum
+	pages   []pageState // indexed by PageNum
+	deliver func(any)   // deliverSIPS, bound once for launchSIPS's events
+
+	sipsSends *stats.Counter // "sips.sends", looked up on the first send
 }
 
 // tracer returns node n's recording handle; the nil tracer no-ops.
@@ -174,6 +177,7 @@ func New(e *sim.Engine, cfg Config) *Machine {
 		PagesPerNode: cfg.MemPerNodeMB << 20 / cfg.PageSize,
 		Metrics:      stats.NewRegistry(),
 	}
+	m.deliver = m.deliverSIPS
 	m.pages = make([]pageState, m.PagesPerNode*cfg.Nodes)
 	for i := range m.pages {
 		// Boot-time firewall: only the home node's processors may write.
@@ -183,7 +187,7 @@ func New(e *sim.Engine, cfg Config) *Machine {
 		node := &Node{ID: n, M: m, Disk: disk.New(e, cfg.Disk)}
 		m.Nodes = append(m.Nodes, node)
 		for p := 0; p < cfg.ProcsPerNode; p++ {
-			proc := &Processor{ID: n*cfg.ProcsPerNode + p, Node: node, eng: e}
+			proc := newProcessor(n*cfg.ProcsPerNode+p, node, e)
 			node.Procs = append(node.Procs, proc)
 			m.Procs = append(m.Procs, proc)
 		}
@@ -230,9 +234,10 @@ type Node struct {
 	cutoff    bool   // memory cutoff engaged by cell panic
 	clockWord uint64 // shared clock word monitored by neighbour cells (§4.3)
 
-	// OnSIPS is the OS's SIPS receive handler; invoked in interrupt
-	// context on the node's first processor.
-	OnSIPS func(msg *SIPSMsg)
+	// OnSIPS is the OS's SIPS receive handler: the interrupt handler a
+	// delivered line runs on its addressed processor, with the *SIPSMsg
+	// as its argument. It is read when the line is delivered.
+	OnSIPS func(p *Processor, msg any)
 }
 
 // Failed reports whether the node has suffered a fail-stop fault.

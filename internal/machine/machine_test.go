@@ -2,6 +2,8 @@ package machine
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -256,8 +258,8 @@ func TestSIPSDelivery(t *testing.T) {
 	e, m := testMachine(t, 2)
 	var got *SIPSMsg
 	var deliveredAt sim.Time
-	m.Nodes[1].OnSIPS = func(msg *SIPSMsg) {
-		got = msg
+	m.Nodes[1].OnSIPS = func(_ *Processor, msg any) {
+		got = msg.(*SIPSMsg)
 		deliveredAt = e.Now()
 	}
 	var sentAt sim.Time
@@ -314,7 +316,7 @@ func TestInterruptStealsTime(t *testing.T) {
 	})
 	handlerRan := false
 	e.At(500, func() {
-		p.Interrupt(200, func() { handlerRan = true })
+		p.Interrupt(200, runFunc, func() { handlerRan = true })
 	})
 	e.Run(0)
 	if !handlerRan {
@@ -366,8 +368,8 @@ func TestInterruptsSerializePerCPU(t *testing.T) {
 	p := m.Procs[0]
 	var ends []sim.Time
 	e.At(0, func() {
-		p.Interrupt(100, func() { ends = append(ends, e.Now()) })
-		p.Interrupt(100, func() { ends = append(ends, e.Now()) })
+		p.Interrupt(100, runFunc, func() { ends = append(ends, e.Now()) })
+		p.Interrupt(100, runFunc, func() { ends = append(ends, e.Now()) })
 	})
 	e.Run(0)
 	if len(ends) != 2 || ends[0] != 100 || ends[1] != 200 {
@@ -527,4 +529,160 @@ func writableByRemote(m *Machine, p PageNum) bool {
 // revokeWrite removes procMask from page p's firewall.
 func revokeWrite(m *Machine, t *sim.Task, proc *Processor, p PageNum, procMask uint64) error {
 	return m.SetFirewall(t, proc, p, m.pages[p].fw&^procMask)
+}
+
+// TestInterruptMatchesModel drives seeded random interrupts, time steals,
+// halts and unhalts across four CPUs, each running one long compute burst,
+// and checks every outcome against a reference model. The model takes each
+// interrupt at max(now, the CPU's busy-until time), completes it cost
+// later, and drops it if its CPU is halted when it is taken or when it
+// completes; every taken interrupt and every steal pushes a pending burst
+// later. Operations are scheduled before the run, so at equal times they
+// fire before completions and burst ends. Each handler must run once, at
+// its completion time, on its own CPU, with its own argument.
+func TestInterruptMatchesModel(t *testing.T) {
+	const burst = 20_000
+	type record struct {
+		cpu, runs int
+		at        sim.Time
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := sim.NewEngine(seed)
+		cfg := DefaultConfig()
+		cfg.Nodes, cfg.ProcsPerNode, cfg.MemPerNodeMB = 2, 2, 1
+		m := New(e, cfg)
+		n := len(m.Procs)
+
+		burstDone := make([]sim.Time, n)
+		for c, p := range m.Procs {
+			c, p := c, p
+			e.Go(fmt.Sprintf("burst%d", c), func(tk *sim.Task) {
+				p.Use(tk, burst)
+				burstDone[c] = tk.Now()
+			})
+		}
+		handler := func(p *Processor, arg any) {
+			r := arg.(*record)
+			r.cpu, r.at = p.ID, e.Now()
+			r.runs++
+		}
+
+		// The reference model, advanced as the operations are generated.
+		busy := make([]sim.Time, n)
+		burstEnd := make([]sim.Time, n)
+		for c := range burstEnd {
+			burstEnd[c] = burst
+		}
+		type transition struct {
+			at     sim.Time
+			halted bool
+		}
+		halts := make([][]transition, n)
+		haltedAt := func(c int, at sim.Time) bool { // after every op at or before at
+			h := false
+			for _, tr := range halts[c] {
+				if tr.at <= at {
+					h = tr.halted
+				}
+			}
+			return h
+		}
+		type want struct {
+			rec      *record
+			cpu      int
+			at       sim.Time
+			accepted bool
+			taken    *bool
+		}
+		var wants []want
+
+		now := sim.Time(0)
+		for i := 0; i < 300; i++ {
+			if rng.Intn(4) > 0 {
+				now += sim.Time(rng.Intn(300))
+			}
+			at, c := now, rng.Intn(n)
+			p := m.Procs[c]
+			switch op := rng.Intn(20); {
+			case op < 12: // an interrupt
+				cost := sim.Time(rng.Intn(400))
+				if rng.Intn(10) == 0 {
+					cost = 0
+				}
+				w := want{rec: &record{cpu: -1}, cpu: c, accepted: !haltedAt(c, at), taken: new(bool)}
+				if w.accepted {
+					start := max(at, busy[c])
+					busy[c] = start + cost
+					w.at = busy[c]
+					if at <= burstEnd[c] {
+						burstEnd[c] += cost
+					}
+				}
+				wants = append(wants, w)
+				e.At(at, func() { *w.taken = p.Interrupt(cost, handler, w.rec) })
+			case op < 15: // a steal
+				d := sim.Time(rng.Intn(500))
+				if at <= burstEnd[c] {
+					burstEnd[c] += d
+				}
+				e.At(at, func() { p.StealTime(d) })
+			default: // a halt or unhalt
+				h := rng.Intn(2) == 0
+				halts[c] = append(halts[c], transition{at, h})
+				e.At(at, func() {
+					if h {
+						p.Halt()
+					} else {
+						p.Unhalt()
+					}
+				})
+			}
+		}
+		e.Run(0)
+
+		for i, w := range wants {
+			runs := w.accepted && !haltedAt(w.cpu, w.at)
+			switch {
+			case *w.taken != w.accepted:
+				t.Fatalf("seed %d interrupt %d: Interrupt reported %v, want %v", seed, i, *w.taken, w.accepted)
+			case !runs && w.rec.runs != 0:
+				t.Fatalf("seed %d interrupt %d: handler ran on a halted CPU %d", seed, i, w.cpu)
+			case runs && (w.rec.runs != 1 || w.rec.at != w.at || w.rec.cpu != w.cpu):
+				t.Fatalf("seed %d interrupt %d: handler ran %d times, at %v on CPU %d; want once at %v on CPU %d",
+					seed, i, w.rec.runs, w.rec.at, w.rec.cpu, w.at, w.cpu)
+			}
+		}
+		for c := range burstDone {
+			if burstDone[c] != burstEnd[c] {
+				t.Fatalf("seed %d: CPU %d's burst ended at %v, want %v", seed, c, burstDone[c], burstEnd[c])
+			}
+		}
+	}
+}
+
+// TestInterruptAndSIPSAllocateNothing checks that on a warm machine a bound
+// handler's interrupt, and a SIPS send with its delivery, allocate nothing:
+// each travels as a handler and its argument, not as a closure.
+func TestInterruptAndSIPSAllocateNothing(t *testing.T) {
+	e, m := testMachine(t, 2)
+	count := func(_ *Processor, arg any) { *arg.(*int)++ }
+	interrupts, lines := new(int), 0
+	m.Nodes[1].OnSIPS = func(_ *Processor, msg any) { lines += msg.(*SIPSMsg).Size }
+	msg := &SIPSMsg{To: 1, Kind: SIPSRequest, Size: 64}
+	for _, tc := range []struct {
+		name  string
+		round func()
+	}{
+		{"Interrupt", func() { m.Procs[1].Interrupt(100, count, interrupts); e.Run(0) }},
+		{"SIPS send and delivery", func() { m.SendSIPSAsync(m.Procs[0], msg); e.Run(0) }},
+	} {
+		tc.round()
+		if n := testing.AllocsPerRun(100, tc.round); n != 0 {
+			t.Errorf("%s allocates %v times, want 0", tc.name, n)
+		}
+	}
+	if *interrupts != 102 || lines != 102*64 {
+		t.Errorf("%d interrupts and %d line bytes delivered, want 102 and %d", *interrupts, lines, 102*64)
+	}
 }

@@ -141,7 +141,7 @@ func (m *Machine) SendSIPSAsync(proc *Processor, msg *SIPSMsg) error {
 // attribution).
 func (m *Machine) launchSIPS(srcNode int, msg *SIPSMsg) {
 	e := m.Eng
-	m.Metrics.Counter("sips.sends").Inc()
+	m.Metrics.Cached(&m.sipsSends, "sips.sends").Inc()
 	m.tracer(srcNode).Emit(e.Now(), trace.SIPS, int64(msg.To), int64(msg.Kind), "")
 	msg.Checksum = sipsChecksum(msg)
 
@@ -159,20 +159,21 @@ func (m *Machine) launchSIPS(srcNode int, msg *SIPSMsg) {
 		case FaultDup:
 			m.Metrics.Counter("sips.fault_dups").Inc()
 			m.tracer(srcNode).Emit(e.Now(), trace.MsgDup, int64(msg.To), int64(msg.Kind), "")
-			e.After(delay+m.wireLatency(), func() { m.deliverSIPS(msg) })
+			e.AfterArg(delay+m.wireLatency(), m.deliver, msg)
 		case FaultCorrupt:
 			m.Metrics.Counter("sips.fault_corruptions").Inc()
 			msg.Checksum ^= 0xA5A5A5A5 // bits flipped in flight
 		}
 	}
-	e.After(delay, func() { m.deliverSIPS(msg) })
+	e.AfterArg(delay, m.deliver, msg)
 }
 
-// deliverSIPS is the receive side: the hardware drops lines addressed to
-// failed or halted destinations, verifies the line checksum (discarding
-// detectably-corrupt lines), and runs the node's receive handler in
-// interrupt context.
-func (m *Machine) deliverSIPS(msg *SIPSMsg) {
+// deliverSIPS is the receive side, called with the *SIPSMsg: the hardware
+// drops lines addressed to failed or halted destinations, verifies the line
+// checksum (discarding detectably-corrupt lines), and runs the node's
+// receive handler in interrupt context.
+func (m *Machine) deliverSIPS(arg any) {
+	msg := arg.(*SIPSMsg)
 	dstProc := m.Procs[msg.To]
 	dstNode := dstProc.Node
 	if dstNode.failed || dstProc.Halted() {
@@ -188,7 +189,7 @@ func (m *Machine) deliverSIPS(msg *SIPSMsg) {
 		m.Metrics.Counter("sips.dropped_no_handler").Inc()
 		return
 	}
-	dstProc.Interrupt(m.Cfg.SIPSPayloadNs, func() { handler(msg) })
+	dstProc.Interrupt(m.Cfg.SIPSPayloadNs, handler, msg)
 }
 
 // SendIPI delivers a bare interprocessor interrupt with no payload —
@@ -209,7 +210,7 @@ func (m *Machine) SendIPI(t *sim.Task, proc *Processor, to int, fn func()) error
 		}
 		// Without SIPS the receiver must poll per-sender queues in
 		// shared memory: one extra remote miss per sender scanned.
-		dstProc.Interrupt(m.Cfg.MissNs*sim.Time(m.Cfg.Nodes), fn)
+		dstProc.Interrupt(m.Cfg.MissNs*sim.Time(m.Cfg.Nodes), runFunc, fn)
 	})
 	return nil
 }

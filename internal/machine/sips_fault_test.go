@@ -19,9 +19,9 @@ func newSIPSProbe(t *testing.T) *sipsProbe {
 	t.Helper()
 	e, m := testMachine(t, 2)
 	p := &sipsProbe{e: e, m: m}
-	m.Nodes[1].OnSIPS = func(msg *SIPSMsg) {
+	m.Nodes[1].OnSIPS = func(_ *Processor, msg any) {
 		p.times = append(p.times, e.Now())
-		p.msgs = append(p.msgs, msg)
+		p.msgs = append(p.msgs, msg.(*SIPSMsg))
 	}
 	return p
 }

@@ -110,7 +110,8 @@ type Request struct {
 	// trace links both halves of the call across cells.
 	Span trace.SpanID
 
-	future *sim.Future
+	future sim.Future // resolved with the *reply, or with ErrShutdown
+	rep    *reply     // the server's reply, sent by its interrupt-level launch
 }
 
 // reply is the wire representation of a completed call.
@@ -156,12 +157,6 @@ type dedupKey struct {
 	id   uint64
 }
 
-// dedupEntry is the server's memory of one serviced (or in-service)
-// request; rep is nil while the original is still being serviced.
-type dedupEntry struct {
-	rep *reply
-}
-
 // Endpoint is one cell's RPC engine: it owns the service table, the
 // outstanding-call map, and the queued-request server pool.
 type Endpoint struct {
@@ -178,17 +173,30 @@ type Endpoint struct {
 	// layer).
 	Tracer *trace.Tracer
 
-	eng       *sim.Engine
-	services  map[ProcID]*service
-	pending   map[uint64]*Request
-	queue     *sim.Queue
-	nextID    uint64
-	rrProc    int
-	poolSize  int
-	dead      bool
-	histCall  *stats.Histogram // end-to-end successful call latency (µs)
-	seen      map[dedupKey]*dedupEntry
-	seenOrder []dedupKey // FIFO eviction order for seen
+	eng      *sim.Engine
+	services map[ProcID]*service
+	pending  map[uint64]*Request
+	queue    *sim.Queue
+	nextID   uint64
+	rrProc   int
+	poolSize int
+	dead     bool
+	histCall *stats.Histogram // end-to-end successful call latency (µs)
+
+	// seen maps each remembered request to its cached reply, nil while
+	// the request is in service. seenOrder is a ring of the same keys in
+	// arrival order, and seenNext its oldest slot once full: the key
+	// evicted next.
+	seen      map[dedupKey]*reply
+	seenOrder []dedupKey
+	seenNext  int
+
+	// The interrupt handlers of the server path, bound once; each takes
+	// the *Request as its argument.
+	serveIntr, resendIntr, launchIntr func(*machine.Processor, any)
+
+	// Counters of the round trip, looked up on first use.
+	calls, spinTimeouts, intrServed *stats.Counter
 }
 
 // NewEndpoint creates the endpoint for cell cellID using the given
@@ -205,8 +213,9 @@ func NewEndpoint(m *machine.Machine, cellID int, procs []*machine.Processor, poo
 		pending:  map[uint64]*Request{},
 		queue:    &sim.Queue{},
 		poolSize: poolSize,
-		seen:     map[dedupKey]*dedupEntry{},
+		seen:     map[dedupKey]*reply{},
 	}
+	ep.serveIntr, ep.resendIntr, ep.launchIntr = ep.serve, ep.resend, ep.launch
 	ep.histCall = ep.Metrics.Hist("rpc.call_us")
 	ep.eng = m.Eng
 	seen := map[int]bool{}
@@ -316,7 +325,6 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 	req := &Request{
 		ID: ep.nextID, From: ep.CellID, To: to, Proc: procID,
 		Args: args, DataBytes: opts.DataBytes,
-		future: &sim.Future{},
 	}
 	callStart := t.Now()
 	req.Span = ep.Tracer.NextSpan()
@@ -369,7 +377,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 			return nil, fmt.Errorf("%w to cell %d: %v", ErrSendFailed, to, err)
 		}
 		if attempt == 0 {
-			ep.Metrics.Counter("rpc.calls").Inc()
+			ep.Metrics.Cached(&ep.calls, "rpc.calls").Inc()
 		}
 
 		// The last attempt (or the only one) waits out the remaining
@@ -390,7 +398,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 		}
 		val, ferr, ok2 = req.future.WaitTimeout(t, spin)
 		if !ok2 {
-			ep.Metrics.Counter("rpc.spin_timeouts").Inc()
+			ep.Metrics.Cached(&ep.spinTimeouts, "rpc.spin_timeouts").Inc()
 			proc.Use(t, ContextSwitch)
 			val, ferr, ok2 = req.future.WaitTimeout(t, budget-spin)
 			if ok2 {
@@ -439,14 +447,15 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 }
 
 // onSIPS is the hardware receive handler: it runs in interrupt context on
-// the addressed processor.
-func (ep *Endpoint) onSIPS(msg *machine.SIPSMsg) {
+// the addressed processor, with the delivered *machine.SIPSMsg.
+func (ep *Endpoint) onSIPS(proc *machine.Processor, arg any) {
 	if ep.dead {
 		return
 	}
+	msg := arg.(*machine.SIPSMsg)
 	switch msg.Kind {
 	case machine.SIPSRequest:
-		ep.handleRequest(msg)
+		ep.handleRequest(proc, msg.Payload.(*Request))
 	case machine.SIPSReply:
 		rep := msg.Payload.(*reply)
 		if req, ok := ep.pending[rep.id]; ok {
@@ -469,32 +478,31 @@ func (ep *Endpoint) onSIPS(msg *machine.SIPSMsg) {
 	}
 }
 
-// remember inserts a fresh dedup entry for key, evicting the oldest entry
-// once the table is full.
-func (ep *Endpoint) remember(key dedupKey) *dedupEntry {
-	if len(ep.seenOrder) >= dedupCap {
-		delete(ep.seen, ep.seenOrder[0])
-		ep.seenOrder = ep.seenOrder[1:]
+// remember enters key into the dedup table, in service, evicting the
+// oldest key once the table is full.
+func (ep *Endpoint) remember(key dedupKey) {
+	if len(ep.seenOrder) < dedupCap {
+		ep.seenOrder = append(ep.seenOrder, key)
+	} else {
+		delete(ep.seen, ep.seenOrder[ep.seenNext])
+		ep.seenOrder[ep.seenNext] = key
+		ep.seenNext = (ep.seenNext + 1) % dedupCap
 	}
-	ent := &dedupEntry{}
-	ep.seen[key] = ent
-	ep.seenOrder = append(ep.seenOrder, key)
-	return ent
+	ep.seen[key] = nil
 }
 
 // noteServed caches the reply for a serviced request so a retransmit can be
 // answered without re-execution.
 func (ep *Endpoint) noteServed(req *Request, rep *reply) {
-	if ent, ok := ep.seen[dedupKey{req.From, req.ID}]; ok {
-		ent.rep = rep
+	key := dedupKey{req.From, req.ID}
+	if _, ok := ep.seen[key]; ok {
+		ep.seen[key] = rep
 	}
 }
 
-// handleRequest runs the interrupt-level service path.
-func (ep *Endpoint) handleRequest(msg *machine.SIPSMsg) {
-	req := msg.Payload.(*Request)
-	proc := ep.M.Procs[msg.To]
-	svc := ep.services[req.Proc]
+// handleRequest starts the interrupt-level service path of a request that
+// proc received.
+func (ep *Endpoint) handleRequest(proc *machine.Processor, req *Request) {
 	ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCRecv, req.Span, int64(req.From), int64(req.Proc), "")
 
 	// Interrupt entry + demux.
@@ -509,30 +517,31 @@ func (ep *Endpoint) handleRequest(msg *machine.SIPSMsg) {
 	// original's reply will resolve the caller's future, since the call
 	// id is unchanged across retransmissions.
 	key := dedupKey{req.From, req.ID}
-	if ent, dup := ep.seen[key]; dup {
+	if rep, dup := ep.seen[key]; dup {
 		ep.Metrics.Counter("rpc.dup_requests").Inc()
 		ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCDedup, req.Span, int64(req.From), 0, "dup-request")
-		if ent.rep != nil {
-			rep := ent.rep
-			proc.Interrupt(base, func() { ep.resend(proc, req, rep) })
+		if rep != nil {
+			req.rep = rep
+			proc.Interrupt(base, ep.resendIntr, req)
 		}
 		return
 	}
 	ep.remember(key)
+	proc.Interrupt(base, ep.serveIntr, req)
+}
 
-	if svc == nil {
-		proc.Interrupt(base, func() {
-			ep.reply(proc, req, nil, ErrNoService, 0)
-		})
-		return
-	}
-	if svc.intr == nil {
-		// Straight to the queued path.
-		proc.Interrupt(base, func() { ep.enqueue(req) })
-		return
-	}
-
-	proc.Interrupt(base, func() {
+// serve is the interrupt-level service of a *Request, run once its entry
+// and demux costs are paid. Services are registered when an endpoint is
+// built, so the service looked up here is the one the request arrived for.
+func (ep *Endpoint) serve(proc *machine.Processor, arg any) {
+	req := arg.(*Request)
+	svc := ep.services[req.Proc]
+	switch {
+	case svc == nil:
+		ep.reply(proc, req, nil, ErrNoService, 0)
+	case svc.intr == nil:
+		ep.enqueue(req) // straight to the queued path
+	default:
 		result, cost, handled, err := svc.intr(req)
 		if !handled {
 			if svc.queued == nil {
@@ -543,9 +552,18 @@ func (ep *Endpoint) handleRequest(msg *machine.SIPSMsg) {
 			ep.enqueue(req)
 			return
 		}
-		ep.Metrics.Counter("rpc.intr_served").Inc()
+		ep.Metrics.Cached(&ep.intrServed, "rpc.intr_served").Inc()
 		ep.reply(proc, req, result, err, cost)
-	})
+	}
+}
+
+// newReply builds the wire reply to req.
+func newReply(req *Request, result any, err error) *reply {
+	rep := &reply{id: req.ID, proc: req.Proc, result: result}
+	if err != nil {
+		rep.err = err.Error()
+	}
+	return rep
 }
 
 // reply sends the reply from interrupt context after charging the service
@@ -556,39 +574,38 @@ func (ep *Endpoint) reply(proc *machine.Processor, req *Request, result any, err
 		// Server half of the copy/alloc costs.
 		cost += AllocFreeArgMem/2 + CopySharedMem/2
 	}
-	rep := &reply{id: req.ID, proc: req.Proc}
-	rep.result = result
-	if err != nil {
-		rep.err = err.Error()
-	}
+	rep := newReply(req, result, err)
 	ep.noteServed(req, rep)
-	caller := ep.Peers[req.From]
-	if caller == nil {
+	if ep.Peers[req.From] == nil {
 		return
 	}
-	proc.Interrupt(cost, func() {
-		ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-		dst := caller.nextProc()
-		ep.M.SendSIPSAsync(proc, &machine.SIPSMsg{
-			To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: rep,
-		})
-	})
+	req.rep = rep
+	proc.Interrupt(cost, ep.launchIntr, req)
 }
 
-// resend answers a retransmitted request from the dedup cache: reply
+// resend answers a retransmitted *Request from the dedup cache: reply
 // construction and launch costs are paid again, the service itself is not
 // re-executed.
-func (ep *Endpoint) resend(proc *machine.Processor, req *Request, rep *reply) {
-	caller := ep.Peers[req.From]
-	if caller == nil {
+func (ep *Endpoint) resend(proc *machine.Processor, arg any) {
+	req := arg.(*Request)
+	if ep.Peers[req.From] == nil {
 		return
 	}
-	proc.Interrupt(ServerReply, func() {
-		ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-		dst := caller.nextProc()
-		ep.M.SendSIPSAsync(proc, &machine.SIPSMsg{
-			To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: rep,
-		})
+	proc.Interrupt(ServerReply, ep.launchIntr, req)
+}
+
+// launch sends a *Request's reply, req.rep, back to its caller: the last
+// interrupt of both reply and resend. The caller's endpoint is looked up
+// again here. Peers changes only when Connect rewires a rebooted cell, so
+// this lookup and the one that scheduled the launch can differ only for a
+// reply to that cell's previous incarnation, which its fresh endpoint
+// discards as stale.
+func (ep *Endpoint) launch(proc *machine.Processor, arg any) {
+	req := arg.(*Request)
+	ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
+	dst := ep.Peers[req.From].nextProc()
+	ep.M.SendSIPSAsync(proc, &machine.SIPSMsg{
+		To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: req.rep,
 	})
 }
 
@@ -629,10 +646,7 @@ func (ep *Endpoint) serverLoop(t *sim.Task) {
 			return
 		}
 		// Completion RPC back to the client.
-		rep := &reply{id: req.ID, proc: req.Proc, result: result}
-		if err != nil {
-			rep.err = err.Error()
-		}
+		rep := newReply(req, result, err)
 		ep.noteServed(req, rep)
 		caller := ep.Peers[req.From]
 		if caller == nil {

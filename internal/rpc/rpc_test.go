@@ -17,7 +17,7 @@ type fixture struct {
 	eps []*Endpoint
 }
 
-func newFixture(t *testing.T, cells int) *fixture {
+func newFixture(t testing.TB, cells int) *fixture {
 	t.Helper()
 	e := sim.NewEngine(11)
 	cfg := machine.DefaultConfig()
@@ -32,7 +32,7 @@ func newFixture(t *testing.T, cells int) *fixture {
 	return f
 }
 
-func (f *fixture) run(t *testing.T, fn func(tk *sim.Task)) {
+func (f *fixture) run(t testing.TB, fn func(tk *sim.Task)) {
 	t.Helper()
 	f.e.Go("client", fn)
 	f.e.Run(0)
@@ -67,6 +67,48 @@ func TestNullRPCLatency(t *testing.T) {
 	if us := lat.Micros(); us < 6.8 || us > 7.6 {
 		t.Fatalf("null RPC = %.2f µs, want ≈7.2 µs", us)
 	}
+}
+
+// nullCalls makes n null calls from cell 0 to cell 1 and returns the task
+// body that makes them.
+func (f *fixture) nullCalls(t testing.TB, n int) func(tk *sim.Task) {
+	return func(tk *sim.Task) {
+		for i := 0; i < n; i++ {
+			if _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{}); err != nil {
+				t.Errorf("call %d: %v", i, err)
+				return
+			}
+		}
+	}
+}
+
+// TestNullRPCAllocations checks that a warm interrupt-level round trip
+// allocates only its data: the Request (its future inline), the request's
+// SIPS line, the reply and the reply's SIPS line. The warm-up fills the
+// server's dedup table, so eviction runs on every measured call.
+func TestNullRPCAllocations(t *testing.T) {
+	f := newFixture(t, 2)
+	registerNull(f.eps[1])
+	f.run(t, f.nullCalls(t, dedupCap+1000))
+	call := f.nullCalls(t, 1)
+	var allocs float64
+	f.run(t, func(tk *sim.Task) {
+		allocs = testing.AllocsPerRun(2000, func() { call(tk) })
+	})
+	if allocs > 4 {
+		t.Errorf("a warm null RPC allocates %v times, want at most 4", allocs)
+	}
+}
+
+// BenchmarkNullRPC measures the interrupt-level null RPC round trip on the
+// 2-cell fixture, after a warm-up that fills the server's dedup table.
+func BenchmarkNullRPC(b *testing.B) {
+	b.ReportAllocs()
+	f := newFixture(b, 2)
+	registerNull(f.eps[1])
+	f.run(b, f.nullCalls(b, dedupCap+1000))
+	b.ResetTimer()
+	f.run(b, f.nullCalls(b, b.N))
 }
 
 func TestRealRPCComponentLatency(t *testing.T) {

@@ -87,10 +87,9 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // schedule inserts an event at absolute time t (clamped to now), drawing
-// from the freelist when possible. The event either calls fn or, when task
-// is non-nil, wakes task; a task wake carries no closure, so it allocates
-// nothing once the freelist is warm.
-func (e *Engine) schedule(t Time, fn func(), task *Task, timeout bool) *Event {
+// from the freelist when possible. The event either calls fn(arg) or, when
+// task is non-nil, wakes task; neither allocates once the freelist is warm.
+func (e *Engine) schedule(t Time, fn func(any), arg any, task *Task, timeout bool) *Event {
 	if t < e.now {
 		t = e.now
 	}
@@ -103,7 +102,7 @@ func (e *Engine) schedule(t Time, fn func(), task *Task, timeout bool) *Event {
 	} else {
 		ev = new(Event)
 	}
-	*ev = Event{engine: e, at: t, seq: e.seq, fn: fn, task: task, timeout: timeout}
+	*ev = Event{engine: e, at: t, seq: e.seq, fn: fn, arg: arg, task: task, timeout: timeout}
 	e.events.push(ev)
 	e.nLive++
 	return ev
@@ -112,7 +111,7 @@ func (e *Engine) schedule(t Time, fn func(), task *Task, timeout bool) *Event {
 // recycle puts a dead event (not in the heap, no outstanding references)
 // back on the freelist.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn, ev.task = nil, nil
+	ev.fn, ev.arg, ev.task = nil, nil, nil
 	e.free = append(e.free, ev)
 }
 
@@ -128,7 +127,7 @@ func (e *Engine) fire(ev *Event) {
 	if ev.task != nil {
 		ev.task.wake(ev.timeout)
 	} else {
-		ev.fn()
+		ev.fn(ev.arg)
 	}
 	if owned {
 		e.recycle(ev)
@@ -151,21 +150,34 @@ func (e *Engine) release(ev *Event) {
 	}
 }
 
-// At schedules fn to run at absolute virtual time t (clamped to now). The
-// engine owns the event and recycles it once fn returns, so At hands out no
-// handle; code that must move or cancel a wake uses Task.SleepEvent or
-// Task.BlockTimeout.
-func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, fn, nil, false).owned = true
+// AtArg schedules fn(arg) to run at absolute virtual time t (clamped to
+// now). The engine owns the event and recycles it once fn returns, so AtArg
+// hands out no handle; code that must move or cancel a wake uses
+// Task.SleepEvent or Task.BlockTimeout. A hot path binds fn once (a method
+// value or a package function) and passes its per-call state as arg, so a
+// pointer-shaped arg makes scheduling allocate nothing.
+func (e *Engine) AtArg(t Time, fn func(any), arg any) {
+	e.schedule(t, fn, arg, nil, false).owned = true
 }
 
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) {
+// AfterArg schedules fn(arg) to run d nanoseconds from now.
+func (e *Engine) AfterArg(d Time, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	e.At(e.now+d, fn)
+	e.AtArg(e.now+d, fn, arg)
 }
+
+// At schedules fn to run at absolute virtual time t (clamped to now), as
+// AtArg does.
+func (e *Engine) At(t Time, fn func()) { e.AtArg(t, callFunc, fn) }
+
+// After schedules fn to run d nanoseconds from now.
+func (e *Engine) After(d Time, fn func()) { e.AfterArg(d, callFunc, fn) }
+
+// callFunc is the callback of At and After: a func value is one pointer, so
+// it rides in the event's argument without allocating.
+func callFunc(fn any) { fn.(func())() }
 
 // Run processes events until the queue is empty or the deadline passes. A
 // deadline of 0 means run until idle. It panics if a task panicked
@@ -214,9 +226,10 @@ type Event struct {
 	engine    *Engine
 	at        Time
 	seq       uint64
-	fn        func()
+	fn        func(any)
+	arg       any   // fn's argument
 	task      *Task // if non-nil, firing calls task.wake(timeout) instead of fn
-	index     int32 // heap position, -1 once out of the heap; int32 keeps Event at 48 bytes
+	index     int32 // heap position, -1 once out of the heap; int32 keeps Event at 64 bytes, one cache line
 	cancelled bool
 	owned     bool // engine-owned: recycled once it leaves the heap
 	timeout   bool

@@ -90,11 +90,11 @@ func BenchmarkEventQueue(b *testing.B) {
 				timeout.Cancel()
 				e.release(timeout)
 			}
-			timeout = e.schedule(e.now+4000, timedOut, nil, false)
+			timeout = e.handleAt(e.now+4000, timedOut)
 		}
 	}
 	armBurst := func() {
-		burst = e.schedule(e.now+Time(500+rng.Intn(2000)), burstDone, nil, false)
+		burst = e.handleAt(e.now+Time(500+rng.Intn(2000)), burstDone)
 	}
 	burstDone = func() {
 		e.release(burst)

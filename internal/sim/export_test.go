@@ -20,7 +20,7 @@ func (e *Engine) Step() bool {
 // as a handle the test owns: the engine never recycles it, so Cancel,
 // Reschedule, Pending and When stay safe on it at any later point.
 func (e *Engine) handleAt(t Time, fn func()) *Event {
-	return e.schedule(t, fn, nil, false)
+	return e.schedule(t, callFunc, fn, nil, false)
 }
 
 // Pending returns the number of scheduled (non-cancelled) events. It is

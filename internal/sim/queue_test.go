@@ -148,20 +148,31 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 
 // TestAfterAllocatesNothing checks the At/After contract: the engine owns
 // the event and recycles it once its callback returns, so a warm engine
-// schedules and fires a callback without allocating.
+// schedules and fires a callback without allocating, whether it is a plain
+// func or a bound func with a pointer argument.
 func TestAfterAllocatesNothing(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
 	f := func() { fired++ }
-	round := func() {
-		e.After(1, f)
-		e.Run(0)
-	}
-	round()
-	if n := testing.AllocsPerRun(1000, round); n != 0 {
-		t.Errorf("After and Run allocate %v times per callback, want 0", n)
+	var got any
+	arg := &fired
+	g := func(a any) { got = a }
+	for _, tc := range []struct {
+		name  string
+		round func()
+	}{
+		{"After", func() { e.After(1, f); e.Run(0) }},
+		{"AfterArg", func() { e.AfterArg(1, g, arg); e.Run(0) }},
+	} {
+		tc.round()
+		if n := testing.AllocsPerRun(1000, tc.round); n != 0 {
+			t.Errorf("%s and Run allocate %v times per callback, want 0", tc.name, n)
+		}
 	}
 	if fired != 1002 { // one warm-up round here, one in AllocsPerRun
 		t.Errorf("%d callbacks fired, want 1002", fired)
+	}
+	if got != any(arg) {
+		t.Errorf("AfterArg's callback got %v, want its argument %p", got, arg)
 	}
 }

@@ -324,6 +324,66 @@ func TestFutureWaitTimeoutSatisfied(t *testing.T) {
 	}
 }
 
+// TestFutureWaitersWakeInArrivalOrder queues three waiters: the first,
+// kept inline, times out and leaves; the other two wake in the order they
+// arrived, and a waiter that arrives after the timeout queues behind them.
+func TestFutureWaitersWakeInArrivalOrder(t *testing.T) {
+	e := NewEngine(1)
+	f := &Future{}
+	var order []string
+	timedOut := false
+	e.Go("first", func(tk *Task) {
+		_, _, ok := f.WaitTimeout(tk, 10)
+		timedOut = !ok
+	})
+	for _, name := range []string{"second", "third"} {
+		name := name
+		e.Go(name, func(tk *Task) {
+			tk.Sleep(1)
+			if _, _, ok := f.WaitTimeout(tk, 100); ok {
+				order = append(order, name)
+			}
+		})
+	}
+	e.Go("fourth", func(tk *Task) {
+		tk.Sleep(20) // after first's timeout
+		f.Wait(tk)
+		order = append(order, "fourth")
+	})
+	e.At(50, func() { f.Set("v", nil) })
+	e.Run(0)
+	if !timedOut {
+		t.Error("first waiter did not time out")
+	}
+	if got := fmt.Sprint(order); got != "[second third fourth]" {
+		t.Errorf("waiters woke as %s, want [second third fourth]", got)
+	}
+}
+
+// TestFutureOneWaiterAllocatesNothing checks that a future with one waiter
+// at a time keeps it inline: waiting, timing out, waiting again and being
+// set allocate nothing on a warm engine.
+func TestFutureOneWaiterAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	var f Future
+	set := func() { f.Set(1, nil) }
+	var allocs float64
+	e.Go("waiter", func(tk *Task) {
+		round := func() {
+			f = Future{}
+			f.WaitTimeout(tk, 5) // times out
+			e.After(3, set)
+			f.WaitTimeout(tk, 10)
+		}
+		round()
+		allocs = testing.AllocsPerRun(100, round)
+	})
+	e.Run(0)
+	if allocs != 0 {
+		t.Errorf("a one-waiter future allocates %v times per round, want 0", allocs)
+	}
+}
+
 func TestQueue(t *testing.T) {
 	e := NewEngine(1)
 	q := &Queue{}

@@ -104,16 +104,19 @@ func (c *Cond) Broadcast() {
 }
 
 // Future is a write-once value that waiters can block on; the building block
-// for RPC replies.
+// for RPC replies. It keeps its first waiter inline, so a future with one
+// waiter at a time, as every RPC call's is, allocates nothing.
 type Future struct {
 	set     bool
 	val     any
 	err     error
-	waiters []*Task
+	first   *Task   // the earliest waiter, if it still waits
+	waiters []*Task // later waiters, in arrival order
 }
 
-// Set completes the future, waking all waiters. Setting twice is a no-op so
-// a late reply after a timeout-triggered retry cannot corrupt state.
+// Set completes the future, waking all waiters in arrival order. Setting
+// twice is a no-op so a late reply after a timeout-triggered retry cannot
+// corrupt state.
 func (f *Future) Set(val any, err error) {
 	if f.set {
 		return
@@ -121,8 +124,11 @@ func (f *Future) Set(val any, err error) {
 	f.set = true
 	f.val = val
 	f.err = err
-	ws := f.waiters
-	f.waiters = nil
+	first, ws := f.first, f.waiters
+	f.first, f.waiters = nil, nil
+	if first != nil && !first.done && !first.killed {
+		first.WakeSoon()
+	}
 	for _, w := range ws {
 		if !w.done && !w.killed {
 			w.WakeSoon()
@@ -133,10 +139,33 @@ func (f *Future) Set(val any, err error) {
 // Ready reports whether the future has been completed.
 func (f *Future) Ready() bool { return f.set }
 
+// addWaiter queues t behind every waiter already queued.
+func (f *Future) addWaiter(t *Task) {
+	if f.first == nil && len(f.waiters) == 0 {
+		f.first = t
+	} else {
+		f.waiters = append(f.waiters, t)
+	}
+}
+
+// removeWaiter drops t's earliest entry from the waiters.
+func (f *Future) removeWaiter(t *Task) {
+	if f.first == t {
+		f.first = nil
+		return
+	}
+	for i, w := range f.waiters {
+		if w == t {
+			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
+			return
+		}
+	}
+}
+
 // Wait blocks until the future completes and returns its value.
 func (f *Future) Wait(t *Task) (any, error) {
 	for !f.set {
-		f.waiters = append(f.waiters, t)
+		f.addWaiter(t)
 		t.park()
 	}
 	return f.val, f.err
@@ -147,7 +176,7 @@ func (f *Future) WaitTimeout(t *Task, d Time) (val any, err error, ok bool) {
 	if f.set {
 		return f.val, f.err, true
 	}
-	f.waiters = append(f.waiters, t)
+	f.addWaiter(t)
 	deadline := t.Now() + d
 	for !f.set {
 		remaining := deadline - t.Now()
@@ -155,13 +184,7 @@ func (f *Future) WaitTimeout(t *Task, d Time) (val any, err error, ok bool) {
 			return nil, nil, false
 		}
 		if t.BlockTimeout(remaining) && !f.set {
-			// Timed out: remove self from waiters.
-			for i, w := range f.waiters {
-				if w == t {
-					f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-					break
-				}
-			}
+			f.removeWaiter(t)
 			return nil, nil, false
 		}
 	}

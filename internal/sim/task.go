@@ -182,7 +182,7 @@ func (t *Task) wake(timedOut bool) {
 // Safe to call from any simulation context. Waking a task that is not parked
 // is a no-op.
 func (t *Task) WakeSoon() {
-	t.eng.schedule(t.eng.now, nil, t, false).owned = true
+	t.eng.schedule(t.eng.now, nil, nil, t, false).owned = true
 }
 
 // Sleep suspends the task for d nanoseconds of virtual time.
@@ -191,7 +191,7 @@ func (t *Task) Sleep(d Time) {
 		// Yield: reschedule self after simultaneous events.
 		d = 0
 	}
-	t.eng.schedule(t.eng.now+d, nil, t, false).owned = true
+	t.eng.schedule(t.eng.now+d, nil, nil, t, false).owned = true
 	t.park()
 }
 
@@ -202,7 +202,7 @@ func (t *Task) Sleep(d Time) {
 // until SleepEvent returns. A task killed mid-sleep never returns, so then
 // the event is never recycled and *slot stays safe to use.
 func (t *Task) SleepEvent(d Time, slot **Event) {
-	ev := t.eng.schedule(t.eng.now+d, nil, t, false)
+	ev := t.eng.schedule(t.eng.now+d, nil, nil, t, false)
 	*slot = ev
 	t.park()
 	if *slot == ev {
@@ -220,7 +220,7 @@ func (t *Task) Block() {
 // BlockTimeout parks the task for at most d; it reports whether the wait
 // timed out rather than being woken.
 func (t *Task) BlockTimeout(d Time) (timedOut bool) {
-	tev := t.eng.schedule(t.eng.now+d, nil, t, true)
+	tev := t.eng.schedule(t.eng.now+d, nil, nil, t, true)
 	t.park()
 	tev.Cancel()
 	tev.engine.release(tev) // this call held the only reference

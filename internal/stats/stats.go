@@ -435,6 +435,18 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// Cached returns the counter held in *slot, looking the named counter up
+// (and so creating it) on the first call only. A hot path keeps one slot
+// per counter and increments through it, skipping the lock and the name
+// hash, while the counter still enters the registry when first used. The
+// slot is not synchronized: it belongs to one simulation's thread.
+func (r *Registry) Cached(slot **Counter, name string) *Counter {
+	if *slot == nil {
+		*slot = r.Counter(name)
+	}
+	return *slot
+}
+
 // Hist returns (creating if needed) the named histogram.
 func (r *Registry) Hist(name string) *Histogram {
 	r.mu.RLock()
