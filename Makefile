@@ -53,8 +53,8 @@ check: build
 
 # frontend-smoke is the fast frontend gate inside `check`: one surge
 # trial end to end (kill a cell mid-surge through the faultdrill CLI,
-# exit nonzero unless contained with the loop closed) plus the targeted
-# open-loop determinism tests with -count=1.
+# exit nonzero unless contained with the loop closed and the trace audit
+# agreeing) plus the targeted open-loop determinism tests with -count=1.
 frontend-smoke:
 	$(GO) run ./cmd/faultdrill -scenario 14 -trial 0
 	$(GO) test -count=1 -run 'TestFrontendArrivalDeterminism|TestFrontendZipfTenantMix' ./internal/workload/
@@ -74,24 +74,25 @@ trace-check:
 
 # drill-smoke is the fast end-to-end campaign gate: one trial of every
 # scenario (paper rows and v2 extensions) through the faultdrill CLI,
-# exiting nonzero on any containment failure.
+# each audited from its trace, exiting nonzero on any containment failure
+# or trace/harness disagreement.
 drill-smoke:
 	$(GO) run ./cmd/faultdrill -trials 1
 
-# mort-check is the forensic cross-check gate: hivemort re-derives the
-# containment verdict of every default-campaign trial purely from the
-# structured trace (internal/forensic) and exits nonzero if any verdict
-# disagrees with the fault-injection harness's live-state verdict, or if
-# the harness fails any trial (TrialResult.OK).
+# mort-check is the forensic cross-check gate: the full default campaign
+# through faultdrill, which re-derives the containment verdict of every
+# trial purely from the structured trace (internal/forensic) and exits
+# nonzero if any verdict disagrees with the fault-injection harness's
+# live-state verdict, or if the harness fails any trial (TrialResult.OK).
 mort-check:
-	$(GO) run ./cmd/hivemort
+	$(GO) run ./cmd/faultdrill
 	@echo "mort-check: trace-derived verdicts agree with the harness; every trial contained"
 
 # crashloop-soak is the nightly deep gate for the availability loop:
 # many extra trials of the crash-loop (scenario 12) and rolling-reboot
 # (scenario 13) scenarios beyond the default campaign counts — every
 # trial index draws a fresh seed — exiting nonzero on any containment
-# failure or unbounded rejoin loop.
+# failure, unbounded rejoin loop or trace/harness disagreement.
 crashloop-soak:
 	$(GO) build -o .soak-faultdrill ./cmd/faultdrill
 	for t in $$(seq 0 24); do ./.soak-faultdrill -scenario 12 -trial $$t || exit 1; done
@@ -103,8 +104,8 @@ crashloop-soak:
 # extra surge trials (scenario 14) beyond the default campaign count —
 # every trial index draws a fresh seed, a fresh fault time inside the
 # burst, and a fresh victim — exiting nonzero if any trial leaks the
-# fault, fails to close the reboot loop, or reports an unbounded
-# user-visible window.
+# fault, fails to close the reboot loop, reports an unbounded
+# user-visible window, or audits differently from its trace.
 surge-soak:
 	$(GO) build -o .soak-faultdrill ./cmd/faultdrill
 	for t in $$(seq 0 15); do ./.soak-faultdrill -scenario 14 -trial $$t || exit 1; done
@@ -123,7 +124,7 @@ bench:
 # bench-engine tracks the simulator's own hot paths (events/sec, allocs)
 # and the interrupt-level null RPC round trip built on them.
 bench-engine:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkEvent|BenchmarkPending|BenchmarkTask' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkEvent|BenchmarkTask' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkNullRPC' -benchmem ./internal/rpc/
 
 # bench-report writes the machine-readable experiment report.

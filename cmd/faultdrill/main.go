@@ -3,19 +3,27 @@
 // (Table 7.4) — plus the v2 adversarial extensions that attack the recovery
 // substrate itself (message drop/duplicate/corrupt, double faults,
 // coordinator death mid-round, fault storms). It reports containment and
-// detection latency per scenario.
+// detection latency per scenario, and audits every trial it runs: the
+// forensic pass (internal/forensic) re-derives each containment verdict
+// from the trial's structured trace alone and cross-checks it against the
+// harness's live-state verdict.
 //
 // Usage:
 //
-//	faultdrill            # the full campaign, paper rows + extensions
+//	faultdrill            # the full campaign, paper rows + extensions, audited
 //	faultdrill -trials 3  # 3 trials per scenario
 //	faultdrill -cells 16  # campaign on a 16-cell hive (default 4, the paper's)
 //	faultdrill -j 8       # fan trials across 8 workers (same results at any -j)
-//	faultdrill -json -o drill.json       # machine-readable campaign report
-//	faultdrill -scenario 4 -trial 2 -v   # one specific trial, verbose
+//	faultdrill -json -o drill.json       # machine-readable campaign and audit report
+//	faultdrill -scenario 4 -trial 2      # one trial and its full forensic report
+//	faultdrill -scenario 4 -trial 2 -top 5  # top-5 span names per subsystem in its profiles
 //	faultdrill -scenario 2 -trial 0 -trace out.json  # Perfetto trace of one trial
 //	faultdrill -sweep                    # seeded grid sweep with failure minimization
 //	faultdrill -sweep -points 220        # at least 220 (scenario × trial) grid points
+//
+// Exit status is 1 when the harness fails a trial or a trace-derived
+// verdict disagrees with the harness's, and 2 on an out-of-range -cells or
+// -scenario or a negative -trial.
 package main
 
 import (
@@ -29,13 +37,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/forensic"
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
 // campaignReport is the -json document, shaped like hivebench's report so
-// one tool chain can consume both.
+// one tool chain can consume both. The worker-count and wall-clock fields
+// ("jobs", "gomaxprocs", "total_wall_ms") are the only run-shape-dependent
+// ones.
 type campaignReport struct {
 	Name              string                     `json:"name"`
 	GoVersion         string                     `json:"go_version"`
@@ -45,6 +56,8 @@ type campaignReport struct {
 	Cells             int                        `json:"cells"`
 	Scenarios         []*faultinject.CampaignRow `json:"scenarios"`
 	AllOK             bool                       `json:"all_ok"`
+	Sweep             *faultinject.SweepReport   `json:"sweep,omitempty"`
+	Audit             *audit                     `json:"audit"`
 	TotalWallMs       float64                    `json:"total_wall_ms"`
 }
 
@@ -52,11 +65,12 @@ func main() {
 	var (
 		trials    = flag.Int("trials", 0, "trials per scenario (0 = the default campaign counts)")
 		cells     = flag.Int("cells", 4, "hive cell count for the campaign (4 = the paper's machine)")
-		scenario  = flag.Int("scenario", -1, fmt.Sprintf("run only this scenario (0-%d)", faultinject.NumScenarios-1))
+		scenario  = flag.Int("scenario", -1, fmt.Sprintf("run only this scenario (0-%d) and print its forensic report", faultinject.NumScenarios-1))
 		trial     = flag.Int("trial", 0, "trial index for -scenario")
-		verbose   = flag.Bool("v", false, "per-trial detail")
+		verbose   = flag.Bool("v", false, "per-scenario detail")
+		topN      = flag.Int("top", 3, "with -scenario: top span names per subsystem in the forensic profiles")
 		jobs      = flag.Int("j", runtime.GOMAXPROCS(0), "parallel trial workers (1 = sequential)")
-		jsonOut   = flag.Bool("json", false, "emit a machine-readable campaign report instead of the table")
+		jsonOut   = flag.Bool("json", false, "emit a machine-readable campaign and audit report instead of the tables")
 		outPath   = flag.String("o", "", "write the -json report to a file instead of stdout")
 		tracePath = flag.String("trace", "", "with -scenario: write the trial's Chrome trace-event JSON here")
 		sweep     = flag.Bool("sweep", false, "run the seeded (scenario × trial) grid sweep with failure minimization")
@@ -78,72 +92,51 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faultdrill: -trial %d: trials are 0 or more\n", *trial)
 		os.Exit(2)
 	}
-	opts := faultinject.TrialOpts{Cells: *cells}
-
-	if *sweep {
-		per := (*points + faultinject.NumScenarios - 1) / faultinject.NumScenarios
-		rep := faultinject.Sweep(parallel.Default(), per, opts)
-		fmt.Print(rep.Format())
-		if !rep.AllOK() {
-			os.Exit(1)
-		}
-		return
-	}
+	// Every trial keeps its event stream for the trace audit (and -trace).
+	opts := faultinject.TrialOpts{Cells: *cells, KeepEvents: true, TraceCap: 1 << 16}
 
 	if *scenario >= 0 {
-		s := faultinject.Scenario(*scenario)
-		if *tracePath != "" {
-			opts.KeepEvents = true
-			opts.TraceCap = 1 << 16
-		}
-		tr := faultinject.RunTrialOpts(s, *trial, opts)
-		fmt.Printf("%s trial %d:\n", s, *trial)
-		fmt.Printf("  injected at %v into cell %d\n", tr.InjectedAt, tr.TargetCell)
-		fmt.Printf("  detected=%v (%.1f ms to last cell in recovery)\n", tr.Detected, tr.DetectMs)
-		fmt.Printf("  recovery %.1f ms\n", tr.RecoveryMs)
-		fmt.Printf("  contained=%v integrity=%v correctness-check=%v\n",
-			tr.Contained, tr.IntegrityOK, tr.CorrectRunOK)
-		if tr.Notes != "" {
-			fmt.Printf("  notes: %s\n", tr.Notes)
-		}
-		if *tracePath != "" {
-			var buf bytes.Buffer
-			err := trace.ExportChrome(&buf, tr.Cells, tr.Events)
-			if err == nil {
-				err = os.WriteFile(*tracePath, buf.Bytes(), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "faultdrill: write trace:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("  trace written to %s (load in ui.perfetto.dev)\n", *tracePath)
-		}
-		if !tr.OK() {
-			os.Exit(1)
-		}
-		return
+		os.Exit(runSingle(faultinject.Scenario(*scenario), *trial, opts, *tracePath, *topN))
 	}
 
+	per := *trials
+	if *sweep {
+		per = max((*points+faultinject.NumScenarios-1)/faultinject.NumScenarios, 1)
+	}
 	start := time.Now()
-	rows := faultinject.RunCampaign(parallel.Default(), faultinject.AllScenarios(), func(s faultinject.Scenario) int {
-		if *trials > 0 {
-			return *trials
+	scens := faultinject.AllScenarios()
+	// Each trial is audited inside its job, so its (large) event stream is
+	// dropped before the job ends.
+	runs := faultinject.RunTrials(parallel.Default(), scens, func(s faultinject.Scenario) int {
+		if per > 0 {
+			return per
 		}
 		return s.DefaultTests()
-	}, opts)
+	}, func(s faultinject.Scenario, trial int) auditedTrial {
+		return runAudited(s, trial, opts)
+	})
+
+	results := make([][]*faultinject.TrialResult, len(scens))
+	rows := make([]*faultinject.CampaignRow, len(scens))
 	allOK := true
-	for _, row := range rows {
-		if !row.AllOK {
-			allOK = false
-			for _, f := range row.Failures {
-				fmt.Fprintf(os.Stderr, "FAILURE %s: %s\n", row.Scenario, f)
-			}
+	for i, s := range scens {
+		for _, r := range runs[i] {
+			results[i] = append(results[i], r.res)
 		}
-		if *verbose && !*jsonOut {
-			fmt.Printf("%s: %d tests, contained=%v, detect avg %.1f / p99 %.1f / max %.1f ms\n",
-				row.Scenario, row.Tests, row.AllOK, row.AvgDetect, row.P99Detect, row.MaxDetect)
+		rows[i] = faultinject.Aggregate(s, results[i])
+		allOK = allOK && rows[i].AllOK
+		for _, f := range rows[i].Failures {
+			fmt.Fprintf(os.Stderr, "FAILURE %s: %s\n", s, f)
 		}
 	}
+	var sw *faultinject.SweepReport
+	if *sweep {
+		// The grid's trials ran above; the minimizer re-runs only failing
+		// grid points, under candidate seeds.
+		sw = faultinject.Sweep(results, faultinject.TrialOpts{Cells: *cells})
+	}
+	au := foldAudit(scens, runs)
+	pass := allOK && au.AllAgree
 
 	if *jsonOut {
 		report := &campaignReport{
@@ -151,10 +144,12 @@ func main() {
 			GoVersion:         runtime.Version(),
 			GOMAXPROCS:        runtime.GOMAXPROCS(0),
 			Jobs:              parallel.Default().Workers(),
-			TrialsPerScenario: *trials,
+			TrialsPerScenario: per,
 			Cells:             *cells,
 			Scenarios:         rows,
 			AllOK:             allOK,
+			Sweep:             sw,
+			Audit:             au,
 			TotalWallMs:       float64(time.Since(start).Microseconds()) / 1000,
 		}
 		enc, err := json.MarshalIndent(report, "", "  ")
@@ -173,17 +168,83 @@ func main() {
 		} else {
 			os.Stdout.Write(enc)
 		}
-		if !allOK {
+		if !pass {
 			os.Exit(1)
 		}
 		return
 	}
 
-	fmt.Println(harness.FormatTable74(rows))
-	if allOK {
-		fmt.Println("The effects of the fault were contained to the injected cell in every test.")
+	// Text report. Deliberately free of worker counts and wall-clock so it
+	// is byte-identical across -j.
+	if *verbose {
+		for _, row := range rows {
+			fmt.Printf("%s: %d tests, contained=%v, detect avg %.1f / p99 %.1f / max %.1f ms\n",
+				row.Scenario, row.Tests, row.AllOK, row.AvgDetect, row.P99Detect, row.MaxDetect)
+		}
+	}
+	if sw != nil {
+		fmt.Print(sw.Format())
 	} else {
-		fmt.Println("CONTAINMENT FAILURES OCCURRED — see above.")
+		fmt.Println(harness.FormatTable74(rows))
+		if allOK {
+			fmt.Println("The effects of the fault were contained to the injected cell in every test.")
+		} else {
+			fmt.Println("CONTAINMENT FAILURES OCCURRED — see above.")
+		}
+	}
+	fmt.Println()
+	au.print()
+	if !pass {
 		os.Exit(1)
 	}
+}
+
+// runSingle runs one trial and prints the harness's verdict, the trial's
+// full forensic report and the cross-check of the two, optionally writing
+// its Chrome trace. Exit status 1 on a trace write error, a disagreement,
+// or a trial the harness fails.
+func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, tracePath string, topN int) int {
+	tr := faultinject.RunTrialOpts(s, trial, opts)
+	fmt.Printf("%s trial %d:\n", s, trial)
+	fmt.Printf("  injected at %v into cell %d\n", tr.InjectedAt, tr.TargetCell)
+	fmt.Printf("  detected=%v (%.1f ms to last cell in recovery)\n", tr.Detected, tr.DetectMs)
+	fmt.Printf("  recovery %.1f ms\n", tr.RecoveryMs)
+	fmt.Printf("  contained=%v integrity=%v correctness-check=%v\n",
+		tr.Contained, tr.IntegrityOK, tr.CorrectRunOK)
+	if tr.Notes != "" {
+		fmt.Printf("  notes: %s\n", tr.Notes)
+	}
+	if tracePath != "" {
+		var buf bytes.Buffer
+		err := trace.ExportChrome(&buf, tr.Cells, tr.Events)
+		if err == nil {
+			err = os.WriteFile(tracePath, buf.Bytes(), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "faultdrill: write trace:", err)
+			return 1
+		}
+		fmt.Printf("  trace written to %s (load in ui.perfetto.dev)\n", tracePath)
+	}
+
+	rep := forensic.Analyze(tr.Events, tr.Dropped)
+	fmt.Printf("%s trial %d (seed %d, target cell %d):\n\n", s, trial, tr.Seed, tr.TargetCell)
+	fmt.Print(rep.Format(topN))
+	fmt.Println()
+	fmt.Printf("harness: detected=%v contained=%v integrity=%v check=%v state=%v\n",
+		tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK)
+	if tr.Notes != "" {
+		fmt.Printf("harness notes: %s\n", tr.Notes)
+	}
+	if !auditTrial(trial, tr, rep.Audit).Agree {
+		fmt.Printf("DISAGREEMENT: trace says detected=%v contained=%v\n",
+			rep.Audit.Detected, rep.Audit.Contained)
+		return 1
+	}
+	fmt.Println("trace and harness agree.")
+	if !tr.OK() {
+		fmt.Fprintf(os.Stderr, "FAILURE %s trial %d (seed %d): %s\n", s, trial, tr.Seed, tr.Notes)
+		return 1
+	}
+	return 0
 }

@@ -8,7 +8,6 @@
 //	hivebench -j 8            # fan independent trials across 8 workers
 //	hivebench -json           # machine-readable benchmark report on stdout
 //	hivebench -json -o BENCH_hive.json
-//	hivebench -trace out.json # Perfetto trace of a fault-injection trial
 //	hivebench -only t72       # one experiment: careful41, rpc6, t52,
 //	                          # t72, t73, t74, fw42, traffic52, reboot,
 //	                          # frontend, t81, scale, scalability,
@@ -21,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,11 +28,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // experimentReport is one experiment's entry in the -json output. Metrics
@@ -92,27 +88,9 @@ func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel trial workers (1 = sequential)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable benchmark report instead of tables")
 	outPath := flag.String("o", "", "write the -json report to a file instead of stdout")
-	tracePath := flag.String("trace", "", "write a Chrome trace of one node-failure trial, then exit")
 	flag.Parse()
 
 	parallel.SetDefaultWorkers(*jobs)
-
-	if *tracePath != "" {
-		tr := faultinject.RunTrialOpts(faultinject.NodeFailRandom, 0,
-			faultinject.TrialOpts{KeepEvents: true, TraceCap: 1 << 16})
-		var buf bytes.Buffer
-		err := trace.ExportChrome(&buf, tr.Cells, tr.Events)
-		if err == nil {
-			err = os.WriteFile(*tracePath, buf.Bytes(), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hivebench: write trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s: node-failure trial, detect %.1f ms, recovery %.1f ms (load in ui.perfetto.dev)\n",
-			*tracePath, tr.DetectMs, tr.RecoveryMs)
-		return
-	}
 
 	ctx := &runCtx{
 		jsonMode: *jsonOut,

@@ -114,11 +114,7 @@ func BootCells(cells int) *Hive { return workload.BootHive(cells) }
 // ValidateCells reports whether BootCells would accept the count: nil for
 // 1..MaxCells, an error describing the violated constraint otherwise.
 func ValidateCells(cells int) error {
-	nodes := cells
-	if cells >= 1 && cells <= 4 && 4%cells == 0 {
-		nodes = 4 // counts dividing the evaluation machine keep its 4 nodes
-	}
-	return core.ValidateCells(cells, nodes)
+	return core.ValidateCells(cells, workload.MachineNodes(cells))
 }
 
 // BootIRIX boots the IRIX 5.2 baseline: the same kernel code as a single

@@ -3,6 +3,8 @@ package hive
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/workload"
 )
 
 // The root-package tests exercise the public API end to end; the
@@ -48,6 +50,15 @@ func TestValidateCellsRejectsUnsupportedCounts(t *testing.T) {
 		if err := ValidateCells(cells); err != nil {
 			t.Fatalf("ValidateCells(%d) = %v, want nil", cells, err)
 		}
+	}
+	// ValidateCells and BootCells share one node-count rule: the machine
+	// BootCells boots has the nodes ValidateCells checked the count against.
+	for cells := 1; cells <= 4; cells++ {
+		h := BootCells(cells)
+		if got, want := len(h.M.Nodes), workload.MachineNodes(cells); got != want {
+			t.Errorf("BootCells(%d) booted %d nodes, want %d", cells, got, want)
+		}
+		h.Eng.Stop()
 	}
 }
 

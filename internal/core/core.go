@@ -46,14 +46,8 @@ type Config struct {
 	// it through a membership join round (untrusted until commit), then
 	// warms it back to full capacity.
 	Reboot RebootPolicy
-	// KernelPagesPerNode are reserved for each cell's kernel (never
-	// shared or loaned). Defaults to 1/4 of each node's pages, leaving
-	// ≈6000 user pages per 32 MB node as in §4.2.
-	KernelPagesPerNode int
 	// Mounts places file-system subtrees on data-home cells.
 	Mounts []fs.Mount
-	// RPCServerPool sizes each cell's queued-RPC server pool.
-	RPCServerPool int
 	// ClockCheckEvery is the neighbour clock-check period in ticks
 	// (0 = membership.DefaultCheckEvery). The §4.3 frequency/
 	// vulnerability tradeoff knob.
@@ -153,17 +147,8 @@ func Boot(cfg Config) *Hive {
 	if err := ValidateCells(cfg.Cells, cfg.Machine.Nodes); err != nil {
 		panic(err.Error())
 	}
-	if cfg.RPCServerPool == 0 {
-		// One pool sized for the 4-cell evaluation machine, grown gently
-		// with scale: intercell request fan-in rises with the number of
-		// peers, but most traffic stays pairwise.
-		cfg.RPCServerPool = 4 + cfg.Cells/8
-	}
 	eng := sim.NewEngine(cfg.Seed)
 	m := machine.New(eng, cfg.Machine)
-	if cfg.KernelPagesPerNode == 0 {
-		cfg.KernelPagesPerNode = m.PagesPerNode / 4
-	}
 	h := &Hive{
 		Cfg:   cfg,
 		Eng:   eng,
@@ -273,9 +258,15 @@ func (h *Hive) buildCell(c *Cell) {
 		}
 	}
 
-	c.EP = rpc.NewEndpoint(h.M, id, procs, h.Cfg.RPCServerPool)
+	// The queued-RPC server pool is sized for the 4-cell evaluation
+	// machine and grows gently with scale: intercell request fan-in rises
+	// with the number of peers, but most traffic stays pairwise.
+	c.EP = rpc.NewEndpoint(h.M, id, procs, 4+h.Cfg.Cells/8)
 	c.EP.Tracer = c.Tracer
-	c.VM = vm.New(h.M, c.EP, id, nodes, h.CellOfNode, h.Cfg.KernelPagesPerNode)
+	// A quarter of each node's pages is reserved for the cell's kernel
+	// (never shared or loaned), leaving ≈6000 user pages per 32 MB node as
+	// in §4.2.
+	c.VM = vm.New(h.M, c.EP, id, nodes, h.CellOfNode, h.M.PagesPerNode/4)
 	c.VM.Tracer = c.Tracer
 	c.FS = fs.New(h.M, c.EP, c.VM, id, h.Cfg.Mounts, h.M.Nodes[nodes[0]].Disk)
 	c.Sched = sched.New(id, procs)

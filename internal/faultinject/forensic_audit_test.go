@@ -7,13 +7,13 @@ import (
 	"repro/internal/parallel"
 )
 
-// auditOpts is the instrumentation cmd/hivemort runs the campaign with.
+// auditOpts is the instrumentation cmd/faultdrill runs every trial with.
 var auditOpts = TrialOpts{KeepEvents: true, TraceCap: 1 << 16}
 
 // TestTraceAuditAgreesWithHarness re-derives Detected/Contained from the
 // trace alone for one trial of every scenario and requires agreement with
 // the harness's live-state verdict — the mort-check gate in miniature
-// (cmd/hivemort runs all default trials the same way).
+// (cmd/faultdrill audits every trial it runs the same way).
 func TestTraceAuditAgreesWithHarness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace audit cross-check skipped in -short")

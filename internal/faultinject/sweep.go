@@ -1,4 +1,4 @@
-// sweep.go — the seeded campaign sweep: enumerate the full
+// sweep.go — the seeded campaign sweep: fold the full
 // (scenario × inject-time × target) grid and minimize any failing trial to
 // its smallest reproducing seed. A grid point is one (scenario, trial)
 // pair; the trial index deterministically encodes the target cell
@@ -13,8 +13,6 @@ package faultinject
 import (
 	"fmt"
 	"hash/fnv"
-
-	"repro/internal/parallel"
 )
 
 // minimizeAttempts bounds the candidate seeds tried when minimizing a
@@ -56,22 +54,21 @@ type SweepReport struct {
 // AllOK reports a clean sweep.
 func (r *SweepReport) AllOK() bool { return len(r.Failures) == 0 }
 
-// Sweep runs trials 0..per-1 of every scenario, paper rows and
-// extensions, with opts, and minimizes failures. Trials fan out across r;
-// folding happens in grid order, so the report is byte-identical at any
-// worker count.
-func Sweep(r *parallel.Runner, per int, opts TrialOpts) *SweepReport {
-	per = max(per, 1)
-	scen := AllScenarios()
-	trials := RunTrials(r, scen, func(Scenario) int { return per },
-		func(s Scenario, trial int) *TrialResult { return RunTrialOpts(s, trial, opts) })
-
-	rep := &SweepReport{Points: len(scen) * per}
+// Sweep folds a grid the caller has run: trials[s] holds trials 0..n-1 of
+// scenario s (AllScenarios order, RunTrials' shape), so every grid point
+// runs once and whoever else reads the results sees the same trials.
+// Failures are minimized by re-running their grid point with opts and
+// candidate seeds. Folding happens in grid order, so the report is
+// byte-identical at any worker count.
+func Sweep(trials [][]*TrialResult, opts TrialOpts) *SweepReport {
+	rep := &SweepReport{}
 	w := fnv.New64a()
-	for si, s := range scen {
-		row := &SweepRow{Scenario: s, Name: s.String(), Trials: per}
+	for si, results := range trials {
+		s := Scenario(si)
+		row := &SweepRow{Scenario: s, Name: s.String(), Trials: len(results)}
 		rep.Rows = append(rep.Rows, row)
-		for trial, tr := range trials[si] {
+		rep.Points += len(results)
+		for trial, tr := range results {
 			fmt.Fprintf(w, "%d:%d:%d:%v:%v:%v:%v:%v:%.6f:%.6f:%s\n",
 				int(tr.Scenario), trial, tr.Seed,
 				tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK,

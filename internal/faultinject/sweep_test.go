@@ -9,12 +9,22 @@ import (
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The acceptance bar for the campaign sweep: same configuration, any
 	// worker count — byte-identical report, equal witness hash, all points
-	// contained.
+	// contained. The -j 4 side runs with the audited capture faultdrill
+	// runs every trial with (auditOpts), so this also pins that keeping
+	// the event stream moves no verdict and no hash.
 	if testing.Short() {
 		t.Skip("full sweep trials in -short mode")
 	}
-	a := Sweep(parallel.New(1), 1, TrialOpts{})
-	b := Sweep(parallel.New(4), 1, TrialOpts{})
+	grid := func(workers int, opts TrialOpts) [][]*TrialResult {
+		return RunTrials(parallel.New(workers), AllScenarios(), func(Scenario) int { return 1 },
+			func(s Scenario, trial int) *TrialResult {
+				tr := RunTrialOpts(s, trial, opts)
+				tr.Events, tr.Dropped = nil, nil
+				return tr
+			})
+	}
+	a := Sweep(grid(1, TrialOpts{}), TrialOpts{})
+	b := Sweep(grid(4, auditOpts), TrialOpts{})
 	if a.Hash != b.Hash {
 		t.Fatalf("witness hash diverged: %016x vs %016x", a.Hash, b.Hash)
 	}

@@ -10,7 +10,7 @@ import (
 
 // Verdict is the containment verdict re-derived from the trace alone.
 // It mirrors the two trace-derivable fields of faultinject.TrialResult —
-// Detected and Contained — so cmd/hivemort can cross-check them; the
+// Detected and Contained — so cmd/faultdrill can cross-check them; the
 // workload-level fields (IntegrityOK, CorrectRunOK, StateOK) need live
 // kernel state and are out of the trace's reach (DESIGN.md §10 caveats).
 type Verdict struct {

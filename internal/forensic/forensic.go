@@ -5,7 +5,7 @@
 // faultinject asserts this by inspecting live kernel state, and this
 // package re-derives the same verdict from the recorded event stream, so
 // the two can be cross-checked and any disagreement fails loudly
-// (cmd/hivemort, make mort-check).
+// (cmd/faultdrill, make mort-check).
 //
 // Three consumers share one pass over the merged stream:
 //

@@ -41,10 +41,6 @@ type SIPSMsg struct {
 	Kind    SIPSKind // request or reply queue
 	Size    int      // payload bytes; must be <= SIPSLineBytes
 	Payload any      // marshalled argument line (data beyond a line is sent by reference)
-	// ByRef optionally carries a reference (remote address / page) for
-	// data beyond the 128-byte line; the receiver must use the careful
-	// reference protocol to access it.
-	ByRef any
 	// Checksum covers the line; it is computed by the sending hardware at
 	// launch and verified at delivery, so injected payload corruption is
 	// *detected* and the line discarded — the messaging analogue of the

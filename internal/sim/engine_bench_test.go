@@ -119,23 +119,6 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkPendingCount measures Engine.Pending with a deep event queue —
-// the probe RunUntil-style drivers issue every step.
-func BenchmarkPendingCount(b *testing.B) {
-	e := NewEngine(1)
-	for i := 0; i < 4096; i++ {
-		e.At(Time(1000+i), func() {})
-	}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		n += e.Pending()
-	}
-	if n == 0 {
-		b.Fatal("no pending events")
-	}
-}
-
 // BenchmarkTaskChurn measures task creation and exit, which happen once per
 // process, RPC service task, and interrupt thread.
 func BenchmarkTaskChurn(b *testing.B) {

@@ -15,14 +15,23 @@ func BootHive(cells int) *core.Hive {
 	return BootHiveWith(cells, core.DefaultConfig().Seed, nil)
 }
 
-// scaleConfig sizes cfg's machine for the requested cell count and installs
-// the standard mounts. The 4-node evaluation machine is kept whenever the
-// count divides it so the calibrated 1/2/4-cell timings are untouched.
+// MachineNodes returns the node count of the machine BootHive boots for
+// the given cell count. The 4-node evaluation machine is kept whenever the
+// count divides it, so the calibrated 1/2/4-cell timings are untouched;
+// any other count scales to one node per cell.
+func MachineNodes(cells int) int {
+	nodes := core.DefaultConfig().Machine.Nodes
+	if cells > 0 && nodes%cells != 0 {
+		return cells
+	}
+	return nodes
+}
+
+// scaleConfig sizes cfg's machine for the requested cell count
+// (MachineNodes) and installs the standard mounts.
 func scaleConfig(cfg core.Config, cells int) core.Config {
 	cfg.Cells = cells
-	if cells > 0 && (cells > cfg.Machine.Nodes || cfg.Machine.Nodes%cells != 0) {
-		cfg.Machine.Nodes = cells
-	}
+	cfg.Machine.Nodes = MachineNodes(cells)
 	cfg.Mounts = standardMounts(cells)
 	return cfg
 }
