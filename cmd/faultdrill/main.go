@@ -23,7 +23,8 @@
 //
 // Exit status is 1 when the harness fails a trial or a trace-derived
 // verdict disagrees with the harness's, and 2 on an out-of-range -cells or
-// -scenario or a negative -trial.
+// -scenario, a negative -trial, or a flag the chosen mode does not read
+// (-trace without -scenario, -o without -json, -points without -sweep, ...).
 package main
 
 import (
@@ -78,6 +79,12 @@ func main() {
 	)
 	flag.Parse()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if msg := flagConflict(set); msg != "" {
+		fmt.Fprintln(os.Stderr, "faultdrill:", msg)
+		os.Exit(2)
+	}
 	parallel.SetDefaultWorkers(*jobs)
 
 	if *cells < 4 || *cells > core.MaxCells {
@@ -199,21 +206,54 @@ func main() {
 	}
 }
 
+// flagRules say which flags a mode reads: flag is read only alongside
+// other when needs is set, and never alongside it otherwise. A single
+// trial (-scenario) reads -trial, -top and -trace and none of the
+// campaign's flags; -points sets the sweep's grid in place of -trials.
+var flagRules = []struct {
+	flag, other string
+	needs       bool
+}{
+	{"trial", "scenario", true},
+	{"top", "scenario", true},
+	{"trace", "scenario", true},
+	{"trials", "scenario", false},
+	{"v", "scenario", false},
+	{"json", "scenario", false},
+	{"o", "scenario", false},
+	{"sweep", "scenario", false},
+	{"points", "scenario", false},
+	{"points", "sweep", true},
+	{"trials", "sweep", false},
+	{"o", "json", true},
+}
+
+// flagConflict names the first flag in set (the flags given on the command
+// line) that the mode they choose does not read, or returns "" when there
+// is none.
+func flagConflict(set map[string]bool) string {
+	for _, r := range flagRules {
+		switch {
+		case !set[r.flag] || set[r.other] == r.needs:
+		case r.needs:
+			return fmt.Sprintf("-%s needs -%s", r.flag, r.other)
+		default:
+			return fmt.Sprintf("-%s is not read with -%s", r.flag, r.other)
+		}
+	}
+	return ""
+}
+
 // runSingle runs one trial and prints the harness's verdict, the trial's
 // full forensic report and the cross-check of the two, optionally writing
 // its Chrome trace. Exit status 1 on a trace write error, a disagreement,
 // or a trial the harness fails.
 func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, tracePath string, topN int) int {
 	tr := faultinject.RunTrialOpts(s, trial, opts)
-	fmt.Printf("%s trial %d:\n", s, trial)
-	fmt.Printf("  injected at %v into cell %d\n", tr.InjectedAt, tr.TargetCell)
-	fmt.Printf("  detected=%v (%.1f ms to last cell in recovery)\n", tr.Detected, tr.DetectMs)
+	fmt.Printf("%s trial %d (seed %d, target cell %d):\n", s, trial, tr.Seed, tr.TargetCell)
+	fmt.Printf("  injected at %v\n", tr.InjectedAt)
+	fmt.Printf("  detection %.1f ms (to last cell in recovery)\n", tr.DetectMs)
 	fmt.Printf("  recovery %.1f ms\n", tr.RecoveryMs)
-	fmt.Printf("  contained=%v integrity=%v correctness-check=%v\n",
-		tr.Contained, tr.IntegrityOK, tr.CorrectRunOK)
-	if tr.Notes != "" {
-		fmt.Printf("  notes: %s\n", tr.Notes)
-	}
 	if tracePath != "" {
 		var buf bytes.Buffer
 		err := trace.ExportChrome(&buf, tr.Cells, tr.Events)
@@ -228,7 +268,7 @@ func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, tr
 	}
 
 	rep := forensic.Analyze(tr.Events, tr.Dropped)
-	fmt.Printf("%s trial %d (seed %d, target cell %d):\n\n", s, trial, tr.Seed, tr.TargetCell)
+	fmt.Println()
 	fmt.Print(rep.Format(topN))
 	fmt.Println()
 	fmt.Printf("harness: detected=%v contained=%v integrity=%v check=%v state=%v\n",

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestTrialReleasesItsHive checks that a finished trial keeps nothing
@@ -23,7 +24,16 @@ func TestTrialReleasesItsHive(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	// The previous test's goroutine may still be exiting when this one
+	// starts, so the baseline is read once the count has stopped falling:
+	// once it has held for ten 1 ms rounds in a row.
 	base := runtime.NumGoroutine()
+	for held := 0; held < 10; held++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n < base {
+			base, held = n, -1
+		}
+	}
 	heap0 := liveHeap()
 	for _, s := range []Scenario{NodeFailProcCreate, CrashLoop, SurgeFault} {
 		if r := RunTrial(s, 0); !r.OK() {

@@ -363,6 +363,40 @@ func TestStealTimeAfterKilledCompute(t *testing.T) {
 	}
 }
 
+// TestOverlappingBurstsClearCurCompute computes on one CPU from two tasks
+// at once. The second burst, 100..150, ends before the first, 0..1000, so
+// its wake is the engine's next event and it runs on; a queued event at 120
+// makes it park instead. Either way curCompute is nil once it returns (a
+// parked burst overwrote it and then cleared it), so the interrupt at 500
+// stretches neither burst and the first ends at 1000.
+func TestOverlappingBurstsClearCurCompute(t *testing.T) {
+	for _, parked := range []bool{false, true} {
+		e, m := testMachine(t, 1)
+		p := m.Procs[0]
+		var firstDone sim.Time
+		e.Go("first", func(tk *sim.Task) {
+			p.Use(tk, 1000)
+			firstDone = tk.Now()
+		})
+		e.At(100, func() {
+			e.Go("second", func(tk *sim.Task) {
+				p.Use(tk, 50)
+				if p.curCompute != nil {
+					t.Errorf("parked=%v: curCompute = %p after the second burst, want nil", parked, p.curCompute)
+				}
+			})
+		})
+		if parked {
+			e.At(120, func() {})
+		}
+		e.At(500, func() { p.Interrupt(200, runFunc, func() {}) })
+		e.Run(0)
+		if firstDone != 1000 {
+			t.Errorf("parked=%v: the first burst ended at %v, want 1000 (not stretched)", parked, firstDone)
+		}
+	}
+}
+
 func TestInterruptsSerializePerCPU(t *testing.T) {
 	e, m := testMachine(t, 1)
 	p := m.Procs[0]

@@ -66,11 +66,14 @@ type Engine struct {
 	cur        *Task
 	tasks      []*Task // live tasks; each holds its index, so exit is a swap-delete
 	stopped    bool
+	running    bool   // inside Run: a sleep may run on (see runOn)
+	deadline   Time   // Run's deadline, 0 for none
 	failure    any    // panic value escaped from a task
 	dispatched uint64 // total events fired since boot
 
-	// Trace, if non-nil, receives a line for every dispatched event.
-	// Used by determinism tests and debugging.
+	// Trace, if non-nil, receives a line ("run <name>") each time a task
+	// is handed the virtual CPU or runs on from a sleep. Used by
+	// determinism tests and debugging.
 	Trace func(at Time, what string)
 }
 
@@ -182,11 +185,14 @@ func callFunc(fn any) { fn.(func())() }
 // Run processes events until the queue is empty or the deadline passes. A
 // deadline of 0 means run until idle. It panics if a task panicked
 // (propagating the original value) and returns the final time. Run on a
-// stopped engine panics.
+// stopped engine panics. Only inside Run may a task's sleep run on (see
+// Task.Sleep), so Run records its deadline for the sleeps to check.
 func (e *Engine) Run(deadline Time) Time {
 	if e.stopped {
 		panic("sim: Run on a stopped engine")
 	}
+	e.running, e.deadline = true, deadline
+	defer func() { e.running, e.deadline = false, 0 }()
 	for len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.cancelled { // lazily-cancelled: discard without firing
@@ -210,7 +216,8 @@ func (e *Engine) Run(deadline Time) Time {
 }
 
 // Dispatched returns the total number of events fired since boot — the
-// deterministic work measure the scaling suite reports as events/sec.
+// deterministic work measure the scaling suite reports as events/sec. A
+// sleep that runs on counts the wake event it stands in for.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // LiveTasks returns the number of tasks that have been started and have not

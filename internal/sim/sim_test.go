@@ -620,8 +620,28 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	e.Run(0)
 }
 
-// BenchmarkTaskSwitch measures a park/wake round trip between two tasks.
+// BenchmarkTaskSwitch measures a park/wake round trip. Two tasks sleep
+// 10ns at a time, the second 5ns behind the first, so each one's wake is
+// queued behind the other's and never the next event: every sleep parks.
+// Each op is one sleep of either task.
 func BenchmarkTaskSwitch(b *testing.B) {
+	e := NewEngine(1)
+	sleeper := func(n int) func(*Task) {
+		return func(t *Task) {
+			for i := 0; i < n; i++ {
+				t.Sleep(10)
+			}
+		}
+	}
+	e.Go("ping", sleeper((b.N+1)/2))
+	e.At(5, func() { e.Go("pong", sleeper(b.N/2)) })
+	b.ResetTimer()
+	e.Run(0)
+}
+
+// BenchmarkTaskRunOn measures a sleep that runs on: a lone task's wake is
+// always the next event, so it advances the clock and parks nothing.
+func BenchmarkTaskRunOn(b *testing.B) {
 	e := NewEngine(1)
 	e.Go("ping", func(t *Task) {
 		for i := 0; i < b.N; i++ {

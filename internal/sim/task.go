@@ -185,13 +185,19 @@ func (t *Task) WakeSoon() {
 	t.eng.schedule(t.eng.now, nil, nil, t, false).owned = true
 }
 
-// Sleep suspends the task for d nanoseconds of virtual time.
+// Sleep suspends the task for d nanoseconds of virtual time. When the wake
+// would be the next event the engine fires, the task runs on instead of
+// parking (see runOn).
 func (t *Task) Sleep(d Time) {
 	if d < 0 {
 		// Yield: reschedule self after simultaneous events.
 		d = 0
 	}
-	t.eng.schedule(t.eng.now+d, nil, nil, t, false).owned = true
+	w := t.eng.now + d
+	if t.eng.runOn(t, w) {
+		return
+	}
+	t.eng.schedule(w, nil, nil, t, false).owned = true
 	t.park()
 }
 
@@ -200,15 +206,48 @@ func (t *Task) Sleep(d Time) {
 // time-stealing) while the task sleeps. On return it clears *slot if *slot
 // still holds that event, and recycles the event: the pointer is valid only
 // until SleepEvent returns. A task killed mid-sleep never returns, so then
-// the event is never recycled and *slot stays safe to use.
+// the event is never recycled and *slot stays safe to use. A sleep that runs
+// on, which nothing can reschedule, leaves *slot nil, as a parked one that
+// nothing overwrote does.
 func (t *Task) SleepEvent(d Time, slot **Event) {
-	ev := t.eng.schedule(t.eng.now+d, nil, nil, t, false)
+	w := t.eng.now + d
+	if t.eng.runOn(t, w) {
+		*slot = nil
+		return
+	}
+	ev := t.eng.schedule(w, nil, nil, t, false)
 	*slot = ev
 	t.park()
 	if *slot == ev {
 		*slot = nil
 	}
 	t.eng.release(ev)
+}
+
+// runOn ends t's sleep until w without parking when the wake would be the
+// next event fired: inside Run, not past its deadline, for a task not
+// killed, and strictly before the queue's head (an event already queued at
+// w was scheduled first and fires first). A parked task's wake would then
+// be popped next, with nothing run in between but fire recycling the event
+// that woke it, so the task would resume at w in the same state. runOn does
+// what firing that wake does (the clock, the dispatch count, timedOut and
+// the trace line) and skips the push, the pop and both coroutine switches.
+// A lazily cancelled event at the head refuses a run-on it need not, and a
+// wake before now (SleepEvent's negative d, which schedule clamps) parks.
+// Step and Stop run outside Run, so their tasks always park.
+func (e *Engine) runOn(t *Task, w Time) bool {
+	if !e.running || t.killed || w < e.now ||
+		(e.deadline > 0 && w > e.deadline) ||
+		(len(e.events) > 0 && e.events[0].at <= w) {
+		return false
+	}
+	e.now = w
+	e.dispatched++
+	t.timedOut = false
+	if e.Trace != nil {
+		e.Trace(w, "run "+t.name)
+	}
+	return true
 }
 
 // Block parks the task indefinitely until something wakes it (via WakeSoon
