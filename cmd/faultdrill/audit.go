@@ -51,6 +51,7 @@ type audit struct {
 	Disagreements []string        `json:"disagreements"`
 	AllAgree      bool            `json:"all_agree"`
 
+	replays []string // the replay line of each disagreement
 	rejoins int
 	events  int64
 	dropped uint64
@@ -109,6 +110,7 @@ func foldAudit(scens []faultinject.Scenario, runs [][]auditedTrial) *audit {
 					row.Name, t.Trial, t.HarnessDetected, t.HarnessContained,
 					t.Audit.Detected, t.Audit.Contained,
 					strings.Join(t.Audit.Evidence, "; ")))
+				a.replays = append(a.replays, faultinject.Replay(s, t.Trial, r.res.Cells))
 			}
 			if t.Audit.Detected {
 				row.Detected++
@@ -176,8 +178,9 @@ func (a *audit) print() {
 		fmt.Println("The trace-derived verdicts agree with the harness on every trial.")
 		return
 	}
-	for _, d := range a.Disagreements {
+	for i, d := range a.Disagreements {
 		fmt.Fprintf(os.Stderr, "DISAGREEMENT %s\n", d)
+		fmt.Fprintln(os.Stderr, a.replays[i])
 	}
 	fmt.Println("TRACE/HARNESS DISAGREEMENTS OCCURRED — see above.")
 }

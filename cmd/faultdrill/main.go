@@ -132,8 +132,13 @@ func main() {
 		}
 		rows[i] = faultinject.Aggregate(s, results[i])
 		allOK = allOK && rows[i].AllOK
-		for _, f := range rows[i].Failures {
-			fmt.Fprintf(os.Stderr, "FAILURE %s: %s\n", s, f)
+		failed := 0
+		for trial, r := range results[i] {
+			if !r.OK() {
+				fmt.Fprintf(os.Stderr, "FAILURE %s: %s\n", s, rows[i].Failures[failed])
+				fmt.Fprintln(os.Stderr, faultinject.Replay(s, trial, *cells))
+				failed++
+			}
 		}
 	}
 	var sw *faultinject.SweepReport
@@ -279,11 +284,13 @@ func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, tr
 	if !auditTrial(trial, tr, rep.Audit).Agree {
 		fmt.Printf("DISAGREEMENT: trace says detected=%v contained=%v\n",
 			rep.Audit.Detected, rep.Audit.Contained)
+		fmt.Println(faultinject.Replay(s, trial, tr.Cells))
 		return 1
 	}
 	fmt.Println("trace and harness agree.")
 	if !tr.OK() {
 		fmt.Fprintf(os.Stderr, "FAILURE %s trial %d (seed %d): %s\n", s, trial, tr.Seed, tr.Notes)
+		fmt.Fprintln(os.Stderr, faultinject.Replay(s, trial, tr.Cells))
 		return 1
 	}
 	return 0

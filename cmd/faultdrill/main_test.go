@@ -1,8 +1,12 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 // TestFlagConflict checks the rule that every flag given is one the chosen
@@ -45,6 +49,51 @@ func TestFlagConflict(t *testing.T) {
 		}
 		if got := flagConflict(set); got != c.want {
 			t.Errorf("flags %q: flagConflict = %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
+// TestReplayLine checks the line printed after a failing trial: its flags
+// must be accepted together and select the same scenario, trial and hive
+// size, with -cells only off the paper's 4.
+func TestReplayLine(t *testing.T) {
+	cases := []struct {
+		s            faultinject.Scenario
+		trial, cells int
+		want         string
+	}{
+		{faultinject.SurgeFault, 5, 4, "replay: faultdrill -scenario 14 -trial 5"},
+		{faultinject.CorruptAddrMap, 3, 16, "replay: faultdrill -cells 16 -scenario 3 -trial 3"},
+		{faultinject.NodeFailProcCreate, 0, 4, "replay: faultdrill -scenario 0 -trial 0"},
+		{faultinject.RollingReboot, 11, 8, "replay: faultdrill -cells 8 -scenario 13 -trial 11"},
+	}
+	for _, c := range cases {
+		line := faultinject.Replay(c.s, c.trial, c.cells)
+		if line != c.want {
+			t.Errorf("Replay(%d, %d, %d) = %q, want %q", c.s, c.trial, c.cells, line, c.want)
+		}
+		args, ok := strings.CutPrefix(line, "replay: faultdrill ")
+		if !ok {
+			t.Errorf("%q does not name faultdrill", line)
+			continue
+		}
+		fs := flag.NewFlagSet("faultdrill", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		cells := fs.Int("cells", 4, "")
+		scenario := fs.Int("scenario", -1, "")
+		trial := fs.Int("trial", 0, "")
+		if err := fs.Parse(strings.Fields(args)); err != nil || fs.NArg() != 0 {
+			t.Errorf("%q: parse: %v, %d stray arguments", line, err, fs.NArg())
+			continue
+		}
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if msg := flagConflict(set); msg != "" {
+			t.Errorf("%q: %s", line, msg)
+		}
+		if *scenario != int(c.s) || *trial != c.trial || *cells != c.cells {
+			t.Errorf("%q selects scenario %d trial %d on %d cells, want %d, %d, %d",
+				line, *scenario, *trial, *cells, c.s, c.trial, c.cells)
 		}
 	}
 }

@@ -375,14 +375,29 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 	case CorruptAddrMap:
 		cfg := workload.DefaultPmake()
 		at := sim.Time(800+rng.Intn(2500)) * sim.Millisecond
+		mainDone := false
 		h.Eng.At(at, func() {
-			if corruptAddrMap(h, target, pathology(trial%4), rng.Uint64()) {
+			r := rng.Uint64()
+			// On a large hive the target may run no compile job at the
+			// drawn instant: try again every 5 ms while the main pmake
+			// runs, never in the correctness check.
+			var attempt func()
+			attempt = func() {
+				if mainDone || h.Cells[target].Failed() {
+					return
+				}
+				if !corruptAddrMap(h, target, pathology(trial%4), r) {
+					h.Eng.After(5*sim.Millisecond, attempt)
+					return
+				}
 				injected = true
 				res.InjectedAt = h.Eng.Now()
 				h.Cells[target].MarkCorrupt()
 			}
+			attempt()
 		})
 		wl = workload.RunPmake(h, cfg, 60*sim.Second)
+		mainDone = true
 
 	case CorruptCOWTree:
 		cfg := workload.DefaultRaytrace()

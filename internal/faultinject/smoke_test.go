@@ -30,3 +30,14 @@ func TestNegativeTrialPanics(t *testing.T) {
 	RunTrial(NodeFailProcCreate, -1)
 	t.Error("RunTrial(NodeFailProcCreate, -1) returned")
 }
+
+// TestCorruptAddrMapWaitsForACompileJob runs a 16-cell trial whose target
+// (cell 4) runs no compile job at the drawn instant: the injector must
+// keep trying until one appears rather than never inject.
+func TestCorruptAddrMapWaitsForACompileJob(t *testing.T) {
+	tr := RunTrialOpts(CorruptAddrMap, 3, TrialOpts{Cells: 16})
+	if tr.InjectedAt == 0 || !tr.OK() {
+		t.Fatalf("injected at %v: det=%v cont=%v integ=%v check=%v state=%v notes=%s",
+			tr.InjectedAt, tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK, tr.Notes)
+	}
+}

@@ -32,3 +32,14 @@ func TestSurgeFaultContained(t *testing.T) {
 		t.Error("frontend latency p99 not measured")
 	}
 }
+
+// TestSurgeFaultCheckNotStarved is the sweep's grid point that once failed
+// (seed 52996): after the surge, cell 0's clock hand wrote back dirty
+// pages for 675 ms holding the VM lock, and the post-fault correctness
+// check's compile jobs timed out loading /usr/bin/cc from cell 0.
+func TestSurgeFaultCheckNotStarved(t *testing.T) {
+	if tr := RunTrial(SurgeFault, 5); !tr.OK() {
+		t.Fatalf("surge trial 5 failed: det=%v cont=%v integ=%v check=%v state=%v notes=%s",
+			tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK, tr.Notes)
+	}
+}

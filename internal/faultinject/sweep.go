@@ -23,6 +23,7 @@ const minimizeAttempts = 8
 type SweepFailure struct {
 	Scenario Scenario
 	Trial    int
+	Cells    int
 	Seed     int64
 	Notes    string
 	// MinSeed is the smallest seed found that reproduces the failure;
@@ -92,6 +93,7 @@ func minimize(tr *TrialResult, trial int, opts TrialOpts) *SweepFailure {
 	f := &SweepFailure{
 		Scenario: tr.Scenario,
 		Trial:    trial,
+		Cells:    tr.Cells,
 		Seed:     tr.Seed,
 		Notes:    tr.Notes,
 		MinSeed:  tr.Seed,
@@ -108,6 +110,18 @@ func minimize(tr *TrialResult, trial int, opts TrialOpts) *SweepFailure {
 	return f
 }
 
+// Replay is the line that names the faultdrill command re-running trial
+// trial of scenario s on a hive of cells cells. A trial is a pure function
+// of the three, so the command replays it exactly; a grid point's seed is
+// derived from them too. A minimized seed is not replayable this way.
+func Replay(s Scenario, trial, cells int) string {
+	cellsFlag := ""
+	if cells != 4 {
+		cellsFlag = fmt.Sprintf(" -cells %d", cells)
+	}
+	return fmt.Sprintf("replay: faultdrill%s -scenario %d -trial %d", cellsFlag, int(s), trial)
+}
+
 // Format renders the report as a deterministic text block (no wall-clock
 // content), suitable for byte-comparison across same-seed runs.
 func (r *SweepReport) Format() string {
@@ -118,6 +132,7 @@ func (r *SweepReport) Format() string {
 	for _, f := range r.Failures {
 		out += fmt.Sprintf("  FAIL %s trial %d seed %d minseed %d minimized=%v notes=%s\n",
 			f.Scenario, f.Trial, f.Seed, f.MinSeed, f.Minimized, f.Notes)
+		out += "    " + Replay(f.Scenario, f.Trial, f.Cells) + "\n"
 	}
 	out += fmt.Sprintf("sweep hash: %016x\n", r.Hash)
 	if r.AllOK() {

@@ -83,7 +83,10 @@ type Taint struct {
 	// sanitized records, per declared function, the identifier-rooted
 	// objects a sanitizer call vouched for in that function.
 	sanitized map[*types.Func]map[types.Object]bool
-	changed   bool
+	// isErr caches isErrorType per type: exprTaint asks it of every
+	// expression on every fixpoint round.
+	isErr   map[types.Type]bool
+	changed bool
 }
 
 // NewTaint runs the analysis to a fixed point over the given packages
@@ -96,6 +99,7 @@ func NewTaint(pkgs []*Package, graph *CallGraph, spec *TaintSpec) *Taint {
 		objTaint:  map[types.Object]*Origin{},
 		retTaint:  map[*types.Func]*Origin{},
 		sanitized: map[*types.Func]map[types.Object]bool{},
+		isErr:     map[types.Type]bool{},
 	}
 	for {
 		tt.changed = false
@@ -155,17 +159,22 @@ func (tt *Taint) pkgInfo(fn *types.Func) *types.Info {
 	return nil
 }
 
-// isErrorType reports whether t is the error interface (see exprTaint:
-// error values are exempt from taint).
-func isErrorType(t types.Type) bool {
-	return t.String() == "error" || types.Implements(t, errorIface())
+// isErrorType reports whether t is the error interface or implements it
+// (see exprTaint: error values are exempt from taint), once per type.
+func (tt *Taint) isErrorType(t types.Type) bool {
+	is, ok := tt.isErr[t]
+	if !ok {
+		is = types.Implements(t, errorIface())
+		tt.isErr[t] = is
+	}
+	return is
 }
 
 func (tt *Taint) taintObj(obj types.Object, o *Origin) {
 	if obj == nil || o == nil {
 		return
 	}
-	if isErrorType(obj.Type()) {
+	if tt.isErrorType(obj.Type()) {
 		return
 	}
 	if _, ok := tt.objTaint[obj]; ok {
@@ -374,7 +383,7 @@ func (tt *Taint) scanCall(pkg *Package, fn *types.Func, call *ast.CallExpr) {
 // would otherwise poison every data result a function cleanly computed.
 func (tt *Taint) exprTaint(pkg *Package, e ast.Expr) *Origin {
 	if e != nil {
-		if t := pkg.Info.TypeOf(e); t != nil && isErrorType(t) {
+		if t := pkg.Info.TypeOf(e); t != nil && tt.isErrorType(t) {
 			return nil
 		}
 	}

@@ -76,7 +76,9 @@ func (ch *ClockHand) loop(t *sim.Task) {
 }
 
 // Sweep evicts unreferenced cache pages until the free pool reaches target
-// or a full revolution finds nothing more. It returns pages evicted.
+// or a full revolution finds nothing more. It returns pages evicted. The
+// caller holds v.Lock; Sweep releases it around each dirty page's
+// write-back.
 func (ch *ClockHand) Sweep(t *sim.Task, target int) int {
 	v := ch.v
 	ch.rebuild()
@@ -91,11 +93,8 @@ func (ch *ClockHand) Sweep(t *sim.Task, target int) int {
 			ch.hand = (ch.hand + 1) % len(ch.sweep)
 			f := ch.sweep[ch.hand]
 			pf := v.pfdat(f)
-			if pf == nil || !pf.Valid || pf.Refs > 0 || pf.Exported() || pf.Kernel {
+			if !victim(pf) {
 				continue
-			}
-			if pf.ImportedFrom >= 0 {
-				continue // imports are released by their users
 			}
 			home := v.CellOfNode[v.M.HomeNode(f)]
 			if preferOnly && !ch.PressureHomes[home] {
@@ -103,10 +102,20 @@ func (ch *ClockHand) Sweep(t *sim.Task, target int) int {
 			}
 			v.anyProc().Use(t, ClockTickCost)
 			if pf.Dirty {
-				if ch.Writeback == nil || !ch.Writeback(t, pf.LP) {
+				if ch.Writeback == nil {
 					continue
 				}
-				pf.Dirty = false
+				// The write-back waits on the disk, so it runs with the
+				// lock released: the cell's export and fault services
+				// need it meanwhile. The page may be referenced,
+				// exported or replaced by then, so it is tested again.
+				lp := pf.LP
+				v.Lock.Unlock(t)
+				ok := ch.Writeback(t, lp)
+				v.Lock.Lock(t)
+				if pf = v.pfdat(f); !ok || !victim(pf) || pf.LP != lp {
+					continue
+				}
 			}
 			if v.Evict(t, pf.LP) {
 				evicted++
@@ -115,6 +124,13 @@ func (ch *ClockHand) Sweep(t *sim.Task, target int) int {
 		}
 	}
 	return evicted
+}
+
+// victim is the sweep's test for a page it may evict: valid, and neither
+// referenced, exported, kernel nor imported (imports are released by
+// their users).
+func victim(pf *Pfdat) bool {
+	return pf != nil && pf.Valid && pf.Refs == 0 && !pf.Exported() && !pf.Kernel && pf.ImportedFrom < 0
 }
 
 // rebuild refreshes the sweep order if the frame population changed.

@@ -651,6 +651,77 @@ func TestClockHandSkipsPinnedAndExported(t *testing.T) {
 	ch.Stop()
 }
 
+// TestClockHandWritesBackUnlocked checks that a sweep releases the VM lock
+// while a dirty page is written back, so another task can take it, and
+// that it tests the page again before evicting it: a page referenced
+// during its write-back survives, and so does a dirty page that took over
+// the frame of one evicted meanwhile.
+func TestClockHandWritesBackUnlocked(t *testing.T) {
+	f := newFixture(t, 1)
+	v := f.vms[0]
+	pinnedLP, replacedLP, newLP := filePage(0, 62, 0), filePage(0, 62, 1), filePage(0, 63, 0)
+	var lockedAt, writtenAt sim.Time
+	var pinned *Pfdat
+	ch := v.StartClockHand(func(tk *sim.Task, lp LogicalPage) bool {
+		f.e.Go("user", func(u *sim.Task) {
+			switch lp {
+			case pinnedLP:
+				v.Lock.Lock(u)
+				lockedAt = u.Now()
+				v.Lock.Unlock(u)
+				pf, err := v.Fault(u, lp, false)
+				if err != nil {
+					t.Errorf("fault during write-back: %v", err)
+				}
+				pinned = pf
+			case replacedLP:
+				old, _ := v.Lookup(lp)
+				v.Evict(u, lp)
+				frame, err := v.AllocFrame(u)
+				if err != nil || frame != old.Frame {
+					t.Errorf("realloc = frame %d, %v; want the evicted frame %d", frame, err, old.Frame)
+					return
+				}
+				v.InsertLocal(newLP, frame, true)
+			}
+		})
+		tk.Sleep(sim.Millisecond) // "disk write"
+		if lp == pinnedLP {
+			writtenAt = tk.Now()
+		}
+		return true
+	})
+	ch.Stop()
+	done := false
+	f.e.Go("sweeper", func(tk *sim.Task) {
+		defer func() { done = true }()
+		for _, lp := range []LogicalPage{pinnedLP, replacedLP} {
+			frame, err := v.AllocFrame(tk)
+			if err != nil {
+				t.Errorf("alloc: %v", err)
+				return
+			}
+			v.InsertLocal(lp, frame, true)
+		}
+		v.Lock.Lock(tk)
+		ch.Sweep(tk, 1<<30)
+		v.Lock.Unlock(tk)
+	})
+	f.e.Run(2 * sim.Second)
+	if !done {
+		t.Fatal("sweep never finished")
+	}
+	if lockedAt == 0 || lockedAt >= writtenAt {
+		t.Errorf("another task took the lock at %v, want before the write-back ended at %v", lockedAt, writtenAt)
+	}
+	if pf, ok := v.Lookup(pinnedLP); !ok || pf != pinned || pf.Refs != 1 {
+		t.Errorf("page referenced during its write-back was evicted (in hash %v)", ok)
+	}
+	if pf, ok := v.Lookup(newLP); !ok || !pf.Dirty {
+		t.Errorf("dirty page that took over a written-back frame was evicted unwritten (in hash %v)", ok)
+	}
+}
+
 func TestMigratePageMovesStorage(t *testing.T) {
 	f := newFixture(t, 2)
 	f.run(t, func(tk *sim.Task) {

@@ -187,6 +187,7 @@ func RunPmake(h *core.Hive, cfg PmakeConfig, maxTime sim.Time) *Result {
 					lp := vm.LogicalPage{Obj: vm.ObjID{Kind: vm.FileObj, Home: srcHome, Num: uint64(ccKey)}, Off: off}
 					pf, err := cell.VM.Fault(t, lp, false)
 					if err != nil {
+						res.AddError("job %d: load /usr/bin/cc page %d: %v", job, off, err)
 						return
 					}
 					refs = append(refs, pf)
