@@ -32,8 +32,9 @@ lint-report:
 	$(GO) run ./cmd/hivelint -json -budget 30s > hivelint.json
 
 # check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
-# hivelint, full test suite, one pass of the state-scan benchmarks, of
-# the sim engine benchmarks and of the null-RPC round trip (so they keep
+# hivelint, full test suite, one pass of the state-scan benchmarks (the
+# trace merge, the invariant scan and the forensic fold), of the sim
+# engine benchmarks and of the null-RPC round trip (so they keep
 # compiling and running), the race detector over the same
 # packages as CI's race job (`make race`: the parallel trial runner, the
 # engine it drives and the fault-injection determinism gates), the
@@ -44,7 +45,7 @@ check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants' -benchtime 1x ./internal/trace ./internal/core
+	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants|Analyze' -benchtime 1x ./internal/trace ./internal/core ./internal/forensic
 	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC' -benchtime 1x ./internal/sim ./internal/rpc
 	$(MAKE) race
 	$(MAKE) trace-check
@@ -64,13 +65,13 @@ frontend-smoke:
 # and across repeated same-seed runs; the Chrome export and the forensic
 # report of four golden trials must match their pinned digests, so a
 # change to the kind table or the span pairer shows across commits; and
-# trace.Pair, the kind table, the exporter, the ordered merge and the
-# growing control rings must keep their rules.
+# trace.Pair, the kind table, the exporter, the ordered merge, the
+# chunked rings and the sink must keep their rules.
 # Runs the targeted tests with -count=1 so a cached pass never masks a
 # regression.
 trace-check:
 	$(GO) test -count=1 -run 'TestTraceAndMetricsDeterminism|TestGoldenRenderings' ./internal/faultinject/
-	$(GO) test -count=1 -run 'TestExportChromePairsSpans|TestSetMergeTotalOrder|TestMergedMatchesStableSort|TestGrowingRingMatchesWholeRing|TestSpanPropagationAcrossCells|TestPair|TestKindTableComplete|TestExportNamesRebootAndRejoin' ./internal/trace/
+	$(GO) test -count=1 -run 'TestExportChromePairsSpans|TestSetMergeTotalOrder|TestMergedMatchesStableSort|TestChunkedRingMatchesWholeRing|TestNewSetAllocatesFirstChunks|TestSinkSeesEveryEventInSeqOrder|TestSpanPropagationAcrossCells|TestPair|TestKindTableComplete|TestExportNamesRebootAndRejoin' ./internal/trace/
 
 # drill-smoke is the fast end-to-end campaign gate: one trial of every
 # scenario (paper rows and v2 extensions) through the faultdrill CLI,

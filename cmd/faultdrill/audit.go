@@ -58,24 +58,26 @@ type audit struct {
 }
 
 // auditedTrial is what a campaign job keeps of one trial: the harness
-// result with its event stream dropped, and the audit of that stream.
+// result with its forensic report dropped, and the audit from that report.
 type auditedTrial struct {
 	res   *faultinject.TrialResult
 	audit trialAudit
 }
 
-// runAudited runs one trial with the event capture, re-derives its verdict
-// from the trace, and drops the event stream.
+// runAudited runs one audited trial, sets its trace-derived verdict next
+// to the harness's, and drops the forensic report.
 func runAudited(s faultinject.Scenario, trial int, opts faultinject.TrialOpts) auditedTrial {
 	tr := faultinject.RunTrialOpts(s, trial, opts)
-	ta := auditTrial(trial, tr, forensic.Analyze(tr.Events, tr.Dropped).Audit)
-	tr.Events, tr.Dropped = nil, nil
+	ta := auditTrial(trial, tr)
+	tr.Report = nil
 	return auditedTrial{tr, ta}
 }
 
-// auditTrial sets a trial's trace-derived verdict v next to the harness's;
-// they agree when both say the same about detection and containment.
-func auditTrial(trial int, tr *faultinject.TrialResult, v forensic.Verdict) trialAudit {
+// auditTrial sets the verdict of an audited trial's forensic report next
+// to the harness's; they agree when both say the same about detection and
+// containment.
+func auditTrial(trial int, tr *faultinject.TrialResult) trialAudit {
+	g, v := tr.Report.Graph, tr.Report.Audit
 	ta := trialAudit{
 		Trial:            trial,
 		Seed:             tr.Seed,
@@ -86,9 +88,9 @@ func auditTrial(trial int, tr *faultinject.TrialResult, v forensic.Verdict) tria
 		HarnessNotes:     tr.Notes,
 		Audit:            v,
 		Agree:            v.Detected == tr.Detected && v.Contained == tr.Contained,
-		Events:           len(tr.Events),
+		Events:           g.Events,
 	}
-	for _, d := range tr.Dropped {
+	for _, d := range g.Dropped {
 		ta.DroppedEvents += d.Total()
 	}
 	return ta

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/forensic"
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -99,10 +98,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faultdrill: -trial %d: trials are 0 or more\n", *trial)
 		os.Exit(2)
 	}
-	// Every trial keeps its event stream for the trace audit (and -trace).
-	opts := faultinject.TrialOpts{Cells: *cells, KeepEvents: true, TraceCap: 1 << 16}
+	// Every trial is audited as it runs: its events feed the forensic fold
+	// through the trace's sink, so the audit sees every event at the
+	// default ring capacity.
+	opts := faultinject.TrialOpts{Cells: *cells, Audit: true}
 
 	if *scenario >= 0 {
+		if *tracePath != "" {
+			// The Chrome trace is rendered from the events the rings keep.
+			opts.KeepEvents, opts.TraceCap = true, 1<<16
+		}
 		os.Exit(runSingle(faultinject.Scenario(*scenario), *trial, opts, *tracePath, *topN))
 	}
 
@@ -112,8 +117,8 @@ func main() {
 	}
 	start := time.Now()
 	scens := faultinject.AllScenarios()
-	// Each trial is audited inside its job, so its (large) event stream is
-	// dropped before the job ends.
+	// Each trial is audited inside its job, so only its verdict outlives
+	// the job.
 	runs := faultinject.RunTrials(parallel.Default(), scens, func(s faultinject.Scenario) int {
 		if per > 0 {
 			return per
@@ -272,7 +277,7 @@ func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, tr
 		fmt.Printf("  trace written to %s (load in ui.perfetto.dev)\n", tracePath)
 	}
 
-	rep := forensic.Analyze(tr.Events, tr.Dropped)
+	rep := tr.Report
 	fmt.Println()
 	fmt.Print(rep.Format(topN))
 	fmt.Println()
@@ -281,7 +286,7 @@ func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, tr
 	if tr.Notes != "" {
 		fmt.Printf("harness notes: %s\n", tr.Notes)
 	}
-	if !auditTrial(trial, tr, rep.Audit).Agree {
+	if !auditTrial(trial, tr).Agree {
 		fmt.Printf("DISAGREEMENT: trace says detected=%v contained=%v\n",
 			rep.Audit.Detected, rep.Audit.Contained)
 		fmt.Println(faultinject.Replay(s, trial, tr.Cells))

@@ -17,6 +17,7 @@ import (
 	"hash/fnv"
 
 	"repro/internal/core"
+	"repro/internal/forensic"
 	"repro/internal/fs"
 	"repro/internal/kmem"
 	"repro/internal/parallel"
@@ -186,6 +187,9 @@ type TrialResult struct {
 	Cells   int
 	Events  []trace.Event
 	Dropped []trace.DropCount
+	// Report is the forensic report of every event the trial recorded
+	// (TrialOpts.Audit).
+	Report *forensic.Report
 }
 
 // OK reports full containment per the paper's criterion, plus the
@@ -218,6 +222,10 @@ type TrialOpts struct {
 	KeepEvents bool
 	// TraceCap overrides the per-cell trace ring capacity (0 = default).
 	TraceCap int
+	// Audit folds every event the trial records into TrialResult.Report
+	// as it is recorded, through the trace's sink, so the report covers
+	// the events the rings drop, at any TraceCap.
+	Audit bool
 	// Seed overrides the seed derived from (scenario, trial). The sweep
 	// failure minimizer uses it to search for the smallest reproducing
 	// seed; 0 keeps the derived default.
@@ -311,6 +319,14 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		defer func() {
 			res.Events = h.Trace.Merged()
 			res.Dropped = h.Trace.Dropped()
+		}()
+	}
+	if opts.Audit {
+		fold := forensic.NewFold(h.Trace.Cells())
+		h.Trace.SetSink(fold.Add)
+		defer func() {
+			h.Trace.SetSink(nil)
+			res.Report = fold.Report(nil)
 		}()
 	}
 	// Targets rotate over cells 1..cells-2: none host /usr (cell 0) or

@@ -9,9 +9,9 @@ import (
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The acceptance bar for the campaign sweep: same configuration, any
 	// worker count — byte-identical report, equal witness hash, all points
-	// contained. The -j 4 side runs with the audited capture faultdrill
-	// runs every trial with (auditOpts), so this also pins that keeping
-	// the event stream moves no verdict and no hash.
+	// contained. The -j 4 side runs with the audit faultdrill runs every
+	// trial with (auditOpts), so this also pins that folding the event
+	// stream moves no verdict and no hash.
 	if testing.Short() {
 		t.Skip("full sweep trials in -short mode")
 	}
@@ -19,7 +19,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		return RunTrials(parallel.New(workers), AllScenarios(), func(Scenario) int { return 1 },
 			func(s Scenario, trial int) *TrialResult {
 				tr := RunTrialOpts(s, trial, opts)
-				tr.Events, tr.Dropped = nil, nil
+				tr.Report = nil
 				return tr
 			})
 	}

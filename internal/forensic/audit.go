@@ -25,7 +25,71 @@ type Verdict struct {
 	Truncated bool     `json:"truncated"`
 }
 
-// Audit derives the verdict from a propagation graph. Rules:
+// auditFold is the audit's part of the fold: the counts its verdict
+// reads. Each cell's detection evidence is in its cellState.
+type auditFold struct {
+	restarts, retries, dedups, corrupts int
+}
+
+// evidence is the first membership event naming a cell: an alert
+// broadcast, an agreement vote or a round restart.
+type evidence struct {
+	kind string // "" until found
+	at   sim.Time
+}
+
+// addAudit folds one event into the audit's counts and detection
+// evidence. A cell's evidence is the first membership event naming it at
+// or after its first injection (hints can fire on pre-existing suspicion,
+// so they do not count on their own). Times never fall along the stream,
+// so an event before the injection can qualify only at the injection's
+// own instant: until the cell is injected, the fold keeps the first
+// candidate at the latest instant seen.
+func (f *Fold) addAudit(e trace.Event) {
+	var kind string
+	switch e.Kind {
+	case trace.Inject:
+		st := f.cell(e.Cell)
+		if !st.injected {
+			st.injected, st.injectAt = true, e.At
+			if st.evidence.at < e.At {
+				st.evidence = evidence{}
+			}
+		}
+		return
+	case trace.RPCRetry:
+		f.retries++
+		return
+	case trace.RPCDedup:
+		f.dedups++
+		return
+	case trace.MsgCorrupt:
+		f.corrupts++
+		return
+	case trace.RoundRestart:
+		f.restarts++
+		kind = "round-restart"
+	case trace.Alert:
+		kind = "alert"
+	case trace.Vote:
+		kind = "vote"
+	default:
+		return
+	}
+	st := f.cell(int(e.A))
+	switch {
+	case st == nil:
+	case st.injected:
+		if st.evidence.kind == "" && e.At >= st.injectAt {
+			st.evidence = evidence{kind, e.At}
+		}
+	case st.evidence.kind == "" || e.At > st.evidence.at:
+		st.evidence = evidence{kind, e.At}
+	}
+}
+
+// verdict derives the containment verdict from the propagation graph and
+// the audit's part of the fold. Rules:
 //
 // Cell-fault runs (≥1 Inject event):
 //   - contained ⟺ the dead set equals the injected set exactly (every
@@ -49,7 +113,7 @@ type Verdict struct {
 //
 // A trace with no fault at all yields detected=false, contained = "no
 // deaths" — matching the harness's injection-never-triggered path.
-func Audit(g *Graph, events []trace.Event) Verdict {
+func (f *Fold) verdict(g *Graph) Verdict {
 	v := Verdict{
 		Injected:  g.FaultCells(),
 		Deaths:    g.DeathCells(),
@@ -61,18 +125,11 @@ func Audit(g *Graph, events []trace.Event) Verdict {
 			v.Wire = append(v.Wire, w.Kind)
 		}
 	}
-	injectAt := map[int]sim.Time{}
-	for _, f := range g.Faults {
-		if _, ok := injectAt[f.Cell]; !ok {
-			injectAt[f.Cell] = f.At
-		}
-	}
-
 	switch {
 	case len(v.Injected) > 0:
-		v.auditCellFaults(g, events, injectAt)
+		v.auditCellFaults(g, f)
 	case len(v.Wire) > 0:
-		v.auditWireFaults(g, events)
+		v.auditWireFaults(f)
 	default:
 		v.Contained = len(v.Deaths) == 0
 		v.note("no injected fault found in the trace")
@@ -84,7 +141,7 @@ func Audit(g *Graph, events []trace.Event) Verdict {
 	return v
 }
 
-func (v *Verdict) auditCellFaults(g *Graph, events []trace.Event, injectAt map[int]sim.Time) {
+func (v *Verdict) auditCellFaults(g *Graph, f *Fold) {
 	// Containment: dead set == injected set, no escapes, and every cell
 	// still dead at end of trace is an injected cell that never rejoined.
 	v.Rejoined = g.RejoinCells()
@@ -115,29 +172,28 @@ func (v *Verdict) auditCellFaults(g *Graph, events []trace.Event, injectAt map[i
 	// master, cell 0) must additionally show the deterministic round
 	// restart, mirroring the harness's explicit check.
 	if len(v.Injected) == 2 && containsInt(v.Injected, 0) {
-		restarts := countKind(events, trace.RoundRestart)
-		if restarts == 0 {
+		if f.restarts == 0 {
 			v.Contained = false
 			v.note("containment FAILED: coordinator died but no round restart recorded")
 		} else {
-			v.note("round restarted %d time(s) after coordinator death", restarts)
+			v.note("round restarted %d time(s) after coordinator death", f.restarts)
 		}
 	}
 
 	// Detection: post-injection membership evidence per injected cell.
 	v.Detected = true
 	for _, cell := range v.Injected {
-		kind, at := detectionEvidence(events, cell, injectAt[cell])
-		if kind == "" {
+		ev := f.cell(cell).evidence
+		if ev.kind == "" {
 			v.Detected = false
 			v.note("detection FAILED: no membership evidence about cell %d after its fault", cell)
 			continue
 		}
-		v.note("cell %d detected via %s at %v", cell, kind, at)
+		v.note("cell %d detected via %s at %v", cell, ev.kind, ev.at)
 	}
 }
 
-func (v *Verdict) auditWireFaults(g *Graph, events []trace.Event) {
+func (v *Verdict) auditWireFaults(f *Fold) {
 	v.Contained = len(v.Deaths) == 0
 	if v.Contained {
 		v.note("no cell died under %v wire faults", v.Wire)
@@ -145,10 +201,8 @@ func (v *Verdict) auditWireFaults(g *Graph, events []trace.Event) {
 		v.note("containment FAILED: cells %v died under wire faults", v.Deaths)
 	}
 
-	retries := countKind(events, trace.RPCRetry)
-	dedups := countKind(events, trace.RPCDedup)
-	corrupts := countKind(events, trace.MsgCorrupt)
-	evidence := func(kind string) (bool, string) {
+	retries, dedups, corrupts := f.retries, f.dedups, f.corrupts
+	absorbed := func(kind string) (bool, string) {
 		switch kind {
 		case "drop":
 			return retries > 0, fmt.Sprintf("%d retransmit(s)", retries)
@@ -169,7 +223,7 @@ func (v *Verdict) auditWireFaults(g *Graph, events []trace.Event) {
 		return
 	}
 	for _, kind := range v.Wire {
-		ok, detail := evidence(kind)
+		ok, detail := absorbed(kind)
 		if !ok {
 			v.Detected = false
 			v.note("detection FAILED: no absorption evidence for injected %s faults", kind)
@@ -180,38 +234,8 @@ func (v *Verdict) auditWireFaults(g *Graph, events []trace.Event) {
 	}
 }
 
-// detectionEvidence finds the first membership event naming cell at or
-// after its injection: an alert broadcast or an agreement vote (hints can
-// fire on pre-existing suspicion, so they do not count on their own).
-func detectionEvidence(events []trace.Event, cell int, after sim.Time) (string, sim.Time) {
-	for _, e := range events {
-		if e.At < after || int(e.A) != cell {
-			continue
-		}
-		switch e.Kind {
-		case trace.Alert:
-			return "alert", e.At
-		case trace.Vote:
-			return "vote", e.At
-		case trace.RoundRestart:
-			return "round-restart", e.At
-		}
-	}
-	return "", 0
-}
-
 func (v *Verdict) note(format string, args ...any) {
 	v.Evidence = append(v.Evidence, fmt.Sprintf(format, args...))
-}
-
-func countKind(events []trace.Event, k trace.Kind) int {
-	n := 0
-	for _, e := range events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
 }
 
 func totalDropped(ds []trace.DropCount) uint64 {

@@ -27,7 +27,8 @@ func TestGraphContainedFault(t *testing.T) {
 		tr(2).Emit(14*sim.Millisecond, trace.Vote, 1, 0, "dead")
 		tr(0).Emit(15*sim.Millisecond, trace.Kill, 3, 0, "pages")
 	})
-	g := BuildGraph(events, dropped)
+	r := Analyze(events, dropped)
+	g := r.Graph
 
 	if got := g.FaultCells(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("FaultCells = %v, want [1]", got)
@@ -46,7 +47,7 @@ func TestGraphContainedFault(t *testing.T) {
 		t.Errorf("discarded = %d, want 1", counts[Discarded])
 	}
 
-	v := Audit(g, events)
+	v := r.Audit
 	if !v.Detected || !v.Contained {
 		t.Fatalf("audit = detected=%v contained=%v, want both true\n%v",
 			v.Detected, v.Contained, v.Evidence)
@@ -61,7 +62,8 @@ func TestGraphSyntheticEscape(t *testing.T) {
 		tr(2).EmitSpan(11*sim.Millisecond, trace.RPCRecv, 9, 1, 120, "")
 		tr(2).Emit(12*sim.Millisecond, trace.Panic, 0, 0, "kernel data corruption")
 	})
-	g := BuildGraph(events, dropped)
+	r := Analyze(events, dropped)
+	g := r.Graph
 
 	if len(g.Escapes) != 1 {
 		t.Fatalf("escapes = %v, want exactly one", g.Escapes)
@@ -83,7 +85,7 @@ func TestGraphSyntheticEscape(t *testing.T) {
 		t.Errorf("escape edge %d->%d, want 1->2 (lastTouch attribution)", esc.From, esc.To)
 	}
 
-	v := Audit(g, events)
+	v := r.Audit
 	if v.Contained {
 		t.Fatalf("audit says contained despite an escape\n%v", v.Evidence)
 	}
@@ -97,8 +99,7 @@ func TestAuditWireFaults(t *testing.T) {
 		tr(0).Emit(1*sim.Millisecond, trace.MsgDrop, 1, 0, "")
 		tr(0).Emit(2*sim.Millisecond, trace.RPCRetry, 1, 0, "")
 	})
-	g := BuildGraph(events, dropped)
-	v := Audit(g, events)
+	v := Analyze(events, dropped).Audit
 	if !v.Detected || !v.Contained {
 		t.Fatalf("drop+retry: detected=%v contained=%v, want both true\n%v",
 			v.Detected, v.Contained, v.Evidence)
@@ -108,7 +109,7 @@ func TestAuditWireFaults(t *testing.T) {
 	events2, dropped2 := buildTrace(2, 64, func(tr func(int) *trace.Tracer) {
 		tr(0).Emit(1*sim.Millisecond, trace.MsgDrop, 1, 0, "")
 	})
-	v2 := Audit(BuildGraph(events2, dropped2), events2)
+	v2 := Analyze(events2, dropped2).Audit
 	if v2.Detected {
 		t.Fatalf("drop without retry should be undetected\n%v", v2.Evidence)
 	}
@@ -120,7 +121,7 @@ func TestAuditHintAloneIsNotDetection(t *testing.T) {
 		tr(1).Emit(11*sim.Millisecond, trace.Panic, 0, 0, "dead")
 		tr(0).Emit(12*sim.Millisecond, trace.Hint, 1, 0, "timeout")
 	})
-	v := Audit(BuildGraph(events, dropped), events)
+	v := Analyze(events, dropped).Audit
 	if v.Detected {
 		t.Fatalf("a lone hint must not count as detection\n%v", v.Evidence)
 	}
@@ -135,7 +136,7 @@ func TestFirewallEdgesGatedOnRecovery(t *testing.T) {
 		tr(0).Emit(4*sim.Millisecond, trace.FirewallRevoke, 5, 0, "")
 		tr(0).EmitSpan(5*sim.Millisecond, trace.PhaseEnd, 11, 0, 0, "recovery:barrier1")
 	})
-	g := BuildGraph(events, dropped)
+	g := Analyze(events, dropped).Graph
 	fw := 0
 	for _, e := range g.Edges {
 		if e.Via == "firewall" {
@@ -148,14 +149,14 @@ func TestFirewallEdgesGatedOnRecovery(t *testing.T) {
 }
 
 func TestProfilePairsSpans(t *testing.T) {
-	events, _ := buildTrace(2, 64, func(tr func(int) *trace.Tracer) {
+	events, dropped := buildTrace(2, 64, func(tr func(int) *trace.Tracer) {
 		// One closed fs-RPC span of 5ms on cell 0, one left open, one instant.
 		tr(0).EmitSpan(10*sim.Millisecond, trace.RPCSend, 7, 1, 120, "")
 		tr(0).EmitSpan(15*sim.Millisecond, trace.RPCReply, 7, 1, 120, "")
 		tr(0).EmitSpan(20*sim.Millisecond, trace.RPCSend, 8, 1, 120, "")
 		tr(1).Emit(21*sim.Millisecond, trace.Heartbeat, 0, 0, "")
 	})
-	p := BuildProfile(events)
+	p := Analyze(events, dropped).Profile
 	if p.Unclosed != 1 {
 		t.Fatalf("unclosed = %d, want 1", p.Unclosed)
 	}
@@ -181,7 +182,7 @@ func TestProcSubsystemRanges(t *testing.T) {
 	}{
 		{100, SubVM}, {121, SubFS}, {140, SubVM}, {160, SubSched}, {180, SubMembership}, {42, SubRPC},
 	} {
-		if got := procSubsystem(tc.proc); got != tc.want {
+		if got := subNames[procSubsystem(tc.proc)]; got != tc.want {
 			t.Errorf("procSubsystem(%d) = %s, want %s", tc.proc, got, tc.want)
 		}
 	}
@@ -194,11 +195,11 @@ func TestTruncationSetsFlag(t *testing.T) {
 			tr(0).Emit(sim.Time(i), trace.SIPS, int64(i), 0, "")
 		}
 	})
-	g := BuildGraph(events, dropped)
-	if !g.Truncated {
+	r := Analyze(events, dropped)
+	if !r.Graph.Truncated {
 		t.Fatal("data-ring overflow should set Truncated")
 	}
-	v := Audit(g, events)
+	v := r.Audit
 	found := false
 	for _, ev := range v.Evidence {
 		if strings.Contains(ev, "truncated") {

@@ -2,6 +2,7 @@ package forensic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -185,224 +186,235 @@ type edgeKey struct {
 	via      string
 }
 
-// BuildGraph walks the merged stream and reconstructs the propagation
-// graph. events must be in merge order (trace.Set.Merged); dropped may be
-// nil. Pure function: identical inputs give identical graphs.
-func BuildGraph(events []trace.Event, dropped []trace.DropCount) *Graph {
-	g := &Graph{Events: len(events), Dropped: append([]trace.DropCount(nil), dropped...)}
+// wireKinds names the injected wire-fault kinds, in report order.
+var wireKinds = [...]string{"corrupt", "delay", "drop", "dup"}
+
+const (
+	wireCorrupt = iota
+	wireDelay
+	wireDrop
+	wireDup
+)
+
+// graphFold is the propagation graph's part of the fold: a causal walk
+// of the stream, one event at a time.
+type graphFold struct {
+	faults  []Fault
+	deaths  []Death
+	reboots []Reboot
+	rejoins []Rejoin
+	escapes []string
+	wire    [len(wireKinds)]WireFault
+
+	edges     map[edgeKey]*Edge
+	edgeOrder []edgeKey // insertion order, one entry per edges key
+
+	tainted      []int // cells whose effects are suspect, in the order tainted
+	haveFault    bool  // any injected fault (cell or wire) seen yet
+	recoveryOpen int   // open recovery:* phase spans across all cells
+}
+
+func (f *Fold) addEdge(from, to int, class EdgeClass, via string, at sim.Time) {
+	k := edgeKey{from, to, class, via}
+	ed := f.edges[k]
+	if ed == nil {
+		ed = &Edge{From: from, To: to, Class: class, Via: via, First: at}
+		f.edges[k] = ed
+		f.edgeOrder = append(f.edgeOrder, k)
+	}
+	ed.Count++
+	ed.Last = at
+}
+
+// taint marks a cell's effects suspect from at on: its fault was
+// injected then, or it escaped.
+func (f *Fold) taint(c int, at sim.Time) {
+	if st := f.cell(c); st != nil && !st.tainted {
+		st.tainted, st.taintAt = true, at
+		f.tainted = append(f.tainted, c)
+	}
+}
+
+func (f *Fold) isTainted(c int, at sim.Time) bool {
+	st := f.cell(c)
+	return st != nil && st.tainted && at >= st.taintAt
+}
+
+// soleTainted attributes mechanisms that name no peer (firewall revokes,
+// recovery cleanup) to the unique faulty cell when there is exactly one,
+// and to -1 otherwise.
+func (f *Fold) soleTainted() int {
+	if len(f.tainted) == 1 {
+		return f.tainted[0]
+	}
+	return -1
+}
+
+// touch records that faulty cell from interacted with cell to: the best
+// causal predecessor for an escape edge.
+func (f *Fold) touch(from, to int) {
+	if st := f.cell(to); st != nil && from >= 0 {
+		st.touchedBy = from
+	}
+}
+
+func (f *Fold) addWire(kind int, at sim.Time) {
+	f.haveFault = true
+	w := &f.wire[kind]
+	if w.Count == 0 {
+		*w = WireFault{Kind: wireKinds[kind], First: at}
+	}
+	w.Count++
+}
+
+// addGraph walks one event of the propagation graph.
+func (f *Fold) addGraph(e trace.Event) {
+	switch e.Kind {
+	case trace.Inject:
+		f.faults = append(f.faults, Fault{Cell: e.Cell, At: e.At, What: e.S})
+		f.taint(e.Cell, e.At)
+		f.haveFault = true
+		return
+	case trace.Panic:
+		injected := f.isTainted(e.Cell, e.At)
+		f.deaths = append(f.deaths, Death{Cell: e.Cell, At: e.At, Reason: e.S, Injected: injected})
+		if !injected {
+			// A cell died with no injected fault: containment failed.
+			from := f.cell(e.Cell).touchedBy
+			f.addEdge(from, e.Cell, Escaped, "death", e.At)
+			f.escapes = append(f.escapes, fmt.Sprintf(
+				"cell %d died at %v with no injected fault (last faulty contact: cell %d): %s",
+				e.Cell, e.At, from, e.S))
+			f.taint(e.Cell, e.At) // its own effects are now suspect too
+		}
+		return
+	case trace.Reboot:
+		f.reboots = append(f.reboots, Reboot{
+			Cell: int(e.A), Attempt: int(e.B), At: e.At, Stage: e.S})
+		return
+	case trace.Rejoin:
+		// A committed join round readmits the cell at full trust: its
+		// image is fresh (microboot) and the round's validate barrier
+		// vouched for it, so its taint is lifted. A later death of this
+		// cell is a NEW fault (FailHardware re-emits Inject), not an
+		// escape of the old one.
+		joiner := int(e.A)
+		f.rejoins = append(f.rejoins, Rejoin{
+			Cell: joiner, Coordinator: int(e.B), At: e.At})
+		if st := f.cell(joiner); st != nil && st.tainted {
+			st.tainted = false
+			f.tainted = slices.DeleteFunc(f.tainted, func(c int) bool { return c == joiner })
+		}
+		// Causal contacts from before the reboot are also void — both
+		// the joiner's own record and entries blaming the joiner.
+		if st := f.cell(joiner); st != nil {
+			st.touchedBy = -1
+		}
+		for i := range f.cells {
+			if f.cells[i].touchedBy == joiner {
+				f.cells[i].touchedBy = -1
+			}
+		}
+		return
+	case trace.MsgDrop:
+		f.addWire(wireDrop, e.At)
+		f.addEdge(e.Cell, -1, Absorbed, "retry", e.At)
+		return
+	case trace.MsgDup:
+		f.addWire(wireDup, e.At)
+		f.addEdge(e.Cell, -1, Discarded, "dedup", e.At)
+		return
+	case trace.MsgDelay:
+		f.addWire(wireDelay, e.At)
+		return
+	case trace.MsgCorrupt:
+		// Recorded at the delivery side, where the checksum caught it.
+		f.addWire(wireCorrupt, e.At)
+		f.addEdge(-1, e.Cell, Discarded, "checksum", e.At)
+		return
+	case trace.PhaseBegin:
+		if strings.HasPrefix(e.S, "recovery:") {
+			f.recoveryOpen++
+		}
+		return
+	case trace.PhaseEnd:
+		if strings.HasPrefix(e.S, "recovery:") && f.recoveryOpen > 0 {
+			f.recoveryOpen--
+		}
+		return
+	}
+	if !f.haveFault {
+		return // nothing to be downstream of yet
+	}
+	switch e.Kind {
+	case trace.RPCSend:
+		if f.isTainted(e.Cell, e.At) && int(e.A) != e.Cell {
+			// A faulty cell calling out through the validated interface
+			// (§3: a corrupt cell keeps running until caught).
+			f.addEdge(e.Cell, int(e.A), Validated, "rpc", e.At)
+			f.touch(e.Cell, int(e.A))
+		}
+	case trace.RPCRecv:
+		if from := int(e.A); f.isTainted(from, e.At) && from != e.Cell {
+			f.addEdge(from, e.Cell, Validated, "rpc", e.At)
+			f.touch(from, e.Cell)
+		}
+	case trace.RPCTimeout:
+		if peer := int(e.A); f.isTainted(peer, e.At) && peer != e.Cell {
+			f.addEdge(peer, e.Cell, Blocked, "rpc-timeout", e.At)
+			f.touch(peer, e.Cell)
+		}
+	case trace.RPCRetry:
+		if peer := int(e.A); f.isTainted(peer, e.At) && peer != e.Cell {
+			f.addEdge(peer, e.Cell, Absorbed, "retry", e.At)
+		}
+	case trace.RPCDedup:
+		if peer := int(e.A); peer >= 0 && f.isTainted(peer, e.At) && peer != e.Cell {
+			f.addEdge(peer, e.Cell, Discarded, "dedup", e.At)
+		}
+	case trace.CarefulAbort:
+		if suspect := int(e.A); f.isTainted(suspect, e.At) && suspect != e.Cell {
+			f.addEdge(suspect, e.Cell, Blocked, "careful", e.At)
+			f.touch(suspect, e.Cell)
+		}
+	case trace.Hint, trace.Alert, trace.Vote:
+		if suspect := int(e.A); f.isTainted(suspect, e.At) && suspect != e.Cell {
+			f.addEdge(suspect, e.Cell, Validated, "membership", e.At)
+		}
+	case trace.RoundRestart:
+		if dead := int(e.A); f.isTainted(dead, e.At) {
+			f.addEdge(dead, e.Cell, Validated, "membership", e.At)
+		}
+	case trace.Kill, trace.Discard:
+		if e.A > 0 { // zero-count cleanups carry no propagation
+			f.addEdge(f.soleTainted(), e.Cell, Discarded, "cleanup", e.At)
+		}
+	case trace.FirewallRevoke:
+		// Only revokes inside a recovery round are containment work;
+		// permission narrowing is routine during normal operation.
+		if f.recoveryOpen > 0 {
+			f.addEdge(f.soleTainted(), e.Cell, Blocked, "firewall", e.At)
+		}
+	}
+}
+
+// graph builds the propagation graph of the events folded so far.
+func (f *Fold) graph(dropped []trace.DropCount) *Graph {
+	g := &Graph{
+		Cells:   f.ncells,
+		Events:  f.events,
+		Faults:  slices.Clone(f.faults),
+		Deaths:  slices.Clone(f.deaths),
+		Reboots: slices.Clone(f.reboots),
+		Rejoins: slices.Clone(f.rejoins),
+		Escapes: slices.Clone(f.escapes),
+		Dropped: slices.Clone(dropped),
+	}
 	for _, d := range dropped {
 		if d.Total() > 0 {
 			g.Truncated = true
 		}
 	}
-	cells := 0
-	for _, e := range events {
-		if e.Cell >= cells {
-			cells = e.Cell + 1
-		}
-	}
-	g.Cells = cells
-
-	edges := map[edgeKey]*Edge{}
-	var edgeOrder []edgeKey // insertion order, one entry per edges key
-	addEdge := func(from, to int, class EdgeClass, via string, at sim.Time) {
-		k := edgeKey{from, to, class, via}
-		ed := edges[k]
-		if ed == nil {
-			ed = &Edge{From: from, To: to, Class: class, Via: via, First: at}
-			edges[k] = ed
-			edgeOrder = append(edgeOrder, k)
-		}
-		ed.Count++
-		ed.Last = at
-	}
-
-	taintAt := map[int]sim.Time{} // cell -> time its fault was injected / it escaped
-	var taintedCells []int        // insertion order, one entry per taintAt key
-	taint := func(cell int, at sim.Time) {
-		if _, ok := taintAt[cell]; !ok {
-			taintAt[cell] = at
-			taintedCells = append(taintedCells, cell)
-		}
-	}
-	tainted := func(cell int, at sim.Time) bool {
-		t, ok := taintAt[cell]
-		return ok && at >= t
-	}
-	// soleTainted attributes mechanisms that name no peer (firewall
-	// revokes, recovery cleanup) to the unique faulty cell when there is
-	// exactly one, and to -1 otherwise.
-	soleTainted := func() int {
-		if len(taintedCells) == 1 {
-			return taintedCells[0]
-		}
-		return -1
-	}
-	// lastTouch[c] is the most recent faulty cell that interacted with c —
-	// the best causal predecessor for an escape edge.
-	lastTouch := map[int]int{}
-	touch := func(from, to int) {
-		if from >= 0 {
-			lastTouch[to] = from
-		}
-	}
-
-	var haveFault bool   // any injected fault (cell or wire) seen yet
-	var recoveryOpen int // open recovery:* phase spans across all cells
-	wire := map[string]*WireFault{}
-	var wireOrder []string // insertion order, one entry per wire key
-	addWire := func(kind string, at sim.Time) {
-		haveFault = true
-		w := wire[kind]
-		if w == nil {
-			w = &WireFault{Kind: kind, First: at}
-			wire[kind] = w
-			wireOrder = append(wireOrder, kind)
-		}
-		w.Count++
-	}
-
-	for _, e := range events {
-		switch e.Kind {
-		case trace.Inject:
-			g.Faults = append(g.Faults, Fault{Cell: e.Cell, At: e.At, What: e.S})
-			taint(e.Cell, e.At)
-			haveFault = true
-			continue
-		case trace.Panic:
-			injected := tainted(e.Cell, e.At)
-			g.Deaths = append(g.Deaths, Death{Cell: e.Cell, At: e.At, Reason: e.S, Injected: injected})
-			if !injected {
-				// A cell died with no injected fault: containment failed.
-				from := -1
-				if f, ok := lastTouch[e.Cell]; ok {
-					from = f
-				}
-				addEdge(from, e.Cell, Escaped, "death", e.At)
-				g.Escapes = append(g.Escapes, fmt.Sprintf(
-					"cell %d died at %v with no injected fault (last faulty contact: cell %d): %s",
-					e.Cell, e.At, from, e.S))
-				taint(e.Cell, e.At) // its own effects are now suspect too
-			}
-			continue
-		case trace.Reboot:
-			g.Reboots = append(g.Reboots, Reboot{
-				Cell: int(e.A), Attempt: int(e.B), At: e.At, Stage: e.S})
-			continue
-		case trace.Rejoin:
-			// A committed join round readmits the cell at full trust: its
-			// image is fresh (microboot) and the round's validate barrier
-			// vouched for it, so its taint is lifted. A later death of this
-			// cell is a NEW fault (FailHardware re-emits Inject), not an
-			// escape of the old one.
-			joiner := int(e.A)
-			g.Rejoins = append(g.Rejoins, Rejoin{
-				Cell: joiner, Coordinator: int(e.B), At: e.At})
-			if _, ok := taintAt[joiner]; ok {
-				delete(taintAt, joiner)
-				for i, c := range taintedCells {
-					if c == joiner {
-						taintedCells = append(taintedCells[:i], taintedCells[i+1:]...)
-						break
-					}
-				}
-			}
-			// Causal contacts from before the reboot are also void — both
-			// the joiner's own record and entries blaming the joiner.
-			delete(lastTouch, joiner)
-			var blamed []int
-			for c, f := range lastTouch {
-				if f == joiner {
-					blamed = append(blamed, c)
-				}
-			}
-			sort.Ints(blamed)
-			for _, c := range blamed {
-				delete(lastTouch, c)
-			}
-			continue
-		case trace.MsgDrop:
-			addWire("drop", e.At)
-			addEdge(e.Cell, -1, Absorbed, "retry", e.At)
-			continue
-		case trace.MsgDup:
-			addWire("dup", e.At)
-			addEdge(e.Cell, -1, Discarded, "dedup", e.At)
-			continue
-		case trace.MsgDelay:
-			addWire("delay", e.At)
-			continue
-		case trace.MsgCorrupt:
-			// Recorded at the delivery side, where the checksum caught it.
-			addWire("corrupt", e.At)
-			addEdge(-1, e.Cell, Discarded, "checksum", e.At)
-			continue
-		case trace.PhaseBegin:
-			if strings.HasPrefix(e.S, "recovery:") {
-				recoveryOpen++
-			}
-			continue
-		case trace.PhaseEnd:
-			if strings.HasPrefix(e.S, "recovery:") && recoveryOpen > 0 {
-				recoveryOpen--
-			}
-			continue
-		}
-		if !haveFault {
-			continue // nothing to be downstream of yet
-		}
-		switch e.Kind {
-		case trace.RPCSend:
-			if tainted(e.Cell, e.At) && int(e.A) != e.Cell {
-				// A faulty cell calling out through the validated interface
-				// (§3: a corrupt cell keeps running until caught).
-				addEdge(e.Cell, int(e.A), Validated, "rpc", e.At)
-				touch(e.Cell, int(e.A))
-			}
-		case trace.RPCRecv:
-			if from := int(e.A); tainted(from, e.At) && from != e.Cell {
-				addEdge(from, e.Cell, Validated, "rpc", e.At)
-				touch(from, e.Cell)
-			}
-		case trace.RPCTimeout:
-			if peer := int(e.A); tainted(peer, e.At) && peer != e.Cell {
-				addEdge(peer, e.Cell, Blocked, "rpc-timeout", e.At)
-				touch(peer, e.Cell)
-			}
-		case trace.RPCRetry:
-			if peer := int(e.A); tainted(peer, e.At) && peer != e.Cell {
-				addEdge(peer, e.Cell, Absorbed, "retry", e.At)
-			}
-		case trace.RPCDedup:
-			if peer := int(e.A); peer >= 0 && tainted(peer, e.At) && peer != e.Cell {
-				addEdge(peer, e.Cell, Discarded, "dedup", e.At)
-			}
-		case trace.CarefulAbort:
-			if suspect := int(e.A); tainted(suspect, e.At) && suspect != e.Cell {
-				addEdge(suspect, e.Cell, Blocked, "careful", e.At)
-				touch(suspect, e.Cell)
-			}
-		case trace.Hint, trace.Alert, trace.Vote:
-			if suspect := int(e.A); tainted(suspect, e.At) && suspect != e.Cell {
-				addEdge(suspect, e.Cell, Validated, "membership", e.At)
-			}
-		case trace.RoundRestart:
-			if dead := int(e.A); tainted(dead, e.At) {
-				addEdge(dead, e.Cell, Validated, "membership", e.At)
-			}
-		case trace.Kill, trace.Discard:
-			if e.A > 0 { // zero-count cleanups carry no propagation
-				addEdge(soleTainted(), e.Cell, Discarded, "cleanup", e.At)
-			}
-		case trace.FirewallRevoke:
-			// Only revokes inside a recovery round are containment work;
-			// permission narrowing is routine during normal operation.
-			if recoveryOpen > 0 {
-				addEdge(soleTainted(), e.Cell, Blocked, "firewall", e.At)
-			}
-		}
-	}
-
 	// A death is healed when a later join round readmitted the same cell:
 	// the availability loop closed over it.
 	for i := range g.Deaths {
@@ -414,13 +426,13 @@ func BuildGraph(events []trace.Event, dropped []trace.DropCount) *Graph {
 			}
 		}
 	}
-
-	for _, kind := range wireOrder {
-		g.WireFaults = append(g.WireFaults, *wire[kind])
+	for _, w := range f.wire {
+		if w.Count > 0 {
+			g.WireFaults = append(g.WireFaults, w)
+		}
 	}
-	sort.SliceStable(g.WireFaults, func(i, j int) bool { return g.WireFaults[i].Kind < g.WireFaults[j].Kind })
-	for _, k := range edgeOrder {
-		g.Edges = append(g.Edges, *edges[k])
+	for _, k := range f.edgeOrder {
+		g.Edges = append(g.Edges, *f.edges[k])
 	}
 	sort.SliceStable(g.Edges, func(i, j int) bool {
 		a, b := g.Edges[i], g.Edges[j]

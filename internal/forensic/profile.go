@@ -42,75 +42,59 @@ type Profile struct {
 	Unclosed int           `json:"unclosed_spans"`
 }
 
-type bucketKey struct {
-	cell int
-	sub  string
-	name string
+// spanStat sums the closed spans of one name on one cell.
+type spanStat struct {
+	time  sim.Time
+	count int
 }
 
-// rpcNameKey is the part of an RPC span's opening event its name is
-// formatted from.
-type rpcNameKey struct {
-	kind trace.Kind
-	b    int64
+// profileFold is the profile's part of the fold. Closed spans are summed
+// per cell and span name, the name numbered by a trace.SpanNames, so a
+// closed span costs one name lookup and no string hashing beyond a
+// phase's; instants are counted per cell and subsystem.
+type profileFold struct {
+	pairer *trace.Pairer
+	names  trace.SpanNames
+	subOf  []sub // per span name number: its subsystem
 }
 
-// BuildProfile runs the profiler over a merged stream. Begin/end pairs
-// are matched by trace.Pair, the exporter's own rule. Spans left open
-// when the run stopped (or whose end fell off the ring) count in
-// Unclosed and contribute no time.
-func BuildProfile(events []trace.Event) *Profile {
-	buckets := map[bucketKey]*SpanStat{}
-	var bucketOrder []bucketKey     // insertion order, one entry per buckets key
-	instants := map[bucketKey]int{} // name=="" rows: instant counts per cell × subsystem
-	cells := 0
-	for _, e := range events {
-		cells = max(cells, e.Cell+1)
+// span folds a closed span: begin and end were paired by trace.Pairer,
+// the exporter's own rule.
+func (f *Fold) span(b, e trace.Event) {
+	id := f.names.ID(b)
+	if id == len(f.subOf) {
+		f.subOf = append(f.subOf, spanSubsystem(b))
 	}
-
-	// RPC span names are formatted from their procedure number, so each
-	// distinct name is formatted once per profile.
-	rpcNames := map[rpcNameKey]string{}
-	spanName := func(b trace.Event) string {
-		if b.Kind != trace.RPCSend && b.Kind != trace.RPCRecv {
-			return trace.SpanName(b)
-		}
-		k := rpcNameKey{b.Kind, b.B}
-		name, ok := rpcNames[k]
-		if !ok {
-			name = trace.SpanName(b)
-			rpcNames[k] = name
-		}
-		return name
+	st := f.cell(e.Cell)
+	if id >= len(st.spans) {
+		st.spans = append(st.spans, make([]spanStat, id+1-len(st.spans))...)
 	}
+	st.spans[id].time += e.At - b.At
+	st.spans[id].count++
+}
 
-	open := trace.Pair(events, func(b, e trace.Event) {
-		k := bucketKey{e.Cell, spanSubsystem(b), spanName(b)}
-		st := buckets[k]
-		if st == nil {
-			st = &SpanStat{Name: k.name}
-			buckets[k] = st
-			bucketOrder = append(bucketOrder, k)
-		}
-		st.Time += e.At - b.At
-		st.Count++
-	}, func(e trace.Event) {
-		instants[bucketKey{e.Cell, instantSubsystem(e), ""}]++
-	})
-	p := &Profile{Unclosed: len(open)}
+// instant folds a point event.
+func (f *Fold) instant(e trace.Event) {
+	f.cell(e.Cell).instants[instantSubsystem(e)]++
+}
 
-	for cell := 0; cell < cells; cell++ {
+// profile builds the profile of the events folded so far. Spans still
+// open (never closed, or whose end fell off a ring) count in Unclosed and
+// contribute no time.
+func (f *Fold) profile() *Profile {
+	p := &Profile{Unclosed: f.pairer.Open()}
+	for cell := 0; cell < f.ncells; cell++ {
+		st := f.cell(cell)
 		cp := CellProfile{Cell: cell}
-		for _, sub := range Subsystems() {
-			sp := SubProfile{Name: sub, Events: instants[bucketKey{cell, sub, ""}]}
-			for _, k := range bucketOrder {
-				if k.cell != cell || k.sub != sub {
+		for s := sub(0); s < numSubs; s++ {
+			sp := SubProfile{Name: subNames[s], Events: st.instants[s]}
+			for id, b := range st.spans {
+				if b.count == 0 || f.subOf[id] != s {
 					continue
 				}
-				b := buckets[k]
-				sp.Time += b.Time
-				sp.Spans += b.Count
-				sp.Top = append(sp.Top, *b)
+				sp.Time += b.time
+				sp.Spans += b.count
+				sp.Top = append(sp.Top, SpanStat{Name: f.names.Name(id), Time: b.time, Count: b.count})
 			}
 			if sp.Time == 0 && sp.Spans == 0 && sp.Events == 0 {
 				continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -15,16 +16,78 @@ type Report struct {
 	Profile *Profile `json:"profile"`
 }
 
-// Analyze runs the full forensic pass over one run's merged stream:
-// graph reconstruction, containment audit, virtual-time profile. Pure
-// function of its inputs.
-func Analyze(events []trace.Event, dropped []trace.DropCount) *Report {
-	g := BuildGraph(events, dropped)
-	return &Report{
-		Graph:   g,
-		Audit:   Audit(g, events),
-		Profile: BuildProfile(events),
+// Fold is the forensic pass as state updated once per event: graph
+// reconstruction, containment audit and virtual-time profile. Feed it a
+// stream in Seq order with Add, from a merged slice or as the events are
+// recorded (trace.Set.SetSink), and take its Report. Events name cells
+// 0..trace.MaxCells-1.
+type Fold struct {
+	events int
+	ncells int // the highest cell an event was recorded on, plus one
+	cells  []cellState
+	graphFold
+	auditFold
+	profileFold
+}
+
+// cellState is the fold's state about one cell.
+type cellState struct {
+	tainted   bool // its effects are suspect from taintAt on
+	taintAt   sim.Time
+	touchedBy int // the latest faulty cell that interacted with it, or -1
+	injected  bool
+	injectAt  sim.Time // its first injected fault
+	evidence  evidence
+	instants  [numSubs]int
+	spans     []spanStat // per span name number
+}
+
+// NewFold returns a fold sized for a hive of the given number of cells
+// (trace.Set.Cells); an event on a further cell grows it.
+func NewFold(cells int) *Fold {
+	f := &Fold{graphFold: graphFold{edges: map[edgeKey]*Edge{}}}
+	f.pairer = trace.NewPairer(f.span, f.instant)
+	f.cells = make([]cellState, 0, cells)
+	return f
+}
+
+// cell returns the fold's state about cell c, or nil for a c no event can
+// be recorded on.
+func (f *Fold) cell(c int) *cellState {
+	if c < 0 || c >= trace.MaxCells {
+		return nil
 	}
+	for len(f.cells) <= c {
+		f.cells = append(f.cells, cellState{touchedBy: -1})
+	}
+	return &f.cells[c]
+}
+
+// Add folds the next event of the stream.
+func (f *Fold) Add(e trace.Event) {
+	f.events++
+	f.ncells = max(f.ncells, e.Cell+1)
+	f.addGraph(e)
+	f.addAudit(e)
+	f.pairer.Add(e)
+}
+
+// Report returns the forensic report of the events folded so far, with
+// the per-cell ring-truncation counters of the trace they came from (nil
+// when the fold saw every event). It leaves the fold unchanged.
+func (f *Fold) Report(dropped []trace.DropCount) *Report {
+	g := f.graph(dropped)
+	return &Report{Graph: g, Audit: f.verdict(g), Profile: f.profile()}
+}
+
+// Analyze runs the fold over one run's merged stream. Pure function of
+// its inputs.
+func Analyze(events []trace.Event, dropped []trace.DropCount) *Report {
+	f := NewFold(len(dropped))
+	for _, e := range events {
+		f.Add(e)
+	}
+	return f.Report(dropped)
 }
 
 // cellName renders a graph node (-1 is the wire / unattributed).

@@ -17,20 +17,27 @@ import (
 // core).
 const maxPragmas = 8
 
-// TestModuleLintClean lints the entire module inside `go test ./...`,
-// making the tier-1 gate itself fail on any new determinism or layering
-// hazard. It skips cleanly when the source tree is not available (for
-// example when the package is tested from an install, not a checkout).
+// TestModuleLintClean lints the entire module twice inside `go test
+// ./...`, making the tier-1 gate itself fail on any new determinism or
+// layering hazard, and demands identical results from the two runs: the
+// linter must hold itself to the standard it enforces (its own maps never
+// leak iteration order). It skips cleanly when the source tree is not
+// available (for example when the package is tested from an install, not
+// a checkout).
 func TestModuleLintClean(t *testing.T) {
 	root := moduleRootForTest(t)
-	m, err := LoadModule(root, nil)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
+	lintOnce := func() *Result {
+		m, err := LoadModule(root, nil)
+		if err != nil {
+			t.Fatalf("loading module: %v", err)
+		}
+		res, err := m.Lint(nil)
+		if err != nil {
+			t.Fatalf("linting module: %v", err)
+		}
+		return res
 	}
-	res, err := m.Lint(nil)
-	if err != nil {
-		t.Fatalf("linting module: %v", err)
-	}
+	res, again := lintOnce(), lintOnce()
 	for _, d := range res.Diagnostics {
 		t.Errorf("%s", d)
 	}
@@ -45,29 +52,10 @@ func TestModuleLintClean(t *testing.T) {
 		}
 		t.Logf("exception: %s:%d [%s] %s", pr.File, pr.Line, pr.Analyzer, pr.Reason)
 	}
-}
-
-// TestLintOutputDeterministic runs the whole-module lint twice and
-// demands identical results: the linter must hold itself to the
-// standard it enforces (its own maps never leak iteration order).
-func TestLintOutputDeterministic(t *testing.T) {
-	root := moduleRootForTest(t)
-	lintOnce := func() *Result {
-		m, err := LoadModule(root, nil)
-		if err != nil {
-			t.Fatalf("loading module: %v", err)
-		}
-		res, err := m.Lint(nil)
-		if err != nil {
-			t.Fatalf("linting module: %v", err)
-		}
-		return res
+	if !reflect.DeepEqual(res.Diagnostics, again.Diagnostics) {
+		t.Errorf("diagnostics differ between identical runs:\n%v\n%v", res.Diagnostics, again.Diagnostics)
 	}
-	a, b := lintOnce(), lintOnce()
-	if !reflect.DeepEqual(a.Diagnostics, b.Diagnostics) {
-		t.Errorf("diagnostics differ between identical runs:\n%v\n%v", a.Diagnostics, b.Diagnostics)
-	}
-	if !reflect.DeepEqual(a.Pragmas, b.Pragmas) {
-		t.Errorf("pragma inventory differs between identical runs:\n%v\n%v", a.Pragmas, b.Pragmas)
+	if !reflect.DeepEqual(res.Pragmas, again.Pragmas) {
+		t.Errorf("pragma inventory differs between identical runs:\n%v\n%v", res.Pragmas, again.Pragmas)
 	}
 }

@@ -148,6 +148,7 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 		})
 	}
 
+	var names SpanNames
 	open := Pair(events, func(b, e Event) {
 		dur := (e.At - b.At).Micros()
 		args := chromeArgs(b)
@@ -160,7 +161,7 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 			args = withArg(args, "timeout", true)
 		}
 		out = append(out, chromeEvent{
-			Name: SpanName(b), Cat: cat(b.Kind), Ph: "X",
+			Name: names.Of(b), Cat: cat(b.Kind), Ph: "X",
 			Ts: b.At.Micros(), Dur: &dur, Pid: 0, Tid: e.Cell,
 			Args: args,
 		})
@@ -177,7 +178,7 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 	for _, b := range open {
 		zero := 0.0
 		out = append(out, chromeEvent{
-			Name: SpanName(b), Cat: cat(b.Kind), Ph: "X",
+			Name: names.Of(b), Cat: cat(b.Kind), Ph: "X",
 			Ts: b.At.Micros(), Dur: &zero, Pid: 0, Tid: b.Cell,
 			Args: withArg(chromeArgs(b), "unclosed", true),
 		})

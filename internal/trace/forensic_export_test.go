@@ -8,7 +8,7 @@ import (
 )
 
 func TestRingDroppedCounter(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4, chunkLen)
 	for i := 0; i < 10; i++ {
 		r.Record(Event{At: sim.Time(i), Kind: Info})
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +12,12 @@ import (
 
 // pairs runs Pair and records what reached each callback, as Seq lists.
 func pairs(events []Event) (spans [][2]uint64, instants, open []uint64) {
-	left := Pair(events, func(b, e Event) {
+	return pairsWith(Pair, events)
+}
+
+// pairsWith is pairs for a given pairing function.
+func pairsWith(pair func([]Event, func(Event, Event), func(Event)) []Event, events []Event) (spans [][2]uint64, instants, open []uint64) {
+	left := pair(events, func(b, e Event) {
 		spans = append(spans, [2]uint64{b.Seq, e.Seq})
 	}, func(e Event) {
 		instants = append(instants, e.Seq)
@@ -96,6 +102,106 @@ func TestPairOpenBeginsInFirstOpeningOrder(t *testing.T) {
 	}
 	if want := []uint64{4, 3, 5, 6}; !reflect.DeepEqual(open, want) {
 		t.Errorf("open = %v, want %v", open, want)
+	}
+}
+
+// referencePair is the map-of-slices pairer Pair replaced, kept as the
+// reference the one-slab Pairer must match: a slice of open begins per
+// (span, cell) key, then a second walk ranking the keys left open.
+func referencePair(events []Event, span func(begin, end Event), instant func(Event)) (open []Event) {
+	type key struct {
+		span SpanID
+		cell int
+	}
+	stacks := map[key][]Event{} // a drained key is deleted
+	for _, e := range events {
+		k := key{e.Span, e.Cell}
+		switch role := e.Kind.info().role; {
+		case role == opens && e.Span != 0:
+			stacks[k] = append(stacks[k], e)
+		case role == closes && e.Span != 0 && len(stacks[k]) > 0:
+			stack := stacks[k]
+			b := stack[len(stack)-1]
+			if len(stack) == 1 {
+				delete(stacks, k)
+			} else {
+				stacks[k] = stack[:len(stack)-1]
+			}
+			span(b, e)
+		default:
+			instant(e)
+		}
+	}
+	for _, e := range events {
+		k := key{e.Span, e.Cell}
+		if stack, ok := stacks[k]; ok && e.Kind.info().role == opens {
+			open = append(open, stack...)
+			delete(stacks, k)
+		}
+	}
+	return open
+}
+
+// randomSpanStream draws n events over a few cells and span ids, so keys
+// nest (a self-RPC's two halves), drain and reopen, close with nothing
+// open, and carry span 0.
+func randomSpanStream(rng *rand.Rand, n int) []Event {
+	spanKinds := []Kind{RPCSend, RPCRecv, FaultBegin, PhaseBegin, RPCReply, RPCTimeout, FaultEnd, PhaseEnd, Hint, SIPS}
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = Event{
+			Cell: rng.Intn(3),
+			Kind: spanKinds[rng.Intn(len(spanKinds))],
+			Span: SpanID(rng.Intn(6)), // 0 included
+		}
+	}
+	return stream(events...)
+}
+
+func TestPairMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		events := randomSpanStream(rng, rng.Intn(200))
+		wantSpans, wantInstants, wantOpen := pairsWith(referencePair, events)
+		gotSpans, gotInstants, gotOpen := pairsWith(Pair, events)
+		if !reflect.DeepEqual(gotSpans, wantSpans) || !reflect.DeepEqual(gotInstants, wantInstants) ||
+			!reflect.DeepEqual(gotOpen, wantOpen) {
+			t.Fatalf("trial %d: Pair gives spans %v, instants %v, open %v; reference gives %v, %v, %v",
+				trial, gotSpans, gotInstants, gotOpen, wantSpans, wantInstants, wantOpen)
+		}
+		p := NewPairer(func(Event, Event) {}, func(Event) {})
+		for _, e := range events {
+			p.Add(e)
+		}
+		if p.Open() != len(wantOpen) {
+			t.Fatalf("trial %d: Pairer has %d spans open, want %d", trial, p.Open(), len(wantOpen))
+		}
+	}
+}
+
+func TestPairAllocationsDoNotGrowWithSpans(t *testing.T) {
+	// n spans on 4 cells, at most 8 open at once: span i-8 closes, then
+	// span i opens.
+	spans := func(n int) []Event {
+		var events []Event
+		for i := 1; i <= n+8; i++ {
+			if j := i - 8; j >= 1 {
+				events = append(events, Event{Cell: j % 4, Kind: RPCReply, Span: SpanID(j)})
+			}
+			if i <= n {
+				events = append(events, Event{Cell: i % 4, Kind: RPCSend, Span: SpanID(i)})
+			}
+		}
+		return stream(events...)
+	}
+	allocs := func(events []Event) float64 {
+		return testing.AllocsPerRun(5, func() {
+			Pair(events, func(Event, Event) {}, func(Event) {})
+		})
+	}
+	small, large := allocs(spans(100)), allocs(spans(10000))
+	if large != small || large > 16 {
+		t.Errorf("pairing 100 spans makes %v allocations and 10,000 spans %v; want the same few", small, large)
 	}
 }
 

@@ -17,11 +17,14 @@
 // updates) and merged into one stream totally ordered by a Set-wide
 // sequence number. Because the simulation runs on one logical thread,
 // the sequence order is the engine's dispatch order and is bit-identical
-// across repeated runs and parallel-trial worker counts.
+// across repeated runs and parallel-trial worker counts. A Set's sink sees
+// every event in that order as it is recorded, including the ones a ring
+// later drops.
 package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -293,9 +296,9 @@ func (e Event) String() string {
 	return fmt.Sprintf("[%12v] cell%d %-12s %s", e.At, e.Cell, e.Kind, e.Detail())
 }
 
-// SpanName labels the span a span-opening event begins; the Chrome
-// export and the forensic profiler both name slices by it.
-func SpanName(e Event) string {
+// spanName labels the span a span-opening event begins; SpanNames caches
+// it for the Chrome export and the forensic profiler.
+func spanName(e Event) string {
 	switch e.Kind {
 	case RPCSend:
 		return fmt.Sprintf("rpc:call:%d", e.B)
@@ -309,132 +312,290 @@ func SpanName(e Event) string {
 	return e.Kind.String()
 }
 
-// pairKey is where a span lives: same span id, same cell.
-type pairKey struct {
-	span SpanID
-	cell int
+// SpanNames numbers the distinct names of a stream's spans in the order
+// first seen. An RPC span's name is formatted from its procedure number
+// once per (kind, procedure), a phase's is its S, and every other span
+// kind has one name. The zero value is ready to use.
+type SpanNames struct {
+	names  []string
+	byKind map[nameKey]int
+	phases map[string]int
 }
 
-// Pair is the one pairing rule every reader of the trace uses. It walks
-// a merged stream and matches each span-closing event to the latest open
-// span-opening event with the same (span, cell), last in first out, so a
-// self-RPC nests its client and server halves. span receives each pair
-// at its closing event's position in the stream; instant receives every
-// other event, including an opening event with span 0 and a closing
-// event with nothing open. The opening events still open at the end of
-// the stream are returned, grouped by (span, cell) in the order each
-// key first opened, oldest first within a key.
-func Pair(events []Event, span func(begin, end Event), instant func(Event)) (open []Event) {
-	stacks := map[pairKey][]Event{} // open begins per key; a drained key is deleted
-	for _, e := range events {
-		k := pairKey{e.Span, e.Cell}
-		switch role := e.Kind.info().role; {
-		case role == opens && e.Span != 0:
-			stacks[k] = append(stacks[k], e)
-		case role == closes && e.Span != 0 && len(stacks[k]) > 0:
-			stack := stacks[k]
-			b := stack[len(stack)-1]
-			if len(stack) == 1 {
-				delete(stacks, k)
-			} else {
-				stacks[k] = stack[:len(stack)-1]
-			}
-			span(b, e)
-		default:
-			instant(e)
+// nameKey is the part of a non-phase opening event its span name comes
+// from.
+type nameKey struct {
+	kind Kind
+	proc int64
+}
+
+// ID returns the number of the name of the span b opens.
+func (n *SpanNames) ID(b Event) int {
+	var (
+		id int
+		ok bool
+		k  nameKey
+	)
+	if b.Kind == PhaseBegin {
+		id, ok = n.phases[b.S]
+	} else {
+		k = nameKey{kind: b.Kind}
+		if b.Kind == RPCSend || b.Kind == RPCRecv {
+			k.proc = b.B
 		}
+		id, ok = n.byKind[k]
+	}
+	if ok {
+		return id
+	}
+	if n.byKind == nil {
+		n.byKind, n.phases = map[nameKey]int{}, map[string]int{}
+	}
+	id = len(n.names)
+	n.names = append(n.names, spanName(b))
+	if b.Kind == PhaseBegin {
+		n.phases[b.S] = id
+	} else {
+		n.byKind[k] = id
+	}
+	return id
+}
+
+// Name returns the name numbered id.
+func (n *SpanNames) Name(id int) string { return n.names[id] }
+
+// Of returns the name of the span b opens.
+func (n *SpanNames) Of(b Event) string { return n.names[n.ID(b)] }
+
+// pairKey packs where a span lives, (span id, cell), into one word: a
+// cell is 0..MaxCells-1, six bits.
+func pairKey(e Event) uint64 { return uint64(e.Span)<<6 | uint64(e.Cell) }
+
+// Pairer is the one pairing rule every reader of the trace uses, fed a
+// stream one event at a time. It matches each span-closing event to the
+// latest open span-opening event with the same (span, cell), last in
+// first out, so a self-RPC nests its client and server halves. span
+// receives each pair at its closing event's position in the stream;
+// instant receives every other event, including an opening event with
+// span 0 and a closing event with nothing open.
+//
+// The open opening events share one slab, linked newest to oldest per
+// (span, cell) key, and a closed span's slot is reused, so a Pairer's
+// storage grows with the most spans open at once, not with the number of
+// spans.
+type Pairer struct {
+	span    func(begin, end Event)
+	instant func(Event)
+	newest  map[uint64]int32 // open key -> the slot of its newest open event
+	slots   []openSlot
+	free    int32 // the first free slot, -1 when none
+	open    int
+}
+
+// openSlot holds one open opening event.
+type openSlot struct {
+	e Event
+	// next is the key's next older open slot while e is open, and the
+	// next free slot once the slot is free; -1 ends either list.
+	next int32
+}
+
+// NewPairer returns a Pairer that reports to span and instant.
+func NewPairer(span func(begin, end Event), instant func(Event)) *Pairer {
+	return &Pairer{span: span, instant: instant, newest: map[uint64]int32{}, free: -1}
+}
+
+// Add feeds the next event of the stream.
+func (p *Pairer) Add(e Event) {
+	role := e.Kind.info().role
+	if role == noSpan || e.Span == 0 {
+		p.instant(e)
+		return
+	}
+	k := pairKey(e)
+	top, ok := p.newest[k]
+	if role == opens {
+		if !ok {
+			top = -1
+		}
+		p.newest[k] = p.hold(e, top)
+		return
+	}
+	if !ok {
+		p.instant(e)
+		return
+	}
+	s := &p.slots[top]
+	b := s.e
+	if s.next < 0 {
+		delete(p.newest, k)
+	} else {
+		p.newest[k] = s.next
+	}
+	*s = openSlot{next: p.free}
+	p.free = top
+	p.open--
+	p.span(b, e)
+}
+
+// hold stores an opening event in a free slot, or a new one, above the
+// key's older open slot.
+func (p *Pairer) hold(e Event, older int32) int32 {
+	p.open++
+	i := p.free
+	if i < 0 {
+		p.slots = append(p.slots, openSlot{e, older})
+		return int32(len(p.slots) - 1)
+	}
+	p.free = p.slots[i].next
+	p.slots[i] = openSlot{e, older}
+	return i
+}
+
+// Open reports how many spans are open.
+func (p *Pairer) Open() int { return p.open }
+
+// Pair runs a Pairer over a merged stream. The opening events still open
+// at the end of the stream are returned, grouped by (span, cell) in the
+// order each key first opened, oldest first within a key.
+func Pair(events []Event, span func(begin, end Event), instant func(Event)) (open []Event) {
+	p := NewPairer(span, instant)
+	for _, e := range events {
+		p.Add(e)
 	}
 	// Rank the open keys by their first opening event: a key that
 	// drained and reopened keeps its first place.
 	for _, e := range events {
-		if len(stacks) == 0 {
+		if len(p.newest) == 0 {
 			break
 		}
-		k := pairKey{e.Span, e.Cell}
-		if stack, ok := stacks[k]; ok && e.Kind.info().role == opens {
-			open = append(open, stack...)
-			delete(stacks, k)
+		if e.Span == 0 || e.Kind.info().role != opens {
+			continue
 		}
+		k := pairKey(e)
+		top, ok := p.newest[k]
+		if !ok {
+			continue
+		}
+		delete(p.newest, k)
+		from := len(open)
+		for i := top; i >= 0; i = p.slots[i].next {
+			open = append(open, p.slots[i].e)
+		}
+		slices.Reverse(open[from:])
 	}
 	return open
 }
 
-// Ring is a fixed-capacity event buffer. The zero value is unusable; use
-// NewRing. Not safe for real concurrency — like everything in the
-// simulation it runs on the engine's single logical thread.
+// MaxCells bounds a Set's cells: the pairer packs a cell into six bits.
+// It is the hive's bound too (core.MaxCells, the firewall's 64-bit
+// write-permission vector).
+const MaxCells = 64
+
+// Ring storage comes in chunks of chunkLen events. A data ring's first
+// chunk is allocated whole with the ring; a control ring's starts at
+// ctlStart events and doubles until it is whole, since a control ring
+// rarely holds more than a few hundred events.
+const (
+	chunkLen = 4096
+	ctlStart = 256
+)
+
+// Ring is a fixed-capacity event buffer; the zero value is unusable. Not
+// safe for real concurrency: like everything in the simulation it runs
+// on the engine's single logical thread.
+//
+// Its storage is a list of chunks of chunkLen events, the last one
+// shorter when the capacity is not a multiple of chunkLen. The ring adds
+// a chunk only when the ones it has are full, never copies one, and
+// reuses them once it wraps; only a control ring's first chunk grows. It
+// keeps exactly the events, wraps exactly where and drops exactly as many
+// as a ring allocated whole would.
 type Ring struct {
-	cap     int
-	events  []Event // storage: cap events, or fewer while a growing ring fills
-	next    int
-	wrapped bool
-	dropped uint64
+	cap    int
+	chunks [][]Event
+	cur    []Event // chunks[c]
+	c, off int     // the next slot: offset off of chunk c
+	n      uint64  // events recorded
 }
 
-// growStart is a growing ring's first storage size, in events.
-const growStart = 256
-
-// NewRing returns a ring holding the last n events (256 when n <= 0),
-// its storage allocated whole.
-func NewRing(n int) *Ring { return newRing(n, false) }
-
-// newGrowingRing returns a ring like NewRing(n) whose storage starts at
-// growStart events and doubles, up to its cap, as it fills. It keeps
-// exactly the events, and wraps exactly where, a ring allocated whole
-// would.
-func newGrowingRing(n int) *Ring { return newRing(n, true) }
-
-func newRing(n int, growing bool) *Ring {
+// init makes r a ring holding the last n events (256 when n <= 0), whose
+// first chunk holds first events to start with.
+func (r *Ring) init(n, first int) {
 	if n <= 0 {
 		n = 256
 	}
-	size := n
-	if growing {
-		size = min(n, growStart)
-	}
-	return &Ring{cap: n, events: make([]Event, size)}
+	chunks := make([][]Event, 1, (n+chunkLen-1)/chunkLen)
+	chunks[0] = make([]Event, min(n, first, chunkLen))
+	*r = Ring{cap: n, chunks: chunks, cur: chunks[0]}
 }
 
-// Record appends an event. It stores typed fields only — no formatting,
-// no allocation (see BenchmarkRecord), except when a growing ring's
-// storage doubles. Once the ring has wrapped, every further record
-// overwrites the oldest held event; the overwrite is counted so
-// truncation is never silent.
+// Record appends an event. It stores typed fields only: no formatting,
+// and no allocation (see BenchmarkRecord) except when the ring adds or
+// grows a chunk. Once the ring is full, every further record overwrites
+// the oldest held event; the overwrite is counted so truncation is never
+// silent.
 func (r *Ring) Record(e Event) {
-	if r.wrapped {
-		r.dropped++
-	} else if r.next == len(r.events) {
-		r.grow()
+	if r.off == len(r.cur) {
+		r.advance()
 	}
-	r.events[r.next] = e
-	r.next++
-	if r.next == r.cap {
-		r.next = 0
-		r.wrapped = true
-	}
+	r.cur[r.off] = e
+	r.off++
+	r.n++
 }
 
-// grow doubles a full growing ring's storage, up to its cap. The size is
-// set explicitly: append's growth factor for large slices is about 1.25,
-// which would allocate several times the final size in all.
-func (r *Ring) grow() {
-	events := make([]Event, min(2*len(r.events), r.cap))
-	copy(events, r.events)
-	r.events = events
+// advance makes room at the end of a full chunk: it grows the first chunk
+// while it is short, moves on to the next chunk (adding it when the ring
+// has not yet filled it), or wraps to the first.
+func (r *Ring) advance() {
+	switch first := r.chunks[0]; {
+	case r.c == 0 && len(first) < min(r.cap, chunkLen):
+		// The size is set explicitly: append's growth factor for large
+		// slices is about 1.25, which would allocate several times the
+		// final size in all.
+		grown := make([]Event, min(2*len(first), r.cap, chunkLen))
+		copy(grown, first)
+		r.chunks[0] = grown
+	case (r.c+1)*chunkLen >= r.cap:
+		r.c, r.off = 0, 0
+	default:
+		r.c, r.off = r.c+1, 0
+		if r.c == len(r.chunks) {
+			r.chunks = append(r.chunks, make([]Event, min(chunkLen, r.cap-r.c*chunkLen)))
+		}
+	}
+	r.cur = r.chunks[r.c]
 }
 
 // Dropped reports how many events have been overwritten since the ring
 // filled. The held window always covers [first kept, now]; Dropped says
 // how much history before that window is gone.
-func (r *Ring) Dropped() uint64 { return r.dropped }
-
-// held returns the ring's held events in place as two runs, each oldest
-// first: the older run, then the newer. Until the ring wraps the older
-// run is everything and the newer one is empty.
-func (r *Ring) held() (older, newer []Event) {
-	if !r.wrapped {
-		return r.events[:r.next], nil
+func (r *Ring) Dropped() uint64 {
+	if r.n > uint64(r.cap) {
+		return r.n - uint64(r.cap)
 	}
-	return r.events[r.next:], r.events[:r.next]
+	return 0
+}
+
+// runs appends the ring's held events to dst in place, as runs that are
+// each oldest first and follow one another; empty runs are left out.
+func (r *Ring) runs(dst [][]Event) [][]Event {
+	add := func(run []Event) {
+		if len(run) > 0 {
+			dst = append(dst, run)
+		}
+	}
+	if r.n > uint64(r.cap) {
+		add(r.chunks[r.c][r.off:])
+		for _, c := range r.chunks[r.c+1:] {
+			add(c)
+		}
+	}
+	for _, c := range r.chunks[:r.c] {
+		add(c)
+	}
+	add(r.chunks[r.c][:r.off])
+	return dst
 }
 
 // Set is the machine-wide trace: per-cell rings, the shared sequence
@@ -444,24 +605,36 @@ type Set struct {
 	data []*Ring // per cell: data-plane events
 	seq  uint64
 	span uint64
+	sink func(Event)
 }
 
-// NewSet builds the trace for `cells` cells with capPerCell events in
-// each of a cell's two rings (<=0 selects 4096).
+// NewSet builds the trace for `cells` cells (1 to MaxCells) with
+// capPerCell events in each of a cell's two rings (<=0 selects 4096).
 func NewSet(cells, capPerCell int) *Set {
 	if cells <= 0 {
 		cells = 1
 	}
+	if cells > MaxCells {
+		panic(fmt.Sprintf("trace: %d cells; a set holds at most %d", cells, MaxCells))
+	}
 	if capPerCell <= 0 {
 		capPerCell = 4096
 	}
-	s := &Set{}
-	for i := 0; i < cells; i++ {
-		s.ctl = append(s.ctl, newGrowingRing(capPerCell))
-		s.data = append(s.data, NewRing(capPerCell))
+	s := &Set{ctl: make([]*Ring, cells), data: make([]*Ring, cells)}
+	rings := make([]Ring, 2*cells)
+	for i := range s.ctl {
+		s.ctl[i], s.data[i] = &rings[2*i], &rings[2*i+1]
+		s.ctl[i].init(capPerCell, ctlStart)
+		s.data[i].init(capPerCell, chunkLen)
 	}
 	return s
 }
+
+// SetSink makes fn the set's one sink (nil removes it): Record passes fn
+// every event once it is stamped, so fn sees the whole stream in Seq
+// order, including the events a ring later drops. Set it before the first
+// Record for fn to see the stream from its start.
+func (s *Set) SetSink(fn func(Event)) { s.sink = fn }
 
 // Cells returns the number of per-cell tracks.
 func (s *Set) Cells() int { return len(s.ctl) }
@@ -472,9 +645,9 @@ func (s *Set) NextSpan() SpanID {
 	return SpanID(s.span)
 }
 
-// Record stamps the event with the next sequence number and stores it in
-// the cell's ring. Out-of-range cells clamp to track 0 so a stray
-// hardware event can never panic the tracer.
+// Record stamps the event with the next sequence number, passes it to the
+// sink, if any, and stores it in the cell's ring. Out-of-range cells clamp
+// to track 0 so a stray hardware event can never panic the tracer.
 func (s *Set) Record(cell int, e Event) {
 	if cell < 0 || cell >= len(s.ctl) {
 		cell = 0
@@ -482,6 +655,9 @@ func (s *Set) Record(cell int, e Event) {
 	s.seq++
 	e.Seq = s.seq
 	e.Cell = cell
+	if s.sink != nil {
+		s.sink(e)
+	}
 	if e.Kind.control() {
 		s.ctl[cell].Record(e)
 	} else {
@@ -528,73 +704,112 @@ func (s *Set) Tracer(cell int) *Tracer {
 }
 
 // Merged returns every held event from every cell in one stream, totally
-// ordered by sequence number (the engine's dispatch order). Each ring
-// holds at most two runs already in sequence order, so Merged merges the
-// runs in place into one exactly sized slice, with no sort.
+// ordered by sequence number (the engine's dispatch order). A ring's held
+// events are runs already in sequence order, one after another, so Merged
+// merges the rings' runs in place into one exactly sized slice, with no
+// sort.
 func (s *Set) Merged() []Event {
-	runs := make([][]Event, 0, 4*len(s.ctl))
+	most := 0 // a ring holds at most one run more than it has chunks
+	for i := range s.ctl {
+		most += len(s.ctl[i].chunks) + len(s.data[i].chunks) + 2
+	}
+	runs := make([][]Event, 0, most)
+	rings := make([]ringRuns, 0, 2*len(s.ctl))
 	n := 0
 	for i := range s.ctl {
 		for _, r := range [2]*Ring{s.ctl[i], s.data[i]} {
-			older, newer := r.held()
-			for _, run := range [2][]Event{older, newer} {
-				if len(run) > 0 {
-					runs = append(runs, run)
-					n += len(run)
-				}
+			from := len(runs)
+			runs = r.runs(runs)
+			if len(runs) > from {
+				rings = append(rings, ringRuns{runs[from], runs[from+1:]})
+			}
+			for _, run := range runs[from:] {
+				n += len(run)
 			}
 		}
 	}
-	return mergeRuns(make([]Event, 0, n), runs)
+	return mergeRuns(make([]Event, 0, n), rings)
 }
 
-// mergeRuns appends the events of runs, each in ascending Seq order, to
-// out in ascending Seq order. The runs form a min-heap on their first
-// Seq; the lowest run gives up every event below the next run's first
-// before the heap is fixed again, so a burst from one ring costs one
-// heap fix rather than one per event.
-func mergeRuns(out []Event, runs [][]Event) []Event {
-	for i := len(runs)/2 - 1; i >= 0; i-- {
-		siftRun(runs, i)
+// ringRuns is what is left to merge of one ring: its current run, never
+// empty, and the runs that follow it.
+type ringRuns struct {
+	run  []Event
+	rest [][]Event
+}
+
+// mergeHead is a ring in the merge heap: the Seq its current run starts
+// at, and the ring's index. It holds no pointer, so the heap's swaps are
+// plain copies.
+type mergeHead struct {
+	seq  uint64
+	ring int
+}
+
+// mergeRuns appends the events of rings to out in ascending Seq order.
+// Each ring's runs are in ascending Seq order, each following the one
+// before it. The rings form a min-heap on the first Seq of their current
+// run; the lowest ring gives up every event below the next ring's first
+// before the heap is fixed again, so a burst from one ring costs one heap
+// fix rather than one per event.
+func mergeRuns(out []Event, rings []ringRuns) []Event {
+	var buf [2 * MaxCells]mergeHead // two rings per cell
+	h := buf[:0]
+	for i, r := range rings {
+		h = append(h, mergeHead{r.run[0].Seq, i})
 	}
-	for len(runs) > 1 {
-		top := runs[0]
-		next := runs[1][0].Seq
-		if len(runs) > 2 && runs[2][0].Seq < next {
-			next = runs[2][0].Seq
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftHead(h, i)
+	}
+	for len(h) > 1 {
+		r := &rings[h[0].ring]
+		next := h[1].seq
+		if len(h) > 2 && h[2].seq < next {
+			next = h[2].seq
 		}
+		run := r.run
 		k := 1
-		for k < len(top) && top[k].Seq < next {
+		for k < len(run) && run[k].Seq < next {
 			k++
 		}
-		out = append(out, top[:k]...)
-		if k < len(top) {
-			runs[0] = top[k:]
-		} else {
-			runs[0] = runs[len(runs)-1]
-			runs = runs[:len(runs)-1]
+		out = append(out, run[:k]...)
+		switch {
+		case k < len(run):
+			r.run = run[k:]
+		case len(r.rest) > 0:
+			r.run, r.rest = r.rest[0], r.rest[1:]
+		default:
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			siftHead(h, 0)
+			continue
 		}
-		siftRun(runs, 0)
+		h[0].seq = r.run[0].Seq
+		siftHead(h, 0)
 	}
-	if len(runs) == 1 {
-		out = append(out, runs[0]...)
+	if len(h) == 1 {
+		r := rings[h[0].ring]
+		out = append(out, r.run...)
+		for _, run := range r.rest {
+			out = append(out, run...)
+		}
 	}
 	return out
 }
 
-// siftRun restores the min-heap order of runs below index i.
-func siftRun(runs [][]Event, i int) {
+// siftHead restores the min-heap order of h below index i.
+func siftHead(h []mergeHead, i int) {
 	for {
 		least := i
 		for _, c := range [2]int{2*i + 1, 2*i + 2} {
-			if c < len(runs) && runs[c][0].Seq < runs[least][0].Seq {
+			if c < len(h) && h[c].seq < h[least].seq {
 				least = c
 			}
 		}
 		if least == i {
 			return
 		}
-		runs[i], runs[least] = runs[least], runs[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRecordAndEvents(t *testing.T) {
-	r := NewRing(8)
+	r := newRing(8, chunkLen)
 	r.Record(Event{At: 5 * sim.Millisecond, Cell: 1, Kind: Hint, A: 2, S: "clock stalled"})
 	r.Record(Event{At: 6 * sim.Millisecond, Cell: 1, Kind: Panic, S: "bad pointer"})
 	es := r.Events()
@@ -28,7 +28,7 @@ func TestRecordAndEvents(t *testing.T) {
 }
 
 func TestRingWraps(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4, chunkLen)
 	for i := 0; i < 10; i++ {
 		r.Record(Event{At: sim.Time(i), Kind: Info, A: int64(i)})
 	}
@@ -44,7 +44,7 @@ func TestRingWraps(t *testing.T) {
 }
 
 func TestZeroCapacityDefaults(t *testing.T) {
-	for _, r := range []*Ring{NewRing(0), newGrowingRing(0)} {
+	for _, r := range []*Ring{newRing(0, chunkLen), newRing(0, ctlStart)} {
 		if r.cap != 256 {
 			t.Errorf("cap = %d, want 256", r.cap)
 		}
