@@ -17,27 +17,43 @@ import (
 // core).
 const maxPragmas = 8
 
-// TestModuleLintClean lints the entire module twice inside `go test
-// ./...`, making the tier-1 gate itself fail on any new determinism or
-// layering hazard, and demands identical results from the two runs: the
-// linter must hold itself to the standard it enforces (its own maps never
-// leak iteration order). It skips cleanly when the source tree is not
-// available (for example when the package is tested from an install, not
-// a checkout).
-func TestModuleLintClean(t *testing.T) {
-	root := moduleRootForTest(t)
-	lintOnce := func() *Result {
-		m, err := LoadModule(root, nil)
-		if err != nil {
-			t.Fatalf("loading module: %v", err)
-		}
-		res, err := m.Lint(nil)
-		if err != nil {
-			t.Fatalf("linting module: %v", err)
-		}
-		return res
+// firstLint holds the first whole-module lint of this test binary.
+// TestModuleLintClean checks it and TestLintOutputDeterministic compares
+// one fresh lint against it, so the module is linted twice, not three
+// times.
+var firstLint *Result
+
+// lintModule loads and lints the module rooted at root.
+func lintModule(t *testing.T, root string) *Result {
+	t.Helper()
+	m, err := LoadModule(root, nil)
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
 	}
-	res, again := lintOnce(), lintOnce()
+	res, err := m.Lint(nil)
+	if err != nil {
+		t.Fatalf("linting module: %v", err)
+	}
+	return res
+}
+
+// firstModuleLint returns firstLint, linting the module if no test has
+// yet. It skips cleanly when the source tree is not available (for
+// example when the package is tested from an install, not a checkout).
+func firstModuleLint(t *testing.T) (*Result, string) {
+	t.Helper()
+	root := moduleRootForTest(t)
+	if firstLint == nil {
+		firstLint = lintModule(t, root)
+	}
+	return firstLint, root
+}
+
+// TestModuleLintClean lints the entire module inside `go test ./...`,
+// making the tier-1 gate itself fail on any new determinism or layering
+// hazard.
+func TestModuleLintClean(t *testing.T) {
+	res, _ := firstModuleLint(t)
 	for _, d := range res.Diagnostics {
 		t.Errorf("%s", d)
 	}
@@ -52,10 +68,18 @@ func TestModuleLintClean(t *testing.T) {
 		}
 		t.Logf("exception: %s:%d [%s] %s", pr.File, pr.Line, pr.Analyzer, pr.Reason)
 	}
-	if !reflect.DeepEqual(res.Diagnostics, again.Diagnostics) {
-		t.Errorf("diagnostics differ between identical runs:\n%v\n%v", res.Diagnostics, again.Diagnostics)
+}
+
+// TestLintOutputDeterministic lints the whole module afresh and demands
+// results identical to the first lint: the linter must hold itself to the
+// standard it enforces (its own maps never leak iteration order).
+func TestLintOutputDeterministic(t *testing.T) {
+	a, root := firstModuleLint(t)
+	b := lintModule(t, root)
+	if !reflect.DeepEqual(a.Diagnostics, b.Diagnostics) {
+		t.Errorf("diagnostics differ between identical runs:\n%v\n%v", a.Diagnostics, b.Diagnostics)
 	}
-	if !reflect.DeepEqual(res.Pragmas, again.Pragmas) {
-		t.Errorf("pragma inventory differs between identical runs:\n%v\n%v", res.Pragmas, again.Pragmas)
+	if !reflect.DeepEqual(a.Pragmas, b.Pragmas) {
+		t.Errorf("pragma inventory differs between identical runs:\n%v\n%v", a.Pragmas, b.Pragmas)
 	}
 }
