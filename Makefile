@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-report check trace-check drill-smoke mort-check frontend-smoke crashloop-soak surge-soak race bench bench-engine bench-report bench-gate clean
+.PHONY: all build test lint lint-report check trace-check drill-smoke mort-check frontend-smoke crashloop-soak surge-soak race bench-engine bench-report bench-gate clean
 
 all: check
 
@@ -117,10 +117,6 @@ surge-soak:
 # including the cross-package determinism gates in internal/faultinject.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/faultinject/...
-
-# bench regenerates every paper table as benchmarks.
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # bench-engine tracks the simulator's own hot paths (events/sec, allocs)
 # and the interrupt-level null RPC round trip built on them.

@@ -24,22 +24,20 @@ type trialAudit struct {
 	Audit            forensic.Verdict `json:"audit"`
 	Agree            bool             `json:"agree"`
 	Events           int              `json:"events"`
-	DroppedEvents    uint64           `json:"dropped_events"`
 }
 
 // scenarioAudit aggregates one scenario's trial audits.
 type scenarioAudit struct {
-	Scenario      int          `json:"scenario"`
-	Name          string       `json:"name"`
-	Tests         int          `json:"tests"`
-	Agree         int          `json:"agree"`
-	Detected      int          `json:"detected"`
-	Contained     int          `json:"contained"`
-	Escapes       int          `json:"escapes"`
-	Rejoins       int          `json:"rejoins"` // join-round commits seen in the traces
-	Events        int64        `json:"events"`
-	DroppedEvents uint64       `json:"dropped_events"`
-	Trials        []trialAudit `json:"trials"`
+	Scenario  int          `json:"scenario"`
+	Name      string       `json:"name"`
+	Tests     int          `json:"tests"`
+	Agree     int          `json:"agree"`
+	Detected  int          `json:"detected"`
+	Contained int          `json:"contained"`
+	Escapes   int          `json:"escapes"`
+	Rejoins   int          `json:"rejoins"` // join-round commits seen in the traces
+	Events    int64        `json:"events"`
+	Trials    []trialAudit `json:"trials"`
 }
 
 // audit is the campaign's trace-versus-harness cross-check, folded in
@@ -54,7 +52,6 @@ type audit struct {
 	replays []string // the replay line of each disagreement
 	rejoins int
 	events  int64
-	dropped uint64
 }
 
 // auditedTrial is what a campaign job keeps of one trial: the harness
@@ -77,8 +74,8 @@ func runAudited(s faultinject.Scenario, trial int, opts faultinject.TrialOpts) a
 // to the harness's; they agree when both say the same about detection and
 // containment.
 func auditTrial(trial int, tr *faultinject.TrialResult) trialAudit {
-	g, v := tr.Report.Graph, tr.Report.Audit
-	ta := trialAudit{
+	v := tr.Report.Audit
+	return trialAudit{
 		Trial:            trial,
 		Seed:             tr.Seed,
 		TargetCell:       tr.TargetCell,
@@ -88,12 +85,8 @@ func auditTrial(trial int, tr *faultinject.TrialResult) trialAudit {
 		HarnessNotes:     tr.Notes,
 		Audit:            v,
 		Agree:            v.Detected == tr.Detected && v.Contained == tr.Contained,
-		Events:           g.Events,
+		Events:           tr.Report.Graph.Events,
 	}
-	for _, d := range g.Dropped {
-		ta.DroppedEvents += d.Total()
-	}
-	return ta
 }
 
 // foldAudit folds each scenario's trial audits into its row.
@@ -123,14 +116,12 @@ func foldAudit(scens []faultinject.Scenario, runs [][]auditedTrial) *audit {
 			row.Escapes += len(t.Audit.Escapes)
 			row.Rejoins += len(t.Audit.Rejoined)
 			row.Events += int64(t.Events)
-			row.DroppedEvents += t.DroppedEvents
 		}
 		a.Scenarios = append(a.Scenarios, row)
 		a.Trials += row.Tests
 		a.Agreements += row.Agree
 		a.rejoins += row.Rejoins
 		a.events += row.Events
-		a.dropped += row.DroppedEvents
 	}
 	a.AllAgree = a.Agreements == a.Trials
 	return a
@@ -140,22 +131,18 @@ func foldAudit(scens []faultinject.Scenario, runs [][]auditedTrial) *audit {
 // availability loop as re-derived from the traces, and the verdict line.
 // Disagreements go to stderr.
 func (a *audit) print() {
-	fmt.Printf("faultdrill: audited %d trials across %d scenarios from the trace alone\n", a.Trials, len(a.Scenarios))
-	if a.dropped > 0 {
-		fmt.Printf("WARNING: %d events dropped by ring truncation — some walks may be incomplete\n", a.dropped)
-	} else {
-		fmt.Printf("no ring truncation anywhere (%d events analyzed)\n", a.events)
-	}
+	fmt.Printf("faultdrill: audited %d trials across %d scenarios from the trace alone (%d events analyzed)\n",
+		a.Trials, len(a.Scenarios), a.events)
 	fmt.Println()
 
 	t := stats.NewTable("trace audit vs harness (per scenario)",
-		"scenario", "trials", "agree", "detected", "contained", "escapes", "rejoins", "events", "dropped")
+		"scenario", "trials", "agree", "detected", "contained", "escapes", "rejoins", "events")
 	for _, row := range a.Scenarios {
 		t.AddRow(row.Name,
 			fmt.Sprintf("%d", row.Tests), fmt.Sprintf("%d", row.Agree),
 			fmt.Sprintf("%d", row.Detected), fmt.Sprintf("%d", row.Contained),
 			fmt.Sprintf("%d", row.Escapes), fmt.Sprintf("%d", row.Rejoins),
-			fmt.Sprintf("%d", row.Events), fmt.Sprintf("%d", row.DroppedEvents))
+			fmt.Sprintf("%d", row.Events))
 	}
 	fmt.Print(t.String())
 	fmt.Println()

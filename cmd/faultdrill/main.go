@@ -23,8 +23,9 @@
 //
 // Exit status is 1 when the harness fails a trial or a trace-derived
 // verdict disagrees with the harness's, and 2 on an out-of-range -cells or
-// -scenario, a negative -trial, or a flag the chosen mode does not read
-// (-trace without -scenario, -o without -json, -points without -sweep, ...).
+// -scenario, a negative -trial or -trials, a -points below 1, or a flag the
+// chosen mode does not read (-trace without -scenario, -o without -json,
+// -points without -sweep, ...).
 package main
 
 import (
@@ -80,24 +81,16 @@ func main() {
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if msg := flagConflict(set); msg != "" {
+	msg := flagConflict(set)
+	if msg == "" {
+		msg = valueError(*cells, *scenario, *trial, *trials, *points)
+	}
+	if msg != "" {
 		fmt.Fprintln(os.Stderr, "faultdrill:", msg)
 		os.Exit(2)
 	}
 	parallel.SetDefaultWorkers(*jobs)
 
-	if *cells < 4 || *cells > core.MaxCells {
-		fmt.Fprintf(os.Stderr, "faultdrill: -cells %d: campaign needs 4..%d cells\n", *cells, core.MaxCells)
-		os.Exit(2)
-	}
-	if *scenario >= faultinject.NumScenarios {
-		fmt.Fprintf(os.Stderr, "faultdrill: -scenario %d: scenarios are 0..%d\n", *scenario, faultinject.NumScenarios-1)
-		os.Exit(2)
-	}
-	if *trial < 0 {
-		fmt.Fprintf(os.Stderr, "faultdrill: -trial %d: trials are 0 or more\n", *trial)
-		os.Exit(2)
-	}
 	// Every trial is audited as it runs: its events feed the forensic fold
 	// through the trace's sink, so the audit sees every event at the
 	// default ring capacity.
@@ -250,6 +243,24 @@ func flagConflict(set map[string]bool) string {
 		default:
 			return fmt.Sprintf("-%s is not read with -%s", r.flag, r.other)
 		}
+	}
+	return ""
+}
+
+// valueError names the first flag whose value no mode accepts, or returns
+// "" when there is none. RunTrialOpts panics on a negative trial index.
+func valueError(cells, scenario, trial, trials, points int) string {
+	switch {
+	case cells < 4 || cells > core.MaxCells:
+		return fmt.Sprintf("-cells %d: campaign needs 4..%d cells", cells, core.MaxCells)
+	case scenario >= faultinject.NumScenarios:
+		return fmt.Sprintf("-scenario %d: scenarios are 0..%d", scenario, faultinject.NumScenarios-1)
+	case trial < 0:
+		return fmt.Sprintf("-trial %d: trials are 0 or more", trial)
+	case trials < 0:
+		return fmt.Sprintf("-trials %d: trials per scenario are 0 (the default counts) or more", trials)
+	case points < 1:
+		return fmt.Sprintf("-points %d: the sweep needs at least 1 grid point", points)
 	}
 	return ""
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -49,6 +50,31 @@ func TestFlagConflict(t *testing.T) {
 		}
 		if got := flagConflict(set); got != c.want {
 			t.Errorf("flags %q: flagConflict = %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
+// TestValueError checks the values every mode refuses: each used to run
+// something other than what was asked, or to panic.
+func TestValueError(t *testing.T) {
+	cases := []struct {
+		cells, scenario, trial, trials, points int
+		want                                   string
+	}{
+		{4, -1, 0, 0, 220, ""},
+		{16, 13, 11, 3, 1, ""},
+		{3, -1, 0, 0, 220, "-cells 3: campaign needs 4..64 cells"},
+		{65, -1, 0, 0, 220, "-cells 65: campaign needs 4..64 cells"},
+		{4, faultinject.NumScenarios, 0, 0, 220, fmt.Sprintf("-scenario %d: scenarios are 0..%d", faultinject.NumScenarios, faultinject.NumScenarios-1)},
+		{4, 0, -1, 0, 220, "-trial -1: trials are 0 or more"},
+		{4, -1, 0, -1, 220, "-trials -1: trials per scenario are 0 (the default counts) or more"},
+		{4, -1, 0, 0, 0, "-points 0: the sweep needs at least 1 grid point"},
+		{4, -1, 0, 0, -5, "-points -5: the sweep needs at least 1 grid point"},
+	}
+	for _, c := range cases {
+		if got := valueError(c.cells, c.scenario, c.trial, c.trials, c.points); got != c.want {
+			t.Errorf("valueError(%d, %d, %d, %d, %d) = %q, want %q",
+				c.cells, c.scenario, c.trial, c.trials, c.points, got, c.want)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestCampaignSliceDeterminism(t *testing.T) {
 	}
 	const trialsPer = 2
 
-	run := func(workers int) ([]*Table74Row, string) {
+	run := func(workers int) ([]*faultinject.CampaignRow, string) {
 		rows := faultinject.RunCampaign(parallel.New(workers), scenarios,
 			func(faultinject.Scenario) int { return trialsPer }, faultinject.TrialOpts{})
 		return rows, FormatTable74(rows)

@@ -120,15 +120,15 @@ func FormatFrontend(rep *FrontendReport) string {
 			fmt.Sprintf("%.0f", p.ThroughputPerSec),
 			fmt.Sprintf("%.0f", p.GoodputPerSec),
 			fmt.Sprintf("%d", p.Shed),
-			FormatUs(p.Latency.P50),
-			FormatUs(p.Latency.P99),
-			FormatUs(p.Latency.P999),
+			formatUs(p.Latency.P50),
+			formatUs(p.Latency.P99),
+			formatUs(p.Latency.P999),
 		)
 	}
 	f := rep.Fault
 	tf := stats.NewTable("availability under fault — cell killed mid-surge",
 		"trials", "contained", "avg window", "max window", "avg restore (ms)")
 	tf.AddRow(fmt.Sprint(f.Tests), fmt.Sprint(f.AllOK),
-		FormatMs(f.AvgWindow), FormatMs(f.MaxWindow), FormatMs(f.AvgRestore))
+		formatMs(f.AvgWindow), formatMs(f.MaxWindow), formatMs(f.AvgRestore))
 	return tb.String() + "\n" + tf.String()
 }

@@ -1,8 +1,10 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation (§4-§7) from the simulation. Each experiment function runs
-// the relevant workload or microbenchmark and returns both a formatted
-// table and the measured values, so the benchmark suite can assert on them
-// and cmd/hivebench can print them next to the paper's numbers.
+// evaluation (§4-§8) from the simulation. Each driver runs the relevant
+// workload or microbenchmark and returns the measured values: the tests
+// assert on them, and cmd/hivebench records them as gated metrics and
+// prints them next to the paper's numbers. The fault campaigns, the
+// frontend sweep and the scaling suite also come with a renderer for
+// their tables.
 package harness
 
 import (
@@ -433,11 +435,8 @@ func RunPmakeFaultTraffic() *PmakeFaultTraffic {
 	return out
 }
 
-// FormatUs formats a microsecond value.
-func FormatUs(v float64) string { return fmt.Sprintf("%.1f µs", v) }
+// formatUs formats a microsecond value.
+func formatUs(v float64) string { return fmt.Sprintf("%.1f µs", v) }
 
-// FormatMs formats a millisecond value.
-func FormatMs(v float64) string { return fmt.Sprintf("%.1f ms", v) }
-
-// FormatPct formats a percentage.
-func FormatPct(v float64) string { return fmt.Sprintf("%+.1f %%", v) }
+// formatMs formats a millisecond value.
+func formatMs(v float64) string { return fmt.Sprintf("%.1f ms", v) }

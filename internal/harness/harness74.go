@@ -16,12 +16,9 @@ import (
 	"repro/internal/vm"
 )
 
-// Table74Row is one fault-injection scenario's aggregate.
-type Table74Row = faultinject.CampaignRow
-
 // RunTable74 executes the §7.4 campaign. scale ∈ (0,1] shrinks the trial
 // counts proportionally for quick runs (1.0 = the paper's 49+20 trials).
-func RunTable74(scale float64) []*Table74Row {
+func RunTable74(scale float64) []*faultinject.CampaignRow {
 	return runScaled(scale, faultinject.NodeFailProcCreate, faultinject.NodeFailCOWSearch,
 		faultinject.NodeFailRandom, faultinject.CorruptAddrMap, faultinject.CorruptCOWTree)
 }
@@ -49,14 +46,14 @@ func FormatRebootLoop(rows []*faultinject.CampaignRow) string {
 	tb := stats.NewTable("availability loop — reboot, rejoin, restore",
 		"scenario", "trials", "all ok", "avg restore (ms)", "p99 restore (ms)", "loop p99 op (ms)")
 	for _, r := range rows {
-		restore, p99 := FormatMs(r.AvgRestore), FormatMs(r.P99Restore)
+		restore, p99 := formatMs(r.AvgRestore), formatMs(r.P99Restore)
 		if r.AvgRestore == 0 {
 			// The bounded crash loop never restores; the row carries only
 			// the during-loop latency.
 			restore, p99 = "—", "—"
 		}
 		tb.AddRow(r.Name, fmt.Sprintf("%d", r.Tests), fmt.Sprint(r.AllOK),
-			restore, p99, FormatMs(r.AvgLoopP99))
+			restore, p99, formatMs(r.AvgLoopP99))
 	}
 	return tb.String()
 }
@@ -353,7 +350,7 @@ func RunCOWLookupComparison() *COWLookupComparison {
 }
 
 // FormatTable74 renders the campaign as Table 7.4.
-func FormatTable74(rows []*Table74Row) string {
+func FormatTable74(rows []*faultinject.CampaignRow) string {
 	tb := stats.NewTable("Table 7.4 — fault injection results",
 		"scenario", "tests", "contained", "avg detect (ms)", "max detect (ms)", "avg recovery (ms)")
 	for _, r := range rows {

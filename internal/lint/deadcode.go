@@ -2,12 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"slices"
 	"strings"
 )
 
@@ -19,8 +14,7 @@ import (
 //
 //   - every main and init, and every function a package-level initialiser
 //     names;
-//   - the root package's exported functions, and every function its
-//     bench_test.go names (`make bench` runs those benchmarks);
+//   - the root package's exported functions;
 //   - every method that satisfies a standard-library interface, since the
 //     standard library calls those (String, Error, sort and heap methods).
 //
@@ -32,7 +26,7 @@ import (
 // package's export_test.go.
 var deadcodeAnalyzer = &Analyzer{
 	Name:      "deadcode",
-	Doc:       "every function is reached from a main, an init, a package initialiser, the root package's API or benchmarks, or a standard-library interface",
+	Doc:       "every function is reached from a main, an init, a package initialiser, the root package's API, or a standard-library interface",
 	RunModule: runDeadcode,
 }
 
@@ -63,12 +57,9 @@ func runDeadcode(mp *ModulePass) {
 						roots = append(roots, n)
 					}
 				case *ast.GenDecl:
-					roots = append(roots, namedIn(g, pkg.Info, d, nil)...)
+					roots = append(roots, namedIn(g, pkg.Info, d)...)
 				}
 			}
-		}
-		if isRoot {
-			roots = append(roots, benchRoots(mp, g, pkg)...)
 		}
 	}
 	reached := g.Reachable(roots...)
@@ -76,14 +67,13 @@ func runDeadcode(mp *ModulePass) {
 		if reached[n] || !(whole || isMain(n.Pkg)) {
 			continue
 		}
-		mp.Reportf(n.Decl.Name.Pos(), "%s is reached by no main, init, package initialiser, root-package export or benchmark, or standard-library interface; delete it",
+		mp.Reportf(n.Decl.Name.Pos(), "%s is reached by no main, init, package initialiser, root-package export, or standard-library interface; delete it",
 			funcName(n.Fn))
 	}
 }
 
-// namedIn returns the module functions node names. Identifiers that
-// resolve to no graph node go through fallback when it is set.
-func namedIn(g *CallGraph, info *types.Info, node ast.Node, fallback func(*types.Func) *CGNode) []*CGNode {
+// namedIn returns the module functions node names.
+func namedIn(g *CallGraph, info *types.Info, node ast.Node) []*CGNode {
 	var out []*CGNode
 	ast.Inspect(node, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -94,44 +84,10 @@ func namedIn(g *CallGraph, info *types.Info, node ast.Node, fallback func(*types
 		if !ok {
 			return true
 		}
-		if named := g.Named(fn); named != nil {
-			out = append(out, named...)
-		} else if fallback != nil {
-			out = append(out, fallback(fn))
-		}
+		out = append(out, g.Named(fn)...)
 		return true
 	})
 	return out
-}
-
-// benchRoots type-checks the root package together with its
-// bench_test.go, which the loader skips, and returns every module
-// function the benchmarks name. The second check shares the importer, so
-// other packages' functions are the graph's own objects; the root
-// package's own are fresh objects, matched to their nodes by position.
-func benchRoots(mp *ModulePass, g *CallGraph, pkg *Package) []*CGNode {
-	path := filepath.Join(pkg.Dir, "bench_test.go")
-	if _, err := os.Stat(path); err != nil || pkg.imp == nil {
-		return nil
-	}
-	f, err := parser.ParseFile(pkg.Fset, path, nil, parser.SkipObjectResolution)
-	if err != nil {
-		mp.Reportf(pkg.Files[0].Package, "parsing %s for benchmark roots: %v", path, err)
-		return nil
-	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{Importer: pkg.imp}
-	if _, err := conf.Check(pkg.Path, pkg.Fset, append(slices.Clip(pkg.Files), f), info); err != nil {
-		mp.Reportf(pkg.Files[0].Package, "type-checking %s for benchmark roots: %v", path, err)
-		return nil
-	}
-	byPos := map[token.Pos]*CGNode{}
-	for _, n := range g.Nodes() {
-		if n.Pkg == pkg {
-			byPos[n.Fn.Pos()] = n
-		}
-	}
-	return namedIn(g, info, f, func(fn *types.Func) *CGNode { return byPos[fn.Pos()] })
 }
 
 // stdInterfaces indexes, by method name, every named interface declared

@@ -31,7 +31,7 @@
 // and one more keeps the module free of code nothing runs:
 //
 //	deadcode     every function is reached from a binary, an init, the
-//	             root package's API or benchmarks (see deadcode.go)
+//	             root package's API (see deadcode.go)
 //
 // The suite runs three ways: the cmd/hivelint CLI (with -json), the
 // `make lint` target, and an in-tree self-test that lints the whole
@@ -203,7 +203,6 @@ type Package struct {
 	Types *types.Package
 
 	pragmas []*pragma
-	imp     types.Importer // the module importer, for a second check with test files
 }
 
 // pragma is one //hive:lint-ignore comment.
@@ -344,7 +343,7 @@ func (m *moduleImporter) buildModule(ipath, dir string) (*Package, *types.Packag
 	if err != nil {
 		return nil, nil, fmt.Errorf("type-checking %s: %w", ipath, err)
 	}
-	pkg := &Package{Path: ipath, Dir: dir, Fset: m.fset, Files: files, Info: info, Types: tpkg, imp: m}
+	pkg := &Package{Path: ipath, Dir: dir, Fset: m.fset, Files: files, Info: info, Types: tpkg}
 	m.cache[ipath] = tpkg
 	m.built[ipath] = pkg
 	return pkg, tpkg, nil
