@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -44,22 +43,16 @@ import (
 	"repro/internal/trace"
 )
 
-// campaignReport is the -json document, shaped like hivebench's report so
-// one tool chain can consume both. The worker-count and wall-clock fields
-// ("jobs", "gomaxprocs", "total_wall_ms") are the only run-shape-dependent
-// ones.
+// campaignReport is the -json document. Like the text report it holds no
+// worker count and no wall-clock time, so it is byte-identical at any -j.
 type campaignReport struct {
 	Name              string                     `json:"name"`
-	GoVersion         string                     `json:"go_version"`
-	GOMAXPROCS        int                        `json:"gomaxprocs"`
-	Jobs              int                        `json:"jobs"`
 	TrialsPerScenario int                        `json:"trials_per_scenario"` // 0 = the paper's counts
 	Cells             int                        `json:"cells"`
 	Scenarios         []*faultinject.CampaignRow `json:"scenarios"`
 	AllOK             bool                       `json:"all_ok"`
 	Sweep             *faultinject.SweepReport   `json:"sweep,omitempty"`
 	Audit             *audit                     `json:"audit"`
-	TotalWallMs       float64                    `json:"total_wall_ms"`
 }
 
 func main() {
@@ -108,7 +101,6 @@ func main() {
 	if *sweep {
 		per = max((*points+faultinject.NumScenarios-1)/faultinject.NumScenarios, 1)
 	}
-	start := time.Now()
 	scens := faultinject.AllScenarios()
 	// Each trial is audited inside its job, so only its verdict outlives
 	// the job.
@@ -151,16 +143,12 @@ func main() {
 	if *jsonOut {
 		report := &campaignReport{
 			Name:              "faultdrill",
-			GoVersion:         runtime.Version(),
-			GOMAXPROCS:        runtime.GOMAXPROCS(0),
-			Jobs:              parallel.Default().Workers(),
 			TrialsPerScenario: per,
 			Cells:             *cells,
 			Scenarios:         rows,
 			AllOK:             allOK,
 			Sweep:             sw,
 			Audit:             au,
-			TotalWallMs:       float64(time.Since(start).Microseconds()) / 1000,
 		}
 		enc, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -173,8 +161,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "faultdrill: write report:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("wrote %s (%d scenarios, %.0f ms total)\n",
-				*outPath, len(report.Scenarios), report.TotalWallMs)
+			fmt.Printf("wrote %s (%d scenarios)\n", *outPath, len(report.Scenarios))
 		} else {
 			os.Stdout.Write(enc)
 		}

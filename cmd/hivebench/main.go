@@ -17,9 +17,12 @@
 //	                          # cowlookup, sipsipi, fwgran, ccnow,
 //	                          # agreement, detection
 //
-// Experiments are deterministic simulations: the tables are byte-identical
-// at every -j. The JSON report additionally records wall-clock time per
-// experiment so the simulator's real-time performance is tracked PR to PR.
+// Experiments are deterministic simulations, and every output is a pure
+// function of them: the tables and the JSON report are byte-identical on
+// every run and at every -j, so `make bench-gate` diffs a fresh -quick
+// report against BENCH_hive.json. The report holds every value the tables
+// print and no wall-clock time; host time is measured from outside
+// (`time hivebench -quick`) and by perfbench.
 // Exit status is 2 on a bad flag, an unknown -only id or -o without -json,
 // and 1 when the report cannot be written.
 package main
@@ -34,32 +37,25 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"time"
+	"unicode"
 
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
-// experimentReport is one experiment's entry in the -json output. Metrics
-// are deterministic and perf-gated; Info carries wall-clock-derived values
-// (engine events/sec) that are recorded but never gated.
+// experimentReport is one experiment's entry in the -json output: the
+// metrics its tables print.
 type experimentReport struct {
 	ID      string             `json:"id"`
-	WallMs  float64            `json:"wall_ms"`
 	Metrics map[string]float64 `json:"metrics"`
-	Info    map[string]float64 `json:"info,omitempty"`
 }
 
 // benchReport is the full -json document.
 type benchReport struct {
 	Name        string             `json:"name"`
-	GoVersion   string             `json:"go_version"`
-	GOMAXPROCS  int                `json:"gomaxprocs"`
-	Jobs        int                `json:"jobs"`
 	Quick       bool               `json:"quick"`
 	Experiments []experimentReport `json:"experiments"`
-	TotalWallMs float64            `json:"total_wall_ms"`
 }
 
 // runCtx threads the options, the table output and one experiment's
@@ -68,7 +64,6 @@ type runCtx struct {
 	quick   bool
 	out     io.Writer // the tables; io.Discard under -json
 	metrics map[string]float64
-	info    map[string]float64
 }
 
 func (c *runCtx) printf(format string, args ...any) { fmt.Fprintf(c.out, format, args...) }
@@ -76,8 +71,7 @@ func (c *runCtx) printf(format string, args ...any) { fmt.Fprintf(c.out, format,
 func (c *runCtx) println(args ...any) { fmt.Fprintln(c.out, args...) }
 
 // metric records a measured value whose table another package renders
-// (the harness's campaign, frontend and scaling tables, Table 5.2's
-// breakdown).
+// (the harness's campaign, frontend and scaling tables).
 func (c *runCtx) metric(name string, v float64) { c.metrics[name] = v }
 
 // cell records a measured value and returns it, in format, as the table
@@ -94,8 +88,14 @@ func (c *runCtx) flag(name string, b bool) string {
 	return fmt.Sprint(b)
 }
 
-// infoMetric records a wall-clock-derived value: reported, never gated.
-func (c *runCtx) infoMetric(name string, v float64) { c.info[name] = v }
+// componentKey names a Table 5.2 breakdown row's metric after its label:
+// "client: file system" is client_file_system_us.
+func componentKey(label string) string {
+	words := strings.FieldsFunc(strings.ToLower(label), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	})
+	return strings.Join(words, "_") + "_us"
+}
 
 func b2f(b bool) float64 {
 	if b {
@@ -149,9 +149,11 @@ var experiments = []experiment{
 		tb.AddRow("local page fault (cache hit)", "6.9 µs", c.cell("local_us", "%.1f µs", t52.LocalUs))
 		tb.AddRow("remote page fault (data-home cache hit)", "50.7 µs", c.cell("remote_us", "%.1f µs", t52.RemoteUs))
 		c.println(tb)
-		c.metric("breakdown_total_us", t52.Components.MeanTotal())
 		c.println("component means (calibrated decomposition):")
-		c.printf("%s", t52.Components.Format())
+		for _, comp := range t52.Components {
+			c.printf("  %-42s %s\n", comp.Label, c.cell(componentKey(comp.Label), "%7.1f us", comp.Us))
+		}
+		c.printf("  %-42s %s\n", "TOTAL", c.cell("breakdown_total_us", "%7.1f us", t52.ComponentTotal()))
 		c.println()
 	}},
 
@@ -228,6 +230,7 @@ var experiments = []experiment{
 			c.metric(key+"_avg_detect_ms", r.AvgDetect)
 			c.metric(key+"_max_detect_ms", r.MaxDetect)
 			c.metric(key+"_avg_recovery_ms", r.AvgRecov)
+			c.metric(key+"_contained", b2f(r.AllOK))
 			allOK = allOK && r.AllOK
 		}
 		c.metric("all_contained", b2f(allOK))
@@ -245,6 +248,7 @@ var experiments = []experiment{
 			c.metric(key+"_avg_restore_ms", r.AvgRestore)
 			c.metric(key+"_p99_restore_ms", r.P99Restore)
 			c.metric(key+"_loop_p99_ms", r.AvgLoopP99)
+			c.metric(key+"_contained", b2f(r.AllOK))
 			allOK = allOK && r.AllOK
 		}
 		c.metric("all_contained", b2f(allOK))
@@ -258,13 +262,15 @@ var experiments = []experiment{
 		rep := harness.RunFrontendSweep(c.scaled(1, 0.5))
 		for _, p := range rep.Points {
 			key := fmt.Sprintf("x%02.0f", p.Multiplier*10)
+			c.metric(key+"_users", float64(p.Users))
+			c.metric(key+"_offered_per_s", p.OfferedPerSec)
+			c.metric(key+"_done_per_s", p.ThroughputPerSec)
 			c.metric(key+"_jobs", float64(p.Completed))
 			c.metric(key+"_shed", float64(p.Shed))
 			c.metric(key+"_p50_us", p.Latency.P50)
 			c.metric(key+"_p99_us", p.Latency.P99)
 			c.metric(key+"_p999_us", p.Latency.P999)
 			c.metric(key+"_goodput_per_s", p.GoodputPerSec)
-			c.infoMetric(key+"_wall_jobs_per_s", float64(p.Completed)/p.WallSec)
 		}
 		f := rep.Fault
 		c.metric("surge_tests", float64(f.Tests))
@@ -301,17 +307,13 @@ var experiments = []experiment{
 			c.metric("rpc_per_s_"+key, r.RPCPerSec)
 			c.metric("events_"+key, float64(r.Events))
 			c.metric("events_per_s_"+key, r.EventsPerSec)
-			// The wall-clock events/sec goes to the ungated info section.
-			c.infoMetric("wall_events_per_s_classic_"+key, r.WallEventsPerSec)
 			c.metric("detect_ms_"+key, r.DetectMs)
 			c.metric("recovery_ms_"+key, r.RecoveryMs)
+			c.metric("contained_"+key, b2f(r.Contained))
 			allContained = allContained && r.Contained
 		}
 		c.metric("all_contained", b2f(allContained))
 		c.println(harness.FormatScale(rows))
-		for _, r := range rows {
-			c.printf("engine rate at %d cells: %.0f ev/s (wall)\n", r.Cells, r.WallEventsPerSec)
-		}
 		c.println("recovery cost grows with round membership; containment must hold at every size.")
 		c.println()
 	}},
@@ -428,33 +430,15 @@ func run(args []string, stdout io.Writer) int {
 	if *jsonOut {
 		c.out = io.Discard
 	}
-	report := &benchReport{
-		Name:        "hivebench",
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Jobs:        parallel.Default().Workers(),
-		Quick:       *quick,
-		Experiments: []experimentReport{},
-	}
-	start := time.Now()
+	report := &benchReport{Name: "hivebench", Quick: *quick, Experiments: []experimentReport{}}
 	for _, e := range experiments {
 		if *only != "" && *only != e.id {
 			continue
 		}
-		c.metrics, c.info = map[string]float64{}, map[string]float64{}
-		expStart := time.Now()
+		c.metrics = map[string]float64{}
 		e.run(c)
-		rep := experimentReport{
-			ID:      e.id,
-			WallMs:  float64(time.Since(expStart).Microseconds()) / 1000,
-			Metrics: c.metrics,
-		}
-		if len(c.info) > 0 {
-			rep.Info = c.info
-		}
-		report.Experiments = append(report.Experiments, rep)
+		report.Experiments = append(report.Experiments, experimentReport{ID: e.id, Metrics: c.metrics})
 	}
-	report.TotalWallMs = float64(time.Since(start).Microseconds()) / 1000
 
 	c.println(strings.Repeat("-", 72))
 	c.println("All numbers are from the deterministic FLASH/Hive simulation;")
@@ -476,7 +460,6 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintln(os.Stderr, "hivebench: write report:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "wrote %s (%d experiments, %.0f ms total)\n",
-		*outPath, len(report.Experiments), report.TotalWallMs)
+	fmt.Fprintf(stdout, "wrote %s (%d experiments)\n", *outPath, len(report.Experiments))
 	return 0
 }

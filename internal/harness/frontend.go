@@ -35,9 +35,6 @@ type FrontendPoint struct {
 	// WaxRetargets counts placement hints Wax installed during the run
 	// (ApplyPlaceTargets accepted), the cross-cell balancing at work.
 	WaxRetargets int
-
-	// WallSec is real time for this point — reported, never gated.
-	WallSec float64
 }
 
 // FrontendReport is the full frontend experiment: the load sweep plus the
@@ -79,7 +76,6 @@ func RunFrontendSweep(scale float64) *FrontendReport {
 // runFrontendPoint boots a healthy hive, supervises Wax over it, and runs
 // the default frontend at the given offered-load multiplier.
 func runFrontendPoint(mult float64, idx int) FrontendPoint {
-	wall := parallel.WallTimer()
 	h := workload.BootHiveWith(4, int64(6100+idx*37), func(cfg *core.Config) {})
 	defer h.Eng.Stop()
 	sup := wax.Supervise(h)
@@ -104,7 +100,6 @@ func runFrontendPoint(mult float64, idx int) FrontendPoint {
 		ThroughputPerSec: fe.ThroughputPerSec,
 		GoodputPerSec:    fe.GoodputPerSec,
 		WaxRetargets:     sup.Cur.PlaceRetargets,
-		WallSec:          wall(),
 	}
 }
 

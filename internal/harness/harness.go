@@ -1,10 +1,11 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (§4-§8) from the simulation. Each driver runs the relevant
-// workload or microbenchmark and returns the measured values: the tests
-// assert on them, and cmd/hivebench records them as gated metrics and
-// prints them next to the paper's numbers. The fault campaigns, the
-// frontend sweep and the scaling suite also come with a renderer for
-// their tables.
+// workload or microbenchmark and returns the measured values, all from
+// virtual time and event counts, never the wall clock: the tests assert
+// on them, and cmd/hivebench prints them next to the paper's numbers and
+// records every value it prints as a metric that BENCH_hive.json pins
+// exactly. The fault campaigns, the frontend sweep and the scaling suite
+// also come with a renderer for their tables.
 package harness
 
 import (
@@ -119,7 +120,14 @@ func RunRPC6() *RPC6 {
 type Table52 struct {
 	LocalUs    float64 // paper: 6.9
 	RemoteUs   float64 // paper: 50.7
-	Components *stats.Breakdown
+	Components []Component
+}
+
+// Component is one row of Table 5.2's breakdown: its label and its cost
+// in µs.
+type Component struct {
+	Label string
+	Us    float64
 }
 
 // RunTable52 executes the measurement: 1024 faults that hit in the data
@@ -127,7 +135,7 @@ type Table52 struct {
 func RunTable52() *Table52 {
 	h := twoCell()
 	defer h.Eng.Stop()
-	out := &Table52{Components: stats.NewBreakdown()}
+	out := &Table52{}
 	// Data home (cell 1) creates and caches the file pages.
 	const npages = 1024
 	runOn(h, 1, func(p *proc.Process, t *sim.Task) {
@@ -165,19 +173,28 @@ func RunTable52() *Table52 {
 	})
 	// Reconstruct the component view from the calibrated constants (the
 	// same decomposition Table 5.2 reports).
-	bd := out.Components
-	obs := func(name string, d sim.Time) { bd.Observe(name, d) }
-	obs("client: file system", vm.FSClientCost)
-	obs("client: locking overhead", vm.LockingCost)
-	obs("client: miscellaneous VM", vm.MiscVMClient)
-	obs("client: import page", vm.ImportCost)
-	obs("data home: miscellaneous VM", vm.MiscVMDataHome)
-	obs("data home: export page", vm.ExportCost)
-	obs("RPC: stubs and subsystem", rpc.ClientSendStub+rpc.ClientRecvStub+rpc.ServerDispatch+rpc.ServerReply+rpc.ExtraStubReal)
-	obs("RPC: hardware message and interrupts", 2*(500+700+300)+rpc.IntrEntryExit+rpc.ExtraHWReal)
-	obs("RPC: arg/result copy through shared memory", rpc.CopySharedMem)
-	obs("RPC: allocate/free arg and result memory", rpc.AllocFreeArgMem)
+	out.Components = []Component{
+		{"client: file system", vm.FSClientCost.Micros()},
+		{"client: locking overhead", vm.LockingCost.Micros()},
+		{"client: miscellaneous VM", vm.MiscVMClient.Micros()},
+		{"client: import page", vm.ImportCost.Micros()},
+		{"data home: miscellaneous VM", vm.MiscVMDataHome.Micros()},
+		{"data home: export page", vm.ExportCost.Micros()},
+		{"RPC: stubs and subsystem", (rpc.ClientSendStub + rpc.ClientRecvStub + rpc.ServerDispatch + rpc.ServerReply + rpc.ExtraStubReal).Micros()},
+		{"RPC: hardware message and interrupts", (2*(500+700+300) + rpc.IntrEntryExit + rpc.ExtraHWReal).Micros()},
+		{"RPC: arg/result copy through shared memory", rpc.CopySharedMem.Micros()},
+		{"RPC: allocate/free arg and result memory", rpc.AllocFreeArgMem.Micros()},
+	}
 	return out
+}
+
+// ComponentTotal sums the breakdown's rows in order (µs).
+func (t *Table52) ComponentTotal() float64 {
+	var total float64
+	for _, c := range t.Components {
+		total += c.Us
+	}
+	return total
 }
 
 // fileKey resolves a path to its FileID at its home cell.

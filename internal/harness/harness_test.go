@@ -41,7 +41,7 @@ func TestTable52MatchesPaper(t *testing.T) {
 	x := RunTable52()
 	near(t, "local fault µs", x.LocalUs, 6.9, 0.06)
 	near(t, "remote fault µs", x.RemoteUs, 50.7, 0.06)
-	near(t, "breakdown total µs", x.Components.MeanTotal(), 50.7, 0.05)
+	near(t, "breakdown total µs", x.ComponentTotal(), 50.7, 0.05)
 }
 
 func TestTable73MatchesPaper(t *testing.T) {

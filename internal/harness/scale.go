@@ -33,10 +33,6 @@ type ScaleRow struct {
 	// virtual second — the simulator work measure the perf gate tracks.
 	Events       int64
 	EventsPerSec float64
-	// WallEventsPerSec is the engine's real dispatch rate over the pmake
-	// run, Dispatched()/wall: reported, never gated (wall clock varies
-	// with the host).
-	WallEventsPerSec float64
 
 	// Fault campaign at this size: NodeFailRandom, DoubleFault, and
 	// CoordinatorDeath trials. Latencies are averages over the detected
@@ -67,7 +63,6 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 	type part struct {
 		pmakeSec, oceanSec float64
 		rpcCalls, events   int64
-		wallEvSec          float64
 		trial              *faultinject.TrialResult
 	}
 	parts := parallel.Map(parallel.Default(), unitsPer*len(cellCounts), func(i int) part {
@@ -78,14 +73,11 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 			defer h.Eng.Stop()
 			calls0 := rpcCallCount(h)
 			ev0 := h.Eng.Dispatched()
-			wall := parallel.WallTimer()
 			res := workload.RunPmake(h, workload.DefaultPmake(), 120*sim.Second)
-			ev := int64(h.Eng.Dispatched() - ev0)
 			return part{
-				pmakeSec:  res.Elapsed.Seconds(),
-				rpcCalls:  rpcCallCount(h) - calls0,
-				events:    ev,
-				wallEvSec: float64(ev) / wall(),
+				pmakeSec: res.Elapsed.Seconds(),
+				rpcCalls: rpcCallCount(h) - calls0,
+				events:   int64(h.Eng.Dispatched() - ev0),
 			}
 		case 1:
 			h := workload.BootHive(cells)
@@ -105,13 +97,12 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 	for i, cells := range cellCounts {
 		p := parts[i*unitsPer : (i+1)*unitsPer]
 		row := ScaleRow{
-			Cells:            cells,
-			PmakeSec:         p[0].pmakeSec,
-			OceanSec:         p[1].oceanSec,
-			RPCCalls:         p[0].rpcCalls,
-			Events:           p[0].events,
-			WallEventsPerSec: p[0].wallEvSec,
-			Contained:        true,
+			Cells:     cells,
+			PmakeSec:  p[0].pmakeSec,
+			OceanSec:  p[1].oceanSec,
+			RPCCalls:  p[0].rpcCalls,
+			Events:    p[0].events,
+			Contained: true,
 		}
 		if row.PmakeSec > 0 {
 			row.RPCPerSec = float64(row.RPCCalls) / row.PmakeSec
@@ -153,10 +144,7 @@ func rpcCallCount(h *core.Hive) int64 {
 	return n
 }
 
-// FormatScale renders the scaling table. Only deterministic (virtual-time)
-// values appear here so the table is byte-identical at every -j; the
-// wall-clock dispatch rate lives in WallEventsPerSec and is reported
-// separately.
+// FormatScale renders the scaling table, byte-identical at every -j.
 func FormatScale(rows []ScaleRow) *stats.Table {
 	tb := stats.NewTable("Scaling — workloads and fault campaign vs cell count",
 		"cells", "pmake s", "ocean s", "RPC calls", "RPC/s", "events", "events/s",

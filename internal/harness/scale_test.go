@@ -12,29 +12,22 @@ import (
 // TestScaleDeterminism is the harness's byte-identity gate: the scaling
 // suite, the availability-loop campaign and the frontend sweep must each
 // produce identical rows (%+v) and rendered tables whether their
-// independent boots run sequentially or on eight workers. Only the Wall*
-// fields, which hold real time, are zeroed before the comparison. The two
-// campaigns run at full scale, as `hivebench -only reboot` and
-// `hivebench -only frontend` do.
+// independent boots run sequentially or on eight workers. Every field is
+// compared: none holds real time. The two campaigns run at full scale, as
+// `hivebench -only reboot` and `hivebench -only frontend` do.
 func TestScaleDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the scaling suite and two full campaigns, each twice")
 	}
 	cases := []struct {
 		name string
-		run  func(t *testing.T) string
+		run  func() string
 	}{
-		{"scale", func(t *testing.T) string {
+		{"scale", func() string {
 			rows := RunScale([]int{8, 16}, 1)
-			for i := range rows {
-				if rows[i].WallEventsPerSec <= 0 {
-					t.Errorf("row %d missing wall dispatch rate: %+v", i, rows[i])
-				}
-				rows[i].WallEventsPerSec = 0
-			}
 			return fmt.Sprintf("%+v\n%s", rows, FormatScale(rows))
 		}},
-		{"reboot", func(t *testing.T) string {
+		{"reboot", func() string {
 			rows := RunRebootLoop(1.0)
 			var b strings.Builder
 			for _, r := range rows {
@@ -42,11 +35,8 @@ func TestScaleDeterminism(t *testing.T) {
 			}
 			return b.String() + FormatRebootLoop(rows)
 		}},
-		{"frontend", func(t *testing.T) string {
+		{"frontend", func() string {
 			rep := RunFrontendSweep(1.0)
-			for i := range rep.Points {
-				rep.Points[i].WallSec = 0
-			}
 			return fmt.Sprintf("%+v\n%s\n%s", rep.Points, campaignRowString(rep.Fault), FormatFrontend(rep))
 		}},
 	}
@@ -55,7 +45,7 @@ func TestScaleDeterminism(t *testing.T) {
 			at := func(workers int) string {
 				parallel.SetDefaultWorkers(workers)
 				defer parallel.SetDefaultWorkers(0)
-				return c.run(t)
+				return c.run()
 			}
 			if seq, par := at(1), at(8); seq != par {
 				t.Errorf("%s diverged across worker counts:\n-j1:\n%s\n-j8:\n%s", c.name, seq, par)

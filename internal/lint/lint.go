@@ -110,9 +110,6 @@ func AnalyzerNames() []string {
 type Config struct {
 	// ModulePath is the module's import path ("repro").
 	ModulePath string
-	// WalltimeAllow lists import paths exempt from the walltime check
-	// (the parallel runner measures real elapsed time by design).
-	WalltimeAllow map[string]bool
 	// RawconcAllow lists import paths allowed to use goroutines,
 	// channels and sync primitives directly.
 	RawconcAllow map[string]bool
@@ -129,9 +126,6 @@ type Config struct {
 func DefaultConfig() *Config {
 	return &Config{
 		ModulePath: "repro",
-		WalltimeAllow: map[string]bool{
-			"repro/internal/parallel": true, // wall-clock worker pool by design
-		},
 		RawconcAllow: map[string]bool{
 			"repro/internal/sim":      true, // task switching is goroutine-based
 			"repro/internal/parallel": true, // the OS-level worker pool
@@ -146,7 +140,6 @@ func DefaultConfig() *Config {
 			"sim":      0,
 			"kmem":     0,
 			"lint":     0, // tooling; imports nothing from the model
-			"benchcmp": 0, // tooling; stdlib-only report comparison
 			"stats":    1,
 			"trace":    1,
 			"disk":     1,

@@ -170,6 +170,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 			checkFixture(t, tc.fixture, tc.as, tc.typed, tc.an)
 		})
 	}
+	// No package under internal/ is exempt from walltime, the parallel
+	// runner included.
+	t.Run("walltime_as_repro_internal_parallel", func(t *testing.T) {
+		checkFixture(t, "walltime", "repro/internal/parallel", true, walltimeAnalyzer)
+	})
 }
 
 // TestAllowlists proves the configured exemptions silence the checks:
@@ -182,8 +187,6 @@ func TestAllowlists(t *testing.T) {
 		typed   bool
 		an      *Analyzer
 	}{
-		// internal/parallel may use wall-clock time (worker pool).
-		{"walltime", "repro/internal/parallel", true, walltimeAnalyzer},
 		// cmd/ binaries report wall-clock timing by design.
 		{"walltime", "repro/cmd/hivesim", true, walltimeAnalyzer},
 		// internal/sim and internal/parallel own the raw concurrency.

@@ -4,10 +4,9 @@ import "go/ast"
 
 // walltime: model code must run on sim virtual time only. A single
 // time.Now in a latency calculation silently couples results to the
-// host machine; time.Sleep couples them to the Go scheduler. cmd/
-// binaries report wall-clock throughput and are out of scope;
-// internal/parallel times its OS-level worker pool by design and is
-// allowlisted in Config.WalltimeAllow.
+// host machine; time.Sleep couples them to the Go scheduler. The root
+// package and every package under internal/ are checked, with no
+// exemption; cmd/ and examples/ are out of scope.
 var walltimeAnalyzer = &Analyzer{
 	Name: "walltime",
 	Doc:  "no time.Now/Since/Sleep/timers in model packages; virtual time only",
@@ -30,7 +29,7 @@ var walltimeBanned = map[string]bool{
 }
 
 func runWalltime(p *Pass) {
-	if !p.Cfg.ModelPackage(p.Pkg.Path) || p.Cfg.WalltimeAllow[p.Pkg.Path] {
+	if !p.Cfg.ModelPackage(p.Pkg.Path) {
 		return
 	}
 	for _, file := range p.Pkg.Files {

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Runner executes independent jobs on a fixed-size worker pool. A Runner is
@@ -34,9 +33,6 @@ func New(n int) *Runner {
 	}
 	return &Runner{workers: n}
 }
-
-// Workers returns the pool size.
-func (r *Runner) Workers() int { return r.workers }
 
 // defaultRunner is the process-wide runner used by experiment code that is
 // not handed an explicit Runner. Commands set it from their -j flag.
@@ -125,14 +121,4 @@ func Map[T any](r *Runner, n int, fn func(i int) T) []T {
 		panic(fmt.Sprintf("parallel: job %d panicked: %v", first.index, first.val))
 	}
 	return out
-}
-
-// WallTimer starts a real-time stopwatch and returns a function reporting
-// the seconds elapsed since the call. It exists for reporting the
-// simulator's own dispatch rate (events per wall second); wall clock must
-// never feed back into model state, so the returned value belongs in
-// report-only fields, not gated metrics.
-func WallTimer() func() float64 {
-	t0 := time.Now()
-	return func() float64 { return time.Since(t0).Seconds() }
 }

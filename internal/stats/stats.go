@@ -1,7 +1,6 @@
 // Package stats provides the measurement infrastructure used to regenerate
-// the paper's tables: counters, latency histograms, named latency
-// component breakdowns (Table 5.2), and periodic samplers (the 20 ms
-// firewall-page samples of §4.2).
+// the paper's tables: counters, latency histograms, periodic samplers (the
+// 20 ms firewall-page samples of §4.2) and aligned text tables.
 package stats
 
 import (
@@ -232,58 +231,6 @@ func (s HistSnapshot) Format(maxRows int) string {
 		fmt.Fprintf(&sb, "  [%9.1f,%9.1f) %-24s %d\n",
 			b.Lo, b.Hi, strings.Repeat("#", bar), b.Count)
 	}
-	return sb.String()
-}
-
-// Breakdown accumulates named latency components, preserving insertion
-// order, to regenerate component tables like Table 5.2. Each component
-// keeps a running sum and count, enough for its mean.
-type Breakdown struct {
-	order []string
-	comps map[string]*component
-}
-
-// component is one named row of a Breakdown, in microseconds.
-type component struct {
-	sum float64
-	n   int
-}
-
-func (c *component) mean() float64 { return c.sum / float64(c.n) }
-
-// NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{comps: make(map[string]*component)}
-}
-
-// Observe records a sample for the named component, in microseconds.
-func (b *Breakdown) Observe(name string, t sim.Time) {
-	c, ok := b.comps[name]
-	if !ok {
-		c = &component{}
-		b.comps[name] = c
-		b.order = append(b.order, name)
-	}
-	c.sum += t.Micros()
-	c.n++
-}
-
-// MeanTotal returns the sum of the component means (µs).
-func (b *Breakdown) MeanTotal() float64 {
-	var total float64
-	for _, name := range b.order {
-		total += b.comps[name].mean()
-	}
-	return total
-}
-
-// Format renders the breakdown as aligned rows of "name  mean-µs".
-func (b *Breakdown) Format() string {
-	var sb strings.Builder
-	for _, name := range b.order {
-		fmt.Fprintf(&sb, "  %-42s %7.1f us\n", name, b.comps[name].mean())
-	}
-	fmt.Fprintf(&sb, "  %-42s %7.1f us\n", "TOTAL", b.MeanTotal())
 	return sb.String()
 }
 

@@ -16,29 +16,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestObserveTimeConvertsToMicros(t *testing.T) {
-	b := NewBreakdown()
-	b.Observe("x", 3*sim.Microsecond)
-	if b.MeanTotal() != 3 {
-		t.Fatalf("mean = %f µs", b.MeanTotal())
-	}
-}
-
-func TestBreakdownOrderAndTotal(t *testing.T) {
-	b := NewBreakdown()
-	b.Observe("beta", 2*sim.Microsecond)
-	b.Observe("alpha", 1*sim.Microsecond)
-	b.Observe("beta", 4*sim.Microsecond)
-	if b.MeanTotal() != 4 { // beta mean 3 + alpha mean 1
-		t.Fatalf("total = %f", b.MeanTotal())
-	}
-	out := b.Format()
-	beta, alpha, total := strings.Index(out, "beta"), strings.Index(out, "alpha"), strings.Index(out, "TOTAL")
-	if beta < 0 || !(beta < alpha && alpha < total) {
-		t.Fatalf("rows not in insertion order: %q", out)
-	}
-}
-
 func TestSampler(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := &Sampler{Interval: 10 * sim.Millisecond}
