@@ -46,7 +46,7 @@ check: build
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants|Analyze' -benchtime 1x ./internal/trace ./internal/core ./internal/forensic
-	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC' -benchtime 1x ./internal/sim ./internal/rpc
+	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC|RemoteStat' -benchtime 1x ./internal/sim ./internal/rpc ./internal/fs
 	$(MAKE) race
 	$(MAKE) trace-check
 	$(MAKE) mort-check
@@ -118,11 +118,13 @@ surge-soak:
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/faultinject/...
 
-# bench-engine tracks the simulator's own hot paths (events/sec, allocs)
-# and the interrupt-level null RPC round trip built on them.
+# bench-engine tracks the simulator's own hot paths (events/sec, allocs),
+# the interrupt-level null RPC round trip built on them, and the remote
+# stat probe (pmake's commonest kernel path) built on that.
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkEvent|BenchmarkTask' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkNullRPC' -benchmem ./internal/rpc/
+	$(GO) test -run xxx -bench 'BenchmarkRemoteStat' -benchmem ./internal/fs/
 
 # bench-report writes the machine-readable experiment report.
 # BENCH_hive.json is committed as the tracked baseline; rerun this target

@@ -39,12 +39,19 @@ func (h *Hive) CheckInvariants() []string {
 	for f := range controller {
 		controller[f] = -1
 	}
+	// pages[c] is live cell c's page-cache hash in sorted order, shared
+	// by invariants 1 and 4; inFree marks the frames of the free pool
+	// being audited.
+	pages := make([][]vm.LogicalPage, len(h.Cells))
+	inFree := make([]bool, h.M.NumPages())
 	for _, c := range h.LiveCells() {
 		v := c.VM
 
 		// 1. Hash/frames coherence. Maps are audited in sorted key
 		// order so the violation report is deterministic.
-		v.WalkHash(func(lp vm.LogicalPage, pf *vm.Pfdat) {
+		pages[c.ID] = v.HashPages()
+		for _, lp := range pages[c.ID] {
+			pf, _ := v.Lookup(lp)
 			if !pf.Valid {
 				report("cell%d: hash entry %v not Valid", c.ID, lp)
 			}
@@ -57,15 +64,25 @@ func (h *Hive) CheckInvariants() []string {
 			if pf.Refs < 0 {
 				report("cell%d: %v has negative refs %d", c.ID, lp, pf.Refs)
 			}
-		})
+		}
 
-		// 2. Free-pool hygiene.
-		seen := map[machine.PageNum]bool{}
+		// 2. Free-pool hygiene. A number outside the machine (only a
+		// corrupt pool holds one) is marked in a map instead.
+		clear(inFree)
+		var outside map[machine.PageNum]bool
 		for _, f := range v.FreeList() {
-			if seen[f] {
+			var twice bool
+			if f >= 0 && int(f) < len(inFree) {
+				twice, inFree[f] = inFree[f], true
+			} else {
+				if outside == nil {
+					outside = map[machine.PageNum]bool{}
+				}
+				twice, outside[f] = outside[f], true
+			}
+			if twice {
 				report("cell%d: frame %d appears twice in the free pool", c.ID, f)
 			}
-			seen[f] = true
 			pf, ok := v.PfdatFor(f)
 			if !ok {
 				report("cell%d: free frame %d has no pfdat", c.ID, f)
@@ -111,7 +128,8 @@ func (h *Hive) CheckInvariants() []string {
 
 	// 4. Export/import symmetry among live cells.
 	for _, c := range h.LiveCells() {
-		c.VM.WalkHash(func(lp vm.LogicalPage, pf *vm.Pfdat) {
+		for _, lp := range pages[c.ID] {
+			pf, _ := c.VM.Lookup(lp)
 			if pf.ImportedFrom >= 0 && live(pf.ImportedFrom) {
 				home := h.Cells[pf.ImportedFrom].VM
 				hpf, ok := home.Lookup(lp)
@@ -131,7 +149,7 @@ func (h *Hive) CheckInvariants() []string {
 						c.ID, lp, client)
 				}
 			}
-		})
+		}
 	}
 
 	// 5. Firewall soundness for live cells' local frames (and the loan

@@ -7,9 +7,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -89,6 +91,24 @@ func TestCheckCatchesFreeFrameStillBound(t *testing.T) {
 	}
 	pf.Valid = true
 	expectViolation(t, h, "still bound")
+}
+
+func TestCheckCatchesFrameFreedTwice(t *testing.T) {
+	// Class 2, free-pool hygiene: a frame freed while already free, and a
+	// number past the machine's last frame freed twice.
+	h, _ := newSharingHive(t)
+	v := h.Cells[0].VM
+	free := v.FreeList()
+	if len(free) == 0 {
+		t.Fatal("no free frames")
+	}
+	past := machine.PageNum(h.M.NumPages() + 7)
+	v.FreeFrame(nil, free[0])
+	v.FreeFrame(nil, past)
+	v.FreeFrame(nil, past)
+	expectViolation(t, h, fmt.Sprintf("cell0: frame %d appears twice in the free pool", free[0]))
+	expectViolation(t, h, fmt.Sprintf("cell0: frame %d appears twice in the free pool", past))
+	expectViolation(t, h, fmt.Sprintf("cell0: free frame %d has no pfdat", past))
 }
 
 func TestCheckCatchesDoubleOwnership(t *testing.T) {

@@ -145,18 +145,16 @@ func (f *FS) homeFor(path string) int {
 	return cell
 }
 
-// components counts path components for lookup cost accounting.
+// components counts path components for lookup cost accounting: the
+// non-empty runs between slashes, and at least one.
 func components(path string) int {
 	n := 0
-	for _, c := range strings.Split(path, "/") {
-		if c != "" {
+	for i := 0; i < len(path); i++ {
+		if path[i] != '/' && (i == 0 || path[i-1] == '/') {
 			n++
 		}
 	}
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return max(n, 1)
 }
 
 // lpFor builds the logical page id for a file page.

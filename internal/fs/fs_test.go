@@ -20,7 +20,7 @@ type fixture struct {
 }
 
 // newFixture builds `cells` single-node cells with /tmp homed on the last.
-func newFixture(t *testing.T, cells int) *fixture {
+func newFixture(t testing.TB, cells int) *fixture {
 	t.Helper()
 	e := sim.NewEngine(33)
 	cfg := machine.DefaultConfig()
@@ -46,7 +46,7 @@ func newFixture(t *testing.T, cells int) *fixture {
 	return f
 }
 
-func (f *fixture) run(t *testing.T, fn func(tk *sim.Task)) {
+func (f *fixture) run(t testing.TB, fn func(tk *sim.Task)) {
 	t.Helper()
 	f.e.Go("test", fn)
 	f.e.Run(0)
@@ -371,12 +371,53 @@ func TestPageTagDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestComponentsCount(t *testing.T) {
-	cases := map[string]int{"/a": 1, "/a/b/c": 3, "/": 1, "/tmp/x.o": 2}
+	cases := map[string]int{"/a": 1, "/a/b/c": 3, "/": 1, "/tmp/x.o": 2,
+		"": 1, "a": 1, "a/": 1, "//a//b/": 2, "/usr/include/h3.h": 3}
 	for path, want := range cases {
 		if got := components(path); got != want {
 			t.Errorf("components(%q) = %d, want %d", path, got, want)
 		}
 	}
+}
+
+// statMissing returns a task body that stats a missing /tmp path from
+// cell 0, on cell 1, n times: pmake's temp-file probe.
+func (f *fixture) statMissing(t testing.TB, n int) func(tk *sim.Task) {
+	return func(tk *sim.Task) {
+		for i := 0; i < n; i++ {
+			if ok, err := f.fss[0].Stat(tk, "/tmp/cc5.s"); ok || err != nil {
+				t.Errorf("stat %d of a missing path: %v, %v", i, ok, err)
+				return
+			}
+		}
+	}
+}
+
+// TestRemoteStatAllocations checks that a warm Stat of a missing path on
+// another cell allocates only its Request and its lookupArgs: the
+// "no such file" reply is the error the client matches, and the path's
+// components are counted in place.
+func TestRemoteStatAllocations(t *testing.T) {
+	f := newFixture(t, 2)
+	f.run(t, f.statMissing(t, 5000))
+	stat := f.statMissing(t, 1)
+	var allocs float64
+	f.run(t, func(tk *sim.Task) {
+		allocs = testing.AllocsPerRun(2000, func() { stat(tk) })
+	})
+	if allocs > 2 {
+		t.Errorf("a warm remote Stat of a missing path allocates %v times, want at most 2", allocs)
+	}
+}
+
+// BenchmarkRemoteStat measures a warm Stat of a missing path on another
+// cell, the probe pmake makes most.
+func BenchmarkRemoteStat(b *testing.B) {
+	b.ReportAllocs()
+	f := newFixture(b, 2)
+	f.run(b, f.statMissing(b, 5000))
+	b.ResetTimer()
+	f.run(b, f.statMissing(b, b.N))
 }
 
 func TestRenameLocalAndRemote(t *testing.T) {

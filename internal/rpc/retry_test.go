@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/machine"
@@ -275,5 +276,173 @@ func TestShutdownMidCallReturnsCleanError(t *testing.T) {
 	}
 	if n := f.eps[0].Metrics.Counter("rpc.shutdown_aborts").Value(); n != 1 {
 		t.Fatalf("rpc.shutdown_aborts = %d", n)
+	}
+}
+
+// newWideFixture builds two cells of two processors each (cell 0 on
+// processors 0 and 1, cell 1 on 2 and 3), so consecutive lines to one
+// cell go to different processors.
+func newWideFixture(t testing.TB) *fixture {
+	t.Helper()
+	e := sim.NewEngine(11)
+	cfg := machine.DefaultConfig()
+	cfg.Nodes = 4
+	cfg.MemPerNodeMB = 1
+	m := machine.New(e, cfg)
+	f := &fixture{e: e, m: m}
+	for c := 0; c < 2; c++ {
+		procs := []*machine.Processor{m.Procs[2*c], m.Procs[2*c+1]}
+		f.eps = append(f.eps, NewEndpoint(m, c, procs, 2))
+	}
+	Connect(f.eps...)
+	return f
+}
+
+// line is one SIPS line a fault hook saw launched: the line object, the
+// processor it was addressed to then, and the one it reached, if any.
+type line struct {
+	msg      *machine.SIPSMsg
+	to, onto int
+}
+
+// watchLines records every RPC line of kind reply (or request) that the
+// fault hook sees, delaying the first by delay, and notes the processor
+// each one is delivered to.
+func watchLines(f *fixture, reply bool, delay sim.Time) *[]line {
+	var lines []line
+	f.m.FaultHook = func(msg *machine.SIPSMsg) machine.MsgFaultDecision {
+		if meta, ok := ClassifySIPS(msg); !ok || meta.IsReply != reply {
+			return machine.MsgFaultDecision{}
+		}
+		lines = append(lines, line{msg: msg, to: msg.To, onto: -1})
+		if len(lines) == 1 {
+			return machine.MsgFaultDecision{Fault: machine.FaultDelay, Delay: delay}
+		}
+		return machine.MsgFaultDecision{}
+	}
+	for _, n := range f.m.Nodes {
+		onSIPS := n.OnSIPS
+		n.OnSIPS = func(p *machine.Processor, arg any) {
+			for i := range lines {
+				if lines[i].msg == arg {
+					lines[i].onto = p.ID
+				}
+			}
+			onSIPS(p, arg)
+		}
+	}
+	return &lines
+}
+
+// checkLines asserts two distinct lines were launched to different
+// processors and the delayed first one reached the processor it was
+// addressed to at launch, still carrying that address.
+func checkLines(t *testing.T, lines []line) {
+	t.Helper()
+	if len(lines) != 2 {
+		t.Fatalf("hook saw %d lines, want 2", len(lines))
+	}
+	first, second := lines[0], lines[1]
+	if first.msg == second.msg {
+		t.Fatal("the second launch reused the line still in flight")
+	}
+	if first.to == second.to {
+		t.Fatalf("both lines addressed to processor %d; the fixture must alternate", first.to)
+	}
+	if first.onto != first.to || first.msg.To != first.to {
+		t.Fatalf("delayed line addressed to %d reached %d carrying To=%d",
+			first.to, first.onto, first.msg.To)
+	}
+}
+
+func TestRetryTakesFreshLine(t *testing.T) {
+	// The first request line is delayed past the first attempt's budget,
+	// so it and the retry are in flight at once: each needs its own line.
+	f := newWideFixture(t)
+	executions := 0
+	registerIdem(f.eps[0], &executions)
+	registerIdem(f.eps[1], &executions)
+	lines := watchLines(f, false, 2*RetryBaseTimeout)
+	f.run(t, func(tk *sim.Task) {
+		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		if err != nil || got != "ok" {
+			t.Errorf("call with a delayed first line: %v, %v", got, err)
+		}
+	})
+	checkLines(t, *lines)
+	if executions != 1 {
+		t.Fatalf("service executed %d times, want 1", executions)
+	}
+}
+
+func TestReplyResendTakesFreshLine(t *testing.T) {
+	// The first reply line is delayed past the retry budget, so the
+	// client retries and the server resends the reply while the first
+	// line is still in flight: the resend takes its own line, carrying
+	// the same reply.
+	f := newWideFixture(t)
+	executions := 0
+	registerIdem(f.eps[0], &executions)
+	registerIdem(f.eps[1], &executions)
+	lines := watchLines(f, true, 2*RetryBaseTimeout)
+	f.run(t, func(tk *sim.Task) {
+		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		if err != nil || got != "ok" {
+			t.Errorf("call with a delayed reply: %v, %v", got, err)
+		}
+	})
+	checkLines(t, *lines)
+	if a, b := (*lines)[0].msg.Payload, (*lines)[1].msg.Payload; a != b {
+		t.Fatalf("the resend carries reply %p, the first line %p", b, a)
+	}
+	if executions != 1 {
+		t.Fatalf("service executed %d times, want 1", executions)
+	}
+}
+
+func TestReServiceAfterEvictionKeepsFirstReply(t *testing.T) {
+	// The first request line is delayed until dedupCap other requests
+	// have reached the server, so its key has left the dedup table: the
+	// server executes it again, into a fresh reply, and the result and
+	// error the client already returned do not change.
+	f := newFixture(t, 2)
+	executions := 0
+	fail := func(req *Request) (any, sim.Time, bool, error) {
+		executions++
+		return executions, 0, true, fmt.Errorf("execution %d", executions)
+	}
+	f.eps[0].Register(procIdem, "idem-fail", fail, nil, Idempotent())
+	f.eps[1].Register(procIdem, "idem-fail", fail, nil, Idempotent())
+	registerNull(f.eps[1])
+	var replies []*reply
+	f.m.FaultHook = func(msg *machine.SIPSMsg) machine.MsgFaultDecision {
+		meta, ok := ClassifySIPS(msg)
+		if !ok || meta.Proc != procIdem {
+			return machine.MsgFaultDecision{}
+		}
+		if meta.IsReply {
+			replies = append(replies, msg.Payload.(*reply))
+		} else if meta.ID == 1 && msg == &msg.Payload.(*Request).line {
+			return machine.MsgFaultDecision{Fault: machine.FaultDelay, Delay: 100 * sim.Millisecond}
+		}
+		return machine.MsgFaultDecision{}
+	}
+	var got any
+	var err error
+	f.run(t, func(tk *sim.Task) {
+		got, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		f.nullCalls(t, dedupCap)(tk)
+	})
+	if executions != 2 {
+		t.Fatalf("service executed %d times, want 2 (the evicted duplicate runs again)", executions)
+	}
+	if len(replies) != 2 || replies[0] == replies[1] {
+		t.Fatalf("replies = %v, want two distinct replies", replies)
+	}
+	if got != 1 || err == nil || err.Error() != "execution 1" {
+		t.Fatalf("client returned %v, %v; want 1, execution 1", got, err)
+	}
+	if n := f.eps[0].Metrics.Counter("rpc.stale_replies").Value(); n != 1 {
+		t.Fatalf("rpc.stale_replies = %d, want 1", n)
 	}
 }

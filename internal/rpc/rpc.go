@@ -98,7 +98,11 @@ var (
 // ProcID names a remote procedure.
 type ProcID int
 
-// Request is one in-flight RPC.
+// Request is one in-flight RPC. It is the call's only host object: it
+// holds its first request line, its reply and the reply's first line.
+// Only Call creates a Request, and every copy of it on the wire (a
+// retransmission or a wire duplicate) is the same object, so a server
+// answers a duplicate from the request it arrived as.
 type Request struct {
 	ID        uint64
 	From, To  int // cell IDs
@@ -111,16 +115,31 @@ type Request struct {
 	Span trace.SpanID
 
 	future sim.Future // resolved with the *reply, or with ErrShutdown
-	rep    *reply     // the server's reply, sent by its interrupt-level launch
+	// line carries the first attempt. A retry takes a fresh line: this
+	// one may still be in flight, delayed or duplicated.
+	line machine.SIPSMsg
+	// rep is the first service's reply, first launched in repLine; a
+	// resend takes a fresh line. last is the reply a resend repeats:
+	// &rep, or the fresh reply of a later service (after the request's
+	// key left a server's dedup table), which never overwrites rep
+	// because the client may hold it.
+	rep     reply
+	repLine machine.SIPSMsg
+	last    *reply
 }
 
-// reply is the wire representation of a completed call.
+// reply is the wire representation of a completed call. An error reply
+// is itself the error Call returns: errors cross the wire as text, so the
+// client never sees the server's error value.
 type reply struct {
 	id     uint64
 	proc   ProcID // the serviced procedure (fault injectors classify by it)
 	result any
 	err    string
 }
+
+// Error returns the server's error text.
+func (r *reply) Error() string { return r.err }
 
 // IntrHandler services a request at interrupt level. It runs in engine
 // context and must not block. It returns the result, any extra service cost
@@ -183,11 +202,11 @@ type Endpoint struct {
 	dead     bool
 	histCall *stats.Histogram // end-to-end successful call latency (µs)
 
-	// seen maps each remembered request to its cached reply, nil while
-	// the request is in service. seenOrder is a ring of the same keys in
-	// arrival order, and seenNext its oldest slot once full: the key
-	// evicted next.
-	seen      map[dedupKey]*reply
+	// seen maps each remembered request to whether it was served (false
+	// while it is in service); a served request carries its own reply.
+	// seenOrder is a ring of the same keys in arrival order, and seenNext
+	// its oldest slot once full: the key evicted next.
+	seen      map[dedupKey]bool
 	seenOrder []dedupKey
 	seenNext  int
 
@@ -213,7 +232,7 @@ func NewEndpoint(m *machine.Machine, cellID int, procs []*machine.Processor, poo
 		pending:  map[uint64]*Request{},
 		queue:    &sim.Queue{},
 		poolSize: poolSize,
-		seen:     map[dedupKey]*reply{},
+		seen:     map[dedupKey]bool{},
 	}
 	ep.serveIntr, ep.resendIntr, ep.launchIntr = ep.serve, ep.resend, ep.launch
 	ep.histCall = ep.Metrics.Hist("rpc.call_us")
@@ -366,8 +385,11 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 	var ferr error
 	var ok2 bool
 	for attempt := 0; attempt < attempts; attempt++ {
-		dst := callee.nextProc()
-		msg := &machine.SIPSMsg{To: dst.ID, Kind: machine.SIPSRequest, Size: machine.SIPSLineBytes, Payload: req}
+		msg := &req.line
+		if attempt > 0 {
+			msg = new(machine.SIPSMsg)
+		}
+		*msg = machine.SIPSMsg{To: callee.nextProc().ID, Kind: machine.SIPSRequest, Size: machine.SIPSLineBytes, Payload: req}
 		if err := ep.M.SendSIPS(t, proc, msg); err != nil {
 			ep.Metrics.Counter("rpc.send_failures").Inc()
 			ep.Tracer.EmitSpan(t.Now(), trace.RPCTimeout, req.Span, int64(to), int64(procID), "")
@@ -441,7 +463,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 	ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(to), int64(procID), "")
 	ep.histCall.ObserveTime(t.Now() - callStart)
 	if rep.err != "" {
-		return rep.result, errors.New(rep.err)
+		return rep.result, rep
 	}
 	return rep.result, nil
 }
@@ -488,16 +510,37 @@ func (ep *Endpoint) remember(key dedupKey) {
 		ep.seenOrder[ep.seenNext] = key
 		ep.seenNext = (ep.seenNext + 1) % dedupCap
 	}
-	ep.seen[key] = nil
+	ep.seen[key] = false
 }
 
-// noteServed caches the reply for a serviced request so a retransmit can be
-// answered without re-execution.
-func (ep *Endpoint) noteServed(req *Request, rep *reply) {
+// noteServed records req's result as its reply and marks it served, so a
+// retransmit is answered from req without re-execution. The first service
+// fills req.rep; a later one builds a fresh reply.
+func (ep *Endpoint) noteServed(req *Request, result any, err error) {
+	rep := &req.rep
+	if req.last != nil {
+		rep = new(reply)
+	}
+	*rep = reply{id: req.ID, proc: req.Proc, result: result}
+	if err != nil {
+		rep.err = err.Error()
+	}
+	req.last = rep
 	key := dedupKey{req.From, req.ID}
 	if _, ok := ep.seen[key]; ok {
-		ep.seen[key] = rep
+		ep.seen[key] = true
 	}
+}
+
+// replyLine returns the line that carries req's reply to dst: the
+// request's own reply line on the first launch, a fresh one after it.
+func replyLine(req *Request, dst *machine.Processor) *machine.SIPSMsg {
+	msg := &req.repLine
+	if msg.Payload != nil {
+		msg = new(machine.SIPSMsg)
+	}
+	*msg = machine.SIPSMsg{To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: req.last}
+	return msg
 }
 
 // handleRequest starts the interrupt-level service path of a request that
@@ -512,16 +555,15 @@ func (ep *Endpoint) handleRequest(proc *machine.Processor, req *Request) {
 	}
 
 	// Duplicate suppression: a retransmitted (or wire-duplicated) request
-	// that was already serviced is answered from the cached reply without
-	// re-executing the handler; one still in service is dropped — the
-	// original's reply will resolve the caller's future, since the call
-	// id is unchanged across retransmissions.
+	// that was already serviced is answered from the reply it carries
+	// without re-executing the handler; one still in service is dropped —
+	// the original's reply will resolve the caller's future, since the
+	// call id is unchanged across retransmissions.
 	key := dedupKey{req.From, req.ID}
-	if rep, dup := ep.seen[key]; dup {
+	if served, dup := ep.seen[key]; dup {
 		ep.Metrics.Counter("rpc.dup_requests").Inc()
 		ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCDedup, req.Span, int64(req.From), 0, "dup-request")
-		if rep != nil {
-			req.rep = rep
+		if served {
 			proc.Interrupt(base, ep.resendIntr, req)
 		}
 		return
@@ -557,15 +599,6 @@ func (ep *Endpoint) serve(proc *machine.Processor, arg any) {
 	}
 }
 
-// newReply builds the wire reply to req.
-func newReply(req *Request, result any, err error) *reply {
-	rep := &reply{id: req.ID, proc: req.Proc, result: result}
-	if err != nil {
-		rep.err = err.Error()
-	}
-	return rep
-}
-
 // reply sends the reply from interrupt context after charging the service
 // cost and reply construction.
 func (ep *Endpoint) reply(proc *machine.Processor, req *Request, result any, err error, serviceCost sim.Time) {
@@ -574,18 +607,16 @@ func (ep *Endpoint) reply(proc *machine.Processor, req *Request, result any, err
 		// Server half of the copy/alloc costs.
 		cost += AllocFreeArgMem/2 + CopySharedMem/2
 	}
-	rep := newReply(req, result, err)
-	ep.noteServed(req, rep)
+	ep.noteServed(req, result, err)
 	if ep.Peers[req.From] == nil {
 		return
 	}
-	req.rep = rep
 	proc.Interrupt(cost, ep.launchIntr, req)
 }
 
-// resend answers a retransmitted *Request from the dedup cache: reply
-// construction and launch costs are paid again, the service itself is not
-// re-executed.
+// resend answers a retransmitted *Request with the reply it carries:
+// reply construction and launch costs are paid again, the service itself
+// is not re-executed.
 func (ep *Endpoint) resend(proc *machine.Processor, arg any) {
 	req := arg.(*Request)
 	if ep.Peers[req.From] == nil {
@@ -594,7 +625,7 @@ func (ep *Endpoint) resend(proc *machine.Processor, arg any) {
 	proc.Interrupt(ServerReply, ep.launchIntr, req)
 }
 
-// launch sends a *Request's reply, req.rep, back to its caller: the last
+// launch sends a *Request's reply, req.last, back to its caller: the last
 // interrupt of both reply and resend. The caller's endpoint is looked up
 // again here. Peers changes only when Connect rewires a rebooted cell, so
 // this lookup and the one that scheduled the launch can differ only for a
@@ -603,10 +634,7 @@ func (ep *Endpoint) resend(proc *machine.Processor, arg any) {
 func (ep *Endpoint) launch(proc *machine.Processor, arg any) {
 	req := arg.(*Request)
 	ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-	dst := ep.Peers[req.From].nextProc()
-	ep.M.SendSIPSAsync(proc, &machine.SIPSMsg{
-		To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: req.rep,
-	})
+	ep.M.SendSIPSAsync(proc, replyLine(req, ep.Peers[req.From].nextProc()))
 }
 
 // enqueue hands a request to the server pool.
@@ -646,18 +674,14 @@ func (ep *Endpoint) serverLoop(t *sim.Task) {
 			return
 		}
 		// Completion RPC back to the client.
-		rep := newReply(req, result, err)
-		ep.noteServed(req, rep)
+		ep.noteServed(req, result, err)
 		caller := ep.Peers[req.From]
 		if caller == nil {
 			continue
 		}
 		proc.Use(t, ServerReply)
 		ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-		dst := caller.nextProc()
-		ep.M.SendSIPS(t, proc, &machine.SIPSMsg{
-			To: dst.ID, Kind: machine.SIPSReply, Size: machine.SIPSLineBytes, Payload: rep,
-		})
+		ep.M.SendSIPS(t, proc, replyLine(req, caller.nextProc()))
 	}
 }
 

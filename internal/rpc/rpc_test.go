@@ -83,20 +83,34 @@ func (f *fixture) nullCalls(t testing.TB, n int) func(tk *sim.Task) {
 }
 
 // TestNullRPCAllocations checks that a warm interrupt-level round trip
-// allocates only its data: the Request (its future inline), the request's
-// SIPS line, the reply and the reply's SIPS line. The warm-up fills the
-// server's dedup table, so eviction runs on every measured call.
+// allocates only its Request, which holds its future, its request line,
+// its reply and the reply's line. A call whose handler fails allocates
+// nothing more: the reply is the error the client gets. The warm-up fills
+// the server's dedup table, so eviction runs on every measured call.
 func TestNullRPCAllocations(t *testing.T) {
+	errNo := errors.New("server says no")
 	f := newFixture(t, 2)
 	registerNull(f.eps[1])
+	f.eps[1].Register(procEcho, "no",
+		func(req *Request) (any, sim.Time, bool, error) { return nil, 0, true, errNo }, nil)
 	f.run(t, f.nullCalls(t, dedupCap+1000))
 	call := f.nullCalls(t, 1)
-	var allocs float64
+	var allocs, errAllocs float64
+	var err error
 	f.run(t, func(tk *sim.Task) {
 		allocs = testing.AllocsPerRun(2000, func() { call(tk) })
+		errAllocs = testing.AllocsPerRun(2000, func() {
+			_, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
+		})
 	})
-	if allocs > 4 {
-		t.Errorf("a warm null RPC allocates %v times, want at most 4", allocs)
+	if allocs > 1 {
+		t.Errorf("a warm null RPC allocates %v times, want at most 1", allocs)
+	}
+	if errAllocs > 1 {
+		t.Errorf("a warm failing RPC allocates %v times, want at most 1", errAllocs)
+	}
+	if err == nil || err.Error() != errNo.Error() {
+		t.Errorf("failing RPC err = %v, want %q", err, errNo.Error())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Chrome trace-event export: the merged stream rendered as the JSON
@@ -16,15 +17,15 @@ import (
 
 // chromeEvent is one entry of the traceEvents array.
 type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   *float64       `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name  string   `json:"name"`
+	Cat   string   `json:"cat,omitempty"`
+	Ph    string   `json:"ph"`
+	Ts    float64  `json:"ts"`
+	Dur   *float64 `json:"dur,omitempty"`
+	Pid   int      `json:"pid"`
+	Tid   int      `json:"tid"`
+	Scope string   `json:"s,omitempty"`
+	Args  argList  `json:"args,omitempty"`
 }
 
 // chromeDoc is the whole file.
@@ -41,77 +42,161 @@ func instantName(e Event) string {
 	return e.Kind.info().instant
 }
 
-// chromeArgs builds the args payload for an event.
-func chromeArgs(e Event) map[string]any {
-	args := map[string]any{}
+// arg is one entry of an event's args: a key and a typed value.
+type arg struct {
+	key string
+	typ argType
+	n   int64  // an int, uint, bool or hex value
+	s   string // a string value
+}
+
+// argType selects how an arg's value is written.
+type argType uint8
+
+const (
+	argInt argType = iota
+	argUint
+	argBool
+	argString
+	argHex // a uint64 written as its "%#x" string
+)
+
+func intArg(k string, v int64) arg { return arg{key: k, typ: argInt, n: v} }
+func strArg(k, v string) arg       { return arg{key: k, typ: argString, s: v} }
+
+func boolArg(k string, v bool) arg {
+	a := arg{key: k, typ: argBool}
+	if v {
+		a.n = 1
+	}
+	return a
+}
+
+// argList is an event's args in sorted key order. It writes the bytes
+// encoding/json writes for a map[string]any of the same entries, without
+// a map or reflection per event.
+type argList []arg
+
+// withArg sets one arg, keeping the list sorted.
+func (a argList) withArg(x arg) argList {
+	i := 0
+	for i < len(a) && a[i].key < x.key {
+		i++
+	}
+	if i < len(a) && a[i].key == x.key {
+		a[i] = x
+		return a
+	}
+	a = append(a, arg{})
+	copy(a[i+1:], a[i:])
+	a[i] = x
+	return a
+}
+
+// MarshalJSON writes the args as a JSON object.
+func (a *argList) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 128)
+	b = append(b, '{')
+	for i, x := range *a {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, x.key)
+		b = append(b, ':')
+		switch x.typ {
+		case argInt:
+			b = strconv.AppendInt(b, x.n, 10)
+		case argUint:
+			b = strconv.AppendUint(b, uint64(x.n), 10)
+		case argBool:
+			b = strconv.AppendBool(b, x.n != 0)
+		case argString:
+			b = appendJSONString(b, x.s)
+		case argHex:
+			b = append(b, `"0x`...)
+			b = strconv.AppendUint(b, uint64(x.n), 16)
+			b = append(b, '"')
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as encoding/json quotes it. Plain printable
+// ASCII is copied; anything encoding/json would escape (quotes,
+// backslashes, control bytes, HTML's <, > and &, non-ASCII) goes through
+// encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// chromeArgs builds the args payload for an event, with room for the one
+// arg a span's end adds.
+func chromeArgs(e Event) argList {
+	var buf [4]arg
+	a := argList(buf[:0])
 	if e.Span != 0 {
-		args["span"] = uint64(e.Span)
+		a = append(a, arg{key: "span", typ: argUint, n: int64(e.Span)})
 	}
 	switch e.Kind {
 	case Hint, Alert:
-		args["suspect"] = e.A
-		args["reason"] = e.S
+		a = append(a, intArg("suspect", e.A), strArg("reason", e.S))
 	case Vote:
-		args["suspect"] = e.A
-		args["dead"] = e.B != 0
+		a = append(a, intArg("suspect", e.A), boolArg("dead", e.B != 0))
 	case Heartbeat:
-		args["neighbour"] = e.A
-		args["clock"] = e.B
+		a = append(a, intArg("neighbour", e.A), intArg("clock", e.B))
 	case Panic:
-		args["reason"] = e.S
+		a = append(a, strArg("reason", e.S))
 	case Kill, Discard:
-		args["count"] = e.A
+		a = append(a, intArg("count", e.A))
 	case RPCSend, RPCRecv, RPCReply, RPCTimeout:
-		args["peer"] = e.A
-		args["proc"] = e.B
+		a = append(a, intArg("peer", e.A), intArg("proc", e.B))
 	case FaultBegin:
-		args["home"] = e.A
-		args["page"] = e.B
+		a = append(a, intArg("home", e.A), intArg("page", e.B))
 	case FaultEnd:
-		args["hit"] = e.A != 0
+		a = append(a, boolArg("hit", e.A != 0))
 	case FirewallGrant, FirewallRevoke:
-		args["page"] = e.A
-		args["bits"] = fmt.Sprintf("%#x", uint64(e.B))
+		a = append(a, intArg("page", e.A), arg{key: "bits", typ: argHex, n: e.B})
 	case SIPS, MsgDrop, MsgDup, MsgCorrupt:
-		args["to_proc"] = e.A
-		args["queue"] = e.B
+		a = append(a, intArg("to_proc", e.A), intArg("queue", e.B))
 	case MsgDelay:
-		args["to_proc"] = e.A
-		args["extra_ns"] = e.B
+		a = append(a, intArg("to_proc", e.A), intArg("extra_ns", e.B))
 	case RPCRetry:
-		args["peer"] = e.A
-		args["attempt"] = e.B
+		a = append(a, intArg("peer", e.A), intArg("attempt", e.B))
 	case RoundRestart:
-		args["dead_coordinator"] = e.A
-		args["new_coordinator"] = e.B
+		a = append(a, intArg("dead_coordinator", e.A), intArg("new_coordinator", e.B))
 	case PhaseEnd:
 		if e.A != 0 {
-			args["count"] = e.A
+			a = append(a, intArg("count", e.A))
 		}
 	case WaxHint:
-		args["hint"] = e.S
-		args["target"] = e.A
-		args["applied"] = e.B != 0
+		a = append(a, strArg("hint", e.S), intArg("target", e.A), boolArg("applied", e.B != 0))
 	case Inject:
-		args["fault"] = e.S
+		a = append(a, strArg("fault", e.S))
 	case CarefulAbort:
-		args["suspect"] = e.A
-		args["reason"] = e.S
+		a = append(a, intArg("suspect", e.A), strArg("reason", e.S))
 	case RPCDedup:
-		args["peer"] = e.A
-		args["what"] = e.S
+		a = append(a, intArg("peer", e.A), strArg("what", e.S))
 	case Reboot:
-		args["cell"] = e.A
-		args["attempt"] = e.B
-		args["stage"] = e.S
+		a = append(a, intArg("cell", e.A), intArg("attempt", e.B), strArg("stage", e.S))
 	case Rejoin:
-		args["joiner"] = e.A
-		args["coordinator"] = e.B
+		a = append(a, intArg("joiner", e.A), intArg("coordinator", e.B))
 	}
-	if len(args) == 0 {
+	if len(a) == 0 {
 		return nil
 	}
-	return args
+	out := make(argList, 0, len(a)+1)
+	for _, x := range a {
+		out = out.withArg(x)
+	}
+	return out
 }
 
 // cat labels the ring an event came from.
@@ -122,15 +207,6 @@ func cat(k Kind) string {
 	return "data"
 }
 
-// withArg sets one arg, allocating the payload if the event had none.
-func withArg(args map[string]any, k string, v any) map[string]any {
-	if args == nil {
-		args = map[string]any{}
-	}
-	args[k] = v
-	return args
-}
-
 // buildChrome converts a merged stream into trace-event entries:
 // metadata first, then events in merge order, with each begin/end pair
 // (matched by Pair) folded into one complete slice emitted at its end
@@ -139,12 +215,12 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 	var out []chromeEvent
 	out = append(out, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]any{"name": "hive"},
+		Args: argList{strArg("name", "hive")},
 	})
 	for c := 0; c < cells; c++ {
 		out = append(out, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: c,
-			Args: map[string]any{"name": fmt.Sprintf("cell %d", c)},
+			Args: argList{strArg("name", fmt.Sprintf("cell %d", c))},
 		})
 	}
 
@@ -154,11 +230,11 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 		args := chromeArgs(b)
 		switch {
 		case e.Kind == FaultEnd:
-			args = withArg(args, "hit", e.A != 0)
+			args = args.withArg(boolArg("hit", e.A != 0))
 		case e.Kind == PhaseEnd && e.A != 0:
-			args = withArg(args, "count", e.A)
+			args = args.withArg(intArg("count", e.A))
 		case e.Kind == RPCTimeout:
-			args = withArg(args, "timeout", true)
+			args = args.withArg(boolArg("timeout", true))
 		}
 		out = append(out, chromeEvent{
 			Name: names.Of(b), Cat: cat(b.Kind), Ph: "X",
@@ -180,7 +256,7 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 		out = append(out, chromeEvent{
 			Name: names.Of(b), Cat: cat(b.Kind), Ph: "X",
 			Ts: b.At.Micros(), Dur: &zero, Pid: 0, Tid: b.Cell,
-			Args: withArg(chromeArgs(b), "unclosed", true),
+			Args: chromeArgs(b).withArg(boolArg("unclosed", true)),
 		})
 	}
 	return out

@@ -145,6 +145,29 @@ func TestSpanPropagationAcrossCells(t *testing.T) {
 	}
 }
 
+// TestChromeArgsMatchEncodingJSON checks that an argList writes the bytes
+// encoding/json writes for a map of the same entries, strings encoding/json
+// escapes included.
+func TestChromeArgsMatchEncodingJSON(t *testing.T) {
+	for _, s := range []string{"", "plain", `q"uo\te`, "<a&b>", "tab\tnl\n\x01", "caf\u00e9", "line\u2028sep", "bad\xffutf8", "del\x7f"} {
+		list := argList{strArg("reason", s)}.withArg(intArg("suspect", -3)).
+			withArg(arg{key: "span", typ: argUint, n: -1}).
+			withArg(boolArg("dead", true)).withArg(boolArg("applied", false)).
+			withArg(arg{key: "bits", typ: argHex, n: 0x1f}).withArg(arg{key: "zero", typ: argHex})
+		got, err := list.MarshalJSON()
+		if err != nil {
+			t.Fatalf("%q: marshal: %v", s, err)
+		}
+		want, _ := json.Marshal(map[string]any{
+			"reason": s, "suspect": int64(-3), "span": uint64(1<<64 - 1), "dead": true,
+			"applied": false, "bits": "0x1f", "zero": "0x0",
+		})
+		if string(got) != string(want) {
+			t.Errorf("%q:\n got %s\nwant %s", s, got, want)
+		}
+	}
+}
+
 func TestExportChromePairsSpans(t *testing.T) {
 	s := NewSet(2, 64)
 	client, server := s.Tracer(0), s.Tracer(1)

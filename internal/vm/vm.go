@@ -285,13 +285,9 @@ func (v *VM) Evict(t *sim.Task, lp LogicalPage) bool {
 	return true
 }
 
-// WalkHash calls fn on every entry of the pfdat hash in logical-page
-// order (invariant auditing). fn must not add or drop an entry.
-func (v *VM) WalkHash(fn func(lp LogicalPage, pf *Pfdat)) {
-	for _, lp := range sortedPages(v.hash) {
-		fn(lp, v.hash[lp])
-	}
-}
+// HashPages returns the logical pages of the pfdat hash in logical-page
+// order (invariant auditing); Lookup gives each one's pfdat.
+func (v *VM) HashPages() []LogicalPage { return sortedPages(v.hash) }
 
 // FreeList returns a copy of the free pool (invariant auditing).
 func (v *VM) FreeList() []machine.PageNum {

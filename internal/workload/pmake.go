@@ -66,6 +66,22 @@ func RunPmake(h *core.Hive, cfg PmakeConfig, maxTime sim.Time) *Result {
 	srcHome := mountHome(h, "/usr") // the shared source tree's cell
 	drv := driverCell(h)            // make driver: lowest live cell
 
+	// Every path a job names more than once is built once per run: the
+	// headers, the object files, and the temp-file probes (one for each
+	// third stat probe, indexed by probe/3).
+	hdrPaths := make([]string, cfg.HdrOpens)
+	for j := range hdrPaths {
+		hdrPaths[j] = fmt.Sprintf("/usr/include/h%d.h", j)
+	}
+	objPaths := make([]string, cfg.Files)
+	for i := range objPaths {
+		objPaths[i] = fmt.Sprintf("/tmp/%s%d.o", cfg.Tag, i)
+	}
+	tmpProbes := make([]string, 0, (cfg.NamespaceOps+1)/3)
+	for s := 2; s < cfg.NamespaceOps; s += 3 {
+		tmpProbes = append(tmpProbes, fmt.Sprintf("/tmp/cc%d.s", s))
+	}
+
 	// Build the shared tree: sources, headers, compiler text. Warm the
 	// data home's cache (the paper warms the file cache before runs).
 	setupDone := false
@@ -89,8 +105,8 @@ func RunPmake(h *core.Hive, cfg PmakeConfig, maxTime sim.Time) *Result {
 				return
 			}
 		}
-		for j := 0; j < cfg.HdrOpens; j++ {
-			if !mk(fmt.Sprintf("/usr/include/h%d.h", j), 2) {
+		for _, path := range hdrPaths {
+			if !mk(path, 2) {
 				return
 			}
 		}
@@ -128,12 +144,14 @@ func RunPmake(h *core.Hive, cfg PmakeConfig, maxTime sim.Time) *Result {
 			// re-stats targets), the namespace traffic that dominates
 			// compilation's kernel time.
 			for s := 0; s < cfg.NamespaceOps; s++ {
-				path := fmt.Sprintf("/usr/include/h%d.h", s%cfg.HdrOpens)
+				var path string
 				switch s % 3 {
+				case 0:
+					path = hdrPaths[s%cfg.HdrOpens]
 				case 1:
-					path = fmt.Sprintf("/tmp/%s%d.o", cfg.Tag, s%cfg.Files) // target check
+					path = objPaths[s%cfg.Files] // target check
 				case 2:
-					path = fmt.Sprintf("/tmp/cc%d.s", s) // temp-file probe
+					path = tmpProbes[s/3] // temp-file probe
 				}
 				if _, err := cell.FS.Stat(t, path); err != nil {
 					return // server cell died mid-run
@@ -148,8 +166,8 @@ func RunPmake(h *core.Hive, cfg PmakeConfig, maxTime sim.Time) *Result {
 			if _, err := cell.FS.Read(t, src, cfg.SrcPages); err != nil {
 				return
 			}
-			for jj := 0; jj < cfg.HdrOpens; jj++ {
-				hd, err := cell.FS.Open(t, fmt.Sprintf("/usr/include/h%d.h", jj))
+			for _, path := range hdrPaths {
+				hd, err := cell.FS.Open(t, path)
 				if err != nil {
 					return
 				}
@@ -200,7 +218,7 @@ func RunPmake(h *core.Hive, cfg PmakeConfig, maxTime sim.Time) *Result {
 			}
 
 			// Write the object file to /tmp (the file-server cell).
-			out, err := cell.FS.Create(t, fmt.Sprintf("/tmp/%s%d.o", cfg.Tag, job))
+			out, err := cell.FS.Create(t, objPaths[job])
 			if err != nil {
 				return
 			}
@@ -281,7 +299,7 @@ func RunPmake(h *core.Hive, cfg PmakeConfig, maxTime sim.Time) *Result {
 	res.Elapsed = h.Now() - start
 	for i := 0; i < cfg.Files; i++ {
 		res.Outputs = append(res.Outputs, OutputFile{
-			Path:  fmt.Sprintf("/tmp/%s%d.o", cfg.Tag, i),
+			Path:  objPaths[i],
 			Pages: cfg.OutPages,
 			Seed:  cfg.Seed + uint64(i),
 			Home:  tmpHome(h),
