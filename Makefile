@@ -38,8 +38,9 @@ lint-report:
 # compiling and running), the race detector over the same
 # packages as CI's race job (`make race`: the parallel trial runner, the
 # engine it drives and the fault-injection determinism gates), the
-# observability byte-identity gate, the forensic cross-check and the
-# frontend smoke test.
+# observability byte-identity gate, the forensic cross-check, the
+# frontend smoke test and the exact BENCH_hive.json gate (`make
+# bench-gate`, about 6 s), so check runs every job CI runs.
 check: build
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...
@@ -51,6 +52,7 @@ check: build
 	$(MAKE) trace-check
 	$(MAKE) mort-check
 	$(MAKE) frontend-smoke
+	$(MAKE) bench-gate
 
 # frontend-smoke is the fast frontend gate inside `check`: one surge
 # trial end to end (kill a cell mid-surge through the faultdrill CLI,

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 )
@@ -182,7 +181,7 @@ func main() {
 	if sw != nil {
 		fmt.Print(sw.Format())
 	} else {
-		fmt.Println(harness.FormatTable74(rows))
+		fmt.Println(faultinject.Table74(rows, nil))
 		if allOK {
 			fmt.Println("The effects of the fault were contained to the injected cell in every test.")
 		} else {

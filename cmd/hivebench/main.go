@@ -39,6 +39,7 @@ import (
 	"strings"
 	"unicode"
 
+	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -59,33 +60,23 @@ type benchReport struct {
 }
 
 // runCtx threads the options, the table output and one experiment's
-// measurements through the experiments.
+// metrics through the experiments. A measured value reaches a table only
+// through the embedded Record's Cell or Flag, which records it: what a
+// table prints is what the gate checks.
 type runCtx struct {
-	quick   bool
-	out     io.Writer // the tables; io.Discard under -json
-	metrics map[string]float64
+	stats.Record
+	quick bool
+	out   io.Writer // the tables; io.Discard under -json
 }
 
 func (c *runCtx) printf(format string, args ...any) { fmt.Fprintf(c.out, format, args...) }
 
 func (c *runCtx) println(args ...any) { fmt.Fprintln(c.out, args...) }
 
-// metric records a measured value whose table another package renders
-// (the harness's campaign, frontend and scaling tables).
-func (c *runCtx) metric(name string, v float64) { c.metrics[name] = v }
-
-// cell records a measured value and returns it, in format, as the table
-// cell that shows it: what a table prints is what the gate checks.
-func (c *runCtx) cell(name, format string, v float64) string {
-	c.metric(name, v)
-	return fmt.Sprintf(format, v)
-}
-
-// flag records a yes/no measurement as 1 or 0 and returns it as a table
-// cell.
-func (c *runCtx) flag(name string, b bool) string {
-	c.metric(name, b2f(b))
-	return fmt.Sprint(b)
+// printCampaign prints a campaign table and, under it, whether every row
+// was contained, recorded as all_contained.
+func (c *runCtx) printCampaign(tb *stats.Table, allOK bool) {
+	c.printf("%sall contained: %s\n\n", tb, c.Flag("all_contained", allOK))
 }
 
 // componentKey names a Table 5.2 breakdown row's metric after its label:
@@ -95,13 +86,6 @@ func componentKey(label string) string {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
 	return strings.Join(words, "_") + "_us"
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // scaled returns an experiment's full-run size, or its -quick size.
@@ -125,9 +109,9 @@ var experiments = []experiment{
 		r := harness.RunCareful41()
 		tb := stats.NewTable("§4.1 — careful reference protocol vs RPC",
 			"operation", "paper", "measured")
-		tb.AddRow("careful_on → clock read → careful_off", "1.16 µs", c.cell("careful_read_us", "%.2f µs", r.CarefulReadUs))
-		tb.AddRow("  of which remote cache miss", "0.70 µs", c.cell("miss_share_us", "%.2f µs", r.MissShareUs))
-		tb.AddRow("null RPC alternative", "7.2 µs", c.cell("null_rpc_us", "%.1f µs", r.NullRPCUs))
+		tb.AddRow("careful_on → clock read → careful_off", "1.16 µs", c.Cell("careful_read_us", "%.2f µs", r.CarefulReadUs))
+		tb.AddRow("  of which remote cache miss", "0.70 µs", c.Cell("miss_share_us", "%.2f µs", r.MissShareUs))
+		tb.AddRow("null RPC alternative", "7.2 µs", c.Cell("null_rpc_us", "%.1f µs", r.NullRPCUs))
 		c.println(tb)
 	}},
 
@@ -135,10 +119,10 @@ var experiments = []experiment{
 		r := harness.RunRPC6()
 		tb := stats.NewTable("§6 — RPC subsystem latencies",
 			"operation", "paper", "measured")
-		tb.AddRow("null interrupt-level RPC", "7.2 µs", c.cell("null_us", "%.1f µs", r.NullUs))
-		tb.AddRow("common interrupt-level request (RPC component)", "9.6 µs", c.cell("real_us", "%.1f µs", r.RealUs))
-		tb.AddRow("request with >1 line of data (Table 5.2)", "17.3 µs", c.cell("oversize_us", "%.1f µs", r.OversizeUs))
-		tb.AddRow("null queued RPC", "34 µs", c.cell("queued_us", "%.1f µs", r.QueuedUs))
+		tb.AddRow("null interrupt-level RPC", "7.2 µs", c.Cell("null_us", "%.1f µs", r.NullUs))
+		tb.AddRow("common interrupt-level request (RPC component)", "9.6 µs", c.Cell("real_us", "%.1f µs", r.RealUs))
+		tb.AddRow("request with >1 line of data (Table 5.2)", "17.3 µs", c.Cell("oversize_us", "%.1f µs", r.OversizeUs))
+		tb.AddRow("null queued RPC", "34 µs", c.Cell("queued_us", "%.1f µs", r.QueuedUs))
 		c.println(tb)
 	}},
 
@@ -146,14 +130,14 @@ var experiments = []experiment{
 		t52 := harness.RunTable52()
 		tb := stats.NewTable("Table 5.2 — remote page fault latency",
 			"quantity", "paper", "measured")
-		tb.AddRow("local page fault (cache hit)", "6.9 µs", c.cell("local_us", "%.1f µs", t52.LocalUs))
-		tb.AddRow("remote page fault (data-home cache hit)", "50.7 µs", c.cell("remote_us", "%.1f µs", t52.RemoteUs))
+		tb.AddRow("local page fault (cache hit)", "6.9 µs", c.Cell("local_us", "%.1f µs", t52.LocalUs))
+		tb.AddRow("remote page fault (data-home cache hit)", "50.7 µs", c.Cell("remote_us", "%.1f µs", t52.RemoteUs))
 		c.println(tb)
 		c.println("component means (calibrated decomposition):")
 		for _, comp := range t52.Components {
-			c.printf("  %-42s %s\n", comp.Label, c.cell(componentKey(comp.Label), "%7.1f us", comp.Us))
+			c.printf("  %-42s %s\n", comp.Label, c.Cell(componentKey(comp.Label), "%7.1f us", comp.Us))
 		}
-		c.printf("  %-42s %s\n", "TOTAL", c.cell("breakdown_total_us", "%7.1f us", t52.ComponentTotal()))
+		c.printf("  %-42s %s\n", "TOTAL", c.Cell("breakdown_total_us", "%7.1f us", t52.ComponentTotal()))
 		c.println()
 	}},
 
@@ -162,17 +146,17 @@ var experiments = []experiment{
 		tb := stats.NewTable("Table 7.3 — local vs remote kernel operations",
 			"operation", "paper local", "measured local", "paper remote", "measured remote")
 		tb.AddRow("4 MB file read",
-			"65.0 ms", c.cell("read4mb_local_ms", "%.1f ms", t73.Read4MBLocalMs),
-			"76.2 ms", c.cell("read4mb_remote_ms", "%.1f ms", t73.Read4MBRemoteMs))
+			"65.0 ms", c.Cell("read4mb_local_ms", "%.1f ms", t73.Read4MBLocalMs),
+			"76.2 ms", c.Cell("read4mb_remote_ms", "%.1f ms", t73.Read4MBRemoteMs))
 		tb.AddRow("4 MB file write/extend",
-			"83.7 ms", c.cell("write4mb_local_ms", "%.1f ms", t73.Write4MBLocalMs),
-			"87.3 ms", c.cell("write4mb_remote_ms", "%.1f ms", t73.Write4MBRemoteMs))
+			"83.7 ms", c.Cell("write4mb_local_ms", "%.1f ms", t73.Write4MBLocalMs),
+			"87.3 ms", c.Cell("write4mb_remote_ms", "%.1f ms", t73.Write4MBRemoteMs))
 		tb.AddRow("open file",
-			"148 µs", c.cell("open_local_us", "%.1f µs", t73.OpenLocalUs),
-			"580 µs", c.cell("open_remote_us", "%.1f µs", t73.OpenRemoteUs))
+			"148 µs", c.Cell("open_local_us", "%.1f µs", t73.OpenLocalUs),
+			"580 µs", c.Cell("open_remote_us", "%.1f µs", t73.OpenRemoteUs))
 		tb.AddRow("page fault hitting file cache",
-			"6.9 µs", c.cell("fault_local_us", "%.1f µs", t73.FaultLocalUs),
-			"50.7 µs", c.cell("fault_remote_us", "%.1f µs", t73.FaultRemoteUs))
+			"6.9 µs", c.Cell("fault_local_us", "%.1f µs", t73.FaultLocalUs),
+			"50.7 µs", c.Cell("fault_remote_us", "%.1f µs", t73.FaultRemoteUs))
 		c.println(tb)
 	}},
 
@@ -184,10 +168,10 @@ var experiments = []experiment{
 		paperSlow := map[string]string{"ocean": "1/1/-1 %", "raytrace": "0/0/1 %", "pmake": "1/10/11 %"}
 		for _, r := range rows {
 			tb.AddRow(r.Workload, paperBase[r.Workload],
-				c.cell(r.Workload+"_irix_s", "%.2f s", r.IRIXSec),
-				c.cell(r.Workload+"_slowdown1_pct", "%+.1f %%", r.Slowdown1),
-				c.cell(r.Workload+"_slowdown2_pct", "%+.1f %%", r.Slowdown2),
-				c.cell(r.Workload+"_slowdown4_pct", "%+.1f %%", r.Slowdown4))
+				c.Cell(r.Workload+"_irix_s", "%.2f s", r.IRIXSec),
+				c.Cell(r.Workload+"_slowdown1_pct", "%+.1f %%", r.Slowdown1),
+				c.Cell(r.Workload+"_slowdown2_pct", "%+.1f %%", r.Slowdown2),
+				c.Cell(r.Workload+"_slowdown4_pct", "%+.1f %%", r.Slowdown4))
 		}
 		c.println(tb)
 		c.println("paper slowdowns (1/2/4 cells):")
@@ -201,11 +185,11 @@ var experiments = []experiment{
 		fw := harness.RunFirewall42()
 		tb := stats.NewTable("§4.2 — firewall cost and management policy",
 			"quantity", "paper", "measured")
-		tb.AddRow("remote write miss latency increase", "+6.3 % (pmake)", c.cell("write_miss_overhead_pct", "%+.1f %%", fw.WriteMissOverheadPct))
-		tb.AddRow("pmake: avg remotely-writable pages/cell", "15", c.cell("pmake_avg_writable", "%.1f", fw.PmakeAvgWritable))
-		tb.AddRow("pmake: max remotely-writable pages", "42 (/tmp server)", c.cell("pmake_max_writable", "%.0f", fw.PmakeMaxWritable))
-		tb.AddRow("pmake: user pages per cell", "≈6000", c.cell("pmake_user_pages", "%.0f", fw.PmakeUserPages))
-		tb.AddRow("ocean: avg remotely-writable pages/cell", "550", c.cell("ocean_avg_writable", "%.0f", fw.OceanAvgWritable))
+		tb.AddRow("remote write miss latency increase", "+6.3 % (pmake)", c.Cell("write_miss_overhead_pct", "%+.1f %%", fw.WriteMissOverheadPct))
+		tb.AddRow("pmake: avg remotely-writable pages/cell", "15", c.Cell("pmake_avg_writable", "%.1f", fw.PmakeAvgWritable))
+		tb.AddRow("pmake: max remotely-writable pages", "42 (/tmp server)", c.Cell("pmake_max_writable", "%.0f", fw.PmakeMaxWritable))
+		tb.AddRow("pmake: user pages per cell", "≈6000", c.Cell("pmake_user_pages", "%.0f", fw.PmakeUserPages))
+		tb.AddRow("ocean: avg remotely-writable pages/cell", "550", c.Cell("ocean_avg_writable", "%.0f", fw.OceanAvgWritable))
 		c.println(tb)
 	}},
 
@@ -213,110 +197,33 @@ var experiments = []experiment{
 		tr := harness.RunPmakeFaultTraffic()
 		tb := stats.NewTable("§5.2 — pmake page-cache fault traffic",
 			"quantity", "paper", "measured")
-		tb.AddRow("page-cache faults (1 cell)", "8935", c.cell("faults_1cell", "%.0f", float64(tr.Faults1Cell)))
-		tb.AddRow("page-cache faults (4 cells)", "8935", c.cell("faults_4cell", "%.0f", float64(tr.Faults4Cell)))
-		tb.AddRow("remote on 4 cells", "4946", c.cell("remote_4cell", "%.0f", float64(tr.Remote4Cell)))
-		tb.AddRow("cumulative fault time (1 cell)", "117 ms", c.cell("fault_ms_1cell", "%.1f ms", tr.FaultMs1Cell))
-		tb.AddRow("cumulative fault time (4 cells)", "455 ms", c.cell("fault_ms_4cell", "%.1f ms", tr.FaultMs4Cell))
+		tb.AddRow("page-cache faults (1 cell)", "8935", c.Cell("faults_1cell", "%.0f", float64(tr.Faults1Cell)))
+		tb.AddRow("page-cache faults (4 cells)", "8935", c.Cell("faults_4cell", "%.0f", float64(tr.Faults4Cell)))
+		tb.AddRow("remote on 4 cells", "4946", c.Cell("remote_4cell", "%.0f", float64(tr.Remote4Cell)))
+		tb.AddRow("cumulative fault time (1 cell)", "117 ms", c.Cell("fault_ms_1cell", "%.1f ms", tr.FaultMs1Cell))
+		tb.AddRow("cumulative fault time (4 cells)", "455 ms", c.Cell("fault_ms_4cell", "%.1f ms", tr.FaultMs4Cell))
 		c.println(tb)
 	}},
 
-	{"t74", func(c *runCtx) {
-		rows := harness.RunTable74(c.scaled(1, 0.2))
-		allOK := true
-		for _, r := range rows {
-			key := fmt.Sprintf("s%d", int(r.Scenario))
-			c.metric(key+"_tests", float64(r.Tests))
-			c.metric(key+"_avg_detect_ms", r.AvgDetect)
-			c.metric(key+"_max_detect_ms", r.MaxDetect)
-			c.metric(key+"_avg_recovery_ms", r.AvgRecov)
-			c.metric(key+"_contained", b2f(r.AllOK))
-			allOK = allOK && r.AllOK
-		}
-		c.metric("all_contained", b2f(allOK))
-		c.println(harness.FormatTable74(rows))
-		c.println("paper: avg/max detect (ms) = 16/21, 10/11, 21/45, 38/65, 401/760; recovery 40-80 ms; all contained")
-		c.println()
-	}},
+	{"t74", func(c *runCtx) { t74Table(c, harness.RunTable74(c.scaled(1, 0.2))) }},
 
-	{"reboot", func(c *runCtx) {
-		rows := harness.RunRebootLoop(c.scaled(1, 0.5))
-		allOK := true
-		for _, r := range rows {
-			key := fmt.Sprintf("s%d", int(r.Scenario))
-			c.metric(key+"_tests", float64(r.Tests))
-			c.metric(key+"_avg_restore_ms", r.AvgRestore)
-			c.metric(key+"_p99_restore_ms", r.P99Restore)
-			c.metric(key+"_loop_p99_ms", r.AvgLoopP99)
-			c.metric(key+"_contained", b2f(r.AllOK))
-			allOK = allOK && r.AllOK
-		}
-		c.metric("all_contained", b2f(allOK))
-		c.println(harness.FormatRebootLoop(rows))
-		c.println("time-to-restored-full-capacity is death verdict → join-round commit;")
-		c.println("loop p99 is the probe-op latency while the loop ran (§4.3 closed end-to-end).")
-		c.println()
-	}},
+	{"reboot", func(c *runCtx) { rebootTable(c, harness.RunRebootLoop(c.scaled(1, 0.5))) }},
 
-	{"frontend", func(c *runCtx) {
-		rep := harness.RunFrontendSweep(c.scaled(1, 0.5))
-		for _, p := range rep.Points {
-			key := fmt.Sprintf("x%02.0f", p.Multiplier*10)
-			c.metric(key+"_users", float64(p.Users))
-			c.metric(key+"_offered_per_s", p.OfferedPerSec)
-			c.metric(key+"_done_per_s", p.ThroughputPerSec)
-			c.metric(key+"_jobs", float64(p.Completed))
-			c.metric(key+"_shed", float64(p.Shed))
-			c.metric(key+"_p50_us", p.Latency.P50)
-			c.metric(key+"_p99_us", p.Latency.P99)
-			c.metric(key+"_p999_us", p.Latency.P999)
-			c.metric(key+"_goodput_per_s", p.GoodputPerSec)
-		}
-		f := rep.Fault
-		c.metric("surge_tests", float64(f.Tests))
-		c.metric("surge_avg_window_ms", f.AvgWindow)
-		c.metric("surge_max_window_ms", f.MaxWindow)
-		c.metric("surge_avg_restore_ms", f.AvgRestore)
-		c.metric("all_contained", b2f(f.AllOK))
-		c.println(harness.FormatFrontend(rep))
-		c.println("open-loop arrivals in virtual time: the sweep is byte-identical at any -j;")
-		c.println("the fault row kills a cell mid-surge and bounds the user-visible window by the restore time.")
-		c.println()
-	}},
+	{"frontend", func(c *runCtx) { frontendTables(c, harness.RunFrontendSweep(c.scaled(1, 0.5))) }},
 
 	{"t81", func(c *runCtx) {
 		hw := harness.RunHardware81()
 		tb := stats.NewTable("Table 8.1 — custom hardware features",
 			"feature", "functional")
-		tb.AddRow("firewall (per-page write permission bit-vector)", c.flag("firewall", hw.Firewall))
-		tb.AddRow("memory fault model (bus errors, no stalls)", c.flag("fault_model", hw.FaultModel))
-		tb.AddRow("remap region (node-private trap vectors)", c.flag("remap_region", hw.RemapRegion))
-		tb.AddRow("SIPS (short interprocessor send)", c.flag("sips", hw.SIPS))
-		tb.AddRow("memory cutoff (panic isolation)", c.flag("cutoff", hw.Cutoff))
+		tb.AddRow("firewall (per-page write permission bit-vector)", c.Flag("firewall", hw.Firewall))
+		tb.AddRow("memory fault model (bus errors, no stalls)", c.Flag("fault_model", hw.FaultModel))
+		tb.AddRow("remap region (node-private trap vectors)", c.Flag("remap_region", hw.RemapRegion))
+		tb.AddRow("SIPS (short interprocessor send)", c.Flag("sips", hw.SIPS))
+		tb.AddRow("memory cutoff (panic isolation)", c.Flag("cutoff", hw.Cutoff))
 		c.println(tb)
 	}},
 
-	{"scale", func(c *runCtx) {
-		rows := harness.RunScale([]int{8, 16, 32}, int(c.scaled(2, 1)))
-		allContained := true
-		for _, r := range rows {
-			key := fmt.Sprintf("%dc", r.Cells)
-			c.metric("pmake_s_"+key, r.PmakeSec)
-			c.metric("ocean_s_"+key, r.OceanSec)
-			c.metric("rpc_calls_"+key, float64(r.RPCCalls))
-			c.metric("rpc_per_s_"+key, r.RPCPerSec)
-			c.metric("events_"+key, float64(r.Events))
-			c.metric("events_per_s_"+key, r.EventsPerSec)
-			c.metric("detect_ms_"+key, r.DetectMs)
-			c.metric("recovery_ms_"+key, r.RecoveryMs)
-			c.metric("contained_"+key, b2f(r.Contained))
-			allContained = allContained && r.Contained
-		}
-		c.metric("all_contained", b2f(allContained))
-		c.println(harness.FormatScale(rows))
-		c.println("recovery cost grows with round membership; containment must hold at every size.")
-		c.println()
-	}},
+	{"scale", func(c *runCtx) { scaleTable(c, harness.RunScale([]int{8, 16, 32}, int(c.scaled(2, 1)))) }},
 
 	{"scalability", func(c *runCtx) {
 		points := harness.RunScalability([]int{1, 2, 4, 8, 16})
@@ -324,8 +231,8 @@ var experiments = []experiment{
 			"CPUs", "SMP OS", "Hive (1 cell/CPU)", "Hive/SMP")
 		for _, p := range points {
 			tb.AddRow(fmt.Sprint(p.CPUs),
-				c.cell(fmt.Sprintf("smp_ops_%dcpu", p.CPUs), "%.0f", float64(p.SMPOps)),
-				c.cell(fmt.Sprintf("hive_ops_%dcpu", p.CPUs), "%.0f", float64(p.HiveOps)),
+				c.Cell(fmt.Sprintf("smp_ops_%dcpu", p.CPUs), "%.0f", float64(p.SMPOps)),
+				c.Cell(fmt.Sprintf("hive_ops_%dcpu", p.CPUs), "%.0f", float64(p.HiveOps)),
 				fmt.Sprintf("%.2fx", float64(p.HiveOps)/float64(p.SMPOps)))
 		}
 		c.println(tb)
@@ -336,9 +243,9 @@ var experiments = []experiment{
 		tb := stats.NewTable("§5.3 ablation — COW search: shared memory vs conventional RPC",
 			"quantity", "shared memory", "RPC walk")
 		tb.AddRow("cross-cell lookup (hit at root)",
-			c.cell("sharedmem_us", "%.1f µs", r.SharedMemUs), c.cell("rpc_us", "%.1f µs", r.RPCUs))
+			c.Cell("sharedmem_us", "%.1f µs", r.SharedMemUs), c.Cell("rpc_us", "%.1f µs", r.RPCUs))
 		tb.AddRow("end-to-end touch (lookup + bind + access)",
-			c.cell("touch_sm_us", "%.1f µs", r.TouchSMUs), c.cell("touch_rpc_us", "%.1f µs", r.TouchRPCUs))
+			c.Cell("touch_sm_us", "%.1f µs", r.TouchSMUs), c.Cell("touch_rpc_us", "%.1f µs", r.TouchRPCUs))
 		c.println(tb)
 		c.println(`paper: "A more conventional RPC-based approach would be simpler and`)
 		c.println(` probably just as fast" — the bind RPC dominates either way.`)
@@ -349,8 +256,8 @@ var experiments = []experiment{
 		r := harness.RunSIPSvsIPI()
 		tb := stats.NewTable("§6 ablation — SIPS vs RPC layered on bare IPIs",
 			"path", "round trip")
-		tb.AddRow("SIPS (hardware message support)", c.cell("sips_us", "%.1f µs", r.SIPSUs))
-		tb.AddRow("IPI + polled per-sender shared-memory queues", c.cell("ipi_us", "%.1f µs", r.IPIUs))
+		tb.AddRow("SIPS (hardware message support)", c.Cell("sips_us", "%.1f µs", r.SIPSUs))
+		tb.AddRow("IPI + polled per-sender shared-memory queues", c.Cell("ipi_us", "%.1f µs", r.IPIUs))
 		c.println(tb)
 	}},
 
@@ -358,8 +265,8 @@ var experiments = []experiment{
 		bv, sb := harness.RunFirewallGranularity()
 		tb := stats.NewTable("§4.2 ablation — firewall representation (wild writes blocked, 384 issued)",
 			"design", "blocked")
-		tb.AddRow("bit vector per page (FLASH)", c.cell("bitvector_blocked", "%.0f", float64(bv)))
-		tb.AddRow("single bit per page (rejected: global grant)", c.cell("singlebit_blocked", "%.0f", float64(sb)))
+		tb.AddRow("bit vector per page (FLASH)", c.Cell("bitvector_blocked", "%.0f", float64(bv)))
+		tb.AddRow("single bit per page (rejected: global grant)", c.Cell("singlebit_blocked", "%.0f", float64(sb)))
 		c.println(tb)
 	}},
 
@@ -367,10 +274,10 @@ var experiments = []experiment{
 		r := harness.RunCCNOW()
 		tb := stats.NewTable("§8 — CC-NOW: Hive on a cache-coherent network of workstations (5 µs link)",
 			"quantity", "measured")
-		tb.AddRow("local page fault (unchanged)", c.cell("fault_local_us", "%.1f µs", r.FaultLocalUs))
-		tb.AddRow("remote page fault over the NOW link", c.cell("fault_remote_us", "%.1f µs", r.FaultRemoteUs))
-		tb.AddRow("failure detection", c.cell("detect_ms", "%.1f ms", r.DetectMs))
-		tb.AddRow("containment", c.flag("contained", r.Contained))
+		tb.AddRow("local page fault (unchanged)", c.Cell("fault_local_us", "%.1f µs", r.FaultLocalUs))
+		tb.AddRow("remote page fault over the NOW link", c.Cell("fault_remote_us", "%.1f µs", r.FaultRemoteUs))
+		tb.AddRow("failure detection", c.Cell("detect_ms", "%.1f ms", r.DetectMs))
+		tb.AddRow("containment", c.Flag("contained", r.Contained))
 		c.println(tb)
 	}},
 
@@ -378,8 +285,8 @@ var experiments = []experiment{
 		ac := harness.RunAgreementComparison()
 		tb := stats.NewTable("§4.3 ablation — agreement oracle vs real voting protocol",
 			"mode", "detection (ms)", "confirmed")
-		tb.AddRow("oracle (paper's configuration)", c.cell("oracle_detect_ms", "%.1f", ac.OracleDetectMs), "true")
-		tb.AddRow("voting protocol", c.cell("vote_detect_ms", "%.1f", ac.VoteDetectMs), c.flag("vote_ok", ac.VoteOK))
+		tb.AddRow("oracle (paper's configuration)", c.Cell("oracle_detect_ms", "%.1f", ac.OracleDetectMs), "true")
+		tb.AddRow("voting protocol", c.Cell("vote_detect_ms", "%.1f", ac.VoteDetectMs), c.Flag("vote_ok", ac.VoteOK))
 		c.println(tb)
 	}},
 
@@ -388,10 +295,101 @@ var experiments = []experiment{
 			"check period", "avg detection")
 		for _, p := range harness.DetectionCurve(3) {
 			tb.AddRow(fmt.Sprintf("%.0f ms", p.CheckEveryMs),
-				c.cell(fmt.Sprintf("detect_ms_at_%.0fms", p.CheckEveryMs), "%.1f ms", p.DetectMs))
+				c.Cell(fmt.Sprintf("detect_ms_at_%.0fms", p.CheckEveryMs), "%.1f ms", p.DetectMs))
 		}
 		c.println(tb)
 	}},
+}
+
+// t74Table prints Table 7.4 and the paper's values.
+func t74Table(c *runCtx, rows []*faultinject.CampaignRow) {
+	allOK := true
+	for _, r := range rows {
+		allOK = allOK && r.AllOK
+	}
+	c.printCampaign(faultinject.Table74(rows, c.Record), allOK)
+	c.println("paper: avg/max detect (ms) = 16/21, 10/11, 21/45, 38/65, 401/760; recovery 40-80 ms; all contained")
+	c.println()
+}
+
+// rebootTable prints the availability-loop campaign.
+func rebootTable(c *runCtx, rows []*faultinject.CampaignRow) {
+	tb := stats.NewTable("availability loop — reboot, rejoin, restore",
+		"scenario", "trials", "all ok", "avg restore (ms)", "p99 restore (ms)", "loop p99 op (ms)")
+	allOK := true
+	for _, r := range rows {
+		key := fmt.Sprintf("s%d_", int(r.Scenario))
+		restore := c.Cell(key+"avg_restore_ms", "%.1f ms", r.AvgRestore)
+		p99 := c.Cell(key+"p99_restore_ms", "%.1f ms", r.P99Restore)
+		if r.AvgRestore == 0 {
+			// The bounded crash loop never restores; the row carries only
+			// the during-loop latency.
+			restore, p99 = "—", "—"
+		}
+		tb.AddRow(r.Name, c.Cell(key+"tests", "%.0f", float64(r.Tests)), c.Flag(key+"contained", r.AllOK),
+			restore, p99, c.Cell(key+"loop_p99_ms", "%.1f ms", r.AvgLoopP99))
+		allOK = allOK && r.AllOK
+	}
+	c.printCampaign(tb, allOK)
+	c.println("time-to-restored-full-capacity is death verdict → join-round commit;")
+	c.println("loop p99 is the probe-op latency while the loop ran (§4.3 closed end-to-end).")
+	c.println()
+}
+
+// frontendTables prints the frontend's load sweep and its fault row.
+func frontendTables(c *runCtx, rep *harness.FrontendReport) {
+	tb := stats.NewTable("multi-tenant frontend — throughput vs offered load (4 cells, Wax on)",
+		"offered", "users", "jobs/s in", "done/s", "goodput/s", "jobs", "shed", "p50", "p99", "p999")
+	for _, p := range rep.Points {
+		key := fmt.Sprintf("x%02.0f_", p.Multiplier*10)
+		tb.AddRow(fmt.Sprintf("%.1fx", p.Multiplier),
+			c.Cell(key+"users", "%.0f", float64(p.Users)),
+			c.Cell(key+"offered_per_s", "%.0f", p.OfferedPerSec),
+			c.Cell(key+"done_per_s", "%.0f", p.ThroughputPerSec),
+			c.Cell(key+"goodput_per_s", "%.0f", p.GoodputPerSec),
+			c.Cell(key+"jobs", "%.0f", float64(p.Completed)),
+			c.Cell(key+"shed", "%.0f", float64(p.Shed)),
+			c.Cell(key+"p50_us", "%.1f µs", p.Latency.P50),
+			c.Cell(key+"p99_us", "%.1f µs", p.Latency.P99),
+			c.Cell(key+"p999_us", "%.1f µs", p.Latency.P999))
+	}
+	f := rep.Fault
+	tf := stats.NewTable("availability under fault — cell killed mid-surge",
+		"trials", "contained", "avg window", "max window", "avg restore (ms)")
+	tf.AddRow(c.Cell("surge_tests", "%.0f", float64(f.Tests)), c.Flag("all_contained", f.AllOK),
+		c.Cell("surge_avg_window_ms", "%.1f ms", f.AvgWindow),
+		c.Cell("surge_max_window_ms", "%.1f ms", f.MaxWindow),
+		c.Cell("surge_avg_restore_ms", "%.1f ms", f.AvgRestore))
+	c.println(tb)
+	c.println(tf)
+	c.println("open-loop arrivals in virtual time: the sweep is byte-identical at any -j;")
+	c.println("the fault row kills a cell mid-surge and bounds the user-visible window by the restore time.")
+	c.println()
+}
+
+// scaleTable prints the scaling suite, one row per cell count.
+func scaleTable(c *runCtx, rows []harness.ScaleRow) {
+	tb := stats.NewTable("Scaling — workloads and fault campaign vs cell count",
+		"cells", "pmake s", "ocean s", "RPC calls", "RPC/s", "events", "events/s",
+		"detect ms", "recov ms", "contained")
+	allOK := true
+	for _, r := range rows {
+		key := fmt.Sprintf("_%dc", r.Cells)
+		tb.AddRow(fmt.Sprint(r.Cells),
+			c.Cell("pmake_s"+key, "%.2f", r.PmakeSec),
+			c.Cell("ocean_s"+key, "%.2f", r.OceanSec),
+			c.Cell("rpc_calls"+key, "%.0f", float64(r.RPCCalls)),
+			c.Cell("rpc_per_s"+key, "%.0f", r.RPCPerSec),
+			c.Cell("events"+key, "%.0f", float64(r.Events)),
+			c.Cell("events_per_s"+key, "%.0f", r.EventsPerSec),
+			c.Cell("detect_ms"+key, "%.1f", r.DetectMs),
+			c.Cell("recovery_ms"+key, "%.1f", r.RecoveryMs),
+			c.Flag("contained"+key, r.Contained))
+		allOK = allOK && r.Contained
+	}
+	c.printCampaign(tb, allOK)
+	c.println("recovery cost grows with round membership; containment must hold at every size.")
+	c.println()
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
@@ -435,9 +433,9 @@ func run(args []string, stdout io.Writer) int {
 		if *only != "" && *only != e.id {
 			continue
 		}
-		c.metrics = map[string]float64{}
+		c.Record = stats.Record{}
 		e.run(c)
-		report.Experiments = append(report.Experiments, experimentReport{ID: e.id, Metrics: c.metrics})
+		report.Experiments = append(report.Experiments, experimentReport{ID: e.id, Metrics: c.Record})
 	}
 
 	c.println(strings.Repeat("-", 72))

@@ -982,3 +982,21 @@ func Aggregate(s Scenario, trials []*TrialResult) *CampaignRow {
 	}
 	return row
 }
+
+// Table74 renders campaign rows as Table 7.4, recording each row's cells
+// in rec under its scenario number (s0_tests, s0_contained,
+// s0_avg_detect_ms, ...). A nil rec only renders.
+func Table74(rows []*CampaignRow, rec stats.Record) *stats.Table {
+	tb := stats.NewTable("Table 7.4 — fault injection results",
+		"scenario", "tests", "contained", "avg detect (ms)", "max detect (ms)", "avg recovery (ms)")
+	for _, r := range rows {
+		key := fmt.Sprintf("s%d_", int(r.Scenario))
+		tb.AddRow(r.Scenario.String(),
+			rec.Cell(key+"tests", "%.0f", float64(r.Tests)),
+			rec.Flag(key+"contained", r.AllOK),
+			rec.Cell(key+"avg_detect_ms", "%.1f", r.AvgDetect),
+			rec.Cell(key+"max_detect_ms", "%.1f", r.MaxDetect),
+			rec.Cell(key+"avg_recovery_ms", "%.1f", r.AvgRecov))
+	}
+	return tb
+}

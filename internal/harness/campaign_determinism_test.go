@@ -10,7 +10,7 @@ import (
 // TestCampaignSliceDeterminism extends the sequential-vs-parallel
 // determinism regression from the trial level up to a faultdrill
 // campaign slice: a multi-scenario sweep rendered through the same
-// Table 7.4 formatter the CLI uses must be byte-identical whether the
+// Table 7.4 renderer the CLIs use must be byte-identical whether the
 // trials run on one worker or four. This is the property that lets
 // `faultdrill -j N` claim "same results at any -j".
 func TestCampaignSliceDeterminism(t *testing.T) {
@@ -28,7 +28,7 @@ func TestCampaignSliceDeterminism(t *testing.T) {
 	run := func(workers int) ([]*faultinject.CampaignRow, string) {
 		rows := faultinject.RunCampaign(parallel.New(workers), scenarios,
 			func(faultinject.Scenario) int { return trialsPer }, faultinject.TrialOpts{})
-		return rows, FormatTable74(rows)
+		return rows, faultinject.Table74(rows, nil).String()
 	}
 
 	seqRows, seqTable := run(1)

@@ -1,40 +1,22 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/parallel"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/wax"
 	"repro/internal/workload"
 )
 
 // FrontendPoint is one row of the throughput-vs-offered-load sweep: the
 // default frontend with its user population and arrival rate scaled by
-// Multiplier, on a healthy 4-cell hive with Wax supervising.
+// Multiplier, on a healthy 4-cell hive with Wax supervising, and the
+// frontend's result.
 type FrontendPoint struct {
 	Multiplier float64
 	Users      int
-
-	Offered   int
-	Issued    int
-	Shed      int
-	Completed int
-	Good      int
-	Redirects int
-
-	Latency stats.HistSnapshot
-
-	OfferedPerSec    float64
-	ThroughputPerSec float64
-	GoodputPerSec    float64
-
-	// WaxRetargets counts placement hints Wax installed during the run
-	// (ApplyPlaceTargets accepted), the cross-cell balancing at work.
-	WaxRetargets int
+	workload.FrontendResult
 }
 
 // FrontendReport is the full frontend experiment: the load sweep plus the
@@ -86,44 +68,5 @@ func runFrontendPoint(mult float64, idx int) FrontendPoint {
 	cfg.RatePerSec = int(float64(cfg.RatePerSec) * mult)
 	_, fe := workload.RunFrontend(h, cfg, 60*sim.Second)
 
-	return FrontendPoint{
-		Multiplier:       mult,
-		Users:            cfg.Users,
-		Offered:          fe.Offered,
-		Issued:           fe.Issued,
-		Shed:             fe.Shed,
-		Completed:        fe.Completed,
-		Good:             fe.Good,
-		Redirects:        fe.Redirects,
-		Latency:          fe.Latency,
-		OfferedPerSec:    fe.OfferedPerSec,
-		ThroughputPerSec: fe.ThroughputPerSec,
-		GoodputPerSec:    fe.GoodputPerSec,
-		WaxRetargets:     sup.Cur.PlaceRetargets,
-	}
-}
-
-// FormatFrontend renders the two frontend tables.
-func FormatFrontend(rep *FrontendReport) string {
-	tb := stats.NewTable("multi-tenant frontend — throughput vs offered load (4 cells, Wax on)",
-		"offered", "users", "jobs/s in", "done/s", "goodput/s", "shed", "p50", "p99", "p999")
-	for _, p := range rep.Points {
-		tb.AddRow(
-			fmt.Sprintf("%.1fx", p.Multiplier),
-			fmt.Sprintf("%d", p.Users),
-			fmt.Sprintf("%.0f", p.OfferedPerSec),
-			fmt.Sprintf("%.0f", p.ThroughputPerSec),
-			fmt.Sprintf("%.0f", p.GoodputPerSec),
-			fmt.Sprintf("%d", p.Shed),
-			formatUs(p.Latency.P50),
-			formatUs(p.Latency.P99),
-			formatUs(p.Latency.P999),
-		)
-	}
-	f := rep.Fault
-	tf := stats.NewTable("availability under fault — cell killed mid-surge",
-		"trials", "contained", "avg window", "max window", "avg restore (ms)")
-	tf.AddRow(fmt.Sprint(f.Tests), fmt.Sprint(f.AllOK),
-		formatMs(f.AvgWindow), formatMs(f.MaxWindow), formatMs(f.AvgRestore))
-	return tb.String() + "\n" + tf.String()
+	return FrontendPoint{Multiplier: mult, Users: cfg.Users, FrontendResult: *fe}
 }

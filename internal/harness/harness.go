@@ -4,13 +4,10 @@
 // virtual time and event counts, never the wall clock: the tests assert
 // on them, and cmd/hivebench prints them next to the paper's numbers and
 // records every value it prints as a metric that BENCH_hive.json pins
-// exactly. The fault campaigns, the frontend sweep and the scaling suite
-// also come with a renderer for their tables.
+// exactly.
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/machine"
@@ -283,12 +280,11 @@ func RunTable73() *Table73 {
 
 // Table72Row is one workload's timing across configurations.
 type Table72Row struct {
-	Workload    string
-	IRIXSec     float64
-	Slowdown1   float64 // percent vs IRIX
-	Slowdown2   float64
-	Slowdown4   float64
-	RemoteNotes string
+	Workload  string
+	IRIXSec   float64
+	Slowdown1 float64 // percent vs IRIX
+	Slowdown2 float64
+	Slowdown4 float64
 }
 
 // RunTable72 executes the three workloads on IRIX and 1/2/4-cell Hive.
@@ -451,9 +447,3 @@ func RunPmakeFaultTraffic() *PmakeFaultTraffic {
 	out.FaultMs4Cell = (local*6.9 + float64(r4.RemoteFaults)*50.7) / 1000
 	return out
 }
-
-// formatUs formats a microsecond value.
-func formatUs(v float64) string { return fmt.Sprintf("%.1f µs", v) }
-
-// formatMs formats a millisecond value.
-func formatMs(v float64) string { return fmt.Sprintf("%.1f ms", v) }

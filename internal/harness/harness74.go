@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/smpos"
-	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -39,23 +36,6 @@ func runScaled(scale float64, scens ...faultinject.Scenario) []*faultinject.Camp
 	return faultinject.RunCampaign(parallel.Default(), scens, func(s faultinject.Scenario) int {
 		return max(1, int(float64(s.DefaultTests())*scale+0.5))
 	}, faultinject.TrialOpts{})
-}
-
-// FormatRebootLoop renders the availability-loop campaign table.
-func FormatRebootLoop(rows []*faultinject.CampaignRow) string {
-	tb := stats.NewTable("availability loop — reboot, rejoin, restore",
-		"scenario", "trials", "all ok", "avg restore (ms)", "p99 restore (ms)", "loop p99 op (ms)")
-	for _, r := range rows {
-		restore, p99 := formatMs(r.AvgRestore), formatMs(r.P99Restore)
-		if r.AvgRestore == 0 {
-			// The bounded crash loop never restores; the row carries only
-			// the during-loop latency.
-			restore, p99 = "—", "—"
-		}
-		tb.AddRow(r.Name, fmt.Sprintf("%d", r.Tests), fmt.Sprint(r.AllOK),
-			restore, p99, formatMs(r.AvgLoopP99))
-	}
-	return tb.String()
 }
 
 // Hardware81 exercises every Table 8.1 hardware feature and reports which
@@ -349,18 +329,6 @@ func RunCOWLookupComparison() *COWLookupComparison {
 	return out
 }
 
-// FormatTable74 renders the campaign as Table 7.4.
-func FormatTable74(rows []*faultinject.CampaignRow) string {
-	tb := stats.NewTable("Table 7.4 — fault injection results",
-		"scenario", "tests", "contained", "avg detect (ms)", "max detect (ms)", "avg recovery (ms)")
-	for _, r := range rows {
-		tb.AddRow(r.Scenario.String(), fmt.Sprint(r.Tests), fmt.Sprint(r.AllOK),
-			fmt.Sprintf("%.1f", r.AvgDetect), fmt.Sprintf("%.1f", r.MaxDetect),
-			fmt.Sprintf("%.1f", r.AvgRecov))
-	}
-	return tb.String()
-}
-
 // RunFirewallGranularity measures the §4.2 representation ablation: with a
 // page write-shared between two cells, how many wild writes from the other
 // cells does each firewall design block?
@@ -399,16 +367,15 @@ func RunFirewallGranularity() (bitVector, singleBit int64) {
 // hundreds of nanoseconds). Fault containment must be unaffected; remote
 // operation latency stretches with the interconnect.
 type CCNOW struct {
-	FaultLocalUs    float64 // page fault, local (unchanged)
-	FaultRemoteUs   float64 // page fault to the data home over the NOW link
-	DetectMs        float64 // failure detection latency
-	Contained       bool
-	RemoteLatencyUs float64 // the configured NOW link latency
+	FaultLocalUs  float64 // page fault, local (unchanged)
+	FaultRemoteUs float64 // page fault to the data home over the NOW link
+	DetectMs      float64 // failure detection latency
+	Contained     bool
 }
 
 // RunCCNOW executes the experiment with a 5 µs remote memory latency.
 func RunCCNOW() *CCNOW {
-	out := &CCNOW{RemoteLatencyUs: 5}
+	out := &CCNOW{}
 	cfg := core.DefaultConfig()
 	cfg.Machine.Nodes = 2
 	cfg.Cells = 2

@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/parallel"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -142,24 +139,4 @@ func rpcCallCount(h *core.Hive) int64 {
 		n += c.EP.Metrics.Counter("rpc.calls").Value()
 	}
 	return n
-}
-
-// FormatScale renders the scaling table, byte-identical at every -j.
-func FormatScale(rows []ScaleRow) *stats.Table {
-	tb := stats.NewTable("Scaling — workloads and fault campaign vs cell count",
-		"cells", "pmake s", "ocean s", "RPC calls", "RPC/s", "events", "events/s",
-		"detect ms", "recov ms", "contained")
-	for _, r := range rows {
-		tb.AddRow(fmt.Sprint(r.Cells),
-			fmt.Sprintf("%.2f", r.PmakeSec),
-			fmt.Sprintf("%.2f", r.OceanSec),
-			fmt.Sprint(r.RPCCalls),
-			fmt.Sprintf("%.0f", r.RPCPerSec),
-			fmt.Sprint(r.Events),
-			fmt.Sprintf("%.0f", r.EventsPerSec),
-			fmt.Sprintf("%.1f", r.DetectMs),
-			fmt.Sprintf("%.1f", r.RecoveryMs),
-			fmt.Sprintf("%v", r.Contained))
-	}
-	return tb
 }

@@ -284,6 +284,34 @@ func (s *Sampler) Max() float64 {
 	return m
 }
 
+// Record holds the metrics a report's tables print, by name. Cell and
+// Flag are the one way a measured value reaches a table: each formats the
+// value as its cell and records it, so what a table prints is what the
+// record holds. A nil Record only formats.
+type Record map[string]float64
+
+// Cell records v under name and returns it, in format, as the table cell
+// that shows it.
+func (r Record) Cell(name, format string, v float64) string {
+	if r != nil {
+		r[name] = v
+	}
+	return fmt.Sprintf(format, v)
+}
+
+// Flag records a yes/no measurement under name as 1 or 0 and returns it
+// as the cell "true" or "false".
+func (r Record) Flag(name string, b bool) string {
+	if r != nil {
+		var v float64
+		if b {
+			v = 1
+		}
+		r[name] = v
+	}
+	return fmt.Sprint(b)
+}
+
 // Table builds aligned text tables for the benchmark harness output.
 type Table struct {
 	Title   string
@@ -296,15 +324,13 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, headers: headers}
 }
 
-// AddRow appends one row; cells beyond the header count are dropped.
+// AddRow appends one row. It panics unless there is exactly one cell per
+// header: a dropped cell would be a recorded metric that is never printed.
 func (t *Table) AddRow(cells ...string) {
-	row := make([]string, len(t.headers))
-	for i := range row {
-		if i < len(cells) {
-			row[i] = cells[i]
-		}
+	if len(cells) != len(t.headers) {
+		panic(fmt.Sprintf("stats: table %q: row of %d cells under %d headers", t.Title, len(cells), len(t.headers)))
 	}
-	t.rows = append(t.rows, row)
+	t.rows = append(t.rows, cells)
 }
 
 // String renders the table with aligned columns.

@@ -45,7 +45,17 @@ func TestSamplerDefaultInterval(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("title", "name", "value")
 	tb.AddRow("short", "1")
-	tb.AddRow("a-much-longer-name", "22", "ignored-extra")
+	tb.AddRow("a-much-longer-name", "22")
+	for _, cells := range [][]string{{"extra", "1", "dropped"}, {"missing"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddRow(%q) under 2 headers did not panic", cells)
+				}
+			}()
+			tb.AddRow(cells...)
+		}()
+	}
 	out := tb.String()
 	if !strings.HasPrefix(out, "title\n") {
 		t.Fatalf("missing title: %q", out)
@@ -62,6 +72,23 @@ func TestTableRendering(t *testing.T) {
 	idx := strings.Index(lines[1], "value")
 	if !strings.HasPrefix(lines[3][idx:], "1") || !strings.HasPrefix(lines[4][idx:], "22") {
 		t.Fatalf("misaligned:\n%s", out)
+	}
+}
+
+func TestRecord(t *testing.T) {
+	r := Record{}
+	if got := r.Cell("lat_us", "%.1f µs", 7.21); got != "7.2 µs" {
+		t.Errorf("Cell = %q", got)
+	}
+	if got := r.Flag("ok", true) + r.Flag("bad", false); got != "truefalse" {
+		t.Errorf("Flag = %q", got)
+	}
+	if len(r) != 3 || r["lat_us"] != 7.21 || r["ok"] != 1 || r["bad"] != 0 {
+		t.Errorf("recorded %v", r)
+	}
+	var none Record
+	if none.Cell("x", "%.0f", 3) != "3" || none.Flag("y", true) != "true" {
+		t.Error("a nil Record must still format")
 	}
 }
 
