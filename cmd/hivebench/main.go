@@ -285,7 +285,7 @@ var experiments = []experiment{
 		ac := harness.RunAgreementComparison()
 		tb := stats.NewTable("§4.3 ablation — agreement oracle vs real voting protocol",
 			"mode", "detection (ms)", "confirmed")
-		tb.AddRow("oracle (paper's configuration)", c.Cell("oracle_detect_ms", "%.1f", ac.OracleDetectMs), "true")
+		tb.AddRow("oracle (paper's configuration)", c.Cell("oracle_detect_ms", "%.1f", ac.OracleDetectMs), c.Flag("oracle_ok", ac.OracleOK))
 		tb.AddRow("voting protocol", c.Cell("vote_detect_ms", "%.1f", ac.VoteDetectMs), c.Flag("vote_ok", ac.VoteOK))
 		c.println(tb)
 	}},

@@ -171,21 +171,22 @@ func (c *Ctx) ReadWord(addr kmem.Addr, i int) uint64 {
 	return v
 }
 
-// CopyObject copies n words of the object at addr into local memory before
-// any sanity checking (step 3 of the protocol): the returned slice cannot
-// change under the caller even if the remote cell keeps mutating.
-func (c *Ctx) CopyObject(addr kmem.Addr, n int) []uint64 {
+// CopyObject copies the first len(dst) words of the object at addr into
+// dst, local memory the caller owns, before any sanity checking (step 3
+// of the protocol): the copy cannot change under the caller even if the
+// remote cell keeps mutating. It returns dst, or nil once the window has
+// failed.
+func (c *Ctx) CopyObject(addr kmem.Addr, dst []uint64) []uint64 {
 	if c.err != nil {
 		return nil
 	}
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = c.ReadWord(addr, i)
+	for i := range dst {
+		dst[i] = c.ReadWord(addr, i)
 		if c.err != nil {
 			return nil
 		}
 	}
-	return out
+	return dst
 }
 
 // ReadClock reads the clock word of node nodeID — the clock-monitoring

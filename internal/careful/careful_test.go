@@ -146,7 +146,7 @@ func TestCopyObjectSnapshotsBeforeChecks(t *testing.T) {
 	}
 	f.run(t, func(tk *sim.Task) {
 		c := f.r.On(tk, f.m.Procs[0], 1)
-		snap := c.CopyObject(addr, 4)
+		snap := c.CopyObject(addr, make([]uint64, 4))
 		// Remote cell mutates after the copy; the snapshot must not move.
 		f.space.Arena(1).WriteWord(addr, 2, 999)
 		if snap[2] != 20 {
@@ -199,7 +199,7 @@ func TestErrorIsSticky(t *testing.T) {
 		if c.CheckAddr(good) || c.CheckTag(good, 1) || c.ReadWord(good, 0) != 0 {
 			t.Error("operations proceeded after failure")
 		}
-		if c.CopyObject(good, 1) != nil {
+		if c.CopyObject(good, make([]uint64, 1)) != nil {
 			t.Error("copy proceeded after failure")
 		}
 		if c.Err() != first {

@@ -93,6 +93,9 @@ type Manager struct {
 	// detected its own corruption and panics (§4.1: cells normally
 	// panic on internal corruption; only *remote* reads are careful).
 	OnLocalDamage func(reason string)
+
+	// Counters of the touch path, looked up on first use.
+	remoteVisits, zeroFills, copies *stats.Counter
 }
 
 func (mg *Manager) localDamage(reason string) {
@@ -204,7 +207,8 @@ func LP(node kmem.Addr, off int64) vm.LogicalPage {
 // against whatever innocent cell the wild pointer happens to address.
 func (mg *Manager) Lookup(t *sim.Task, leaf kmem.Addr, off int64) (node kmem.Addr, found bool, err error) {
 	cur := leaf
-	supplier := mg.CellID // the process table supplied the leaf pointer
+	supplier := mg.CellID  // the process table supplied the leaf pointer
+	var snapBuf [16]uint64 // a remote node's copy, when it fits
 	fail := func(format string, args ...any) error {
 		e := fmt.Errorf("%w: "+format, append([]any{ErrTreeDamaged}, args...)...)
 		if supplier == mg.CellID {
@@ -241,16 +245,23 @@ func (mg *Manager) Lookup(t *sim.Task, leaf kmem.Addr, off int64) (node kmem.Add
 		}
 
 		// Remote node: careful reference protocol (§4.1).
-		mg.Metrics.Counter("cow.remote_visits").Inc()
+		mg.Metrics.Cached(&mg.remoteVisits, "cow.remote_visits").Inc()
 		ctx := mg.Reader.On(t, mg.proc(), cur.Cell())
 		var hit, badCount bool
 		var next kmem.Addr
 		if ctx.CheckAddr(cur) && ctx.CheckTag(cur, TagNode) {
 			// Copy the header and entries to local memory before
-			// sanity checks (protocol step 3).
+			// sanity checks (protocol step 3): a small node into
+			// snapBuf, a larger one into a slice of its own.
 			count := ctx.ReadWord(cur, wordCount)
 			if count <= MaxEntries {
-				snap := ctx.CopyObject(cur, wordPages+int(count))
+				var dst []uint64
+				if n := wordPages + int(count); n <= len(snapBuf) {
+					dst = snapBuf[:n]
+				} else {
+					dst = make([]uint64, n)
+				}
+				snap := ctx.CopyObject(cur, dst)
 				if snap != nil {
 					for i := 0; i < int(count); i++ {
 						if int64(snap[wordPages+i]) == off {
@@ -308,7 +319,7 @@ func (mg *Manager) Touch(t *sim.Task, leaf kmem.Addr, off int64, write bool) (*v
 		if err := mg.Record(leaf, off); err != nil {
 			return nil, err
 		}
-		mg.Metrics.Counter("cow.zero_fills").Inc()
+		mg.Metrics.Cached(&mg.zeroFills, "cow.zero_fills").Inc()
 		return mg.VM.Fault(t, LP(leaf, off), write)
 	}
 	if write && node != leaf {
@@ -334,7 +345,7 @@ func (mg *Manager) Touch(t *sim.Task, leaf kmem.Addr, off int64, write bool) (*v
 			mg.VM.Unref(t, dst)
 			return nil, err
 		}
-		mg.Metrics.Counter("cow.copies").Inc()
+		mg.Metrics.Cached(&mg.copies, "cow.copies").Inc()
 		return dst, nil
 	}
 	return mg.VM.Fault(t, LP(node, off), write)

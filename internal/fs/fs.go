@@ -181,14 +181,13 @@ func (f *FS) proc() *machine.Processor {
 // remote data home as the careful-message discipline requires. The id
 // and generation are opaque tokens only the data home can interpret —
 // the generation check on every later page operation is what catches a
-// forged or stale id — so shape and a non-negative size are what a
-// client can vet here.
-func validateOpenReply(res any) (*openReply, error) {
-	rep, ok := res.(*openReply)
-	if !ok || rep.Size < 0 {
-		return nil, ErrBadArgs
+// forged or stale id — so a non-negative size is what a client can vet
+// here.
+func validateOpenReply(res rpc.Line) (openReply, error) {
+	if res.W[2] < 0 {
+		return openReply{}, ErrBadArgs
 	}
-	return rep, nil
+	return openReply{ID: FileID(res.W[0]), Gen: uint64(res.W[1]), Size: res.W[2]}, nil
 }
 
 // validatePageReply vets a page-fetch reply: shape only — the tag is
@@ -210,9 +209,9 @@ func (f *FS) Create(t *sim.Task, path string) (*Handle, error) {
 		f.Metrics.Counter("fs.creates").Inc()
 		return &Handle{Key: Key{Home: home, ID: file.ID}, Gen: file.Gen, fs: f, open: true}, nil
 	}
-	res, err := f.EP.Call(t, f.proc(), home, ProcCreate, &createArgs{Path: path},
-		rpc.CallOpts{DataBytes: len(path)})
-	if err != nil {
+	var res rpc.Line
+	if _, err := f.EP.Call(t, f.proc(), home, ProcCreate, nil, rpc.CallOpts{
+		DataBytes: len(path), Arg: lookupArgs{Path: path}.line(), Result: &res}); err != nil {
 		return nil, err
 	}
 	rep, err := validateOpenReply(res)
@@ -259,21 +258,21 @@ func (f *FS) Open(t *sim.Task, path string) (*Handle, error) {
 	}
 	// Remote: VOP_LOOKUP per component through the shadow vnode, then a
 	// getattr to fill it in.
-	var rep *openReply
+	var rep openReply
 	for i := 1; i <= ncomp; i++ {
 		f.proc().Use(t, LookupLocal)
-		res, err := f.EP.Call(t, f.proc(), home, ProcLookup,
-			&lookupArgs{Path: path, Component: i}, rpc.CallOpts{DataBytes: len(path)})
+		var res rpc.Line
+		_, err := f.EP.Call(t, f.proc(), home, ProcLookup, nil, rpc.CallOpts{
+			DataBytes: len(path), Arg: lookupArgs{Path: path, Component: i}.line(), Result: &res})
 		if err != nil {
 			return nil, err
 		}
-		rep, err = validateOpenReply(res)
-		if err != nil {
+		if rep, err = validateOpenReply(res); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := f.EP.Call(t, f.proc(), home, ProcGetattr,
-		&lookupArgs{Path: path}, rpc.CallOpts{DataBytes: 64}); err != nil {
+	if _, err := f.EP.Call(t, f.proc(), home, ProcGetattr, nil,
+		rpc.CallOpts{DataBytes: 64, Arg: lookupArgs{Path: path}.line()}); err != nil {
 		return nil, err
 	}
 	f.Metrics.Counter("fs.opens_remote").Inc()
@@ -318,8 +317,8 @@ func (f *FS) Stat(t *sim.Task, path string) (bool, error) {
 		return ok, nil
 	}
 	f.proc().Use(t, LookupLocal)
-	_, err := f.EP.Call(t, f.proc(), home, ProcGetattr,
-		&lookupArgs{Path: path}, rpc.CallOpts{DataBytes: len(path)})
+	_, err := f.EP.Call(t, f.proc(), home, ProcGetattr, nil,
+		rpc.CallOpts{DataBytes: len(path), Arg: lookupArgs{Path: path}.line()})
 	if err != nil {
 		if strings.Contains(err.Error(), "no such file") {
 			return false, nil

@@ -380,33 +380,49 @@ func TestComponentsCount(t *testing.T) {
 	}
 }
 
-// statMissing returns a task body that stats a missing /tmp path from
-// cell 0, on cell 1, n times: pmake's temp-file probe.
-func (f *fixture) statMissing(t testing.TB, n int) func(tk *sim.Task) {
+// statPath returns a task body that stats path from cell 0 n times and
+// checks that it exists iff exists: pmake's probes of temp files.
+func (f *fixture) statPath(t testing.TB, path string, exists bool, n int) func(tk *sim.Task) {
 	return func(tk *sim.Task) {
 		for i := 0; i < n; i++ {
-			if ok, err := f.fss[0].Stat(tk, "/tmp/cc5.s"); ok || err != nil {
-				t.Errorf("stat %d of a missing path: %v, %v", i, ok, err)
+			if ok, err := f.fss[0].Stat(tk, path); ok != exists || err != nil {
+				t.Errorf("stat %d of %s: %v, %v; want %v", i, path, ok, err, exists)
 				return
 			}
 		}
 	}
 }
 
-// TestRemoteStatAllocations checks that a warm Stat of a missing path on
-// another cell allocates only its Request and its lookupArgs: the
-// "no such file" reply is the error the client matches, and the path's
-// components are counted in place.
+// statMissing stats a missing /tmp path, on cell 1, n times.
+func (f *fixture) statMissing(t testing.TB, n int) func(tk *sim.Task) {
+	return f.statPath(t, "/tmp/cc5.s", false, n)
+}
+
+// TestRemoteStatAllocations checks that a warm Stat on another cell
+// allocates nothing, whether the path exists or not: the request comes
+// from the endpoint's freelist, the path travels in it by value, the
+// attributes come back by value, and a "no such file" reply is the
+// endpoint's last remote error again.
 func TestRemoteStatAllocations(t *testing.T) {
 	f := newFixture(t, 2)
-	f.run(t, f.statMissing(t, 5000))
-	stat := f.statMissing(t, 1)
-	var allocs float64
 	f.run(t, func(tk *sim.Task) {
-		allocs = testing.AllocsPerRun(2000, func() { stat(tk) })
+		if _, err := f.fss[0].Create(tk, "/tmp/cc5.o"); err != nil {
+			t.Fatalf("create: %v", err)
+		}
 	})
-	if allocs > 2 {
-		t.Errorf("a warm remote Stat of a missing path allocates %v times, want at most 2", allocs)
+	for _, c := range []struct {
+		path   string
+		exists bool
+	}{{"/tmp/cc5.s", false}, {"/tmp/cc5.o", true}} {
+		f.run(t, f.statPath(t, c.path, c.exists, 5000))
+		stat := f.statPath(t, c.path, c.exists, 1)
+		var allocs float64
+		f.run(t, func(tk *sim.Task) {
+			allocs = testing.AllocsPerRun(2000, func() { stat(tk) })
+		})
+		if allocs > 0 {
+			t.Errorf("a warm remote Stat of %s (exists: %v) allocates %v times, want 0", c.path, c.exists, allocs)
+		}
 	}
 }
 

@@ -11,22 +11,29 @@ import (
 // Server-side RPC services. Every handler sanity-checks its arguments
 // before touching local state, per the message-exchange discipline of §3.1.
 
-// lookupArgs drives ProcLookup/ProcGetattr.
+// lookupArgs drives ProcLookup/ProcGetattr/ProcCreate. It travels by
+// value in the request's line: the path, then the component.
 type lookupArgs struct {
 	Path      string
 	Component int
 }
 
-// createArgs drives ProcCreate.
-type createArgs struct {
-	Path string
+// line encodes a as a request's by-value argument.
+func (a lookupArgs) line() rpc.Line {
+	return rpc.Line{Str: a.Path, W: [3]int64{int64(a.Component)}}
 }
 
-// openReply returns the file identity, generation, and size.
+// openReply returns the file identity, generation, and size. It travels
+// by value in the reply's line: ID, Gen and Size in its words.
 type openReply struct {
 	ID   FileID
 	Gen  uint64
 	Size int64
+}
+
+// line encodes r as a reply's by-value result.
+func (r openReply) line() rpc.Line {
+	return rpc.Line{W: [3]int64{int64(r.ID), int64(r.Gen), r.Size}}
 }
 
 // pageArgs drives ProcReadPage.
@@ -63,25 +70,20 @@ type writeArgs struct {
 
 // validateLookupArgs vets a lookup request: non-empty path homed at this
 // cell.
-func (f *FS) validateLookupArgs(raw any) (*lookupArgs, error) {
-	args, ok := raw.(*lookupArgs)
-	if !ok || args.Path == "" || len(args.Path) > 4096 {
-		return nil, ErrBadArgs
+func (f *FS) validateLookupArgs(arg rpc.Line) (lookupArgs, error) {
+	if arg.Str == "" || len(arg.Str) > 4096 || f.homeFor(arg.Str) != f.CellID {
+		return lookupArgs{}, ErrBadArgs
 	}
-	if f.homeFor(args.Path) != f.CellID {
-		return nil, ErrBadArgs
-	}
-	return args, nil
+	return lookupArgs{Path: arg.Str, Component: int(arg.W[0])}, nil
 }
 
 // validateGetattrArgs vets a getattr request, which names a file either
 // by path or — with an empty path — by id in the Component field.
-func (f *FS) validateGetattrArgs(raw any) (*lookupArgs, error) {
-	args, ok := raw.(*lookupArgs)
-	if !ok || len(args.Path) > 4096 || args.Component < 0 {
-		return nil, ErrBadArgs
+func (f *FS) validateGetattrArgs(arg rpc.Line) (lookupArgs, error) {
+	if len(arg.Str) > 4096 || arg.W[0] < 0 {
+		return lookupArgs{}, ErrBadArgs
 	}
-	return args, nil
+	return lookupArgs{Path: arg.Str, Component: int(arg.W[0])}, nil
 }
 
 // validateRenameArgs vets a rename request: both paths well-formed and
@@ -98,15 +100,14 @@ func (f *FS) validateRenameArgs(raw any) (*renameArgs, error) {
 }
 
 // validateCreateArgs vets a create request: well-formed path, homed here.
-func (f *FS) validateCreateArgs(raw any) (*createArgs, error) {
-	args, ok := raw.(*createArgs)
-	if !ok || args.Path == "" || len(args.Path) > 4096 {
-		return nil, ErrBadArgs
+func (f *FS) validateCreateArgs(arg rpc.Line) (lookupArgs, error) {
+	if arg.Str == "" || len(arg.Str) > 4096 {
+		return lookupArgs{}, ErrBadArgs
 	}
-	if f.homeFor(args.Path) != f.CellID {
-		return nil, fmt.Errorf("%w: %s not homed here", ErrBadArgs, args.Path)
+	if f.homeFor(arg.Str) != f.CellID {
+		return lookupArgs{}, fmt.Errorf("%w: %s not homed here", ErrBadArgs, arg.Str)
 	}
-	return args, nil
+	return lookupArgs{Path: arg.Str}, nil
 }
 
 // validatePageArgs vets a page-fetch request and resolves it to the
@@ -148,7 +149,7 @@ func (f *FS) registerServices() {
 	// Path lookup: interrupt-level (directory maps are in memory).
 	f.EP.Register(ProcLookup, "fs.lookup",
 		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, err := f.validateLookupArgs(req.Args)
+			args, err := f.validateLookupArgs(req.Arg)
 			if err != nil {
 				return nil, 0, true, err
 			}
@@ -156,30 +157,28 @@ func (f *FS) registerServices() {
 			if !ok {
 				return nil, LookupServer, true, fmt.Errorf("%w: %s", ErrNotFound, args.Path)
 			}
-			return &openReply{ID: id, Gen: f.files[id].Gen}, LookupServer, true, nil
+			req.Result = openReply{ID: id, Gen: f.files[id].Gen}.line()
+			return nil, LookupServer, true, nil
 		}, nil, rpc.Idempotent())
 
 	f.EP.Register(ProcGetattr, "fs.getattr",
 		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, err := f.validateGetattrArgs(req.Args)
+			args, err := f.validateGetattrArgs(req.Arg)
 			if err != nil {
 				return nil, 0, true, err
 			}
+			var file *File
 			if args.Path == "" {
 				// Getattr by file id (size queries on open handles).
-				file := f.files[FileID(args.Component)]
-				if file == nil {
-					return nil, GetattrServer, true, ErrNotFound
-				}
-				return &openReply{ID: file.ID, Gen: file.Gen, Size: file.SizePgs},
-					GetattrServer, true, nil
+				file = f.files[FileID(args.Component)]
+			} else if id, ok := f.byPath[args.Path]; ok {
+				file = f.files[id]
 			}
-			id, ok := f.byPath[args.Path]
-			if !ok {
+			if file == nil {
 				return nil, GetattrServer, true, ErrNotFound
 			}
-			file := f.files[id]
-			return &openReply{ID: id, Gen: file.Gen, Size: file.SizePgs}, GetattrServer, true, nil
+			req.Result = openReply{ID: file.ID, Gen: file.Gen, Size: file.SizePgs}.line()
+			return nil, GetattrServer, true, nil
 		}, nil, rpc.Idempotent())
 
 	f.EP.Register(ProcRename, "fs.rename", nil,
@@ -193,13 +192,14 @@ func (f *FS) registerServices() {
 
 	f.EP.Register(ProcCreate, "fs.create", nil,
 		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := f.validateCreateArgs(req.Args)
+			args, err := f.validateCreateArgs(req.Arg)
 			if err != nil {
 				return nil, err
 			}
 			f.proc().Use(t, LookupServer)
 			file := f.createLocal(args.Path)
-			return &openReply{ID: file.ID, Gen: file.Gen}, nil
+			req.Result = openReply{ID: file.ID, Gen: file.Gen}.line()
+			return nil, nil
 		})
 
 	// Page fetch: the common case — a hit in the data-home page cache —

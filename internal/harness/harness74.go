@@ -131,6 +131,7 @@ func RunScalability(cpuCounts []int) []ScalabilityPoint {
 // on the paper's §4.3 choice to defer the real protocol).
 type AgreementComparison struct {
 	OracleDetectMs float64
+	OracleOK       bool
 	VoteDetectMs   float64
 	VoteOK         bool
 }
@@ -150,7 +151,7 @@ func RunAgreementComparison() *AgreementComparison {
 		ok := h.RunUntil(func() bool { return h.Coord.LiveCount() == 3 }, h.Eng.Now()+2*sim.Second)
 		return (h.Coord.LastDetectAt - at).Millis(), ok
 	}
-	out.OracleDetectMs, _ = run(membership.Oracle)
+	out.OracleDetectMs, out.OracleOK = run(membership.Oracle)
 	out.VoteDetectMs, out.VoteOK = run(membership.Vote)
 	return out
 }

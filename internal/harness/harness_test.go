@@ -79,6 +79,9 @@ func TestScalabilityCrossover(t *testing.T) {
 
 func TestAgreementModesAgree(t *testing.T) {
 	ac := RunAgreementComparison()
+	if !ac.OracleOK {
+		t.Fatal("oracle mode failed to confirm a real failure")
+	}
 	if !ac.VoteOK {
 		t.Fatal("vote mode failed to confirm a real failure")
 	}

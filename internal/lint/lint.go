@@ -23,8 +23,9 @@
 //
 //	carefulref   reads of another cell's arena go through careful.Reader
 //	             (the §3.3 careful-reference protocol)
-//	rpctaint     data from RPC requests / SIPS payloads is validated
-//	             before it mutates kernel state (distrust other cells)
+//	rpctaint     data from RPC requests, by-value RPC lines and SIPS
+//	             payloads is validated before it mutates kernel state
+//	             (distrust other cells)
 //	errdrop      RPC call errors (ErrTimeout/ErrShutdown) are never
 //	             silently discarded — a dropped failure erodes containment
 //

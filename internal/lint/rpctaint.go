@@ -16,10 +16,12 @@ import (
 // peer becomes a wild write in a healthy cell, which is exactly the
 // fault propagation the architecture exists to stop.
 //
-// Sources are the two fields wire data enters through: rpc.Request.Args
-// and machine.SIPSMsg.Payload (replies ride SIPS payloads too, so
-// Endpoint.Call results are tainted transitively through the rpc
-// package's own plumbing). Sinks are the irreversible kernel-state
+// Sources are the fields wire data enters through: rpc.Request.Args and
+// its by-value rpc.Request.Arg, the fields of an rpc.Line (a request's
+// by-value argument or a reply's by-value result, which Call copies into
+// a Line the client owns), and machine.SIPSMsg.Payload (replies ride SIPS
+// payloads too, so Endpoint.Call results are tainted transitively through
+// the rpc package's own plumbing). Sinks are the irreversible kernel-state
 // mutations: arena writes/frees (kmem), COW tree edits (cow) and page
 // cache insertions (vm). Reads are deliberately not sinks — kmem reads
 // are tag-checked and may return garbage by design; it is mutation that
@@ -29,7 +31,7 @@ import (
 // for that function.
 var rpctaintAnalyzer = &Analyzer{
 	Name:      "rpctaint",
-	Doc:       "data from rpc.Request args or SIPS payloads must pass a validate*/vet*/verify*/checksum function before reaching kmem/cow/vm mutation sinks (distrust other cells)",
+	Doc:       "data from rpc.Request args, rpc lines or SIPS payloads must pass a validate*/vet*/verify*/checksum function before reaching kmem/cow/vm mutation sinks (distrust other cells)",
 	RunModule: runRpctaint,
 }
 
@@ -65,6 +67,12 @@ func runRpctaint(mp *ModulePass) {
 		FieldSources: []FieldSource{
 			{PkgPath: "repro/internal/rpc", Type: "Request", Field: "Args",
 				Desc: "rpc request args (sent by another cell)"},
+			{PkgPath: "repro/internal/rpc", Type: "Request", Field: "Arg",
+				Desc: "rpc request args (sent by another cell)"},
+			{PkgPath: "repro/internal/rpc", Type: "Line", Field: "Str",
+				Desc: "an rpc line (by-value args or result, sent by another cell)"},
+			{PkgPath: "repro/internal/rpc", Type: "Line", Field: "W",
+				Desc: "an rpc line (by-value args or result, sent by another cell)"},
 			{PkgPath: "repro/internal/machine", Type: "SIPSMsg", Field: "Payload",
 				Desc: "a SIPS message payload (sent by another cell)"},
 		},

@@ -1,7 +1,8 @@
-// Fixture for the rpctaint analyzer: data arriving through rpc.Request.Args
-// or a SIPS payload must pass a named validator before reaching a kernel
-// mutation sink. Taint survives type assertions and helper hops; a
-// validate* return or a guard-style verify* call clears it.
+// Fixture for the rpctaint analyzer: data arriving through rpc.Request.Args,
+// a request's by-value Arg, a reply's by-value result or a SIPS payload
+// must pass a named validator before reaching a kernel mutation sink.
+// Taint survives type assertions and helper hops; a validate* return or a
+// guard-style verify* call clears it.
 package rpctaint
 
 import (
@@ -10,6 +11,7 @@ import (
 	"repro/internal/kmem"
 	"repro/internal/machine"
 	"repro/internal/rpc"
+	"repro/internal/sim"
 )
 
 type writeArgs struct {
@@ -80,4 +82,57 @@ func (s *server) indirect(req *rpc.Request) {
 func (s *server) sips(msg *machine.SIPSMsg, addr kmem.Addr) {
 	v := msg.Payload.(uint64)
 	s.arena.WriteWord(addr, 0, v) // want `Arena.WriteWord argument v carries a SIPS message payload`
+}
+
+// unvettedLine: a by-value argument straight into an arena write.
+func (s *server) unvettedLine(req *rpc.Request) {
+	s.arena.WriteWord(kmem.Addr(req.Arg.W[0]), 0, 0) // want `Arena.WriteWord argument kmem.Addr\(req.Arg.W\[0\]\) carries an rpc line`
+}
+
+// validateLine decodes and vets a by-value argument.
+func validateLine(l rpc.Line) (writeArgs, error) {
+	if l.W[1] == 0 {
+		return writeArgs{}, errors.New("zero value")
+	}
+	return writeArgs{Addr: kmem.Addr(l.W[0]), Val: uint64(l.W[1])}, nil
+}
+
+// vettedLine: the by-value argument went through a validator.
+func (s *server) vettedLine(req *rpc.Request) error {
+	args, err := validateLine(req.Arg)
+	if err != nil {
+		return err
+	}
+	s.arena.WriteWord(args.Addr, 0, args.Val)
+	return nil
+}
+
+type client struct {
+	ep    *rpc.Endpoint
+	proc  *machine.Processor
+	arena *kmem.Arena
+}
+
+// unvettedResult: a by-value reply result reaches a sink on the client.
+func (c *client) unvettedResult(t *sim.Task) error {
+	var res rpc.Line
+	if _, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{Result: &res}); err != nil {
+		return err
+	}
+	c.arena.WriteWord(kmem.Addr(res.W[0]), 0, 0) // want `Arena.WriteWord argument kmem.Addr\(res.W\[0\]\) carries an rpc line`
+	return nil
+}
+
+// vettedResult: the client validated the result first.
+func (c *client) vettedResult(t *sim.Task) error {
+	var res rpc.Line
+	if _, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{Result: &res}); err != nil {
+		return err
+	}
+	args, err := validateLine(res)
+	if err != nil {
+		return err
+	}
+	c.arena.WriteWord(args.Addr, 0, args.Val)
+	return nil
 }

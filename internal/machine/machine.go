@@ -136,7 +136,8 @@ type Machine struct {
 	pages   []pageState // indexed by PageNum
 	deliver func(any)   // deliverSIPS, bound once for launchSIPS's events
 
-	sipsSends *stats.Counter // "sips.sends", looked up on the first send
+	// Counters of the per-access paths, looked up on first use.
+	sipsSends, memReads, memWrites, fwChecks *stats.Counter
 }
 
 // tracer returns node n's recording handle; the nil tracer no-ops.

@@ -23,7 +23,7 @@ func (m *Machine) ReadPage(t *sim.Task, proc *Processor, p PageNum) (tag uint64,
 		m.Metrics.Counter("mem.bus_errors").Inc()
 		return 0, false, err
 	}
-	m.Metrics.Counter("mem.reads").Inc()
+	m.Metrics.Cached(&m.memReads, "mem.reads").Inc()
 	ps := &m.pages[p]
 	return ps.tag, ps.corrupt, nil
 }
@@ -53,7 +53,7 @@ func (m *Machine) WritePage(t *sim.Task, proc *Processor, p PageNum, tag uint64)
 	ps.tag = tag
 	ps.corrupt = false
 	ps.writes++
-	m.Metrics.Counter("mem.writes").Inc()
+	m.Metrics.Cached(&m.memWrites, "mem.writes").Inc()
 	return nil
 }
 
@@ -84,7 +84,7 @@ func (m *Machine) checkFirewall(procID int, p PageNum) error {
 	if !m.Cfg.FirewallEnabled {
 		return nil
 	}
-	m.Metrics.Counter("firewall.checks").Inc()
+	m.Metrics.Cached(&m.fwChecks, "firewall.checks").Inc()
 	allowed := false
 	switch m.Cfg.FirewallMode {
 	case FirewallBitVector:

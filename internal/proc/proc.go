@@ -95,6 +95,9 @@ type Table struct {
 	nextPID int
 	nextSpn int
 	Metrics *stats.Registry
+
+	// Counters of the process life cycle, looked up on first use.
+	spawned, exited *stats.Counter
 }
 
 // NewTable builds a cell's process table and registers its RPC services.
@@ -146,7 +149,7 @@ func (pt *Table) spawn(name string, group, parent int, leaf kmem.Addr, body Body
 	}
 	pt.nextPID += pt.Cells
 	pt.procs[p.PID] = p
-	pt.Metrics.Counter("proc.spawned").Inc()
+	pt.Metrics.Cached(&pt.spawned, "proc.spawned").Inc()
 	p.Task = pt.EP.Engine().Go(fmt.Sprintf("cell%d.%s.%d", pt.CellID, name, p.PID), func(t *sim.Task) {
 		t.Data = p
 		defer pt.reap(p)
@@ -182,7 +185,7 @@ func (pt *Table) reap(p *Process) {
 		})
 	}
 	delete(pt.procs, p.PID)
-	pt.Metrics.Counter("proc.exited").Inc()
+	pt.Metrics.Cached(&pt.exited, "proc.exited").Inc()
 }
 
 // Fork creates a child of p running body on targetCell (possibly remote:

@@ -17,6 +17,14 @@
 //     the queued path only when they would block.
 //   - Every call carries a timeout; a timeout is a failure-detection hint
 //     about the callee cell (§4.3).
+//
+// A Request belongs to the endpoint that made it. A call that returns on
+// the clean path — answered by its first reply on its own lines, with no
+// retry and no line launched under a fault hook — puts its Request back on
+// its endpoint's freelist for the next call, so a handler must not keep
+// the *Request after it returns. Arguments and results that fit in one
+// Line travel by value (CallOpts.Arg, Request.Result, CallOpts.Result),
+// so such a call allocates nothing once its endpoint is warm.
 package rpc
 
 import (
@@ -98,17 +106,32 @@ var (
 // ProcID names a remote procedure.
 type ProcID int
 
+// Line is the by-value part of a request's arguments or a reply's result:
+// what fits in the paper's 128-byte SIPS line beside the header, a string
+// (a path) and three words. Larger or richer data travels in Args.
+type Line struct {
+	Str string
+	W   [3]int64
+}
+
 // Request is one in-flight RPC. It is the call's only host object: it
 // holds its first request line, its reply and the reply's first line.
 // Only Call creates a Request, and every copy of it on the wire (a
 // retransmission or a wire duplicate) is the same object, so a server
-// answers a duplicate from the request it arrived as.
+// answers a duplicate from the request it arrived as. The calling
+// endpoint recycles it once the call returns on the clean path (see
+// Call), so a handler must not keep the *Request after it returns.
 type Request struct {
 	ID        uint64
 	From, To  int // cell IDs
 	Proc      ProcID
 	Args      any
-	DataBytes int // payload size; >128 engages copy/alloc costs
+	Arg       Line // the by-value argument (CallOpts.Arg)
+	DataBytes int  // payload size; >128 engages copy/alloc costs
+	// Result is the by-value result: a handler that handles the request
+	// sets it before it returns, and the reply carries a copy back to
+	// CallOpts.Result.
+	Result Line
 	// Span is the causal trace span allocated by the client; the server
 	// side records its recv/reply events under the same id, so the merged
 	// trace links both halves of the call across cells.
@@ -126,20 +149,40 @@ type Request struct {
 	rep     reply
 	repLine machine.SIPSMsg
 	last    *reply
+	// shared records that something besides the call may still reach the
+	// request once it returns: it was retried, answered other than by rep
+	// on repLine, or one of its lines was launched while the machine's
+	// fault hook was set (the hook may hold, delay or duplicate the line).
+	// A shared request is left to the collector.
+	shared bool
+	// recycled marks a request on its endpoint's freelist: every wire
+	// path panics if it is handed one.
+	recycled bool
 }
 
-// reply is the wire representation of a completed call. An error reply
-// is itself the error Call returns: errors cross the wire as text, so the
-// client never sees the server's error value.
+// reply is the wire representation of a completed call. Errors cross the
+// wire as text, so the client never sees the server's error value.
 type reply struct {
-	id     uint64
-	proc   ProcID // the serviced procedure (fault injectors classify by it)
+	req    *Request // the request it answers
 	result any
+	res    Line // the by-value result
 	err    string
 }
 
-// Error returns the server's error text.
-func (r *reply) Error() string { return r.err }
+// remoteError is an error a server returned, as the client sees it: its
+// text. It is immutable and points into no Request.
+type remoteError struct{ text string }
+
+func (e *remoteError) Error() string { return e.text }
+
+// mustLive returns req, panicking if it sits on a freelist: the wire path
+// was handed a request whose call had already been recycled.
+func mustLive(req *Request) *Request {
+	if req.recycled {
+		panic("rpc: a recycled Request reached the wire path")
+	}
+	return req
+}
 
 // IntrHandler services a request at interrupt level. It runs in engine
 // context and must not block. It returns the result, any extra service cost
@@ -214,8 +257,15 @@ type Endpoint struct {
 	// the *Request as its argument.
 	serveIntr, resendIntr, launchIntr func(*machine.Processor, any)
 
+	// freeReqs holds the Requests of calls that returned on the clean
+	// path, zeroed, for the next calls to take.
+	freeReqs []*Request
+	// lastErr is the last remote error Call returned, reused while the
+	// next error text is the same.
+	lastErr *remoteError
+
 	// Counters of the round trip, looked up on first use.
-	calls, spinTimeouts, intrServed *stats.Counter
+	calls, spinTimeouts, intrServed, queued *stats.Counter
 }
 
 // NewEndpoint creates the endpoint for cell cellID using the given
@@ -330,21 +380,55 @@ type CallOpts struct {
 	DataBytes int      // total arg+result payload bytes (0 = null)
 	Timeout   sim.Time // overrides DefaultTimeout
 	NoHint    bool     // suppress failure hints (used by the prober)
+	Arg       Line     // the by-value argument (Request.Arg)
+	Result    *Line    // if set, receives the by-value result of an answered call
+}
+
+// newRequest takes a zeroed Request from the freelist, or makes one.
+func (ep *Endpoint) newRequest() *Request {
+	n := len(ep.freeReqs)
+	if n == 0 {
+		return new(Request)
+	}
+	req := ep.freeReqs[n-1]
+	ep.freeReqs = ep.freeReqs[:n-1]
+	req.recycled = false
+	return req
+}
+
+// remoteErr returns the error Call reports for a reply's error text: nil
+// for none, else the endpoint's last remote error while the text repeats
+// (a run of identical misses allocates nothing).
+func (ep *Endpoint) remoteErr(text string) error {
+	if text == "" {
+		return nil
+	}
+	if ep.lastErr == nil || ep.lastErr.text != text {
+		ep.lastErr = &remoteError{text}
+	}
+	return ep.lastErr
 }
 
 // Call performs a synchronous RPC from task t (running on proc) to cell
 // `to`. It returns the handler's result or an error; timeouts and send
-// failures raise failure-detection hints unless suppressed.
+// failures raise failure-detection hints unless suppressed. A remote
+// error keeps its text, not its server-side value.
+//
+// A call answered on the clean path recycles its Request: no retry, no
+// timeout, shutdown or kill, the reply that resolved it was the first
+// service's on the request's own reply line, and no line of the call was
+// launched while the machine's fault hook was set (FaultDup is the only
+// way to put two copies of a line on the wire). Then nothing else can
+// reach the Request. On every other path it is left to the collector.
 func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID ProcID, args any, opts CallOpts) (any, error) {
 	callee, ok := ep.Peers[to]
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown cell %d", ErrSendFailed, to)
 	}
 	ep.nextID++
-	req := &Request{
-		ID: ep.nextID, From: ep.CellID, To: to, Proc: procID,
-		Args: args, DataBytes: opts.DataBytes,
-	}
+	req := ep.newRequest()
+	req.ID, req.From, req.To, req.Proc = ep.nextID, ep.CellID, to, procID
+	req.Args, req.Arg, req.DataBytes = args, opts.Arg, opts.DataBytes
 	callStart := t.Now()
 	req.Span = ep.Tracer.NextSpan()
 	ep.Tracer.EmitSpan(callStart, trace.RPCSend, req.Span, int64(to), int64(procID), "")
@@ -388,9 +472,12 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 		msg := &req.line
 		if attempt > 0 {
 			msg = new(machine.SIPSMsg)
+			req.shared = true
 		}
 		*msg = machine.SIPSMsg{To: callee.nextProc().ID, Kind: machine.SIPSRequest, Size: machine.SIPSLineBytes, Payload: req}
-		if err := ep.M.SendSIPS(t, proc, msg); err != nil {
+		err := ep.M.SendSIPS(t, proc, msg)
+		ep.noteHook(req)
+		if err != nil {
 			ep.Metrics.Counter("rpc.send_failures").Inc()
 			ep.Tracer.EmitSpan(t.Now(), trace.RPCTimeout, req.Span, int64(to), int64(procID), "")
 			if !opts.NoHint && ep.HintSink != nil {
@@ -462,10 +549,17 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 	proc.Use(t, stub)
 	ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(to), int64(procID), "")
 	ep.histCall.ObserveTime(t.Now() - callStart)
-	if rep.err != "" {
-		return rep.result, rep
+	result, err := rep.result, ep.remoteErr(rep.err)
+	if opts.Result != nil {
+		*opts.Result = rep.res
 	}
-	return rep.result, nil
+	if !req.shared {
+		// The recycled reply still names its request, so a stray line
+		// carrying it meets the mark.
+		*req = Request{recycled: true, rep: reply{req: req}}
+		ep.freeReqs = append(ep.freeReqs, req)
+	}
+	return result, err
 }
 
 // onSIPS is the hardware receive handler: it runs in interrupt context on
@@ -480,7 +574,12 @@ func (ep *Endpoint) onSIPS(proc *machine.Processor, arg any) {
 		ep.handleRequest(proc, msg.Payload.(*Request))
 	case machine.SIPSReply:
 		rep := msg.Payload.(*reply)
-		if req, ok := ep.pending[rep.id]; ok {
+		if req, ok := ep.pending[mustLive(rep.req).ID]; ok {
+			if msg != &req.repLine || rep != &req.rep || req.future.Ready() {
+				// Not the first service's reply on the request's own
+				// line, or not its only copy: another may still be out.
+				req.shared = true
+			}
 			if req.future.Ready() {
 				// A wire-duplicated reply for a call still unwinding:
 				// the first copy already resolved the future.
@@ -513,15 +612,17 @@ func (ep *Endpoint) remember(key dedupKey) {
 	ep.seen[key] = false
 }
 
-// noteServed records req's result as its reply and marks it served, so a
-// retransmit is answered from req without re-execution. The first service
-// fills req.rep; a later one builds a fresh reply.
+// noteServed records req's result, and the by-value Result its handler
+// set, as its reply and marks it served, so a retransmit is answered from
+// req without re-execution. The first service fills req.rep; a later one
+// builds a fresh reply.
 func (ep *Endpoint) noteServed(req *Request, result any, err error) {
 	rep := &req.rep
 	if req.last != nil {
 		rep = new(reply)
 	}
-	*rep = reply{id: req.ID, proc: req.Proc, result: result}
+	*rep = reply{req: req, result: result, res: req.Result}
+	req.Result = Line{}
 	if err != nil {
 		rep.err = err.Error()
 	}
@@ -546,6 +647,7 @@ func replyLine(req *Request, dst *machine.Processor) *machine.SIPSMsg {
 // handleRequest starts the interrupt-level service path of a request that
 // proc received.
 func (ep *Endpoint) handleRequest(proc *machine.Processor, req *Request) {
+	mustLive(req)
 	ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCRecv, req.Span, int64(req.From), int64(req.Proc), "")
 
 	// Interrupt entry + demux.
@@ -576,7 +678,7 @@ func (ep *Endpoint) handleRequest(proc *machine.Processor, req *Request) {
 // and demux costs are paid. Services are registered when an endpoint is
 // built, so the service looked up here is the one the request arrived for.
 func (ep *Endpoint) serve(proc *machine.Processor, arg any) {
-	req := arg.(*Request)
+	req := mustLive(arg.(*Request))
 	svc := ep.services[req.Proc]
 	switch {
 	case svc == nil:
@@ -618,7 +720,7 @@ func (ep *Endpoint) reply(proc *machine.Processor, req *Request, result any, err
 // reply construction and launch costs are paid again, the service itself
 // is not re-executed.
 func (ep *Endpoint) resend(proc *machine.Processor, arg any) {
-	req := arg.(*Request)
+	req := mustLive(arg.(*Request))
 	if ep.Peers[req.From] == nil {
 		return
 	}
@@ -632,14 +734,23 @@ func (ep *Endpoint) resend(proc *machine.Processor, arg any) {
 // reply to that cell's previous incarnation, which its fresh endpoint
 // discards as stale.
 func (ep *Endpoint) launch(proc *machine.Processor, arg any) {
-	req := arg.(*Request)
+	req := mustLive(arg.(*Request))
 	ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
 	ep.M.SendSIPSAsync(proc, replyLine(req, ep.Peers[req.From].nextProc()))
+	ep.noteHook(req)
+}
+
+// noteHook marks req shared if the line just launched for it passed the
+// machine's fault hook, which is consulted inside the launch.
+func (ep *Endpoint) noteHook(req *Request) {
+	if ep.M.FaultHook != nil {
+		req.shared = true
+	}
 }
 
 // enqueue hands a request to the server pool.
 func (ep *Endpoint) enqueue(req *Request) {
-	ep.Metrics.Counter("rpc.queued").Inc()
+	ep.Metrics.Cached(&ep.queued, "rpc.queued").Inc()
 	ep.queue.Push(req)
 }
 
@@ -652,7 +763,7 @@ func (ep *Endpoint) serverLoop(t *sim.Task) {
 		if !ok {
 			return
 		}
-		req := v.(*Request)
+		req := mustLive(v.(*Request))
 		proc := ep.serverProc()
 		if proc == nil {
 			return // all processors halted; cell is dead
@@ -682,6 +793,7 @@ func (ep *Endpoint) serverLoop(t *sim.Task) {
 		proc.Use(t, ServerReply)
 		ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
 		ep.M.SendSIPS(t, proc, replyLine(req, caller.nextProc()))
+		ep.noteHook(req)
 	}
 }
 
@@ -712,7 +824,7 @@ func ClassifySIPS(msg *machine.SIPSMsg) (MsgMeta, bool) {
 	case *Request:
 		return MsgMeta{ID: p.ID, From: p.From, To: p.To, Proc: p.Proc}, true
 	case *reply:
-		return MsgMeta{ID: p.id, Proc: p.proc, IsReply: true}, true
+		return MsgMeta{ID: p.req.ID, Proc: p.req.Proc, IsReply: true}, true
 	}
 	return MsgMeta{}, false
 }

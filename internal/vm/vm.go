@@ -76,6 +76,8 @@ type VM struct {
 
 	Metrics   *stats.Registry
 	histFault *stats.Histogram // fault service latency (µs), hits and misses
+	// Counters of the fault path, looked up on first use.
+	faultHits, faultMisses *stats.Counter
 
 	// maskOfCell caches each cell's firewall processor mask (built lazily
 	// from CellOfNode, which never changes after boot).
@@ -197,14 +199,14 @@ func (v *VM) Fault(t *sim.Task, lp LogicalPage, write bool) (*Pfdat, error) {
 			// Hit: 6.9 µs total.
 			proc.Use(t, LocalFaultMap)
 			pf.Refs++
-			v.Metrics.Counter("vm.fault_hits").Inc()
+			v.Metrics.Cached(&v.faultHits, "vm.fault_hits").Inc()
 			v.Tracer.EmitSpan(t.Now(), trace.FaultEnd, span, 1, 0, "")
 			v.histFault.ObserveTime(t.Now() - start)
 			return pf, nil
 		}
 
 		// Miss (or write upgrade): client-side VM + locking costs.
-		v.Metrics.Counter("vm.fault_misses").Inc()
+		v.Metrics.Cached(&v.faultMisses, "vm.fault_misses").Inc()
 		proc.Use(t, MiscVMClient-LocalFaultLookup+LockingCost)
 		v.Lock.Lock(t)
 		res := v.resolvers[lp.Obj.Kind]
