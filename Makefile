@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-report check trace-check drill-smoke mort-check frontend-smoke crashloop-soak surge-soak race bench-engine bench-report bench-gate clean
+.PHONY: all build test lint lint-report check drill-smoke mort-check crashloop-soak surge-soak race bench-engine bench-report bench-gate clean
 
 all: check
 
@@ -38,9 +38,12 @@ lint-report:
 # compiling and running), the race detector over the same
 # packages as CI's race job (`make race`: the parallel trial runner, the
 # engine it drives and the fault-injection determinism gates), the
-# observability byte-identity gate, the forensic cross-check, the
-# frontend smoke test and the exact BENCH_hive.json gate (`make
-# bench-gate`, about 6 s), so check runs every job CI runs.
+# forensic cross-check over the default campaign (`make mort-check`) and
+# the exact BENCH_hive.json gate (`make bench-gate`, about 6 s), so check
+# runs every job CI runs, each gate once. The trace byte-identity and
+# golden-rendering tests, and the frontend's determinism tests, run in
+# `go test ./...`; the default campaign includes every trial
+# drill-smoke and a single surge trial would run.
 check: build
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...
@@ -49,36 +52,14 @@ check: build
 	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants|Analyze' -benchtime 1x ./internal/trace ./internal/core ./internal/forensic
 	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC|RemoteStat' -benchtime 1x ./internal/sim ./internal/rpc ./internal/fs
 	$(MAKE) race
-	$(MAKE) trace-check
 	$(MAKE) mort-check
-	$(MAKE) frontend-smoke
 	$(MAKE) bench-gate
 
-# frontend-smoke is the fast frontend gate inside `check`: one surge
-# trial end to end (kill a cell mid-surge through the faultdrill CLI,
-# exit nonzero unless contained with the loop closed and the trace audit
-# agreeing) plus the targeted open-loop determinism tests with -count=1.
-frontend-smoke:
-	$(GO) run ./cmd/faultdrill -scenario 14 -trial 0
-	$(GO) test -count=1 -run 'TestFrontendArrivalDeterminism|TestFrontendZipfTenantMix' ./internal/workload/
-
-# trace-check is the observability gate: the Chrome trace export and the
-# histogram-backed campaign rows must be byte-identical across -j1/-j4
-# and across repeated same-seed runs; the Chrome export and the forensic
-# report of four golden trials must match their pinned digests, so a
-# change to the kind table or the span pairer shows across commits; and
-# trace.Pair, the kind table, the exporter, the ordered merge, the
-# chunked rings and the sink must keep their rules.
-# Runs the targeted tests with -count=1 so a cached pass never masks a
-# regression.
-trace-check:
-	$(GO) test -count=1 -run 'TestTraceAndMetricsDeterminism|TestGoldenRenderings' ./internal/faultinject/
-	$(GO) test -count=1 -run 'TestExportChromePairsSpans|TestSetMergeTotalOrder|TestMergedMatchesStableSort|TestChunkedRingMatchesWholeRing|TestNewSetAllocatesFirstChunks|TestSinkSeesEveryEventInSeqOrder|TestSpanPropagationAcrossCells|TestPair|TestKindTableComplete|TestExportNamesRebootAndRejoin' ./internal/trace/
-
-# drill-smoke is the fast end-to-end campaign gate: one trial of every
-# scenario (paper rows and v2 extensions) through the faultdrill CLI,
-# each audited from its trace, exiting nonzero on any containment failure
-# or trace/harness disagreement.
+# drill-smoke is a quick local campaign: one trial of every scenario
+# (paper rows and v2 extensions) through the faultdrill CLI, each audited
+# from its trace, exiting nonzero on any containment failure or
+# trace/harness disagreement. Neither check nor CI runs it: mort-check's
+# default campaign runs the same trials.
 drill-smoke:
 	$(GO) run ./cmd/faultdrill -trials 1
 

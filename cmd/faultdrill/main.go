@@ -18,14 +18,16 @@
 //	faultdrill -scenario 4 -trial 2      # one trial and its full forensic report
 //	faultdrill -scenario 4 -trial 2 -top 5  # top-5 span names per subsystem in its profiles
 //	faultdrill -scenario 2 -trial 0 -trace out.json  # Perfetto trace of one trial
-//	faultdrill -sweep                    # seeded grid sweep with failure minimization
-//	faultdrill -sweep -points 220        # at least 220 (scenario × trial) grid points
+//
+// A campaign prints Table 7.4, its witness hash (faultinject.CampaignHash:
+// two campaigns over the same trials agree on it exactly), and the trace
+// audit. Each failing trial is followed by the faultdrill command that
+// replays it: a trial is a pure function of (scenario, trial, cells).
 //
 // Exit status is 1 when the harness fails a trial or a trace-derived
 // verdict disagrees with the harness's, and 2 on an out-of-range -cells or
-// -scenario, a negative -trial or -trials, a -points below 1, or a flag the
-// chosen mode does not read (-trace without -scenario, -o without -json,
-// -points without -sweep, ...).
+// -scenario, a negative -trial or -trials, or a flag the chosen mode does
+// not read (-trace without -scenario, -o without -json, ...).
 package main
 
 import (
@@ -50,7 +52,7 @@ type campaignReport struct {
 	Cells             int                        `json:"cells"`
 	Scenarios         []*faultinject.CampaignRow `json:"scenarios"`
 	AllOK             bool                       `json:"all_ok"`
-	Sweep             *faultinject.SweepReport   `json:"sweep,omitempty"`
+	Hash              string                     `json:"hash"` // faultinject.CampaignHash, as printed
 	Audit             *audit                     `json:"audit"`
 }
 
@@ -66,8 +68,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit a machine-readable campaign and audit report instead of the tables")
 		outPath   = flag.String("o", "", "write the -json report to a file instead of stdout")
 		tracePath = flag.String("trace", "", "with -scenario: write the trial's Chrome trace-event JSON here")
-		sweep     = flag.Bool("sweep", false, "run the seeded (scenario × trial) grid sweep with failure minimization")
-		points    = flag.Int("points", 220, "with -sweep: minimum grid points to cover")
 	)
 	flag.Parse()
 
@@ -75,7 +75,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	msg := flagConflict(set)
 	if msg == "" {
-		msg = valueError(*cells, *scenario, *trial, *trials, *points)
+		msg = valueError(*cells, *scenario, *trial, *trials)
 	}
 	if msg != "" {
 		fmt.Fprintln(os.Stderr, "faultdrill:", msg)
@@ -97,9 +97,6 @@ func main() {
 	}
 
 	per := *trials
-	if *sweep {
-		per = max((*points+faultinject.NumScenarios-1)/faultinject.NumScenarios, 1)
-	}
 	scens := faultinject.AllScenarios()
 	// Each trial is audited inside its job, so only its verdict outlives
 	// the job.
@@ -130,12 +127,7 @@ func main() {
 			}
 		}
 	}
-	var sw *faultinject.SweepReport
-	if *sweep {
-		// The grid's trials ran above; the minimizer re-runs only failing
-		// grid points, under candidate seeds.
-		sw = faultinject.Sweep(results, faultinject.TrialOpts{Cells: *cells})
-	}
+	hash := fmt.Sprintf("%016x", faultinject.CampaignHash(results))
 	au := foldAudit(scens, runs)
 	pass := allOK && au.AllAgree
 
@@ -146,7 +138,7 @@ func main() {
 			Cells:             *cells,
 			Scenarios:         rows,
 			AllOK:             allOK,
-			Sweep:             sw,
+			Hash:              hash,
 			Audit:             au,
 		}
 		enc, err := json.MarshalIndent(report, "", "  ")
@@ -178,16 +170,13 @@ func main() {
 				row.Scenario, row.Tests, row.AllOK, row.AvgDetect, row.P99Detect, row.MaxDetect)
 		}
 	}
-	if sw != nil {
-		fmt.Print(sw.Format())
+	fmt.Println(faultinject.Table74(rows, nil))
+	if allOK {
+		fmt.Println("The effects of the fault were contained to the injected cell in every test.")
 	} else {
-		fmt.Println(faultinject.Table74(rows, nil))
-		if allOK {
-			fmt.Println("The effects of the fault were contained to the injected cell in every test.")
-		} else {
-			fmt.Println("CONTAINMENT FAILURES OCCURRED — see above.")
-		}
+		fmt.Println("CONTAINMENT FAILURES OCCURRED — see above.")
 	}
+	fmt.Println("campaign hash:", hash)
 	fmt.Println()
 	au.print()
 	if !pass {
@@ -198,7 +187,7 @@ func main() {
 // flagRules say which flags a mode reads: flag is read only alongside
 // other when needs is set, and never alongside it otherwise. A single
 // trial (-scenario) reads -trial, -top and -trace and none of the
-// campaign's flags; -points sets the sweep's grid in place of -trials.
+// campaign's flags.
 var flagRules = []struct {
 	flag, other string
 	needs       bool
@@ -210,10 +199,6 @@ var flagRules = []struct {
 	{"v", "scenario", false},
 	{"json", "scenario", false},
 	{"o", "scenario", false},
-	{"sweep", "scenario", false},
-	{"points", "scenario", false},
-	{"points", "sweep", true},
-	{"trials", "sweep", false},
 	{"o", "json", true},
 }
 
@@ -235,7 +220,7 @@ func flagConflict(set map[string]bool) string {
 
 // valueError names the first flag whose value no mode accepts, or returns
 // "" when there is none. RunTrialOpts panics on a negative trial index.
-func valueError(cells, scenario, trial, trials, points int) string {
+func valueError(cells, scenario, trial, trials int) string {
 	switch {
 	case cells < 4 || cells > core.MaxCells:
 		return fmt.Sprintf("-cells %d: campaign needs 4..%d cells", cells, core.MaxCells)
@@ -245,8 +230,6 @@ func valueError(cells, scenario, trial, trials, points int) string {
 		return fmt.Sprintf("-trial %d: trials are 0 or more", trial)
 	case trials < 0:
 		return fmt.Sprintf("-trials %d: trials per scenario are 0 (the default counts) or more", trials)
-	case points < 1:
-		return fmt.Sprintf("-points %d: the sweep needs at least 1 grid point", points)
 	}
 	return ""
 }

@@ -25,9 +25,6 @@ func TestFlagConflict(t *testing.T) {
 		{"scenario trial", ""},
 		{"scenario trial top", ""},
 		{"scenario trial trace cells", ""},
-		{"sweep", ""},
-		{"sweep points json o", ""},
-		{"sweep v j", ""},
 
 		{"trial", "-trial needs -scenario"},
 		{"top", "-top needs -scenario"},
@@ -36,10 +33,6 @@ func TestFlagConflict(t *testing.T) {
 		{"scenario v", "-v is not read with -scenario"},
 		{"scenario trial json o", "-json is not read with -scenario"},
 		{"scenario o", "-o is not read with -scenario"},
-		{"scenario sweep", "-sweep is not read with -scenario"},
-		{"scenario points", "-points is not read with -scenario"},
-		{"points", "-points needs -sweep"},
-		{"sweep trials", "-trials is not read with -sweep"},
 		{"o", "-o needs -json"},
 		{"trials o", "-o needs -json"},
 	}
@@ -58,23 +51,21 @@ func TestFlagConflict(t *testing.T) {
 // something other than what was asked, or to panic.
 func TestValueError(t *testing.T) {
 	cases := []struct {
-		cells, scenario, trial, trials, points int
-		want                                   string
+		cells, scenario, trial, trials int
+		want                           string
 	}{
-		{4, -1, 0, 0, 220, ""},
-		{16, 13, 11, 3, 1, ""},
-		{3, -1, 0, 0, 220, "-cells 3: campaign needs 4..64 cells"},
-		{65, -1, 0, 0, 220, "-cells 65: campaign needs 4..64 cells"},
-		{4, faultinject.NumScenarios, 0, 0, 220, fmt.Sprintf("-scenario %d: scenarios are 0..%d", faultinject.NumScenarios, faultinject.NumScenarios-1)},
-		{4, 0, -1, 0, 220, "-trial -1: trials are 0 or more"},
-		{4, -1, 0, -1, 220, "-trials -1: trials per scenario are 0 (the default counts) or more"},
-		{4, -1, 0, 0, 0, "-points 0: the sweep needs at least 1 grid point"},
-		{4, -1, 0, 0, -5, "-points -5: the sweep needs at least 1 grid point"},
+		{4, -1, 0, 0, ""},
+		{16, 13, 11, 3, ""},
+		{3, -1, 0, 0, "-cells 3: campaign needs 4..64 cells"},
+		{65, -1, 0, 0, "-cells 65: campaign needs 4..64 cells"},
+		{4, faultinject.NumScenarios, 0, 0, fmt.Sprintf("-scenario %d: scenarios are 0..%d", faultinject.NumScenarios, faultinject.NumScenarios-1)},
+		{4, 0, -1, 0, "-trial -1: trials are 0 or more"},
+		{4, -1, 0, -1, "-trials -1: trials per scenario are 0 (the default counts) or more"},
 	}
 	for _, c := range cases {
-		if got := valueError(c.cells, c.scenario, c.trial, c.trials, c.points); got != c.want {
-			t.Errorf("valueError(%d, %d, %d, %d, %d) = %q, want %q",
-				c.cells, c.scenario, c.trial, c.trials, c.points, got, c.want)
+		if got := valueError(c.cells, c.scenario, c.trial, c.trials); got != c.want {
+			t.Errorf("valueError(%d, %d, %d, %d) = %q, want %q",
+				c.cells, c.scenario, c.trial, c.trials, got, c.want)
 		}
 	}
 }

@@ -44,7 +44,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
 // run parses args, runs the workload they choose and writes its report to
 // stdout; errors go to stderr. It returns the exit status: 2 for a bad
-// flag, 1 for a trace that cannot be written.
+// flag (-irix with -cells or -reboot, a negative -failat, ...), 1 for a
+// trace that cannot be written.
 func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("hivesim", flag.ContinueOnError)
 	var (
@@ -69,26 +70,37 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 	out := func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) }
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case *irix && (set["cells"] || set["reboot"]):
+		fmt.Fprintln(os.Stderr, "hivesim: -irix boots one cell with no reboot loop: -cells and -reboot are not read with it")
+		return 2
+	case *failAt < 0:
+		fmt.Fprintf(os.Stderr, "hivesim: -failat %v: the fault's virtual time is 0 or later\n", *failAt)
+		return 2
+	}
+	configure := func(cfg *core.Config) {
+		if *tracePath != "" || *forensicOn {
+			// Wide rings so a full workload's spans survive to export.
+			cfg.TraceCap = 1 << 16
+		}
+		if *reboot {
+			cfg.Reboot = core.RebootPolicy{Enabled: true}
+		}
+	}
 
 	var h *core.Hive
 	name := fmt.Sprintf("hive-%dcell", *cells)
 	if *irix {
-		h = hive.BootIRIX()
+		h = workload.BootIRIXWith(*seed, configure)
 		name = "IRIX"
 	} else {
 		if err := hive.ValidateCells(*cells); err != nil {
 			fmt.Fprintln(os.Stderr, "hivesim:", err)
 			return 2
 		}
-		h = workload.BootHiveWith(*cells, *seed, func(cfg *core.Config) {
-			if *tracePath != "" || *forensicOn {
-				// Wide rings so a full workload's spans survive to export.
-				cfg.TraceCap = 1 << 16
-			}
-			if *reboot {
-				cfg.Reboot = core.RebootPolicy{Enabled: true}
-			}
-		})
+		h = workload.BootHiveWith(*cells, *seed, configure)
 	}
 	defer h.Eng.Stop()
 

@@ -35,3 +35,31 @@ func TestDashboardAfterFault(t *testing.T) {
 		t.Error("the timeline reports an unfinished phase")
 	}
 }
+
+// TestIRIXReadsItsFlags checks the flags the IRIX baseline reads as the
+// hive path does, and the ones no run can honour: -irix -forensic keeps
+// every event in its widened rings, -irix refuses -cells and -reboot,
+// and a fault cannot be injected before time 0.
+func TestIRIXReadsItsFlags(t *testing.T) {
+	cases := []struct {
+		args string
+		code int
+	}{
+		{"-irix -forensic", 0},
+		{"-irix -cells 16", 2},
+		{"-irix -reboot", 2},
+		{"-irix -cells 1 -seed 9", 2},
+		{"-fail 1 -failat -2s", 2},
+	}
+	for _, c := range cases {
+		t.Run(c.args, func(t *testing.T) {
+			var out bytes.Buffer
+			if code := run(strings.Fields(c.args), &out); code != c.code {
+				t.Errorf("run(%q) = %d, want %d", c.args, code, c.code)
+			}
+			if strings.Contains(out.String(), "dropped") {
+				t.Errorf("run(%q) dropped trace events:\n%s", c.args, out.String())
+			}
+		})
+	}
+}

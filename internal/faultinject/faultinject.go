@@ -226,10 +226,6 @@ type TrialOpts struct {
 	// as it is recorded, through the trace's sink, so the report covers
 	// the events the rings drop, at any TraceCap.
 	Audit bool
-	// Seed overrides the seed derived from (scenario, trial). The sweep
-	// failure minimizer uses it to search for the smallest reproducing
-	// seed; 0 keeps the derived default.
-	Seed int64
 	// Cells sizes the Hive the trial boots (0 = the paper's 4 cells).
 	// Larger campaigns exercise containment at scale; counts below 4 are
 	// rejected — the methodology needs two file-server cells plus at
@@ -263,9 +259,6 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		// Distinct cell counts are distinct experiments; keep the 4-cell
 		// seeds exactly as published while separating the others.
 		seed += int64(cells) * 7919
-	}
-	if opts.Seed != 0 {
-		seed = opts.Seed
 	}
 	h := workload.BootHiveWith(cells, seed, func(cfg *core.Config) {
 		if opts.TraceCap > 0 {
@@ -999,4 +992,33 @@ func Table74(rows []*CampaignRow, rec stats.Record) *stats.Table {
 			rec.Cell(key+"avg_recovery_ms", "%.1f", r.AvgRecov))
 	}
 	return tb
+}
+
+// CampaignHash is a campaign's witness: an FNV-1a hash over every trial's
+// outcome, trials[s] holding trials 0..n-1 of scenario s (RunTrials'
+// shape), folded in that order. A trial is a pure function of (scenario,
+// trial, cells), so two campaigns over the same grid agree on it exactly,
+// at any worker count and with or without the audit.
+func CampaignHash(trials [][]*TrialResult) uint64 {
+	w := fnv.New64a()
+	for _, results := range trials {
+		for trial, tr := range results {
+			fmt.Fprintf(w, "%d:%d:%d:%v:%v:%v:%v:%v:%.6f:%.6f:%s\n",
+				int(tr.Scenario), trial, tr.Seed,
+				tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK,
+				tr.DetectMs, tr.RecoveryMs, tr.Notes)
+		}
+	}
+	return w.Sum64()
+}
+
+// Replay is the line that names the faultdrill command re-running trial
+// trial of scenario s on a hive of cells cells. A trial is a pure function
+// of the three, so the command replays it exactly.
+func Replay(s Scenario, trial, cells int) string {
+	cellsFlag := ""
+	if cells != 4 {
+		cellsFlag = fmt.Sprintf(" -cells %d", cells)
+	}
+	return fmt.Sprintf("replay: faultdrill%s -scenario %d -trial %d", cellsFlag, int(s), trial)
 }

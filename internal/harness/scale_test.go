@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -10,14 +9,15 @@ import (
 )
 
 // TestScaleDeterminism is the harness's byte-identity gate: the scaling
-// suite, the availability-loop campaign and the frontend sweep must each
-// produce identical rows (%+v) whether their independent boots run
-// sequentially or on eight workers. Every field of every row is compared:
-// none holds real time. The two campaigns run at full scale, as
-// `hivebench -only reboot` and `hivebench -only frontend` do.
+// suite and the frontend sweep must each produce identical rows (%+v)
+// whether their independent boots run sequentially or on eight workers.
+// Every field of every row is compared: none holds real time. The
+// frontend runs at full scale, as `hivebench -only frontend` does. The
+// campaign rows the reboot experiment aggregates are held across worker
+// counts by faultinject's TestCampaignIdenticalAcrossWorkers.
 func TestScaleDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the scaling suite and two full campaigns, each twice")
+		t.Skip("runs the scaling suite and the frontend sweep, each twice")
 	}
 	cases := []struct {
 		name string
@@ -25,13 +25,6 @@ func TestScaleDeterminism(t *testing.T) {
 	}{
 		{"scale", func() string {
 			return fmt.Sprintf("%+v", RunScale([]int{8, 16}, 1))
-		}},
-		{"reboot", func() string {
-			var b strings.Builder
-			for _, r := range RunRebootLoop(1.0) {
-				b.WriteString(campaignRowString(r) + "\n")
-			}
-			return b.String()
 		}},
 		{"frontend", func() string {
 			rep := RunFrontendSweep(1.0)

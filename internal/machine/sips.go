@@ -47,6 +47,10 @@ type SIPSMsg struct {
 	// firewall's containment contract (a corrupt line never reaches
 	// software).
 	Checksum uint32
+	// Faulted records, at launch, that the fault hook dropped, delayed,
+	// duplicated or corrupted the line, so a copy of it may be lost or
+	// still on the wire after the first one lands.
+	Faulted bool
 }
 
 // sipsChecksum is the hardware line checksum. Payload contents are not
@@ -142,8 +146,11 @@ func (m *Machine) launchSIPS(srcNode int, msg *SIPSMsg) {
 	msg.Checksum = sipsChecksum(msg)
 
 	delay := m.wireLatency()
+	msg.Faulted = false
 	if m.FaultHook != nil {
-		switch d := m.FaultHook(msg); d.Fault {
+		d := m.FaultHook(msg)
+		msg.Faulted = d.Fault != FaultNone
+		switch d.Fault {
 		case FaultDrop:
 			m.Metrics.Counter("sips.fault_drops").Inc()
 			m.tracer(srcNode).Emit(e.Now(), trace.MsgDrop, int64(msg.To), int64(msg.Kind), "")

@@ -172,6 +172,41 @@ func TestStaleReplyNotRecycled(t *testing.T) {
 	}
 }
 
+// TestUnfaultedLinesRecycle checks that a fault hook which faults no line
+// costs no recycling: calls whose every line passed the hook as FaultNone,
+// served at interrupt level and on the queued path, all reuse the one
+// request on the caller's freelist.
+func TestUnfaultedLinesRecycle(t *testing.T) {
+	f := newFixture(t, 2)
+	for _, ep := range f.eps {
+		registerEcho(ep)
+	}
+	f.eps[1].Register(procQueuedNull, "queued-null", nil,
+		func(t *sim.Task, req *Request) (any, error) { return nil, nil })
+	lines := 0
+	f.m.FaultHook = func(*machine.SIPSMsg) machine.MsgFaultDecision {
+		lines++
+		return machine.MsgFaultDecision{Fault: machine.FaultNone}
+	}
+	f.run(t, func(tk *sim.Task) {
+		f.echo(t, tk, 1)
+		if len(f.eps[0].freeReqs) != 1 {
+			t.Fatalf("an unfaulted call left %d requests on the freelist, want 1", len(f.eps[0].freeReqs))
+		}
+		req := f.eps[0].freeReqs[0]
+		f.echo(t, tk, 2)
+		if _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procQueuedNull, nil, CallOpts{}); err != nil {
+			t.Errorf("queued call: %v", err)
+		}
+		if len(f.eps[0].freeReqs) != 1 || f.eps[0].freeReqs[0] != req {
+			t.Errorf("later unfaulted calls did not reuse the first call's request (%d free)", len(f.eps[0].freeReqs))
+		}
+	})
+	if lines != 6 {
+		t.Errorf("the hook saw %d lines, want 6: a request and a reply per call", lines)
+	}
+}
+
 // TestRemoteErrorOutlivesItsRequest checks that an error Call returned
 // keeps its text after the next call reuses the request it came in.
 func TestRemoteErrorOutlivesItsRequest(t *testing.T) {

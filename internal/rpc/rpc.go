@@ -20,11 +20,12 @@
 //
 // A Request belongs to the endpoint that made it. A call that returns on
 // the clean path — answered by its first reply on its own lines, with no
-// retry and no line launched under a fault hook — puts its Request back on
-// its endpoint's freelist for the next call, so a handler must not keep
-// the *Request after it returns. Arguments and results that fit in one
-// Line travel by value (CallOpts.Arg, Request.Result, CallOpts.Result),
-// so such a call allocates nothing once its endpoint is warm.
+// retry and no line faulted by the machine's fault hook — puts its
+// Request back on its endpoint's freelist for the next call, so a handler
+// must not keep the *Request after it returns. Arguments and results that
+// fit in one Line travel by value (CallOpts.Arg, Request.Result,
+// CallOpts.Result), so such a call allocates nothing once its endpoint is
+// warm.
 package rpc
 
 import (
@@ -151,9 +152,10 @@ type Request struct {
 	last    *reply
 	// shared records that something besides the call may still reach the
 	// request once it returns: it was retried, answered other than by rep
-	// on repLine, or one of its lines was launched while the machine's
-	// fault hook was set (the hook may hold, delay or duplicate the line).
-	// A shared request is left to the collector.
+	// on repLine, or the machine's fault hook faulted one of its lines
+	// (SIPSMsg.Faulted: the line was dropped, delayed, duplicated or
+	// corrupted, so a copy may still be on the wire). A shared request is
+	// left to the collector.
 	shared bool
 	// recycled marks a request on its endpoint's freelist: every wire
 	// path panics if it is handed one.
@@ -416,10 +418,11 @@ func (ep *Endpoint) remoteErr(text string) error {
 //
 // A call answered on the clean path recycles its Request: no retry, no
 // timeout, shutdown or kill, the reply that resolved it was the first
-// service's on the request's own reply line, and no line of the call was
-// launched while the machine's fault hook was set (FaultDup is the only
-// way to put two copies of a line on the wire). Then nothing else can
-// reach the Request. On every other path it is left to the collector.
+// service's on the request's own reply line, and the machine's fault hook
+// faulted no line of the call (FaultDup is the only way to put two copies
+// of a line on the wire, and FaultDelay the only way to land one late).
+// Then nothing else can reach the Request. On every other path it is left
+// to the collector.
 func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID ProcID, args any, opts CallOpts) (any, error) {
 	callee, ok := ep.Peers[to]
 	if !ok {
@@ -476,7 +479,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 		}
 		*msg = machine.SIPSMsg{To: callee.nextProc().ID, Kind: machine.SIPSRequest, Size: machine.SIPSLineBytes, Payload: req}
 		err := ep.M.SendSIPS(t, proc, msg)
-		ep.noteHook(req)
+		noteFault(req, msg)
 		if err != nil {
 			ep.Metrics.Counter("rpc.send_failures").Inc()
 			ep.Tracer.EmitSpan(t.Now(), trace.RPCTimeout, req.Span, int64(to), int64(procID), "")
@@ -736,14 +739,15 @@ func (ep *Endpoint) resend(proc *machine.Processor, arg any) {
 func (ep *Endpoint) launch(proc *machine.Processor, arg any) {
 	req := mustLive(arg.(*Request))
 	ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-	ep.M.SendSIPSAsync(proc, replyLine(req, ep.Peers[req.From].nextProc()))
-	ep.noteHook(req)
+	msg := replyLine(req, ep.Peers[req.From].nextProc())
+	ep.M.SendSIPSAsync(proc, msg)
+	noteFault(req, msg)
 }
 
-// noteHook marks req shared if the line just launched for it passed the
-// machine's fault hook, which is consulted inside the launch.
-func (ep *Endpoint) noteHook(req *Request) {
-	if ep.M.FaultHook != nil {
+// noteFault marks req shared if the machine's fault hook, consulted inside
+// the launch, faulted msg, the line just launched for it.
+func noteFault(req *Request, msg *machine.SIPSMsg) {
+	if msg.Faulted {
 		req.shared = true
 	}
 }
@@ -792,8 +796,9 @@ func (ep *Endpoint) serverLoop(t *sim.Task) {
 		}
 		proc.Use(t, ServerReply)
 		ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-		ep.M.SendSIPS(t, proc, replyLine(req, caller.nextProc()))
-		ep.noteHook(req)
+		msg := replyLine(req, caller.nextProc())
+		ep.M.SendSIPS(t, proc, msg)
+		noteFault(req, msg)
 	}
 }
 

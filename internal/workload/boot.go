@@ -3,7 +3,6 @@ package workload
 import (
 	"repro/internal/core"
 	"repro/internal/fs"
-	"repro/internal/membership"
 )
 
 // BootHive boots a machine partitioned into the given number of cells
@@ -64,10 +63,16 @@ func BootHiveWith(cells int, seed int64, mutate func(*core.Config)) *core.Hive {
 // hardware turned off — no firewall checks, no clock monitoring of peers
 // (a single cell has no neighbours), no careful-reference traffic.
 func BootIRIX() *core.Hive {
-	cfg := core.DefaultConfig()
-	cfg.Cells = 1
-	cfg.Machine.FirewallEnabled = false
-	cfg.Mounts = standardMounts(1)
-	cfg.Agreement = membership.Oracle
-	return core.Boot(cfg)
+	return BootIRIXWith(core.DefaultConfig().Seed, nil)
+}
+
+// BootIRIXWith is BootIRIX with an explicit seed and a config hook, as
+// BootHiveWith is BootHive's: the one-cell hive with the firewall off.
+func BootIRIXWith(seed int64, mutate func(*core.Config)) *core.Hive {
+	return BootHiveWith(1, seed, func(cfg *core.Config) {
+		cfg.Machine.FirewallEnabled = false
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
 }

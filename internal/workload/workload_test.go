@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -66,6 +67,28 @@ func TestPmakeDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// TestBootIRIXWith checks that the IRIX baseline is the one-cell hive
+// with the firewall off: BootIRIX boots the configuration it always
+// booted, and BootIRIXWith reads its seed and its hook (hivesim's -seed
+// and widened trace rings).
+func TestBootIRIXWith(t *testing.T) {
+	want := core.DefaultConfig()
+	want.Cells = 1
+	want.Machine.FirewallEnabled = false
+	want.Mounts = standardMounts(1)
+	h := BootIRIX()
+	defer h.Eng.Stop()
+	if !reflect.DeepEqual(h.Cfg, want) {
+		t.Errorf("BootIRIX config:\n got %+v\nwant %+v", h.Cfg, want)
+	}
+	h = BootIRIXWith(9, func(cfg *core.Config) { cfg.TraceCap = 1 << 16 })
+	defer h.Eng.Stop()
+	want.Seed, want.TraceCap = 9, 1<<16
+	if !reflect.DeepEqual(h.Cfg, want) {
+		t.Errorf("BootIRIXWith config:\n got %+v\nwant %+v", h.Cfg, want)
 	}
 }
 
