@@ -499,46 +499,48 @@ func (c *Cell) String() string { return fmt.Sprintf("cell%d(nodes %v)", c.ID, c.
 // correctness.
 
 // ApplyAllocTargets installs Wax's page-allocation borrow targets after
-// validating them (live, distinct, not self, bounded count).
+// validating them (checkTargets).
 func (c *Cell) ApplyAllocTargets(targets []int) error {
-	if len(targets) > len(c.Hive.Cells) {
-		return fmt.Errorf("core: hint rejected: %d targets", len(targets))
-	}
-	seen := map[int]bool{}
-	for _, tc := range targets {
-		if tc < 0 || tc >= len(c.Hive.Cells) || tc == c.ID || seen[tc] || c.Hive.Cells[tc].Failed() {
-			c.Metrics.Counter("cell.wax_hints_rejected").Inc()
-			c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(tc), 0, "alloc-targets")
-			return fmt.Errorf("core: hint rejected: bad target %d", tc)
-		}
-		seen[tc] = true
+	if err := c.checkTargets(targets, "alloc-targets"); err != nil {
+		return err
 	}
 	c.VM.AllocTargets = append([]int(nil), targets...)
-	c.Metrics.Counter("cell.wax_hints_applied").Inc()
-	c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(len(targets)), 1, "alloc-targets")
 	return nil
 }
 
 // ApplyPlaceTargets installs Wax's process-placement spill targets after
-// the same validation as the allocation hint (live, distinct, not self,
-// bounded count). Dispatchers consult the list when the natural home for
-// a piece of work is failed or saturated.
+// the same validation as the allocation hint. Dispatchers consult the
+// list when the natural home for a piece of work is failed or saturated.
 func (c *Cell) ApplyPlaceTargets(targets []int) error {
+	if err := c.checkTargets(targets, "place-targets"); err != nil {
+		return err
+	}
+	c.PlaceTargets = append([]int(nil), targets...)
+	return nil
+}
+
+// checkTargets validates a Wax target list named hint: a bounded count of
+// live, distinct cells other than this one. It counts the hint applied or
+// rejected and records its WaxHint event, with the list's length (or the
+// first bad target) in A and whether it applies in B.
+func (c *Cell) checkTargets(targets []int, hint string) error {
+	reject := func(a int, err error) error {
+		c.Metrics.Counter("cell.wax_hints_rejected").Inc()
+		c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(a), 0, hint)
+		return err
+	}
 	if len(targets) > len(c.Hive.Cells) {
-		return fmt.Errorf("core: hint rejected: %d targets", len(targets))
+		return reject(len(targets), fmt.Errorf("core: hint rejected: %d targets", len(targets)))
 	}
 	seen := map[int]bool{}
 	for _, tc := range targets {
 		if tc < 0 || tc >= len(c.Hive.Cells) || tc == c.ID || seen[tc] || c.Hive.Cells[tc].Failed() {
-			c.Metrics.Counter("cell.wax_hints_rejected").Inc()
-			c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(tc), 0, "place-targets")
-			return fmt.Errorf("core: hint rejected: bad target %d", tc)
+			return reject(tc, fmt.Errorf("core: hint rejected: bad target %d", tc))
 		}
 		seen[tc] = true
 	}
-	c.PlaceTargets = append([]int(nil), targets...)
 	c.Metrics.Counter("cell.wax_hints_applied").Inc()
-	c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(len(targets)), 1, "place-targets")
+	c.Tracer.Emit(c.EP.Engine().Now(), trace.WaxHint, int64(len(targets)), 1, hint)
 	return nil
 }
 

@@ -78,10 +78,6 @@ type Manager struct {
 	Reader  *careful.Reader
 	Metrics *stats.Registry
 
-	// Mode selects the cross-cell lookup implementation (§5.3 ablation);
-	// the default is the paper's shared-memory traversal.
-	Mode LookupMode
-
 	// Swap backing (see swap.go).
 	swapDisk  *disk.Drive
 	swapBase  int64
@@ -209,8 +205,7 @@ func (mg *Manager) Lookup(t *sim.Task, leaf kmem.Addr, off int64) (node kmem.Add
 	cur := leaf
 	supplier := mg.CellID  // the process table supplied the leaf pointer
 	var snapBuf [16]uint64 // a remote node's copy, when it fits
-	fail := func(format string, args ...any) error {
-		e := fmt.Errorf("%w: "+format, append([]any{ErrTreeDamaged}, args...)...)
+	fail := func(e error) error {
 		if supplier == mg.CellID {
 			mg.localDamage(e.Error())
 		} else if mg.Reader.HintSink != nil {
@@ -223,24 +218,15 @@ func (mg *Manager) Lookup(t *sim.Task, leaf kmem.Addr, off int64) (node kmem.Add
 			// Node in our own memory: direct reads, but trust the
 			// contents only as far as the pointer's supplier.
 			mg.proc().Use(t, localVisit)
-			a := mg.arena()
-			tag, terr := a.TagAt(cur)
-			if terr != nil || tag != TagNode {
-				return 0, false, fail("node %v bad tag", cur)
+			hit, parent, err := mg.scanNode(cur, off)
+			if err != nil {
+				return 0, false, fail(err)
 			}
-			count, _ := a.ReadWord(cur, wordCount)
-			if int(count) > MaxEntries {
-				return 0, false, fail("node %v bad count %d", cur, count)
+			if hit {
+				return cur, true, nil
 			}
-			for i := 0; i < int(count); i++ {
-				v, _ := a.ReadWord(cur, wordPages+i)
-				if int64(v) == off {
-					return cur, true, nil
-				}
-			}
-			parent, _ := a.ReadWord(cur, wordParent)
 			supplier = mg.CellID
-			cur = kmem.Addr(parent)
+			cur = parent
 			continue
 		}
 
@@ -284,12 +270,12 @@ func (mg *Manager) Lookup(t *sim.Task, leaf kmem.Addr, off int64) (node kmem.Add
 					ErrTreeDamaged, cur, cerr)
 			}
 			// Consistency failure: fail() assigns provenance blame.
-			return 0, false, fail("careful read of %v: %v", cur, cerr)
+			return 0, false, fail(fmt.Errorf("%w: careful read of %v: %v", ErrTreeDamaged, cur, cerr))
 		}
 		if badCount {
 			supplierWas := supplier
 			supplier = cur.Cell() // the node itself is the bad data
-			e := fail("node %v count fails sanity check", cur)
+			e := fail(fmt.Errorf("%w: node %v count fails sanity check", ErrTreeDamaged, cur))
 			supplier = supplierWas
 			return 0, false, e
 		}
@@ -300,9 +286,32 @@ func (mg *Manager) Lookup(t *sim.Task, leaf kmem.Addr, off int64) (node kmem.Add
 		cur = next
 	}
 	if cur != kmem.NilAddr {
-		return 0, false, fail("traversal exceeded depth bound at %v", cur)
+		return 0, false, fail(fmt.Errorf("%w: traversal exceeded depth bound at %v", ErrTreeDamaged, cur))
 	}
 	return 0, false, nil
+}
+
+// scanNode reads one node of this cell's own arena: it checks the type
+// tag and the entry count, scans the entries for off, and returns the
+// parent pointer when off is not there. An error names the check the node
+// failed.
+func (mg *Manager) scanNode(cur kmem.Addr, off int64) (found bool, parent kmem.Addr, err error) {
+	a := mg.arena()
+	tag, terr := a.TagAt(cur)
+	if terr != nil || tag != TagNode {
+		return false, 0, fmt.Errorf("%w: node %v bad tag", ErrTreeDamaged, cur)
+	}
+	count, _ := a.ReadWord(cur, wordCount)
+	if int(count) > MaxEntries {
+		return false, 0, fmt.Errorf("%w: node %v bad count %d", ErrTreeDamaged, cur, count)
+	}
+	for i := 0; i < int(count); i++ {
+		if v, _ := a.ReadWord(cur, wordPages+i); int64(v) == off {
+			return true, 0, nil
+		}
+	}
+	p, _ := a.ReadWord(cur, wordParent)
+	return false, kmem.Addr(p), nil
 }
 
 // Touch services a process's access to anonymous page off from its leaf:
@@ -310,7 +319,7 @@ func (mg *Manager) Lookup(t *sim.Task, leaf kmem.Addr, off int64) (node kmem.Add
 // writes to ancestor pages, and returns the pfdat the process maps. The
 // caller must Unref it when unmapping.
 func (mg *Manager) Touch(t *sim.Task, leaf kmem.Addr, off int64, write bool) (*vm.Pfdat, error) {
-	node, found, err := mg.LookupVia(t, mg.Mode, leaf, off)
+	node, found, err := mg.Lookup(t, leaf, off)
 	if err != nil {
 		return nil, err
 	}

@@ -323,11 +323,11 @@ func TestRPCWalkFindsSamePagesAsSharedMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fork: %v", err)
 		}
-		nodeSM, foundSM, err := f.mgs[1].LookupVia(tk, SharedMemory, cLeaf, 7)
+		nodeSM, foundSM, err := f.mgs[1].Lookup(tk, cLeaf, 7)
 		if err != nil {
 			t.Fatalf("shared-memory lookup: %v", err)
 		}
-		nodeRPC, foundRPC, err := f.mgs[1].LookupVia(tk, RPCWalk, cLeaf, 7)
+		nodeRPC, foundRPC, err := f.mgs[1].LookupRPC(tk, cLeaf, 7)
 		if err != nil {
 			t.Fatalf("rpc lookup: %v", err)
 		}
@@ -335,8 +335,8 @@ func TestRPCWalkFindsSamePagesAsSharedMemory(t *testing.T) {
 			t.Fatalf("disagreement: sm=(%v,%v) rpc=(%v,%v)", nodeSM, foundSM, nodeRPC, foundRPC)
 		}
 		// Misses agree too.
-		_, fSM, _ := f.mgs[1].LookupVia(tk, SharedMemory, cLeaf, 99)
-		_, fRPC, _ := f.mgs[1].LookupVia(tk, RPCWalk, cLeaf, 99)
+		_, fSM, _ := f.mgs[1].Lookup(tk, cLeaf, 99)
+		_, fRPC, _ := f.mgs[1].LookupRPC(tk, cLeaf, 99)
 		if fSM || fRPC {
 			t.Fatalf("phantom page: sm=%v rpc=%v", fSM, fRPC)
 		}
@@ -349,7 +349,7 @@ func TestRPCWalkSurvivesNodeFailure(t *testing.T) {
 		root := f.mgs[0].NewRoot()
 		_, cLeaf, _ := f.mgs[0].Fork(tk, root, 1)
 		f.m.Nodes[0].FailStop()
-		_, _, err := f.mgs[1].LookupVia(tk, RPCWalk, cLeaf, 3)
+		_, _, err := f.mgs[1].LookupRPC(tk, cLeaf, 3)
 		if !errors.Is(err, ErrTreeDamaged) {
 			t.Fatalf("err = %v", err)
 		}
@@ -369,11 +369,52 @@ func TestRPCWalkRejectsForgedReply(t *testing.T) {
 		_ = cLeaf
 		// Search directly against cell 1's forged service.
 		fake := kmem.MakeAddr(1, 64)
-		_, _, err := f.mgs[0].lookupRPC(tk, fake, 5)
+		_, _, err := f.mgs[0].LookupRPC(tk, fake, 5)
 		if err == nil {
 			t.Fatal("forged reply accepted")
 		}
 	})
+}
+
+// TestLookupServicePanicsOnOwnDamage checks the cow.treelookup server
+// against damage in its own chain: a bad tag, a bad entry count and a
+// node that is its own parent each fire the serving cell's OnLocalDamage
+// once, and the walking cell gets ErrTreeDamaged without panicking.
+func TestLookupServicePanicsOnOwnDamage(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(mg *Manager) kmem.Addr // returns the walk's start
+	}{
+		{"bad tag", func(mg *Manager) kmem.Addr { return mg.arena().Alloc(TagNode+1, nodeWords) }},
+		{"bad count", func(mg *Manager) kmem.Addr {
+			n := mg.NewRoot()
+			mg.arena().CorruptWord(n, wordCount, MaxEntries+1)
+			return n
+		}},
+		{"own parent", func(mg *Manager) kmem.Addr {
+			n := mg.NewRoot()
+			mg.CorruptParent(n, uint64(n))
+			return n
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 2)
+			var panics [2]int
+			for c, mg := range f.mgs {
+				mg.OnLocalDamage = func(string) { panics[c]++ }
+			}
+			start := tc.corrupt(f.mgs[0])
+			f.run(t, func(tk *sim.Task) {
+				if _, _, err := f.mgs[1].LookupRPC(tk, start, 5); !errors.Is(err, ErrTreeDamaged) {
+					t.Errorf("err = %v, want ErrTreeDamaged", err)
+				}
+			})
+			if panics != [2]int{1, 0} {
+				t.Errorf("OnLocalDamage fired %d times on the server and %d on the caller, want 1 and 0",
+					panics[0], panics[1])
+			}
+		})
+	}
 }
 
 func TestSwapOutAndBackIn(t *testing.T) {

@@ -16,18 +16,6 @@ import (
 // instead of careful remote reads, the searching cell asks each remote
 // cell (by RPC) to walk its own local portion of the tree.
 
-// LookupMode selects the cross-cell search implementation.
-type LookupMode int
-
-const (
-	// SharedMemory walks remote nodes directly with the careful
-	// reference protocol (the paper's implementation).
-	SharedMemory LookupMode = iota
-	// RPCWalk sends a lookup RPC to each remote cell, which walks its
-	// local chain (the conventional alternative).
-	RPCWalk
-)
-
 // ProcTreeLookup is the RPC-walk service (range 140-159).
 const ProcTreeLookup rpc.ProcID = 141
 
@@ -45,24 +33,14 @@ type treeLookupReply struct {
 	Next  kmem.Addr
 }
 
-// LookupVia performs Lookup under an explicit mode (the Manager's Mode
-// field selects the default used by Touch).
-func (mg *Manager) LookupVia(t *sim.Task, mode LookupMode, leaf kmem.Addr, off int64) (kmem.Addr, bool, error) {
-	if mode == SharedMemory {
-		return mg.Lookup(t, leaf, off)
-	}
-	return mg.lookupRPC(t, leaf, off)
-}
-
-// lookupRPC is the conventional implementation: local walking plus one RPC
-// per remote cell visited.
-func (mg *Manager) lookupRPC(t *sim.Task, leaf kmem.Addr, off int64) (kmem.Addr, bool, error) {
+// LookupRPC is the conventional implementation of Lookup: local walking
+// plus one RPC per remote cell visited.
+func (mg *Manager) LookupRPC(t *sim.Task, leaf kmem.Addr, off int64) (kmem.Addr, bool, error) {
 	cur := leaf
 	for hops := 0; hops < MaxDepth && cur != kmem.NilAddr; hops++ {
 		if cur.Cell() == mg.CellID {
-			node, found, next, err := mg.walkLocal(t, cur, off)
+			node, found, next, err := mg.walkLocal(cur, off, func() { mg.proc().Use(t, localVisit) })
 			if err != nil {
-				mg.localDamage(err.Error())
 				return 0, false, err
 			}
 			if found {
@@ -111,32 +89,28 @@ func validateTreeLookupReply(res any, server int) (*treeLookupReply, error) {
 	return rep, nil
 }
 
-// walkLocal searches this cell's chain from start, stopping at the first
-// pointer that leaves the cell.
-func (mg *Manager) walkLocal(t *sim.Task, start kmem.Addr, off int64) (node kmem.Addr, found bool, next kmem.Addr, err error) {
-	a := mg.arena()
+// walkLocal searches this cell's chain from start, calling visit before
+// each node it reads, and stops at the first pointer that leaves the cell.
+// A damaged node, or a chain that stays in the cell past MaxDepth, is this
+// cell's own kernel data gone bad: the cell panics (localDamage).
+func (mg *Manager) walkLocal(start kmem.Addr, off int64, visit func()) (node kmem.Addr, found bool, next kmem.Addr, err error) {
 	cur := start
 	for depth := 0; depth < MaxDepth && cur != kmem.NilAddr && cur.Cell() == mg.CellID; depth++ {
-		mg.proc().Use(t, localVisit)
-		tag, terr := a.TagAt(cur)
-		if terr != nil || tag != TagNode {
-			return 0, false, 0, fmt.Errorf("%w: node %v bad tag", ErrTreeDamaged, cur)
+		visit()
+		hit, parent, err := mg.scanNode(cur, off)
+		if err != nil {
+			mg.localDamage(err.Error())
+			return 0, false, 0, err
 		}
-		count, _ := a.ReadWord(cur, wordCount)
-		if int(count) > MaxEntries {
-			return 0, false, 0, fmt.Errorf("%w: node %v bad count", ErrTreeDamaged, cur)
+		if hit {
+			return cur, true, 0, nil
 		}
-		for i := 0; i < int(count); i++ {
-			v, _ := a.ReadWord(cur, wordPages+i)
-			if int64(v) == off {
-				return cur, true, 0, nil
-			}
-		}
-		parent, _ := a.ReadWord(cur, wordParent)
-		cur = kmem.Addr(parent)
+		cur = parent
 	}
 	if cur != kmem.NilAddr && cur.Cell() == mg.CellID {
-		return 0, false, 0, fmt.Errorf("%w: local walk exceeded depth bound", ErrTreeDamaged)
+		err := fmt.Errorf("%w: local walk exceeded depth bound", ErrTreeDamaged)
+		mg.localDamage(err.Error())
+		return 0, false, 0, err
 	}
 	return 0, false, cur, nil
 }
@@ -164,35 +138,11 @@ func (mg *Manager) registerLookupService() {
 			}
 			// The interrupt handler cannot charge per-node time as a
 			// task; estimate the visit cost into the service charge.
-			a := mg.arena()
-			cur := args.Start
 			var visits sim.Time
-			for depth := 0; depth < MaxDepth && cur != kmem.NilAddr && cur.Cell() == mg.CellID; depth++ {
-				visits += localVisit
-				tag, terr := a.TagAt(cur)
-				if terr != nil || tag != TagNode {
-					mg.localDamage(fmt.Sprintf("node %v bad tag (lookup service)", cur))
-					return nil, visits, true, ErrTreeDamaged
-				}
-				count, _ := a.ReadWord(cur, wordCount)
-				if int(count) > MaxEntries {
-					mg.localDamage(fmt.Sprintf("node %v bad count (lookup service)", cur))
-					return nil, visits, true, ErrTreeDamaged
-				}
-				for i := 0; i < int(count); i++ {
-					v, _ := a.ReadWord(cur, wordPages+i)
-					if int64(v) == off64(args.Off) {
-						return &treeLookupReply{Found: true, Node: cur}, visits, true, nil
-					}
-				}
-				parent, _ := a.ReadWord(cur, wordParent)
-				cur = kmem.Addr(parent)
+			node, found, next, err := mg.walkLocal(args.Start, args.Off, func() { visits += localVisit })
+			if err != nil {
+				return nil, visits, true, err
 			}
-			if cur != kmem.NilAddr && cur.Cell() == mg.CellID {
-				return nil, visits, true, ErrTreeDamaged
-			}
-			return &treeLookupReply{Next: cur}, visits, true, nil
+			return &treeLookupReply{Found: found, Node: node, Next: next}, visits, true, nil
 		}, nil, rpc.Idempotent())
 }
-
-func off64(v int64) int64 { return v }

@@ -90,9 +90,10 @@ func chromeMissing(export []byte) []string {
 // of every scenario, run on one worker and again on four, must give the
 // same trials, the same Table 7.4 rows and rendering, and the same
 // witness hash. The four-worker side also runs the audit faultdrill runs
-// every trial with, so folding the event stream must move nothing. Only
-// NodeFailRandom hashes its dispatch trace (TraceHash, which multiplies
-// a grid's cost by about 2.4) and renders its Chrome trace.
+// every trial with, so folding the event stream must move nothing. Every
+// trial's result includes the count of events its engine dispatched;
+// only NodeFailRandom also hashes its task resumes (TraceHash, which
+// multiplies a grid's cost by about 2.4) and renders its Chrome trace.
 func TestCampaignIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs trial 0 of every scenario twice")
@@ -161,7 +162,7 @@ func TestCampaignIdenticalAcrossWorkers(t *testing.T) {
 		}
 		if s == NodeFailRandom {
 			if a.res.TraceHash == 0 {
-				t.Errorf("%v trial 0: dispatch trace not hashed", s)
+				t.Errorf("%v trial 0: task resumes not hashed", s)
 			}
 			for _, m := range append(a.missing, b.missing...) {
 				t.Errorf("%v trial 0 Chrome export lacks %s", s, m)

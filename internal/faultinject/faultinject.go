@@ -165,7 +165,8 @@ type TrialResult struct {
 	IntegrityOK  bool   // no corrupt data in surviving output files
 	CorrectRunOK bool   // post-fault pmake correctness check passed
 	StateOK      bool   // cross-cell kernel invariants hold after recovery
-	TraceHash    uint64 // FNV-1a over the engine's dispatch trace (TrialOpts.TraceHash)
+	TraceHash    uint64 // FNV-1a over the engine's task resumes (TrialOpts.TraceHash)
+	Dispatched   uint64 // events the trial's engine dispatched, callbacks included
 	Notes        string
 
 	// Availability-loop metrics (reboot scenarios; Scenario.RebootLoop).
@@ -211,9 +212,11 @@ const (
 
 // TrialOpts tunes one trial's instrumentation.
 type TrialOpts struct {
-	// TraceHash hashes every engine dispatch into TrialResult.TraceHash —
-	// a strict event-order witness for determinism regression tests. Off
-	// by default: the trace hook costs an allocation per dispatch.
+	// TraceHash hashes every task resume the engine dispatches, with its
+	// time, into TrialResult.TraceHash — a task-order witness for
+	// determinism regression tests; TrialResult.Dispatched counts the
+	// callbacks too. Off by default: the trace hook costs an allocation
+	// per resume.
 	TraceHash bool
 	// KeepEvents retains the merged typed event stream and the per-cell
 	// ring-truncation counters in TrialResult.Events/Dropped — the input
@@ -296,6 +299,7 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 	// trace below, end every task so the finished hive can be collected.
 	defer h.Eng.Stop()
 	res := &TrialResult{Scenario: s, Seed: seed, Cells: cells, TargetCell: 1 + trial%(cells-2)}
+	defer func() { res.Dispatched = h.Eng.Dispatched() }()
 	if s == CoordinatorDeath {
 		// Cell 0 is the coordinator casualty, so the first fault targets
 		// a fixed non-coordinator, non-file-server cell.

@@ -38,9 +38,10 @@ func hiveDigest(h *core.Hive, res *workload.Result) uint64 {
 }
 
 // eventsDigest fingerprints a recorded trace: every retained event's time,
-// kind, cell and payload. TraceHash hashes what the engine dispatches, not
-// what the kernel records, so a change to a recorded payload — an RPC
-// procedure number in B, say — moves this digest and nothing else.
+// kind, cell and payload. TraceHash hashes the task resumes the engine
+// dispatches, not what the kernel records, so a change to a recorded
+// payload — an RPC procedure number in B, say — moves this digest and
+// nothing else.
 func eventsDigest(evs []trace.Event) uint64 {
 	d := fnv.New64a()
 	for _, ev := range evs {
@@ -49,12 +50,13 @@ func eventsDigest(evs []trace.Event) uint64 {
 	return d.Sum64()
 }
 
-// trialFingerprint summarizes a trial's outcome together with its
-// dispatch-trace hash (TrialOpts.TraceHash), a strict event-order witness.
+// trialFingerprint summarizes a trial's outcome together with the hash of
+// its task resumes (TrialOpts.TraceHash), a task-order witness, and the
+// count of every event its engine dispatched, callbacks included.
 func trialFingerprint(r *TrialResult) string {
-	return fmt.Sprintf("inj=%d detect=%.6f recov=%.6f d=%v c=%v i=%v ok=%v state=%v th=%x notes=%q",
+	return fmt.Sprintf("inj=%d detect=%.6f recov=%.6f d=%v c=%v i=%v ok=%v state=%v th=%x n=%d notes=%q",
 		r.InjectedAt, r.DetectMs, r.RecoveryMs, r.Detected, r.Contained,
-		r.IntegrityOK, r.CorrectRunOK, r.StateOK, r.TraceHash, r.Notes)
+		r.IntegrityOK, r.CorrectRunOK, r.StateOK, r.TraceHash, r.Dispatched, r.Notes)
 }
 
 // TestGoldenPmake pins the event stream of the paper's headline run —
@@ -96,24 +98,24 @@ func TestGoldenPmake(t *testing.T) {
 // rejoin backoff gives up (CrashLoop), and one join after another, each
 // warm-up moving pages off frames an earlier warm-up borrowed and handing
 // every vacated frame back to its memory home (RollingReboot). The
-// fingerprint includes the dispatch-trace hash, so the check is exact
-// where the bench gate allows ±5%; the recorded-trace digest pins what
-// each trial's kernel wrote to its trace.
+// fingerprint includes the task-resume hash and the count of every event
+// dispatched, so the check is exact where the bench gate allows ±5%; the
+// recorded-trace digest pins what each trial's kernel wrote to its trace.
 func TestGoldenTrials(t *testing.T) {
 	golden := []struct {
 		s      Scenario
 		want   string
 		events uint64
 	}{
-		{NodeFailProcCreate, `inj=141910050 detect=18.099280 recov=38.353800 d=true c=true i=true ok=true state=true th=e1bd5aa2b15d509a notes=""`, 0x75ddbd34472b2492},
-		{CorruptAddrMap, `inj=2140000000 detect=60.214050 recov=53.827000 d=true c=true i=true ok=true state=true th=5ee38996a9ac2d14 notes=""`, 0xba2a7754a23f21b8},
-		{CoordinatorDeath, `inj=1840000000 detect=73.413070 recov=43.025150 d=true c=true i=true ok=true state=true th=f7c994a5e89479e3 notes=""`, 0x3a7443bba888346a},
-		{MsgDrop, `inj=2312999250 detect=0.000000 recov=0.000000 d=true c=true i=true ok=true state=true th=33699d923bbe053b notes=""`, 0x83993f7abb1b87d6},
-		{SurgeFault, `inj=1372000000 detect=8.080090 recov=38.050250 d=true c=true i=true ok=true state=true th=e25d1bd3d8cc7513 notes=""`, 0x95e304d12d4c329e},
-		{DoubleFault, `inj=903000000 detect=87.748210 recov=43.025000 d=true c=true i=true ok=true state=true th=7f07d70559c1cf0d notes=""`, 0x461f95f146556e3},
-		{FaultDuringReintegration, `inj=646000000 detect=14.038330 recov=38.083850 d=true c=true i=true ok=true state=true th=3eb92bcd468d7d06 notes=""`, 0x80f97e73c68fe181},
-		{CrashLoop, `inj=934000000 detect=6.054570 recov=40.618300 d=true c=true i=true ok=true state=true th=cdda91ef6ab157ac notes=""`, 0x238659cc8b93e744},
-		{RollingReboot, `inj=2238000000 detect=0.000000 recov=0.000000 d=true c=true i=true ok=true state=true th=56a064f1ad2ef007 notes=""`, 0x9d6b5184cae1d5bd},
+		{NodeFailProcCreate, `inj=141910050 detect=18.099280 recov=38.353800 d=true c=true i=true ok=true state=true th=e1bd5aa2b15d509a n=66075 notes=""`, 0x75ddbd34472b2492},
+		{CorruptAddrMap, `inj=2140000000 detect=60.214050 recov=53.827000 d=true c=true i=true ok=true state=true th=5ee38996a9ac2d14 n=212036 notes=""`, 0xba2a7754a23f21b8},
+		{CoordinatorDeath, `inj=1840000000 detect=73.413070 recov=43.025150 d=true c=true i=true ok=true state=true th=f7c994a5e89479e3 n=164754 notes=""`, 0x3a7443bba888346a},
+		{MsgDrop, `inj=2312999250 detect=0.000000 recov=0.000000 d=true c=true i=true ok=true state=true th=33699d923bbe053b n=602496 notes=""`, 0x83993f7abb1b87d6},
+		{SurgeFault, `inj=1372000000 detect=8.080090 recov=38.050250 d=true c=true i=true ok=true state=true th=e25d1bd3d8cc7513 n=127328 notes=""`, 0x95e304d12d4c329e},
+		{DoubleFault, `inj=903000000 detect=87.748210 recov=43.025000 d=true c=true i=true ok=true state=true th=7f07d70559c1cf0d n=186743 notes=""`, 0x461f95f146556e3},
+		{FaultDuringReintegration, `inj=646000000 detect=14.038330 recov=38.083850 d=true c=true i=true ok=true state=true th=3eb92bcd468d7d06 n=169100 notes=""`, 0x80f97e73c68fe181},
+		{CrashLoop, `inj=934000000 detect=6.054570 recov=40.618300 d=true c=true i=true ok=true state=true th=cdda91ef6ab157ac n=179741 notes=""`, 0x238659cc8b93e744},
+		{RollingReboot, `inj=2238000000 detect=0.000000 recov=0.000000 d=true c=true i=true ok=true state=true th=56a064f1ad2ef007 n=228050 notes=""`, 0x9d6b5184cae1d5bd},
 	}
 	for _, g := range golden {
 		r := RunTrialOpts(g.s, 0, TrialOpts{TraceHash: true, KeepEvents: true})

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"repro/internal/core"
+	"repro/internal/cow"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/membership"
@@ -9,8 +10,8 @@ import (
 	"repro/internal/proc"
 	"repro/internal/rpc"
 	"repro/internal/sim"
-	"repro/internal/smpos"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // RunTable74 executes the §7.4 campaign. scale ∈ (0,1] shrinks the trial
@@ -85,18 +86,20 @@ func RunHardware81() *Hardware81 {
 	return out
 }
 
-// Scalability runs the §1 scalability ablation: kernel-intensive load on a
-// shared-everything SMP OS vs the multicellular Hive, at growing CPU
-// counts. Returned map: cpus -> (smpOps, hiveOps).
+// ScalabilityPoint is one CPU count of the §1 scalability ablation:
+// kernel-intensive load on a shared-everything SMP OS vs the multicellular
+// Hive, as kernel operations each completes.
 type ScalabilityPoint struct {
 	CPUs    int
 	SMPOps  int64
 	HiveOps int64
 }
 
-// RunScalability executes the ablation. Each (cpu count, OS design) probe
-// is an independent boot, so the 2×len(cpuCounts) units fan out across the
-// process-wide parallel runner.
+// RunScalability executes the ablation. The SMP OS is the IRIX baseline
+// on n nodes, one kernel over the whole machine; the Hive runs one cell
+// per node. Each (cpu count, OS design) probe is an independent boot, so
+// the 2×len(cpuCounts) units fan out across the process-wide parallel
+// runner.
 func RunScalability(cpuCounts []int) []ScalabilityPoint {
 	const (
 		opService = 80 * sim.Microsecond
@@ -107,9 +110,9 @@ func RunScalability(cpuCounts []int) []ScalabilityPoint {
 	ops := parallel.Map(parallel.Default(), 2*len(cpuCounts), func(i int) int64 {
 		n := cpuCounts[i/2]
 		if i%2 == 0 {
-			sys := smpos.Boot(n, smpos.DefaultConfig())
-			defer sys.Hive.Eng.Stop()
-			return sys.ThroughputProbe(procsPer*n, opService, burst, duration)
+			h := workload.BootIRIXWith(core.DefaultConfig().Seed, func(cfg *core.Config) { cfg.Machine.Nodes = n })
+			defer h.Eng.Stop()
+			return kernelOps(h, procsPer*n, opService, burst, duration)
 		}
 		cfg := core.DefaultConfig()
 		cfg.Machine.Nodes = n
@@ -117,14 +120,44 @@ func RunScalability(cpuCounts []int) []ScalabilityPoint {
 		cfg.Mounts = nil
 		h := core.Boot(cfg)
 		defer h.Eng.Stop()
-		return smpos.HiveThroughputProbe(h, procsPer, opService, burst, duration,
-			smpos.DefaultConfig().LockedFraction)
+		return kernelOps(h, procsPer, opService, burst, duration)
 	})
 	var out []ScalabilityPoint
 	for i, n := range cpuCounts {
 		out = append(out, ScalabilityPoint{CPUs: n, SMPOps: ops[2*i], HiveOps: ops[2*i+1]})
 	}
 	return out
+}
+
+// kernelOps runs procsPerCell kernel-intensive processes on every cell of
+// h for dur and returns the kernel operations they complete. Each process
+// alternates a compute burst with a kernel operation of op service time,
+// and holds its cell's one kernel lock for half of every operation. On a
+// one-cell SMP OS that lock is the giant lock, the §1 starting point of
+// the "iterative trial-and-error" parallelization process; on a hive each
+// cell has its own, so kernel operations serialize only within a cell
+// (few kernel resources are shared between cells, §1).
+func kernelOps(h *core.Hive, procsPerCell int, op, burst, dur sim.Time) int64 {
+	var ops int64
+	stopAt := h.Eng.Now() + dur
+	locked := op / 2
+	for _, c := range h.Cells {
+		lock := &sim.Mutex{}
+		for i := 0; i < procsPerCell; i++ {
+			c.Procs.Spawn("probe", 500, func(p *proc.Process, t *sim.Task) {
+				for t.Now() < stopAt {
+					p.Compute(t, burst)
+					c.Sched.SystemShared(t, op-locked)
+					lock.Lock(t)
+					c.Sched.SystemShared(t, locked)
+					lock.Unlock(t)
+					ops++
+				}
+			})
+		}
+	}
+	h.Run(stopAt)
+	return ops
 }
 
 // AgreementComparison contrasts oracle and voting agreement (an ablation
@@ -297,12 +330,12 @@ func RunCOWLookupComparison() *COWLookupComparison {
 			mg := h.Cells[1].COW
 			start := ct.Now()
 			for i := 0; i < n; i++ {
-				vet2(mg.LookupVia(ct, 0 /* SharedMemory */, childLeaf, 7))
+				vet2(mg.Lookup(ct, childLeaf, 7))
 			}
 			out.SharedMemUs = (ct.Now() - start).Micros() / n
 			start = ct.Now()
 			for i := 0; i < n; i++ {
-				vet2(mg.LookupVia(ct, 1 /* RPCWalk */, childLeaf, 7))
+				vet2(mg.LookupRPC(ct, childLeaf, 7))
 			}
 			out.RPCUs = (ct.Now() - start).Micros() / n
 
@@ -314,14 +347,16 @@ func RunCOWLookupComparison() *COWLookupComparison {
 				pf.Refs++ // hold the bind out of the other measurement
 				h.Cells[1].VM.Unref(ct, pf)
 			}
-			mg.Mode = 1 // RPCWalk
+			// Over RPC: the RPC walk, then the fault on the node that
+			// holds the page, as Touch makes them for a read.
 			start = ct.Now()
-			if pf, err := mg.Touch(ct, childLeaf, 8, false); err == nil {
-				out.TouchRPCUs = (ct.Now() - start).Micros()
-				pf.Refs++
-				h.Cells[1].VM.Unref(ct, pf)
+			if node, found, err := mg.LookupRPC(ct, childLeaf, 8); err == nil && found {
+				if pf, err := mg.VM.Fault(ct, cow.LP(node, 8), false); err == nil {
+					out.TouchRPCUs = (ct.Now() - start).Micros()
+					pf.Refs++
+					h.Cells[1].VM.Unref(ct, pf)
+				}
 			}
-			mg.Mode = 0
 		})
 		for !done {
 			t.Sleep(sim.Millisecond)

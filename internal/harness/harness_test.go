@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -64,8 +65,14 @@ func TestHardware81AllFunctional(t *testing.T) {
 	}
 }
 
+// scalability4And16 runs the scalability experiment at 4 and 16 CPUs
+// once and shares its points among the tests that check its shape.
+var scalability4And16 = sync.OnceValue(func() []ScalabilityPoint {
+	return RunScalability([]int{4, 16})
+})
+
 func TestScalabilityCrossover(t *testing.T) {
-	pts := RunScalability([]int{4, 16})
+	pts := scalability4And16()
 	small, big := pts[0], pts[1]
 	// At 4 CPUs the two designs are comparable; at 16 the SMP kernel is
 	// lock-bound and Hive is well ahead.
@@ -74,6 +81,26 @@ func TestScalabilityCrossover(t *testing.T) {
 	}
 	if ratio := float64(big.HiveOps) / float64(big.SMPOps); ratio < 1.8 {
 		t.Errorf("16-CPU ratio = %.2f, expected Hive well ahead", ratio)
+	}
+}
+
+// TestGiantLockSaturates checks that four times the CPUs gain the SMP
+// kernel something, but well under linear, and never lose throughput.
+func TestGiantLockSaturates(t *testing.T) {
+	pts := scalability4And16()
+	small, big := pts[0], pts[1]
+	if big.SMPOps < small.SMPOps || float64(big.SMPOps) > 2.5*float64(small.SMPOps) {
+		t.Errorf("SMP kernel ops %d at 4 CPUs, %d at 16: want between 1x and 2.5x", small.SMPOps, big.SMPOps)
+	}
+}
+
+// TestHiveProbeScalesLinearly checks that Hive scales nearly linearly,
+// because each cell's kernel lock is its own.
+func TestHiveProbeScalesLinearly(t *testing.T) {
+	pts := scalability4And16()
+	small, big := pts[0], pts[1]
+	if ratio := float64(big.HiveOps) / float64(small.HiveOps); ratio < 3.5 {
+		t.Errorf("Hive kernel ops grew only %.2fx from 4 to 16 CPUs, want at least 3.5x", ratio)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // layering: DESIGN.md §2 splits the module into substrates (sim,
 // machine, kmem, disk, rpc, careful, stats, trace, sched, parallel —
 // the FLASH/SimOS replacements) and core packages (vm, fs, cow, proc,
-// membership, core, wax, smpos, workload, faultinject — the paper's
+// membership, core, wax, workload, faultinject — the paper's
 // contribution). The import DAG must flow strictly downward: a
 // substrate importing a core package is an inversion that calcifies
 // fast and eventually makes the machine model depend on kernel policy.

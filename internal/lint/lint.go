@@ -157,7 +157,6 @@ func DefaultConfig() *Config {
 			"cow":         5,
 			"proc":        6,
 			"core":        7,
-			"smpos":       8,
 			"wax":         8,
 			"workload":    8,
 			"faultinject": 9,

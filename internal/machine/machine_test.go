@@ -109,11 +109,90 @@ func TestOnlyLocalProcessorChangesFirewall(t *testing.T) {
 	e, m := testMachine(t, 2)
 	lo, _ := m.NodePages(0)
 	run(e, func(tk *sim.Task) {
-		err := m.SetFirewall(tk, m.Procs[1], lo, ^uint64(0))
+		_, err := m.SetFirewall(tk, m.Procs[1], lo, ^uint64(0))
 		if !errors.Is(err, ErrBusError) {
 			t.Errorf("remote firewall change err = %v", err)
 		}
 	})
+}
+
+// TestSetFirewall drives the one firewall change down both of its paths.
+// A task pays the change's cost before the bits change, so a second task
+// reading the firewall mid-charge sees the old bits, and gets 0 back. From
+// interrupt context (nil task) the bits change at once and the cost comes
+// back for the handler to charge. A grant costs one uncached write and a
+// revocation two.
+func TestSetFirewall(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		task, revoke, remote bool
+		halted               bool
+		cost                 sim.Time // charged to the task, or returned
+		err                  error
+	}{
+		{name: "grant from a task", task: true, cost: 500},
+		{name: "revocation from a task", task: true, revoke: true, cost: 1000},
+		{name: "grant from interrupt", cost: 500},
+		{name: "revocation from interrupt", revoke: true, cost: 1000},
+		{name: "remote processor from a task", task: true, remote: true, err: ErrBusError},
+		{name: "remote processor from interrupt", remote: true, err: ErrBusError},
+		{name: "halted processor from a task", task: true, halted: true, err: ErrHalted},
+		{name: "halted processor from interrupt", halted: true, cost: 500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, m := testMachine(t, 2)
+			lo, _ := m.NodePages(0)
+			old, bits := m.NodeProcMask(0), m.NodeProcMask(0)|m.NodeProcMask(1)
+			if tc.revoke {
+				old, bits = bits, old
+			}
+			m.BootFirewall(lo, old)
+			proc := m.Procs[0]
+			if tc.remote {
+				proc = m.Procs[1]
+			}
+			if tc.halted {
+				proc.Halt()
+			}
+			var cost, charged sim.Time
+			var err error
+			if tc.task {
+				seen := ^uint64(0)
+				e.Go("change", func(tk *sim.Task) {
+					cost, err = m.SetFirewall(tk, proc, lo, bits)
+					charged = tk.Now()
+				})
+				e.Go("reader", func(tk *sim.Task) {
+					tk.Sleep(1)
+					seen = m.Firewall(lo)
+				})
+				e.Run(0)
+				if seen != old {
+					t.Errorf("firewall read mid-charge = %#x, want the old %#x", seen, old)
+				}
+			} else {
+				cost, err = m.SetFirewall(nil, proc, lo, bits)
+				charged = e.Now()
+			}
+			if !errors.Is(err, tc.err) {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			want := bits
+			if tc.err != nil {
+				want = old
+			}
+			if got := m.Firewall(lo); got != want {
+				t.Errorf("firewall = %#x, want %#x", got, want)
+			}
+			if tc.task {
+				if cost != 0 || charged != tc.cost {
+					t.Errorf("task charged %v and got %v back, want %v charged and 0 back", charged, cost, tc.cost)
+				}
+			} else if cost != tc.cost || charged != 0 {
+				t.Errorf("returned %v after %v, want %v at once", cost, charged, tc.cost)
+			}
+		})
+	}
 }
 
 func TestFirewallDisabled(t *testing.T) {
@@ -562,7 +641,8 @@ func writableByRemote(m *Machine, p PageNum) bool {
 
 // revokeWrite removes procMask from page p's firewall.
 func revokeWrite(m *Machine, t *sim.Task, proc *Processor, p PageNum, procMask uint64) error {
-	return m.SetFirewall(t, proc, p, m.pages[p].fw&^procMask)
+	_, err := m.SetFirewall(t, proc, p, m.pages[p].fw&^procMask)
+	return err
 }
 
 // TestInterruptMatchesModel drives seeded random interrupts, time steals,
@@ -709,7 +789,7 @@ func TestInterruptAndSIPSAllocateNothing(t *testing.T) {
 		round func()
 	}{
 		{"Interrupt", func() { m.Procs[1].Interrupt(100, count, interrupts); e.Run(0) }},
-		{"SIPS send and delivery", func() { m.SendSIPSAsync(m.Procs[0], msg); e.Run(0) }},
+		{"SIPS send and delivery", func() { m.SendSIPS(nil, m.Procs[0], msg); e.Run(0) }},
 	} {
 		tc.round()
 		if n := testing.AllocsPerRun(100, tc.round); n != 0 {

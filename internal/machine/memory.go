@@ -137,13 +137,16 @@ func (m *Machine) Firewall(p PageNum) uint64 { return m.pages[p].fw }
 // page's home node may change them (§4.2); the operation costs an uncached
 // write to the coherence controller. Revoking permission additionally pays
 // the writeback-synchronization cost, modelled (per §7.2) as one more
-// uncached write.
-func (m *Machine) SetFirewall(t *sim.Task, proc *Processor, p PageNum, bits uint64) error {
-	if proc.Halted() {
-		return ErrHalted
+// uncached write. With a task, the task pays the cost before the bits
+// change and SetFirewall returns 0. From interrupt context t is nil: the
+// bits change at once and the cost is returned for the interrupt handler
+// to charge.
+func (m *Machine) SetFirewall(t *sim.Task, proc *Processor, p PageNum, bits uint64) (sim.Time, error) {
+	if t != nil && proc.Halted() {
+		return 0, ErrHalted
 	}
 	if m.HomeNode(p) != proc.Node.ID {
-		return ErrBusError
+		return 0, ErrBusError
 	}
 	cost := m.Cfg.UncachedNs
 	if old := m.pages[p].fw; old&^bits != 0 {
@@ -154,27 +157,9 @@ func (m *Machine) SetFirewall(t *sim.Task, proc *Processor, p PageNum, bits uint
 		m.Metrics.Counter("firewall.grants").Inc()
 		m.tracer(proc.Node.ID).Emit(proc.eng.Now(), trace.FirewallGrant, int64(p), int64(bits), "")
 	}
-	proc.Use(t, cost)
-	m.pages[p].fw = bits
-	return nil
-}
-
-// SetFirewallIntr changes page p's firewall bits from interrupt context on
-// the home node (no task to charge — the caller must fold the returned cost
-// into its interrupt handler cost). It returns the cost and an error if the
-// issuing processor is not local to the page.
-func (m *Machine) SetFirewallIntr(proc *Processor, p PageNum, bits uint64) (sim.Time, error) {
-	if m.HomeNode(p) != proc.Node.ID {
-		return 0, ErrBusError
-	}
-	cost := m.Cfg.UncachedNs
-	if old := m.pages[p].fw; old&^bits != 0 {
-		cost += m.Cfg.UncachedNs
-		m.Metrics.Counter("firewall.revocations").Inc()
-		m.tracer(proc.Node.ID).Emit(proc.eng.Now(), trace.FirewallRevoke, int64(p), int64(bits), "")
-	} else {
-		m.Metrics.Counter("firewall.grants").Inc()
-		m.tracer(proc.Node.ID).Emit(proc.eng.Now(), trace.FirewallGrant, int64(p), int64(bits), "")
+	if t != nil {
+		proc.Use(t, cost)
+		cost = 0
 	}
 	m.pages[p].fw = bits
 	return cost, nil
@@ -182,7 +167,8 @@ func (m *Machine) SetFirewallIntr(proc *Processor, p PageNum, bits uint64) (sim.
 
 // GrantWrite adds procMask to page p's firewall (must run on the home node).
 func (m *Machine) GrantWrite(t *sim.Task, proc *Processor, p PageNum, procMask uint64) error {
-	return m.SetFirewall(t, proc, p, m.pages[p].fw|procMask)
+	_, err := m.SetFirewall(t, proc, p, m.pages[p].fw|procMask)
+	return err
 }
 
 // PageTag returns the stored content tag without charging time (used by

@@ -91,7 +91,10 @@ type MsgFaultDecision struct {
 // one IPI latency; the receiver pays the payload access latency when the
 // handler runs. If the destination node has failed or is cut off, the send
 // fails with a bus error after the IPI latency (the fault model guarantees
-// no indefinite stall).
+// no indefinite stall). From interrupt or engine context t is nil: the
+// sender's uncached launch write is not charged here, because the
+// interrupt handler's cost already holds it (RPC replies sent from
+// interrupt level).
 func (m *Machine) SendSIPS(t *sim.Task, proc *Processor, msg *SIPSMsg) error {
 	if proc.Halted() {
 		return ErrHalted
@@ -103,7 +106,9 @@ func (m *Machine) SendSIPS(t *sim.Task, proc *Processor, msg *SIPSMsg) error {
 	dstNode := m.Procs[msg.To].Node
 
 	// The send itself occupies the sender for the uncached launch write.
-	proc.Use(t, m.Cfg.UncachedNs)
+	if t != nil {
+		proc.Use(t, m.Cfg.UncachedNs)
+	}
 
 	if err := dstNode.accessible(proc.Node.ID); err != nil {
 		m.Metrics.Counter("sips.send_failures").Inc()
@@ -115,30 +120,9 @@ func (m *Machine) SendSIPS(t *sim.Task, proc *Processor, msg *SIPSMsg) error {
 	return nil
 }
 
-// SendSIPSAsync transmits msg from interrupt or engine context (no task to
-// charge; the caller must have accounted the launch cost in its interrupt
-// handler cost). Used for RPC replies sent from interrupt level.
-func (m *Machine) SendSIPSAsync(proc *Processor, msg *SIPSMsg) error {
-	if proc.Halted() {
-		return ErrHalted
-	}
-	if msg.Size > SIPSLineBytes {
-		panic("machine: SIPS payload exceeds one cache line")
-	}
-	msg.From = proc.ID
-	dstNode := m.Procs[msg.To].Node
-	if err := dstNode.accessible(proc.Node.ID); err != nil {
-		m.Metrics.Counter("sips.send_failures").Inc()
-		return err
-	}
-	m.launchSIPS(proc.Node.ID, msg)
-	return nil
-}
-
-// launchSIPS is the shared wire path of SendSIPS and SendSIPSAsync: it
-// stamps the hardware checksum, consults the fault hook, and schedules
-// delivery after the wire latency. srcNode is the sending node (for trace
-// attribution).
+// launchSIPS is SendSIPS's wire path: it stamps the hardware checksum,
+// consults the fault hook, and schedules delivery after the wire latency.
+// srcNode is the sending node (for trace attribution).
 func (m *Machine) launchSIPS(srcNode int, msg *SIPSMsg) {
 	e := m.Eng
 	m.Metrics.Cached(&m.sipsSends, "sips.sends").Inc()

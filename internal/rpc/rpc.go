@@ -740,7 +740,7 @@ func (ep *Endpoint) launch(proc *machine.Processor, arg any) {
 	req := mustLive(arg.(*Request))
 	ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
 	msg := replyLine(req, ep.Peers[req.From].nextProc())
-	ep.M.SendSIPSAsync(proc, msg)
+	ep.M.SendSIPS(nil, proc, msg)
 	noteFault(req, msg)
 }
 

@@ -42,7 +42,7 @@ func (v *VM) Export(t *sim.Task, pf *Pfdat, client int, writable bool) (sim.Time
 			pf.writable = make(map[int]bool)
 		}
 		pf.writable[client] = true
-		c, err := v.grantFirewall(t, pf, client)
+		c, err := v.setFirewall(t, pf, v.M.Firewall(pf.Frame)|v.clientMask(client))
 		if err != nil {
 			return 0, err
 		}
@@ -81,17 +81,15 @@ func (v *VM) homeMask(frame machine.PageNum) uint64 {
 	return v.clientMask(v.CellOfNode[v.M.HomeNode(frame)])
 }
 
-// grantFirewall opens pf's frame for writing by all processors of client.
+// setFirewall sets the firewall of pf's frame to bits. A local frame
+// changes through the machine: with a task, the task pays; with t nil,
+// from interrupt context, the cost is returned for the handler to charge.
 // For a borrowed frame the memory home must make the change (§5.4), which
 // requires an RPC and therefore a task context.
-func (v *VM) grantFirewall(t *sim.Task, pf *Pfdat, client int) (sim.Time, error) {
+func (v *VM) setFirewall(t *sim.Task, pf *Pfdat, bits uint64) (sim.Time, error) {
 	frame := pf.Frame
-	bits := v.M.Firewall(frame) | v.clientMask(client)
 	if v.localFrame(frame) {
-		if t != nil {
-			return 0, v.M.SetFirewall(t, v.proc(frame), frame, bits)
-		}
-		return v.M.SetFirewallIntr(v.proc(frame), frame, bits)
+		return v.M.SetFirewall(t, v.proc(frame), frame, bits)
 	}
 	// Borrowed frame: the firewall lives at the memory home.
 	if t == nil {
@@ -101,27 +99,6 @@ func (v *VM) grantFirewall(t *sim.Task, pf *Pfdat, client int) (sim.Time, error)
 	_, err := v.EP.Call(t, v.anyProc(), home, ProcFirewall,
 		&firewallArgs{Frame: frame, Bits: bits}, rpc.CallOpts{DataBytes: 32})
 	return 0, err
-}
-
-// revokeFirewall closes pf's frame to the given client cell's processors.
-func (v *VM) revokeFirewall(t *sim.Task, pf *Pfdat, client int) error {
-	frame := pf.Frame
-	bits := v.M.Firewall(frame) &^ v.clientMask(client)
-	bits |= v.homeMask(frame) // the owning cell always retains access
-	if v.localFrame(frame) {
-		if t != nil {
-			return v.M.SetFirewall(t, v.proc(frame), frame, bits)
-		}
-		_, err := v.M.SetFirewallIntr(v.proc(frame), frame, bits)
-		return err
-	}
-	if t == nil {
-		return fmt.Errorf("firewall change on borrowed frame needs queued path")
-	}
-	home := v.CellOfNode[v.M.HomeNode(frame)]
-	_, err := v.EP.Call(t, v.anyProc(), home, ProcFirewall,
-		&firewallArgs{Frame: frame, Bits: bits}, rpc.CallOpts{DataBytes: 32})
-	return err
 }
 
 // Import allocates an extended pfdat bound to a remote page (Table 5.1) and
@@ -288,7 +265,8 @@ func (v *VM) registerServices() {
 			if err != nil {
 				return nil, err
 			}
-			return nil, v.M.SetFirewall(t, v.proc(args.Frame), args.Frame, args.Bits)
+			_, err = v.M.SetFirewall(t, v.proc(args.Frame), args.Frame, args.Bits)
+			return nil, err
 		})
 }
 
@@ -343,7 +321,7 @@ func (v *VM) serveExportQueued(t *sim.Task, args *exportArgs) (any, error) {
 
 // dropExport decrements a client's export reference and revokes its write
 // access when the last reference goes away. t may be nil only when the
-// revocation (if any) is local.
+// revocation (if any) is local; no one then pays its cost (DESIGN §6).
 func (v *VM) dropExport(t *sim.Task, lp LogicalPage, client int) {
 	pf, ok := v.hash[lp]
 	if !ok {
@@ -356,8 +334,10 @@ func (v *VM) dropExport(t *sim.Task, lp LogicalPage, client int) {
 		delete(pf.exports, client)
 		if pf.writable[client] {
 			delete(pf.writable, client)
+			// The owning cell always retains access.
+			bits := v.M.Firewall(pf.Frame)&^v.clientMask(client) | v.homeMask(pf.Frame)
 			//hive:lint-ignore errdrop revocation failure means the frame's memory home is unreachable; recovery rewrites every surviving firewall wholesale (§4.2)
-			v.revokeFirewall(t, pf, client)
+			v.setFirewall(t, pf, bits)
 		}
 	}
 }

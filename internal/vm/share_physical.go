@@ -285,8 +285,9 @@ func (v *VM) loanFrames(client, count int) *borrowReply {
 		v.setLoan(v.pfdat(f), client)
 		// Loaning transfers control of the frame: open the firewall for
 		// the borrowing cell (further changes come back by RPC, §5.4).
+		// No one pays the change's cost (DESIGN §6).
 		bits := v.homeMask(f) | v.clientMask(client)
-		v.M.SetFirewallIntr(v.proc(f), f, bits)
+		v.M.SetFirewall(nil, v.proc(f), f, bits)
 		rep.Frames = append(rep.Frames, f)
 	}
 	v.Metrics.Counter("vm.loans").Add(int64(len(rep.Frames)))
@@ -304,7 +305,7 @@ func (v *VM) acceptReturns(client int, frames []machine.PageNum) {
 			continue // sanity: must have been loaned to this client
 		}
 		v.setLoan(pf, -1)
-		v.M.SetFirewallIntr(v.proc(f), f, v.homeMask(f))
+		v.M.SetFirewall(nil, v.proc(f), f, v.homeMask(f)) // cost unpaid (DESIGN §6)
 		v.free = append(v.free, f)
 	}
 }

@@ -16,7 +16,7 @@ func filePageOf(h *core.Hive, out OutputFile) vm.LogicalPage {
 }
 
 // Small, fast configurations for unit assertions (the full calibrated runs
-// are exercised by TestCalibrationPrint and the bench suite).
+// are hivebench's t72 rows, which BENCH_hive.json pins).
 
 func smallPmake() PmakeConfig {
 	cfg := DefaultPmake()
