@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/membership"
 	"repro/internal/proc"
+	"repro/internal/rpc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -173,6 +177,56 @@ func TestPanicEngagesCutoffAndIsDetected(t *testing.T) {
 	}
 	if !h.RunUntil(func() bool { return h.Coord.LiveCount() == 3 }, sim.Second) {
 		t.Fatal("panicked cell never declared dead")
+	}
+}
+
+// TestConsensusStopsLiveCell has agreement declare dead a cell that is
+// corrupt but still running, so ForceStop stops it (§4.3): it fails, its
+// node is cut off, its endpoint shuts down (a call it has outstanding
+// resolves with rpc.ErrShutdown), and one Panic event records the stop.
+func TestConsensusStopsLiveCell(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Machine.MemPerNodeMB = 8
+	h := Boot(cfg)
+	h.Run(50 * sim.Millisecond)
+	const hold rpc.ProcID = 999
+	h.Cells[0].EP.Register(hold, "test.hold",
+		func(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
+			t.Sleep(sim.Second)
+			return nil, 0, nil
+		}, rpc.Queued())
+	var callErr error
+	h.Eng.Go("holder", func(t *sim.Task) {
+		c := h.Cells[2]
+		_, callErr = c.EP.Call(t, c.Sched.Procs[0], 0, hold, nil,
+			rpc.CallOpts{Timeout: 2 * sim.Second, NoHint: true})
+	})
+	h.Run(h.Now() + 100*sim.Microsecond) // the call is outstanding
+	h.Cells[2].MarkCorrupt()
+	h.Cells[1].Mon.Hint(2, "test accusation")
+	if !h.RunUntil(func() bool { return h.Coord.LiveCount() == 3 && h.Coord.RecoveryIdle() }, h.Now()+sim.Second) {
+		t.Fatalf("live = %d, recovery idle = %v", h.Coord.LiveCount(), h.Coord.RecoveryIdle())
+	}
+	if !h.Cells[2].Failed() {
+		t.Error("cell 2 not failed")
+	}
+	if !h.M.Nodes[2].CutOff() {
+		t.Error("cell 2's node not cut off")
+	}
+	if !errors.Is(callErr, rpc.ErrShutdown) {
+		t.Errorf("cell 2's outstanding call returned %v, want rpc.ErrShutdown", callErr)
+	}
+	var panics []string
+	for _, e := range h.Trace.Merged() {
+		if e.Kind == trace.Panic {
+			panics = append(panics, fmt.Sprintf("cell%d: %s", e.Cell, e.S))
+		}
+	}
+	if want := "cell2: stopped by survivor consensus: declared dead by agreement"; len(panics) != 1 || panics[0] != want {
+		t.Errorf("panic events %q, want [%q]", panics, want)
+	}
+	if bad := h.CheckInvariants(); len(bad) > 0 {
+		t.Errorf("invariants:\n%s", joinLines(bad))
 	}
 }
 

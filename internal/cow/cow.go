@@ -441,13 +441,13 @@ func validateMakeLeafArgs(req *rpc.Request) (*makeLeafArgs, error) {
 
 func (mg *Manager) registerServices() {
 	mg.EP.Register(ProcMakeLeaf, "cow.makeleaf",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, err := validateMakeLeafArgs(req)
 			if err != nil {
-				return nil, 0, true, err
+				return nil, 0, err
 			}
 			leaf := mg.arena().Alloc(TagNode, nodeWords)
 			mg.arena().WriteWord(leaf, wordParent, uint64(args.Parent))
-			return &makeLeafReply{Leaf: leaf}, 2000, true, nil
-		}, nil)
+			return &makeLeafReply{Leaf: leaf}, 2000, nil
+		})
 }

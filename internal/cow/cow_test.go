@@ -2,6 +2,7 @@ package cow
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -360,9 +361,9 @@ func TestRPCWalkRejectsForgedReply(t *testing.T) {
 	f := newFixture(t, 3)
 	// Cell 1 serves a corrupt lookup reply claiming a node on cell 2.
 	f.eps[1].Register(ProcTreeLookup, "cow.evil",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			return &treeLookupReply{Found: true, Node: f.mgs[2].NewRoot()}, 0, true, nil
-		}, nil)
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
+			return &treeLookupReply{Found: true, Node: f.mgs[2].NewRoot()}, 0, nil
+		})
 	f.run(t, func(tk *sim.Task) {
 		root := f.mgs[0].NewRoot()
 		_, cLeaf, _ := f.mgs[0].Fork(tk, root, 0)
@@ -497,5 +498,57 @@ func TestPropertyCarefulTraversalAlwaysSurvives(t *testing.T) {
 	}
 	if err := quick.Check(fz, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditFindsUntouchedDamage runs the kernel consistency audit (§4.1
+// aggressive failure detection) over a tree of four forks with one damaged
+// leaf that no walk touches, once per §7.4 pathology of its parent
+// pointer. The audit counts one damaged chain and fires OnLocalDamage
+// once; an undamaged arena audits clean. EachTagged lists the tree's nine
+// nodes in address order.
+func TestAuditFindsUntouchedDamage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		parent func(node kmem.Addr) uint64 // nil: no damage
+	}{
+		{"undamaged", nil},
+		{"other cell", func(kmem.Addr) uint64 { return uint64(kmem.MakeAddr(1, 0xbad040)) }},
+		{"one word off", func(n kmem.Addr) uint64 { return uint64(n) + kmem.WordSize }},
+		{"self", func(n kmem.Addr) uint64 { return uint64(n) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 2)
+			mg := f.mgs[0]
+			panics := 0
+			mg.OnLocalDamage = func(string) { panics++ }
+			var nodes []kmem.Addr
+			f.run(t, func(tk *sim.Task) {
+				leaf, cLeaf := mg.NewRoot(), kmem.NilAddr
+				for i := 0; i < 4; i++ {
+					var err error
+					if leaf, cLeaf, err = mg.Fork(tk, leaf, 0); err != nil {
+						t.Fatalf("fork: %v", err)
+					}
+				}
+				mg.arena().EachTagged(TagNode, func(a kmem.Addr) { nodes = append(nodes, a) })
+				if len(nodes) != 9 || !sort.SliceIsSorted(nodes, func(i, j int) bool { return nodes[i] < nodes[j] }) {
+					t.Errorf("EachTagged = %v, want 9 nodes in address order", nodes)
+				}
+				want := 0
+				if tc.parent != nil {
+					if !mg.CorruptParent(cLeaf, tc.parent(cLeaf)) {
+						t.Fatal("corruption failed")
+					}
+					want = 1
+				}
+				if got := mg.Audit(tk); got != want {
+					t.Errorf("Audit = %d damaged chains, want %d", got, want)
+				}
+				if panics != want {
+					t.Errorf("OnLocalDamage fired %d times, want %d", panics, want)
+				}
+			})
+		})
 	}
 }

@@ -131,18 +131,18 @@ func (mg *Manager) validateTreeLookupArgs(req *rpc.Request) (*treeLookupArgs, er
 // level like the page-fault fast path.
 func (mg *Manager) registerLookupService() {
 	mg.EP.Register(ProcTreeLookup, "cow.treelookup",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, err := mg.validateTreeLookupArgs(req)
 			if err != nil {
-				return nil, 0, true, err
+				return nil, 0, err
 			}
 			// The interrupt handler cannot charge per-node time as a
 			// task; estimate the visit cost into the service charge.
 			var visits sim.Time
 			node, found, next, err := mg.walkLocal(args.Start, args.Off, func() { visits += localVisit })
 			if err != nil {
-				return nil, visits, true, err
+				return nil, visits, err
 			}
-			return &treeLookupReply{Found: found, Node: node, Next: next}, visits, true, nil
-		}, nil, rpc.Idempotent())
+			return &treeLookupReply{Found: found, Node: node, Next: next}, visits, nil
+		}, rpc.Idempotent())
 }

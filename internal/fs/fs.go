@@ -62,7 +62,6 @@ const (
 	ProcCreate    rpc.ProcID = 122 // create a file at its data home
 	ProcReadPage  rpc.ProcID = 123 // fetch one page (interrupt-level fast path)
 	ProcWriteBulk rpc.ProcID = 125 // write a chunk of page tags
-	ProcRename    rpc.ProcID = 127 // rename within a data home
 )
 
 // FileID numbers files within one data home.
@@ -277,32 +276,6 @@ func (f *FS) Open(t *sim.Task, path string) (*Handle, error) {
 	}
 	f.Metrics.Counter("fs.opens_remote").Inc()
 	return &Handle{Key: Key{Home: home, ID: rep.ID}, Gen: rep.Gen, fs: f, open: true}, nil
-}
-
-// Rename moves a file within its data home (cross-home renames would be a
-// copy; the paper's name-space work left that for the fault-tolerant FS).
-func (f *FS) Rename(t *sim.Task, oldPath, newPath string) error {
-	home := f.homeFor(oldPath)
-	if f.homeFor(newPath) != home {
-		return fmt.Errorf("%w: rename across data homes", ErrBadArgs)
-	}
-	if home == f.CellID {
-		f.proc().Use(t, sim.Time(components(oldPath)+components(newPath))*LookupLocal)
-		id, ok := f.byPath[oldPath]
-		if !ok {
-			return ErrNotFound
-		}
-		if victim, exists := f.byPath[newPath]; exists {
-			delete(f.files, victim)
-		}
-		delete(f.byPath, oldPath)
-		f.byPath[newPath] = id
-		f.files[id].Path = newPath
-		return nil
-	}
-	_, err := f.EP.Call(t, f.proc(), home, ProcRename,
-		&renameArgs{Old: oldPath, New: newPath}, rpc.CallOpts{DataBytes: len(oldPath) + len(newPath)})
-	return err
 }
 
 // Stat resolves a path and returns whether it exists — the namespace

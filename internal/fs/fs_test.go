@@ -435,31 +435,3 @@ func BenchmarkRemoteStat(b *testing.B) {
 	b.ResetTimer()
 	f.run(b, f.statMissing(b, b.N))
 }
-
-func TestRenameLocalAndRemote(t *testing.T) {
-	f := newFixture(t, 2)
-	f.run(t, func(tk *sim.Task) {
-		f.fss[0].Create(tk, "/a/old")
-		if err := f.fss[0].Rename(tk, "/a/old", "/a/new"); err != nil {
-			t.Fatalf("rename: %v", err)
-		}
-		if _, err := f.fss[0].Open(tk, "/a/old"); err == nil {
-			t.Error("old name still resolves")
-		}
-		if _, err := f.fss[0].Open(tk, "/a/new"); err != nil {
-			t.Errorf("new name: %v", err)
-		}
-		// Remote rename within /tmp (cell 1).
-		f.fss[0].Create(tk, "/tmp/r1")
-		if err := f.fss[0].Rename(tk, "/tmp/r1", "/tmp/r2"); err != nil {
-			t.Fatalf("remote rename: %v", err)
-		}
-		if _, err := f.fss[0].Open(tk, "/tmp/r2"); err != nil {
-			t.Errorf("remote new name: %v", err)
-		}
-		// Cross-home renames are refused.
-		if err := f.fss[0].Rename(tk, "/a/new", "/tmp/x"); err == nil {
-			t.Error("cross-home rename accepted")
-		}
-	})
-}

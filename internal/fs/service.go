@@ -49,11 +49,6 @@ type pageReply struct {
 	Corrupt bool
 }
 
-// renameArgs drives ProcRename.
-type renameArgs struct {
-	Old, New string
-}
-
 // writeArgs drives ProcWriteBulk.
 type writeArgs struct {
 	Key  Key
@@ -84,19 +79,6 @@ func (f *FS) validateGetattrArgs(arg rpc.Line) (lookupArgs, error) {
 		return lookupArgs{}, ErrBadArgs
 	}
 	return lookupArgs{Path: arg.Str, Component: int(arg.W[0])}, nil
-}
-
-// validateRenameArgs vets a rename request: both paths well-formed and
-// homed at this cell (cross-home renames are rejected at the client).
-func (f *FS) validateRenameArgs(raw any) (*renameArgs, error) {
-	args, ok := raw.(*renameArgs)
-	if !ok || args.Old == "" || args.New == "" {
-		return nil, ErrBadArgs
-	}
-	if f.homeFor(args.Old) != f.CellID || f.homeFor(args.New) != f.CellID {
-		return nil, ErrBadArgs
-	}
-	return args, nil
 }
 
 // validateCreateArgs vets a create request: well-formed path, homed here.
@@ -148,24 +130,24 @@ func (f *FS) validateWriteArgs(raw any) (*writeArgs, *File, error) {
 func (f *FS) registerServices() {
 	// Path lookup: interrupt-level (directory maps are in memory).
 	f.EP.Register(ProcLookup, "fs.lookup",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, err := f.validateLookupArgs(req.Arg)
 			if err != nil {
-				return nil, 0, true, err
+				return nil, 0, err
 			}
 			id, ok := f.byPath[args.Path]
 			if !ok {
-				return nil, LookupServer, true, fmt.Errorf("%w: %s", ErrNotFound, args.Path)
+				return nil, LookupServer, fmt.Errorf("%w: %s", ErrNotFound, args.Path)
 			}
 			req.Result = openReply{ID: id, Gen: f.files[id].Gen}.line()
-			return nil, LookupServer, true, nil
-		}, nil, rpc.Idempotent())
+			return nil, LookupServer, nil
+		}, rpc.Idempotent())
 
 	f.EP.Register(ProcGetattr, "fs.getattr",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, err := f.validateGetattrArgs(req.Arg)
 			if err != nil {
-				return nil, 0, true, err
+				return nil, 0, err
 			}
 			var file *File
 			if args.Path == "" {
@@ -175,78 +157,60 @@ func (f *FS) registerServices() {
 				file = f.files[id]
 			}
 			if file == nil {
-				return nil, GetattrServer, true, ErrNotFound
+				return nil, GetattrServer, ErrNotFound
 			}
 			req.Result = openReply{ID: file.ID, Gen: file.Gen, Size: file.SizePgs}.line()
-			return nil, GetattrServer, true, nil
-		}, nil, rpc.Idempotent())
+			return nil, GetattrServer, nil
+		}, rpc.Idempotent())
 
-	f.EP.Register(ProcRename, "fs.rename", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := f.validateRenameArgs(req.Args)
-			if err != nil {
-				return nil, err
-			}
-			return nil, f.Rename(t, args.Old, args.New)
-		})
-
-	f.EP.Register(ProcCreate, "fs.create", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) {
+	f.EP.Register(ProcCreate, "fs.create",
+		func(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, err := f.validateCreateArgs(req.Arg)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			f.proc().Use(t, LookupServer)
 			file := f.createLocal(args.Path)
 			req.Result = openReply{ID: file.ID, Gen: file.Gen}.line()
-			return nil, nil
-		})
+			return nil, 0, nil
+		}, rpc.Queued())
 
 	// Page fetch: the common case — a hit in the data-home page cache —
-	// is serviced entirely at interrupt level (§4.3); disk fills fall
-	// back to the queued path.
+	// is serviced entirely at interrupt level (§4.3); recovery, a held
+	// memory lock and a disk fill fall back to the queued path.
 	f.EP.Register(ProcReadPage, "fs.readpage",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, _, err := f.validatePageArgs(req.Args)
-			if err != nil {
-				return nil, 0, true, err
-			}
-			if f.VM.InRecovery() || f.VM.Lock.Locked() {
-				return nil, 0, false, nil
-			}
-			pf, ok := f.VM.Lookup(lpFor(args.Key, args.Off))
-			if !ok {
-				return nil, 0, false, nil // disk fill: queued path
-			}
-			tag, corrupt := f.M.PageTag(pf.Frame)
-			return &pageReply{Tag: tag, Corrupt: corrupt}, vm.MiscVMDataHome, true, nil
-		},
-		func(t *sim.Task, req *rpc.Request) (any, error) {
+		func(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, file, err := f.validatePageArgs(req.Args)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			if f.VM.InRecovery() {
-				return nil, vm.ErrRecovering
+			switch {
+			case t == nil && (f.VM.InRecovery() || f.VM.Lock.Locked()):
+				return nil, 0, rpc.ErrQueue
+			case f.VM.InRecovery():
+				return nil, 0, vm.ErrRecovering
 			}
-			pf, ok := f.VM.Lookup(lpFor(args.Key, args.Off))
+			lp := lpFor(args.Key, args.Off)
+			pf, ok := f.VM.Lookup(lp)
 			if !ok {
-				pf, err = f.fillFromDisk(t, lpFor(args.Key, args.Off), file)
-				if err != nil {
-					return nil, err
+				if t == nil {
+					return nil, 0, rpc.ErrQueue
+				}
+				if pf, err = f.fillFromDisk(t, lp, file); err != nil {
+					return nil, 0, err
 				}
 			}
 			tag, corrupt := f.M.PageTag(pf.Frame)
-			return &pageReply{Tag: tag, Corrupt: corrupt}, nil
+			return &pageReply{Tag: tag, Corrupt: corrupt}, vm.MiscVMDataHome, nil
 		}, rpc.Idempotent())
 
 	// Bulk write: queued (it allocates frames and may evict).
-	f.EP.Register(ProcWriteBulk, "fs.writebulk", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) {
+	f.EP.Register(ProcWriteBulk, "fs.writebulk",
+		func(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, file, err := f.validateWriteArgs(req.Args)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			return nil, f.writeLocal(t, file, args.Off, args.Tags)
-		})
+			return nil, 0, f.writeLocal(t, file, args.Off, args.Tags)
+		}, rpc.Queued())
 }

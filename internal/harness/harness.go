@@ -93,8 +93,9 @@ func RunRPC6() *RPC6 {
 	out := &RPC6{}
 	// A queued-only echo service on cell 1.
 	const echoQ rpc.ProcID = 900
-	h.Cells[1].EP.Register(echoQ, "bench.echoq", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) { return req.Args, nil })
+	h.Cells[1].EP.Register(echoQ, "bench.echoq",
+		func(t *sim.Task, req *rpc.Request) (any, sim.Time, error) { return req.Args, 0, nil },
+		rpc.Queued())
 	runOn(h, 0, func(p *proc.Process, t *sim.Task) {
 		c := h.Cells[0]
 		const n = 64

@@ -54,15 +54,13 @@ type Coordinator struct {
 	RecoveryEndAt  sim.Time
 	RoundsRun      int
 	FalseAlarms    int
-	DeadDeclared   []int
 	recoveryActive int
 	// RoundRestarts counts rounds whose coordinator died mid-round and
 	// were deterministically restarted under the next live member.
 	RoundRestarts int
-	// JoinRounds counts join rounds run; Rejoins lists the cells whose
-	// join round committed, in commit order; LastRejoinAt is the latest
-	// commit time (the capacity-restoration measurement's raw input).
-	JoinRounds   int
+	// Rejoins lists the cells whose join round committed, in commit
+	// order; LastRejoinAt is the latest commit time (the
+	// capacity-restoration measurement's raw input).
 	Rejoins      []int
 	LastRejoinAt sim.Time
 }
@@ -252,9 +250,6 @@ func (c *Coordinator) ensureRound(msg any, cellID int) (*round, bool) {
 	r.barrier2 = sim.NewBarrier(len(r.members))
 	c.cur = r
 	c.RoundsRun++
-	if join {
-		c.JoinRounds++
-	}
 	return r, false
 }
 
@@ -348,7 +343,6 @@ func (c *Coordinator) applyVerdict(r *round, carries bool) {
 		}
 	case carries:
 		delete(c.live, r.cell)
-		c.DeadDeclared = append(c.DeadDeclared, r.cell)
 		if mon := c.monitors[r.cell]; mon != nil {
 			mon.Stop()
 		}

@@ -502,12 +502,12 @@ func (mon *Monitor) runDiagnostics(t *sim.Task) {
 // registerServices installs the alert and ping services.
 func (mon *Monitor) registerServices() {
 	mon.EP.Register(ProcAlert, "membership.alert",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			msg, ok := req.Args.(*alertMsg)
 			if !ok || msg.Accuser != req.From || msg.Suspect == mon.CellID {
 				// A cell alerting about *us* gets no cooperation;
 				// sanity checks defend against forged alerts.
-				return nil, 0, true, fmt.Errorf("membership: bad alert")
+				return nil, 0, fmt.Errorf("membership: bad alert")
 			}
 			// Receiving an alert suppresses this cell's own broadcast for
 			// the same suspect: the sender's cast already reached every
@@ -517,26 +517,26 @@ func (mon *Monitor) registerServices() {
 			// copy below still guarantees this cell joins the round.
 			mon.alerting[msg.Suspect] = true
 			mon.alerts.Push(msg)
-			return nil, 20 * sim.Microsecond, true, nil
-		}, nil)
+			return nil, 20 * sim.Microsecond, nil
+		})
 
 	mon.EP.Register(ProcPing, "membership.ping",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			return "pong", 0, true, nil
-		}, nil)
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
+			return "pong", 0, nil
+		})
 
 	mon.EP.Register(ProcJoin, "membership.join",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			msg, ok := req.Args.(*joinMsg)
 			if !ok || msg.Joiner != req.From || msg.Joiner == mon.CellID {
 				// A join announcement must come from the joiner itself;
 				// anything else is a forged or corrupt request. The live
 				// check happens later, inside ensureRound.
-				return nil, 0, true, fmt.Errorf("membership: bad join request")
+				return nil, 0, fmt.Errorf("membership: bad join request")
 			}
 			mon.alerts.Push(msg)
-			return nil, 20 * sim.Microsecond, true, nil
-		}, nil)
+			return nil, 20 * sim.Microsecond, nil
+		})
 }
 
 // probe tests a suspect's liveness for the voting protocol: two pings, dead

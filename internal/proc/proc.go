@@ -415,29 +415,29 @@ func validateSpawnExecArgs(raw any) (*spawnExecArgs, error) {
 }
 
 func (pt *Table) registerServices() {
-	pt.EP.Register(ProcSpawn, "proc.spawn", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) {
+	pt.EP.Register(ProcSpawn, "proc.spawn",
+		func(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, err := pt.validateSpawnArgs(req.Args)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			pt.Sched.System(t, ForkCost/2)
 			p := pt.spawn(args.Name, args.Group, args.Parent, args.Leaf, args.Body)
 			p.Deps[req.From] = true // child depends on its parent's cell tree
-			return &spawnReply{PID: p.PID}, nil
-		})
+			return &spawnReply{PID: p.PID}, 0, nil
+		}, rpc.Queued())
 
-	pt.EP.Register(ProcSpawnExec, "proc.spawnexec", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) {
+	pt.EP.Register(ProcSpawnExec, "proc.spawnexec",
+		func(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			args, err := validateSpawnExecArgs(req.Args)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			pt.Sched.System(t, ForkCost/2+ExecCost)
 			p := pt.spawn(args.Name, args.Group, args.Parent, pt.COW.NewRoot(), args.Body)
 			p.Deps[req.From] = true // child depends on its parent's cell
-			return &spawnReply{PID: p.PID}, nil
-		})
+			return &spawnReply{PID: p.PID}, 0, nil
+		}, rpc.Queued())
 }
 
 // Spanning tasks (§3.2 extension).

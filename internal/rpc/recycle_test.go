@@ -21,10 +21,10 @@ const (
 // result is the request's Args, and the by-value result its Arg.
 func registerEcho(ep *Endpoint) {
 	ep.Register(procEchoIdem, "echo",
-		func(req *Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) {
 			req.Result = req.Arg
-			return req.Args, 0, true, nil
-		}, nil, Idempotent())
+			return req.Args, 0, nil
+		}, Idempotent())
 }
 
 // echo makes echo call n from cell 0 and checks that it returns its own
@@ -66,11 +66,11 @@ func runFaulted(t *testing.T, faulted func(f *fixture, tk *sim.Task)) faultRun {
 	for _, ep := range f.eps {
 		registerEcho(ep)
 	}
-	f.eps[1].Register(procLate, "late", nil,
-		func(t *sim.Task, req *Request) (any, error) {
+	f.eps[1].Register(procLate, "late",
+		func(t *sim.Task, req *Request) (any, sim.Time, error) {
 			t.Sleep(5 * sim.Millisecond)
-			return "late", nil
-		})
+			return "late", 0, nil
+		}, Queued())
 	s := trace.NewSet(len(f.eps), 1<<12)
 	for _, ep := range f.eps {
 		ep.Tracer = s.Tracer(ep.CellID)
@@ -181,8 +181,8 @@ func TestUnfaultedLinesRecycle(t *testing.T) {
 	for _, ep := range f.eps {
 		registerEcho(ep)
 	}
-	f.eps[1].Register(procQueuedNull, "queued-null", nil,
-		func(t *sim.Task, req *Request) (any, error) { return nil, nil })
+	f.eps[1].Register(procQueuedNull, "queued-null",
+		func(t *sim.Task, req *Request) (any, sim.Time, error) { return nil, 0, nil }, Queued())
 	lines := 0
 	f.m.FaultHook = func(*machine.SIPSMsg) machine.MsgFaultDecision {
 		lines++
@@ -213,10 +213,10 @@ func TestRemoteErrorOutlivesItsRequest(t *testing.T) {
 	f := newFixture(t, 2)
 	n := 0
 	f.eps[1].Register(procEcho, "fail",
-		func(req *Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) {
 			n++
-			return nil, 0, true, fmt.Errorf("failure %d", n)
-		}, nil)
+			return nil, 0, fmt.Errorf("failure %d", n)
+		})
 	f.run(t, func(tk *sim.Task) {
 		_, first := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
 		req := f.eps[0].freeReqs[0]

@@ -18,10 +18,10 @@ const (
 // counts executions.
 func registerIdem(ep *Endpoint, executions *int) {
 	ep.Register(procIdem, "idem",
-		func(req *Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) {
 			*executions++
-			return "ok", 0, true, nil
-		}, nil, Idempotent())
+			return "ok", 0, nil
+		}, Idempotent())
 }
 
 func TestRetryRecoversDroppedRequest(t *testing.T) {
@@ -151,10 +151,10 @@ func TestNonIdempotentCallFailsFastOnDrop(t *testing.T) {
 	f := newFixture(t, 2)
 	executions := 0
 	f.eps[1].Register(procSleepy, "non-idem",
-		func(req *Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) {
 			executions++
-			return nil, 0, true, nil
-		}, nil)
+			return nil, 0, nil
+		})
 	f.m.FaultHook = func(msg *machine.SIPSMsg) machine.MsgFaultDecision {
 		if meta, ok := ClassifySIPS(msg); ok && !meta.IsReply {
 			return machine.MsgFaultDecision{Fault: machine.FaultDrop}
@@ -221,11 +221,11 @@ func TestLateReplyDiscardedAndIDsNeverReused(t *testing.T) {
 	// and because call ids are never reused, it can never be delivered to
 	// a later call.
 	f := newFixture(t, 2)
-	f.eps[1].Register(procSleepy, "sleepy", nil,
-		func(t *sim.Task, req *Request) (any, error) {
+	f.eps[1].Register(procSleepy, "sleepy",
+		func(t *sim.Task, req *Request) (any, sim.Time, error) {
 			t.Sleep(5 * sim.Millisecond)
-			return "late", nil
-		})
+			return "late", 0, nil
+		}, Queued())
 	registerNull(f.eps[1])
 	f.run(t, func(tk *sim.Task) {
 		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil,
@@ -251,11 +251,11 @@ func TestShutdownMidCallReturnsCleanError(t *testing.T) {
 	// outstanding: the caller gets ErrShutdown immediately — not a 100 ms
 	// timeout accusing the healthy callee — and no failure hint is raised.
 	f := newFixture(t, 2)
-	f.eps[1].Register(procSleepy, "sleepy", nil,
-		func(t *sim.Task, req *Request) (any, error) {
+	f.eps[1].Register(procSleepy, "sleepy",
+		func(t *sim.Task, req *Request) (any, sim.Time, error) {
 			t.Sleep(5 * sim.Millisecond)
-			return nil, nil
-		})
+			return nil, 0, nil
+		}, Queued())
 	hints := 0
 	f.eps[0].HintSink = func(cell int, reason string) { hints++ }
 	f.e.At(sim.Millisecond, func() { f.eps[0].Shutdown() })
@@ -407,12 +407,12 @@ func TestReServiceAfterEvictionKeepsFirstReply(t *testing.T) {
 	// error the client already returned do not change.
 	f := newFixture(t, 2)
 	executions := 0
-	fail := func(req *Request) (any, sim.Time, bool, error) {
+	fail := func(_ *sim.Task, req *Request) (any, sim.Time, error) {
 		executions++
-		return executions, 0, true, fmt.Errorf("execution %d", executions)
+		return executions, 0, fmt.Errorf("execution %d", executions)
 	}
-	f.eps[0].Register(procIdem, "idem-fail", fail, nil, Idempotent())
-	f.eps[1].Register(procIdem, "idem-fail", fail, nil, Idempotent())
+	f.eps[0].Register(procIdem, "idem-fail", fail, Idempotent())
+	f.eps[1].Register(procIdem, "idem-fail", fail, Idempotent())
 	registerNull(f.eps[1])
 	var replies []*reply
 	f.m.FaultHook = func(msg *machine.SIPSMsg) machine.MsgFaultDecision {

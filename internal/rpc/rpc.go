@@ -18,6 +18,12 @@
 //   - Every call carries a timeout; a timeout is a failure-detection hint
 //     about the callee cell (§4.3).
 //
+// Each service is one Handler, called first at interrupt level with no
+// task. Where it would block it returns ErrQueue, and a server task calls
+// it again with its task, which pays its costs as it goes: the cost a
+// handler returns is charged only at interrupt level. A Queued service
+// always blocks, so its requests go straight to the server pool.
+//
 // A Request belongs to the endpoint that made it. A call that returns on
 // the clean path — answered by its first reply on its own lines, with no
 // retry and no line faulted by the machine's fault hook — puts its
@@ -95,8 +101,10 @@ var (
 	// ErrSendFailed means the SIPS send itself failed (bus error —
 	// destination node failed or cut off).
 	ErrSendFailed = errors.New("rpc: send failed")
-	// ErrBadRequest is returned by servers that reject a sanity check.
-	ErrBadRequest = errors.New("rpc: request failed sanity check")
+	// ErrQueue is what a handler called without a task returns when
+	// serving the request would block: the endpoint then queues it for
+	// the server pool. It never reaches a caller.
+	ErrQueue = errors.New("rpc: request would block at interrupt level")
 	// ErrNoService means the callee has no handler for the proc number.
 	ErrNoService = errors.New("rpc: no such service")
 	// ErrShutdown means the calling endpoint was shut down (cell panic or
@@ -186,24 +194,31 @@ func mustLive(req *Request) *Request {
 	return req
 }
 
-// IntrHandler services a request at interrupt level. It runs in engine
-// context and must not block. It returns the result, any extra service cost
-// to charge to the server CPU's interrupt context, and handled=false to
-// fall back to the queued path (e.g. a lock was busy or I/O is needed).
-type IntrHandler func(req *Request) (result any, cost sim.Time, handled bool, err error)
-
-// QueuedHandler services a request in a server-pool task; it may block.
-type QueuedHandler func(t *sim.Task, req *Request) (any, error)
+// Handler serves a request. With t nil it runs at interrupt level, in
+// engine context: it must not block, and where it would (a lock is held,
+// the data needs I/O or another RPC) it returns ErrQueue and changes
+// nothing. Otherwise it returns the result and its service cost, which the
+// endpoint charges to the server CPU's interrupt context. A server task
+// calls it with t set after an ErrQueue, or for every request of a Queued
+// service; it may block, pays its own costs as it goes, and the cost it
+// returns is dropped.
+type Handler func(t *sim.Task, req *Request) (result any, cost sim.Time, err error)
 
 type service struct {
 	name       string
-	intr       IntrHandler
-	queued     QueuedHandler
+	h          Handler
+	queued     bool
 	idempotent bool
 }
 
 // ServiceOption tunes a Register call.
 type ServiceOption func(*service)
+
+// Queued marks a service that always blocks: its requests go straight to
+// the server pool, so its handler is only called with a task.
+func Queued() ServiceOption {
+	return func(s *service) { s.queued = true }
+}
 
 // Idempotent marks a service safe to retransmit: a lost request or reply
 // makes the client retry with backoff instead of failing the call. The
@@ -324,12 +339,11 @@ func Connect(eps ...*Endpoint) {
 	}
 }
 
-// Register installs handlers for proc. Either handler may be nil (nil intr
-// means every request takes the queued path; nil queued means an unhandled
-// interrupt-level request fails). Options mark service properties — in
-// particular Idempotent, which enables client-side retransmission.
-func (ep *Endpoint) Register(proc ProcID, name string, intr IntrHandler, queued QueuedHandler, opts ...ServiceOption) {
-	svc := &service{name: name, intr: intr, queued: queued}
+// Register installs h as the service for proc. Options mark service
+// properties: Queued, which skips the interrupt-level attempt, and
+// Idempotent, which enables client-side retransmission.
+func (ep *Endpoint) Register(proc ProcID, name string, h Handler, opts ...ServiceOption) {
+	svc := &service{name: name, h: h}
 	for _, o := range opts {
 		o(svc)
 	}
@@ -686,15 +700,11 @@ func (ep *Endpoint) serve(proc *machine.Processor, arg any) {
 	switch {
 	case svc == nil:
 		ep.reply(proc, req, nil, ErrNoService, 0)
-	case svc.intr == nil:
-		ep.enqueue(req) // straight to the queued path
+	case svc.queued:
+		ep.enqueue(req) // straight to the server pool
 	default:
-		result, cost, handled, err := svc.intr(req)
-		if !handled {
-			if svc.queued == nil {
-				ep.reply(proc, req, nil, ErrBadRequest, 0)
-				return
-			}
+		result, cost, err := svc.h(nil, req)
+		if errors.Is(err, ErrQueue) {
 			ep.Metrics.Counter("rpc.intr_fallbacks").Inc()
 			ep.enqueue(req)
 			return
@@ -730,17 +740,22 @@ func (ep *Endpoint) resend(proc *machine.Processor, arg any) {
 	proc.Interrupt(ServerReply, ep.launchIntr, req)
 }
 
-// launch sends a *Request's reply, req.last, back to its caller: the last
-// interrupt of both reply and resend. The caller's endpoint is looked up
-// again here. Peers changes only when Connect rewires a rebooted cell, so
-// this lookup and the one that scheduled the launch can differ only for a
-// reply to that cell's previous incarnation, which its fresh endpoint
-// discards as stale.
+// launch sends a *Request's reply from interrupt level: the last
+// interrupt of both reply and resend.
 func (ep *Endpoint) launch(proc *machine.Processor, arg any) {
-	req := mustLive(arg.(*Request))
+	ep.sendReply(nil, proc, mustLive(arg.(*Request)))
+}
+
+// sendReply sends req's reply, req.last, back to its caller from proc: in
+// interrupt context with t nil, else from server task t. The caller's
+// endpoint is looked up again here. Peers changes only when Connect
+// rewires a rebooted cell, so this lookup and the one that decided to
+// reply can differ only for a reply to that cell's previous incarnation,
+// which its fresh endpoint discards as stale.
+func (ep *Endpoint) sendReply(t *sim.Task, proc *machine.Processor, req *Request) {
 	ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
 	msg := replyLine(req, ep.Peers[req.From].nextProc())
-	ep.M.SendSIPS(nil, proc, msg)
+	ep.M.SendSIPS(t, proc, msg)
 	noteFault(req, msg)
 }
 
@@ -760,7 +775,10 @@ func (ep *Endpoint) enqueue(req *Request) {
 
 // serverLoop is one server-pool task: it dequeues requests, pays the
 // context-switch and synchronization costs that dominate the 34 µs queued
-// null RPC, runs the (possibly blocking) handler, and sends the completion.
+// null RPC, runs the (possibly blocking) handler with its task, and sends
+// the completion. Only requests with a service are queued. The task paid
+// the handler's costs as it ran, so the cost the handler returns, which
+// the interrupt level would charge, is dropped (DESIGN §6).
 func (ep *Endpoint) serverLoop(t *sim.Task) {
 	for {
 		v, ok := ep.queue.Pop(t)
@@ -773,14 +791,7 @@ func (ep *Endpoint) serverLoop(t *sim.Task) {
 			return // all processors halted; cell is dead
 		}
 		proc.Use(t, ContextSwitch+QueueSync)
-		svc := ep.services[req.Proc]
-		var result any
-		var err error
-		if svc == nil || svc.queued == nil {
-			err = ErrNoService
-		} else {
-			result, err = svc.queued(t, req)
-		}
+		result, _, err := ep.services[req.Proc].h(t, req)
 		if ep.dead {
 			return
 		}
@@ -790,15 +801,11 @@ func (ep *Endpoint) serverLoop(t *sim.Task) {
 		}
 		// Completion RPC back to the client.
 		ep.noteServed(req, result, err)
-		caller := ep.Peers[req.From]
-		if caller == nil {
+		if ep.Peers[req.From] == nil {
 			continue
 		}
 		proc.Use(t, ServerReply)
-		ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(req.From), int64(req.Proc), "")
-		msg := replyLine(req, caller.nextProc())
-		ep.M.SendSIPS(t, proc, msg)
-		noteFault(req, msg)
+		ep.sendReply(t, proc, req)
 	}
 }
 

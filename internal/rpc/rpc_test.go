@@ -48,7 +48,7 @@ const (
 
 func registerNull(ep *Endpoint) {
 	ep.Register(procNull, "null",
-		func(req *Request) (any, sim.Time, bool, error) { return nil, 0, true, nil }, nil)
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) { return nil, 0, nil })
 }
 
 func TestNullRPCLatency(t *testing.T) {
@@ -93,7 +93,7 @@ func TestNullRPCAllocations(t *testing.T) {
 	f := newFixture(t, 2)
 	registerNull(f.eps[1])
 	f.eps[1].Register(procEcho, "no",
-		func(req *Request) (any, sim.Time, bool, error) { return nil, 0, true, errNo }, nil)
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) { return nil, 0, errNo })
 	f.run(t, f.nullCalls(t, dedupCap+1000))
 	call := f.nullCalls(t, 1)
 	var allocs, errAllocs float64
@@ -131,7 +131,7 @@ func TestRealRPCComponentLatency(t *testing.T) {
 	// component (stub execution above the null RPC).
 	f := newFixture(t, 2)
 	f.eps[1].Register(procEcho, "echo",
-		func(req *Request) (any, sim.Time, bool, error) { return req.Args, 0, true, nil }, nil)
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) { return req.Args, 0, nil })
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
@@ -152,7 +152,7 @@ func TestOversizeRPCMatchesTable52(t *testing.T) {
 	// alloc/free.
 	f := newFixture(t, 2)
 	f.eps[1].Register(procBig, "big",
-		func(req *Request) (any, sim.Time, bool, error) { return nil, 0, true, nil }, nil)
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) { return nil, 0, nil })
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
@@ -171,8 +171,8 @@ func TestOversizeRPCMatchesTable52(t *testing.T) {
 func TestQueuedNullRPCLatency(t *testing.T) {
 	// §6: minimum end-to-end null queued RPC latency is 34 µs.
 	f := newFixture(t, 2)
-	f.eps[1].Register(procQueuedNull, "queued-null", nil,
-		func(t *sim.Task, req *Request) (any, error) { return nil, nil })
+	f.eps[1].Register(procQueuedNull, "queued-null",
+		func(t *sim.Task, req *Request) (any, sim.Time, error) { return nil, 0, nil }, Queued())
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
@@ -188,16 +188,18 @@ func TestQueuedNullRPCLatency(t *testing.T) {
 }
 
 func TestIntrFallbackToQueued(t *testing.T) {
-	// Best-effort interrupt-level service that falls back (§6): the
-	// first attempt reports not-handled, the queued handler completes.
+	// Best-effort interrupt-level service that falls back (§6): called
+	// without a task the handler declines, and with one it completes.
 	f := newFixture(t, 2)
 	intrTried := false
 	f.eps[1].Register(procBlocky, "blocky",
-		func(req *Request) (any, sim.Time, bool, error) {
-			intrTried = true
-			return nil, 0, false, nil // "lock busy"
-		},
-		func(t *sim.Task, req *Request) (any, error) { return "queued-result", nil })
+		func(t *sim.Task, req *Request) (any, sim.Time, error) {
+			if t == nil {
+				intrTried = true
+				return nil, 0, ErrQueue // "lock busy"
+			}
+			return "queued-result", 0, nil
+		})
 	f.run(t, func(tk *sim.Task) {
 		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procBlocky, nil, CallOpts{})
 		if err != nil || got != "queued-result" {
@@ -269,9 +271,9 @@ func TestNoServiceError(t *testing.T) {
 func TestHandlerErrorPropagates(t *testing.T) {
 	f := newFixture(t, 2)
 	f.eps[1].Register(procEcho, "err",
-		func(req *Request) (any, sim.Time, bool, error) {
-			return nil, 0, true, fmt.Errorf("server says no")
-		}, nil)
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) {
+			return nil, 0, fmt.Errorf("server says no")
+		})
 	f.run(t, func(tk *sim.Task) {
 		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
 		if err == nil || err.Error() != "server says no" {
@@ -284,10 +286,10 @@ func TestConcurrentCallsFromManyCells(t *testing.T) {
 	f := newFixture(t, 4)
 	served := 0
 	f.eps[0].Register(procEcho, "count",
-		func(req *Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *Request) (any, sim.Time, error) {
 			served++
-			return served, 2000, true, nil
-		}, nil)
+			return served, 2000, nil
+		})
 	for c := 1; c < 4; c++ {
 		c := c
 		f.e.Go(fmt.Sprintf("client%d", c), func(tk *sim.Task) {
@@ -322,11 +324,11 @@ func TestShutdownStopsService(t *testing.T) {
 
 func TestQueuedHandlerMayBlock(t *testing.T) {
 	f := newFixture(t, 2)
-	f.eps[1].Register(procBlocky, "sleepy", nil,
-		func(t *sim.Task, req *Request) (any, error) {
+	f.eps[1].Register(procBlocky, "sleepy",
+		func(t *sim.Task, req *Request) (any, sim.Time, error) {
 			t.Sleep(300 * sim.Microsecond) // e.g. disk I/O
-			return "slow", nil
-		})
+			return "slow", 0, nil
+		}, Queued())
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
@@ -344,11 +346,11 @@ func TestQueuedHandlerMayBlock(t *testing.T) {
 func TestServerPoolParallelism(t *testing.T) {
 	// Two pool servers should overlap two blocking requests.
 	f := newFixture(t, 3)
-	f.eps[0].Register(procBlocky, "sleepy", nil,
-		func(t *sim.Task, req *Request) (any, error) {
+	f.eps[0].Register(procBlocky, "sleepy",
+		func(t *sim.Task, req *Request) (any, sim.Time, error) {
 			t.Sleep(1 * sim.Millisecond)
-			return nil, nil
-		})
+			return nil, 0, nil
+		}, Queued())
 	var done sim.Time
 	finished := 0
 	for c := 1; c < 3; c++ {

@@ -194,80 +194,80 @@ func (v *VM) validateExportArgs(req *rpc.Request) (*exportArgs, error) {
 // registerServices installs the VM's RPC services on the cell's endpoint.
 func (v *VM) registerServices() {
 	v.registerPhysicalServices()
-	// Page-fault/export service: best-effort at interrupt level (the
-	// common case — a hit in the data home page cache — is serviced
-	// entirely in the interrupt handler, §4.3/§5.2), falling back to the
-	// queued path when the memory lock is busy, the page needs I/O, or a
-	// firewall change must cross to a memory home.
-	v.EP.Register(ProcExport, "vm.export",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, err := v.validateExportArgs(req)
-			if err != nil {
-				return nil, 0, true, err
-			}
-			if v.holdFaults {
-				return nil, 0, true, ErrRecovering
-			}
-			if v.Lock.Locked() {
-				return nil, 0, false, nil // blocking lock: queued path
-			}
-			pf, hit := v.hash[args.LP]
-			if !hit {
-				return nil, 0, false, nil // needs I/O: queued path
-			}
-			if args.Writable && !pf.writable[args.Client] && !v.localFrame(pf.Frame) {
-				return nil, 0, false, nil // firewall RPC needed: queued path
-			}
-			cost, err := v.Export(nil, pf, args.Client, args.Writable)
-			if err != nil {
-				return nil, 0, true, err
-			}
-			v.Metrics.Counter("vm.export_intr").Inc()
-			return &exportReply{Frame: pf.Frame}, cost, true, nil
-		},
-		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := v.validateExportArgs(req)
-			if err != nil {
-				return nil, err
-			}
-			return v.serveExportQueued(t, args)
-		})
+	v.EP.Register(ProcExport, "vm.export", v.serveExport)
+	v.EP.Register(ProcRelease, "vm.release", v.serveRelease)
+	v.EP.Register(ProcFirewall, "vm.firewall", v.serveFirewall, rpc.Queued())
+}
 
-	v.EP.Register(ProcRelease, "vm.release",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, err := v.validateExportArgs(req)
-			if err != nil {
-				return nil, 0, true, err
-			}
-			if v.Lock.Locked() {
-				return nil, 0, false, nil
-			}
-			if pf, ok := v.hash[args.LP]; ok && pf.writable[args.Client] && !v.localFrame(pf.Frame) {
-				return nil, 0, false, nil // borrowed-frame revocation needs an RPC
-			}
-			v.dropExport(nil, args.LP, args.Client)
-			return nil, MiscVMDataHome, true, nil
-		},
-		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := v.validateExportArgs(req)
-			if err != nil {
-				return nil, err
-			}
-			v.Lock.Lock(t)
-			v.dropExport(t, args.LP, args.Client)
-			v.Lock.Unlock(t)
-			return nil, nil
-		})
+// serveExport is the page-fault/export service. The common case, a hit in
+// the data home's page cache, is served entirely at interrupt level
+// (§4.3/§5.2). A held memory lock, a miss (which needs I/O) or a firewall
+// change on a borrowed frame (which needs an RPC to its memory home)
+// would block, so those requests go to a server task.
+func (v *VM) serveExport(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
+	args, err := v.validateExportArgs(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	if v.holdFaults {
+		return nil, 0, ErrRecovering
+	}
+	if !v.lock(t) {
+		return nil, 0, rpc.ErrQueue
+	}
+	pf, hit := v.hash[args.LP]
+	v.unlock(t)
+	switch {
+	case t == nil && (!hit || args.Writable && !pf.writable[args.Client] && !v.localFrame(pf.Frame)):
+		return nil, 0, rpc.ErrQueue
+	case !hit:
+		res := v.resolvers[args.LP.Obj.Kind]
+		if res == nil {
+			return nil, 0, fmt.Errorf("%w: no resolver", ErrBadPage)
+		}
+		if pf, err = res.ResolvePage(t, args.LP, args.Writable); err != nil {
+			return nil, 0, err
+		}
+	}
+	v.lock(t) // at interrupt level the lock is still free
+	cost, err := v.Export(t, pf, args.Client, args.Writable)
+	v.unlock(t)
+	if err != nil {
+		return nil, 0, err
+	}
+	if t == nil {
+		v.Metrics.Counter("vm.export_intr").Inc()
+	}
+	return &exportReply{Frame: pf.Frame}, cost, nil
+}
 
-	v.EP.Register(ProcFirewall, "vm.firewall", nil,
-		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := v.validateFirewallArgs(req)
-			if err != nil {
-				return nil, err
-			}
-			_, err = v.M.SetFirewall(t, v.proc(args.Frame), args.Frame, args.Bits)
-			return nil, err
-		})
+// serveRelease drops the requesting client's export reference. A
+// revocation on a borrowed frame needs the memory home's firewall RPC, so
+// at interrupt level it queues.
+func (v *VM) serveRelease(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
+	args, err := v.validateExportArgs(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	if pf, ok := v.hash[args.LP]; t == nil && ok && pf.writable[args.Client] && !v.localFrame(pf.Frame) {
+		return nil, 0, rpc.ErrQueue
+	}
+	if !v.lock(t) {
+		return nil, 0, rpc.ErrQueue
+	}
+	v.dropExport(t, args.LP, args.Client)
+	v.unlock(t)
+	return nil, MiscVMDataHome, nil
+}
+
+// serveFirewall changes a loaned frame's firewall for its borrower.
+func (v *VM) serveFirewall(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
+	args, err := v.validateFirewallArgs(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	_, err = v.M.SetFirewall(t, v.proc(args.Frame), args.Frame, args.Bits)
+	return nil, 0, err
 }
 
 // validateFirewallArgs vets a firewall-change request: the frame must
@@ -288,35 +288,6 @@ func (v *VM) validateFirewallArgs(req *rpc.Request) (*firewallArgs, error) {
 			ErrBadPage, args.Frame, req.From)
 	}
 	return args, nil
-}
-
-// serveExportQueued is the blocking export path: it may perform file I/O
-// through the resolver and firewall RPCs to memory homes.
-func (v *VM) serveExportQueued(t *sim.Task, args *exportArgs) (any, error) {
-	if v.holdFaults {
-		return nil, ErrRecovering
-	}
-	v.Lock.Lock(t)
-	pf, hit := v.hash[args.LP]
-	v.Lock.Unlock(t)
-	if !hit {
-		res := v.resolvers[args.LP.Obj.Kind]
-		if res == nil {
-			return nil, fmt.Errorf("%w: no resolver", ErrBadPage)
-		}
-		var err error
-		pf, err = res.ResolvePage(t, args.LP, args.Writable)
-		if err != nil {
-			return nil, err
-		}
-	}
-	v.Lock.Lock(t)
-	_, err := v.Export(t, pf, args.Client, args.Writable)
-	v.Lock.Unlock(t)
-	if err != nil {
-		return nil, err
-	}
-	return &exportReply{Frame: pf.Frame}, nil
 }
 
 // dropExport decrements a client's export reference and revokes its write

@@ -218,57 +218,39 @@ func (v *VM) validateReturnArgs(req *rpc.Request) (*returnArgs, error) {
 func (v *VM) registerPhysicalServices() {
 	// Loan service: the memory home moves frames to the reserved list
 	// and ignores them until returned or the borrower fails (§5.4).
-	v.EP.Register(ProcBorrow, "vm.borrow",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, err := validateBorrowArgs(req)
-			if err != nil {
-				return nil, 0, true, err
-			}
-			if v.Lock.Locked() {
-				return nil, 0, false, nil
-			}
-			rep := v.loanFrames(args.Client, args.Count)
-			if len(rep.Frames) == 0 {
-				return nil, 0, true, ErrNoMemory
-			}
-			return rep, BorrowCost, true, nil
-		},
-		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := validateBorrowArgs(req)
-			if err != nil {
-				return nil, err
-			}
-			v.Lock.Lock(t)
-			rep := v.loanFrames(args.Client, args.Count)
-			v.Lock.Unlock(t)
-			if len(rep.Frames) == 0 {
-				return nil, ErrNoMemory
-			}
-			return rep, nil
-		})
+	v.EP.Register(ProcBorrow, "vm.borrow", v.serveBorrow)
+	v.EP.Register(ProcReturn, "vm.return", v.serveReturn)
+}
 
-	v.EP.Register(ProcReturn, "vm.return",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
-			args, err := v.validateReturnArgs(req)
-			if err != nil {
-				return nil, 0, true, err
-			}
-			if v.Lock.Locked() {
-				return nil, 0, false, nil
-			}
-			v.acceptReturns(args.Client, args.Frames)
-			return nil, MiscVMDataHome, true, nil
-		},
-		func(t *sim.Task, req *rpc.Request) (any, error) {
-			args, err := v.validateReturnArgs(req)
-			if err != nil {
-				return nil, err
-			}
-			v.Lock.Lock(t)
-			v.acceptReturns(args.Client, args.Frames)
-			v.Lock.Unlock(t)
-			return nil, nil
-		})
+// serveBorrow loans the requesting cell a batch of frames.
+func (v *VM) serveBorrow(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
+	args, err := validateBorrowArgs(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !v.lock(t) {
+		return nil, 0, rpc.ErrQueue
+	}
+	rep := v.loanFrames(args.Client, args.Count)
+	v.unlock(t)
+	if len(rep.Frames) == 0 {
+		return nil, 0, ErrNoMemory
+	}
+	return rep, BorrowCost, nil
+}
+
+// serveReturn takes back the frames a borrower returns.
+func (v *VM) serveReturn(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
+	args, err := v.validateReturnArgs(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !v.lock(t) {
+		return nil, 0, rpc.ErrQueue
+	}
+	v.acceptReturns(args.Client, args.Frames)
+	v.unlock(t)
+	return nil, MiscVMDataHome, nil
 }
 
 // loanFrames moves up to count local free frames to the loaned state.

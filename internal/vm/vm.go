@@ -29,9 +29,9 @@ type VM struct {
 	NodeIDs    []int
 	CellOfNode []int
 
-	// Lock is the cell's memory lock. Interrupt-level services check it
-	// with Locked() and fall back to the queued path when busy (§4.3
-	// explains why fault service must avoid blocking locks).
+	// Lock is the cell's memory lock. Interrupt-level services only test
+	// it (lock) and fall back to the queued path when busy (§4.3 explains
+	// why fault service must avoid blocking locks).
 	Lock sim.Mutex
 
 	hash map[LogicalPage]*Pfdat
@@ -127,6 +127,24 @@ func New(m *machine.Machine, ep *rpc.Endpoint, cellID int, nodeIDs []int, cellOf
 
 // SetResolver installs the page resolver for an object kind.
 func (v *VM) SetResolver(k ObjKind, r Resolver) { v.resolvers[k] = r }
+
+// lock takes the memory lock for task t. In interrupt context (t nil) it
+// takes nothing and reports false if the lock is held: the service would
+// block, so it returns rpc.ErrQueue.
+func (v *VM) lock(t *sim.Task) bool {
+	if t == nil {
+		return !v.Lock.Locked()
+	}
+	v.Lock.Lock(t)
+	return true
+}
+
+// unlock releases what lock took.
+func (v *VM) unlock(t *sim.Task) {
+	if t != nil {
+		v.Lock.Unlock(t)
+	}
+}
 
 // Lookup returns the pfdat for lp if present in the hash (no timing).
 func (v *VM) Lookup(lp LogicalPage) (*Pfdat, bool) {

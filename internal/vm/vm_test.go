@@ -2,7 +2,6 @@ package vm
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -45,7 +44,7 @@ type fixture struct {
 	eps []*rpc.Endpoint
 }
 
-func newFixture(t *testing.T, cells int) *fixture {
+func newFixture(t testing.TB, cells int) *fixture {
 	t.Helper()
 	e := sim.NewEngine(21)
 	cfg := machine.DefaultConfig()
@@ -70,7 +69,7 @@ func newFixture(t *testing.T, cells int) *fixture {
 	return f
 }
 
-func (f *fixture) run(t *testing.T, fn func(tk *sim.Task)) {
+func (f *fixture) run(t testing.TB, fn func(tk *sim.Task)) {
 	t.Helper()
 	f.e.Go("test", fn)
 	f.e.Run(0)
@@ -502,10 +501,10 @@ func TestBorrowSanityCheckRejectsForgedFrames(t *testing.T) {
 	// caught by the borrower's sanity check.
 	f := newFixture(t, 2)
 	f.eps[1].Register(ProcBorrow, "vm.borrow.evil",
-		func(req *rpc.Request) (any, sim.Time, bool, error) {
+		func(_ *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 			lo, _ := f.m.NodePages(0) // cell 0's own frame, forged
-			return &borrowReply{Frames: []machine.PageNum{lo}}, 0, true, nil
-		}, nil)
+			return &borrowReply{Frames: []machine.PageNum{lo}}, 0, nil
+		})
 	f.run(t, func(tk *sim.Task) {
 		_, err := f.vms[0].BorrowFrom(tk, 1)
 		if !errors.Is(err, ErrBadPage) {
@@ -541,9 +540,8 @@ func TestMemoryHomeRejectsForgedFrameNumbers(t *testing.T) {
 	// last cell's table). A remote error crosses the wire as its text.
 	f := newFixture(t, 2)
 	v := f.vms[0]
-	forged := []machine.PageNum{-1 << 20, -1, machine.PageNum(f.m.NumPages()), math.MaxInt}
 	f.run(t, func(tk *sim.Task) {
-		for _, frame := range forged {
+		for _, frame := range forgedFrames(f.m) {
 			if _, err := v.validateExportReply(&exportReply{Frame: frame}); !errors.Is(err, ErrBadPage) {
 				t.Errorf("export reply with frame %d: err = %v, want ErrBadPage", frame, err)
 			}

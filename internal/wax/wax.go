@@ -51,7 +51,6 @@ type Wax struct {
 	AllocRetargets int
 	PlaceRetargets int
 	ClockHandKicks int
-	SwapVictims    []int
 }
 
 // Start launches a Wax incarnation: one thread per live cell.
@@ -240,14 +239,6 @@ func (w *Wax) applyPolicy(t *sim.Task) {
 		}
 	}
 
-	// Swapper hint: on cells with heavy multiprogramming, nominate the
-	// newest processes as swap candidates (recorded, not enacted — the
-	// paper's workloads never swap).
-	for _, r := range rows {
-		if w.view[r.cell].Procs > 8 {
-			w.SwapVictims = append(w.SwapVictims, r.cell)
-		}
-	}
 	w.Metrics.Counter("wax.policy_rounds").Inc()
 }
 
