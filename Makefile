@@ -97,9 +97,13 @@ surge-soak:
 	@echo "surge-soak: 16 surge-fault trials, all contained with bounded windows"
 
 # race runs the concurrency-sensitive packages under the race detector,
-# including the cross-package determinism gates in internal/faultinject.
+# including the cross-package determinism gates in internal/faultinject,
+# then the engine's task life-cycle tests ten times more: a coroutine
+# finishes a task on its own goroutine and the engine hands it to the next
+# task on its own.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/faultinject/...
+	$(GO) test -race -count=10 -run 'Stop|Kill|Alloc' ./internal/sim
 
 # bench-engine tracks the simulator's own hot paths (events/sec, allocs),
 # the interrupt-level null RPC round trip built on them, and the remote

@@ -316,7 +316,7 @@ func TestSpanningTask(t *testing.T) {
 	}
 	for _, th := range span.Threads {
 		for c := 0; c < 4; c++ {
-			if !th.Deps[c] {
+			if !th.Deps.Has(c) {
 				t.Fatal("spanning thread missing whole-machine dependency")
 			}
 		}

@@ -55,7 +55,7 @@ type Process struct {
 	// Deps tracks the cells whose resources this process depends on;
 	// recovery kills dependents of a failed cell (fault containment's
 	// proportional-damage definition, §2).
-	Deps map[int]bool
+	Deps Cells
 
 	// Span links threads of a spanning task (shared logical process).
 	Span *Span
@@ -73,6 +73,22 @@ type Process struct {
 	mapped map[vm.LogicalPage]*vm.Pfdat
 	anonAt map[int64]*vm.Pfdat
 }
+
+// Cells is a set of cell IDs, one bit per cell; a hive has at most 64
+// cells (core.MaxCells).
+type Cells uint64
+
+// Add puts cell c in the set. It panics on a cell outside [0, 64): cell
+// IDs come from the kernel's own tables, so such a cell is a bug.
+func (s *Cells) Add(c int) {
+	if c < 0 || c >= 64 {
+		panic(fmt.Sprintf("proc: cell %d outside a 64-cell set", c))
+	}
+	*s |= 1 << c
+}
+
+// Has reports whether cell c is in the set.
+func (s Cells) Has(c int) bool { return c >= 0 && c < 64 && s&(1<<c) != 0 }
 
 // Span is the shared state of a spanning task: one component process per
 // cell.
@@ -144,9 +160,9 @@ func (pt *Table) spawn(name string, group, parent int, leaf kmem.Addr, body Body
 	p := &Process{
 		PID: pt.nextPID, Cell: pt.CellID, Group: group, Name: name,
 		Leaf: leaf, Parent: parent,
-		Deps:  map[int]bool{pt.CellID: true},
 		table: pt,
 	}
+	p.Deps.Add(pt.CellID)
 	pt.nextPID += pt.Cells
 	pt.procs[p.PID] = p
 	pt.Metrics.Cached(&pt.spawned, "proc.spawned").Inc()
@@ -212,7 +228,7 @@ func (pt *Table) Fork(t *sim.Task, p *Process, targetCell int, name string, body
 	if err != nil {
 		return 0, err
 	}
-	p.Deps[targetCell] = true
+	p.Deps.Add(targetCell)
 	pt.Metrics.Counter("proc.remote_forks").Inc()
 	return pid, nil
 }
@@ -285,7 +301,7 @@ func (pt *Table) KillAll() {
 func (pt *Table) KillDependents(failed int) int {
 	n := 0
 	pt.Each(func(p *Process) {
-		if p.Deps[failed] {
+		if p.Deps.Has(failed) {
 			pt.Kill(p)
 			n++
 		}
@@ -317,7 +333,7 @@ func (p *Process) TouchAnon(t *sim.Task, off int64, write bool) error {
 	p.anonAt[off] = pf
 	p.refs = append(p.refs, pf)
 	if home := pf.ImportedFrom; home >= 0 {
-		p.Deps[home] = true
+		p.Deps.Add(home)
 	}
 	if write {
 		return p.table.EP.M.WritePage(t, proc, pf.Frame,
@@ -354,14 +370,14 @@ func (p *Process) MapShared(t *sim.Task, lp vm.LogicalPage, write bool) (*vm.Pfd
 	p.mapped[lp] = pf
 	p.refs = append(p.refs, pf)
 	if lp.Obj.Home != p.Cell {
-		p.Deps[lp.Obj.Home] = true
+		p.Deps.Add(lp.Obj.Home)
 	}
 	return pf, nil
 }
 
 // DependOn records an explicit dependency (e.g. on a file server cell that
 // holds dirty data for this process).
-func (p *Process) DependOn(cell int) { p.Deps[cell] = true }
+func (p *Process) DependOn(cell int) { p.Deps.Add(cell) }
 
 // Exited reports whether the process has finished.
 func (p *Process) Exited() bool { return p.exited }
@@ -423,7 +439,7 @@ func (pt *Table) registerServices() {
 			}
 			pt.Sched.System(t, ForkCost/2)
 			p := pt.spawn(args.Name, args.Group, args.Parent, args.Leaf, args.Body)
-			p.Deps[req.From] = true // child depends on its parent's cell tree
+			p.Deps.Add(req.From) // child depends on its parent's cell tree
 			return &spawnReply{PID: p.PID}, 0, nil
 		}, rpc.Queued())
 
@@ -435,7 +451,7 @@ func (pt *Table) registerServices() {
 			}
 			pt.Sched.System(t, ForkCost/2+ExecCost)
 			p := pt.spawn(args.Name, args.Group, args.Parent, pt.COW.NewRoot(), args.Body)
-			p.Deps[req.From] = true // child depends on its parent's cell
+			p.Deps.Add(req.From) // child depends on its parent's cell
 			return &spawnReply{PID: p.PID}, 0, nil
 		}, rpc.Queued())
 }
@@ -462,7 +478,7 @@ func (pt *Table) SpawnSpanning(name string, group int, tables []*Table, body Bod
 	}
 	for _, p := range span.Threads {
 		for _, q := range span.Threads {
-			p.Deps[q.Cell] = true
+			p.Deps.Add(q.Cell)
 		}
 	}
 	pt.Metrics.Counter("proc.spanning_tasks").Inc()

@@ -139,6 +139,36 @@ func TestRemoteForkSanityChecks(t *testing.T) {
 	}
 }
 
+// A process's dependencies are a set of up to 64 cells (core.MaxCells):
+// both ends of the range hold, and a cell outside it is a bug Add refuses.
+func TestCellsHoldSixtyFourCells(t *testing.T) {
+	var s Cells
+	for _, c := range []int{0, 63} {
+		if s.Has(c) {
+			t.Errorf("empty set has cell %d", c)
+		}
+		s.Add(c)
+		if !s.Has(c) {
+			t.Errorf("cell %d missing after Add", c)
+		}
+	}
+	for _, c := range []int{-1, 1, 62, 64} {
+		if s.Has(c) {
+			t.Errorf("{0, 63} has cell %d", c)
+		}
+	}
+	for _, c := range []int{64, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d) did not panic", c)
+				}
+			}()
+			s.Add(c)
+		}()
+	}
+}
+
 func TestKillDependentsScopesToDeps(t *testing.T) {
 	f := newFixture(t, 2)
 	f.pts[0].Spawn("dependent", 1, func(p *Process, tk *sim.Task) {

@@ -65,6 +65,7 @@ type Engine struct {
 	rng        *rand.Rand
 	cur        *Task
 	tasks      []*Task // live tasks; each holds its index, so exit is a swap-delete
+	idle       []*coro // coroutines of finished tasks, waiting for Go; at most the peak of live tasks
 	stopped    bool
 	running    bool   // inside Run: a sleep may run on (see runOn)
 	deadline   Time   // Run's deadline, 0 for none

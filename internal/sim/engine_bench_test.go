@@ -123,7 +123,10 @@ func BenchmarkEventQueue(b *testing.B) {
 }
 
 // BenchmarkTaskChurn measures task creation and exit, which happen once per
-// process, RPC service task, and interrupt thread.
+// process and per short-lived kernel task (a dying process's unmap, an
+// alert broadcast); interrupts run as handlers, not tasks. The engine
+// allocates one object per task, its Task; the body's closure and the
+// flag it captures are the benchmark's own two.
 func BenchmarkTaskChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)

@@ -4,10 +4,47 @@ package sim
 // logical thread, these need no real locking; they exist to order simulated
 // threads and to let kernel code be written in natural blocking style.
 
+// fifo is a first-in first-out list that keeps its array. pop advances a
+// head index instead of slicing the front away, which would eat the
+// array's capacity, so a list that alternates push and pop, as a server
+// pool's request queue does, reuses one array instead of reallocating on
+// almost every push.
+type fifo[T any] struct {
+	items []T // items[head:] are queued, oldest first
+	head  int
+}
+
+// size returns the number of queued items.
+func (f *fifo[T]) size() int { return len(f.items) - f.head }
+
+// push queues v behind every queued item. A push onto an empty list
+// restarts at the array's front; one onto a full array whose front has
+// been consumed first copies the queued items down.
+func (f *fifo[T]) push(v T) {
+	if f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0
+	} else if f.head > 0 && len(f.items) == cap(f.items) {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
+	}
+	f.items = append(f.items, v)
+}
+
+// pop removes and returns the oldest item, zeroing its slot so the array
+// keeps nothing alive. The list must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.items[f.head]
+	var zero T
+	f.items[f.head] = zero
+	f.head++
+	return v
+}
+
 // Mutex is a FIFO mutual-exclusion lock in virtual time.
 type Mutex struct {
 	owner   *Task
-	waiters []*Task
+	waiters fifo[*Task]
 }
 
 // Lock acquires the mutex, parking t until it is available.
@@ -16,7 +53,7 @@ func (m *Mutex) Lock(t *Task) {
 		m.owner = t
 		return
 	}
-	m.waiters = append(m.waiters, t)
+	m.waiters.push(t)
 	t.park()
 }
 
@@ -30,9 +67,8 @@ func (m *Mutex) Unlock(t *Task) {
 }
 
 func (m *Mutex) wakeNext() {
-	for len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	for m.waiters.size() > 0 {
+		next := m.waiters.pop()
 		if next.done || next.killed {
 			continue
 		}
@@ -48,7 +84,7 @@ func (m *Mutex) Locked() bool { return m.owner != nil }
 // Semaphore is a counting semaphore in virtual time.
 type Semaphore struct {
 	n       int
-	waiters []*Task
+	waiters fifo[*Task]
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
@@ -60,15 +96,14 @@ func (s *Semaphore) Acquire(t *Task) {
 		s.n--
 		return
 	}
-	s.waiters = append(s.waiters, t)
+	s.waiters.push(t)
 	t.park()
 }
 
 // Release returns one permit, waking the longest waiter if any.
 func (s *Semaphore) Release() {
-	for len(s.waiters) > 0 {
-		next := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	for s.waiters.size() > 0 {
+		next := s.waiters.pop()
 		if next.done || next.killed {
 			continue
 		}
@@ -193,17 +228,16 @@ func (f *Future) WaitTimeout(t *Task, d Time) (val any, err error, ok bool) {
 
 // Queue is an unbounded FIFO with blocking Pop; models request queues.
 type Queue struct {
-	items   []any
-	waiters []*Task
+	items   fifo[any]
+	waiters fifo[*Task]
 	closed  bool
 }
 
 // Push appends an item and wakes one waiter.
 func (q *Queue) Push(v any) {
-	q.items = append(q.items, v)
-	for len(q.waiters) > 0 {
-		next := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	q.items.push(v)
+	for q.waiters.size() > 0 {
+		next := q.waiters.pop()
 		if next.done || next.killed {
 			continue
 		}
@@ -215,25 +249,21 @@ func (q *Queue) Push(v any) {
 // Pop removes the oldest item, blocking while the queue is empty. It returns
 // ok=false if the queue is closed and drained.
 func (q *Queue) Pop(t *Task) (any, bool) {
-	for len(q.items) == 0 {
+	for q.items.size() == 0 {
 		if q.closed {
 			return nil, false
 		}
-		q.waiters = append(q.waiters, t)
+		q.waiters.push(t)
 		t.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
-// Close marks the queue closed and wakes all waiters.
+// Close marks the queue closed and wakes all waiters, oldest first.
 func (q *Queue) Close() {
 	q.closed = true
-	ws := q.waiters
-	q.waiters = nil
-	for _, w := range ws {
-		if !w.done && !w.killed {
+	for q.waiters.size() > 0 {
+		if w := q.waiters.pop(); !w.done && !w.killed {
 			w.WakeSoon()
 		}
 	}

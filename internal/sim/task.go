@@ -31,20 +31,18 @@ type taskFailure struct {
 
 // Task is a simulated thread of control: a runtime coroutine that runs only
 // when the engine hands it the virtual CPU and that blocks by parking in
-// virtual time. Kernel code, simulated user processes, interrupt service
-// threads, and the Wax policy process are all Tasks.
+// virtual time. Kernel code, simulated user processes, RPC server threads,
+// and the Wax policy process are all Tasks.
 //
-// The coroutine comes from iter.Pull: dispatch calls next, which switches to
-// the task's goroutine until park calls yield, which switches back. The
-// runtime hands control over directly, without a trip through the scheduler.
-// Engine.Stop calls the pull's stop, which ends the coroutine.
+// Starting a task costs one host object, the Task itself: its body runs on
+// a coroutine that a finished task handed back to the engine, or on a new
+// one when none is idle.
 type Task struct {
 	eng      *Engine
 	name     string
-	next     func() (struct{}, bool)
-	stop     func()
-	yield    func(struct{}) bool
-	index    int // position in eng.tasks while live
+	fn       func(t *Task)
+	c        *coro // the coroutine running fn while the task is live
+	index    int   // position in eng.tasks while live
 	done     bool
 	parked   bool
 	killed   bool
@@ -55,51 +53,108 @@ type Task struct {
 	Data any
 }
 
+// coro is a coroutine that runs task bodies one after another. It comes
+// from iter.Pull: dispatch calls next, which switches to the coroutine's
+// goroutine until park calls yield, which switches back. The runtime hands
+// control over directly, without a trip through the scheduler. Between
+// tasks the coroutine waits in yield on the engine's idle list; stop ends
+// it.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	t     *Task // the task it runs or will run next, nil while idle
+}
+
+// newCoro makes a coroutine whose first next runs c.t's body. Once that
+// body is done the coroutine waits in yield until Go hands it to a new
+// task, whose first dispatch resumes it to run that task's body. A yield
+// that returns false means Stop is ending the coroutine, idle or handed to
+// a task that never ran. No panic escapes a body (run recovers them), so
+// neither next nor stop re-raises one.
+func newCoro() *coro {
+	c := new(coro)
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.t.run()
+			c.t = nil
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// run runs t's body on its coroutine and then exits t. A kill unwinds the
+// body and is swallowed; a genuine panic is kept for dispatch or Stop to
+// re-raise. A task killed before its first dispatch exits without running
+// its body.
+func (t *Task) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killedPanic); !ok {
+				t.eng.failure = taskFailure{name: t.name, val: r}
+			}
+		}
+		t.exit()
+	}()
+	if t.killed {
+		panic(killedPanic{t.name})
+	}
+	t.fn(t)
+}
+
 // Go starts fn as a new task named name. The task begins running at the
 // current virtual time (after already-scheduled events for this instant).
 // Go on a stopped engine panics.
+//
+// The task takes its coroutine here, not at its first dispatch: the most
+// recently idled one, whose stack is still warm, or a new one. Taking it at
+// the first dispatch would make a task started before a measured interval
+// create its coroutine inside that interval.
 func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 	if e.stopped {
 		panic("sim: Go on a stopped engine")
 	}
-	t := &Task{eng: e, name: name, index: len(e.tasks)}
+	t := &Task{eng: e, name: name, fn: fn, index: len(e.tasks)}
 	e.tasks = append(e.tasks, t)
-	// The coroutine starts at the first next and ends by returning from
-	// this body, which hands control back to dispatch (or Stop) one last
-	// time. No panic escapes it, so neither next nor stop re-raises one.
-	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
-		t.yield = yield
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); !ok {
-					t.eng.failure = taskFailure{name: t.name, val: r}
-				}
-			}
-			t.exit()
-		}()
-		if t.killed {
-			panic(killedPanic{t.name})
-		}
-		fn(t)
-	})
-	e.At(e.now, func() {
-		if !t.done {
-			e.dispatch(t)
-		}
-	})
+	if n := len(e.idle); n > 0 {
+		t.c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		t.c = newCoro()
+	}
+	t.c.t = t
+	e.AtArg(e.now, startTask, t)
 	return t
 }
 
+// startTask is the callback of a task's start event.
+func startTask(arg any) {
+	if t := arg.(*Task); !t.done {
+		t.eng.dispatch(t)
+	}
+}
+
 // dispatch hands the virtual CPU to t until it parks or finishes. It must be
-// called from engine context (inside an event callback).
+// called from engine context (inside an event callback). A task that
+// finished leaves its coroutine waiting in yield, and dispatch puts it on
+// the idle list for the next Go. Only dispatch does: a coroutine that Stop
+// ended is never handed out again.
 func (e *Engine) dispatch(t *Task) {
-	prev := e.cur
+	prev, c := e.cur, t.c
 	e.cur = t
 	if e.Trace != nil {
 		e.Trace(e.now, "run "+t.name)
 	}
-	t.next()
+	c.next()
 	e.cur = prev
+	if t.done {
+		e.idle = append(e.idle, c)
+	}
 	e.raise()
 }
 
@@ -112,9 +167,11 @@ func (e *Engine) raise() {
 	}
 }
 
-// exit marks t finished and swap-deletes it from the live-task list.
+// exit marks t finished, lets go of its coroutine and swap-deletes t from
+// the live-task list.
 func (t *Task) exit() {
 	t.done = true
+	t.c = nil
 	tasks := t.eng.tasks
 	last := tasks[len(tasks)-1]
 	tasks[t.index], last.index = last, t.index
@@ -128,19 +185,24 @@ func (t *Task) exit() {
 // unwinds from its park, running its defers as under Kill, and a task that
 // was scheduled but never dispatched ends without running its body. A
 // genuine panic escaping a task's defers is re-raised, as dispatch does.
-// Defers may record trace events and move counters, so call Stop after the
-// last read of the simulation's state, and only outside Run. A second Stop
-// is a no-op; Run and Go on a stopped engine panic.
+// A defer may start a task; Stop ends it too, unrun. Then Stop ends every
+// idle coroutine. Defers may record trace events and move counters, so call
+// Stop after the last read of the simulation's state, and only outside Run.
+// A second Stop is a no-op; Run and Go on a stopped engine panic.
 func (e *Engine) Stop() {
 	for len(e.tasks) > 0 {
 		t := e.tasks[len(e.tasks)-1]
 		t.killed = true
-		t.stop()
+		t.c.stop()
 		if !t.done { // never dispatched: stop ended the coroutine before its body
 			t.exit()
 		}
 		e.raise()
 	}
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
 	e.stopped = true
 }
 
@@ -162,7 +224,7 @@ func (t *Task) park() {
 	t.parked = true
 	// yield returns false once Engine.Stop has called the pull's stop: the
 	// engine is ending the task, which unwinds as if killed.
-	if !t.yield(struct{}{}) || t.killed {
+	if !t.c.yield(struct{}{}) || t.killed {
 		panic(killedPanic{t.name})
 	}
 }
@@ -277,13 +339,14 @@ func (t *Task) Kill() {
 	if t == t.eng.cur {
 		panic(killedPanic{t.name})
 	}
-	t.eng.At(t.eng.now, func() {
-		if t.done {
-			return
-		}
-		if t.parked {
-			t.parked = false
-			t.eng.dispatch(t)
-		}
-	})
+	t.eng.AtArg(t.eng.now, resumeKilled, t)
+}
+
+// resumeKilled is the callback of Kill's resume event: a task still parked
+// resumes, and its park unwinds it.
+func resumeKilled(arg any) {
+	if t := arg.(*Task); !t.done && t.parked {
+		t.parked = false
+		t.eng.dispatch(t)
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -235,7 +236,9 @@ func TestSleepEventSlot(t *testing.T) {
 }
 
 // Stop ends every live task whatever it is parked in, running each task's
-// defers exactly once, and leaves no goroutine behind.
+// defers exactly once, and every idle coroutine, and leaves no goroutine
+// behind. Two tasks finish before Stop, so their coroutines are idle; the
+// task started last, never dispatched, is handed one of them.
 func TestStopEndsEveryTask(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine(1)
@@ -255,18 +258,32 @@ func TestStopEndsEveryTask(t *testing.T) {
 	park("SleepEvent", func(tk *Task) { tk.SleepEvent(1000, &slot) })
 	park("holder", func(tk *Task) { m.Lock(tk); tk.Block() })
 	park("Mutex", func(tk *Task) { tk.Sleep(1); m.Lock(tk) })
+	for _, name := range []string{"finished", "finished later"} {
+		e.Go(name, func(tk *Task) {
+			defer func() { defers[name]++ }()
+			tk.Sleep(2)
+		})
+	}
 	e.Run(10)
+	if got := len(e.idle); got != 2 {
+		t.Fatalf("%d idle coroutines after two tasks finished, want 2", got)
+	}
+	reused := e.idle[1]
 	ran := false
-	tasks = append(tasks, e.Go("unstarted", func(tk *Task) {
+	unstarted := e.Go("unstarted", func(tk *Task) {
 		defer func() { defers["unstarted"]++ }()
 		ran = true
-	}))
+	})
+	tasks = append(tasks, unstarted)
+	if unstarted.c != reused {
+		t.Fatal("the new task was not handed the most recently idled coroutine")
+	}
 	if got := e.LiveTasks(); got != len(tasks) {
 		t.Fatalf("LiveTasks = %d before Stop, want %d", got, len(tasks))
 	}
 
 	e.Stop()
-	for _, name := range []string{"Sleep", "BlockTimeout", "SleepEvent", "holder", "Mutex"} {
+	for _, name := range []string{"Sleep", "BlockTimeout", "SleepEvent", "holder", "Mutex", "finished", "finished later"} {
 		if defers[name] != 1 {
 			t.Errorf("%s: defers ran %d times, want 1", name, defers[name])
 		}
@@ -282,12 +299,10 @@ func TestStopEndsEveryTask(t *testing.T) {
 	if got := e.LiveTasks(); got != 0 {
 		t.Errorf("LiveTasks = %d after Stop, want 0", got)
 	}
-	for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
-		runtime.Gosched()
+	if got := len(e.idle); got != 0 {
+		t.Errorf("%d idle coroutines after Stop, want 0", got)
 	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Errorf("%d goroutines after Stop, want the baseline %d", got, base)
-	}
+	waitForGoroutines(t, base)
 
 	e.Stop() // a second Stop finds nothing to end
 	if defers["Sleep"] != 1 {
@@ -295,6 +310,148 @@ func TestStopEndsEveryTask(t *testing.T) {
 	}
 	mustPanic(t, "Run", func() { e.Run(0) })
 	mustPanic(t, "Go", func() { e.Go("late", func(*Task) {}) })
+}
+
+// A task that a defer starts while Stop unwinds its task never runs, on a
+// new coroutine or an idle one, and Stop ends it too.
+func TestStopEndsTasksItsDefersStart(t *testing.T) {
+	for _, idle := range []bool{false, true} {
+		t.Run(fmt.Sprintf("idle=%v", idle), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine(1)
+			if idle { // leaves one idle coroutine for the late task
+				e.Go("finished", func(*Task) {})
+			}
+			ran := false
+			e.Go("reaper", func(tk *Task) {
+				defer e.Go("late", func(*Task) { ran = true })
+				tk.Block()
+			})
+			e.Run(0)
+			e.Stop()
+			if ran {
+				t.Error("the task a defer started during Stop ran")
+			}
+			if got := e.LiveTasks(); got != 0 {
+				t.Errorf("LiveTasks = %d after Stop, want 0", got)
+			}
+			waitForGoroutines(t, base)
+		})
+	}
+}
+
+// A genuine panic in a task running on a reused coroutine is re-raised by
+// Run and names that task, not the coroutine's earlier one.
+func TestPanicOnReusedCoroutineNamesItsTask(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("first", func(*Task) {})
+	e.Run(0)
+	if len(e.idle) != 1 {
+		t.Fatalf("%d idle coroutines after the first task finished, want 1", len(e.idle))
+	}
+	first := e.idle[0]
+	if tk := e.Go("second", func(*Task) { panic("boom") }); tk.c != first {
+		t.Fatal("the second task was not handed the first task's coroutine")
+	}
+	defer func() {
+		r := recover()
+		if s, _ := r.(string); !strings.Contains(s, `"second"`) || !strings.Contains(s, "boom") {
+			t.Fatalf("Run raised %v, want the second task's boom", r)
+		}
+	}()
+	e.Run(0)
+	t.Fatal("Run returned after a task panicked")
+}
+
+// On a warm engine a task costs one allocation, its Task: its coroutine is
+// a finished task's and its start event comes from the freelist. Handing a
+// queued item, a semaphore's permit or a mutex from one task to another
+// allocates nothing: the wait lists keep their arrays.
+func TestTaskAndHandoffAllocations(t *testing.T) {
+	t.Run("Go", func(t *testing.T) {
+		e := NewEngine(1)
+		body := func(*Task) {}
+		round := func() {
+			e.Go("short", body)
+			e.Run(0)
+		}
+		for i := 0; i < 100; i++ {
+			round()
+		}
+		if n := testing.AllocsPerRun(1000, round); n != 1 {
+			t.Errorf("%v allocations per task, want 1 (the Task)", n)
+		}
+	})
+	handoffs := []struct {
+		name  string
+		start func(e *Engine)
+	}{
+		{"Queue", func(e *Engine) {
+			var q Queue
+			item := new(int)
+			e.Go("producer", func(tk *Task) {
+				for {
+					q.Push(item)
+					tk.Sleep(10)
+				}
+			})
+			e.Go("consumer", func(tk *Task) {
+				for {
+					q.Pop(tk)
+				}
+			})
+		}},
+		{"Semaphore", func(e *Engine) {
+			s := NewSemaphore(1)
+			for _, name := range []string{"a", "b"} {
+				e.Go(name, func(tk *Task) {
+					for {
+						s.Acquire(tk)
+						tk.Sleep(10)
+						s.Release()
+					}
+				})
+			}
+		}},
+		{"Mutex", func(e *Engine) {
+			var m Mutex
+			for _, name := range []string{"a", "b"} {
+				e.Go(name, func(tk *Task) {
+					for {
+						m.Lock(tk)
+						tk.Sleep(10)
+						m.Unlock(tk)
+					}
+				})
+			}
+		}},
+	}
+	for _, h := range handoffs {
+		t.Run(h.name, func(t *testing.T) {
+			e := NewEngine(1)
+			h.start(e)
+			// Each task sleeps 10ns between handoffs: one handoff a round.
+			round := func() { e.Run(e.Now() + 10) }
+			for i := 0; i < 100; i++ {
+				round()
+			}
+			if n := testing.AllocsPerRun(1000, round); n != 0 {
+				t.Errorf("%v allocations per handoff, want 0", n)
+			}
+		})
+	}
+}
+
+// waitForGoroutines fails t unless the goroutine count falls back to base,
+// giving ended coroutines a few scheduler rounds to exit.
+func waitForGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after Stop, want the baseline %d", got, base)
+	}
 }
 
 // A genuine panic raised by a defer while Stop unwinds a task is re-raised

@@ -224,9 +224,12 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 		})
 	}
 
+	// Every slice's duration lives in durs. A slice takes at least one
+	// event, so durs never outgrows the capacity made here.
+	durs := make([]float64, 0, len(events))
 	var names SpanNames
 	open := Pair(events, func(b, e Event) {
-		dur := (e.At - b.At).Micros()
+		durs = append(durs, (e.At - b.At).Micros())
 		args := chromeArgs(b)
 		switch {
 		case e.Kind == FaultEnd:
@@ -238,7 +241,7 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 		}
 		out = append(out, chromeEvent{
 			Name: names.Of(b), Cat: cat(b.Kind), Ph: "X",
-			Ts: b.At.Micros(), Dur: &dur, Pid: 0, Tid: e.Cell,
+			Ts: b.At.Micros(), Dur: &durs[len(durs)-1], Pid: 0, Tid: e.Cell,
 			Args: args,
 		})
 	}, func(e Event) {
@@ -252,10 +255,10 @@ func buildChrome(cells int, events []Event) []chromeEvent {
 	// e.g. an RPC outstanding when the run stopped) close with zero
 	// duration rather than vanish.
 	for _, b := range open {
-		zero := 0.0
+		durs = append(durs, 0)
 		out = append(out, chromeEvent{
 			Name: names.Of(b), Cat: cat(b.Kind), Ph: "X",
-			Ts: b.At.Micros(), Dur: &zero, Pid: 0, Tid: b.Cell,
+			Ts: b.At.Micros(), Dur: &durs[len(durs)-1], Pid: 0, Tid: b.Cell,
 			Args: chromeArgs(b).withArg(boolArg("unclosed", true)),
 		})
 	}
