@@ -34,8 +34,9 @@ lint-report:
 # check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
 # hivelint, full test suite, one pass of the state-scan benchmarks (the
 # trace merge, the invariant scan and the forensic fold), of the sim
-# engine benchmarks and of the null-RPC round trip (so they keep
-# compiling and running), the race detector over the same
+# engine benchmarks, of the null-RPC round trip, of the remote stat and
+# of the remote fault (so they keep compiling and running), the race
+# detector over the same
 # packages as CI's race job (`make race`: the parallel trial runner, the
 # engine it drives and the fault-injection determinism gates), the
 # forensic cross-check over the default campaign (`make mort-check`) and
@@ -50,7 +51,7 @@ check: build
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants|Analyze' -benchtime 1x ./internal/trace ./internal/core ./internal/forensic
-	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC|RemoteStat' -benchtime 1x ./internal/sim ./internal/rpc ./internal/fs
+	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC|RemoteStat|RemoteFault' -benchtime 1x ./internal/sim ./internal/rpc ./internal/fs ./internal/vm
 	$(MAKE) race
 	$(MAKE) mort-check
 	$(MAKE) bench-gate
@@ -106,12 +107,14 @@ race:
 	$(GO) test -race -count=10 -run 'Stop|Kill|Alloc' ./internal/sim
 
 # bench-engine tracks the simulator's own hot paths (events/sec, allocs),
-# the interrupt-level null RPC round trip built on them, and the remote
-# stat probe (pmake's commonest kernel path) built on that.
+# the interrupt-level null RPC round trip built on them, the remote stat
+# probe (pmake's commonest kernel path) built on that, and the remote page
+# fault with its release (an export and a release round trip).
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkEvent|BenchmarkTask' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkNullRPC' -benchmem ./internal/rpc/
 	$(GO) test -run xxx -bench 'BenchmarkRemoteStat' -benchmem ./internal/fs/
+	$(GO) test -run xxx -bench 'BenchmarkRemoteFault' -benchmem ./internal/vm/
 
 # bench-report writes the machine-readable experiment report.
 # BENCH_hive.json is committed as the tracked baseline; rerun this target

@@ -198,7 +198,7 @@ func TestConsensusStopsLiveCell(t *testing.T) {
 	var callErr error
 	h.Eng.Go("holder", func(t *sim.Task) {
 		c := h.Cells[2]
-		_, callErr = c.EP.Call(t, c.Sched.Procs[0], 0, hold, nil,
+		_, _, callErr = c.EP.Call(t, c.Sched.Procs[0], 0, hold, nil,
 			rpc.CallOpts{Timeout: 2 * sim.Second, NoHint: true})
 	})
 	h.Run(h.Now() + 100*sim.Microsecond) // the call is outstanding

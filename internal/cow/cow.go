@@ -142,7 +142,7 @@ func (mg *Manager) Fork(t *sim.Task, leaf kmem.Addr, childCell int) (parentLeaf,
 		mg.arena().WriteWord(childLeaf, wordParent, uint64(leaf))
 		return parentLeaf, childLeaf, nil
 	}
-	res, err := mg.EP.Call(t, mg.proc(), childCell, ProcMakeLeaf,
+	res, _, err := mg.EP.Call(t, mg.proc(), childCell, ProcMakeLeaf,
 		&makeLeafArgs{Parent: leaf}, rpc.CallOpts{DataBytes: 16})
 	if err != nil {
 		mg.arena().Free(parentLeaf)

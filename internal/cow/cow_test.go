@@ -306,7 +306,7 @@ func TestMakeLeafSanityRejectsForgedParent(t *testing.T) {
 	f := newFixture(t, 3)
 	f.run(t, func(tk *sim.Task) {
 		foreign := f.mgs[1].NewRoot() // cell 1's node
-		_, err := f.eps[2].Call(tk, f.m.Procs[2], 0, ProcMakeLeaf,
+		_, _, err := f.eps[2].Call(tk, f.m.Procs[2], 0, ProcMakeLeaf,
 			&makeLeafArgs{Parent: foreign}, rpc.CallOpts{})
 		if err == nil {
 			t.Fatal("forged parent accepted")

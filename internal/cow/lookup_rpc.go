@@ -49,7 +49,7 @@ func (mg *Manager) LookupRPC(t *sim.Task, leaf kmem.Addr, off int64) (kmem.Addr,
 			cur = next
 			continue
 		}
-		res, err := mg.EP.Call(t, mg.proc(), cur.Cell(), ProcTreeLookup,
+		res, _, err := mg.EP.Call(t, mg.proc(), cur.Cell(), ProcTreeLookup,
 			&treeLookupArgs{Start: cur, Off: off}, rpc.CallOpts{DataBytes: 24})
 		if err != nil {
 			return 0, false, fmt.Errorf("%w: lookup RPC: %v", ErrTreeDamaged, err)

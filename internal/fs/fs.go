@@ -190,13 +190,13 @@ func validateOpenReply(res rpc.Line) (openReply, error) {
 }
 
 // validatePageReply vets a page-fetch reply: shape only — the tag is
-// content, and readers compare it against their expected seed.
-func validatePageReply(res any) (*pageReply, error) {
-	rep, ok := res.(*pageReply)
-	if !ok {
-		return nil, ErrBadArgs
+// content, and readers compare it against their expected seed — so the
+// corrupt word must be 0 or 1.
+func validatePageReply(res rpc.Line) (pageReply, error) {
+	if res.W[1] != 0 && res.W[1] != 1 {
+		return pageReply{}, ErrBadArgs
 	}
-	return rep, nil
+	return pageReply{Tag: uint64(res.W[0]), Corrupt: res.W[1] == 1}, nil
 }
 
 // Create makes a new empty file and returns an open handle to it.
@@ -208,9 +208,9 @@ func (f *FS) Create(t *sim.Task, path string) (*Handle, error) {
 		f.Metrics.Counter("fs.creates").Inc()
 		return &Handle{Key: Key{Home: home, ID: file.ID}, Gen: file.Gen, fs: f, open: true}, nil
 	}
-	var res rpc.Line
-	if _, err := f.EP.Call(t, f.proc(), home, ProcCreate, nil, rpc.CallOpts{
-		DataBytes: len(path), Arg: lookupArgs{Path: path}.line(), Result: &res}); err != nil {
+	_, res, err := f.EP.Call(t, f.proc(), home, ProcCreate, nil, rpc.CallOpts{
+		DataBytes: len(path), Arg: lookupArgs{Path: path}.line()})
+	if err != nil {
 		return nil, err
 	}
 	rep, err := validateOpenReply(res)
@@ -224,7 +224,7 @@ func (f *FS) createLocal(path string) *File {
 	if id, ok := f.byPath[path]; ok {
 		file := f.files[id]
 		file.SizePgs = 0
-		file.onDisk = make(map[int64]uint64)
+		clear(file.onDisk)
 		return file
 	}
 	file := &File{
@@ -260,9 +260,8 @@ func (f *FS) Open(t *sim.Task, path string) (*Handle, error) {
 	var rep openReply
 	for i := 1; i <= ncomp; i++ {
 		f.proc().Use(t, LookupLocal)
-		var res rpc.Line
-		_, err := f.EP.Call(t, f.proc(), home, ProcLookup, nil, rpc.CallOpts{
-			DataBytes: len(path), Arg: lookupArgs{Path: path, Component: i}.line(), Result: &res})
+		_, res, err := f.EP.Call(t, f.proc(), home, ProcLookup, nil, rpc.CallOpts{
+			DataBytes: len(path), Arg: lookupArgs{Path: path, Component: i}.line()})
 		if err != nil {
 			return nil, err
 		}
@@ -270,7 +269,7 @@ func (f *FS) Open(t *sim.Task, path string) (*Handle, error) {
 			return nil, err
 		}
 	}
-	if _, err := f.EP.Call(t, f.proc(), home, ProcGetattr, nil,
+	if _, _, err := f.EP.Call(t, f.proc(), home, ProcGetattr, nil,
 		rpc.CallOpts{DataBytes: 64, Arg: lookupArgs{Path: path}.line()}); err != nil {
 		return nil, err
 	}
@@ -290,7 +289,7 @@ func (f *FS) Stat(t *sim.Task, path string) (bool, error) {
 		return ok, nil
 	}
 	f.proc().Use(t, LookupLocal)
-	_, err := f.EP.Call(t, f.proc(), home, ProcGetattr, nil,
+	_, _, err := f.EP.Call(t, f.proc(), home, ProcGetattr, nil,
 		rpc.CallOpts{DataBytes: len(path), Arg: lookupArgs{Path: path}.line()})
 	if err != nil {
 		if strings.Contains(err.Error(), "no such file") {
@@ -375,8 +374,8 @@ func (f *FS) readPage(t *sim.Task, h *Handle, off int64) (PageData, error) {
 		}
 		return PageData{Tag: tag, Corrupt: corrupt}, nil
 	}
-	res, err := f.EP.Call(t, f.proc(), h.Key.Home, ProcReadPage,
-		&pageArgs{Key: h.Key, Off: off, Gen: h.Gen}, rpc.CallOpts{DataBytes: 64})
+	_, res, err := f.EP.Call(t, f.proc(), h.Key.Home, ProcReadPage, nil,
+		rpc.CallOpts{DataBytes: 64, Arg: pageArgs{Key: h.Key, Off: off, Gen: h.Gen}.line()})
 	if err != nil {
 		return PageData{}, err
 	}
@@ -421,7 +420,7 @@ func (f *FS) Write(t *sim.Task, h *Handle, npages int, seed uint64) error {
 			}
 		} else {
 			f.proc().Use(t, sim.Time(n)*RemoteWritePage)
-			_, err := f.EP.Call(t, f.proc(), h.Key.Home, ProcWriteBulk,
+			_, _, err := f.EP.Call(t, f.proc(), h.Key.Home, ProcWriteBulk,
 				&writeArgs{Key: h.Key, Off: h.Pos, Gen: h.Gen, Tags: tags},
 				rpc.CallOpts{DataBytes: 256})
 			if err != nil {

@@ -426,6 +426,125 @@ func TestRemoteStatAllocations(t *testing.T) {
 	}
 }
 
+// TestPageArgsRoundTrip checks the page-fetch line: a request for a file
+// homed here decodes to itself at offsets up to 2^47 - 1; a forged home,
+// a negative offset, an unknown file and a stale generation are each
+// rejected; and a reply decodes to itself unless its corrupt word is
+// neither 0 nor 1.
+func TestPageArgsRoundTrip(t *testing.T) {
+	f := newFixture(t, 2)
+	srv := f.fss[1]
+	var h *Handle
+	f.run(t, func(tk *sim.Task) {
+		var err error
+		if h, err = srv.Create(tk, "/tmp/pages"); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+	})
+	for _, off := range []int64{0, 1, 1<<47 - 1} {
+		want := pageArgs{Key: h.Key, Off: off, Gen: h.Gen}
+		if got, file, err := srv.validatePageArgs(want.line()); err != nil || got != want || file.ID != h.Key.ID {
+			t.Errorf("%+v decoded to %+v, %v", want, got, err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		args pageArgs
+		want error
+	}{
+		{"home 0", pageArgs{Key: Key{Home: 0, ID: h.Key.ID}, Gen: h.Gen}, ErrBadArgs},
+		{"home 0xffff", pageArgs{Key: Key{Home: 0xffff, ID: h.Key.ID}, Gen: h.Gen}, ErrBadArgs},
+		{"offset -1", pageArgs{Key: h.Key, Off: -1, Gen: h.Gen}, ErrBadArgs},
+		{"offset -2^47", pageArgs{Key: h.Key, Off: -1 << 47, Gen: h.Gen}, ErrBadArgs},
+		{"unknown file", pageArgs{Key: Key{Home: 1, ID: h.Key.ID + 1}, Gen: h.Gen}, ErrNotFound},
+		{"stale generation", pageArgs{Key: h.Key, Gen: h.Gen + 1}, ErrStale},
+	} {
+		if _, _, err := srv.validatePageArgs(c.args.line()); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+	for _, want := range []pageReply{{Tag: 1<<64 - 1}, {Tag: 7, Corrupt: true}} {
+		if got, err := validatePageReply(want.line()); err != nil || got != want {
+			t.Errorf("reply %+v decoded to %+v, %v", want, got, err)
+		}
+	}
+	for _, corrupt := range []int64{2, -1} {
+		if _, err := validatePageReply(rpc.Line{W: [3]int64{7, corrupt}}); !errors.Is(err, ErrBadArgs) {
+			t.Errorf("reply with corrupt word %d: err = %v, want ErrBadArgs", corrupt, err)
+		}
+	}
+}
+
+// TestRemotePageReadAllocations checks that a warm read of a page cached
+// at its data home on another cell, through fs.readpage, allocates
+// nothing: the request comes from the endpoint's freelist, the file id,
+// offset, home and generation travel in it by value, and the tag comes
+// back by value.
+func TestRemotePageReadAllocations(t *testing.T) {
+	f := newFixture(t, 2)
+	var h *Handle
+	f.run(t, func(tk *sim.Task) {
+		var err error
+		if h, err = f.fss[0].Create(tk, "/tmp/cc5.o"); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if err := f.fss[0].Write(tk, h, 1, 5); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	})
+	want := PageTag(h.Key, 0, 5)
+	read := func(tk *sim.Task) {
+		if pd, err := f.fss[0].readPage(tk, h, 0); pd.Tag != want || pd.Corrupt || err != nil {
+			t.Errorf("remote page read: %+v, %v; want tag %#x", pd, err, want)
+		}
+	}
+	var allocs float64
+	f.run(t, func(tk *sim.Task) {
+		for i := 0; i < 100; i++ {
+			read(tk)
+		}
+		allocs = testing.AllocsPerRun(2000, func() { read(tk) })
+	})
+	if allocs > 0 {
+		t.Errorf("a warm remote page read allocates %v times, want 0", allocs)
+	}
+	if got := f.fss[0].Metrics.Counter("fs.remote_page_fetches").Value(); got < 2000 {
+		t.Errorf("%d remote page fetches, want every read to be one", got)
+	}
+}
+
+// TestRemoteOpenAllocations checks that a remote Open, two lookups and a
+// getattr, allocates only the Handle it returns, and so does a remote
+// Create of an existing file: the results come back by value, by Call's
+// return, not through a pointer that would move them to the heap.
+func TestRemoteOpenAllocations(t *testing.T) {
+	f := newFixture(t, 2)
+	const path = "/tmp/cc5.o"
+	for _, c := range []struct {
+		name string
+		op   func(tk *sim.Task) (*Handle, error)
+	}{
+		{"Create", func(tk *sim.Task) (*Handle, error) { return f.fss[0].Create(tk, path) }},
+		{"Open", func(tk *sim.Task) (*Handle, error) { return f.fss[0].Open(tk, path) }},
+	} {
+		op := func(tk *sim.Task) {
+			if _, err := c.op(tk); err != nil {
+				t.Errorf("remote %s: %v", c.name, err)
+			}
+		}
+		var allocs float64
+		f.run(t, func(tk *sim.Task) {
+			for i := 0; i < 100; i++ {
+				op(tk)
+			}
+			allocs = testing.AllocsPerRun(1000, func() { op(tk) })
+		})
+		if allocs != 1 {
+			t.Errorf("a remote %s allocates %v times, want 1 (its Handle)", c.name, allocs)
+		}
+	}
+}
+
 // BenchmarkRemoteStat measures a warm Stat of a missing path on another
 // cell, the probe pmake makes most.
 func BenchmarkRemoteStat(b *testing.B) {

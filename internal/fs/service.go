@@ -36,17 +36,39 @@ func (r openReply) line() rpc.Line {
 	return rpc.Line{W: [3]int64{int64(r.ID), int64(r.Gen), r.Size}}
 }
 
-// pageArgs drives ProcReadPage.
+// pageArgs drives ProcReadPage. It travels by value in the request's
+// line: the file id, then the offset with the home in its top 16 bits,
+// then the generation.
 type pageArgs struct {
 	Key Key
 	Off int64
 	Gen uint64
 }
 
-// pageReply returns one page's content.
+// pageOffBits is the width of the offset beside the home in pageArgs'
+// second word.
+const pageOffBits = 48
+
+// line encodes a as a request's by-value argument. The offset keeps its
+// sign in 48 bits, so a negative one decodes negative.
+func (a pageArgs) line() rpc.Line {
+	return rpc.Line{W: [3]int64{int64(a.Key.ID), int64(a.Key.Home)<<pageOffBits | a.Off&(1<<pageOffBits-1), int64(a.Gen)}}
+}
+
+// pageReply returns one page's content. It travels by value in the
+// reply's line: the tag, then the corrupt bit.
 type pageReply struct {
 	Tag     uint64
 	Corrupt bool
+}
+
+// line encodes r as a reply's by-value result.
+func (r pageReply) line() rpc.Line {
+	l := rpc.Line{W: [3]int64{int64(r.Tag)}}
+	if r.Corrupt {
+		l.W[1] = 1
+	}
+	return l
 }
 
 // writeArgs drives ProcWriteBulk.
@@ -92,20 +114,24 @@ func (f *FS) validateCreateArgs(arg rpc.Line) (lookupArgs, error) {
 	return lookupArgs{Path: arg.Str}, nil
 }
 
-// validatePageArgs vets a page-fetch request and resolves it to the
-// local file it names: key homed here, sane offset, file present,
+// validatePageArgs decodes and vets a page-fetch request and resolves it
+// to the local file it names: key homed here, sane offset, file present,
 // generation current.
-func (f *FS) validatePageArgs(raw any) (*pageArgs, *File, error) {
-	args, ok := raw.(*pageArgs)
-	if !ok || args.Key.Home != f.CellID || args.Off < 0 {
-		return nil, nil, ErrBadArgs
+func (f *FS) validatePageArgs(arg rpc.Line) (pageArgs, *File, error) {
+	args := pageArgs{
+		Key: Key{Home: int(uint64(arg.W[1]) >> pageOffBits), ID: FileID(arg.W[0])},
+		Off: arg.W[1] << (64 - pageOffBits) >> (64 - pageOffBits),
+		Gen: uint64(arg.W[2]),
+	}
+	if args.Key.Home != f.CellID || args.Off < 0 {
+		return pageArgs{}, nil, ErrBadArgs
 	}
 	file := f.files[args.Key.ID]
 	if file == nil {
-		return nil, nil, ErrNotFound
+		return pageArgs{}, nil, ErrNotFound
 	}
 	if args.Gen != file.Gen {
-		return nil, nil, ErrStale
+		return pageArgs{}, nil, ErrStale
 	}
 	return args, file, nil
 }
@@ -180,7 +206,7 @@ func (f *FS) registerServices() {
 	// memory lock and a disk fill fall back to the queued path.
 	f.EP.Register(ProcReadPage, "fs.readpage",
 		func(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
-			args, file, err := f.validatePageArgs(req.Args)
+			args, file, err := f.validatePageArgs(req.Arg)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -201,7 +227,8 @@ func (f *FS) registerServices() {
 				}
 			}
 			tag, corrupt := f.M.PageTag(pf.Frame)
-			return &pageReply{Tag: tag, Corrupt: corrupt}, vm.MiscVMDataHome, nil
+			req.Result = pageReply{Tag: tag, Corrupt: corrupt}.line()
+			return nil, vm.MiscVMDataHome, nil
 		}, rpc.Idempotent())
 
 	// Bulk write: queued (it allocates frames and may evict).

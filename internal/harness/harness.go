@@ -71,7 +71,7 @@ func RunCareful41() *Careful41 {
 		// every cell.
 		start = t.Now()
 		for i := 0; i < n; i++ {
-			vet1(c.EP.Call(t, c.Sched.Procs[0], 1, membership.ProcPing, nil, rpc.CallOpts{}))
+			vet2(c.EP.Call(t, c.Sched.Procs[0], 1, membership.ProcPing, nil, rpc.CallOpts{}))
 		}
 		out.NullRPCUs = (t.Now() - start).Micros() / n
 	})
@@ -102,7 +102,7 @@ func RunRPC6() *RPC6 {
 		measure := func(opts rpc.CallOpts, procID rpc.ProcID) float64 {
 			start := t.Now()
 			for i := 0; i < n; i++ {
-				vet1(c.EP.Call(t, c.Sched.Procs[0], 1, procID, nil, opts))
+				vet2(c.EP.Call(t, c.Sched.Procs[0], 1, procID, nil, opts))
 			}
 			return (t.Now() - start).Micros() / n
 		}

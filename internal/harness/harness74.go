@@ -58,7 +58,7 @@ func RunHardware81() *Hardware81 {
 	runOn(h, 0, func(p *proc.Process, t *sim.Task) {
 		proc0 := h.Cells[0].Sched.Procs[0]
 		// Generate SIPS traffic (a ping RPC) before checking the counter.
-		vet1(h.Cells[0].EP.Call(t, proc0, 1, membership.ProcPing, nil, rpc.CallOpts{}))
+		vet2(h.Cells[0].EP.Call(t, proc0, 1, membership.ProcPing, nil, rpc.CallOpts{}))
 		lo1, _ := m.NodePages(1)
 		// Firewall: remote write denied, local allowed.
 		errRemote := m.WritePage(t, proc0, lo1, 1)
@@ -261,7 +261,7 @@ func RunSIPSvsIPI() *SIPSvsIPI {
 		// SIPS round trip: the null RPC.
 		start := t.Now()
 		for i := 0; i < n; i++ {
-			vet1(h.Cells[0].EP.Call(t, proc0, 1, membership.ProcPing, nil, rpc.CallOpts{}))
+			vet2(h.Cells[0].EP.Call(t, proc0, 1, membership.ProcPing, nil, rpc.CallOpts{}))
 		}
 		out.SIPSUs = (t.Now() - start).Micros() / n
 

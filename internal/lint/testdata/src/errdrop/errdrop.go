@@ -16,8 +16,8 @@ type cell struct {
 
 // dropped: the statement-shaped discards.
 func (c *cell) dropped(t *sim.Task) {
-	c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{})        // want `result of Call discarded`
-	_, _ = c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{}) // want `error of Call assigned to _`
+	c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{})           // want `result of Call discarded`
+	_, _, _ = c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{}) // want `error of Call assigned to _`
 }
 
 // fired: go and defer throw the error away just as surely.
@@ -29,7 +29,7 @@ func (c *cell) fired(t *sim.Task) {
 // lost: assigned to a named result, then overwritten before anyone reads
 // it — the timeout is gone.
 func (c *cell) lost(t *sim.Task) (err error) {
-	_, err = c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{}) // want `error of Call assigned to err but never read in lost`
+	_, _, err = c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{}) // want `error of Call assigned to err but never read in lost`
 	err = nil
 	return
 }
@@ -37,7 +37,7 @@ func (c *cell) lost(t *sim.Task) (err error) {
 // ping propagates the rpc error upward: it is a member of the erroring
 // set, and dropping ITS result drops the timeout one hop removed.
 func (c *cell) ping(t *sim.Task) error {
-	_, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{})
+	_, _, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{})
 	return err
 }
 
@@ -49,7 +49,7 @@ func (c *cell) fanout(t *sim.Task) {
 // contract.
 func (c *cell) handled(t *sim.Task) int {
 	fails := 0
-	if _, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{}); err != nil {
+	if _, _, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{}); err != nil {
 		fails++
 	}
 	return fails

@@ -115,8 +115,8 @@ type client struct {
 
 // unvettedResult: a by-value reply result reaches a sink on the client.
 func (c *client) unvettedResult(t *sim.Task) error {
-	var res rpc.Line
-	if _, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{Result: &res}); err != nil {
+	_, res, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{})
+	if err != nil {
 		return err
 	}
 	c.arena.WriteWord(kmem.Addr(res.W[0]), 0, 0) // want `Arena.WriteWord argument kmem.Addr\(res.W\[0\]\) carries an rpc line`
@@ -125,8 +125,8 @@ func (c *client) unvettedResult(t *sim.Task) error {
 
 // vettedResult: the client validated the result first.
 func (c *client) vettedResult(t *sim.Task) error {
-	var res rpc.Line
-	if _, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{Result: &res}); err != nil {
+	_, res, err := c.ep.Call(t, c.proc, 1, 7, nil, rpc.CallOpts{})
+	if err != nil {
 		return err
 	}
 	args, err := validateLine(res)

@@ -543,7 +543,7 @@ func (mon *Monitor) registerServices() {
 // only if both fail.
 func (mon *Monitor) probe(t *sim.Task, suspect int) bool {
 	for attempt := 0; attempt < 2; attempt++ {
-		_, err := mon.EP.Call(t, mon.proc(), suspect, ProcPing, nil,
+		_, _, err := mon.EP.Call(t, mon.proc(), suspect, ProcPing, nil,
 			rpc.CallOpts{Timeout: ProbeTimeout, NoHint: true})
 		if err == nil {
 			return true // alive

@@ -188,13 +188,13 @@ func TestAlertSanityChecks(t *testing.T) {
 		defer func() { done = true }()
 		// A forged alert whose accuser field doesn't match the sender
 		// is refused by the handler's sanity check.
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, ProcAlert,
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, ProcAlert,
 			&alertMsg{Suspect: 2, Accuser: 99, Sequence: 1}, rpc.CallOpts{NoHint: true})
 		if err == nil {
 			t.Error("forged alert accepted")
 		}
 		// An alert accusing the receiver itself is refused.
-		_, err = f.eps[0].Call(tk, f.m.Procs[0], 1, ProcAlert,
+		_, _, err = f.eps[0].Call(tk, f.m.Procs[0], 1, ProcAlert,
 			&alertMsg{Suspect: 1, Accuser: 0, Sequence: 2}, rpc.CallOpts{NoHint: true})
 		if err == nil {
 			t.Error("self-accusation accepted")

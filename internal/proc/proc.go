@@ -218,7 +218,7 @@ func (pt *Table) Fork(t *sim.Task, p *Process, targetCell int, name string, body
 		child := pt.spawn(name, p.Group, p.PID, childLeaf, body)
 		return child.PID, nil
 	}
-	res, err := pt.EP.Call(t, pt.Sched.Procs[0], targetCell, ProcSpawn,
+	res, _, err := pt.EP.Call(t, pt.Sched.Procs[0], targetCell, ProcSpawn,
 		&spawnArgs{Name: name, Group: p.Group, Parent: p.PID, Leaf: childLeaf, Body: body},
 		rpc.CallOpts{DataBytes: 192})
 	if err != nil {
@@ -248,7 +248,7 @@ func (pt *Table) ForkExec(t *sim.Task, p *Process, targetCell int, name string, 
 		child := pt.spawn(name, p.Group, p.PID, pt.COW.NewRoot(), body)
 		return child.PID, nil
 	}
-	res, err := pt.EP.Call(t, pt.Sched.Procs[0], targetCell, ProcSpawnExec,
+	res, _, err := pt.EP.Call(t, pt.Sched.Procs[0], targetCell, ProcSpawnExec,
 		&spawnExecArgs{Name: name, Group: p.Group, Parent: p.PID, Body: body},
 		rpc.CallOpts{DataBytes: 192})
 	if err != nil {

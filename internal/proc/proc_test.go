@@ -119,7 +119,7 @@ func TestRemoteForkSanityChecks(t *testing.T) {
 	f.pts[0].Spawn("parent", 1, func(p *Process, tk *sim.Task) {
 		defer func() { done = true }()
 		// A spawn whose leaf is not local to the target is refused.
-		_, err := f.pts[0].EP.Call(tk, f.m.Procs[0], 1, ProcSpawn,
+		_, _, err := f.pts[0].EP.Call(tk, f.m.Procs[0], 1, ProcSpawn,
 			&spawnArgs{Name: "evil", Leaf: kmem.MakeAddr(0, 64),
 				Body: func(p *Process, t *sim.Task) {}},
 			rpc.CallOpts{NoHint: true})
@@ -127,7 +127,7 @@ func TestRemoteForkSanityChecks(t *testing.T) {
 			t.Error("foreign-leaf spawn accepted")
 		}
 		// A nil body is refused.
-		_, err = f.pts[0].EP.Call(tk, f.m.Procs[0], 1, ProcSpawn,
+		_, _, err = f.pts[0].EP.Call(tk, f.m.Procs[0], 1, ProcSpawn,
 			&spawnArgs{Name: "nobody", Leaf: kmem.MakeAddr(1, 64)},
 			rpc.CallOpts{NoHint: true})
 		if err == nil {

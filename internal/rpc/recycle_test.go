@@ -31,9 +31,8 @@ func registerEcho(ep *Endpoint) {
 // result, by reference and by value.
 func (f *fixture) echo(t *testing.T, tk *sim.Task, n int) {
 	t.Helper()
-	var res Line
-	got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procEchoIdem, n,
-		CallOpts{DataBytes: 8, Arg: Line{W: [3]int64{int64(n)}}, Result: &res})
+	got, res, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procEchoIdem, n,
+		CallOpts{DataBytes: 8, Arg: Line{W: [3]int64{int64(n)}}})
 	if err != nil || got != n || res.W[0] != int64(n) {
 		t.Errorf("echo %d returned %v, %v, %v", n, got, res.W, err)
 	}
@@ -160,7 +159,7 @@ func TestDroppedRequestNotRecycled(t *testing.T) {
 
 func TestStaleReplyNotRecycled(t *testing.T) {
 	got := runFaulted(t, func(f *fixture, tk *sim.Task) {
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procLate, nil,
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procLate, nil,
 			CallOpts{Timeout: sim.Millisecond, NoHint: true})
 		if err == nil || !strings.Contains(err.Error(), "timed out") {
 			t.Errorf("late call: %v, want a timeout", err)
@@ -195,7 +194,7 @@ func TestUnfaultedLinesRecycle(t *testing.T) {
 		}
 		req := f.eps[0].freeReqs[0]
 		f.echo(t, tk, 2)
-		if _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procQueuedNull, nil, CallOpts{}); err != nil {
+		if _, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procQueuedNull, nil, CallOpts{}); err != nil {
 			t.Errorf("queued call: %v", err)
 		}
 		if len(f.eps[0].freeReqs) != 1 || f.eps[0].freeReqs[0] != req {
@@ -218,9 +217,9 @@ func TestRemoteErrorOutlivesItsRequest(t *testing.T) {
 			return nil, 0, fmt.Errorf("failure %d", n)
 		})
 	f.run(t, func(tk *sim.Task) {
-		_, first := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
+		_, _, first := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
 		req := f.eps[0].freeReqs[0]
-		_, second := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
+		_, _, second := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
 		if len(f.eps[0].freeReqs) != 1 || f.eps[0].freeReqs[0] != req {
 			t.Fatal("the second call did not reuse the first call's request")
 		}

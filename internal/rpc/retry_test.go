@@ -38,7 +38,7 @@ func TestRetryRecoversDroppedRequest(t *testing.T) {
 		return machine.MsgFaultDecision{}
 	}
 	f.run(t, func(tk *sim.Task) {
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
 		if err != nil || got != "ok" {
 			t.Errorf("call after drop: %v, %v", got, err)
 		}
@@ -70,7 +70,7 @@ func TestDroppedReplyRetriesWithoutReExecution(t *testing.T) {
 		return machine.MsgFaultDecision{}
 	}
 	f.run(t, func(tk *sim.Task) {
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
 		if err != nil || got != "ok" {
 			t.Errorf("call after reply drop: %v, %v", got, err)
 		}
@@ -99,7 +99,7 @@ func TestDuplicatedRequestNotReExecuted(t *testing.T) {
 		return machine.MsgFaultDecision{}
 	}
 	f.run(t, func(tk *sim.Task) {
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
 		if err != nil || got != "ok" {
 			t.Errorf("call under dup: %v, %v", got, err)
 		}
@@ -126,7 +126,7 @@ func TestDuplicatedReplyDiscarded(t *testing.T) {
 		return machine.MsgFaultDecision{}
 	}
 	f.run(t, func(tk *sim.Task) {
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
 		if err != nil || got != "ok" {
 			t.Errorf("call under reply dup: %v, %v", got, err)
 		}
@@ -164,7 +164,7 @@ func TestNonIdempotentCallFailsFastOnDrop(t *testing.T) {
 	var elapsed sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil,
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil,
 			CallOpts{Timeout: 2 * sim.Millisecond, NoHint: true})
 		elapsed = tk.Now() - start
 		if !errors.Is(err, ErrTimeout) {
@@ -199,7 +199,7 @@ func TestRetryBackoffExhaustsToTimeout(t *testing.T) {
 	f.eps[0].HintSink = func(cell int, reason string) { hints++ }
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{Timeout: budget})
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{Timeout: budget})
 		elapsed = tk.Now() - start
 		if !errors.Is(err, ErrTimeout) {
 			t.Errorf("err = %v, want ErrTimeout", err)
@@ -228,14 +228,14 @@ func TestLateReplyDiscardedAndIDsNeverReused(t *testing.T) {
 		}, Queued())
 	registerNull(f.eps[1])
 	f.run(t, func(tk *sim.Task) {
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil,
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil,
 			CallOpts{Timeout: sim.Millisecond, NoHint: true})
 		if !errors.Is(err, ErrTimeout) {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
 		// A fresh call while the late reply is still in flight: it must
 		// complete with its own result, untouched by the late reply.
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{})
 		if err != nil || got != nil {
 			t.Errorf("fresh call: %v, %v", got, err)
 		}
@@ -262,7 +262,7 @@ func TestShutdownMidCallReturnsCleanError(t *testing.T) {
 	var elapsed sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil, CallOpts{})
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil, CallOpts{})
 		elapsed = tk.Now() - start
 		if !errors.Is(err, ErrShutdown) {
 			t.Errorf("err = %v, want ErrShutdown", err)
@@ -364,7 +364,7 @@ func TestRetryTakesFreshLine(t *testing.T) {
 	registerIdem(f.eps[1], &executions)
 	lines := watchLines(f, false, 2*RetryBaseTimeout)
 	f.run(t, func(tk *sim.Task) {
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
 		if err != nil || got != "ok" {
 			t.Errorf("call with a delayed first line: %v, %v", got, err)
 		}
@@ -386,7 +386,7 @@ func TestReplyResendTakesFreshLine(t *testing.T) {
 	registerIdem(f.eps[1], &executions)
 	lines := watchLines(f, true, 2*RetryBaseTimeout)
 	f.run(t, func(tk *sim.Task) {
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
 		if err != nil || got != "ok" {
 			t.Errorf("call with a delayed reply: %v, %v", got, err)
 		}
@@ -430,7 +430,7 @@ func TestReServiceAfterEvictionKeepsFirstReply(t *testing.T) {
 	var got any
 	var err error
 	f.run(t, func(tk *sim.Task) {
-		got, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+		got, _, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
 		f.nullCalls(t, dedupCap)(tk)
 	})
 	if executions != 2 {

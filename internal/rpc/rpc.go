@@ -29,8 +29,8 @@
 // retry and no line faulted by the machine's fault hook — puts its
 // Request back on its endpoint's freelist for the next call, so a handler
 // must not keep the *Request after it returns. Arguments and results that
-// fit in one Line travel by value (CallOpts.Arg, Request.Result,
-// CallOpts.Result), so such a call allocates nothing once its endpoint is
+// fit in one Line travel by value (CallOpts.Arg, Request.Result and Call's
+// Line result), so such a call allocates nothing once its endpoint is
 // warm.
 package rpc
 
@@ -139,7 +139,7 @@ type Request struct {
 	DataBytes int  // payload size; >128 engages copy/alloc costs
 	// Result is the by-value result: a handler that handles the request
 	// sets it before it returns, and the reply carries a copy back to
-	// CallOpts.Result.
+	// Call's caller.
 	Result Line
 	// Span is the causal trace span allocated by the client; the server
 	// side records its recv/reply events under the same id, so the merged
@@ -397,7 +397,6 @@ type CallOpts struct {
 	Timeout   sim.Time // overrides DefaultTimeout
 	NoHint    bool     // suppress failure hints (used by the prober)
 	Arg       Line     // the by-value argument (Request.Arg)
-	Result    *Line    // if set, receives the by-value result of an answered call
 }
 
 // newRequest takes a zeroed Request from the freelist, or makes one.
@@ -426,9 +425,16 @@ func (ep *Endpoint) remoteErr(text string) error {
 }
 
 // Call performs a synchronous RPC from task t (running on proc) to cell
-// `to`. It returns the handler's result or an error; timeouts and send
-// failures raise failure-detection hints unless suppressed. A remote
-// error keeps its text, not its server-side value.
+// `to`. It returns the handler's result and the by-value result its
+// handler set (Request.Result), or an error; timeouts and send failures
+// raise failure-detection hints unless suppressed. A remote error keeps
+// its text, not its server-side value.
+//
+// The by-value result comes back as a return value, not through a
+// pointer in opts: Call copies opts.Arg, whose Str points at the caller's
+// string, into the Request, and escape analysis treats the opts parameter
+// as one value, so any pointer in it would leak and move its target to
+// the heap.
 //
 // A call answered on the clean path recycles its Request: no retry, no
 // timeout, shutdown or kill, the reply that resolved it was the first
@@ -437,10 +443,10 @@ func (ep *Endpoint) remoteErr(text string) error {
 // of a line on the wire, and FaultDelay the only way to land one late).
 // Then nothing else can reach the Request. On every other path it is left
 // to the collector.
-func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID ProcID, args any, opts CallOpts) (any, error) {
+func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID ProcID, args any, opts CallOpts) (any, Line, error) {
 	callee, ok := ep.Peers[to]
 	if !ok {
-		return nil, fmt.Errorf("%w: unknown cell %d", ErrSendFailed, to)
+		return nil, Line{}, fmt.Errorf("%w: unknown cell %d", ErrSendFailed, to)
 	}
 	ep.nextID++
 	req := ep.newRequest()
@@ -500,7 +506,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 			if !opts.NoHint && ep.HintSink != nil {
 				ep.HintSink(to, "rpc send bus error")
 			}
-			return nil, fmt.Errorf("%w to cell %d: %v", ErrSendFailed, to, err)
+			return nil, Line{}, fmt.Errorf("%w to cell %d: %v", ErrSendFailed, to, err)
 		}
 		if attempt == 0 {
 			ep.Metrics.Cached(&ep.calls, "rpc.calls").Inc()
@@ -546,7 +552,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 		// clean local error — the callee is not a failure suspect.
 		ep.Metrics.Counter("rpc.shutdown_aborts").Inc()
 		ep.Tracer.EmitSpan(t.Now(), trace.RPCTimeout, req.Span, int64(to), int64(procID), "shutdown")
-		return nil, fmt.Errorf("%w: cell %d proc %d", ErrShutdown, to, procID)
+		return nil, Line{}, fmt.Errorf("%w: cell %d proc %d", ErrShutdown, to, procID)
 	}
 	if !ok2 {
 		ep.Metrics.Counter("rpc.timeouts").Inc()
@@ -554,7 +560,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 		if !opts.NoHint && ep.HintSink != nil {
 			ep.HintSink(to, "rpc timeout")
 		}
-		return nil, fmt.Errorf("%w: cell %d proc %d", ErrTimeout, to, procID)
+		return nil, Line{}, fmt.Errorf("%w: cell %d proc %d", ErrTimeout, to, procID)
 	}
 
 	rep := val.(*reply)
@@ -566,17 +572,14 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 	proc.Use(t, stub)
 	ep.Tracer.EmitSpan(t.Now(), trace.RPCReply, req.Span, int64(to), int64(procID), "")
 	ep.histCall.ObserveTime(t.Now() - callStart)
-	result, err := rep.result, ep.remoteErr(rep.err)
-	if opts.Result != nil {
-		*opts.Result = rep.res
-	}
+	result, res, err := rep.result, rep.res, ep.remoteErr(rep.err)
 	if !req.shared {
 		// The recycled reply still names its request, so a stray line
 		// carrying it meets the mark.
 		*req = Request{recycled: true, rep: reply{req: req}}
 		ep.freeReqs = append(ep.freeReqs, req)
 	}
-	return result, err
+	return result, res, err
 }
 
 // onSIPS is the hardware receive handler: it runs in interrupt context on

@@ -58,7 +58,7 @@ func TestNullRPCLatency(t *testing.T) {
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{})
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{})
 		if err != nil {
 			t.Errorf("call: %v", err)
 		}
@@ -74,7 +74,7 @@ func TestNullRPCLatency(t *testing.T) {
 func (f *fixture) nullCalls(t testing.TB, n int) func(tk *sim.Task) {
 	return func(tk *sim.Task) {
 		for i := 0; i < n; i++ {
-			if _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{}); err != nil {
+			if _, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{}); err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return
 			}
@@ -101,7 +101,7 @@ func TestNullRPCAllocations(t *testing.T) {
 	f.run(t, func(tk *sim.Task) {
 		allocs = testing.AllocsPerRun(2000, func() { call(tk) })
 		errAllocs = testing.AllocsPerRun(2000, func() {
-			_, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
+			_, _, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
 		})
 	})
 	if allocs > 0 {
@@ -135,7 +135,7 @@ func TestRealRPCComponentLatency(t *testing.T) {
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, "hi", CallOpts{DataBytes: 64})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, "hi", CallOpts{DataBytes: 64})
 		if err != nil || got != "hi" {
 			t.Errorf("call: %v %v", got, err)
 		}
@@ -156,7 +156,7 @@ func TestOversizeRPCMatchesTable52(t *testing.T) {
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procBig, nil,
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procBig, nil,
 			CallOpts{DataBytes: 512})
 		if err != nil {
 			t.Errorf("call: %v", err)
@@ -176,7 +176,7 @@ func TestQueuedNullRPCLatency(t *testing.T) {
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procQueuedNull, nil, CallOpts{})
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procQueuedNull, nil, CallOpts{})
 		if err != nil {
 			t.Errorf("call: %v", err)
 		}
@@ -201,7 +201,7 @@ func TestIntrFallbackToQueued(t *testing.T) {
 			return "queued-result", 0, nil
 		})
 	f.run(t, func(tk *sim.Task) {
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procBlocky, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procBlocky, nil, CallOpts{})
 		if err != nil || got != "queued-result" {
 			t.Errorf("got %v, %v", got, err)
 		}
@@ -225,7 +225,7 @@ func TestCallToFailedCellTimesOutWithHint(t *testing.T) {
 		// processor so the send succeeds but no service runs.
 		f.m.Procs[1].Halt()
 		start = tk.Now()
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil,
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil,
 			CallOpts{Timeout: 500 * sim.Microsecond})
 		end = tk.Now()
 		if !errors.Is(err, ErrTimeout) {
@@ -248,7 +248,7 @@ func TestCallToFailStoppedNodeFailsFast(t *testing.T) {
 	var hints int
 	f.eps[0].HintSink = func(cell int, reason string) { hints++ }
 	f.run(t, func(tk *sim.Task) {
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{})
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil, CallOpts{})
 		if !errors.Is(err, ErrSendFailed) {
 			t.Errorf("err = %v", err)
 		}
@@ -261,7 +261,7 @@ func TestCallToFailStoppedNodeFailsFast(t *testing.T) {
 func TestNoServiceError(t *testing.T) {
 	f := newFixture(t, 2)
 	f.run(t, func(tk *sim.Task) {
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, ProcID(99), nil, CallOpts{})
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, ProcID(99), nil, CallOpts{})
 		if err == nil || err.Error() != ErrNoService.Error() {
 			t.Errorf("err = %v", err)
 		}
@@ -275,7 +275,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 			return nil, 0, fmt.Errorf("server says no")
 		})
 	f.run(t, func(tk *sim.Task) {
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procEcho, nil, CallOpts{})
 		if err == nil || err.Error() != "server says no" {
 			t.Errorf("err = %v", err)
 		}
@@ -294,7 +294,7 @@ func TestConcurrentCallsFromManyCells(t *testing.T) {
 		c := c
 		f.e.Go(fmt.Sprintf("client%d", c), func(tk *sim.Task) {
 			for i := 0; i < 10; i++ {
-				if _, err := f.eps[c].Call(tk, f.m.Procs[c], 0, procEcho, nil, CallOpts{}); err != nil {
+				if _, _, err := f.eps[c].Call(tk, f.m.Procs[c], 0, procEcho, nil, CallOpts{}); err != nil {
 					t.Errorf("cell %d call %d: %v", c, i, err)
 				}
 			}
@@ -311,7 +311,7 @@ func TestShutdownStopsService(t *testing.T) {
 	registerNull(f.eps[1])
 	f.eps[1].Shutdown()
 	f.run(t, func(tk *sim.Task) {
-		_, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil,
+		_, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procNull, nil,
 			CallOpts{Timeout: 200 * sim.Microsecond, NoHint: true})
 		if !errors.Is(err, ErrTimeout) {
 			t.Errorf("err = %v", err)
@@ -332,7 +332,7 @@ func TestQueuedHandlerMayBlock(t *testing.T) {
 	var lat sim.Time
 	f.run(t, func(tk *sim.Task) {
 		start := tk.Now()
-		got, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procBlocky, nil, CallOpts{})
+		got, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procBlocky, nil, CallOpts{})
 		lat = tk.Now() - start
 		if err != nil || got != "slow" {
 			t.Errorf("got %v, %v", got, err)
@@ -386,7 +386,7 @@ func TestTargetProcSkipsHalted(t *testing.T) {
 	ok := false
 	e.Go("client", func(tk *sim.Task) {
 		for i := 0; i < 4; i++ {
-			if _, err := ep0.Call(tk, m.Procs[0], 1, procNull, nil, CallOpts{}); err != nil {
+			if _, _, err := ep0.Call(tk, m.Procs[0], 1, procNull, nil, CallOpts{}); err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return
 			}

@@ -184,12 +184,15 @@ func (t *Task) exit() {
 // keeps everything it reaches alive. Each task is killed: a parked task
 // unwinds from its park, running its defers as under Kill, and a task that
 // was scheduled but never dispatched ends without running its body. A
-// genuine panic escaping a task's defers is re-raised, as dispatch does.
-// A defer may start a task; Stop ends it too, unrun. Then Stop ends every
-// idle coroutine. Defers may record trace events and move counters, so call
-// Stop after the last read of the simulation's state, and only outside Run.
-// A second Stop is a no-op; Run and Go on a stopped engine panic.
+// genuine panic escaping a task's defers is re-raised, as dispatch does;
+// one that Run already raised is not raised again, so Stop also ends an
+// engine one of whose tasks panicked. A defer may start a task; Stop ends
+// it too, unrun. Then Stop ends every idle coroutine. Defers may record
+// trace events and move counters, so call Stop after the last read of the
+// simulation's state, and only outside Run. A second Stop is a no-op; Run
+// and Go on a stopped engine panic.
 func (e *Engine) Stop() {
+	e.failure = nil
 	for len(e.tasks) > 0 {
 		t := e.tasks[len(e.tasks)-1]
 		t.killed = true

@@ -238,78 +238,110 @@ func TestSleepEventSlot(t *testing.T) {
 // Stop ends every live task whatever it is parked in, running each task's
 // defers exactly once, and every idle coroutine, and leaves no goroutine
 // behind. Two tasks finish before Stop, so their coroutines are idle; the
-// task started last, never dispatched, is handed one of them.
+// task started last, never dispatched, is handed the most recently idled
+// one. In the panicked case one more task sleeps and then panics, Run's
+// panic is recovered, and Stop must end the engine all the same without
+// raising that panic again.
 func TestStopEndsEveryTask(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e := NewEngine(1)
-	defers := map[string]int{}
-	var m Mutex
-	var slot *Event
-	var tasks []*Task
-	park := func(name string, body func(tk *Task)) {
-		tasks = append(tasks, e.Go(name, func(tk *Task) {
-			defer func() { defers[name]++ }()
-			body(tk)
-			t.Errorf("%s resumed past its park", name)
-		}))
-	}
-	park("Sleep", func(tk *Task) { tk.Sleep(1000) })
-	park("BlockTimeout", func(tk *Task) { tk.BlockTimeout(1000) })
-	park("SleepEvent", func(tk *Task) { tk.SleepEvent(1000, &slot) })
-	park("holder", func(tk *Task) { m.Lock(tk); tk.Block() })
-	park("Mutex", func(tk *Task) { tk.Sleep(1); m.Lock(tk) })
-	for _, name := range []string{"finished", "finished later"} {
-		e.Go(name, func(tk *Task) {
-			defer func() { defers[name]++ }()
-			tk.Sleep(2)
+	for _, panicked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("panicked=%v", panicked), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine(1)
+			defers := map[string]int{}
+			var m Mutex
+			var slot *Event
+			var tasks []*Task
+			park := func(name string, body func(tk *Task)) {
+				tasks = append(tasks, e.Go(name, func(tk *Task) {
+					defer func() { defers[name]++ }()
+					body(tk)
+					t.Errorf("%s resumed past its park", name)
+				}))
+			}
+			park("Sleep", func(tk *Task) { tk.Sleep(1000) })
+			park("BlockTimeout", func(tk *Task) { tk.BlockTimeout(1000) })
+			park("SleepEvent", func(tk *Task) { tk.SleepEvent(1000, &slot) })
+			park("holder", func(tk *Task) { m.Lock(tk); tk.Block() })
+			park("Mutex", func(tk *Task) { tk.Sleep(1); m.Lock(tk) })
+			finished := []string{"finished", "finished later"}
+			for _, name := range finished {
+				e.Go(name, func(tk *Task) {
+					defer func() { defers[name]++ }()
+					tk.Sleep(2)
+				})
+			}
+			if panicked {
+				finished = append(finished, "faulty")
+				e.Go("faulty", func(tk *Task) {
+					defer func() { defers["faulty"]++ }()
+					tk.Sleep(3)
+					panic("boom")
+				})
+				func() {
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "boom") {
+							t.Fatalf("Run raised %v, want the task's panic", r)
+						}
+					}()
+					e.Run(10)
+				}()
+			} else {
+				e.Run(10)
+			}
+			if got := len(e.idle); got != len(finished) {
+				t.Fatalf("%d idle coroutines after %d tasks finished, want %d", got, len(finished), len(finished))
+			}
+			reused := e.idle[len(e.idle)-1]
+			ran := false
+			unstarted := e.Go("unstarted", func(tk *Task) {
+				defer func() { defers["unstarted"]++ }()
+				ran = true
+			})
+			tasks = append(tasks, unstarted)
+			if unstarted.c != reused {
+				t.Fatal("the new task was not handed the most recently idled coroutine")
+			}
+			if got := e.LiveTasks(); got != len(tasks) {
+				t.Fatalf("LiveTasks = %d before Stop, want %d", got, len(tasks))
+			}
+
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("Stop panicked: %v", r)
+					}
+				}()
+				e.Stop()
+			}()
+			for _, name := range append([]string{"Sleep", "BlockTimeout", "SleepEvent", "holder", "Mutex"}, finished...) {
+				if defers[name] != 1 {
+					t.Errorf("%s: defers ran %d times, want 1", name, defers[name])
+				}
+			}
+			if ran || defers["unstarted"] != 0 {
+				t.Errorf("the never-dispatched task ran its body (ran=%v, defers=%d)", ran, defers["unstarted"])
+			}
+			for _, tk := range tasks {
+				if !tk.Done() || !tk.Killed() {
+					t.Errorf("%s: Done=%v Killed=%v, want both true", tk.Name(), tk.Done(), tk.Killed())
+				}
+			}
+			if got := e.LiveTasks(); got != 0 {
+				t.Errorf("LiveTasks = %d after Stop, want 0", got)
+			}
+			if got := len(e.idle); got != 0 {
+				t.Errorf("%d idle coroutines after Stop, want 0", got)
+			}
+			waitForGoroutines(t, base)
+
+			e.Stop() // a second Stop finds nothing to end
+			if defers["Sleep"] != 1 {
+				t.Errorf("the second Stop ran defers again: %v", defers)
+			}
+			mustPanic(t, "Run", func() { e.Run(0) })
+			mustPanic(t, "Go", func() { e.Go("late", func(*Task) {}) })
 		})
 	}
-	e.Run(10)
-	if got := len(e.idle); got != 2 {
-		t.Fatalf("%d idle coroutines after two tasks finished, want 2", got)
-	}
-	reused := e.idle[1]
-	ran := false
-	unstarted := e.Go("unstarted", func(tk *Task) {
-		defer func() { defers["unstarted"]++ }()
-		ran = true
-	})
-	tasks = append(tasks, unstarted)
-	if unstarted.c != reused {
-		t.Fatal("the new task was not handed the most recently idled coroutine")
-	}
-	if got := e.LiveTasks(); got != len(tasks) {
-		t.Fatalf("LiveTasks = %d before Stop, want %d", got, len(tasks))
-	}
-
-	e.Stop()
-	for _, name := range []string{"Sleep", "BlockTimeout", "SleepEvent", "holder", "Mutex", "finished", "finished later"} {
-		if defers[name] != 1 {
-			t.Errorf("%s: defers ran %d times, want 1", name, defers[name])
-		}
-	}
-	if ran || defers["unstarted"] != 0 {
-		t.Errorf("the never-dispatched task ran its body (ran=%v, defers=%d)", ran, defers["unstarted"])
-	}
-	for _, tk := range tasks {
-		if !tk.Done() || !tk.Killed() {
-			t.Errorf("%s: Done=%v Killed=%v, want both true", tk.Name(), tk.Done(), tk.Killed())
-		}
-	}
-	if got := e.LiveTasks(); got != 0 {
-		t.Errorf("LiveTasks = %d after Stop, want 0", got)
-	}
-	if got := len(e.idle); got != 0 {
-		t.Errorf("%d idle coroutines after Stop, want 0", got)
-	}
-	waitForGoroutines(t, base)
-
-	e.Stop() // a second Stop finds nothing to end
-	if defers["Sleep"] != 1 {
-		t.Errorf("the second Stop ran defers again: %v", defers)
-	}
-	mustPanic(t, "Run", func() { e.Run(0) })
-	mustPanic(t, "Go", func() { e.Go("late", func(*Task) {}) })
 }
 
 // A task that a defer starts while Stop unwinds its task never runs, on a

@@ -29,12 +29,17 @@ func (v *VM) addExtended(pf *Pfdat) {
 	v.extended[pf.Frame] = pf
 }
 
-// dropExtended forgets a remote frame's pfdat and keeps the borrowed
-// count in step.
+// dropExtended forgets a remote frame's pfdat, with the export counts
+// past one it had, and keeps the borrowed count in step.
 func (v *VM) dropExtended(frame machine.PageNum) {
-	if pf := v.extended[frame]; pf != nil && pf.BorrowedFrom >= 0 {
+	pf := v.extended[frame]
+	if pf == nil {
+		return
+	}
+	if pf.BorrowedFrom >= 0 {
 		v.borrowed--
 	}
+	v.forgetClients(pf, allCells)
 	delete(v.extended, frame)
 }
 

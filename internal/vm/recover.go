@@ -68,12 +68,11 @@ func (v *VM) RecoveryPhase2(t *sim.Task, failed int) (discarded int) {
 	for i := range v.regular {
 		pf := &v.regular[i]
 		f := pf.Frame
-		doomed := pf.writable[failed]
-		if len(pf.writable) > 0 {
+		doomed := pf.writable.has(failed)
+		if pf.writable != 0 {
 			v.M.SetFirewall(t, v.proc(f), f, v.homeMask(f))
 		}
-		pf.writable = nil
-		pf.exports = nil
+		v.forgetClients(pf, allCells)
 		if doomed && pf.Valid {
 			v.discardPage(pf)
 			discarded++
@@ -152,8 +151,7 @@ func (v *VM) InRecovery() bool { return v.holdFaults }
 // must not survive into c's next incarnation.
 func (v *VM) DropPeerState(c int) {
 	v.WalkFrames(func(pf *Pfdat) {
-		delete(pf.exports, c)
-		delete(pf.writable, c)
+		v.forgetClients(pf, cellOf(c))
 		if pf.LoanedTo == c {
 			v.setLoan(pf, -1)
 			v.M.ScrubPage(pf.Frame, 0)

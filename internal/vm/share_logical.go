@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/machine"
 	"repro/internal/rpc"
@@ -14,16 +15,36 @@ import (
 // the client allocates an extended pfdat so the rest of its kernel can
 // treat the remote page as local.
 
-// exportArgs is the wire argument of the page-fault/export RPC.
+// exportArgs is the wire argument of the page-fault/export and release
+// RPCs. It travels by value in the request's line: the object number,
+// the offset, then the client, home, kind and writable flag packed into
+// the third word (see line).
 type exportArgs struct {
 	LP       LogicalPage
 	Client   int
 	Writable bool
 }
 
-// exportReply returns the page's physical address to the client (§5.2).
-type exportReply struct {
-	Frame machine.PageNum
+// The fields of exportArgs' third word: the client, the home and the
+// kind in six bits each (a hive has at most 64 cells), then the writable
+// bit. No other bit may be set.
+const (
+	exportFieldBits = 6
+	exportFieldMask = 1<<exportFieldBits - 1
+	exportHomeShift = exportFieldBits
+	exportKindShift = 2 * exportFieldBits
+	exportWritable  = 1 << (3 * exportFieldBits)
+	exportWordMask  = exportWritable<<1 - 1
+)
+
+// line encodes a as a request's by-value argument. The client and home
+// are cells and the kind an ObjKind, each in [0, 64).
+func (a exportArgs) line() rpc.Line {
+	w := int64(a.Client) | int64(a.LP.Obj.Home)<<exportHomeShift | int64(a.LP.Obj.Kind)<<exportKindShift
+	if a.Writable {
+		w |= exportWritable
+	}
+	return rpc.Line{W: [3]int64{int64(a.LP.Obj.Num), a.LP.Off, w}}
 }
 
 // Export records that client now accesses the data page held by pf and, if
@@ -32,16 +53,17 @@ type exportReply struct {
 // extra cost when running at interrupt level (engine context), or performs
 // the blocking variant when t is non-nil.
 func (v *VM) Export(t *sim.Task, pf *Pfdat, client int, writable bool) (sim.Time, error) {
-	if pf.exports == nil {
-		pf.exports = make(map[int]int)
-	}
-	pf.exports[client]++
-	cost := MiscVMDataHome + ExportCost
-	if writable && !pf.writable[client] {
-		if pf.writable == nil {
-			pf.writable = make(map[int]bool)
+	if pf.exports.has(client) {
+		if v.extraExports == nil {
+			v.extraExports = make(map[exportRef]int)
 		}
-		pf.writable[client] = true
+		v.extraExports[exportRef{pf.Frame, client}]++
+	} else {
+		pf.exports |= cellOf(client)
+	}
+	cost := MiscVMDataHome + ExportCost
+	if writable && !pf.writable.has(client) {
+		pf.writable |= cellOf(client)
 		c, err := v.setFirewall(t, pf, v.M.Firewall(pf.Frame)|v.clientMask(client))
 		if err != nil {
 			return 0, err
@@ -96,7 +118,7 @@ func (v *VM) setFirewall(t *sim.Task, pf *Pfdat, bits uint64) (sim.Time, error) 
 		return 0, fmt.Errorf("firewall change on borrowed frame needs queued path")
 	}
 	home := v.CellOfNode[v.M.HomeNode(frame)]
-	_, err := v.EP.Call(t, v.anyProc(), home, ProcFirewall,
+	_, _, err := v.EP.Call(t, v.anyProc(), home, ProcFirewall,
 		&firewallArgs{Frame: frame, Bits: bits}, rpc.CallOpts{DataBytes: 32})
 	return 0, err
 }
@@ -139,8 +161,8 @@ func (v *VM) Release(t *sim.Task, pf *Pfdat) {
 	pf.ImpWritable = false
 	v.Metrics.Counter("vm.releases").Inc()
 	//hive:lint-ignore errdrop release notification is best-effort: if the data home is dead its export table dies with it, and recovery rebuilds the survivors' tables
-	v.EP.Call(t, v.anyProc(), home, ProcRelease,
-		&exportArgs{LP: pf.LP, Client: v.CellID}, rpc.CallOpts{DataBytes: 48, NoHint: true})
+	v.EP.Call(t, v.anyProc(), home, ProcRelease, nil,
+		rpc.CallOpts{DataBytes: 48, NoHint: true, Arg: exportArgs{LP: pf.LP, Client: v.CellID}.line()})
 }
 
 // ImportRemote performs the client side of a remote page fault: the export
@@ -148,45 +170,57 @@ func (v *VM) Release(t *sim.Task, pf *Pfdat) {
 // call it from their resolvers. The RPC carries more than one line of data
 // (page descriptors), engaging the Table 5.2 copy/alloc costs.
 func (v *VM) ImportRemote(t *sim.Task, lp LogicalPage, writable bool) (*Pfdat, error) {
-	res, err := v.EP.Call(t, v.anyProc(), lp.Obj.Home, ProcExport,
-		&exportArgs{LP: lp, Client: v.CellID, Writable: writable},
-		rpc.CallOpts{DataBytes: 256})
+	_, res, err := v.EP.Call(t, v.anyProc(), lp.Obj.Home, ProcExport, nil,
+		rpc.CallOpts{DataBytes: 256, Arg: exportArgs{LP: lp, Client: v.CellID, Writable: writable}.line()})
 	if err != nil {
 		return nil, err
 	}
-	rep, err := v.validateExportReply(res)
+	frame, err := v.validateExportReply(res)
 	if err != nil {
 		return nil, err
 	}
-	return v.Import(t, rep.Frame, lp.Obj.Home, lp, writable), nil
+	return v.Import(t, frame, lp.Obj.Home, lp, writable), nil
 }
 
-// validateExportReply sanity-checks an export reply as the
-// careful-message discipline requires, before the frame number a peer
-// chose enters our page cache. The frame must exist; it need not be
-// owned by the data home, since a data home may legally serve a page
-// cached in a borrowed frame (§5.5: a frame can be simultaneously
-// borrowed and exported).
-func (v *VM) validateExportReply(res any) (*exportReply, error) {
-	rep, ok := res.(*exportReply)
-	if !ok {
-		return nil, fmt.Errorf("%w: bad export reply", ErrBadPage)
+// validateExportReply sanity-checks an export reply, the page's frame
+// in its first word (§5.2), as the careful-message discipline requires,
+// before the frame number a peer chose enters our page cache. The frame
+// must exist; it need not be owned by the data home, since a data home
+// may legally serve a page cached in a borrowed frame (§5.5: a frame can
+// be simultaneously borrowed and exported).
+func (v *VM) validateExportReply(res rpc.Line) (machine.PageNum, error) {
+	frame := machine.PageNum(res.W[0])
+	if !v.frameExists(frame) {
+		return 0, fmt.Errorf("%w: export reply frame %d out of range",
+			ErrBadPage, frame)
 	}
-	if !v.frameExists(rep.Frame) {
-		return nil, fmt.Errorf("%w: export reply frame %d out of range",
-			ErrBadPage, rep.Frame)
-	}
-	return rep, nil
+	return frame, nil
 }
 
-// validateExportArgs vets an export/page-fault request from another
-// cell: we must be the data home for the page it names, and the client
-// must be the cell that actually sent the request — a corrupt cell must
-// not be able to charge export references to an innocent third cell.
-func (v *VM) validateExportArgs(req *rpc.Request) (*exportArgs, error) {
-	args, ok := req.Args.(*exportArgs)
-	if !ok || args.LP.Obj.Home != v.CellID || args.Client != req.From {
-		return nil, ErrBadPage
+// validateExportArgs decodes and vets an export/page-fault or release
+// request from another cell: the third word may set no bit outside its
+// fields and the line carries no string, so two different lines never
+// decode to the same request; we must be the data home for the page it
+// names, and the client must be the cell that actually sent the request
+// — a corrupt cell must not be able to charge export references to an
+// innocent third cell.
+func (v *VM) validateExportArgs(req *rpc.Request) (exportArgs, error) {
+	w := req.Arg.W[2]
+	if w&^exportWordMask != 0 || req.Arg.Str != "" {
+		return exportArgs{}, ErrBadPage
+	}
+	obj := ObjID{
+		Kind: ObjKind(w >> exportKindShift & exportFieldMask),
+		Home: int(w >> exportHomeShift & exportFieldMask),
+		Num:  uint64(req.Arg.W[0]),
+	}
+	args := exportArgs{
+		LP:       LogicalPage{Obj: obj, Off: req.Arg.W[1]},
+		Client:   int(w & exportFieldMask),
+		Writable: w&exportWritable != 0,
+	}
+	if args.LP.Obj.Home != v.CellID || args.Client != req.From {
+		return exportArgs{}, ErrBadPage
 	}
 	return args, nil
 }
@@ -218,7 +252,7 @@ func (v *VM) serveExport(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 	pf, hit := v.hash[args.LP]
 	v.unlock(t)
 	switch {
-	case t == nil && (!hit || args.Writable && !pf.writable[args.Client] && !v.localFrame(pf.Frame)):
+	case t == nil && (!hit || args.Writable && !pf.writable.has(args.Client) && !v.localFrame(pf.Frame)):
 		return nil, 0, rpc.ErrQueue
 	case !hit:
 		res := v.resolvers[args.LP.Obj.Kind]
@@ -238,7 +272,8 @@ func (v *VM) serveExport(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 	if t == nil {
 		v.Metrics.Counter("vm.export_intr").Inc()
 	}
-	return &exportReply{Frame: pf.Frame}, cost, nil
+	req.Result = rpc.Line{W: [3]int64{int64(pf.Frame)}}
+	return nil, cost, nil
 }
 
 // serveRelease drops the requesting client's export reference. A
@@ -249,7 +284,7 @@ func (v *VM) serveRelease(t *sim.Task, req *rpc.Request) (any, sim.Time, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	if pf, ok := v.hash[args.LP]; t == nil && ok && pf.writable[args.Client] && !v.localFrame(pf.Frame) {
+	if pf, ok := v.hash[args.LP]; t == nil && ok && pf.writable.has(args.Client) && !v.localFrame(pf.Frame) {
 		return nil, 0, rpc.ErrQueue
 	}
 	if !v.lock(t) {
@@ -295,22 +330,38 @@ func (v *VM) validateFirewallArgs(req *rpc.Request) (*firewallArgs, error) {
 // revocation (if any) is local; no one then pays its cost (DESIGN §6).
 func (v *VM) dropExport(t *sim.Task, lp LogicalPage, client int) {
 	pf, ok := v.hash[lp]
-	if !ok {
+	if !ok || !pf.exports.has(client) {
 		return
 	}
-	if pf.exports[client] > 0 {
-		pf.exports[client]--
+	ref := exportRef{pf.Frame, client}
+	if n := v.extraExports[ref]; n > 0 {
+		if n == 1 {
+			delete(v.extraExports, ref)
+		} else {
+			v.extraExports[ref] = n - 1
+		}
+		return
 	}
-	if pf.exports[client] == 0 {
-		delete(pf.exports, client)
-		if pf.writable[client] {
-			delete(pf.writable, client)
-			// The owning cell always retains access.
-			bits := v.M.Firewall(pf.Frame)&^v.clientMask(client) | v.homeMask(pf.Frame)
-			//hive:lint-ignore errdrop revocation failure means the frame's memory home is unreachable; recovery rewrites every surviving firewall wholesale (§4.2)
-			v.setFirewall(t, pf, bits)
+	writable := pf.writable.has(client)
+	v.forgetClients(pf, cellOf(client))
+	if writable {
+		// The owning cell always retains access.
+		mask := v.M.Firewall(pf.Frame)&^v.clientMask(client) | v.homeMask(pf.Frame)
+		//hive:lint-ignore errdrop revocation failure means the frame's memory home is unreachable; recovery rewrites every surviving firewall wholesale (§4.2)
+		v.setFirewall(t, pf, mask)
+	}
+}
+
+// forgetClients drops clients from pf's export and writable sets, with
+// their export counts past one. It changes no firewall.
+func (v *VM) forgetClients(pf *Pfdat, clients cellSet) {
+	if len(v.extraExports) > 0 {
+		for s := uint64(pf.exports & clients); s != 0; s &= s - 1 {
+			delete(v.extraExports, exportRef{pf.Frame, bits.TrailingZeros64(s)})
 		}
 	}
+	pf.exports &^= clients
+	pf.writable &^= clients
 }
 
 // firewallArgs asks a memory home to change a loaned frame's firewall.

@@ -95,7 +95,7 @@ func (v *VM) FreeFrame(t *sim.Task, f machine.PageNum) {
 // returns one of them, pooling the rest (Table 5.1: borrow_frame).
 func (v *VM) BorrowFrom(t *sim.Task, home int) (machine.PageNum, error) {
 	v.anyProc().Use(t, BorrowCost)
-	res, err := v.EP.Call(t, v.anyProc(), home, ProcBorrow,
+	res, _, err := v.EP.Call(t, v.anyProc(), home, ProcBorrow,
 		&borrowArgs{Client: v.CellID, Count: v.BorrowBatch},
 		rpc.CallOpts{DataBytes: 192})
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/machine"
@@ -82,6 +82,11 @@ func (lp LogicalPage) String() string {
 // logical page id to a physical frame. Regular pfdats describe local
 // frames; extended pfdats are allocated dynamically for remote frames a
 // cell has imported (logical level) or borrowed (physical level).
+//
+// Each cell keeps one regular pfdat per local frame for its whole life, so
+// the struct's size sizes every boot's tables: the five flags sit
+// together after LP, and the data home's export bookkeeping is two cell
+// sets, keeping a Pfdat at 96 bytes.
 type Pfdat struct {
 	Frame machine.PageNum
 	LP    LogicalPage
@@ -91,13 +96,22 @@ type Pfdat struct {
 	// Extended marks a dynamically allocated pfdat for a remote frame.
 	Extended bool
 
-	// Logical-level sharing state (data home side).
-	exports  map[int]int  // client cell -> reference count
-	writable map[int]bool // client cells granted firewall write access
+	// ImpWritable is client-side logical-level sharing state: this cell
+	// requested write access to the page it imported.
+	ImpWritable bool
+
+	// Kernel marks frames reserved for kernel text/data: never granted
+	// remote write access and never loaned.
+	Kernel bool
+
+	// Logical-level sharing state (data home side): the client cells
+	// importing the page, and those granted firewall write access. A
+	// client that imports the page more than once has its count past one
+	// in VM.extraExports.
+	exports, writable cellSet
 
 	// Logical-level sharing state (client side).
-	ImportedFrom int  // data home cell, or -1
-	ImpWritable  bool // this cell requested write access
+	ImportedFrom int // data home cell, or -1
 
 	// Physical-level sharing state. The two state machines use separate
 	// storage so a frame can be loaned out and imported back at once
@@ -108,34 +122,56 @@ type Pfdat struct {
 	// Refs counts local mappings/uses; the page cannot be freed or its
 	// import released while nonzero.
 	Refs int
-
-	// Kernel marks frames reserved for kernel text/data: never granted
-	// remote write access and never loaned.
-	Kernel bool
 }
 
 func newPfdat(frame machine.PageNum) *Pfdat {
 	return &Pfdat{Frame: frame, ImportedFrom: -1, LoanedTo: -1, BorrowedFrom: -1}
 }
 
+// cellSet is a set of cell IDs, one bit per cell: a hive has at most 64
+// cells.
+type cellSet uint64
+
+// allCells holds every cell.
+const allCells = ^cellSet(0)
+
+// cellOf returns the set of cell c alone. It panics on a cell outside
+// [0, 64): callers pass cell IDs a validator or the kernel's own tables
+// produced, so such a cell is a bug.
+func cellOf(c int) cellSet {
+	if uint(c) >= 64 {
+		panic(fmt.Sprintf("vm: cell %d outside a 64-cell set", c))
+	}
+	return 1 << c
+}
+
+// has reports whether cell c is in the set.
+func (s cellSet) has(c int) bool { return uint(c) < 64 && s&(1<<c) != 0 }
+
 // Exported reports whether any client cell currently imports this page.
-func (p *Pfdat) Exported() bool { return len(p.exports) > 0 }
+func (p *Pfdat) Exported() bool { return p.exports != 0 }
 
 // ExportedTo reports whether the given cell imports this page.
-func (p *Pfdat) ExportedTo(cell int) bool { return p.exports[cell] > 0 }
+func (p *Pfdat) ExportedTo(cell int) bool { return p.exports.has(cell) }
 
 // WritableBy reports whether the given cell has write access to the page.
-func (p *Pfdat) WritableBy(cell int) bool { return p.writable[cell] }
+func (p *Pfdat) WritableBy(cell int) bool { return p.writable.has(cell) }
 
 // ExportClients returns the client cells importing this page, ascending
 // — the deterministic iteration order for auditing and recovery sweeps.
 func (p *Pfdat) ExportClients() []int {
-	out := make([]int, 0, len(p.exports))
-	for c := range p.exports {
-		out = append(out, c)
+	out := make([]int, 0, bits.OnesCount64(uint64(p.exports)))
+	for s := uint64(p.exports); s != 0; s &= s - 1 {
+		out = append(out, bits.TrailingZeros64(s))
 	}
-	sort.Ints(out)
 	return out
+}
+
+// exportRef names one client's imports of the page in one frame: the key
+// of an export count past one.
+type exportRef struct {
+	frame  machine.PageNum
+	client int
 }
 
 // Errors returned by the VM layer.

@@ -48,6 +48,13 @@ type VM struct {
 	free      []machine.PageNum
 	resolvers map[ObjKind]Resolver
 
+	// extraExports counts a client's imports of a page past the first,
+	// which the page's export set records (Pfdat.exports). No workload
+	// exports a page twice to one client, so it stays empty and is made
+	// on first use. It lives here, not in each Pfdat, so that the
+	// regular tables every boot allocates do not grow.
+	extraExports map[exportRef]int
+
 	// borrowed and loaned count the pfdats with BorrowedFrom >= 0 and
 	// LoanedTo >= 0. They change only where those fields change
 	// (setLoan, addExtended, dropExtended), so reading them costs O(1);
@@ -321,7 +328,7 @@ func (v *VM) FreeList() []machine.PageNum {
 func (v *VM) RemotelyWritablePages() int {
 	n := 0
 	for i := range v.regular {
-		if len(v.regular[i].writable) > 0 {
+		if v.regular[i].writable != 0 {
 			n++
 		}
 	}

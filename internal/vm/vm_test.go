@@ -2,8 +2,11 @@ package vm
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/rpc"
@@ -44,9 +47,13 @@ type fixture struct {
 	eps []*rpc.Endpoint
 }
 
+// newFixture builds `cells` single-node cells. Its engine stops when the
+// test ends, so a fuzz run that builds one per input does not keep every
+// one's tasks.
 func newFixture(t testing.TB, cells int) *fixture {
 	t.Helper()
 	e := sim.NewEngine(21)
+	t.Cleanup(e.Stop)
 	cfg := machine.DefaultConfig()
 	cfg.Nodes = cells
 	cfg.MemPerNodeMB = 2
@@ -523,7 +530,7 @@ func TestFirewallServiceRejectsNonBorrower(t *testing.T) {
 			t.Fatalf("borrow: %v", err)
 		}
 		// Cell 2 (not the borrower) tries to open the firewall.
-		_, err = f.eps[2].Call(tk, f.m.Procs[2], 0, ProcFirewall,
+		_, _, err = f.eps[2].Call(tk, f.m.Procs[2], 0, ProcFirewall,
 			&firewallArgs{Frame: frame, Bits: ^uint64(0)}, rpc.CallOpts{})
 		if err == nil {
 			t.Error("non-borrower firewall change accepted")
@@ -542,7 +549,7 @@ func TestMemoryHomeRejectsForgedFrameNumbers(t *testing.T) {
 	v := f.vms[0]
 	f.run(t, func(tk *sim.Task) {
 		for _, frame := range forgedFrames(f.m) {
-			if _, err := v.validateExportReply(&exportReply{Frame: frame}); !errors.Is(err, ErrBadPage) {
+			if _, err := v.validateExportReply(rpc.Line{W: [3]int64{int64(frame)}}); !errors.Is(err, ErrBadPage) {
 				t.Errorf("export reply with frame %d: err = %v, want ErrBadPage", frame, err)
 			}
 			if _, err := v.validateBorrowReply(&borrowReply{Frames: []machine.PageNum{frame}}, 1); !errors.Is(err, ErrBadPage) {
@@ -556,7 +563,7 @@ func TestMemoryHomeRejectsForgedFrameNumbers(t *testing.T) {
 				{"vm.return", ProcReturn, &returnArgs{Client: 1, Frames: []machine.PageNum{frame}}},
 				{"vm.firewall", ProcFirewall, &firewallArgs{Frame: frame, Bits: ^uint64(0)}},
 			} {
-				_, err := f.eps[1].Call(tk, f.m.Procs[1], 0, req.proc, req.args, rpc.CallOpts{})
+				_, _, err := f.eps[1].Call(tk, f.m.Procs[1], 0, req.proc, req.args, rpc.CallOpts{})
 				if err == nil || !strings.Contains(err.Error(), ErrBadPage.Error()) {
 					t.Errorf("%s with frame %d: err = %v, want ErrBadPage", req.name, frame, err)
 				}
@@ -803,4 +810,151 @@ func TestMigratePageRefusesSharedOrPinned(t *testing.T) {
 			t.Error("migrated an exported page")
 		}
 	})
+}
+
+// TestExportCountPastOne exports a page twice to one client, writable,
+// the path no workload reaches: the client's first release leaves the
+// page exported to it and writable by it, and the second revokes its
+// write access and restores the home mask.
+func TestExportCountPastOne(t *testing.T) {
+	f := newFixture(t, 2)
+	v, lp := f.vms[0], filePage(0, 12, 0)
+	release := func(tk *sim.Task) {
+		if _, _, err := f.eps[1].Call(tk, f.m.Procs[1], 0, ProcRelease, nil,
+			rpc.CallOpts{DataBytes: 48, Arg: exportArgs{LP: lp, Client: 1}.line()}); err != nil {
+			t.Errorf("release: %v", err)
+		}
+	}
+	f.run(t, func(tk *sim.Task) {
+		frame, err := v.AllocFrame(tk)
+		if err != nil {
+			t.Errorf("alloc: %v", err)
+			return
+		}
+		pf := v.InsertLocal(lp, frame, false)
+		for i := 0; i < 2; i++ {
+			if _, err := v.Export(tk, pf, 1, true); err != nil {
+				t.Errorf("export %d: %v", i, err)
+			}
+		}
+		open := v.homeMask(frame) | v.clientMask(1)
+		if got := f.m.Firewall(frame); got != open {
+			t.Errorf("firewall after two writable exports = %#x, want %#x", got, open)
+		}
+		release(tk)
+		if !pf.ExportedTo(1) || !pf.WritableBy(1) || f.m.Firewall(frame) != open {
+			t.Errorf("after one of two releases: exported %v, writable %v, firewall %#x; want true, true, %#x",
+				pf.ExportedTo(1), pf.WritableBy(1), f.m.Firewall(frame), open)
+		}
+		release(tk)
+		if pf.Exported() || pf.WritableBy(1) || f.m.Firewall(frame) != v.homeMask(frame) {
+			t.Errorf("after both releases: exported %v, writable %v, firewall %#x; want false, false, %#x",
+				pf.Exported(), pf.WritableBy(1), f.m.Firewall(frame), v.homeMask(frame))
+		}
+		if len(v.extraExports) != 0 {
+			t.Errorf("export counts left behind: %v", v.extraExports)
+		}
+	})
+}
+
+// TestExportArgsRoundTrip checks the export and release line: every
+// kind, home and client in [0, 64), with both writable values, decodes to
+// itself at the home it names from the client that sent it; a forged
+// home, a forged client, a stray bit in the third word and a string are
+// each rejected with ErrBadPage.
+func TestExportArgsRoundTrip(t *testing.T) {
+	for home := 0; home < 64; home++ {
+		v := &VM{CellID: home}
+		for client := 0; client < 64; client++ {
+			req := &rpc.Request{From: client}
+			for kind := 0; kind < 64; kind++ {
+				for _, writable := range []bool{false, true} {
+					want := exportArgs{
+						LP:       LogicalPage{Obj: ObjID{Kind: ObjKind(kind), Home: home, Num: math.MaxUint64 - uint64(client)}, Off: int64(kind) - 1},
+						Client:   client,
+						Writable: writable,
+					}
+					req.Arg = want.line()
+					if got, err := v.validateExportArgs(req); err != nil || got != want {
+						t.Fatalf("%+v decoded to %+v, %v", want, got, err)
+					}
+				}
+			}
+		}
+	}
+	v := &VM{CellID: 0}
+	good := exportArgs{LP: filePage(0, 3, 4), Client: 1, Writable: true}
+	forged := map[string]rpc.Line{
+		"home":   exportArgs{LP: filePage(2, 3, 4), Client: 1}.line(),
+		"client": exportArgs{LP: filePage(0, 3, 4), Client: 2}.line(),
+		"string": {Str: "x", W: good.line().W},
+	}
+	for bit := 19; bit < 64; bit++ {
+		l := good.line()
+		l.W[2] |= 1 << bit
+		forged[fmt.Sprintf("bit %d", bit)] = l
+	}
+	for name, l := range forged {
+		if _, err := v.validateExportArgs(&rpc.Request{From: 1, Arg: l}); !errors.Is(err, ErrBadPage) {
+			t.Errorf("%s forged: err = %v, want ErrBadPage", name, err)
+		}
+	}
+}
+
+// TestPfdatSize pins the pfdat at 96 bytes: every cell allocates one
+// regular pfdat per local frame at boot (New's regular table, 8,192 per
+// 32 MB node), so each byte here is 8 KB of every boot.
+func TestPfdatSize(t *testing.T) {
+	if got := unsafe.Sizeof(Pfdat{}); got != 96 {
+		t.Errorf("a Pfdat is %d bytes, want 96", got)
+	}
+}
+
+// remoteFault returns a task body that faults lp, homed on cell 1, from
+// cell 0 n times and drops each reference at once: an export round trip,
+// an import and a release round trip each time.
+func (f *fixture) remoteFault(t testing.TB, lp LogicalPage, write bool, n int) func(tk *sim.Task) {
+	return func(tk *sim.Task) {
+		for i := 0; i < n; i++ {
+			pf, err := f.vms[0].Fault(tk, lp, write)
+			if err != nil {
+				t.Errorf("remote fault %d: %v", i, err)
+				return
+			}
+			f.vms[0].Unref(tk, pf)
+		}
+	}
+}
+
+// TestRemoteFaultAllocations checks that a remote fault that hits in the
+// data home's cache, with the release that follows it, allocates one
+// object, the client's extended pfdat: the export and release requests
+// come from the endpoint's freelist, their arguments and the export's
+// frame travel by value, and the data home records the client in the
+// page's cell sets.
+func TestRemoteFaultAllocations(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		f := newFixture(t, 2)
+		lp := filePage(1, 7, 0)
+		f.run(t, f.remoteFault(t, lp, write, 100))
+		fault := f.remoteFault(t, lp, write, 1)
+		var allocs float64
+		f.run(t, func(tk *sim.Task) {
+			allocs = testing.AllocsPerRun(1000, func() { fault(tk) })
+		})
+		if allocs != 1 {
+			t.Errorf("a warm remote fault and release (write %v) allocate %v times, want 1 (the extended pfdat)", write, allocs)
+		}
+	}
+}
+
+// BenchmarkRemoteFault measures a remote fault that hits in the data
+// home's cache, with its release.
+func BenchmarkRemoteFault(b *testing.B) {
+	b.ReportAllocs()
+	f := newFixture(b, 2)
+	lp := filePage(1, 7, 0)
+	f.run(b, f.remoteFault(b, lp, false, 100))
+	b.ResetTimer()
+	f.run(b, f.remoteFault(b, lp, false, b.N))
 }
