@@ -34,8 +34,9 @@ lint-report:
 # check is the tier-1 gate: build, gofmt (any file it lists fails), vet,
 # hivelint, full test suite, one pass of the state-scan benchmarks (the
 # trace merge, the invariant scan and the forensic fold), of the sim
-# engine benchmarks, of the null-RPC round trip, of the remote stat and
-# of the remote fault (so they keep compiling and running), the race
+# engine benchmarks, of the null-RPC round trip, of the remote stat, of
+# the remote fault and of the local fault hit (so they keep compiling
+# and running), the race
 # detector over the same
 # packages as CI's race job (`make race`: the parallel trial runner, the
 # engine it drives and the fault-injection determinism gates), the
@@ -51,7 +52,7 @@ check: build
 	$(GO) run ./cmd/hivelint -budget 30s
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Merged|CheckInvariants|Analyze' -benchtime 1x ./internal/trace ./internal/core ./internal/forensic
-	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC|RemoteStat|RemoteFault' -benchtime 1x ./internal/sim ./internal/rpc ./internal/fs ./internal/vm
+	$(GO) test -run '^$$' -bench 'Engine|Event|Task|NullRPC|RemoteStat|RemoteFault|FaultHit' -benchtime 1x ./internal/sim ./internal/rpc ./internal/fs ./internal/vm
 	$(MAKE) race
 	$(MAKE) mort-check
 	$(MAKE) bench-gate
@@ -108,13 +109,14 @@ race:
 
 # bench-engine tracks the simulator's own hot paths (events/sec, allocs),
 # the interrupt-level null RPC round trip built on them, the remote stat
-# probe (pmake's commonest kernel path) built on that, and the remote page
-# fault with its release (an export and a release round trip).
+# probe (pmake's commonest kernel path) built on that, the remote page
+# fault with its release (an export and a release round trip), and the
+# local fault hit (a pfdat hash lookup).
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkEvent|BenchmarkTask' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkNullRPC' -benchmem ./internal/rpc/
 	$(GO) test -run xxx -bench 'BenchmarkRemoteStat' -benchmem ./internal/fs/
-	$(GO) test -run xxx -bench 'BenchmarkRemoteFault' -benchmem ./internal/vm/
+	$(GO) test -run xxx -bench 'BenchmarkRemoteFault|BenchmarkFaultHit' -benchmem ./internal/vm/
 
 # bench-report writes the machine-readable experiment report.
 # BENCH_hive.json is committed as the tracked baseline; rerun this target

@@ -15,9 +15,9 @@ import (
 //
 // Invariants checked:
 //
-//  1. Hash/frames coherence: every page-cache entry is Valid and its frame
-//     record points back at the same pfdat; reference counts are
-//     non-negative.
+//  1. Hash/frames coherence: every page-cache entry is Valid, is found
+//     under its own label and in no second slot, and its frame record
+//     points back at the same pfdat; reference counts are non-negative.
 //  2. Free-pool hygiene: free frames are not Valid, not loaned, and appear
 //     at most once.
 //  3. Ownership: every frame is controlled by exactly one live cell — its
@@ -39,24 +39,28 @@ func (h *Hive) CheckInvariants() []string {
 	for f := range controller {
 		controller[f] = -1
 	}
-	// pages[c] is live cell c's page-cache hash in sorted order, shared
+	// pages[c] is live cell c's page-cache hash in label order, shared
 	// by invariants 1 and 4; inFree marks the frames of the free pool
 	// being audited.
-	pages := make([][]vm.LogicalPage, len(h.Cells))
+	pages := make([][]*vm.Pfdat, len(h.Cells))
 	inFree := make([]bool, h.M.NumPages())
 	for _, c := range h.LiveCells() {
 		v := c.VM
 
-		// 1. Hash/frames coherence. Maps are audited in sorted key
-		// order so the violation report is deterministic.
-		pages[c.ID] = v.HashPages()
-		for _, lp := range pages[c.ID] {
-			pf, _ := v.Lookup(lp)
+		// 1. Hash/frames coherence. The hash is audited in label order
+		// so the violation report is deterministic; a pfdat in two slots
+		// sorts next to itself.
+		pages[c.ID] = v.HashEntries()
+		for i, pf := range pages[c.ID] {
+			lp := pf.LP
 			if !pf.Valid {
 				report("cell%d: hash entry %v not Valid", c.ID, lp)
 			}
-			if pf.LP != lp {
-				report("cell%d: hash entry %v binds pfdat labelled %v", c.ID, lp, pf.LP)
+			if got, _ := v.Lookup(lp); got != pf {
+				report("cell%d: hash entry %v is not found under its own label", c.ID, lp)
+			}
+			if i > 0 && pages[c.ID][i-1] == pf {
+				report("cell%d: hash entry %v sits in two slots", c.ID, lp)
 			}
 			if got, ok := v.PfdatFor(pf.Frame); !ok || got != pf {
 				report("cell%d: frame %d record does not match hash entry %v", c.ID, pf.Frame, lp)
@@ -128,8 +132,8 @@ func (h *Hive) CheckInvariants() []string {
 
 	// 4. Export/import symmetry among live cells.
 	for _, c := range h.LiveCells() {
-		for _, lp := range pages[c.ID] {
-			pf, _ := c.VM.Lookup(lp)
+		for _, pf := range pages[c.ID] {
+			lp := pf.LP
 			if pf.ImportedFrom >= 0 && live(pf.ImportedFrom) {
 				home := h.Cells[pf.ImportedFrom].VM
 				hpf, ok := home.Lookup(lp)

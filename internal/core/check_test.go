@@ -177,3 +177,11 @@ func TestCheckCatchesLoanCountDrift(t *testing.T) {
 	home.LoanedTo = 0
 	expectViolation(t, h, "cell1: loaned count 0, table has 1")
 }
+
+func TestCheckCatchesRelabelledPfdat(t *testing.T) {
+	// Class 1, hash/frames coherence: the imported pfdat is relabelled in
+	// place, so the hash files it where its old label hashes.
+	h, pf := newSharingHive(t)
+	pf.LP.Off += 5
+	expectViolation(t, h, pf.LP.String())
+}

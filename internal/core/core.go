@@ -122,7 +122,6 @@ type Cell struct {
 
 	failed  bool // fail-stop or forced stop
 	corrupt bool // software-corrupted (fault injection ground truth)
-	boots   int  // microboot count (RPC incarnation epoch)
 
 	Metrics *stats.Registry
 }
@@ -455,8 +454,6 @@ func (c *Cell) Microboot() {
 	c.failed, c.corrupt = false, false
 	c.PlaceTargets = nil // stale pre-fault hints do not survive the reboot
 	c.Hive.buildCell(c)
-	c.boots++
-	c.EP.SetIncarnation(c.boots)
 	rpc.Connect(endpoints(c.Hive.Cells)...)
 }
 

@@ -401,48 +401,118 @@ func TestReplyResendTakesFreshLine(t *testing.T) {
 }
 
 func TestReServiceAfterEvictionKeepsFirstReply(t *testing.T) {
-	// The first request line is delayed until dedupCap other requests
-	// have reached the server, so its key has left the dedup table: the
-	// server executes it again, into a fresh reply, and the result and
-	// error the client already returned do not change.
-	f := newFixture(t, 2)
-	executions := 0
-	fail := func(_ *sim.Task, req *Request) (any, sim.Time, error) {
-		executions++
-		return executions, 0, fmt.Errorf("execution %d", executions)
+	// The first request line is delayed 100 ms, past the retry the server
+	// serves. While fewer than dedupCap other requests have reached the
+	// server since that retry, the delayed line is a duplicate, answered
+	// with the first reply. From the dedupCap-th on the request has left
+	// the server's window, as it has for a server endpoint rebuilt in
+	// between: the server executes it again, into a fresh reply, and the
+	// result and error the client already returned do not change.
+	for _, tc := range []struct {
+		name    string
+		others  int  // requests reaching the server between retry and line
+		rebuild bool // the server's endpoint is rebuilt after the call
+		runs    int  // executions of the service
+	}{
+		{"last arrival in the window", dedupCap - 1, false, 1},
+		{"first arrival past the window", dedupCap, false, 2},
+		{"server endpoint rebuilt", 0, true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 2)
+			executions := 0
+			fail := func(_ *sim.Task, req *Request) (any, sim.Time, error) {
+				executions++
+				return executions, 0, fmt.Errorf("execution %d", executions)
+			}
+			f.eps[0].Register(procIdem, "idem-fail", fail, Idempotent())
+			f.eps[1].Register(procIdem, "idem-fail", fail, Idempotent())
+			registerNull(f.eps[1])
+			var replies []*reply
+			f.m.FaultHook = func(msg *machine.SIPSMsg) machine.MsgFaultDecision {
+				meta, ok := ClassifySIPS(msg)
+				if !ok || meta.Proc != procIdem {
+					return machine.MsgFaultDecision{}
+				}
+				if meta.IsReply {
+					replies = append(replies, msg.Payload.(*reply))
+				} else if meta.ID == 1 && msg == &msg.Payload.(*Request).line {
+					return machine.MsgFaultDecision{Fault: machine.FaultDelay, Delay: 100 * sim.Millisecond}
+				}
+				return machine.MsgFaultDecision{}
+			}
+			server := f.eps[1]
+			var got any
+			var err error
+			f.run(t, func(tk *sim.Task) {
+				got, _, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
+				f.nullCalls(t, tc.others)(tk)
+				if tc.rebuild {
+					f.eps[1].Shutdown()
+					f.eps[1] = NewEndpoint(f.m, 1, []*machine.Processor{f.m.Procs[1]}, 2)
+					f.eps[1].Register(procIdem, "idem-fail", fail, Idempotent())
+					Connect(f.eps...)
+				}
+			})
+			if executions != tc.runs {
+				t.Fatalf("service executed %d times, want %d", executions, tc.runs)
+			}
+			if len(replies) != 2 || (replies[0] == replies[1]) != (tc.runs == 1) {
+				t.Fatalf("replies = %v: want the first twice for one execution, two distinct for two", replies)
+			}
+			if dups := server.Metrics.Counter("rpc.dup_requests").Value(); dups != int64(2-tc.runs) {
+				t.Fatalf("first server counted %d duplicate requests, want %d", dups, 2-tc.runs)
+			}
+			if got != 1 || err == nil || err.Error() != "execution 1" {
+				t.Fatalf("client returned %v, %v; want 1, execution 1", got, err)
+			}
+			if n := f.eps[0].Metrics.Counter("rpc.stale_replies").Value(); n != 1 {
+				t.Fatalf("rpc.stale_replies = %d, want 1", n)
+			}
+		})
 	}
-	f.eps[0].Register(procIdem, "idem-fail", fail, Idempotent())
-	f.eps[1].Register(procIdem, "idem-fail", fail, Idempotent())
-	registerNull(f.eps[1])
-	var replies []*reply
+}
+
+func TestReplyToPreviousEndpointIsStale(t *testing.T) {
+	// Cell 0's endpoint is rebuilt, as a reboot rebuilds it, while the
+	// reply to its timed-out call is still being served. The fresh
+	// endpoint numbers its calls from the start, so its outstanding call
+	// has the old call's id. The late reply must not resolve that call:
+	// it is counted stale, and the call gets its own result.
+	f := newFixture(t, 2)
+	f.eps[1].Register(procSleepy, "sleepy",
+		func(t *sim.Task, req *Request) (any, sim.Time, error) {
+			t.Sleep(sim.Time(req.Arg.W[0]))
+			return req.Arg.W[0], 0, nil
+		}, Queued())
+	var ids []uint64
 	f.m.FaultHook = func(msg *machine.SIPSMsg) machine.MsgFaultDecision {
-		meta, ok := ClassifySIPS(msg)
-		if !ok || meta.Proc != procIdem {
-			return machine.MsgFaultDecision{}
-		}
-		if meta.IsReply {
-			replies = append(replies, msg.Payload.(*reply))
-		} else if meta.ID == 1 && msg == &msg.Payload.(*Request).line {
-			return machine.MsgFaultDecision{Fault: machine.FaultDelay, Delay: 100 * sim.Millisecond}
+		if meta, ok := ClassifySIPS(msg); ok && !meta.IsReply {
+			ids = append(ids, meta.ID)
 		}
 		return machine.MsgFaultDecision{}
 	}
+	sleep := func(d sim.Time) CallOpts { return CallOpts{Arg: Line{W: [3]int64{int64(d)}}} }
 	var got any
 	var err error
 	f.run(t, func(tk *sim.Task) {
-		got, _, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procIdem, nil, CallOpts{})
-		f.nullCalls(t, dedupCap)(tk)
+		opts := sleep(5 * sim.Millisecond)
+		opts.Timeout, opts.NoHint = sim.Millisecond, true
+		if _, _, err := f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil, opts); !errors.Is(err, ErrTimeout) {
+			t.Errorf("old call: err = %v, want ErrTimeout", err)
+		}
+		f.eps[0].Shutdown()
+		f.eps[0] = NewEndpoint(f.m, 0, []*machine.Processor{f.m.Procs[0]}, 2)
+		Connect(f.eps...)
+		got, _, err = f.eps[0].Call(tk, f.m.Procs[0], 1, procSleepy, nil, sleep(10*sim.Millisecond))
 	})
-	if executions != 2 {
-		t.Fatalf("service executed %d times, want 2 (the evicted duplicate runs again)", executions)
+	if len(ids) != 2 || ids[0] != ids[1] {
+		t.Fatalf("request ids %v, want the same id twice", ids)
 	}
-	if len(replies) != 2 || replies[0] == replies[1] {
-		t.Fatalf("replies = %v, want two distinct replies", replies)
-	}
-	if got != 1 || err == nil || err.Error() != "execution 1" {
-		t.Fatalf("client returned %v, %v; want 1, execution 1", got, err)
+	if err != nil || got != int64(10*sim.Millisecond) {
+		t.Fatalf("fresh call returned %v, %v; want its own result %d", got, err, int64(10*sim.Millisecond))
 	}
 	if n := f.eps[0].Metrics.Counter("rpc.stale_replies").Value(); n != 1 {
-		t.Fatalf("rpc.stale_replies = %d, want 1", n)
+		t.Fatalf("fresh endpoint's rpc.stale_replies = %d, want 1", n)
 	}
 }

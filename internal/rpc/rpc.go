@@ -88,8 +88,9 @@ const (
 	// never accused faster than before.
 	RetryMaxAttempts = 4
 
-	// dedupCap bounds the server-side duplicate-suppression table (keys
-	// are evicted FIFO); it needs only to cover the requests that can be
+	// dedupCap bounds the server-side duplicate-suppression window: an
+	// endpoint remembers a request until dedupCap later requests have
+	// arrived at it. It needs only to cover the requests that can be
 	// retransmitted or duplicated within one call timeout.
 	dedupCap = 4096
 )
@@ -127,9 +128,10 @@ type Line struct {
 // holds its first request line, its reply and the reply's first line.
 // Only Call creates a Request, and every copy of it on the wire (a
 // retransmission or a wire duplicate) is the same object, so a server
-// answers a duplicate from the request it arrived as. The calling
-// endpoint recycles it once the call returns on the clean path (see
-// Call), so a handler must not keep the *Request after it returns.
+// keeps its duplicate-suppression state on the request and answers a
+// duplicate from the request it arrived as. The calling endpoint
+// recycles it once the call returns on the clean path (see Call), so a
+// handler must not keep the *Request after it returns.
 type Request struct {
 	ID        uint64
 	From, To  int // cell IDs
@@ -152,9 +154,9 @@ type Request struct {
 	line machine.SIPSMsg
 	// rep is the first service's reply, first launched in repLine; a
 	// resend takes a fresh line. last is the reply a resend repeats:
-	// &rep, or the fresh reply of a later service (after the request's
-	// key left a server's dedup table), which never overwrites rep
-	// because the client may hold it.
+	// &rep, or the fresh reply of a later service (after the request
+	// left a server's dedup window), which never overwrites rep because
+	// the client may hold it.
 	rep     reply
 	repLine machine.SIPSMsg
 	last    *reply
@@ -168,6 +170,14 @@ type Request struct {
 	// recycled marks a request on its endpoint's freelist: every wire
 	// path panics if it is handed one.
 	recycled bool
+	// served is set once seenBy has served the request.
+	served bool
+	// seenBy is the endpoint that last took the request as a new arrival,
+	// and seenAt that endpoint's arrival count then: seenBy remembers the
+	// request while fewer than dedupCap requests arrived after it (see
+	// remembers).
+	seenBy *Endpoint
+	seenAt uint64
 }
 
 // reply is the wire representation of a completed call. Errors cross the
@@ -222,22 +232,16 @@ func Queued() ServiceOption {
 
 // Idempotent marks a service safe to retransmit: a lost request or reply
 // makes the client retry with backoff instead of failing the call. The
-// server-side dedup table suppresses re-execution of retransmits it has
+// server's dedup window suppresses re-execution of retransmits it has
 // already serviced, so marked services need only tolerate duplicate
 // *delivery*, not duplicate *execution*.
 func Idempotent() ServiceOption {
 	return func(s *service) { s.idempotent = true }
 }
 
-// dedupKey identifies a request for duplicate suppression: caller cell ids
-// never repeat a call id, so (from, id) is stable across retransmissions.
-type dedupKey struct {
-	from int
-	id   uint64
-}
-
 // Endpoint is one cell's RPC engine: it owns the service table, the
-// outstanding-call map, and the queued-request server pool.
+// outstanding-call map, the queued-request server pool and the count of
+// requests that arrived, which dates each request's dedup window.
 type Endpoint struct {
 	M      *machine.Machine
 	CellID int
@@ -261,14 +265,8 @@ type Endpoint struct {
 	poolSize int
 	dead     bool
 	histCall *stats.Histogram // end-to-end successful call latency (µs)
-
-	// seen maps each remembered request to whether it was served (false
-	// while it is in service); a served request carries its own reply.
-	// seenOrder is a ring of the same keys in arrival order, and seenNext
-	// its oldest slot once full: the key evicted next.
-	seen      map[dedupKey]bool
-	seenOrder []dedupKey
-	seenNext  int
+	// arrivals counts the requests taken as new arrivals (see remembers).
+	arrivals uint64
 
 	// The interrupt handlers of the server path, bound once; each takes
 	// the *Request as its argument.
@@ -299,7 +297,6 @@ func NewEndpoint(m *machine.Machine, cellID int, procs []*machine.Processor, poo
 		pending:  map[uint64]*Request{},
 		queue:    &sim.Queue{},
 		poolSize: poolSize,
-		seen:     map[dedupKey]bool{},
 	}
 	ep.serveIntr, ep.resendIntr, ep.launchIntr = ep.serve, ep.resend, ep.launch
 	ep.histCall = ep.Metrics.Hist("rpc.call_us")
@@ -319,16 +316,6 @@ func NewEndpoint(m *machine.Machine, cellID int, procs []*machine.Processor, poo
 
 // Engine returns the engine this endpoint's cell runs on.
 func (ep *Endpoint) Engine() *sim.Engine { return ep.eng }
-
-// SetIncarnation stamps every future call id with a boot epoch. Dedup keys
-// are (from, id) and rely on "caller cell ids never repeat a call id" —
-// which must hold across reboots too: without the epoch, a rebooted cell's
-// fresh endpoint would restart its ids at zero and peers would swallow its
-// first calls (the join announcement among them) as retransmits of its
-// previous incarnation's traffic.
-func (ep *Endpoint) SetIncarnation(n int) {
-	ep.nextID = uint64(n) << 48
-}
 
 // Connect wires two endpoints so they can address each other.
 func Connect(eps ...*Endpoint) {
@@ -541,7 +528,7 @@ func (ep *Endpoint) Call(t *sim.Task, proc *machine.Processor, to int, procID Pr
 			break
 		}
 		// Lost on the wire (or the server is slow): retransmit. The
-		// server's dedup table suppresses re-execution, so the retry is
+		// server's dedup window suppresses re-execution, so the retry is
 		// safe even when the original request was delivered.
 		ep.Metrics.Counter("rpc.retries").Inc()
 		ep.Tracer.EmitSpan(t.Now(), trace.RPCRetry, req.Span, int64(to), int64(attempt+1), "")
@@ -594,7 +581,7 @@ func (ep *Endpoint) onSIPS(proc *machine.Processor, arg any) {
 		ep.handleRequest(proc, msg.Payload.(*Request))
 	case machine.SIPSReply:
 		rep := msg.Payload.(*reply)
-		if req, ok := ep.pending[mustLive(rep.req).ID]; ok {
+		if req := mustLive(rep.req); ep.pending[req.ID] == req {
 			if msg != &req.repLine || rep != &req.rep || req.future.Ready() {
 				// Not the first service's reply on the request's own
 				// line, or not its only copy: another may still be out.
@@ -609,27 +596,25 @@ func (ep *Endpoint) onSIPS(proc *machine.Processor, arg any) {
 			}
 			req.future.Set(rep, nil)
 		} else {
-			// The caller already timed out (or this is a duplicate of a
-			// reply that landed): call ids are never reused, so a late
-			// reply can only be discarded, never delivered to a later
-			// call.
+			// The call already returned (it timed out, or this copies a
+			// reply that landed), or it was a call of this cell's previous
+			// endpoint, whose ids a rebuilt endpoint starts over: a reply
+			// resolves only the Request it answers, so a late one is
+			// discarded, never delivered to a later call.
 			ep.Metrics.Counter("rpc.stale_replies").Inc()
 			ep.Tracer.Emit(ep.eng.Now(), trace.RPCDedup, -1, 0, "stale-reply")
 		}
 	}
 }
 
-// remember enters key into the dedup table, in service, evicting the
-// oldest key once the table is full.
-func (ep *Endpoint) remember(key dedupKey) {
-	if len(ep.seenOrder) < dedupCap {
-		ep.seenOrder = append(ep.seenOrder, key)
-	} else {
-		delete(ep.seen, ep.seenOrder[ep.seenNext])
-		ep.seenOrder[ep.seenNext] = key
-		ep.seenNext = (ep.seenNext + 1) % dedupCap
-	}
-	ep.seen[key] = false
+// remembers reports whether req is in ep's dedup window: ep took it as a
+// new arrival, and fewer than dedupCap requests have arrived since. That
+// is the rule of a dedupCap-entry table with FIFO eviction, which forgets
+// an entry exactly dedupCap arrivals after entering it, with the state
+// kept on the requests. A rebuilt endpoint remembers nothing its
+// predecessor took.
+func (ep *Endpoint) remembers(req *Request) bool {
+	return req.seenBy == ep && ep.arrivals-req.seenAt < dedupCap
 }
 
 // noteServed records req's result, and the by-value Result its handler
@@ -647,9 +632,8 @@ func (ep *Endpoint) noteServed(req *Request, result any, err error) {
 		rep.err = err.Error()
 	}
 	req.last = rep
-	key := dedupKey{req.From, req.ID}
-	if _, ok := ep.seen[key]; ok {
-		ep.seen[key] = true
+	if ep.remembers(req) {
+		req.served = true
 	}
 }
 
@@ -679,18 +663,18 @@ func (ep *Endpoint) handleRequest(proc *machine.Processor, req *Request) {
 	// Duplicate suppression: a retransmitted (or wire-duplicated) request
 	// that was already serviced is answered from the reply it carries
 	// without re-executing the handler; one still in service is dropped —
-	// the original's reply will resolve the caller's future, since the
-	// call id is unchanged across retransmissions.
-	key := dedupKey{req.From, req.ID}
-	if served, dup := ep.seen[key]; dup {
+	// the original's reply will resolve the caller's future, since every
+	// copy is the same Request.
+	if ep.remembers(req) {
 		ep.Metrics.Counter("rpc.dup_requests").Inc()
 		ep.Tracer.EmitSpan(ep.eng.Now(), trace.RPCDedup, req.Span, int64(req.From), 0, "dup-request")
-		if served {
+		if req.served {
 			proc.Interrupt(base, ep.resendIntr, req)
 		}
 		return
 	}
-	ep.remember(key)
+	ep.arrivals++
+	req.seenBy, req.seenAt, req.served = ep, ep.arrivals, false
 	proc.Interrupt(base, ep.serveIntr, req)
 }
 

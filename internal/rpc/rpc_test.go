@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -86,8 +87,9 @@ func (f *fixture) nullCalls(t testing.TB, n int) func(tk *sim.Task) {
 // allocates nothing: its Request, which holds its future, its request
 // line, its reply and the reply's line, comes from the freelist. A call
 // whose handler fails allocates nothing either: the endpoint reuses its
-// last remote error while the text repeats. The warm-up fills the
-// server's dedup table, so eviction runs on every measured call.
+// last remote error while the text repeats. The warm-up makes more than
+// dedupCap calls, so the server's dedup window is full, as on a server
+// that has run for a while.
 func TestNullRPCAllocations(t *testing.T) {
 	errNo := errors.New("server says no")
 	f := newFixture(t, 2)
@@ -115,8 +117,16 @@ func TestNullRPCAllocations(t *testing.T) {
 	}
 }
 
+// TestRequestSize keeps a Request, a round trip's one host object, in the
+// 448-byte size class: the dedup window rides on it.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got > 448 {
+		t.Errorf("a Request is %d bytes, want at most 448", got)
+	}
+}
+
 // BenchmarkNullRPC measures the interrupt-level null RPC round trip on the
-// 2-cell fixture, after a warm-up that fills the server's dedup table.
+// 2-cell fixture, after a warm-up that fills the server's dedup window.
 func BenchmarkNullRPC(b *testing.B) {
 	b.ReportAllocs()
 	f := newFixture(b, 2)

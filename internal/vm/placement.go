@@ -26,8 +26,8 @@ const MigrateCost sim.Time = 12 * sim.Microsecond
 // mappings or exports (migrating a shared page would require remapping
 // every client).
 func (v *VM) MigratePage(t *sim.Task, lp LogicalPage, target int) error {
-	pf, ok := v.hash[lp]
-	if !ok {
+	pf := v.hash.get(lp)
+	if pf == nil {
 		return fmt.Errorf("%w: %v not cached", ErrBadPage, lp)
 	}
 	if pf.Refs > 0 || pf.Exported() || pf.ImportedFrom >= 0 || pf.Kernel {
@@ -64,7 +64,7 @@ func (v *VM) MigratePage(t *sim.Task, lp LogicalPage, target int) error {
 	npf.LP = lp
 	npf.Valid = true
 	npf.Dirty = pf.Dirty
-	v.hash[lp] = npf
+	v.hash.put(npf)
 
 	pf.Valid = false
 	pf.Dirty = false

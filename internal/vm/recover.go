@@ -29,8 +29,8 @@ const TLBFlushCost sim.Time = 25 * sim.Microsecond
 // mappings (imports). It runs before the cell joins the first barrier.
 func (v *VM) RecoveryPhase1(t *sim.Task) {
 	v.holdFaults = true
-	for _, n := range v.NodeIDs {
-		if p := v.procForNode[n]; !p.Halted() {
+	for _, p := range v.procForNode {
+		if !p.Halted() {
 			p.Use(t, TLBFlushCost)
 		}
 	}
@@ -38,13 +38,12 @@ func (v *VM) RecoveryPhase1(t *sim.Task) {
 	// process holding a mapping will re-fault after recovery. Pages are
 	// visited in logical-page order so the drop sequence (and the
 	// resulting free-list order) is deterministic.
-	for _, lp := range sortedPages(v.hash) {
-		pf := v.hash[lp]
+	for _, pf := range v.hash.sorted() {
 		if pf.ImportedFrom >= 0 {
 			pf.ImportedFrom = -1 // neutralize so stale Unref sends no RPC
 			pf.ImpWritable = false
 			pf.Valid = false
-			delete(v.hash, lp)
+			v.hash.del(pf.LP)
 			if pf.Extended {
 				v.dropExtended(pf.Frame)
 			}
@@ -127,7 +126,7 @@ func (v *VM) discardPage(pf *Pfdat) {
 	if pf.Dirty && v.OnDiscardDirty != nil {
 		v.OnDiscardDirty(pf.LP)
 	}
-	delete(v.hash, pf.LP)
+	v.hash.del(pf.LP)
 	pf.Valid = false
 	pf.Dirty = false
 	pf.Refs = 0

@@ -140,7 +140,7 @@ func (v *VM) Import(t *sim.Task, frame machine.PageNum, dataHome int, lp Logical
 	pf.Valid = true
 	pf.ImportedFrom = dataHome
 	pf.ImpWritable = pf.ImpWritable || writable
-	v.hash[lp] = pf
+	v.hash.put(pf)
 	v.Metrics.Counter("vm.imports").Inc()
 	return pf
 }
@@ -150,7 +150,7 @@ func (v *VM) Import(t *sim.Task, frame machine.PageNum, dataHome int, lp Logical
 // fast re-access (§5.2).
 func (v *VM) Release(t *sim.Task, pf *Pfdat) {
 	v.anyProc().Use(t, ReleaseCost)
-	delete(v.hash, pf.LP)
+	v.hash.del(pf.LP)
 	if pf.Extended {
 		v.dropExtended(pf.Frame)
 	} else {
@@ -249,7 +249,8 @@ func (v *VM) serveExport(t *sim.Task, req *rpc.Request) (any, sim.Time, error) {
 	if !v.lock(t) {
 		return nil, 0, rpc.ErrQueue
 	}
-	pf, hit := v.hash[args.LP]
+	pf := v.hash.get(args.LP)
+	hit := pf != nil
 	v.unlock(t)
 	switch {
 	case t == nil && (!hit || args.Writable && !pf.writable.has(args.Client) && !v.localFrame(pf.Frame)):
@@ -284,7 +285,7 @@ func (v *VM) serveRelease(t *sim.Task, req *rpc.Request) (any, sim.Time, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	if pf, ok := v.hash[args.LP]; t == nil && ok && pf.writable.has(args.Client) && !v.localFrame(pf.Frame) {
+	if pf := v.hash.get(args.LP); t == nil && pf != nil && pf.writable.has(args.Client) && !v.localFrame(pf.Frame) {
 		return nil, 0, rpc.ErrQueue
 	}
 	if !v.lock(t) {
@@ -329,8 +330,8 @@ func (v *VM) validateFirewallArgs(req *rpc.Request) (*firewallArgs, error) {
 // access when the last reference goes away. t may be nil only when the
 // revocation (if any) is local; no one then pays its cost (DESIGN §6).
 func (v *VM) dropExport(t *sim.Task, lp LogicalPage, client int) {
-	pf, ok := v.hash[lp]
-	if !ok || !pf.exports.has(client) {
+	pf := v.hash.get(lp)
+	if pf == nil || !pf.exports.has(client) {
 		return
 	}
 	ref := exportRef{pf.Frame, client}

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"repro/internal/machine"
@@ -43,8 +42,8 @@ type LogicalPage struct {
 	Off int64 // page offset within the object
 }
 
-// compare is a total order over logical pages, used wherever a pfdat map
-// must be iterated deterministically.
+// compare is a total order over logical pages, used wherever the pfdat
+// hash must be iterated deterministically.
 func (lp LogicalPage) compare(o LogicalPage) int {
 	if c := cmp.Compare(lp.Obj.Kind, o.Obj.Kind); c != 0 {
 		return c
@@ -56,17 +55,6 @@ func (lp LogicalPage) compare(o LogicalPage) int {
 		return c
 	}
 	return cmp.Compare(lp.Off, o.Off)
-}
-
-// sortedPages returns m's keys in compare order, so callers can sweep a
-// pfdat map without leaking Go's random map order into simulation state.
-func sortedPages(m map[LogicalPage]*Pfdat) []LogicalPage {
-	out := make([]LogicalPage, 0, len(m))
-	for lp := range m {
-		out = append(out, lp)
-	}
-	slices.SortStableFunc(out, LogicalPage.compare)
-	return out
 }
 
 // String formats the logical page id for diagnostics.

@@ -34,7 +34,7 @@ type VM struct {
 	// why fault service must avoid blocking locks).
 	Lock sim.Mutex
 
-	hash map[LogicalPage]*Pfdat
+	hash pageHash
 	// regular holds the cell's regular pfdats (§5.1), one per local
 	// frame, indexed by frame - firstFrame. It is built once at boot and
 	// never resized, so its pointers are stable. A cell's nodes are
@@ -61,7 +61,9 @@ type VM struct {
 	// CheckInvariants compares them against a walk.
 	borrowed, loaned int
 
-	procForNode map[int]*machine.Processor
+	// procForNode holds the first processor of each of the cell's nodes,
+	// indexed by node - NodeIDs[0].
+	procForNode []*machine.Processor
 
 	// recovery state
 	holdFaults bool
@@ -101,10 +103,8 @@ func New(m *machine.Machine, ep *rpc.Endpoint, cellID int, nodeIDs []int, cellOf
 		EP:          ep,
 		NodeIDs:     nodeIDs,
 		CellOfNode:  cellOfNode,
-		hash:        make(map[LogicalPage]*Pfdat),
 		extended:    make(map[machine.PageNum]*Pfdat),
 		resolvers:   make(map[ObjKind]Resolver),
-		procForNode: make(map[int]*machine.Processor),
 		BorrowBatch: 16,
 		Metrics:     stats.NewRegistry(),
 	}
@@ -116,7 +116,7 @@ func New(m *machine.Machine, ep *rpc.Endpoint, cellID int, nodeIDs []int, cellOf
 		if n != nodeIDs[0]+i {
 			panic(fmt.Sprintf("vm: cell %d nodes %v are not consecutive", cellID, nodeIDs))
 		}
-		v.procForNode[n] = m.Nodes[n].Procs[0]
+		v.procForNode = append(v.procForNode, m.Nodes[n].Procs[0])
 		lo, hi := m.NodePages(n)
 		for p := lo; p < hi; p++ {
 			pf := &v.regular[p-v.firstFrame]
@@ -155,8 +155,8 @@ func (v *VM) unlock(t *sim.Task) {
 
 // Lookup returns the pfdat for lp if present in the hash (no timing).
 func (v *VM) Lookup(lp LogicalPage) (*Pfdat, bool) {
-	pf, ok := v.hash[lp]
-	return pf, ok
+	pf := v.hash.get(lp)
+	return pf, pf != nil
 }
 
 // PfdatFor returns the pfdat for a frame this cell knows about; any other
@@ -183,19 +183,19 @@ func (v *VM) localFrame(p machine.PageNum) bool {
 // proc returns the processor used for VM work on the frame's home node, or
 // any of the cell's processors for remote frames.
 func (v *VM) proc(frame machine.PageNum) *machine.Processor {
-	if p, ok := v.procForNode[v.M.HomeNode(frame)]; ok {
-		return p
+	if i := uint(v.M.HomeNode(frame) - v.NodeIDs[0]); i < uint(len(v.procForNode)) {
+		return v.procForNode[i]
 	}
 	return v.anyProc()
 }
 
 func (v *VM) anyProc() *machine.Processor {
-	for _, n := range v.NodeIDs {
-		if p := v.procForNode[n]; !p.Halted() {
+	for _, p := range v.procForNode {
+		if !p.Halted() {
 			return p
 		}
 	}
-	return v.procForNode[v.NodeIDs[0]]
+	return v.procForNode[0]
 }
 
 // Fault services a page fault by a process on this cell for logical page
@@ -219,8 +219,8 @@ func (v *VM) Fault(t *sim.Task, lp LogicalPage, write bool) (*Pfdat, error) {
 		}
 
 		proc.Use(t, LocalFaultLookup)
-		pf, ok := v.hash[lp]
-		if ok && (!write || v.writableHere(pf)) {
+		pf := v.hash.get(lp)
+		if pf != nil && (!write || v.writableHere(pf)) {
 			// Hit: 6.9 µs total.
 			proc.Use(t, LocalFaultMap)
 			pf.Refs++
@@ -294,27 +294,27 @@ func (v *VM) InsertLocal(lp LogicalPage, frame machine.PageNum, dirty bool) *Pfd
 	pf.LP = lp
 	pf.Valid = true
 	pf.Dirty = dirty
-	v.hash[lp] = pf
+	v.hash.put(pf)
 	return pf
 }
 
 // Evict removes an unreferenced page from the hash and frees its frame.
 // Dirty pages are the caller's responsibility to write back first.
 func (v *VM) Evict(t *sim.Task, lp LogicalPage) bool {
-	pf, ok := v.hash[lp]
-	if !ok || pf.Refs > 0 || pf.Exported() {
+	pf := v.hash.get(lp)
+	if pf == nil || pf.Refs > 0 || pf.Exported() {
 		return false
 	}
-	delete(v.hash, lp)
+	v.hash.del(lp)
 	pf.Valid = false
 	pf.Dirty = false
 	v.FreeFrame(t, pf.Frame)
 	return true
 }
 
-// HashPages returns the logical pages of the pfdat hash in logical-page
-// order (invariant auditing); Lookup gives each one's pfdat.
-func (v *VM) HashPages() []LogicalPage { return sortedPages(v.hash) }
+// HashEntries returns the pfdats in the pfdat hash ordered by label
+// (invariant auditing).
+func (v *VM) HashEntries() []*Pfdat { return v.hash.sorted() }
 
 // FreeList returns a copy of the free pool (invariant auditing).
 func (v *VM) FreeList() []machine.PageNum {

@@ -958,3 +958,50 @@ func BenchmarkRemoteFault(b *testing.B) {
 	b.ResetTimer()
 	f.run(b, f.remoteFault(b, lp, false, b.N))
 }
+
+// localFaults returns a task body that faults n times on the local file
+// pages 0..pages-1 of file 9, homed on cell 0, in turn from cell 0, and
+// drops each reference at once. Once each page is cached, every fault is
+// a hit.
+func (f *fixture) localFaults(t testing.TB, pages, n int) func(tk *sim.Task) {
+	return func(tk *sim.Task) {
+		for i := 0; i < n; i++ {
+			pf, err := f.vms[0].Fault(tk, filePage(0, 9, int64(i%pages)), false)
+			if err != nil {
+				t.Errorf("local fault %d: %v", i, err)
+				return
+			}
+			f.vms[0].Unref(tk, pf)
+		}
+	}
+}
+
+// faultHitPages is how many pages the fault-hit measurements keep cached,
+// so the pfdat hash is past its first doubling.
+const faultHitPages = 256
+
+// TestFaultHitAllocations checks that a fault that hits in the local
+// page cache allocates nothing: the pfdat hash lookup, the costs charged
+// and the latency recorded are all in place.
+func TestFaultHitAllocations(t *testing.T) {
+	f := newFixture(t, 2)
+	f.run(t, f.localFaults(t, faultHitPages, faultHitPages))
+	fault := f.localFaults(t, faultHitPages, 1)
+	var allocs float64
+	f.run(t, func(tk *sim.Task) {
+		allocs = testing.AllocsPerRun(1000, func() { fault(tk) })
+	})
+	if allocs != 0 {
+		t.Errorf("a warm local fault hit allocates %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkFaultHit measures a fault that hits in the local page cache,
+// with its unref, over faultHitPages cached pages in turn.
+func BenchmarkFaultHit(b *testing.B) {
+	b.ReportAllocs()
+	f := newFixture(b, 2)
+	f.run(b, f.localFaults(b, faultHitPages, faultHitPages))
+	b.ResetTimer()
+	f.run(b, f.localFaults(b, faultHitPages, b.N))
+}
